@@ -701,6 +701,7 @@ def _fuzz_main(argv) -> int:
     """
     from .fuzz import INJECTIONS, FuzzConfig, run_fuzz
     from .fuzz.corpus import DEFAULT_CORPUS_DIR
+    from .schedulers import REGISTRY
 
     fp = argparse.ArgumentParser(
         prog="python -m repro fuzz",
@@ -762,7 +763,7 @@ def _fuzz_main(argv) -> int:
     args = fp.parse_args(argv)
 
     schedulers = tuple(s.strip() for s in args.schedulers.split(",") if s.strip())
-    unknown = [s for s in schedulers if s not in ("sgi", "most", "rau", "portfolio")]
+    unknown = [s for s in schedulers if s not in REGISTRY]
     if unknown:
         fp.error(f"unknown schedulers: {', '.join(unknown)}")
     if args.oracle == "backend-agreement" and "portfolio" not in schedulers:

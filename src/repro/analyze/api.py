@@ -164,36 +164,13 @@ def _achieved(
     entry: LoopAnalysis,
 ) -> None:
     """Run the requested pipeliners and record what each one achieved."""
-    # Lazy imports: the drivers consult repro.analyze for static pruning,
-    # so importing them at module scope here would be circular.
-    from ..core.driver import pipeline_loop
-    from ..most.scheduler import MostOptions, most_pipeline_loop
-    from ..rau.scheduler import rau_pipeline_loop
+    from ..verify.api import run_sweep_cell
 
-    for scheduler in schedulers:
-        if scheduler == "sgi":
-            result = pipeline_loop(loop, machine, verify=False)
-            spills = result.spill_rounds
-            optimal = False
-        elif scheduler == "most":
-            result = most_pipeline_loop(
-                loop,
-                machine,
-                MostOptions(time_limit=most_time_limit, engine="scipy"),
-                verify=False,
-            )
-            fallback = getattr(result, "fallback_result", None)
-            spills = fallback.spill_rounds if fallback is not None else 0
-            optimal = bool(result.optimal)
-        elif scheduler == "rau":
-            result = rau_pipeline_loop(loop, machine, verify=False)
-            spills = 1 if result.spilled else 0
-            optimal = False
-        else:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        entry.achieved[scheduler] = result.ii if result.success else None
-        entry.spill_rounds[scheduler] = spills
-        entry.optimal[scheduler] = optimal
+    for name in schedulers:
+        result = run_sweep_cell(name, loop, machine, most_time_limit)
+        entry.achieved[name] = result.ii if result.success else None
+        entry.spill_rounds[name] = result.spill_rounds
+        entry.optimal[name] = result.optimal
 
 
 def _cross_check(

@@ -18,7 +18,7 @@ Composition, mirroring the MIPSpro pipeliner:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
@@ -33,6 +33,28 @@ from .pipestage import adjust_pipestages
 from .priorities import PRODUCTION_ORDER_NAMES, production_orders
 from .sched import Schedule, SchedulingStats
 from .spill import MAX_SPILL_ROUNDS, choose_spill_candidates, insert_spills
+
+
+_Options = TypeVar("_Options")
+
+
+def options_from_mapping(cls: Type[_Options], data: Mapping[str, Any]) -> _Options:
+    """Build a scheduler's options dataclass, rejecting unknown keys.
+
+    The one key check behind every scheduler's ``from_dict`` (the
+    repro.exec cell form): a typo must fail loudly, not fall back to a
+    default silently.
+    """
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return cls(**dict(data))
+
+
+#: The heuristic backup's options (cell/JSON form): the optimal drivers'
+#: fallback (§4.4) and the exec engine's timeout rescue both run the SGI
+#: pipeliner without bank pairing.
+FALLBACK_OPTIONS: Mapping[str, Any] = {"enable_membank": False}
 
 
 @dataclass
@@ -62,11 +84,7 @@ class PipelinerOptions:
             data["orders"] = tuple(data["orders"])
         if "bnb" in data and isinstance(data["bnb"], Mapping):
             data["bnb"] = BnBConfig(**data["bnb"])
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown PipelinerOptions keys: {', '.join(unknown)}")
-        return cls(**data)
+        return options_from_mapping(cls, data)
 
 
 @dataclass
@@ -83,6 +101,11 @@ class PipelineResult:
     spill_rounds: int = 0
     spilled: List[str] = field(default_factory=list)
     stats: SchedulingStats = field(default_factory=SchedulingStats)
+    # The common read surface of every scheduler's result (repro.schedulers):
+    # the heuristic neither proves II-optimality nor falls back.
+    optimal = False
+    fallback_used = False
+    fallback_result = None
 
     @property
     def ii(self) -> Optional[int]:
@@ -92,7 +115,7 @@ class PipelineResult:
 def _maybe_verify(result, machine: MachineDescription, verify: Optional[bool]):
     """Run the independent checkers over a driver result when enabled.
 
-    Shared by all three pipeliners.  ``verify=None`` defers to the process
+    Shared by every pipeliner.  ``verify=None`` defers to the process
     default (:func:`repro.verify.set_default_verify`); imports are lazy
     because ``repro.verify`` imports the drivers for its corpus sweeps.
     """

@@ -27,7 +27,7 @@ from ..exec.cells import Cell, CellResult
 from ..exec.runner import ExecEngine
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
-from ..most.scheduler import MostOptions, MostResult
+from ..most.scheduler import MostOptions
 from ..pipeline.overhead import pipeline_overhead
 from ..sim.layout import DataLayout
 from ..sim.perf import simulate_pipelined, simulate_sequential_body
@@ -126,20 +126,6 @@ def _pipelined_cycles(
     batched experiments read the same quantity off their cells."""
     if not result.success:
         raise ValueError(f"loop {result.original.name!r} failed to pipeline")
-    layout = DataLayout(result.loop, trip_count=trips or result.loop.trip_count, seed=seed)
-    overhead = pipeline_overhead(result.schedule, result.allocation, machine)
-    report = simulate_pipelined(
-        result.schedule, layout, machine, trips=trips, overhead=overhead
-    )
-    return report.cycles
-
-
-def _most_cycles(
-    result: MostResult,
-    machine: MachineDescription,
-    trips: Optional[int] = None,
-    seed: int = 0,
-) -> float:
     layout = DataLayout(result.loop, trip_count=trips or result.loop.trip_count, seed=seed)
     overhead = pipeline_overhead(result.schedule, result.allocation, machine)
     report = simulate_pipelined(

@@ -17,8 +17,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
+from ..schedulers import REGISTRY
 
-SCHEDULERS = ("sgi", "most", "rau", "baseline", "portfolio")
+#: Every registered pipeliner, plus the sequential list-scheduling baseline.
+SCHEDULERS = (*REGISTRY, "baseline")
 
 
 # ----------------------------------------------------------------------

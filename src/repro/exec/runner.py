@@ -35,8 +35,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..core.driver import FALLBACK_OPTIONS
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import TraceRecorder, recording, write_jsonl
+from ..schedulers import get_scheduler, without_harness_keys
 from .cache import ScheduleCache
 from .cells import Cell, CellResult, resolve_loop
 from .hashing import cell_key, fingerprint_loop, fingerprint_machine
@@ -185,7 +187,7 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
     """Schedule, allocate and simulate one cell (no deadline handling here)."""
     from ..core.minii import min_ii as compute_min_ii
 
-    options = {k: v for k, v in cell.options.items() if not k.startswith("_test_")}
+    options = without_harness_keys(cell.options)
     out = CellResult(
         loop=cell.loop,
         scheduler=cell.scheduler,
@@ -230,61 +232,21 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
             out.sim_cycles["default" if trips is None else str(trips)] = float(report.cycles)
         return out
 
+    scheduler = get_scheduler(cell.scheduler)
     sched_start = time.perf_counter()
-    if cell.scheduler == "sgi":
-        from ..core.driver import PipelinerOptions, pipeline_loop
-
-        result = pipeline_loop(
-            loop, machine, PipelinerOptions.from_dict(options), verify=cell.verify
-        )
-        out.schedule_seconds = result.stats.seconds
-        out.order_name = result.order_name
-        out.spill_rounds = result.spill_rounds
-    elif cell.scheduler == "most":
-        from ..most.scheduler import MostOptions, most_pipeline_loop
-
-        result = most_pipeline_loop(
-            loop, machine, MostOptions.from_dict(options), verify=cell.verify
-        )
-        out.schedule_seconds = result.stats.seconds
-        out.fallback = result.fallback_used
-        out.optimal = result.optimal
-        if result.fallback_used and result.fallback_result is not None:
-            # MOST never spills; any spilling happened inside its heuristic
-            # fallback, whose PipelineResult carries the round count.
-            out.spill_rounds = result.fallback_result.spill_rounds
-    elif cell.scheduler == "portfolio":
-        from ..portfolio.driver import PortfolioOptions, portfolio_pipeline_loop
-
-        result = portfolio_pipeline_loop(
-            loop, machine, PortfolioOptions.from_dict(options), verify=cell.verify
-        )
-        out.schedule_seconds = result.stats.seconds
-        out.fallback = result.fallback_used
-        out.optimal = result.optimal
-        out.backend_seconds = result.stats.backend_seconds()
-        out.backend_probes = [probe.to_dict() for probe in result.probes]
-        if result.fallback_used and result.fallback_result is not None:
-            # Like MOST, the portfolio itself never spills; only its
-            # heuristic fallback can, and it reports the round count.
-            out.spill_rounds = result.fallback_result.spill_rounds
-    elif cell.scheduler == "rau":
-        from ..rau.scheduler import RauOptions, rau_pipeline_loop
-
-        known = {"budget_ratio", "ii_cap_factor", "max_spill_rounds"}
-        result = rau_pipeline_loop(
-            loop,
-            machine,
-            RauOptions(**{k: v for k, v in options.items() if k in known}),
-            verify=cell.verify,
-        )
-        out.schedule_seconds = result.stats.seconds
-        # RauResult reports the spilled value set, not rounds; any spill
-        # still means the scheduled loop is not the pristine one.
-        out.spill_rounds = 1 if result.spilled else 0
-    else:  # pragma: no cover - Cell.__post_init__ rejects unknown names
-        raise ValueError(f"unknown scheduler {cell.scheduler!r}")
+    result = scheduler.run(
+        loop, machine, scheduler.options_from_dict(options), verify=cell.verify
+    )
     out.sched_wall_seconds = time.perf_counter() - sched_start
+    out.schedule_seconds = result.stats.seconds
+    out.fallback = result.fallback_used
+    out.optimal = result.optimal
+    out.spill_rounds = result.spill_rounds
+    out.order_name = getattr(result, "order_name", "")  # SGI's winning order
+    probes = getattr(result, "probes", [])  # the portfolio's probe trail
+    if probes:
+        out.backend_seconds = result.stats.backend_seconds()
+        out.backend_probes = [probe.to_dict() for probe in probes]
 
     if inject:
         from ..fuzz.inject import corrupt_result
@@ -387,7 +349,7 @@ def _apply_oracle(cell: Cell, result, machine, out: CellResult) -> None:
 def _fallback_result(cell: Cell, loop, machine, elapsed: float) -> CellResult:
     """Heuristic rescue of a timed-out cell, with honest accounting."""
     fallback_cell = Cell.make(
-        cell.loop, "sgi", {"enable_membank": False},
+        cell.loop, "sgi", FALLBACK_OPTIONS,
         trips=cell.trips, seed=cell.seed, simulate=cell.simulate, verify=False,
     )
     try:

@@ -39,9 +39,7 @@ from ..machine.descriptions import MachineDescription
 from ..portfolio.formulation import (
     ModuloFormulation,
     build_modulo_formulation,
-    critical_path,
     default_horizon_stages,
-    time_windows,
 )
 
 __all__ = [
@@ -84,16 +82,6 @@ class ScheduleFormulation:
                 if var is not None:
                     priority.append(var.index)
         return priority
-
-
-def _critical_path(loop: Loop) -> int:
-    """Longest acyclic latency path (moved to repro.portfolio.formulation)."""
-    return critical_path(loop)
-
-
-def _time_windows(loop: Loop, ii: int, horizon: int) -> Optional[List[Tuple[int, int]]]:
-    """ASAP/ALAP windows (moved to repro.portfolio.formulation)."""
-    return time_windows(loop, ii, horizon)
 
 
 def model_from_formulation(

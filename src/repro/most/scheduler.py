@@ -16,65 +16,26 @@ Mirrors the adjusted McGill methodology of Section 3.3:
 from __future__ import annotations
 
 import sys
-import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..core.driver import PipelineResult, PipelinerOptions, pipeline_loop
-from ..core.minii import min_ii as compute_min_ii
+from ..core.driver import options_from_mapping
 from ..core.priorities import production_orders
 from ..core.sched import Schedule
 from ..ilp.solver import MILPResult, SolverOptions, Status, solve_milp
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
-from ..regalloc.coloring import AllocationResult, allocate_schedule
 from .formulation import ScheduleFormulation, build_formulation
-
-
-#: The study's limit on searches for optimal schedules ("we used 3
-#: minutes").  This is the *single* definition of the paper's budget;
-#: experiment configurations shrink it, but every deadline below flows
-#: through one :class:`SolveBudget` built from ``MostOptions.time_limit``.
-PAPER_TIME_LIMIT = 180.0
-
-
-@dataclass
-class SolveBudget:
-    """Sole owner of the MOST wall-clock budget for one loop.
-
-    Every solver invocation asks this object for its slice; a slice can
-    never exceed either the configured total or what actually remains, so
-    the per-order split of §3.3 adjustment 3 and the stage-2 re-solve
-    cannot overshoot the budget no matter how the knobs are set.
-    """
-
-    total: float
-    started: float = field(default_factory=time.perf_counter)
-
-    def remaining(self) -> float:
-        return max(0.0, self.started + self.total - time.perf_counter())
-
-    def expired(self) -> bool:
-        return self.remaining() <= 0.0
-
-    def slice(self, parts: int = 1, floor: float = 0.0) -> float:
-        """An even ``1/parts`` share of the total, capped by what remains.
-
-        ``floor`` lifts tiny shares (many priority orders, small budget) so
-        a solve is not pointlessly invoked with microseconds — but never
-        above the remaining budget.
-        """
-        remaining = self.remaining()
-        share = max(self.total / max(parts, 1), floor)
-        share = min(share, remaining)
-        assert share <= self.total + 1e-9, (
-            f"budget slice {share:.3f}s exceeds configured total {self.total:.3f}s"
-        )
-        assert share <= remaining + 1e-9, (
-            f"budget slice {share:.3f}s exceeds remaining {remaining:.3f}s"
-        )
-        return share
+from .walk import (
+    INFEASIBLE,
+    PAPER_TIME_LIMIT,
+    OptimalResult,
+    SolveBudget,
+    SolveStats,
+    Verdict,
+    walk_ii,
+)
 
 
 @dataclass
@@ -98,35 +59,17 @@ class MostOptions:
     max_nodes: int = 200_000
     # Print one line per ILP solve (nodes, simplex iterations, MIP gap,
     # which budget stopped it) to stderr — the human-readable face of the
-    # counters :class:`MostStats` accumulates.
+    # counters :class:`SolveStats` accumulates.
     log_solves: bool = False
-
-    def budget(self) -> SolveBudget:
-        """Start the wall clock on this loop's solve budget."""
-        return SolveBudget(total=self.time_limit)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MostOptions":
         """Build options from a JSON-style mapping (the repro.exec cell form)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown MostOptions keys: {', '.join(unknown)}")
-        return cls(**dict(data))
-
-
-@dataclass
-class MostStats:
-    solves: int = 0
-    nodes: int = 0
-    simplex_iterations: int = 0
-    node_limit_hits: int = 0  # solves stopped by the node budget
-    time_limit_hits: int = 0  # solves stopped by a wall-clock budget
-    seconds: float = 0.0
+        return options_from_mapping(cls, data)
 
 
 def _account_solve(
-    stats: MostStats, options: MostOptions, context: str, result: MILPResult
+    stats: SolveStats, options: MostOptions, context: str, result: MILPResult
 ) -> None:
     """Fold one solver result into the stats; optionally log it."""
     stats.solves += 1
@@ -145,32 +88,12 @@ def _account_solve(
         )
 
 
-@dataclass
-class MostResult:
-    """Outcome of the optimal pipeliner (possibly via fallback)."""
-
-    success: bool
-    schedule: Optional[Schedule]
-    allocation: Optional[AllocationResult]
-    loop: Loop
-    min_ii: int
-    optimal: bool = False  # II-optimality proven by the ILP
-    buffers: Optional[int] = None  # buffer objective value, when minimised
-    fallback_used: bool = False
-    fallback_result: Optional[PipelineResult] = None
-    stats: MostStats = field(default_factory=MostStats)
-
-    @property
-    def ii(self) -> Optional[int]:
-        return self.schedule.ii if self.schedule is not None else None
-
-
 def _solve_with_orders(
     formulation: ScheduleFormulation,
     loop: Loop,
     machine: MachineDescription,
     options: MostOptions,
-    stats: MostStats,
+    stats: SolveStats,
     budget: SolveBudget,
 ) -> Optional[MILPResult]:
     """Solve one formulation, trying each SGI priority order as the branch
@@ -224,111 +147,48 @@ def most_pipeline_loop(
     machine: Optional[MachineDescription] = None,
     options: Optional[MostOptions] = None,
     verify: Optional[bool] = None,
-) -> MostResult:
+) -> OptimalResult:
     """Schedule ``loop`` with the ILP pipeliner, falling back to heuristics.
 
     ``verify`` cross-checks successful results with the independent
     ``repro.verify`` analyzers (``None`` = process default); ERROR
     diagnostics raise :class:`repro.verify.VerificationError`.
     """
-    from ..core.driver import _maybe_verify
     machine = machine if machine is not None else r8000()
     options = options or MostOptions()
-    stats = MostStats()
-    mii = compute_min_ii(loop, machine)
-    budget = options.budget()
 
-    rec = get_recorder()
-    if loop.n_ops <= options.max_ops:
-        max_ii = options.ii_cap_factor * mii
-        # II-optimality is proven when every smaller II was proven
-        # infeasible (MinII itself is a hard lower bound).
-        smaller_proven_infeasible = True
-        for ii in range(mii, max_ii + 1):
-            if budget.expired():
-                break
-            if rec.enabled:
-                rec.counter("most.ii_attempts")
-                rec.event("most.ii", loop=loop.name, ii=ii)
-            formulation = build_formulation(
-                loop,
-                machine,
-                ii,
-                stages=options.stages,
-                minimize_buffers=options.integrated,
-            )
-            if formulation.infeasible:
-                continue  # proven infeasible at this II (window collapse)
-            result = _solve_with_orders(formulation, loop, machine, options, stats, budget)
-            if result is None:
-                smaller_proven_infeasible = False
-                continue  # inconclusive at this II; try the next
-            if result.status is Status.INFEASIBLE:
-                continue
-            times = formulation.decode_times(result)
-            optimal = smaller_proven_infeasible
-            buffers: Optional[int] = None
-            if options.integrated and result.objective is not None:
-                buffers = int(round(result.objective))
-            if options.minimize_buffers and not options.integrated:
-                # Cap the secondary solve so one II cannot starve the rest
-                # of the II range of solver time: at most a third of the
-                # budget, and never more than remains of it.
-                times, buffers = _optimise_secondary(
-                    loop, machine, ii, times, options, stats,
-                    budget.slice(parts=3),
-                )
-            schedule = Schedule(
-                loop=loop, machine=machine, ii=ii, times=times, producer="most/ilp"
-            )
-            allocation = allocate_schedule(schedule, machine)
-            if allocation.success:
-                return _maybe_verify(
-                    MostResult(
-                        success=True,
-                        schedule=schedule,
-                        allocation=allocation,
-                        loop=loop,
-                        min_ii=mii,
-                        optimal=optimal,
-                        buffers=buffers,
-                        stats=stats,
-                    ),
-                    machine,
-                    verify,
-                )
-            # Register allocation failed at this II: a larger II shortens
-            # relative lifetimes, so keep walking the II range before
-            # resorting to the heuristic fallback.
-            smaller_proven_infeasible = False
-
-    if not options.fallback:
-        return MostResult(
-            success=False,
-            schedule=None,
-            allocation=None,
-            loop=loop,
-            min_ii=mii,
-            stats=stats,
+    def formulate(ii: int) -> ScheduleFormulation:
+        return build_formulation(
+            loop, machine, ii, stages=options.stages, minimize_buffers=options.integrated
         )
-    # verify=False here: the wrapping MostResult is verified below instead,
-    # so the fallback schedule is not checked twice.
-    fallback = pipeline_loop(
-        loop, machine, PipelinerOptions(enable_membank=False), verify=False
-    )
-    return _maybe_verify(
-        MostResult(
-            success=fallback.success,
-            schedule=fallback.schedule,
-            allocation=fallback.allocation,
-            loop=fallback.loop,
-            min_ii=mii,
-            fallback_used=True,
-            fallback_result=fallback,
-            stats=stats,
-        ),
-        machine,
-        verify,
+
+    def solve(
+        formulation: ScheduleFormulation, budget: SolveBudget, stats: SolveStats
+    ) -> Verdict:
+        result = _solve_with_orders(formulation, loop, machine, options, stats, budget)
+        if result is None:
+            return None
+        if result.status is Status.INFEASIBLE:
+            return INFEASIBLE
+        ii = formulation.ii
+        times = formulation.decode_times(result)
+        buffers: Optional[int] = None
+        if options.integrated and result.objective is not None:
+            buffers = int(round(result.objective))
+        if options.minimize_buffers and not options.integrated:
+            # Cap the secondary solve so one II cannot starve the rest of
+            # the II range of solver time: at most a third of the budget,
+            # and never more than remains of it.
+            times, buffers = _optimise_secondary(
+                loop, machine, ii, times, options, stats, budget.slice(parts=3)
+            )
+        schedule = Schedule(
+            loop=loop, machine=machine, ii=ii, times=times, producer="most/ilp"
+        )
+        return schedule, {"buffers": buffers}
+
+    return walk_ii(
+        loop, machine, options, verify, tag="most", formulate=formulate, solve=solve
     )
 
 
@@ -338,7 +198,7 @@ def _optimise_secondary(
     ii: int,
     initial_times: Dict[int, int],
     options: MostOptions,
-    stats: MostStats,
+    stats: SolveStats,
     time_limit: float,
 ):
     """Stage 2: re-solve with the secondary objective under the budget.

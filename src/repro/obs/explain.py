@@ -34,8 +34,9 @@ This module produces that attribution as a per-(loop × scheduler)
   ``unschedulable``   the pipeliner produced no schedule at all
   ==================  ==================================================
 
-All scheduler imports are lazy: ``repro.obs`` is imported by the core
-pipeliners, so this module must not import them at module scope.
+All pipeliner imports are lazy (the registry resolves drivers at call
+time): ``repro.obs`` is imported by the core pipeliners, so this module
+must not import them at module scope.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from ..schedulers import get_scheduler
 
 #: Every class :func:`classify` can emit — the closed vocabulary the CLI,
 #: the HTML dashboard and the tests share.
@@ -58,8 +61,6 @@ BINDING_CLASSES = (
 
 #: Classes that mean "the schedule is as good as the MinII bound allows".
 AT_BOUND_CLASSES = ("recurrence", "resource")
-
-EXPLAIN_SCHEDULERS = ("sgi", "most", "rau")
 
 #: Wall-clock ceiling on one ILP replay solve; the replay is diagnostic,
 #: not a benchmark, so it never inherits the full paper budget.
@@ -609,22 +610,19 @@ def _classify_rau_below(result, machine, options) -> Tuple[str, str, Dict[str, A
 # ---------------------------------------------------------------------------
 
 
+#: The II−1 replay classifier of every scheduler explain covers.
+_CLASSIFY_BELOW = {
+    "sgi": _classify_sgi_below,
+    "most": _classify_most_below,
+    "rau": _classify_rau_below,
+}
+EXPLAIN_SCHEDULERS = tuple(_CLASSIFY_BELOW)
+
+
 def _scheduler_options(scheduler: str, options_dict: Optional[Mapping[str, Any]]):
-    data = dict(options_dict or {})
-    if scheduler == "sgi":
-        from ..core.driver import PipelinerOptions
-
-        return PipelinerOptions.from_dict(data)
-    if scheduler == "most":
-        from ..most.scheduler import MostOptions
-
-        return MostOptions.from_dict(data)
-    if scheduler == "rau":
-        from ..rau.scheduler import RauOptions
-
-        known = {"budget_ratio", "ii_cap_factor", "max_spill_rounds"}
-        return RauOptions(**{k: v for k, v in data.items() if k in known})
-    raise ValueError(f"explain does not cover scheduler {scheduler!r}")
+    if scheduler not in EXPLAIN_SCHEDULERS:
+        raise ValueError(f"explain does not cover scheduler {scheduler!r}")
+    return get_scheduler(scheduler).options_from_dict(dict(options_dict or {}))
 
 
 def explain_result(
@@ -638,7 +636,7 @@ def explain_result(
 ) -> IIExplanation:
     """Attribute one already-computed pipeliner result.
 
-    ``result`` is a ``PipelineResult``, ``MostResult`` or ``RauResult``;
+    ``result`` is any registered scheduler's result (:mod:`repro.schedulers`);
     the production run is *not* repeated — only the II−1 replay runs, and
     only when II > MinII.  ``events`` (recorder events of the production
     run, when it was traced) feed the II-attempt timeline.
@@ -656,9 +654,9 @@ def explain_result(
         minii_side=profile.side,
         binding="unschedulable",
         critical_circuit=profile.circuit,
-        spill_rounds=getattr(result, "spill_rounds", 0),
+        spill_rounds=result.spill_rounds,
         spilled=list(getattr(result, "spilled", [])),
-        fallback=bool(getattr(result, "fallback_used", False)),
+        fallback=result.fallback_used,
         attempts=_harvest_attempts(events or [], original.name),
         obs=dict(obs or {}),
     )
@@ -679,13 +677,15 @@ def explain_result(
 
     # The ILP's heuristic fallback produced this schedule: attribute it
     # with the SGI classifier over the fallback's own result.
-    fallback_result = getattr(result, "fallback_result", None)
+    fallback_result = result.fallback_result
     if explanation.fallback and fallback_result is not None:
+        from ..core.driver import FALLBACK_OPTIONS
+
         inner = explain_result(
             fallback_result,
             "sgi",
             machine,
-            {"enable_membank": False},
+            FALLBACK_OPTIONS,
             events=events,
             with_mrt=False,
         )
@@ -726,12 +726,7 @@ def explain_result(
         explanation.binding, explanation.detail, explanation.replay = certified
         return explanation
 
-    if scheduler == "sgi":
-        binding, detail, evidence = _classify_sgi_below(result, machine, options)
-    elif scheduler == "most":
-        binding, detail, evidence = _classify_most_below(result, machine, options)
-    else:
-        binding, detail, evidence = _classify_rau_below(result, machine, options)
+    binding, detail, evidence = _CLASSIFY_BELOW[scheduler](result, machine, options)
 
     if binding == "__proven__":
         # II−1 is provably impossible: the loop is genuinely bound by its
@@ -760,18 +755,7 @@ def explain_loop(
     loop = resolve_loop(loop_key, machine)
     options = _scheduler_options(scheduler, options_dict)
     with recording() as rec:
-        if scheduler == "sgi":
-            from ..core.driver import pipeline_loop
-
-            result = pipeline_loop(loop, machine, options, verify=verify)
-        elif scheduler == "most":
-            from ..most.scheduler import most_pipeline_loop
-
-            result = most_pipeline_loop(loop, machine, options, verify=verify)
-        else:
-            from ..rau.scheduler import rau_pipeline_loop
-
-            result = rau_pipeline_loop(loop, machine, options, verify=verify)
+        result = get_scheduler(scheduler).run(loop, machine, options, verify=verify)
     return explain_result(
         result,
         scheduler,

@@ -18,7 +18,7 @@ MOST model builder, and interchangeable decision procedures behind it —
 
 :func:`~repro.portfolio.driver.portfolio_pipeline_loop` races the
 registered backends per (loop, II) under one shared
-:class:`~repro.most.scheduler.SolveBudget` and takes the first definitive
+:class:`~repro.most.walk.SolveBudget` and takes the first definitive
 sat/unsat answer.  Because every backend answers the *same* formulation,
 any disagreement is a soundness bug in one of them — the cross-backend
 agreement oracle (``repro.fuzz`` layer ``agreement``) turns that into a
@@ -36,8 +36,6 @@ __all__ = [
     "BackendAnswer",
     "ModuloFormulation",
     "PortfolioOptions",
-    "PortfolioResult",
-    "PortfolioStats",
     "ProbeRecord",
     "available_backend_names",
     "build_modulo_formulation",
@@ -49,8 +47,6 @@ __all__ = [
 
 _LAZY = {
     "PortfolioOptions": "driver",
-    "PortfolioResult": "driver",
-    "PortfolioStats": "driver",
     "available_backend_names": "driver",
     "portfolio_pipeline_loop": "driver",
     "smt_available": "smt",

@@ -1,18 +1,18 @@
 """The portfolio driver: race the registered backends per (loop, II).
 
-Walks the II range exactly like the MOST driver (MinII up to a cap,
-II-optimality proven when every smaller II was proven infeasible), but at
-each II the *neutral* formulation is answered by a sequence of backends —
-CP propagation, the time-indexed ILP, optionally Z3 — racing under one
-shared :class:`~repro.most.scheduler.SolveBudget`.  The first definitive
-sat/unsat wins; ``cross_check`` mode instead queries *every* backend and
-records the full probe trail, which is what the cross-backend agreement
-oracle audits.
+Shares MOST's II walk (:func:`repro.most.walk.walk_ii`: MinII up to a
+cap, II-optimality proven when every smaller II was proven infeasible,
+heuristic fallback), but at each II the *neutral* formulation is answered
+by a sequence of backends — CP propagation, the time-indexed ILP,
+optionally Z3 — racing under the walk's one
+:class:`~repro.most.walk.SolveBudget`.  The first definitive sat/unsat
+wins; ``cross_check`` mode instead queries *every* backend and records the
+full probe trail, which is what the cross-backend agreement oracle audits.
 
-Budget discipline (the single-owner invariant MOST established): every
-backend invocation asks the shared budget for its slice, a slice can
-never exceed what remains, and a backend overshooting its granted slice
-by more than the enforcement slack is an assertion failure — racing
+Budget discipline (the single-owner invariant): every backend invocation
+asks the shared budget for its slice, a slice can never exceed what
+remains, and a backend overshooting its granted slice by more than the
+enforcement slack raises :class:`~repro.most.walk.BudgetOverrun` — racing
 backends cannot over-spend the loop's budget no matter how many are
 registered.
 
@@ -24,17 +24,24 @@ BENCH_pipeline.json.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
-from ..core.driver import PipelineResult, PipelinerOptions, pipeline_loop
-from ..core.minii import min_ii as compute_min_ii
+from ..core.driver import options_from_mapping
 from ..core.priorities import production_orders
 from ..core.sched import Schedule
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
+from ..most.walk import (
+    INFEASIBLE,
+    BudgetOverrun,
+    OptimalResult,
+    SolveBudget,
+    SolveStats,
+    Verdict,
+    walk_ii,
+)
 from ..obs import get_recorder
-from ..regalloc.coloring import AllocationResult, allocate_schedule
 from .answer import SAT, UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
 from .cp import solve_cp
 from .formulation import ModuloFormulation, build_modulo_formulation, check_witness
@@ -97,75 +104,15 @@ class PortfolioOptions:
     ilp_engine: str = "bnb"
     priority_branching: bool = True  # feed the ILP an SGI production order
 
-    def budget(self):
-        """Start the wall clock on this loop's shared solve budget."""
-        from ..most.scheduler import SolveBudget
-
-        return SolveBudget(total=self.time_limit)
-
     def backend_names(self) -> List[str]:
         return _parse_backends(self.backends)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PortfolioOptions":
         """Build options from a JSON-style mapping (the repro.exec cell form)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown PortfolioOptions keys: {', '.join(unknown)}")
-        options = cls(**dict(data))
+        options = options_from_mapping(cls, data)
         options.backend_names()  # validate eagerly, inside the worker
         return options
-
-
-@dataclass
-class PortfolioStats:
-    """Accumulated effort, total and per backend."""
-
-    solves: int = 0
-    nodes: int = 0
-    seconds: float = 0.0
-    ii_attempts: int = 0
-    per_backend: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def charge(self, answer: BackendAnswer) -> None:
-        self.solves += 1
-        self.nodes += answer.nodes
-        self.seconds += answer.seconds
-        agg = self.per_backend.setdefault(
-            answer.backend,
-            {"solves": 0, "seconds": 0.0, "nodes": 0, "sat": 0, "unsat": 0, "unknown": 0},
-        )
-        agg["solves"] += 1
-        agg["seconds"] += answer.seconds
-        agg["nodes"] += answer.nodes
-        agg[answer.answer] = agg.get(answer.answer, 0) + 1
-
-    def backend_seconds(self) -> Dict[str, float]:
-        return {name: agg["seconds"] for name, agg in sorted(self.per_backend.items())}
-
-
-@dataclass
-class PortfolioResult:
-    """Outcome of the portfolio pipeliner (possibly via fallback)."""
-
-    success: bool
-    schedule: Optional[Schedule]
-    allocation: Optional[AllocationResult]
-    loop: Loop
-    min_ii: int
-    optimal: bool = False  # II-optimality proven (every smaller II unsat)
-    winning_backend: str = ""
-    fallback_used: bool = False
-    fallback_result: Optional[PipelineResult] = None
-    skipped_backends: Tuple[str, ...] = ()  # requested but unavailable (smt w/o z3)
-    probes: List[ProbeRecord] = field(default_factory=list)
-    disagreements: List[str] = field(default_factory=list)
-    stats: PortfolioStats = field(default_factory=PortfolioStats)
-
-    @property
-    def ii(self) -> Optional[int]:
-        return self.schedule.ii if self.schedule is not None else None
 
 
 def _backend_callable(
@@ -198,9 +145,9 @@ def _backend_callable(
 def _probe_ii(
     formulation: ModuloFormulation,
     backends: List[Tuple[str, Callable[[ModuloFormulation, float], BackendAnswer]]],
-    budget,
+    budget: SolveBudget,
     options: PortfolioOptions,
-    stats: PortfolioStats,
+    stats: SolveStats,
     probes: List[ProbeRecord],
 ) -> List[BackendAnswer]:
     """Race the backends on one formulation under the shared budget.
@@ -221,10 +168,11 @@ def _probe_ii(
         # CP and the B&B check their deadline per node, so enforcement
         # slack is half a slice plus a constant; beyond it the backend
         # simply ignored the budget it was granted.
-        assert answer.seconds <= granted + SLICE_GRACE + 0.5 * granted, (
-            f"backend {name!r} spent {answer.seconds:.3f}s of a "
-            f"{granted:.3f}s budget slice"
-        )
+        if answer.seconds > granted + SLICE_GRACE + 0.5 * granted:
+            raise BudgetOverrun(
+                f"backend {name!r} spent {answer.seconds:.3f}s of a "
+                f"{granted:.3f}s budget slice"
+            )
         stats.charge(answer)
         witness_ok: Optional[bool] = None
         detail = answer.detail
@@ -259,133 +207,59 @@ def portfolio_pipeline_loop(
     machine: Optional[MachineDescription] = None,
     options: Optional[PortfolioOptions] = None,
     verify: Optional[bool] = None,
-) -> PortfolioResult:
+) -> OptimalResult:
     """Schedule ``loop`` with the backend portfolio, falling back to heuristics.
 
     ``verify`` cross-checks successful results with the independent
     ``repro.verify`` analyzers (``None`` = process default); ERROR
     diagnostics raise :class:`repro.verify.VerificationError`.
     """
-    from ..core.driver import _maybe_verify
-
     machine = machine if machine is not None else r8000()
     options = options or PortfolioOptions()
-    stats = PortfolioStats()
     probes: List[ProbeRecord] = []
-    mii = compute_min_ii(loop, machine)
-    budget = options.budget()
-
     requested = options.backend_names()
     usable = [n for n in requested if n != "smt" or smt_available()]
-    skipped = tuple(n for n in requested if n not in usable)
     backends = [
         (name, _backend_callable(name, loop, machine, options)) for name in usable
     ]
 
-    rec = get_recorder()
-    if loop.n_ops <= options.max_ops and backends:
-        max_ii = options.ii_cap_factor * mii
-        smaller_proven_infeasible = True
-        for ii in range(mii, max_ii + 1):
-            if budget.expired():
-                break
-            stats.ii_attempts += 1
-            if rec.enabled:
-                rec.counter("portfolio.ii_attempts")
-                rec.event("portfolio.ii", loop=loop.name, ii=ii)
-            formulation = build_modulo_formulation(
-                loop, machine, ii, stages=options.stages
-            )
-            if formulation.infeasible:
-                # The shared screen is a proof every backend would repeat;
-                # record it once so the probe trail stays complete.
-                probes.append(
-                    ProbeRecord(
-                        ii=ii,
-                        backend="screen",
-                        answer=UNSAT,
-                        detail=formulation.infeasible_reason,
-                    )
+    def formulate(ii: int) -> ModuloFormulation:
+        formulation = build_modulo_formulation(loop, machine, ii, stages=options.stages)
+        if formulation.infeasible:
+            # The shared screen is a proof every backend would repeat;
+            # record it once so the probe trail stays complete.
+            probes.append(
+                ProbeRecord(
+                    ii=ii, backend="screen", answer=UNSAT,
+                    detail=formulation.infeasible_reason,
                 )
-                continue
-            answers = _probe_ii(formulation, backends, budget, options, stats, probes)
-            usable_sat = next(
-                (
-                    a
-                    for a in answers
-                    if a.answer == SAT and not check_witness(formulation, a.times or {})
-                ),
-                None,
             )
-            proven_unsat = any(a.answer == UNSAT for a in answers)
-            if usable_sat is None:
-                if not proven_unsat:
-                    smaller_proven_infeasible = False
-                continue
-            schedule = Schedule(
-                loop=loop,
-                machine=machine,
-                ii=ii,
-                times=dict(usable_sat.times or {}),
-                producer=f"portfolio/{usable_sat.backend}",
-            )
-            allocation = allocate_schedule(schedule, machine)
-            if allocation.success:
-                result = PortfolioResult(
-                    success=True,
-                    schedule=schedule,
-                    allocation=allocation,
-                    loop=loop,
-                    min_ii=mii,
-                    optimal=smaller_proven_infeasible,
-                    winning_backend=usable_sat.backend,
-                    skipped_backends=skipped,
-                    probes=probes,
-                    disagreements=probe_disagreements(probes),
-                    stats=stats,
-                )
-                if rec.enabled and result.disagreements:
-                    rec.counter("portfolio.disagreements", len(result.disagreements))
-                return _maybe_verify(result, machine, verify)
-            # Register allocation failed at this II: a larger II shortens
-            # relative lifetimes, so keep walking the II range before
-            # resorting to the heuristic fallback.
-            smaller_proven_infeasible = False
+        return formulation
 
-    disagreements = probe_disagreements(probes)
-    if rec.enabled and disagreements:
-        rec.counter("portfolio.disagreements", len(disagreements))
-    if not options.fallback:
-        return PortfolioResult(
-            success=False,
-            schedule=None,
-            allocation=None,
-            loop=loop,
-            min_ii=mii,
-            skipped_backends=skipped,
-            probes=probes,
-            disagreements=disagreements,
-            stats=stats,
-        )
-    # verify=False here: the wrapping PortfolioResult is verified below
-    # instead, so the fallback schedule is not checked twice.
-    fallback = pipeline_loop(
-        loop, machine, PipelinerOptions(enable_membank=False), verify=False
+    def solve(
+        formulation: ModuloFormulation, budget: SolveBudget, stats: SolveStats
+    ) -> Verdict:
+        answers = _probe_ii(formulation, backends, budget, options, stats, probes)
+        for answer in answers:
+            if answer.answer == SAT and not check_witness(formulation, answer.times or {}):
+                schedule = Schedule(
+                    loop=loop,
+                    machine=machine,
+                    ii=formulation.ii,
+                    times=dict(answer.times or {}),
+                    producer=f"portfolio/{answer.backend}",
+                )
+                return schedule, {"winning_backend": answer.backend}
+        return INFEASIBLE if any(a.answer == UNSAT for a in answers) else None
+
+    result = walk_ii(
+        loop, machine, options, verify,
+        tag="portfolio", formulate=formulate, solve=solve, search=bool(backends),
+        skipped_backends=tuple(n for n in requested if n not in usable),
+        probes=probes,
     )
-    return _maybe_verify(
-        PortfolioResult(
-            success=fallback.success,
-            schedule=fallback.schedule,
-            allocation=fallback.allocation,
-            loop=fallback.loop,
-            min_ii=mii,
-            fallback_used=True,
-            fallback_result=fallback,
-            skipped_backends=skipped,
-            probes=probes,
-            disagreements=disagreements,
-            stats=stats,
-        ),
-        machine,
-        verify,
-    )
+    result.disagreements = probe_disagreements(probes)
+    rec = get_recorder()
+    if rec.enabled and result.disagreements:
+        rec.counter("portfolio.disagreements", len(result.disagreements))
+    return result

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..core.driver import _maybe_verify, options_from_mapping
 from ..core.minii import min_ii as compute_min_ii
 from ..core.sched import Schedule, SchedulingStats
 from ..core.spill import MAX_SPILL_ROUNDS, choose_spill_candidates, insert_spills
@@ -45,6 +46,11 @@ class RauOptions:
     ii_cap_factor: int = 2
     max_spill_rounds: int = MAX_SPILL_ROUNDS
 
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "RauOptions":
+        """Build options from a JSON-style mapping (the repro.exec cell form)."""
+        return options_from_mapping(cls, data)
+
 
 @dataclass
 class RauResult:
@@ -58,10 +64,21 @@ class RauResult:
     min_ii: int
     spilled: List[str] = field(default_factory=list)
     stats: SchedulingStats = field(default_factory=SchedulingStats)
+    # The common read surface of every scheduler's result (repro.schedulers).
+    optimal = False
+    fallback_used = False
+    fallback_result = None
 
     @property
     def ii(self) -> Optional[int]:
         return self.schedule.ii if self.schedule is not None else None
+
+    @property
+    def spill_rounds(self) -> int:
+        """1 when any value was spilled: the spilled set is what Rau94
+        reports, and any spill means the scheduled loop is not the
+        pristine one."""
+        return 1 if self.spilled else 0
 
 
 def height_r(loop: Loop, ii: int) -> Dict[int, int]:
@@ -258,7 +275,6 @@ def rau_pipeline_loop(
     ``repro.verify`` analyzers (``None`` = process default); ERROR
     diagnostics raise :class:`repro.verify.VerificationError`.
     """
-    from ..core.driver import _maybe_verify
     machine = machine if machine is not None else r8000()
     options = options or RauOptions()
     stats = SchedulingStats()

@@ -25,7 +25,8 @@ Responses::
     {"id": "r1", "ok": false,
      "error": {"code": "overloaded", "message": "...", "retry_after": 0.05}}
 
-Error codes: ``bad-request`` (malformed line or unknown fields),
+Error codes: ``bad-request`` (malformed line, unknown fields, or options
+the scheduler rejects),
 ``overloaded`` (bounded queue full; honour ``retry_after``),
 ``shutting-down`` (graceful drain in progress), ``internal``.  The
 ``budget`` is the per-request wall-clock deadline in seconds; the server
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..exec.cells import SCHEDULERS, Cell
+from ..schedulers import REGISTRY, without_harness_keys
 
 PROTOCOL_VERSION = 1
 
@@ -144,6 +146,11 @@ def parse_schedule_request(payload: Mapping[str, Any]) -> ScheduleRequest:
     options = payload.get("options", {})
     if not isinstance(options, dict):
         raise ProtocolError("'options' must be an object")
+    if scheduler in REGISTRY:  # baseline takes no options
+        try:
+            REGISTRY[scheduler].options_from_dict(without_harness_keys(options))
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"bad {scheduler} options: {exc}") from None
     budget = payload.get("budget")
     if budget is not None:
         if not isinstance(budget, (int, float)) or isinstance(budget, bool) or budget <= 0:

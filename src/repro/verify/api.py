@@ -14,12 +14,16 @@ from typing import Dict, List, Optional
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
+from ..schedulers import get_scheduler
 from .bankcheck import check_banks
 from .ddglint import lint_ddg
 from .diagnostics import Report
 from .emitcheck import check_emitted
 from .regcheck import check_allocation
 from .schedcheck import check_schedule
+
+#: The pipeliners a corpus sweep covers.
+SWEEP_SCHEDULERS = ("sgi", "most", "rau")
 
 
 def verify_all(
@@ -53,7 +57,7 @@ def verify_all(
 
 
 def verify_result(result, emitted=None, machine=None) -> Report:
-    """Verify a PipelineResult / MostResult / RauResult in one call.
+    """Verify any registered scheduler's result in one call.
 
     Uses ``result.loop`` (the loop actually scheduled, spill code included)
     so the checks see exactly what the schedule refers to.
@@ -164,6 +168,17 @@ def corpus_loops(corpus: str, machine: Optional[MachineDescription] = None) -> L
     )
 
 
+def run_sweep_cell(name: str, loop: Loop, machine: MachineDescription, most_time_limit: float):
+    """One pipeliner of a corpus sweep, unverified: its defaults, except
+    MOST, which runs HiGHS under the sweep's ILP budget."""
+    if name not in SWEEP_SCHEDULERS:
+        raise ValueError(f"unknown scheduler {name!r}")
+    scheduler = get_scheduler(name)
+    overrides = {"most": {"time_limit": most_time_limit, "engine": "scipy"}}
+    options = scheduler.options_from_dict(overrides.get(name, {}))
+    return scheduler.run(loop, machine, options, verify=False)
+
+
 def verify_corpus(
     corpus: str,
     schedulers: Optional[List[str]] = None,
@@ -178,32 +193,14 @@ def verify_corpus(
     allocations and emitted code are all cross-checked; loops a scheduler
     cannot pipeline are recorded but are not verification failures.
     """
-    # Imported lazily: the drivers import repro.verify for their verify=
-    # hooks, so a module-level import here would be circular.
-    from ..core.driver import pipeline_loop
     from ..machine.descriptions import r8000
-    from ..most.scheduler import MostOptions, most_pipeline_loop
     from ..pipeline.emit import emit_pipelined_code
-    from ..rau.scheduler import rau_pipeline_loop
 
     machine = machine if machine is not None else r8000()
-    schedulers = schedulers or ["sgi", "most", "rau"]
     sweep = SweepResult(corpus=corpus)
     for loop in corpus_loops(corpus, machine):
-        for scheduler in schedulers:
-            if scheduler == "sgi":
-                result = pipeline_loop(loop, machine, verify=False)
-            elif scheduler == "most":
-                result = most_pipeline_loop(
-                    loop,
-                    machine,
-                    MostOptions(time_limit=most_time_limit, engine="scipy"),
-                    verify=False,
-                )
-            elif scheduler == "rau":
-                result = rau_pipeline_loop(loop, machine, verify=False)
-            else:
-                raise ValueError(f"unknown scheduler {scheduler!r}")
+        for name in schedulers or SWEEP_SCHEDULERS:
+            result = run_sweep_cell(name, loop, machine, most_time_limit)
             emitted = None
             if emit and result.success and result.allocation is not None:
                 emitted = emit_pipelined_code(result.schedule, result.allocation)
@@ -214,7 +211,7 @@ def verify_corpus(
             sweep.entries.append(
                 SweepEntry(
                     loop=loop.name,
-                    scheduler=scheduler,
+                    scheduler=name,
                     ii=result.ii,
                     success=result.success,
                     errors=len(report.errors),
@@ -222,5 +219,5 @@ def verify_corpus(
                     rules=report.rules_hit(),
                 )
             )
-            sweep.reports[f"{loop.name}/{scheduler}"] = report
+            sweep.reports[f"{loop.name}/{name}"] = report
     return sweep

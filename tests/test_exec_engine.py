@@ -23,7 +23,8 @@ from repro.exec import (
 )
 from repro.exec.cells import LOOP_SOURCES
 from repro.machine import r8000
-from repro.most.scheduler import PAPER_TIME_LIMIT, MostOptions, SolveBudget
+from repro.most.scheduler import MostOptions
+from repro.most.walk import PAPER_TIME_LIMIT, SolveBudget
 
 from .conftest import build_daxpy, build_sdot
 
@@ -290,6 +291,14 @@ class TestExecuteCell:
         result = CellResult.from_dict(execute_cell(cell.to_dict(), in_worker=False))
         assert result.error is not None and "unknown_option" in result.error
         assert not result.success
+
+    @pytest.mark.parametrize("scheduler", ["sgi", "most", "rau"])
+    def test_unknown_option_rejected_by_every_scheduler(self, scheduler):
+        cell = Cell.make("livermore:lk12_firstdiff", scheduler, {"bogus": 1})
+        result = CellResult.from_dict(execute_cell(cell.to_dict(), in_worker=False))
+        assert not result.success
+        assert result.error is not None and "unknown" in result.error
+        assert "bogus" in result.error
 
 
 class TestSolveBudget:

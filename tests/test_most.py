@@ -7,7 +7,7 @@ from repro.ilp import SolverOptions, Status, solve_milp
 from repro.ir import LoopBuilder
 from repro.machine import r8000, two_wide
 from repro.most import MostOptions, build_formulation, most_pipeline_loop
-from repro.most.formulation import _time_windows
+from repro.portfolio.formulation import time_windows
 from repro.sim import DataLayout, run_pipelined, run_sequential
 
 from .conftest import build_daxpy, build_first_diff, build_recurrence_chain, build_sdot
@@ -24,7 +24,7 @@ def fast_options(**kw):
 class TestTimeWindows:
     def test_chain_windows(self, machine):
         loop = build_sdot(machine)
-        windows = _time_windows(loop, ii=4, horizon=20)
+        windows = time_windows(loop, ii=4, horizon=20)
         # Loads before fmul before fadd.
         assert windows[0][0] == 0
         assert windows[2][0] >= 6  # fmul after load latency
@@ -32,7 +32,7 @@ class TestTimeWindows:
 
     def test_collapsed_window_returns_none(self, machine):
         loop = build_sdot(machine)
-        assert _time_windows(loop, ii=4, horizon=8) is None  # too short
+        assert time_windows(loop, ii=4, horizon=8) is None  # too short
 
 
 class TestFormulation:

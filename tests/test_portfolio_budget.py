@@ -1,6 +1,6 @@
 """The single-owner SolveBudget invariant under the backend race.
 
-The portfolio shares one :class:`repro.most.scheduler.SolveBudget` across
+The portfolio shares one :class:`repro.most.walk.SolveBudget` across
 all backends and all IIs of a loop.  Slices can never exceed what
 remains, and a backend overshooting its granted slice beyond the
 enforcement slack is an assertion failure — the regression this file
@@ -9,17 +9,22 @@ pins down.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
+
 from repro.core import min_ii
-from repro.most.scheduler import SolveBudget
+from repro.most.walk import SolveBudget, SolveStats
 from repro.portfolio.answer import SAT, UNKNOWN, BackendAnswer
 from repro.portfolio.driver import (
     SLICE_GRACE,
     PortfolioOptions,
-    PortfolioStats,
     _probe_ii,
     portfolio_pipeline_loop,
 )
@@ -59,7 +64,7 @@ class TestSliceDiscipline:
         options = PortfolioOptions(time_limit=1.0)
         with pytest.raises(AssertionError, match="budget slice"):
             _probe_ii(f, [("rogue", rogue)], budget, options,
-                      PortfolioStats(), [])
+                      SolveStats(), [])
 
     def test_compliant_backends_pass_the_assertion(self, machine, daxpy):
         f = _formulation(machine, daxpy)
@@ -73,7 +78,7 @@ class TestSliceDiscipline:
         options = PortfolioOptions(time_limit=1.0, cross_check=True)
         probes = []
         answers = _probe_ii(f, [("polite", polite), ("polite2", polite)],
-                            budget, options, PortfolioStats(), probes)
+                            budget, options, SolveStats(), probes)
         assert len(answers) == 2
         assert len(probes) == 2
 
@@ -90,7 +95,7 @@ class TestSliceDiscipline:
 
         options = PortfolioOptions(time_limit=0.01, cross_check=True)
         _probe_ii(f, [("slow", slow), ("never", slow), ("never2", slow)],
-                  budget, options, PortfolioStats(), [])
+                  budget, options, SolveStats(), [])
         assert len(calls) < 3  # later entrants saw an expired budget
 
     def test_first_definitive_ends_round_without_cross_check(self, machine, daxpy):
@@ -109,8 +114,47 @@ class TestSliceDiscipline:
 
         options = PortfolioOptions(time_limit=5.0, cross_check=False)
         _probe_ii(f, [("fake", sat_backend), ("never", never)], budget,
-                  options, PortfolioStats(), [])
+                  options, SolveStats(), [])
         assert calls == ["sat"]
+
+
+class TestInvariantsSurviveOptimize:
+    def test_overspending_backend_trips_under_python_O(self):
+        # ``python -O`` strips assert statements; the budget invariants are
+        # explicit checks and must still fire.
+        script = textwrap.dedent("""
+            import sys
+            from repro.core import min_ii
+            from repro.machine import r8000
+            from repro.most.walk import BudgetOverrun, SolveBudget, SolveStats
+            from repro.portfolio.answer import UNKNOWN, BackendAnswer
+            from repro.portfolio.driver import PortfolioOptions, _probe_ii
+            from repro.portfolio.formulation import build_modulo_formulation
+            from repro.workloads import livermore_kernel
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            machine = r8000()
+            loop = livermore_kernel(1, machine)
+            f = build_modulo_formulation(loop, machine, min_ii(loop, machine))
+
+            def rogue(formulation, limit):
+                return BackendAnswer(backend="rogue", answer=UNKNOWN, seconds=1e6)
+
+            try:
+                _probe_ii(f, [("rogue", rogue)], SolveBudget(total=1.0),
+                          PortfolioOptions(time_limit=1.0), SolveStats(), [])
+            except BudgetOverrun as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit("the overspending backend went unnoticed")
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "budget slice" in proc.stdout
 
 
 class TestDriverLevelAccounting:

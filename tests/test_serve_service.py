@@ -92,6 +92,16 @@ def test_parse_schedule_request_rejects(mutation):
         parse_schedule_request(payload)
 
 
+def test_parse_schedule_request_rejects_options_the_scheduler_rejects():
+    with pytest.raises(ProtocolError, match="bogus"):
+        _request(scheduler="most", options={"bogus": 1})
+
+
+def test_parse_schedule_request_accepts_harness_keys():
+    request = _request(options={"_test_sleep": 0.3})
+    assert request.options == {"_test_sleep": 0.3}
+
+
 def test_parse_schedule_request_spec_token_becomes_fuzz_key():
     from repro.serve.loadgen import DEFAULT_FUZZ_CORPUS_DIR, corpus_spec_tokens
 
