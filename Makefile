@@ -51,7 +51,7 @@ bench:
 # warn-only comparison against the committed baseline.
 bench-quick:
 	$(PYTHON) -m repro bench --quick --jobs 4
-	$(PYTHON) benchmarks/check_regression.py
+	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output
 
 # Refresh the committed baseline from a clean (uncached) quick run.  Run
 # after intentional scheduler changes; commit the result and mention the

@@ -81,8 +81,7 @@ def bench_scc_distances() -> None:
     """Distance-table construction + full pair queries at MinII..MinII+4.
 
     Loops are rebuilt each repeat, so the timing includes the parametric
-    profile construction (or per-II Floyd-Warshall under
-    ``REPRO_LEGACY_HOTPATHS=1``), not just memo hits.
+    profile construction, not just memo hits.
     """
     machine = r8000()
     for loop in livermore_kernels(machine):

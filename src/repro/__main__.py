@@ -826,7 +826,8 @@ def _serve_main(argv) -> int:
     )
     sp.add_argument(
         "--jobs", type=int, default=2, metavar="N",
-        help="persistent worker processes (0 = in-process threads; default: 2)",
+        help="persistent worker processes, at least 1; each runs its cells "
+        "under a SIGALRM deadline with a kill-and-respawn backstop (default: 2)",
     )
     sp.add_argument(
         "--queue-limit", type=int, default=64, metavar="N",
@@ -931,21 +932,24 @@ def _serve_main(argv) -> int:
 
     from .serve.service import ServeConfig
 
-    config = ServeConfig(
-        jobs=args.jobs,
-        queue_limit=args.queue_limit,
-        batch_window=args.batch_window_ms / 1e3,
-        batch_max=args.batch_max,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        lru_entries=args.lru_entries,
-        lru_bytes=int(args.lru_mb * (1 << 20)),
-        default_budget=args.default_budget,
-        max_budget=args.max_budget,
-        drain_timeout=args.drain_timeout,
-        slow_log_path=args.slow_log,
-        slow_ms=args.slow_ms,
-        gauge_interval=args.gauge_interval,
-    )
+    try:
+        config = ServeConfig(
+            jobs=args.jobs,
+            queue_limit=args.queue_limit,
+            batch_window=args.batch_window_ms / 1e3,
+            batch_max=args.batch_max,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            lru_entries=args.lru_entries,
+            lru_bytes=int(args.lru_mb * (1 << 20)),
+            default_budget=args.default_budget,
+            max_budget=args.max_budget,
+            drain_timeout=args.drain_timeout,
+            slow_log_path=args.slow_log,
+            slow_ms=args.slow_ms,
+            gauge_interval=args.gauge_interval,
+        )
+    except ValueError as exc:  # --jobs below 1
+        sp.error(f"--jobs: {exc}")
 
     if args.selftest:
         from .serve.loadgen import (

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
-from ..machine.resources import LEGACY_HOTPATHS, ModuloReservationTable
+from ..machine.resources import ModuloReservationTable
 from ..obs import get_recorder
 from .distances import SccDistanceTables
 from .membank import BankPairer
@@ -166,18 +166,13 @@ def modulo_schedule_bnb(
     during bank-grouping repair, and the re-run returns the identical
     result — times *and* search-effort counters — without searching again.
     Memoization is skipped while the recorder is live (span structure
-    should reflect real work) and under ``REPRO_LEGACY_HOTPATHS`` (clean
-    A/B timing).
+    should reflect real work).
     """
     config = config or BnBConfig()
     rec = get_recorder()
     memo: Optional[Dict] = None
     memo_key = None
-    if (
-        not rec.enabled
-        and not LEGACY_HOTPATHS
-        and (pairer is None or type(pairer) is BankPairer)
-    ):
+    if not rec.enabled and (pairer is None or type(pairer) is BankPairer):
         memo_key = (
             id(machine), ii, tuple(priority),
             config.max_backtracks, config.max_placements,

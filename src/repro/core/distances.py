@@ -18,9 +18,9 @@ DDG, and re-evaluated per candidate II as a cheap max over a handful of
 lines.  Re-running the II search, other priority orders, or other
 schedulers against the same loop all hit the same cache.
 
-``REPRO_LEGACY_HOTPATHS=1`` (see :mod:`repro.machine.resources`) reverts
-to the original per-II Floyd–Warshall, which is also what the equivalence
-tests compare against.
+``SccDistanceTables(..., memo=False)`` runs the original per-II
+Floyd–Warshall instead, the reference the equivalence tests compare
+against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir.ddg import DDG
 from ..ir.loop import Loop
-from ..machine.resources import LEGACY_HOTPATHS
 
 NEG_INF = float("-inf")
 
@@ -89,11 +88,9 @@ class _DistanceMemo:
 class SccDistanceTables:
     """Per-SCC all-pairs longest-path tables at a fixed II."""
 
-    def __init__(self, loop: Loop, ii: int, memo: Optional[bool] = None):
+    def __init__(self, loop: Loop, ii: int, memo: bool = True):
         self.loop = loop
         self.ii = ii
-        if memo is None:
-            memo = not LEGACY_HOTPATHS
         self._tables: Dict[int, Dict[Tuple[int, int], float]] = {}
         self._feasible = True
         if memo:
@@ -115,11 +112,9 @@ class SccDistanceTables:
 
         Called once at the head of an II search so every candidate II —
         and every later search over the same loop — evaluates the cached
-        path structure instead of re-running Floyd–Warshall.  A no-op
-        under ``REPRO_LEGACY_HOTPATHS``.
+        path structure instead of re-running Floyd–Warshall.
         """
-        if not LEGACY_HOTPATHS:
-            _distance_memo(loop.ddg, loop)
+        _distance_memo(loop.ddg, loop)
 
     def _evaluate_memo(self) -> Tuple[bool, Dict[int, Dict[Tuple[int, int], float]]]:
         memo = _distance_memo(self.loop.ddg, self.loop)

@@ -41,7 +41,6 @@ from .report import Table, bar_chart
 class ExperimentConfig:
     """Shared knobs for all experiments."""
 
-    machine: Optional[MachineDescription] = None
     seed: int = 0
     # ILP budget per loop; the paper used 3 minutes, benchmarks use less.
     most_time_limit: float = 10.0
@@ -53,9 +52,6 @@ class ExperimentConfig:
     cache_dir: Optional[str] = None  # None = no on-disk cache
     cell_timeout: Optional[float] = None  # hard per-cell deadline (worker-side)
     progress: Optional[Callable[[int, int, Cell, CellResult], None]] = None
-
-    def resolved_machine(self) -> MachineDescription:
-        return self.machine if self.machine is not None else r8000()
 
     def most_options(self, fallback: bool = True) -> MostOptions:
         return MostOptions(
@@ -85,7 +81,6 @@ class ExperimentConfig:
             cache=ScheduleCache(self.cache_dir) if self.cache_dir else None,
             default_timeout=self.cell_timeout,
             progress=self.progress,
-            machine=self.resolved_machine(),
         )
 
     def run_cells(self, cells: Sequence[Cell]) -> Dict[Cell, CellResult]:
@@ -223,7 +218,7 @@ def fig2_pipelining_effectiveness(
     content.  Paper: >35% geomean improvement, every benchmark >= 1.0x.
     """
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     suite = spec92_suite(machine)
     batch = _Batch(config)
     for bench in suite:
@@ -275,7 +270,7 @@ def fig3_priority_heuristics(
     configuration (Figure 3).  Paper: no single heuristic wins everywhere;
     three of the four are needed to win at least one benchmark."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     suite = spec92_suite(machine)
     orders = ("FDMS", "FDNMS", "HMS", "RHMS")
     batch = _Batch(config)
@@ -344,7 +339,7 @@ def fig4_membank_effectiveness(
     """Memory-bank pairing enabled over disabled (Figure 4).  Paper:
     alvinn and mdljdp2 stand out; the rest sit near 1.0."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     suite = spec92_suite(machine)
     batch = _Batch(config)
     for bench in suite:
@@ -388,7 +383,7 @@ def fig5_ilp_vs_heuristic(
     (Figure 5).  Paper: heuristic with pairing wins by ~8% geomean; with
     pairing disabled the two are within a few percent."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     suite = spec92_suite(machine)
     batch = _Batch(config)
     for bench in suite:
@@ -445,7 +440,7 @@ def fig6_livermore(config: Optional[ExperimentConfig] = None) -> ExperimentResul
     counts (Figure 6).  Paper: the SGI scheduler wins nearly everywhere
     at both lengths."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     kernels = list(livermore_kernels(machine))
     batch = _Batch(config)
     for number, loop in enumerate(kernels, start=1):
@@ -499,7 +494,7 @@ def fig7_static_quality(config: Optional[ExperimentConfig] = None) -> Experiment
     fewer registers in 15/26 loops and less overhead in 12/26; for 16
     loops the lower-overhead schedule does not use fewer registers."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     kernels = list(livermore_kernels(machine))
     batch = _Batch(config)
     for loop in kernels:
@@ -574,7 +569,7 @@ def sec47_compile_speed(config: Optional[ExperimentConfig] = None) -> Experiment
     cell was first solved — re-runs reproduce, not re-measure.
     """
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     suite = spec92_suite(machine)
     batch = _Batch(config)
     for bench in suite:
@@ -652,7 +647,7 @@ def sec5_scalability(
     (Section 5).  Paper: 116 operations for the heuristics vs 61 for the
     optimal schedules."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     batch = _Batch(config)
     ilp_options = config.most_cell_options(
         fallback=False,
@@ -705,7 +700,7 @@ def sec5_ii_parity(config: Optional[ExperimentConfig] = None) -> ExperimentResul
     equalises it (Section 5).  Paper: exactly one loop, equalised by a
     modest backtracking increase."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     pool: List[Tuple[str, str]] = [
         (loop.name, f"livermore:{loop.name}") for loop in livermore_kernels(machine)
     ]
@@ -768,7 +763,7 @@ def ext_rau_comparison(config: Optional[ExperimentConfig] = None) -> ExperimentR
     Rau's iterative modulo scheduling.  Reports II and scheduling effort
     for all three techniques across the Livermore kernels."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     kernels = list(livermore_kernels(machine))
     batch = _Batch(config)
     for loop in kernels:
@@ -827,7 +822,7 @@ def ext_overhead_objective(config: Optional[ExperimentConfig] = None) -> Experim
     register usage."  Compares MOST with the buffer objective against
     MOST minimising the stage count, on the Figure 7 metric."""
     config = config or ExperimentConfig()
-    machine = config.resolved_machine()
+    machine = r8000()
     kernels = list(livermore_kernels(machine))
     batch = _Batch(config)
     for loop in kernels:

@@ -7,11 +7,13 @@ non-negotiable, both borrowed from the combinatorial-scheduling literature's
 per-instance budgets:
 
 * **hard per-cell deadlines, enforced in the worker** — a wedged ILP solve
-  raises :class:`CellTimeout` (via ``SIGALRM`` on the main thread, via a
-  watchdog timer and the async-exception hook on executor threads — the
-  serving daemon's path) and kills only its own cell; the worker then runs
-  the heuristic pipeliner and records the cell as ``timeout=True,
-  fallback=True``, mirroring how MOST itself backs off;
+  raises :class:`CellTimeout` from a ``SIGALRM`` handler and kills only its
+  own cell; the worker then runs the heuristic pipeliner and records the
+  cell as ``timeout=True, fallback=True``, mirroring how MOST itself backs
+  off.  Cells always execute on a process's main thread (inline, in a pool
+  worker, or in a serve worker), the one place the alarm is delivered; a
+  deadline requested anywhere else is refused as an error cell, never run
+  unguarded;
 * **fallback accounting** — timeout and fallback flags travel with every
   result, so aggregate numbers can always separate native solves from
   rescued ones.
@@ -54,10 +56,10 @@ class CellTimeout(Exception):
 class _SignalDeadline:
     """Arms ``SIGALRM`` for the duration of a ``with`` block.
 
-    Only the main thread of a process can receive the alarm (the CLI worker
-    path, where the pool's worker processes execute cells on their main
-    thread).  A C-level solve is interrupted at the next bytecode boundary
-    after the signal fires.
+    Only the main thread of a process can receive the alarm.  A C-level
+    solve is interrupted at the next bytecode boundary after the signal
+    fires; one that never reaches a boundary is the serve pool's watchdog's
+    to kill.
     """
 
     def __init__(self, seconds: float):
@@ -80,89 +82,13 @@ class _SignalDeadline:
         return False
 
 
-class _TimerDeadline:
-    """Watchdog-timer deadline for threads that cannot receive ``SIGALRM``.
-
-    The serving daemon runs cells on executor threads, where per-process
-    signals are undeliverable.  A daemon :class:`threading.Timer` instead
-    raises :class:`CellTimeout` *in the executing thread* through the
-    C-API async-exception hook — the same next-bytecode-boundary
-    granularity the signal gives, so ``timeout``/``fallback`` statuses come
-    out identical to the signal path.  On a clean exit any still-pending
-    async exception is cleared; the one unavoidable race (the timer firing
-    inside ``__exit__`` itself) surfaces as a late ``CellTimeout``, which
-    callers already treat as a timed-out cell.
-    """
-
-    def __init__(self, seconds: float):
-        self.seconds = seconds
-        self._timer: Optional[threading.Timer] = None
-        self._lock = threading.Lock()
-        self._done = False
-        self._fired = False
-
-    def _set_async_exc(self, exc) -> None:
-        import ctypes
-
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(self._tid), ctypes.py_object(exc) if exc else None
-        )
-
-    def _fire(self) -> None:
-        with self._lock:
-            if self._done:
-                return
-            self._fired = True
-            self._set_async_exc(CellTimeout)
-
-    def __enter__(self):
-        self._tid = threading.get_ident()
-        self._timer = threading.Timer(max(self.seconds, 1e-3), self._fire)
-        self._timer.daemon = True
-        self._timer.start()
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        with self._lock:
-            self._done = True
-            if self._timer is not None:
-                self._timer.cancel()
-            if self._fired and exc_type is not CellTimeout:
-                # The exception was injected but has not been raised yet
-                # (the block finished first): clear it before it detonates
-                # in unrelated code.
-                self._set_async_exc(None)
-        return False
-
-
-def _Deadline(seconds: Optional[float]):
-    """The per-cell deadline, selected for the current thread.
-
-    ``SIGALRM`` on the main thread (byte-identical to the historical CLI
-    behaviour), the async-exception watchdog elsewhere, and a no-op when no
-    deadline was requested or the platform has no usable mechanism.
-    """
-    if seconds is None:
-        return contextlib.nullcontext()
-    if hasattr(signal, "SIGALRM") and threading.current_thread() is threading.main_thread():
-        return _SignalDeadline(seconds)
-    return _TimerDeadline(seconds)
-
-
-def _interruptible_sleep(seconds: float) -> None:
-    """Sleep in short slices so either deadline can interrupt promptly.
-
-    One long C-level ``time.sleep`` would pin the watchdog's injected
-    async exception until the sleep returned on its own — the exception
-    is only delivered at a bytecode boundary, and a blocked thread never
-    reaches one.  Slicing gives both mechanisms a boundary every 50ms.
-    """
-    deadline = time.perf_counter() + seconds
-    while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return
-        time.sleep(min(remaining, 0.05))
+def _no_alarm_reason() -> Optional[str]:
+    """Why ``SIGALRM`` cannot reach this thread, or None when it can."""
+    if not hasattr(signal, "SIGALRM"):
+        return "this platform has no SIGALRM"
+    if threading.current_thread() is not threading.main_thread():
+        return f"thread {threading.current_thread().name!r} is not the main thread"
+    return None
 
 
 def _simulate(result_like, machine, trips_list, seed, sim_cycles):
@@ -392,6 +318,10 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
     the raw events are spooled there as one JSONL file per cell (merged
     across workers later by the bench layer).
 
+    A cell with a ``timeout`` runs under ``SIGALRM``, so it must run on
+    the main thread of a platform that has the signal; anywhere else it
+    comes back as an error result naming the cause, without running.
+
     ``_test_*`` option keys are harness hooks: ``_test_sleep`` delays the
     scheduler (deterministic timeout tests), ``_test_crash_once`` names a
     marker file and kills the worker process the first time it runs
@@ -400,6 +330,16 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
     cell = Cell.from_dict(spec)
     machine = r8000()
     options = cell.options
+
+    if cell.timeout is not None:
+        reason = _no_alarm_reason()
+        if reason is not None:
+            out = CellResult(
+                loop=cell.loop, scheduler=cell.scheduler, options_json=cell.options_json,
+                error=f"cannot arm the {cell.timeout:g}s SIGALRM deadline: {reason}; "
+                "cell not run",
+            )
+            return out.to_dict()
 
     crash_marker = options.get("_test_crash_once")
     if crash_marker and in_worker:
@@ -418,10 +358,13 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
         return out.to_dict()
 
     rec = TraceRecorder(process_name=f"repro worker {os.getpid()}") if cell.trace else None
+    deadline = (
+        _SignalDeadline(cell.timeout) if cell.timeout is not None else contextlib.nullcontext()
+    )
     try:
-        with _Deadline(cell.timeout):
+        with deadline:
             if options.get("_test_sleep"):
-                _interruptible_sleep(float(options["_test_sleep"]))
+                time.sleep(float(options["_test_sleep"]))
             if rec is not None:
                 with recording(rec), rec.span(
                     "cell", loop=cell.loop, scheduler=cell.scheduler
@@ -474,7 +417,6 @@ class ExecEngine:
         default_timeout: Optional[float] = None,
         retries: int = 1,
         progress: Optional[ProgressFn] = None,
-        machine: Optional[MachineDescription] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -483,8 +425,7 @@ class ExecEngine:
         self.default_timeout = default_timeout
         self.retries = retries
         self.progress = progress
-        self.machine = machine if machine is not None else r8000()
-        self._machine_fp = fingerprint_machine(self.machine)
+        self._machine_fp = fingerprint_machine(r8000())
         self._loop_fps: Dict[str, str] = {}
 
     # -- keys ----------------------------------------------------------
@@ -496,9 +437,7 @@ class ExecEngine:
     def key_of(self, cell: Cell) -> str:
         """Content address of a cell (resolves the loop to fingerprint it)."""
         if cell.loop not in self._loop_fps:
-            self._loop_fps[cell.loop] = fingerprint_loop(
-                resolve_loop(cell.loop, self.machine)
-            )
+            self._loop_fps[cell.loop] = fingerprint_loop(resolve_loop(cell.loop))
         return cell_key(
             self._loop_fps[cell.loop],
             self._machine_fp,

@@ -19,9 +19,8 @@ Two interchangeable modulo-reservation-table implementations live here:
   a whole II's worth of candidate slots with a handful of big-int
   operations (:meth:`~PackedModuloReservationTable.blocked_mask`).
 * :class:`DictModuloReservationTable` is the original
-  ``List[Dict[str, int]]`` probing implementation, retained for the
-  differential tests and selectable process-wide with
-  ``REPRO_LEGACY_HOTPATHS=1``.
+  ``List[Dict[str, int]]`` probing implementation, retained as the
+  reference the differential tests compare against.
 
 Both expose the same public ``fits/place/remove/used_at/copy`` API and the
 same lowered fast-path API, so the schedulers never need to know which one
@@ -30,7 +29,6 @@ they got.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -344,10 +342,9 @@ class DictModuloReservationTable:
     """The original per-slot dict probing implementation.
 
     Retained as the differential-testing oracle for
-    :class:`PackedModuloReservationTable` and selectable process-wide with
-    ``REPRO_LEGACY_HOTPATHS=1``.  It also implements the lowered fast-path
-    API (by ignoring the lowering) so the schedulers run unmodified
-    against either implementation.
+    :class:`PackedModuloReservationTable`.  It also implements the lowered
+    fast-path API (by ignoring the lowering) so the schedulers run
+    unmodified against either implementation.
     """
 
     def __init__(self, ii: int, availability: Dict[str, int]):
@@ -429,13 +426,5 @@ class DictModuloReservationTable:
         return blocked
 
 
-#: ``REPRO_LEGACY_HOTPATHS=1`` reverts the whole process to the original
-#: dict-probing tables (and per-II Floyd–Warshall distance tables, see
-#: :mod:`repro.core.distances`) — the escape hatch the differential tests
-#: exercise.  Outcome-identical by construction; only speed changes.
-LEGACY_HOTPATHS = os.environ.get("REPRO_LEGACY_HOTPATHS", "") not in ("", "0")
-
-if LEGACY_HOTPATHS:
-    ModuloReservationTable = DictModuloReservationTable  # type: ignore[assignment,misc]
-else:
-    ModuloReservationTable = PackedModuloReservationTable  # type: ignore[assignment,misc]
+#: The table every scheduler builds.
+ModuloReservationTable = PackedModuloReservationTable

@@ -1,10 +1,9 @@
 """Attributed diffing of two BENCH_*.json runs.
 
-``benchmarks/check_regression.py`` used to walk the two JSON payloads
-inline and answer only "did quality regress?".  This module is the
-replacement heart: it aligns cells, computes per-cell deltas over II,
-simulated cycles, registers, overhead, wall time and obs counters, and
-*attributes* every changed cell to the input that moved:
+Beyond "did quality regress?", this module aligns cells, computes
+per-cell deltas over II, simulated cycles, registers, overhead, wall time
+and obs counters, and *attributes* every changed cell to the input that
+moved:
 
 ``identical-inputs``
     The two cells share a ``cache_key`` — same loop IR, same machine,
@@ -19,11 +18,10 @@ simulated cycles, registers, overhead, wall time and obs counters, and
     Same options and code version yet a different ``cache_key``: the loop
     IR (or machine description) itself changed under the cell.
 
-Quality rules are machine-independent and mirror the old checker: a
-raised or vanished II, a new timeout/fallback/error, higher simulated
-cycles, or a disappeared cell is a **regression**; per-scheduler schedule
-time is compared against a generous tolerance and only ever warned
-about.  ``python -m repro diff <old> <new> [--strict]`` is the CLI.
+Quality rules are machine-independent: a raised or vanished II, a new
+timeout/fallback/error, higher simulated cycles, or a disappeared cell is
+a **regression**; per-scheduler schedule time is compared against a
+generous tolerance and only ever warned about.  ``python -m repro diff <old> <new> [--strict]`` is the CLI.
 """
 
 from __future__ import annotations
@@ -411,20 +409,6 @@ def diff_paths(
     )
 
 
-def compare(
-    fresh: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE,
-) -> Tuple[List[str], List[str], List[str]]:
-    """The legacy ``check_regression.compare`` surface.
-
-    Note the argument order: the *fresh* run first, the baseline second
-    (the shim and old callers pass it that way round).
-    """
-    diff = diff_reports(baseline, fresh, time_tolerance)
-    return diff.regressions, diff.warnings, diff.infos
-
-
 def apply_trend_gating(diff: BenchDiff, trend_report) -> Dict[str, Any]:
     """Upgrade warn-only timing deltas using the history trend layer.
 
@@ -535,7 +519,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr if args.json_out == "-" else sys.stdout,
         )
     return 0
-
-
-#: Import-friendly alias (``main`` is generic; shims import this name).
-diff_main = main

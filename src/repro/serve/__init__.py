@@ -14,8 +14,9 @@ Module map:
   responses, error codes, LoopSpec-token payloads);
 * :mod:`repro.serve.cachetier` — size-bounded LRU with in-flight
   pinning, tiered over :class:`repro.exec.cache.ScheduleCache`;
-* :mod:`repro.serve.workers` — persistent per-slot worker processes
-  with a kill-and-respawn watchdog (``jobs=0`` = thread mode);
+* :mod:`repro.serve.workers` — persistent per-slot worker processes;
+  each cell runs on a worker's main thread under its ``SIGALRM``
+  deadline, with a kill-and-respawn watchdog as the one hard stop;
 * :mod:`repro.serve.service` — admission, batching, single-flight,
   budget clamping, graceful drain;
 * :mod:`repro.serve.daemon` — the sockets + signal handling;

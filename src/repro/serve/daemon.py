@@ -72,12 +72,15 @@ class ServeDaemon:
         self._servers: List[asyncio.AbstractServer] = []
         self._stop = asyncio.Event()
         self._conn_tasks: "set[asyncio.Task]" = set()
+        # Open connections, each with its admitted-but-unanswered requests.
+        self._connections: "Dict[asyncio.StreamWriter, set[asyncio.Task]]" = {}
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         write_lock = asyncio.Lock()
         line_tasks: "set[asyncio.Task]" = set()
+        self._connections[writer] = line_tasks
 
         async def respond(payload: Dict[str, Any]) -> None:
             async with write_lock:
@@ -117,11 +120,23 @@ class ServeDaemon:
             # flush before closing (graceful even on client half-close).
             if line_tasks:
                 await asyncio.gather(*line_tasks, return_exceptions=True)
+            self._connections.pop(writer, None)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    async def _close_when_answered(self, writer: asyncio.StreamWriter,
+                                   line_tasks: "set[asyncio.Task]") -> None:
+        """Close a connection once its admitted requests are answered.
+
+        Closing the transport ends the handler's pending ``readline`` with
+        EOF, so an idle client cannot hold the shutdown open.
+        """
+        while line_tasks:
+            await asyncio.wait(list(line_tasks))
+        writer.close()
 
     async def _handle_metrics(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
@@ -217,13 +232,21 @@ class ServeDaemon:
         for server in self._servers:
             server.close()
         drained = await self.service.drain()
+        closers = [
+            asyncio.create_task(self._close_when_answered(writer, line_tasks))
+            for writer, line_tasks in list(self._connections.items())
+        ]
+        if self._conn_tasks:
+            # Bounded: a client that stops reading, or a request still
+            # solving after a failed drain, cannot hold the stop open.
+            await asyncio.wait(list(self._conn_tasks), timeout=5.0)
+        for closer in closers:
+            closer.cancel()
         for server in self._servers:
             try:
                 await server.wait_closed()
             except Exception:
                 pass
-        if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=5.0)
         await self.service.stop(drain=False)
         stats = self.service.metrics
         self.log(

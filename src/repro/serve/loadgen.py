@@ -495,7 +495,7 @@ def run_selftest(options: Optional[LoadgenOptions] = None, jobs: int = 2,
         problems.append(f"{report.funcsim_failures()} funcsim failures")
     if equivalence:
         log("loadgen: checking daemon results against the direct engine ...")
-        problems.extend(check_equivalence(report, jobs=max(1, jobs)))
+        problems.extend(check_equivalence(report, jobs=jobs))
     return report, bench_path, problems
 
 

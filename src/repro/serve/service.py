@@ -50,7 +50,7 @@ _FP_MEMO_LIMIT = 4096
 class ServeConfig:
     """Everything the service (and daemon around it) is configured by."""
 
-    jobs: int = 2                      # 0 = thread workers (in-process)
+    jobs: int = 2                      # persistent worker processes (>= 1)
     queue_limit: int = 64              # bounded admission queue
     batch_window: float = 0.005        # seconds the dispatcher coalesces for
     batch_max: int = 32                # max requests per batch
@@ -67,6 +67,10 @@ class ServeConfig:
     slow_log_path: Optional[str] = None
     slow_ms: float = 1000.0
     gauge_interval: float = 5.0
+
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1 worker process, got {self.jobs}")
 
     def build_cache(self) -> TieredCache:
         disk = ScheduleCache(self.cache_dir) if self.cache_dir is not None else None

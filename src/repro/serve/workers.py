@@ -10,23 +10,20 @@ beautifully when the same worker schedules the corpus again and again.
 Each worker owns a single-process executor, so the pool can kill and
 respawn exactly one wedged worker without disturbing its siblings:
 
-* the *first* line of deadline defence runs **inside** the worker
-  (:func:`repro.exec.runner.execute_cell`'s portable deadline), producing
-  the same ``timeout``/``fallback`` statuses the CLI path records;
-* the pool-side **watchdog** is the backstop for solves wedged in C code
-  beyond the in-worker deadline's reach: after ``budget + grace`` seconds
-  the worker process is killed, a fresh one is spawned, and the cell is
+* the *first* line of deadline defence runs **inside** the worker:
+  :func:`repro.exec.runner.execute_cell` runs on the worker process's main
+  thread under ``SIGALRM``, producing the same ``timeout``/``fallback``
+  statuses the CLI path records;
+* the pool-side **watchdog** is the one hard stop, for solves wedged in C
+  code beyond the alarm's reach: after ``budget + grace`` seconds the
+  worker process is killed, a fresh one is spawned, and the cell is
   recorded as a hard timeout error.
-
-``jobs=0`` selects thread workers instead: cells run in-process on
-executor threads (exercising the off-main-thread deadline), which is the
-fast path for tests and small selftests — no spawn cost, shared GIL.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional
 
@@ -53,49 +50,35 @@ def _hard_timeout_result(spec: Dict[str, Any], seconds: float) -> Dict[str, Any]
 
 
 class _Worker:
-    """One respawnable worker slot (process- or thread-backed)."""
+    """One respawnable worker process slot."""
 
-    def __init__(self, index: int, threads: bool):
+    def __init__(self, index: int):
         self.index = index
-        self.threads = threads
         self.cells = 0
         self.respawns = 0
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
 
     @property
-    def executor(self) -> Executor:
+    def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            if self.threads:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"serve-worker-{self.index}"
-                )
-            else:
-                self._executor = ProcessPoolExecutor(max_workers=1)
+            self._executor = ProcessPoolExecutor(max_workers=1)
         return self._executor
 
     def submit(self, spec: Dict[str, Any]):
         self.cells += 1
-        # Thread workers run in-process: harness hooks that kill the
-        # worker (``_test_crash_once``) must not kill the daemon.
-        return self.executor.submit(execute_cell, spec, not self.threads)
+        return self.executor.submit(execute_cell, spec)
 
     def respawn(self) -> None:
-        """Kill the backing process (if any) and start a clean executor.
-
-        Thread workers cannot be killed — the in-worker deadline is their
-        only enforcement — so respawn just drops the executor reference
-        and lets the wedged thread die with its daemon flag.
-        """
+        """Kill the backing process (if any) and start a clean executor."""
         self.respawns += 1
         executor, self._executor = self._executor, None
         if executor is None:
             return
-        if isinstance(executor, ProcessPoolExecutor):
-            for proc in list(getattr(executor, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except Exception:
-                    pass
+        for proc in list(getattr(executor, "_processes", {}).values()):
+            try:
+                proc.kill()
+            except Exception:
+                pass
         executor.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self) -> None:
@@ -116,15 +99,12 @@ class WorkerPool:
     """
 
     def __init__(self, jobs: int, grace: float = DEFAULT_GRACE):
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {jobs}")
-        self.threads = jobs == 0
-        self.size = max(1, jobs)
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.size = jobs
         self.grace = grace
         self.respawns = 0
-        self._workers: List[_Worker] = [
-            _Worker(i, threads=self.threads) for i in range(self.size)
-        ]
+        self._workers: List[_Worker] = [_Worker(i) for i in range(self.size)]
         self._idle: "asyncio.Queue[_Worker]" = asyncio.Queue()
         for worker in self._workers:
             self._idle.put_nowait(worker)
@@ -163,7 +143,6 @@ class WorkerPool:
     def stats(self) -> Dict[str, Any]:
         return {
             "size": self.size,
-            "mode": "thread" if self.threads else "process",
             "respawns": self.respawns,
             "cells": sum(w.cells for w in self._workers),
         }

@@ -9,7 +9,6 @@ import pytest
 from repro.exec.cells import CellResult
 from repro.obs.diffbench import (
     BenchDiff,
-    compare,
     diff_paths,
     diff_reports,
     load_bench,
@@ -143,16 +142,6 @@ class TestDiffReports:
             new_code_version=data["new_code_version"],
         )
         assert again.ok
-
-
-class TestCompatSurface:
-    def test_compare_matches_legacy_argument_order(self):
-        baseline = _payload([_cell()])
-        fresh = _payload([_cell(ii=5, cache_key="k2")], code_version="def")
-        regressions, warnings, infos = compare(fresh, baseline, 2.0)
-        assert any("II regressed" in r for r in regressions)
-        clean_r, clean_w, clean_i = compare(baseline, baseline, 2.0)
-        assert not clean_r and not clean_w and not clean_i
 
 
 class TestLoadAndCli:

@@ -97,7 +97,6 @@ class TestExperimentHelpers:
 
     def test_config_resolution(self):
         config = ExperimentConfig()
-        assert config.resolved_machine().name == "r8000"
         options = config.most_options()
         assert options.time_limit == config.most_time_limit
         assert options.fallback

@@ -1,8 +1,7 @@
-"""Tests for the bench-JSON layer and the CI regression checker."""
+"""Tests for the bench-JSON layer and its regression gate."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import pathlib
 
@@ -18,17 +17,9 @@ from repro.exec import (
     summarise,
     write_bench_json,
 )
+from repro.obs.diffbench import diff_reports
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _load_check_regression():
-    spec = importlib.util.spec_from_file_location(
-        "check_regression", REPO_ROOT / "benchmarks" / "check_regression.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestBenchOptions:
@@ -117,6 +108,8 @@ class TestBenchEmission:
 
 
 class TestCheckRegression:
+    """``diff_reports`` (the ``repro diff`` gate) on bench-shaped payloads."""
+
     def _payload(self, cells, code_version="abc"):
         return {
             "code_version": code_version,
@@ -133,13 +126,11 @@ class TestCheckRegression:
         return base
 
     def test_clean_comparison(self):
-        mod = _load_check_regression()
         payload = self._payload([self._cell()])
-        regressions, warnings, infos = mod.compare(payload, payload, 2.0)
-        assert not regressions and not warnings and not infos
+        diff = diff_reports(payload, payload, 2.0)
+        assert not diff.regressions and not diff.warnings and not diff.infos
 
     def test_quality_regressions_detected(self):
-        mod = _load_check_regression()
         baseline = self._payload([self._cell(), self._cell(loop="b")])
         fresh = self._payload(
             [
@@ -147,27 +138,10 @@ class TestCheckRegression:
                 self._cell(loop="b", timeout=True, sim_cycles={"default": 150.0}),
             ]
         )
-        regressions, _, _ = mod.compare(fresh, baseline, 2.0)
-        text = "\n".join(regressions)
+        text = "\n".join(diff_reports(baseline, fresh, 2.0).regressions)
         assert "II regressed" in text
         assert "new timeout" in text
         assert "sim cycles regressed" in text
-
-    def test_missing_cell_is_a_regression_new_cell_is_info(self):
-        mod = _load_check_regression()
-        baseline = self._payload([self._cell(), self._cell(loop="b")])
-        fresh = self._payload([self._cell(), self._cell(loop="c")])
-        regressions, _, infos = mod.compare(fresh, baseline, 2.0)
-        assert any("disappeared" in r for r in regressions)
-        assert any("new cell" in i for i in infos)
-
-    def test_slow_scheduler_is_a_warning_not_a_regression(self):
-        mod = _load_check_regression()
-        baseline = self._payload([self._cell(schedule_seconds=0.1)])
-        fresh = self._payload([self._cell(schedule_seconds=1.0)])
-        regressions, warnings, _ = mod.compare(fresh, baseline, 2.0)
-        assert not regressions
-        assert any("schedule time up" in w for w in warnings)
 
     def test_committed_baseline_matches_the_quick_grid(self):
         """The repo baseline must stay in the quick-bench shape CI produces."""

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 
+import pytest
 
 from repro.serve.daemon import ServeDaemon
 from repro.serve.loadgen import LoadgenOptions, run_selftest
@@ -31,7 +32,7 @@ async def _with_daemon(tmp_path, scenario, **config_overrides):
     """Boot a daemon on a unix socket, run ``scenario(path)``, drain."""
     sock = str(tmp_path / "serve.sock")
     config = ServeConfig(
-        jobs=0, cache_dir=str(tmp_path / "cache"), **config_overrides
+        jobs=1, cache_dir=str(tmp_path / "cache"), **config_overrides
     )
     daemon = ServeDaemon(config, unix_path=sock, log=lambda line: None)
     ready = asyncio.Event()
@@ -69,7 +70,7 @@ def test_ping_stats_and_schedule_over_unix_socket(tmp_path):
         stats = await _rpc(reader, writer, {"id": "s", "op": "stats"})
         assert stats["ok"]
         assert stats["stats"]["service"]["responses"] == 1
-        assert stats["stats"]["pool"]["mode"] == "thread"
+        assert stats["stats"]["pool"]["size"] == 1
         writer.close()
         await writer.wait_closed()
 
@@ -128,7 +129,7 @@ def test_malformed_and_unknown_requests_keep_connection_alive(tmp_path):
 
 def test_tcp_listener_resolves_ephemeral_port(tmp_path):
     async def scenario():
-        config = ServeConfig(jobs=0, cache_dir=None)
+        config = ServeConfig(jobs=1, cache_dir=None)
         daemon = ServeDaemon(
             config, host="127.0.0.1", port=0, log=lambda line: None
         )
@@ -157,7 +158,7 @@ def test_sigterm_drains_inflight_work_and_exits_zero(tmp_path):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--unix", sock_path, "--jobs", "0",
+            "--unix", sock_path, "--jobs", "1",
             "--cache-dir", str(tmp_path / "cache"),
             "--drain-timeout", "60",
         ],
@@ -203,6 +204,50 @@ def test_sigterm_drains_inflight_work_and_exits_zero(tmp_path):
             proc.wait()
 
 
+def test_stop_with_idle_client_closes_it_promptly(tmp_path):
+    """An answered client that stays connected must not hold the stop
+    open: once the drain finishes, its connection is closed at once."""
+    async def scenario():
+        sock = str(tmp_path / "idle.sock")
+        daemon = ServeDaemon(
+            ServeConfig(jobs=1, cache_dir=None), unix_path=sock,
+            log=lambda line: None,
+        )
+        ready = asyncio.Event()
+        task = asyncio.create_task(daemon.run(ready=lambda _d: ready.set()))
+        await asyncio.wait_for(ready.wait(), 10)
+        reader, writer = await asyncio.open_unix_connection(sock)
+        response = await _rpc(reader, writer, {
+            "id": "r1", "op": "schedule", "loop": LOOP, "scheduler": "sgi",
+        })
+        assert response["ok"]
+        started = time.monotonic()
+        daemon.request_stop("SIGTERM")  # what the signal handler calls
+        code = await asyncio.wait_for(task, 30)
+        stopped = time.monotonic() - started
+        tail = await asyncio.wait_for(reader.read(), 5)  # closed by the daemon
+        writer.close()
+        return code, stopped, tail
+
+    code, stopped, tail = asyncio.run(scenario())
+    assert code == 0
+    assert stopped < 1.0
+    assert tail == b""
+
+
+def test_serve_cli_rejects_zero_jobs(capsys, monkeypatch):
+    from repro.__main__ import main
+
+    monkeypatch.setattr(
+        "repro.serve.daemon.run_daemon",
+        lambda *args, **kwargs: pytest.fail("the daemon started with --jobs 0"),
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--unix", "unused.sock", "--jobs", "0"])
+    assert excinfo.value.code == 2
+    assert "--jobs: jobs must be >= 1" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # The load harness: selftest, hit rate, engine equivalence
 # ----------------------------------------------------------------------
@@ -220,7 +265,7 @@ def test_selftest_loadgen_matches_direct_engine(tmp_path):
         output_dir=str(tmp_path / "bench"),
         history_dir=str(tmp_path / "history"),
     )
-    report, path, problems = run_selftest(options, jobs=0, equivalence=True)
+    report, path, problems = run_selftest(options, jobs=1, equivalence=True)
     assert problems == []
     assert report.hit_rate is not None and report.hit_rate >= 0.5
     assert report.responses == 24
@@ -263,7 +308,7 @@ def test_service_bench_diffs_cleanly_against_itself(tmp_path):
         schedulers=("sgi",), fuzz_corpus_dir=None, budget=30.0,
         output_dir=str(tmp_path / "bench"),
     )
-    _, path, problems = run_selftest(options, jobs=0)
+    _, path, problems = run_selftest(options, jobs=1)
     assert problems == []
     payload = json.loads(path.read_text())
 

@@ -1,10 +1,9 @@
 """The scheduling service core: protocol, deadlines, single-flight.
 
 Everything here drives :class:`repro.serve.service.SchedulerService`
-directly (no sockets) with thread-mode workers (``jobs=0``), which is
-both the fast path and the configuration that exercises the portable
-off-main-thread deadline in :mod:`repro.exec.runner` — the satellite
-that replaced the SIGALRM-only per-cell deadline.
+directly (no sockets) on one worker process (``jobs=1``), where each cell
+runs on the worker's main thread under its ``SIGALRM`` deadline; the
+pool tests reach the watchdog's kill-and-respawn backstop.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from repro.serve.protocol import (
     parse_schedule_request,
 )
 from repro.serve.service import SchedulerService, ServeConfig
+from repro.serve.workers import WorkerPool
 
 LOOP = "livermore:lk01_hydro"
 
@@ -38,7 +38,7 @@ def _request(i="r1", **overrides):
 
 
 def _service(**overrides) -> SchedulerService:
-    config = ServeConfig(jobs=0, cache_dir=None, **overrides)
+    config = ServeConfig(jobs=1, cache_dir=None, **overrides)
     return SchedulerService(config)
 
 
@@ -133,45 +133,76 @@ def test_response_shapes():
 
 
 # ----------------------------------------------------------------------
-# The portable deadline (repro.exec satellite)
+# The per-cell deadline and the pool's hard stop
 # ----------------------------------------------------------------------
-def _timeout_cell() -> dict:
-    return Cell.make(
+def test_deadline_off_main_thread_is_an_error_cell():
+    """SIGALRM cannot reach a non-main thread: a cell with a deadline is
+    refused with an error naming the cause instead of running unguarded."""
+    spec = Cell.make(
         LOOP, "sgi", {"_test_sleep": 30.0}, timeout=0.3,
         simulate=False, verify=False,
     ).to_dict()
-
-
-def test_deadline_off_main_thread_matches_sigalrm_statuses():
-    """`execute_cell` on an executor thread (no SIGALRM) must produce the
-    same timeout/fallback statuses as the signal path on the main thread."""
-    main = execute_cell(_timeout_cell(), in_worker=False)
-
     box = {}
     thread = threading.Thread(
-        target=lambda: box.update(execute_cell(_timeout_cell(), in_worker=False))
+        target=lambda: box.update(execute_cell(spec, in_worker=False))
     )
     thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-
-    for field in ("timeout", "fallback", "success", "error", "ii"):
-        assert box[field] == main[field], field
-    assert box["timeout"] is True
-    assert box["fallback"] is True  # heuristic rescue, not an error
+    thread.join(timeout=10)
+    assert not thread.is_alive()  # refused, not slept through
+    assert box["success"] is False and box["timeout"] is False
+    assert "SIGALRM" in box["error"] and "not the main thread" in box["error"]
 
 
-def test_deadline_off_main_thread_no_spurious_fire():
-    """A cell that finishes inside its budget must not be interrupted
-    afterwards by the watchdog timer."""
-    cell = Cell.make(LOOP, "sgi", timeout=30.0, simulate=False, verify=False)
-    box = {}
-    thread = threading.Thread(
-        target=lambda: box.update(execute_cell(cell.to_dict(), in_worker=False))
-    )
-    thread.start()
-    thread.join(timeout=60)
-    assert box["success"] and not box["timeout"] and box["error"] is None
+def test_serve_config_needs_a_worker_process():
+    with pytest.raises(ValueError, match="jobs"):
+        ServeConfig(jobs=0)
+
+
+def test_pool_watchdog_kills_and_respawns_a_wedged_worker():
+    spec = Cell.make(
+        LOOP, "sgi", {"_test_sleep": 30}, timeout=60,
+        simulate=False, verify=False,
+    ).to_dict()
+    healthy = Cell.make(LOOP, "sgi", simulate=False, verify=False).to_dict()
+
+    async def scenario():
+        pool = WorkerPool(jobs=1)
+        try:
+            wedged = await pool.run(spec, hard_timeout=0.5)
+            respawns = pool.respawns
+            after = await pool.run(healthy)
+        finally:
+            pool.shutdown()
+        return wedged, respawns, after
+
+    wedged, respawns, after = asyncio.run(scenario())
+    assert wedged["timeout"] is True and not wedged["success"]
+    assert "hard deadline" in wedged["error"]
+    assert respawns == 1
+    assert after["success"] and after["error"] is None
+
+
+def test_pool_respawns_a_crashed_worker(tmp_path):
+    marker = str(tmp_path / "crashed")
+    spec = Cell.make(
+        LOOP, "sgi", {"_test_crash_once": marker}, simulate=False, verify=False,
+    ).to_dict()
+
+    async def scenario():
+        pool = WorkerPool(jobs=1)
+        try:
+            crashed = await pool.run(spec)
+            respawns = pool.respawns
+            again = await pool.run(spec)  # marker written: runs normally
+        finally:
+            pool.shutdown()
+        return crashed, respawns, again
+
+    crashed, respawns, again = asyncio.run(scenario())
+    assert not crashed["success"]
+    assert "worker died" in crashed["error"] and "(respawned)" in crashed["error"]
+    assert respawns == 1
+    assert again["success"] and again["error"] is None
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +270,7 @@ def test_disk_tier_hit_after_lru_eviction(tmp_path):
         return first, second, service.metrics
 
     service = SchedulerService(
-        ServeConfig(jobs=0, cache_dir=str(tmp_path / "cache"))
+        ServeConfig(jobs=1, cache_dir=str(tmp_path / "cache"))
     )
     first, second, metrics = asyncio.run(_with_service(service, scenario))
     assert second["cached"] == "disk"

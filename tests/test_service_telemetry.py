@@ -1,7 +1,7 @@
 """Live service telemetry: Prometheus exposition, spans, slow-request log.
 
-Drives :class:`repro.serve.service.SchedulerService` directly (thread
-workers, ``jobs=0``) and :class:`repro.serve.daemon.ServeDaemon` on a
+Drives :class:`repro.serve.service.SchedulerService` directly (one
+worker process, ``jobs=1``) and :class:`repro.serve.daemon.ServeDaemon` on a
 temporary unix socket + ephemeral HTTP metrics port, the same idioms as
 ``test_serve_service.py``/``test_serve_daemon.py``.
 """
@@ -36,7 +36,7 @@ def _request(i="r1", **overrides):
 
 
 def _service(**overrides) -> SchedulerService:
-    config = ServeConfig(jobs=0, cache_dir=None, **overrides)
+    config = ServeConfig(jobs=1, cache_dir=None, **overrides)
     return SchedulerService(config)
 
 
@@ -228,7 +228,7 @@ async def _rpc(reader, writer, payload):
 def test_metrics_wire_op_and_http_port(tmp_path):
     async def scenario():
         sock = str(tmp_path / "serve.sock")
-        config = ServeConfig(jobs=0, cache_dir=str(tmp_path / "cache"))
+        config = ServeConfig(jobs=1, cache_dir=str(tmp_path / "cache"))
         daemon = ServeDaemon(
             config, unix_path=sock, metrics_port=0, log=lambda line: None
         )
