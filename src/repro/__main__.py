@@ -806,8 +806,9 @@ def _serve_main(argv) -> int:
     sp = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Run the scheduling daemon: newline-delimited JSON "
-        "requests over TCP and/or a unix socket, batched onto a persistent "
-        "worker pool behind a two-tier (memory LRU + disk) result cache. "
+        "requests over TCP and/or a unix socket; cache hits are answered at "
+        "admission from a two-tier (memory LRU + disk) result cache, misses "
+        "are solved once each on a persistent worker pool. "
         "--selftest instead boots an in-process daemon on a temporary unix "
         "socket, replays the committed corpora through the wire protocol "
         "at the requested concurrency and writes BENCH_service.json.",
@@ -831,17 +832,10 @@ def _serve_main(argv) -> int:
     )
     sp.add_argument(
         "--queue-limit", type=int, default=64, metavar="N",
-        help="bounded admission queue depth; beyond it requests are shed "
-        "with an 'overloaded' + retry_after response (default: 64)",
-    )
-    sp.add_argument(
-        "--batch-window-ms", type=float, default=5.0, metavar="MS",
-        help="how long the dispatcher coalesces arrivals into one batch "
-        "(default: 5ms)",
-    )
-    sp.add_argument(
-        "--batch-max", type=int, default=32, metavar="N",
-        help="max requests per dispatch batch (default: 32)",
+        help="max distinct solves outstanding; a new cache miss beyond it is "
+        "shed with an 'overloaded' + retry_after response, while cache hits "
+        "and requests for a key already being solved are always served "
+        "(default: 64)",
     )
     sp.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
@@ -936,8 +930,6 @@ def _serve_main(argv) -> int:
         config = ServeConfig(
             jobs=args.jobs,
             queue_limit=args.queue_limit,
-            batch_window=args.batch_window_ms / 1e3,
-            batch_max=args.batch_max,
             cache_dir=None if args.no_cache else args.cache_dir,
             lru_entries=args.lru_entries,
             lru_bytes=int(args.lru_mb * (1 << 20)),

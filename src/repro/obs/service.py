@@ -100,13 +100,14 @@ class SchedulerLane:
 class ServiceMetrics:
     """Everything the daemon counts; snapshot with :meth:`to_dict`.
 
-    ``requests`` counts every accepted schedule request; ``shed`` the ones
-    rejected for a full queue (the 429 path) and ``rejected`` the
+    ``requests`` counts every accepted schedule request; ``shed`` the new
+    misses refused while the service was at its outstanding-solve limit
+    (the 429 path) and ``rejected`` the
     malformed/shutting-down ones.  Cache counters distinguish the memory
     tier, the disk tier and single-flight deduplication (a concurrent
     identical request that waited on an in-flight solve rather than
-    solving again).  ``queue_depth``/``queue_depth_max`` are sampled at
-    enqueue time.
+    solving again).  ``queue_depth``/``queue_depth_max`` count distinct
+    solves outstanding, sampled at admission and by the gauge sampler.
     """
 
     def __init__(self) -> None:
@@ -208,7 +209,7 @@ _SCALAR_METRICS: Tuple[Tuple[str, str, str, str], ...] = (
     ("requests_total", "counter", "Accepted schedule requests.", "requests"),
     ("responses_total", "counter", "Responses sent.", "responses"),
     ("errors_total", "counter", "Responses carrying a cell error.", "errors"),
-    ("shed_total", "counter", "Requests shed for a full queue.", "shed"),
+    ("shed_total", "counter", "Misses shed at the outstanding-solve limit.", "shed"),
     ("rejected_total", "counter", "Malformed or shutting-down rejections.", "rejected"),
     ("worker_respawns_total", "counter", "Pool worker respawns.", "worker_respawns"),
     ("cache_memory_hits_total", "counter", "Memory-tier cache hits.", "memory_hits"),
@@ -216,8 +217,8 @@ _SCALAR_METRICS: Tuple[Tuple[str, str, str, str], ...] = (
     ("cache_misses_total", "counter", "Cache misses (real solves).", "misses"),
     ("cache_inflight_dedup_total", "counter",
      "Requests coalesced onto an in-flight solve.", "inflight_dedup"),
-    ("queue_depth", "gauge", "Dispatch queue depth at last enqueue.", "queue_depth"),
-    ("queue_depth_max", "gauge", "High-water dispatch queue depth.", "queue_depth_max"),
+    ("queue_depth", "gauge", "Distinct solves outstanding at last sample.", "queue_depth"),
+    ("queue_depth_max", "gauge", "High-water count of outstanding solves.", "queue_depth_max"),
 )
 
 #: Latency quantiles exposed as ``request_latency_ms{quantile="..."}``.

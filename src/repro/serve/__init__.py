@@ -1,10 +1,10 @@
 """repro.serve — scheduling as a service.
 
 The pipeliners wrapped in a long-running daemon: an asyncio NDJSON front
-end (TCP and/or unix socket), a batching dispatcher with single-flight
-deduplication over a two-tier (in-process LRU + sharded disk) result
-cache, and a persistent worker pool whose per-process scheduler memos
-stay warm across requests.  A latency-instrumented load generator
+end (TCP and/or unix socket), admission that answers cache hits at once
+and deduplicates concurrent misses (single-flight) over a two-tier
+(in-process LRU + sharded disk) result cache, and a persistent worker
+pool whose per-process scheduler memos stay warm across requests.  A latency-instrumented load generator
 (:mod:`repro.serve.loadgen`) replays the committed corpora through the
 wire protocol and emits ``BENCH_service.json``.
 
@@ -17,8 +17,8 @@ Module map:
 * :mod:`repro.serve.workers` — persistent per-slot worker processes;
   each cell runs on a worker's main thread under its ``SIGALRM``
   deadline, with a kill-and-respawn watchdog as the one hard stop;
-* :mod:`repro.serve.service` — admission, batching, single-flight,
-  budget clamping, graceful drain;
+* :mod:`repro.serve.service` — admission, single-flight, load
+  shedding, budget clamping, graceful drain;
 * :mod:`repro.serve.daemon` — the sockets + signal handling;
 * :mod:`repro.serve.loadgen` — the load harness and selftest.
 """

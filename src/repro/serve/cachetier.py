@@ -7,12 +7,12 @@ cache needs exactly two additions, both here:
 * a **size-bounded in-process LRU** in front of it, so a hot working set
   is served without touching the filesystem, with eviction and
   hit/miss counters — and *pinning*: a key being solved right now
-  (in-flight) is never evicted, which is what makes the dispatcher's
+  (in-flight) is never evicted, which is what makes the service's
   single-flight bookkeeping sound even under memory pressure;
 * a **tiered read path** (memory, then disk with promotion) and a
   write-through ``put``.
 
-Single-flight deduplication itself lives in the dispatcher
+Single-flight deduplication itself lives in the service
 (:mod:`repro.serve.service`) because it is an asyncio concern; this
 module stays synchronous and event-loop-free so it can be unit- and
 property-tested directly.

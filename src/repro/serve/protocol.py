@@ -1,7 +1,7 @@
 """The wire format of the scheduling service: newline-delimited JSON.
 
 One request per line, one response per line, matched by a client-chosen
-``id`` (responses may arrive out of order — the dispatcher streams each
+``id`` (responses may arrive out of order — the service streams each
 result back as its cell finishes).  The payload deliberately reuses the
 two loop codecs the repo already ships: registry keys from
 :mod:`repro.exec.cells` (``livermore:lk01_hydro``) and the serializable
@@ -27,11 +27,13 @@ Responses::
 
 Error codes: ``bad-request`` (malformed line, unknown fields, or options
 the scheduler rejects),
-``overloaded`` (bounded queue full; honour ``retry_after``),
+``overloaded`` (a new cache miss while the server's limit of outstanding
+solves is reached; honour ``retry_after``),
 ``shutting-down`` (graceful drain in progress), ``internal``.  The
 ``budget`` is the per-request wall-clock deadline in seconds; the server
-clamps it to its configured maximum and enforces it off the main thread
-(see :mod:`repro.exec.runner`).
+clamps it to its configured maximum and enforces it with ``SIGALRM`` on
+the main thread of the worker process that runs the cell (see
+:mod:`repro.exec.runner`).
 """
 
 from __future__ import annotations
@@ -214,7 +216,8 @@ def error_response(
     message: str,
     retry_after: Optional[float] = None,
 ) -> Dict[str, Any]:
-    assert code in ERROR_CODES, code
+    if code not in ERROR_CODES:
+        raise ValueError(f"unknown error code {code!r} (expected one of {ERROR_CODES})")
     error: Dict[str, Any] = {"code": code, "message": message}
     if retry_after is not None:
         error["retry_after"] = retry_after

@@ -1,20 +1,21 @@
-"""The scheduling service core: bounded queue, batching, single-flight.
+"""The scheduling service core: admission, cache, single-flight.
 
 :class:`SchedulerService` is the daemon with the sockets peeled off — the
 front end (:mod:`repro.serve.daemon`), the load generator's in-process
 mode and the tests all drive this one object.  A request travels:
 
-1. **admission** — ``submit`` rejects while draining (``shutting-down``)
-   and sheds load when the bounded queue is full (``overloaded`` with a
-   ``retry_after`` hint: the 429 of the NDJSON world);
-2. **batching** — the dispatcher coalesces whatever arrives within a
-   short window into one batch, computes each request's content-addressed
-   cell key once, and groups identical cells;
-3. **cache / single-flight** — memory hit, disk hit (promoted), attach to
-   an identical in-flight solve, or start one: concurrent identical
-   requests solve exactly once, and the LRU pins in-flight keys so they
-   cannot be evicted from under their waiters;
-4. **execution** — cells fan out to the persistent worker pool
+1. **admission** — ``submit`` rejects while draining (``shutting-down``),
+   builds the request's cell and computes its content-addressed key;
+2. **cache / single-flight** — in the same pass, with no timer in
+   between: a memory or disk hit (promoted) is answered at once, a
+   request for a key already being solved attaches to that solve, and a
+   new miss starts one — concurrent identical requests solve exactly
+   once, and the LRU pins in-flight keys so they cannot be evicted from
+   under their waiters.  A new miss is shed (``overloaded`` with a
+   ``retry_after`` hint: the 429 of the NDJSON world) while
+   ``queue_limit`` distinct solves are outstanding; hits and attachments
+   never are;
+3. **execution** — cells fan out to the persistent worker pool
    (:mod:`repro.serve.workers`), per-request budgets enforced in-worker
    with the pool watchdog as backstop; results stream back to every
    waiter as they finish, write-through cached on the way.
@@ -51,9 +52,7 @@ class ServeConfig:
     """Everything the service (and daemon around it) is configured by."""
 
     jobs: int = 2                      # persistent worker processes (>= 1)
-    queue_limit: int = 64              # bounded admission queue
-    batch_window: float = 0.005        # seconds the dispatcher coalesces for
-    batch_max: int = 32                # max requests per batch
+    queue_limit: int = 64              # max outstanding distinct solves
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR  # None = memory-only
     lru_entries: int = 1024
     lru_bytes: int = 64 << 20
@@ -85,17 +84,19 @@ class _Pending:
     """One admitted request waiting for its result.
 
     The three phase timestamps bracket the request's life for span
-    emission: queued at admission (``enqueued_at``), keyed when the
-    dispatcher pulled its batch (``keyed_at``), resolved when a result —
-    cache hit, solve, or error — landed on the future (``resolved_at``).
+    emission: admitted once its cell is built (``admitted_at``), keyed
+    once its cell key is computed and looked up in the cache and the
+    in-flight table (``keyed_at`` — the ``coalesce`` phase is that keying
+    plus lookup), resolved when a result — cache hit or solve — landed on
+    the future (``resolved_at``).
     """
 
     request: ScheduleRequest
     cell: Cell
     future: "asyncio.Future[Dict[str, Any]]"
-    enqueued_at: float = field(default_factory=time.perf_counter)
-    keyed_at: Optional[float] = None
-    resolved_at: Optional[float] = None
+    admitted_at: float = field(default_factory=time.perf_counter)
+    keyed_at: float = 0.0
+    resolved_at: float = 0.0
 
     def resolve(self, response: Dict[str, Any]) -> None:
         if not self.future.done():
@@ -113,7 +114,7 @@ class _Flight:
 
 
 class SchedulerService:
-    """The queue → batcher → cache/single-flight → worker-pool pipeline."""
+    """The admission → cache/single-flight → worker-pool pipeline."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
@@ -123,12 +124,8 @@ class SchedulerService:
         # key_of needs loop fingerprints; reuse the engine's memoised
         # hashing (the engine itself never runs cells here).
         self._keyer = ExecEngine(jobs=1, cache=None)
-        self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue(
-            maxsize=self.config.queue_limit
-        )
         self._inflight: Dict[str, _Flight] = {}
         self._tasks: "set[asyncio.Task]" = set()
-        self._dispatcher: Optional[asyncio.Task] = None
         self._gauge_task: Optional[asyncio.Task] = None
         self._draining = False
         self._started = False
@@ -144,7 +141,6 @@ class SchedulerService:
             return
         self._started = True
         await self.pool.start()
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
         if self.config.gauge_interval > 0:
             self._gauge_task = asyncio.create_task(self._gauge_loop())
 
@@ -160,7 +156,7 @@ class SchedulerService:
         )
 
         def busy() -> bool:
-            return bool(self._queue.qsize() or self._inflight or self._tasks)
+            return bool(self._inflight or self._tasks)
 
         while busy() and time.perf_counter() < deadline:
             await asyncio.sleep(0.02)
@@ -170,15 +166,13 @@ class SchedulerService:
         if drain:
             await self.drain()
         self._draining = True
-        for attr in ("_dispatcher", "_gauge_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, attr, None)
+        if self._gauge_task is not None:
+            self._gauge_task.cancel()
+            try:
+                await self._gauge_task
+            except asyncio.CancelledError:
+                pass
+            self._gauge_task = None
         for task in list(self._tasks):
             task.cancel()
         self.pool.shutdown()
@@ -208,19 +202,9 @@ class SchedulerService:
             request=request, cell=cell,
             future=asyncio.get_running_loop().create_future(),
         )
-        try:
-            self._queue.put_nowait(pending)
-        except asyncio.QueueFull:
-            self.metrics.shed += 1
-            # A full queue of budget-bounded work clears at pool rate; hint
-            # one average in-flight budget's worth of backoff, floored.
-            retry = max(0.05, min(1.0, self._queue.qsize() * 0.01))
-            return error_response(
-                request.id, "overloaded",
-                f"queue full ({self.config.queue_limit} deep); retry later",
-                retry_after=retry,
-            )
-        self.metrics.observe_queue(self._queue.qsize())
+        refusal = self._admit(pending)
+        if refusal is not None:
+            return refusal
         response = await pending.future
         finished = time.perf_counter()
         latency_ms = (finished - started) * 1e3
@@ -235,6 +219,62 @@ class SchedulerService:
         self._emit_request_telemetry(pending, response, started, finished, latency_ms)
         return response
 
+    def _admit(self, pending: _Pending) -> Optional[Dict[str, Any]]:
+        """Key the request's cell, then answer it from the cache, attach it
+        to an identical in-flight solve, or start a solve for it.
+
+        Returns a refusal response — an unresolvable loop key, or a new
+        miss while ``queue_limit`` solves are outstanding — or ``None``
+        once the request's future is resolved or has a solve behind it.
+        """
+        if len(self._keyer._loop_fps) > _FP_MEMO_LIMIT:
+            self._keyer.forget_loop_fingerprints()
+        request_id = pending.request.id
+        try:
+            key = self._keyer.key_of(pending.cell)
+        except Exception as exc:
+            self.metrics.rejected += 1
+            return error_response(
+                request_id, "bad-request", f"loop key does not resolve: {exc}"
+            )
+        flight = self._inflight.get(key)
+        hit = self.cache.get(key) if flight is None else None
+        pending.keyed_at = time.perf_counter()
+        if flight is not None:
+            self.metrics.inflight_dedup += 1
+            flight.waiters.append(pending)
+        elif hit is not None:
+            tier, payload = hit
+            if tier == "memory":
+                self.metrics.memory_hits += 1
+            else:
+                self.metrics.disk_hits += 1
+            payload = dict(payload)
+            payload["cache_hit"] = True
+            payload["cache_key"] = key
+            pending.resolve(ok_response(request_id, payload, cached=tier))
+        elif len(self._inflight) >= self.config.queue_limit:
+            self.metrics.shed += 1
+            # Outstanding solves are budget-bounded and clear at pool rate;
+            # hint a backoff that grows with them, floored and capped.
+            retry = max(0.05, min(1.0, len(self._inflight) * 0.01))
+            return error_response(
+                request_id, "overloaded",
+                f"{self.config.queue_limit} solves outstanding; retry later",
+                retry_after=retry,
+            )
+        else:
+            self.metrics.misses += 1
+            flight = _Flight(key, pending.cell)
+            flight.waiters.append(pending)
+            self._inflight[key] = flight
+            self.cache.pin(key)  # never evicted while being solved
+            task = asyncio.create_task(self._solve(flight))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+        self.metrics.observe_queue(len(self._inflight))
+        return None
+
     def _emit_request_telemetry(
         self,
         pending: _Pending,
@@ -244,13 +284,11 @@ class SchedulerService:
         latency_ms: float,
     ) -> None:
         """Per-request spans (admission→coalesce→solve→respond) + slow log."""
-        keyed = pending.keyed_at if pending.keyed_at is not None else started
-        resolved = pending.resolved_at if pending.resolved_at is not None else finished
         phases = (
-            ("admission", started, pending.enqueued_at),
-            ("coalesce", pending.enqueued_at, keyed),
-            ("solve", keyed, resolved),
-            ("respond", resolved, finished),
+            ("admission", started, pending.admitted_at),
+            ("coalesce", pending.admitted_at, pending.keyed_at),
+            ("solve", pending.keyed_at, pending.resolved_at),
+            ("respond", pending.resolved_at, finished),
         )
         recorder = get_recorder()
         if recorder.enabled:
@@ -281,24 +319,6 @@ class SchedulerService:
                 },
             })
 
-    # -- dispatch ------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        while True:
-            first = await self._queue.get()
-            batch = [first]
-            window_ends = time.perf_counter() + self.config.batch_window
-            while len(batch) < self.config.batch_max:
-                remaining = window_ends - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            self._dispatch_batch(batch)
-
     async def _gauge_loop(self) -> None:
         """Sample queue depth and hit rate on a timer.
 
@@ -309,7 +329,7 @@ class SchedulerService:
         """
         while True:
             await asyncio.sleep(self.config.gauge_interval)
-            depth = self._queue.qsize()
+            depth = len(self._inflight)
             self.metrics.observe_queue(depth)
             recorder = get_recorder()
             if recorder.enabled:
@@ -319,54 +339,6 @@ class SchedulerService:
                     "serve.cache_hit_rate",
                     value=None if hit_rate is None else round(hit_rate, 4),
                 )
-                recorder.event("serve.inflight", value=len(self._inflight))
-
-    def _dispatch_batch(self, batch: List[_Pending]) -> None:
-        """Key every request once, then resolve each against the cache,
-        an in-flight solve, or a fresh worker-pool execution."""
-        if len(self._keyer._loop_fps) > _FP_MEMO_LIMIT:
-            self._keyer.forget_loop_fingerprints()
-        new_flights: List[_Flight] = []
-        for pending in batch:
-            pending.keyed_at = time.perf_counter()
-            try:
-                key = self._keyer.key_of(pending.cell)
-            except Exception as exc:
-                self.metrics.rejected += 1
-                pending.resolve(error_response(
-                    pending.request.id, "bad-request",
-                    f"loop key does not resolve: {exc}",
-                ))
-                continue
-            flight = self._inflight.get(key)
-            if flight is not None:
-                self.metrics.inflight_dedup += 1
-                flight.waiters.append(pending)
-                continue
-            hit = self.cache.get(key)
-            if hit is not None:
-                tier, payload = hit
-                if tier == "memory":
-                    self.metrics.memory_hits += 1
-                else:
-                    self.metrics.disk_hits += 1
-                payload = dict(payload)
-                payload["cache_hit"] = True
-                payload["cache_key"] = key
-                pending.resolve(
-                    ok_response(pending.request.id, payload, cached=tier)
-                )
-                continue
-            self.metrics.misses += 1
-            flight = _Flight(key, pending.cell)
-            flight.waiters.append(pending)
-            self._inflight[key] = flight
-            self.cache.pin(key)  # never evicted while being solved
-            new_flights.append(flight)
-        for flight in new_flights:
-            task = asyncio.create_task(self._solve(flight))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
 
     async def _solve(self, flight: _Flight) -> None:
         try:
@@ -400,7 +372,7 @@ class SchedulerService:
             "cache": self.cache.stats(),
             "pool": self.pool.stats(),
             "queue": {
-                "depth": self._queue.qsize(),
+                "depth": len(self._inflight),
                 "limit": self.config.queue_limit,
             },
             "inflight": len(self._inflight),

@@ -81,9 +81,9 @@ class _Worker:
                 pass
         executor.shutdown(wait=False, cancel_futures=True)
 
-    def shutdown(self) -> None:
+    def shutdown(self, wait: bool) -> None:
         if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor.shutdown(wait=wait, cancel_futures=True)
             self._executor = None
 
 
@@ -91,9 +91,9 @@ class WorkerPool:
     """Fans cells out to persistent workers with a hard watchdog.
 
     Use from one asyncio event loop only.  ``run`` borrows an idle worker
-    (waiting when all are busy — the service's bounded queue provides the
-    actual back-pressure), executes the cell, and returns the result
-    payload dict.  A worker that outlives ``hard_timeout`` or dies is
+    (waiting when all are busy — the service's cap on outstanding solves
+    provides the actual back-pressure), executes the cell, and returns the
+    result payload dict.  A worker that outlives ``hard_timeout`` or dies is
     respawned and the cell reported as an error result rather than an
     exception: the service always has *something* to stream back.
     """
@@ -148,5 +148,12 @@ class WorkerPool:
         }
 
     def shutdown(self) -> None:
+        """Stop every worker.  Idle ones — all of them after a clean
+        drain — are joined, so no executor is left for the interpreter's
+        exit hook to wake; one still running a cell is left to finish on
+        its own."""
+        idle = []
+        while not self._idle.empty():
+            idle.append(self._idle.get_nowait())
         for worker in self._workers:
-            worker.shutdown()
+            worker.shutdown(wait=worker in idle)

@@ -20,6 +20,7 @@ for the whole code-generation pipeline.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -38,7 +39,22 @@ class ExecutionResult:
     live_out: Dict[str, float]
 
     def matches(self, other: "ExecutionResult") -> bool:
-        return self.memory == other.memory and self.live_out == other.live_out
+        return _same_values(self.memory, other.memory) and _same_values(
+            self.live_out, other.live_out
+        )
+
+
+def _same_values(a: Dict, b: Dict) -> bool:
+    """``a == b``, except that a NaN matches a NaN with the same bit
+    pattern: a body that overflows to NaN computes the same bits in both
+    executions, yet NaN is unequal to itself.  The ``==`` fast path decides
+    every NaN-free result."""
+    if a == b:
+        return True
+    return a.keys() == b.keys() and all(
+        x == b[k] or struct.pack("<d", x) == struct.pack("<d", b[k])
+        for k, x in a.items()
+    )
 
 
 def _live_in_value(layout: DataLayout, name: str) -> float:

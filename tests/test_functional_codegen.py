@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core import PipelinerOptions, pipeline_loop
+from repro.exec.cells import Cell
+from repro.exec.runner import execute_cell
 from repro.ir import LoopBuilder
 from repro.machine import r8000, two_wide
 from repro.pipeline import emit_pipelined_code
 from repro.sim import DataLayout, run_pipelined, run_sequential
+from repro.sim.functional import ExecutionResult
 from repro.workloads.generators import GeneratorConfig, random_loop
 
 from .conftest import (
@@ -111,6 +114,55 @@ class TestPipelinedSemantics:
         )
         loop = random_loop(seed, config, machine)
         check_loop(loop, machine, trips=20, seed=seed)
+
+
+class TestExecutionResultMatches:
+    """NaN is unequal to itself, so ``matches`` falls back to bit patterns
+    when ``==`` fails: the same NaN bits on both sides are the same result."""
+
+    def test_same_nan_bits_match(self):
+        nan = float("nan")
+        a = ExecutionResult(memory={8: nan, 16: 1.0}, live_out={"acc0": nan})
+        b = ExecutionResult(memory={8: float("nan"), 16: 1.0},
+                            live_out={"acc0": float("nan")})
+        assert a.matches(b)
+
+    def test_different_values_still_mismatch(self):
+        a = ExecutionResult(memory={8: 1.0}, live_out={})
+        b = ExecutionResult(memory={8: 2.0}, live_out={})
+        assert not a.matches(b)
+        assert not ExecutionResult({}, {"x": 1.0}).matches(ExecutionResult({}, {"x": 2.0}))
+        nan = ExecutionResult(memory={}, live_out={"acc0": float("nan")})
+        assert not nan.matches(ExecutionResult(memory={}, live_out={"acc0": 1.0}))
+        assert not nan.matches(ExecutionResult(memory={}, live_out={}))
+
+    def test_signed_zeros_still_match(self):
+        a = ExecutionResult(memory={8: 0.0}, live_out={"x": float("nan")})
+        b = ExecutionResult(memory={8: -0.0}, live_out={"x": float("nan")})
+        assert a.matches(b)
+
+
+#: A 41-op generated loop with one recurrence whose live-out ``acc0``
+#: overflows to NaN in both the sequential and the pipelined execution.
+NAN_LIVE_OUT_TOKEN = (
+    "eNqtVt1ugyAYfReuuRBkavsqjTFUcTOz2gB2W5q--7Clgp0IJrv7Ss853698XAH7"
+    "lpwWFTsLsD_kENQ9P1EJ9giCruCsFA-TnhjYg3fWkSKOAQT9HX8FRyrGPyjnkTr9"
+    "bLpK_Wp7Wo2YuhZMSWUQCMmbit3Nr6aSH8q6QZuNnGxMDJ1MdDKnYyc9cjrX-PpE"
+    "q5Eg-Jjr4QAutAUQ51Bb0Wg13UVBSgzyPIxqCE-dOIAaW-inRdZ5fx2RlYDFcFxJ"
+    "9W0OXoowncDpS1xDuwLO_ODMCV6KA0VW1NAcehNIJnTijwkho423pKCIa5Ho7sSm"
+    "abtVdY2PDB6FjBOySpPYprdKKHV6Whoh21HAXCBi4GRjoV71F8Oxkt35k8XRJnUL"
+    "jnGouknEWx1shg6T_4cnzugXk03d6ovZWvJmKHDAyNnMbKMn8-HFKOi6RNa9bO4_"
+    "vAu5o61Leq21S9W0fPkCfYImvKlmHNIIG2951Y2oGiFpV7L7ctc6ZdurdQqBWvqP"
+    "tTnX01-G3rn9IK2FL2TP2cvSnTdLVdb3ClCSaIOkStAhqY7PlDfy5_GiUYhzUfZD"
+    "N75qouj2C9eMsrs"
+)
+
+
+def test_nan_live_out_passes_the_functional_oracle():
+    cell = Cell.make("fuzz:" + NAN_LIVE_OUT_TOKEN, "sgi", seed=0, oracle=True)
+    result = execute_cell(cell.to_dict(), in_worker=False)
+    assert result["success"]
+    assert result["funcsim_ok"] is True
 
 
 class TestEmittedCode:

@@ -128,7 +128,10 @@ def test_response_shapes():
     assert ok["ok"] and ok["result"] == {"ii": 4} and ok["cached"] == "memory"
     err = error_response("r1", "overloaded", "busy", retry_after=0.25)
     assert not err["ok"] and err["error"]["retry_after"] == 0.25
-    with pytest.raises(AssertionError):
+
+
+def test_error_response_rejects_an_unknown_code():
+    with pytest.raises(ValueError, match="no-such-code"):
         error_response("r1", "no-such-code", "nope")
 
 
@@ -278,25 +281,64 @@ def test_disk_tier_hit_after_lru_eviction(tmp_path):
     assert second["result"]["ii"] == first["result"]["ii"]
 
 
-def test_load_shedding_when_queue_full():
-    async def scenario():
-        service = _service(queue_limit=2)
-        # No dispatcher: admission control in isolation.
-        tasks = [
-            asyncio.create_task(service.submit(_request(f"r{i}")))
-            for i in range(2)
-        ]
-        await asyncio.sleep(0)
-        shed = await service.submit(_request("r-overflow"))
-        for task in tasks:
-            task.cancel()
-        return shed, service.metrics
+def test_cache_hit_never_waits_on_a_timer():
+    """A memory hit is answered in the pass that admits it: the submit
+    task finishes within a few event-loop turns, with no wall-clock wait
+    and no worker involved."""
+    async def scenario(service):
+        warm = await service.submit(_request("r1"))
+        cells = service.pool.stats()["cells"]
+        task = asyncio.create_task(service.submit(_request("r2")))
+        for _ in range(3):
+            await asyncio.sleep(0)
+        assert task.done()
+        return warm, task.result(), cells, service.pool.stats()["cells"]
 
-    shed, metrics = asyncio.run(scenario())
+    warm, hit, cells_before, cells_after = asyncio.run(
+        _with_service(_service(), scenario)
+    )
+    assert warm["ok"] and warm["cached"] is False
+    assert hit["ok"] and hit["cached"] == "memory"
+    assert cells_after == cells_before == 1
+
+
+def test_load_shedding_when_queue_full():
+    """With ``queue_limit`` distinct solves outstanding a new miss is shed;
+    a memory hit and a request for a key already being solved are not."""
+    async def scenario(service):
+        warm = await service.submit(_request("warm"))
+        solving = [
+            asyncio.create_task(service.submit(
+                _request(f"r{i}", options={"_test_sleep": sleep})
+            ))
+            for i, sleep in enumerate((0.2, 0.25))
+        ]
+        await asyncio.sleep(0)  # both admitted, both solves outstanding
+        depth = service.stats()["queue"]["depth"]
+        shed = await service.submit(
+            _request("r-overflow", options={"_test_sleep": 0.3})
+        )
+        hit = await service.submit(_request("r-hit"))
+        attached = asyncio.create_task(service.submit(
+            _request("r-attach", options={"_test_sleep": 0.2})
+        ))
+        solved = await asyncio.gather(*solving, attached)
+        return warm, depth, shed, hit, solved, service.stats()
+
+    warm, depth, shed, hit, solved, stats = asyncio.run(
+        _with_service(_service(queue_limit=2), scenario)
+    )
+    assert warm["ok"] and depth == 2
     assert not shed["ok"]
     assert shed["error"]["code"] == "overloaded"
     assert shed["error"]["retry_after"] > 0
-    assert metrics.shed == 1
+    assert hit["ok"] and hit["cached"] == "memory"
+    assert all(r["ok"] for r in solved) and solved[-1]["deduped"]
+    service = stats["service"]
+    assert service["shed"] == 1
+    assert service["cache"]["misses"] == 3 and service["cache"]["inflight_dedup"] == 1
+    assert service["queue"]["depth_max"] == 2
+    assert stats["queue"] == {"depth": 0, "limit": 2}
 
 
 def test_draining_service_refuses_new_work():
