@@ -131,7 +131,7 @@ def recurrence_certificate(loop: Loop, rec: Optional[int] = None) -> Optional[Ce
     ii = rec - 1
     n = loop.n_ops
     dist = [0] * n
-    pred: List[Optional[Dependence]] = [None] * n
+    pred: Dict[int, Dependence] = {}  # node -> the arc that last raised it
     arcs = loop.ddg.arcs
     last_updated = -1
     for _ in range(n + 1):
@@ -145,21 +145,19 @@ def recurrence_certificate(loop: Loop, rec: Optional[int] = None) -> Optional[Ce
                 changed = True
         if not changed:
             break
-    if last_updated < 0 or pred[last_updated] is None:
+    if last_updated < 0:
         return None  # RecMII disagrees with the relaxation; refuse to guess
-    # Walk back n steps: we are then guaranteed to sit on a positive circuit.
+    # Walk back n steps: we are then guaranteed to sit on a positive circuit
+    # (every node on the walk was raised, so ``pred`` has it).
     node = last_updated
     for _ in range(n):
-        arc = pred[node]
-        assert arc is not None
-        node = arc.src
+        node = pred[node].src
     seen: Dict[int, int] = {}
     trail: List[Dependence] = []
     cur = node
     while cur not in seen:
         seen[cur] = len(trail)
         arc = pred[cur]
-        assert arc is not None
         trail.append(arc)
         cur = arc.src
     circuit = list(reversed(trail[seen[cur] :]))

@@ -213,8 +213,8 @@ def summarise(results: Sequence[CellResult]) -> Dict:
         if binding:
             bindings = agg.setdefault("bindings", {})
             bindings[binding] = bindings.get(binding, 0) + 1
-        # Portfolio cells: per-backend solve-time columns plus the
-        # cross-backend agreement verdict over the recorded probe trail.
+        # MOST and portfolio cells: per-backend solve-time columns plus the
+        # agreement verdict over the recorded probe trail.
         for name, seconds in (res.backend_seconds or {}).items():
             backends = agg.setdefault("backend_seconds", {})
             backends[name] = backends.get(name, 0.0) + seconds

@@ -169,7 +169,7 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
     out.optimal = result.optimal
     out.spill_rounds = result.spill_rounds
     out.order_name = getattr(result, "order_name", "")  # SGI's winning order
-    probes = getattr(result, "probes", [])  # the portfolio's probe trail
+    probes = getattr(result, "probes", [])  # an optimal driver's probe trail
     if probes:
         out.backend_seconds = result.stats.backend_seconds()
         out.backend_probes = [probe.to_dict() for probe in probes]

@@ -30,6 +30,9 @@ from .model import Model
 
 INT_TOL = 1e-6
 
+#: The solve engines: our LP-relaxation branch-and-bound, or HiGHS' MILP.
+ENGINES = ("bnb", "scipy")
+
 
 class Status(enum.Enum):
     OPTIMAL = "optimal"
@@ -92,6 +95,8 @@ def _solve_lp(model: Model, extra_bounds: Dict[int, Tuple[float, Optional[float]
 
 def solve_milp(model: Model, options: Optional[SolverOptions] = None) -> MILPResult:
     options = options or SolverOptions()
+    if options.engine not in ENGINES:
+        raise ValueError(f"unknown ILP engine {options.engine!r} (known: {', '.join(ENGINES)})")
     rec = get_recorder()
     with rec.span("ilp.solve", engine=options.engine, n_vars=model.n_vars):
         if options.engine == "scipy":

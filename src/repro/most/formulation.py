@@ -56,11 +56,16 @@ class ScheduleFormulation:
 
     model: Model
     loop: Loop
+    neutral: ModuloFormulation  # what this model encodes (witness checks, re-encodes)
     ii: int
     horizon: int
     assign: Dict[Tuple[int, int], Var]  # (op, t) -> binary variable
     buffers: Dict[str, Var] = field(default_factory=dict)  # value -> buffer count
-    infeasible: bool = False  # ASAP/ALAP windows collapsed at this horizon
+
+    @property
+    def infeasible(self) -> bool:
+        """ASAP/ALAP windows collapsed at this horizon."""
+        return self.neutral.infeasible
 
     def decode_times(self, result) -> Dict[int, int]:
         """Extract issue cycles from a solved model."""
@@ -107,7 +112,7 @@ def model_from_formulation(
 
     if neutral.infeasible:
         return ScheduleFormulation(
-            model=model, loop=loop, ii=ii, horizon=horizon, assign={}, infeasible=True
+            model=model, loop=loop, neutral=neutral, ii=ii, horizon=horizon, assign={}
         )
     windows = neutral.windows
 
@@ -200,7 +205,8 @@ def model_from_formulation(
         lifetime_tiebreak(objective)
         model.set_objective(objective, minimize=True)
         return ScheduleFormulation(
-            model=model, loop=loop, ii=ii, horizon=horizon, assign=assign, buffers={}
+            model=model, loop=loop, neutral=neutral, ii=ii, horizon=horizon,
+            assign=assign, buffers={},
         )
     if minimize_buffers:
         # One buffer count per value: II * b_v >= sigma_j - sigma_i + II*omega
@@ -254,7 +260,8 @@ def model_from_formulation(
         model.set_objective(objective, minimize=True)
 
     return ScheduleFormulation(
-        model=model, loop=loop, ii=ii, horizon=horizon, assign=assign, buffers=buffers
+        model=model, loop=loop, neutral=neutral, ii=ii, horizon=horizon,
+        assign=assign, buffers=buffers,
     )
 
 

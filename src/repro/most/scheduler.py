@@ -11,31 +11,45 @@ Mirrors the adjusted McGill methodology of Section 3.3:
 4. the heuristic pipeliner backs the whole thing up (Section 4.4): not
    every loop the SGI pipeliner schedules is reachable by MOST in
    reasonable time.
+
+MOST is the shared II walk (:mod:`repro.most.walk`) with one probe entry
+per production order, each the ILP backend
+(:func:`repro.portfolio.ilp_backend.solve_ilp`) branching on that order
+over the II's one encoding; :func:`~repro.most.walk.probe_ii` gives the
+orders even budget slices and stops at the first definitive answer, as it
+does for the portfolio's backends.  Stage 2 is the only MOST-specific
+step: a re-solve of the winning II for the secondary objective.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..core.driver import options_from_mapping
 from ..core.priorities import production_orders
 from ..core.sched import Schedule
-from ..ilp.solver import MILPResult, SolverOptions, Status, solve_milp
+from ..ilp.solver import ENGINES
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
-from .formulation import ScheduleFormulation, build_formulation
+from ..portfolio.answer import SAT, BackendAnswer, ProbeRecord
+from ..portfolio.formulation import check_witness
+from ..portfolio.ilp_backend import solve_ilp
+from .formulation import ScheduleFormulation, build_formulation, model_from_formulation
 from .walk import (
-    INFEASIBLE,
     PAPER_TIME_LIMIT,
     OptimalResult,
     SolveBudget,
     SolveStats,
     Verdict,
+    probe_ii,
     walk_ii,
 )
+
+#: The secondary objectives of stage 2: buffers (§3.3) or, as the
+#: extension of §5, the stage count that loop overhead scales with.
+OBJECTIVES = ("buffers", "overhead")
 
 
 @dataclass
@@ -57,89 +71,21 @@ class MostOptions:
     stages: Optional[int] = None
     fallback: bool = True  # use the heuristic pipeliner as backup
     max_nodes: int = 200_000
-    # Print one line per ILP solve (nodes, simplex iterations, MIP gap,
-    # which budget stopped it) to stderr — the human-readable face of the
-    # counters :class:`SolveStats` accumulates.
-    log_solves: bool = False
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown MOST engine {self.engine!r} (known: {', '.join(ENGINES)})"
+            )
+        if self.objective not in OBJECTIVES:
+            raise ValueError(
+                f"unknown MOST objective {self.objective!r} (known: {', '.join(OBJECTIVES)})"
+            )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MostOptions":
         """Build options from a JSON-style mapping (the repro.exec cell form)."""
         return options_from_mapping(cls, data)
-
-
-def _account_solve(
-    stats: SolveStats, options: MostOptions, context: str, result: MILPResult
-) -> None:
-    """Fold one solver result into the stats; optionally log it."""
-    stats.solves += 1
-    stats.nodes += result.nodes
-    stats.simplex_iterations += result.simplex_iterations
-    stats.node_limit_hits += int(result.limit == "nodes")
-    stats.time_limit_hits += int(result.limit in ("time", "budget"))
-    stats.seconds += result.seconds
-    if options.log_solves:
-        gap = "-" if result.mip_gap is None else f"{result.mip_gap:.4f}"
-        print(
-            f"[most] {context}: status={result.status.value} nodes={result.nodes} "
-            f"simplex={result.simplex_iterations} gap={gap} "
-            f"limit={result.limit or 'none'} {result.seconds:.2f}s",
-            file=sys.stderr,
-        )
-
-
-def _solve_with_orders(
-    formulation: ScheduleFormulation,
-    loop: Loop,
-    machine: MachineDescription,
-    options: MostOptions,
-    stats: SolveStats,
-    budget: SolveBudget,
-) -> Optional[MILPResult]:
-    """Solve one formulation, trying each SGI priority order as the branch
-    order until a solution appears (§3.3 adjustment 3)."""
-    orders: List[Optional[List[int]]]
-    if options.priority_branching:
-        orders = [
-            formulation.branch_priority(order)
-            for order in production_orders(loop, machine).values()
-        ]
-    else:
-        orders = [None]
-    rec = get_recorder()
-    for order_index, branch_priority in enumerate(orders):
-        remaining = budget.remaining()
-        if remaining <= 0:
-            return None
-        slice_seconds = (
-            remaining
-            if len(orders) == 1
-            else budget.slice(parts=len(orders), floor=1.0)
-        )
-        if rec.enabled:
-            rec.counter("most.budget_slice_seconds", slice_seconds)
-        solver_options = SolverOptions(
-            time_limit=slice_seconds,
-            branch_priority=branch_priority,
-            engine=options.engine,
-            max_nodes=options.max_nodes,
-            # Stage 1 is a feasibility question: the first schedule wins.
-            first_solution=not options.integrated,
-            branch_up_first=branch_priority is not None,
-        )
-        with rec.span(
-            "most.solve",
-            loop=loop.name,
-            order=order_index,
-            slice_seconds=round(slice_seconds, 3),
-        ):
-            result = solve_milp(formulation.model, solver_options)
-        _account_solve(stats, options, f"{loop.name} order#{order_index}", result)
-        if result.status is Status.INFEASIBLE:
-            return result  # proven: no order can help
-        if result.has_solution:
-            return result
-    return None
 
 
 def most_pipeline_loop(
@@ -156,102 +102,93 @@ def most_pipeline_loop(
     """
     machine = machine if machine is not None else r8000()
     options = options or MostOptions()
+    probes: List[ProbeRecord] = []
+    # §3.3 adjustment 3: the SGI production orders as branch orders, in turn.
+    orders: List[Optional[List[int]]] = (
+        list(production_orders(loop, machine).values())
+        if options.priority_branching
+        else [None]
+    )
 
     def formulate(ii: int) -> ScheduleFormulation:
         return build_formulation(
             loop, machine, ii, stages=options.stages, minimize_buffers=options.integrated
         )
 
-    def solve(
-        formulation: ScheduleFormulation, budget: SolveBudget, stats: SolveStats
-    ) -> Verdict:
-        result = _solve_with_orders(formulation, loop, machine, options, stats, budget)
-        if result is None:
-            return None
-        if result.status is Status.INFEASIBLE:
-            return INFEASIBLE
-        ii = formulation.ii
-        times = formulation.decode_times(result)
+    def entry(encoded: ScheduleFormulation, order: Optional[Sequence[int]]):
+        # Stage 1 is a feasibility question: the first schedule wins.
+        return lambda limit: solve_ilp(
+            encoded, loop, time_limit=limit, max_nodes=options.max_nodes,
+            engine=options.engine, branch_priority=order,
+            first_solution=not options.integrated,
+        )
+
+    def solve(encoded: ScheduleFormulation, budget: SolveBudget, stats: SolveStats) -> Verdict:
+        entries = [("ilp", entry(encoded, order)) for order in orders]
+        winner = probe_ii(encoded.neutral, entries, budget, stats, probes, tag="most")
+        if not isinstance(winner, BackendAnswer):
+            return winner
+        times = dict(winner.times or {})
         buffers: Optional[int] = None
-        if options.integrated and result.objective is not None:
-            buffers = int(round(result.objective))
+        if options.integrated and winner.objective is not None:
+            buffers = int(round(winner.objective))
         if options.minimize_buffers and not options.integrated:
             # Cap the secondary solve so one II cannot starve the rest of
             # the II range of solver time: at most a third of the budget,
             # and never more than remains of it.
             times, buffers = _optimise_secondary(
-                loop, machine, ii, times, options, stats, budget.slice(parts=3)
+                encoded, machine, times, orders[0], options, stats, budget.slice(parts=3)
             )
         schedule = Schedule(
-            loop=loop, machine=machine, ii=ii, times=times, producer="most/ilp"
+            loop=loop, machine=machine, ii=encoded.ii, times=times, producer="most/ilp"
         )
-        return schedule, {"buffers": buffers}
+        return schedule, {"buffers": buffers, "winning_backend": winner.backend}
 
     return walk_ii(
-        loop, machine, options, verify, tag="most", formulate=formulate, solve=solve
+        loop, machine, options, verify, tag="most", formulate=formulate, solve=solve,
+        probes=probes,
     )
 
 
 def _optimise_secondary(
-    loop: Loop,
+    first: ScheduleFormulation,
     machine: MachineDescription,
-    ii: int,
     initial_times: Dict[int, int],
+    order: Optional[Sequence[int]],
     options: MostOptions,
     stats: SolveStats,
     time_limit: float,
 ):
-    """Stage 2: re-solve with the secondary objective under the budget.
+    """Stage 2: re-solve the stage-1 II with the secondary objective.
 
     Keeps the stage-1 schedule when the solver cannot improve on it in
     time ("it would accept the best suboptimal solution found, if any").
-    The objective is buffers (§3.3) or, as the extension of §5, the stage
-    count that loop overhead scales with.  ``time_limit`` is the slice of
-    the loop's :class:`SolveBudget` this stage may consume.
+    The objective is buffers (§3.3) or the stage count (§5); the model
+    re-encodes stage 1's neutral formulation.  ``time_limit`` is the slice
+    of the loop's :class:`SolveBudget` this stage may consume.
     """
     if time_limit <= 0.5:
         return initial_times, None
+    loop, ii, neutral = first.loop, first.ii, first.neutral
     # The stage-1 schedule is a feasible incumbent: its own objective value
     # is a sound cutoff that prunes most of the minimisation tree.
     incumbent = Schedule(
         loop=loop, machine=machine, ii=ii, times=dict(initial_times), producer="most/stage1"
     )
     if options.objective == "overhead":
-        formulation = build_formulation(
-            loop,
-            machine,
-            ii,
-            stages=options.stages,
-            minimize_overhead=True,
-            overhead_cutoff=incumbent.n_stages,
+        encoded = model_from_formulation(
+            neutral, loop, minimize_overhead=True, overhead_cutoff=incumbent.n_stages
         )
     else:
-        formulation = build_formulation(
-            loop,
-            machine,
-            ii,
-            stages=options.stages,
-            minimize_buffers=True,
-            buffer_cutoff=incumbent.buffer_count(),
+        encoded = model_from_formulation(
+            neutral, loop, minimize_buffers=True, buffer_cutoff=incumbent.buffer_count()
         )
-    if formulation.infeasible:
-        return initial_times, None
-    solver_options = SolverOptions(
-        time_limit=time_limit,
-        branch_priority=(
-            formulation.branch_priority(
-                next(iter(production_orders(loop, machine).values()))
-            )
-            if options.priority_branching
-            else None
-        ),
-        engine=options.engine,
-        max_nodes=options.max_nodes,
-        branch_up_first=options.priority_branching,
-    )
     with get_recorder().span("most.secondary", loop=loop.name, ii=ii):
-        result = solve_milp(formulation.model, solver_options)
-    _account_solve(stats, options, f"{loop.name} stage2@II={ii}", result)
-    if result.has_solution:
-        return formulation.decode_times(result), int(round(result.objective))
+        answer = solve_ilp(
+            encoded, loop, time_limit=time_limit, max_nodes=options.max_nodes,
+            engine=options.engine, branch_priority=order, first_solution=False,
+        )
+    stats.charge(answer)
+    if answer.answer == SAT and not check_witness(neutral, answer.times or {}):
+        return dict(answer.times or {}), int(round(answer.objective))
     return initial_times, None

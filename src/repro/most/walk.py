@@ -1,19 +1,23 @@
-"""The II walk both optimal drivers share (§3.3, §4.4).
+"""The II walk and the per-II probe both optimal drivers share (§3.3, §4.4).
 
-MOST and the backend portfolio ask one question per (loop, II).  Around
-it, once: IIs from MinII to ``ii_cap_factor * MinII`` under one
-:class:`SolveBudget`; the window-collapse screen; II-optimality proven
-when every smaller II was proven infeasible; a register-allocation failure
-walks on (a larger II shortens relative lifetimes); an empty-handed walk
-falls back on the SGI heuristic without bank pairing; one verification at
-the end.  A driver supplies only its per-II step.
+MOST and the backend portfolio ask one question per (loop, II), and
+:func:`probe_ii` asks it for both: a list of entries (a backend bound to
+this II's formulation) run in order under the loop's one
+:class:`SolveBudget`, every answer charged, recorded and its witness
+re-checked.  The portfolio's entries are its backends; MOST's are the ILP
+once per SGI production order.  Around the probe, once: IIs from MinII to
+``ii_cap_factor * MinII``; the window-collapse screen; II-optimality
+proven when every smaller II was proven infeasible; a register-allocation
+failure walks on (a larger II shortens relative lifetimes); an
+empty-handed walk falls back on the SGI heuristic without bank pairing;
+one verification at the end.  A driver supplies only its per-II step.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.driver import (
     FALLBACK_OPTIONS,
@@ -27,7 +31,8 @@ from ..core.sched import Schedule
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
 from ..obs import get_recorder
-from ..portfolio.answer import BackendAnswer, ProbeRecord
+from ..portfolio.answer import SAT, UNSAT, BackendAnswer, ProbeRecord
+from ..portfolio.formulation import ModuloFormulation, check_witness
 from ..regalloc.coloring import AllocationResult, allocate_schedule
 
 #: The study's limit on searches for optimal schedules ("we used 3
@@ -87,15 +92,12 @@ class SolveStats:
 
     solves: int = 0
     nodes: int = 0
-    simplex_iterations: int = 0
-    node_limit_hits: int = 0  # solves stopped by the node budget
-    time_limit_hits: int = 0  # solves stopped by a wall-clock budget
     seconds: float = 0.0
     ii_attempts: int = 0
     per_backend: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def charge(self, answer: BackendAnswer) -> None:
-        """Fold one portfolio backend answer into the totals."""
+        """Fold one backend answer into the totals."""
         self.solves += 1
         self.nodes += answer.nodes
         self.seconds += answer.seconds
@@ -126,9 +128,9 @@ class OptimalResult:
     fallback_result: Optional[PipelineResult] = None
     stats: SolveStats = field(default_factory=SolveStats)
     buffers: Optional[int] = None  # MOST: buffer objective value, when minimised
-    winning_backend: str = ""  # portfolio: the backend whose witness was used
+    winning_backend: str = ""  # the backend whose witness was used
     skipped_backends: Tuple[str, ...] = ()  # portfolio: requested but unavailable
-    probes: List[ProbeRecord] = field(default_factory=list)  # portfolio probe trail
+    probes: List[ProbeRecord] = field(default_factory=list)  # the probe trail
     disagreements: List[str] = field(default_factory=list)
 
     @property
@@ -147,6 +149,97 @@ class OptimalResult:
 #: fields being driver-specific :class:`OptimalResult` attributes.
 INFEASIBLE = "infeasible"
 Verdict = Union[None, str, Tuple[Schedule, Dict[str, Any]]]
+
+#: One probe entry: a backend name and its solver bound to one II's
+#: formulation, called with the granted slice in seconds.
+Entry = Tuple[str, Callable[[float], BackendAnswer]]
+
+#: A backend may overshoot its granted slice by at most this many seconds
+#: plus half the slice (CP and the ILP check their deadlines at node
+#: granularity; a node can straddle the boundary).  Beyond that the
+#: backend ignored its budget — the over-spend bug the single-owner
+#: invariant exists to catch.
+SLICE_GRACE = 1.0
+
+#: The smallest slice worth granting a backend (never lifted above what
+#: remains): the ILP solves an LP relaxation per node and gets nowhere in
+#: less than about a second; CP and Z3 answer small formulations in
+#: milliseconds.
+_SLICE_FLOORS = {"ilp": 1.0}
+_DEFAULT_SLICE_FLOOR = 0.05
+
+
+def probe_ii(
+    formulation: ModuloFormulation,
+    entries: Sequence[Entry],
+    budget: SolveBudget,
+    stats: SolveStats,
+    probes: List[ProbeRecord],
+    *,
+    cross_check: bool = False,
+    tag: str = "portfolio",
+) -> Union[None, str, BackendAnswer]:
+    """Ask one II's question of ``entries`` in order, under the shared budget.
+
+    Sequential and deterministic: each entry gets an even slice of the
+    *total* budget, lifted to its backend's floor and capped by what
+    remains (the single-owner invariant); without ``cross_check`` the
+    first definitive answer ends the round.  Every answer is charged to
+    ``stats`` and appended to ``probes``, a sat witness re-checked against
+    ``formulation`` by :func:`check_witness`.
+
+    Returns the first sat answer whose witness checks, else
+    :data:`INFEASIBLE` when an entry proved the II infeasible, else None.
+    """
+    rec = get_recorder()
+    winner: Optional[BackendAnswer] = None
+    proven = False
+    for name, solve in entries:
+        if budget.expired():
+            break
+        granted = budget.slice(
+            parts=len(entries), floor=_SLICE_FLOORS.get(name, _DEFAULT_SLICE_FLOOR)
+        )
+        with rec.span(f"{tag}.probe", backend=name, ii=formulation.ii,
+                      slice_seconds=round(granted, 3)):
+            answer = solve(granted)
+        # Single-owner budget invariant: a slice is a ceiling, not a hint.
+        if answer.seconds > granted + SLICE_GRACE + 0.5 * granted:
+            raise BudgetOverrun(
+                f"backend {name!r} spent {answer.seconds:.3f}s of a "
+                f"{granted:.3f}s budget slice"
+            )
+        stats.charge(answer)
+        witness_ok: Optional[bool] = None
+        detail = answer.detail
+        if answer.answer == SAT:
+            errors = check_witness(formulation, answer.times or {})
+            witness_ok = not errors
+            if errors:
+                detail = "; ".join(errors[:3])
+            elif winner is None:
+                winner = answer
+        proven = proven or answer.answer == UNSAT
+        probes.append(
+            ProbeRecord(
+                ii=formulation.ii,
+                backend=name,
+                answer=answer.answer,
+                seconds=answer.seconds,
+                nodes=answer.nodes,
+                witness_ok=witness_ok,
+                detail=detail,
+            )
+        )
+        if rec.enabled:
+            rec.counter(f"{tag}.{name}.seconds", answer.seconds)
+            rec.counter(f"{tag}.{name}.nodes", answer.nodes)
+            rec.counter(f"{tag}.{name}.{answer.answer}")
+        if answer.definitive and not cross_check:
+            break
+    if winner is not None:
+        return winner
+    return INFEASIBLE if proven else None
 
 
 def walk_ii(

@@ -44,8 +44,11 @@ Typical use::
 Counter namespace (aggregated per recorder, folded into ``BENCH_*.json``
 by repro.exec): ``bnb.*`` (placements, backtracks, prune.<reason>),
 ``ii.attempts``, ``spill.rounds``/``spill.values``, ``regalloc.*``,
-``ilp.*`` (solves, nodes, simplex_iters, node_limit_hits),
-``most.budget_slice_seconds`` and ``rau.*`` (placements, evictions).
+``ilp.*`` (solves, nodes, simplex_iters, node_limit_hits), the optimal
+drivers' per-backend probe effort ``most.<backend>.*`` and
+``portfolio.<backend>.*`` (seconds, nodes, sat, unsat, unknown; each
+probe's granted budget slice rides on its ``most.probe`` /
+``portfolio.probe`` span) and ``rau.*`` (placements, evictions).
 """
 
 from .recorder import (

@@ -502,8 +502,9 @@ def _classify_sgi_below(result, machine, options) -> Tuple[str, str, Dict[str, A
 def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
     """Replay the ILP one II below the achieved schedule."""
     from ..core.sched import Schedule
-    from ..ilp.solver import SolverOptions, Status, solve_milp
     from ..most.formulation import build_formulation
+    from ..portfolio.answer import SAT, UNSAT
+    from ..portfolio.ilp_backend import solve_ilp
 
     loop = result.loop
     target = result.ii - 1
@@ -516,29 +517,25 @@ def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, 
         evidence["proof"] = "window_collapse"
         detail = f"II−1={target} proven infeasible (ASAP/ALAP window collapse)"
         return "__proven__", detail, evidence
-    solve = solve_milp(
-        formulation.model,
-        SolverOptions(
-            time_limit=min(REPLAY_ILP_SECONDS, options.time_limit),
-            engine=options.engine,
-            max_nodes=options.max_nodes,
-            first_solution=True,
-        ),
+    answer = solve_ilp(
+        formulation, loop,
+        time_limit=min(REPLAY_ILP_SECONDS, options.time_limit),
+        max_nodes=options.max_nodes,
+        engine=options.engine,
     )
     evidence.update(
-        status=solve.status.name,
-        nodes=solve.nodes,
-        limit=solve.limit,
-        seconds=round(solve.seconds, 4),
+        answer=answer.answer,
+        nodes=answer.nodes,
+        seconds=round(answer.seconds, 4),
     )
-    if solve.status is Status.INFEASIBLE:
+    if answer.answer == UNSAT:
         evidence["proof"] = "ilp_infeasible"
         detail = f"ILP proved II−1={target} infeasible"
         return "__proven__", detail, evidence
-    if solve.has_solution:
+    if answer.answer == SAT:
         schedule = Schedule(
             loop=loop, machine=machine, ii=target,
-            times=formulation.decode_times(solve), producer="most/replay",
+            times=dict(answer.times or {}), producer="most/replay",
         )
         allocation = _allocate(schedule, machine)
         evidence["alloc_success"] = allocation.success
@@ -554,9 +551,10 @@ def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, 
             "budget expired before reaching it"
         )
         return "search_budget", detail, evidence
+    evidence["limit"] = answer.detail
     detail = (
-        f"II−1={target} solve stopped by the "
-        f"{solve.limit or 'node'} limit without a solution"
+        f"II−1={target} solve stopped by its budget ({answer.detail}) "
+        "without a solution"
     )
     return "search_budget", detail, evidence
 

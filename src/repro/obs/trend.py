@@ -117,16 +117,14 @@ def classify_series(
     # the split the rank test finds most credible, then shift size.  The
     # right side may be a single run — that is exactly the "fresh run
     # introduced a step" case ``repro diff --trend`` gates on.
-    best: Optional[Tuple[Tuple[float, float, float], int]] = None
-    for k in range(2, n):
+    def split_score(k: int) -> Tuple[float, float, float]:
         delta = cliffs_delta(vals[:k], vals[k:]) or 0.0
         rel = (median(vals[k:]) - median(vals[:k])) / max(abs(median(vals[:k])), _EPS)
         p = mann_whitney_u(vals[:k], vals[k:]).p_value
-        score = (abs(delta), -(p if p is not None else 1.0), abs(rel))
-        if best is None or score > best[0]:
-            best = (score, k)
-    assert best is not None  # n >= 4 guarantees at least one split
-    k = best[1]
+        return (abs(delta), -(p if p is not None else 1.0), abs(rel))
+
+    # The first best-scoring split (max keeps the earliest of equals).
+    k = max(range(2, n), key=split_score)
     left, right = vals[:k], vals[k:]
     delta = cliffs_delta(left, right) or 0.0
     pre_med, post_med = median(left), median(right)

@@ -32,6 +32,7 @@ class BackendAnswer:
     seconds: float = 0.0
     nodes: int = 0
     detail: str = ""
+    objective: Optional[float] = None  # the model's objective value, for sat
 
     @property
     def definitive(self) -> bool:

@@ -1,20 +1,20 @@
 """The portfolio driver: race the registered backends per (loop, II).
 
-Shares MOST's II walk (:func:`repro.most.walk.walk_ii`: MinII up to a
-cap, II-optimality proven when every smaller II was proven infeasible,
-heuristic fallback), but at each II the *neutral* formulation is answered
-by a sequence of backends — CP propagation, the time-indexed ILP,
-optionally Z3 — racing under the walk's one
+Shares MOST's II walk and per-II probe (:mod:`repro.most.walk`: MinII up
+to a cap, II-optimality proven when every smaller II was proven
+infeasible, heuristic fallback), but its probe entries are a sequence of
+backends — CP propagation, the time-indexed ILP, optionally Z3 — each
+answering the *neutral* formulation under the walk's one
 :class:`~repro.most.walk.SolveBudget`.  The first definitive sat/unsat
 wins; ``cross_check`` mode instead queries *every* backend and records the
 full probe trail, which is what the cross-backend agreement oracle audits.
 
-Budget discipline (the single-owner invariant): every backend invocation
-asks the shared budget for its slice, a slice can never exceed what
-remains, and a backend overshooting its granted slice by more than the
-enforcement slack raises :class:`~repro.most.walk.BudgetOverrun` — racing
-backends cannot over-spend the loop's budget no matter how many are
-registered.
+Budget discipline (the single-owner invariant) lives in
+:func:`~repro.most.walk.probe_ii`: every backend invocation asks the
+shared budget for its slice, a slice can never exceed what remains, and a
+backend overshooting its granted slice by more than the enforcement slack
+raises :class:`~repro.most.walk.BudgetOverrun` — racing backends cannot
+over-spend the loop's budget no matter how many are registered.
 
 Per-backend effort lands in ``repro.obs`` counters
 (``portfolio.<backend>.seconds``, ``.sat``, ``.unsat``, ``.unknown``,
@@ -24,6 +24,7 @@ BENCH_pipeline.json.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
@@ -33,18 +34,17 @@ from ..core.sched import Schedule
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..most.walk import (
-    INFEASIBLE,
-    BudgetOverrun,
     OptimalResult,
     SolveBudget,
     SolveStats,
     Verdict,
+    probe_ii,
     walk_ii,
 )
 from ..obs import get_recorder
-from .answer import SAT, UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
+from .answer import UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
 from .cp import solve_cp
-from .formulation import ModuloFormulation, build_modulo_formulation, check_witness
+from .formulation import ModuloFormulation, build_modulo_formulation
 from .ilp_backend import solve_ilp
 from .smt import smt_available, solve_smt
 
@@ -54,13 +54,6 @@ from .smt import smt_available, solve_smt
 #: on machines with and without the optional dependency.
 ALWAYS_AVAILABLE = ("cp", "ilp")
 KNOWN_BACKENDS = ("cp", "ilp", "smt")
-
-#: A backend may overshoot its granted slice by at most this many seconds
-#: plus half the slice (both CP and the ILP check their deadlines at node
-#: granularity; a node can straddle the boundary).  Beyond that the
-#: backend ignored its budget — the over-spend bug the single-owner
-#: invariant exists to catch.
-SLICE_GRACE = 1.0
 
 
 def available_backend_names() -> Tuple[str, ...]:
@@ -101,8 +94,6 @@ class PortfolioOptions:
     stages: Optional[int] = None
     fallback: bool = True  # use the heuristic pipeliner as backup
     max_nodes: int = 200_000  # deterministic per-solve budget (cp + ilp bnb)
-    ilp_engine: str = "bnb"
-    priority_branching: bool = True  # feed the ILP an SGI production order
 
     def backend_names(self) -> List[str]:
         return _parse_backends(self.backends)
@@ -124,82 +115,14 @@ def _backend_callable(
             f, time_limit=limit, max_nodes=options.max_nodes
         )
     if name == "ilp":
-        order = (
-            next(iter(production_orders(loop, machine).values()))
-            if options.priority_branching
-            else None
-        )
+        # The B&B engine, branching on the first SGI production order.
+        order = next(iter(production_orders(loop, machine).values()))
         return lambda f, limit: solve_ilp(
-            f,
-            loop,
-            time_limit=limit,
-            max_nodes=options.max_nodes,
-            engine=options.ilp_engine,
-            branch_priority=order,
+            f, loop, time_limit=limit, max_nodes=options.max_nodes, branch_priority=order
         )
     if name == "smt":
         return lambda f, limit: solve_smt(f, time_limit=limit)
     raise ValueError(f"unknown backend {name!r}")  # pragma: no cover - validated
-
-
-def _probe_ii(
-    formulation: ModuloFormulation,
-    backends: List[Tuple[str, Callable[[ModuloFormulation, float], BackendAnswer]]],
-    budget: SolveBudget,
-    options: PortfolioOptions,
-    stats: SolveStats,
-    probes: List[ProbeRecord],
-) -> List[BackendAnswer]:
-    """Race the backends on one formulation under the shared budget.
-
-    Sequential and deterministic: race order is the configured backend
-    order, each invocation gets an even slice of the *total* budget capped
-    by what remains (the single-owner invariant), and without
-    ``cross_check`` the first definitive answer ends the round.
-    """
-    rec = get_recorder()
-    answers: List[BackendAnswer] = []
-    for name, fn in backends:
-        if budget.expired():
-            break
-        granted = budget.slice(parts=len(backends), floor=0.05)
-        answer = fn(formulation, granted)
-        # Single-owner budget invariant: a slice is a ceiling, not a hint.
-        # CP and the B&B check their deadline per node, so enforcement
-        # slack is half a slice plus a constant; beyond it the backend
-        # simply ignored the budget it was granted.
-        if answer.seconds > granted + SLICE_GRACE + 0.5 * granted:
-            raise BudgetOverrun(
-                f"backend {name!r} spent {answer.seconds:.3f}s of a "
-                f"{granted:.3f}s budget slice"
-            )
-        stats.charge(answer)
-        witness_ok: Optional[bool] = None
-        detail = answer.detail
-        if answer.answer == SAT:
-            errors = check_witness(formulation, answer.times or {})
-            witness_ok = not errors
-            if errors:
-                detail = "; ".join(errors[:3])
-        probes.append(
-            ProbeRecord(
-                ii=formulation.ii,
-                backend=name,
-                answer=answer.answer,
-                seconds=answer.seconds,
-                nodes=answer.nodes,
-                witness_ok=witness_ok,
-                detail=detail,
-            )
-        )
-        if rec.enabled:
-            rec.counter(f"portfolio.{name}.seconds", answer.seconds)
-            rec.counter(f"portfolio.{name}.nodes", answer.nodes)
-            rec.counter(f"portfolio.{name}.{answer.answer}")
-        answers.append(answer)
-        if answer.definitive and not options.cross_check:
-            break
-    return answers
 
 
 def portfolio_pipeline_loop(
@@ -239,18 +162,20 @@ def portfolio_pipeline_loop(
     def solve(
         formulation: ModuloFormulation, budget: SolveBudget, stats: SolveStats
     ) -> Verdict:
-        answers = _probe_ii(formulation, backends, budget, options, stats, probes)
-        for answer in answers:
-            if answer.answer == SAT and not check_witness(formulation, answer.times or {}):
-                schedule = Schedule(
-                    loop=loop,
-                    machine=machine,
-                    ii=formulation.ii,
-                    times=dict(answer.times or {}),
-                    producer=f"portfolio/{answer.backend}",
-                )
-                return schedule, {"winning_backend": answer.backend}
-        return INFEASIBLE if any(a.answer == UNSAT for a in answers) else None
+        entries = [(name, functools.partial(fn, formulation)) for name, fn in backends]
+        winner = probe_ii(
+            formulation, entries, budget, stats, probes, cross_check=options.cross_check
+        )
+        if not isinstance(winner, BackendAnswer):
+            return winner
+        schedule = Schedule(
+            loop=loop,
+            machine=machine,
+            ii=formulation.ii,
+            times=dict(winner.times or {}),
+            producer=f"portfolio/{winner.backend}",
+        )
+        return schedule, {"winning_backend": winner.backend}
 
     result = walk_ii(
         loop, machine, options, verify,

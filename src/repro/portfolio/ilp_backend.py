@@ -1,11 +1,14 @@
-"""The ILP backend: MOST's time-indexed model behind the portfolio API.
+"""The ILP backend: the one place outside :mod:`repro.ilp` that solves a model.
 
 A thin adapter — the model construction lives in
 :mod:`repro.most.formulation` (itself built *from* the neutral
 formulation, so all backends answer the same object) and the solve in
-:mod:`repro.ilp.solver`.  Status mapping is the portfolio's three-valued
-contract: OPTIMAL/FEASIBLE -> sat (with decoded times), INFEASIBLE ->
-unsat, UNSOLVED (budget) -> unknown.
+:mod:`repro.ilp.solver`.  Every ILP solve in the program comes through
+:func:`solve_ilp`: the portfolio's ``ilp`` backend, MOST's per-order
+probes and its stage-2 re-solve, and explain's II−1 replay.  Status
+mapping is the portfolio's three-valued contract: OPTIMAL/FEASIBLE -> sat
+(with decoded times and the objective value), INFEASIBLE -> unsat,
+UNSOLVED (budget) -> unknown.
 
 Imports of :mod:`repro.most` stay inside the function: the MOST modules
 import the neutral formulation from this package, and a top-level import
@@ -14,34 +17,45 @@ back into ``most`` would complete a cycle.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .answer import SAT, UNKNOWN, UNSAT, BackendAnswer
-from .formulation import ModuloFormulation
 
 
 def solve_ilp(
-    formulation: ModuloFormulation,
+    formulation,
     loop,
     time_limit: Optional[float] = None,
     max_nodes: int = 200_000,
     engine: str = "bnb",
-    branch_priority=None,
+    branch_priority: Optional[Sequence[int]] = None,
+    first_solution: bool = True,
 ) -> BackendAnswer:
     """Answer one formulation with the time-indexed ILP.
 
-    ``loop`` is the IR loop the formulation was built from (the ILP layer
-    needs it to attach decode bookkeeping); ``branch_priority`` optionally
-    carries an SGI production order of op indices (§3.3 adjustment 3).
+    ``formulation`` is either the neutral
+    :class:`~repro.portfolio.formulation.ModuloFormulation`, encoded here
+    with the plain resource-constrained objective, or an encoding already
+    built (a :class:`~repro.most.formulation.ScheduleFormulation`) that a
+    caller solves more than once or with its own objective.  ``loop`` is
+    the IR loop it was built from (the encoding attaches decode
+    bookkeeping to it); ``branch_priority`` optionally carries an SGI
+    production order of op indices (§3.3 adjustment 3).
+    ``first_solution`` stops at the first integral solution — a
+    feasibility question; False minimises the model's objective.
     """
     from ..ilp.solver import SolverOptions, Status, solve_milp
-    from ..most.formulation import model_from_formulation
+    from ..most.formulation import ScheduleFormulation, model_from_formulation
 
-    if formulation.infeasible:
+    encoded = (
+        formulation
+        if isinstance(formulation, ScheduleFormulation)
+        else model_from_formulation(formulation, loop)
+    )
+    if encoded.infeasible:
         return BackendAnswer(
-            backend="ilp", answer=UNSAT, detail=formulation.infeasible_reason
+            backend="ilp", answer=UNSAT, detail=encoded.neutral.infeasible_reason
         )
-    encoded = model_from_formulation(formulation, loop)
     priority = (
         encoded.branch_priority(branch_priority)
         if branch_priority is not None
@@ -56,7 +70,7 @@ def solve_ilp(
         max_nodes=max_nodes,
         branch_priority=priority,
         engine=engine,
-        first_solution=True,  # the portfolio asks feasibility, not optimality
+        first_solution=first_solution,
         branch_up_first=priority is not None,
     )
     result = solve_milp(encoded.model, options)
@@ -71,6 +85,7 @@ def solve_ilp(
             times=encoded.decode_times(result),
             seconds=result.seconds,
             nodes=result.nodes,
+            objective=result.objective,
         )
     return BackendAnswer(
         backend="ilp",

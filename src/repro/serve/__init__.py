@@ -12,8 +12,8 @@ Module map:
 
 * :mod:`repro.serve.protocol` — the NDJSON wire protocol (requests,
   responses, error codes, LoopSpec-token payloads);
-* :mod:`repro.serve.cachetier` — size-bounded LRU with in-flight
-  pinning, tiered over :class:`repro.exec.cache.ScheduleCache`;
+* :mod:`repro.serve.cachetier` — size-bounded LRU, tiered over
+  :class:`repro.exec.cache.ScheduleCache`;
 * :mod:`repro.serve.workers` — persistent per-slot worker processes;
   each cell runs on a worker's main thread under its ``SIGALRM``
   deadline, with a kill-and-respawn watchdog as the one hard stop;

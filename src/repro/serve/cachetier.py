@@ -6,9 +6,7 @@ cache needs exactly two additions, both here:
 
 * a **size-bounded in-process LRU** in front of it, so a hot working set
   is served without touching the filesystem, with eviction and
-  hit/miss counters — and *pinning*: a key being solved right now
-  (in-flight) is never evicted, which is what makes the service's
-  single-flight bookkeeping sound even under memory pressure;
+  hit/miss counters;
 * a **tiered read path** (memory, then disk with promotion) and a
   write-through ``put``.
 
@@ -21,7 +19,7 @@ property-tested directly.
 from __future__ import annotations
 
 import json
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..exec.cache import ScheduleCache
@@ -33,14 +31,12 @@ def payload_nbytes(payload: Mapping[str, Any]) -> int:
 
 
 class LRUCache:
-    """A size-bounded LRU of cell-result payloads with pinned keys.
+    """A size-bounded LRU of cell-result payloads.
 
     Bounded both by entry count and by (canonical-JSON) bytes; inserting
-    over budget evicts from the cold end, **skipping pinned keys** — a
-    pinned entry represents an in-flight solve whose waiters hold the
-    payload's identity, so evicting it would let a concurrent identical
-    request miss and solve the same cell twice.  Pins are reference
-    counted (several waves of waiters may pin the same key).
+    over budget evicts from the cold end.  An in-flight key needs no
+    protection here: its waiters get the payload from the solve itself,
+    and the service looks up in-flight keys before the cache.
     """
 
     def __init__(self, max_entries: int = 1024, max_bytes: int = 64 << 20):
@@ -51,31 +47,16 @@ class LRUCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._entries: "OrderedDict[str, Tuple[Dict[str, Any], int]]" = OrderedDict()
-        self._pins: Counter = Counter()
         self.bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.pinned_skips = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
-
-    def pin(self, key: str) -> None:
-        """Protect ``key`` from eviction until a matching :meth:`unpin`."""
-        self._pins[key] += 1
-
-    def unpin(self, key: str) -> None:
-        self._pins[key] -= 1
-        if self._pins[key] <= 0:
-            del self._pins[key]
-            self._evict()  # a released pin may leave us over budget
-
-    def pinned(self, key: str) -> bool:
-        return self._pins.get(key, 0) > 0
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         entry = self._entries.get(key)
@@ -97,22 +78,9 @@ class LRUCache:
         self._evict()
 
     def _evict(self) -> None:
-        """Drop cold unpinned entries until both budgets hold.
-
-        When everything left is pinned the cache is allowed to sit over
-        budget — correctness (never evict in-flight) beats the bound.
-        """
+        """Drop the coldest entries until both budgets hold."""
         while len(self._entries) > self.max_entries or self.bytes > self.max_bytes:
-            victim = None
-            for key in self._entries:  # coldest first
-                if self.pinned(key):
-                    self.pinned_skips += 1
-                    continue
-                victim = key
-                break
-            if victim is None:
-                return
-            _, nbytes = self._entries.pop(victim)
+            _, (_, nbytes) = self._entries.popitem(last=False)
             self.bytes -= nbytes
             self.evictions += 1
 
@@ -125,8 +93,6 @@ class LRUCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "pinned": len(self._pins),
-            "pinned_skips": self.pinned_skips,
         }
 
 
@@ -160,12 +126,6 @@ class TieredCache:
         self.lru.put(key, payload)
         if self.disk is not None:
             self.disk.put(key, dict(payload))
-
-    def pin(self, key: str) -> None:
-        self.lru.pin(key)
-
-    def unpin(self, key: str) -> None:
-        self.lru.unpin(key)
 
     def stats(self) -> Dict[str, Any]:
         return {

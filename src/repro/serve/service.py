@@ -10,8 +10,7 @@ mode and the tests all drive this one object.  A request travels:
    between: a memory or disk hit (promoted) is answered at once, a
    request for a key already being solved attaches to that solve, and a
    new miss starts one — concurrent identical requests solve exactly
-   once, and the LRU pins in-flight keys so they cannot be evicted from
-   under their waiters.  A new miss is shed (``overloaded`` with a
+   once, every waiter answered from the solve itself.  A new miss is shed (``overloaded`` with a
    ``retry_after`` hint: the 429 of the NDJSON world) while
    ``queue_limit`` distinct solves are outstanding; hits and attachments
    never are;
@@ -268,7 +267,6 @@ class SchedulerService:
             flight = _Flight(key, pending.cell)
             flight.waiters.append(pending)
             self._inflight[key] = flight
-            self.cache.pin(key)  # never evicted while being solved
             task = asyncio.create_task(self._solve(flight))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
@@ -363,7 +361,6 @@ class SchedulerService:
                 ))
         finally:
             self._inflight.pop(flight.key, None)
-            self.cache.unpin(flight.key)
 
     # -- introspection -------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -142,6 +142,12 @@ class TestBranchAndBound:
         assert result.value(y) == pytest.approx(2.5 - result.value(x))
 
 
+def test_solve_milp_rejects_an_unknown_engine():
+    model, _ = knapsack([3, 4], [2, 3], 4)
+    with pytest.raises(ValueError, match="highs"):
+        solve_milp(model, SolverOptions(engine="highs"))
+
+
 class TestExhaustiveCrossCheck:
     @pytest.mark.parametrize("seed", range(4))
     def test_bnb_matches_exhaustive_enumeration(self, seed):

@@ -20,14 +20,10 @@ import pytest
 import repro
 
 from repro.core import min_ii
-from repro.most.walk import SolveBudget, SolveStats
+from repro.most.scheduler import MostOptions, most_pipeline_loop
+from repro.most.walk import SLICE_GRACE, SolveBudget, SolveStats, probe_ii
 from repro.portfolio.answer import SAT, UNKNOWN, BackendAnswer
-from repro.portfolio.driver import (
-    SLICE_GRACE,
-    PortfolioOptions,
-    _probe_ii,
-    portfolio_pipeline_loop,
-)
+from repro.portfolio.driver import PortfolioOptions, portfolio_pipeline_loop
 from repro.portfolio.formulation import build_modulo_formulation
 
 from .conftest import build_daxpy, build_sdot
@@ -56,30 +52,27 @@ class TestSliceDiscipline:
         budget = SolveBudget(total=1.0)
         granted_ceiling = 1.0 + SLICE_GRACE + 0.5 * 1.0
 
-        def rogue(formulation, limit):
+        def rogue(limit):
             # Claims to have burned far beyond any granted slice.
             return BackendAnswer(backend="rogue", answer=UNKNOWN,
                                  seconds=granted_ceiling + 5.0)
 
-        options = PortfolioOptions(time_limit=1.0)
         with pytest.raises(AssertionError, match="budget slice"):
-            _probe_ii(f, [("rogue", rogue)], budget, options,
-                      SolveStats(), [])
+            probe_ii(f, [("rogue", rogue)], budget, SolveStats(), [])
 
     def test_compliant_backends_pass_the_assertion(self, machine, daxpy):
         f = _formulation(machine, daxpy)
         budget = SolveBudget(total=1.0)
 
-        def polite(formulation, limit):
+        def polite(limit):
             assert limit <= 1.0 + 1e-9  # a slice is capped by the total
             return BackendAnswer(backend="polite", answer=UNKNOWN,
                                  seconds=min(limit, 0.01))
 
-        options = PortfolioOptions(time_limit=1.0, cross_check=True)
         probes = []
-        answers = _probe_ii(f, [("polite", polite), ("polite2", polite)],
-                            budget, options, SolveStats(), probes)
-        assert len(answers) == 2
+        verdict = probe_ii(f, [("polite", polite), ("polite2", polite)],
+                           budget, SolveStats(), probes, cross_check=True)
+        assert verdict is None  # two unknowns decide nothing
         assert len(probes) == 2
 
     def test_race_stops_once_budget_expires(self, machine, daxpy):
@@ -87,15 +80,14 @@ class TestSliceDiscipline:
         budget = SolveBudget(total=0.01)
         calls = []
 
-        def slow(formulation, limit):
+        def slow(limit):
             calls.append(limit)
             time.sleep(0.02)  # exhausts the total before the next backend
             return BackendAnswer(backend="slow", answer=UNKNOWN,
                                  seconds=min(limit, 0.02))
 
-        options = PortfolioOptions(time_limit=0.01, cross_check=True)
-        _probe_ii(f, [("slow", slow), ("never", slow), ("never2", slow)],
-                  budget, options, SolveStats(), [])
+        probe_ii(f, [("slow", slow), ("never", slow), ("never2", slow)],
+                 budget, SolveStats(), [], cross_check=True)
         assert len(calls) < 3  # later entrants saw an expired budget
 
     def test_first_definitive_ends_round_without_cross_check(self, machine, daxpy):
@@ -103,18 +95,17 @@ class TestSliceDiscipline:
         budget = SolveBudget(total=5.0)
         calls = []
 
-        def sat_backend(formulation, limit):
+        def sat_backend(limit):
             calls.append("sat")
-            times = {op: formulation.windows[op][0] for op in range(formulation.n_ops)}
+            times = {op: f.windows[op][0] for op in range(f.n_ops)}
             return BackendAnswer(backend="fake", answer=SAT, times=times)
 
-        def never(formulation, limit):  # pragma: no cover - must not run
+        def never(limit):  # pragma: no cover - must not run
             calls.append("never")
             return BackendAnswer(backend="never", answer=UNKNOWN)
 
-        options = PortfolioOptions(time_limit=5.0, cross_check=False)
-        _probe_ii(f, [("fake", sat_backend), ("never", never)], budget,
-                  options, SolveStats(), [])
+        probe_ii(f, [("fake", sat_backend), ("never", never)], budget,
+                 SolveStats(), [], cross_check=False)
         assert calls == ["sat"]
 
 
@@ -126,9 +117,8 @@ class TestInvariantsSurviveOptimize:
             import sys
             from repro.core import min_ii
             from repro.machine import r8000
-            from repro.most.walk import BudgetOverrun, SolveBudget, SolveStats
+            from repro.most.walk import BudgetOverrun, SolveBudget, SolveStats, probe_ii
             from repro.portfolio.answer import UNKNOWN, BackendAnswer
-            from repro.portfolio.driver import PortfolioOptions, _probe_ii
             from repro.portfolio.formulation import build_modulo_formulation
             from repro.workloads import livermore_kernel
 
@@ -138,12 +128,11 @@ class TestInvariantsSurviveOptimize:
             loop = livermore_kernel(1, machine)
             f = build_modulo_formulation(loop, machine, min_ii(loop, machine))
 
-            def rogue(formulation, limit):
+            def rogue(limit):
                 return BackendAnswer(backend="rogue", answer=UNKNOWN, seconds=1e6)
 
             try:
-                _probe_ii(f, [("rogue", rogue)], SolveBudget(total=1.0),
-                          PortfolioOptions(time_limit=1.0), SolveStats(), [])
+                probe_ii(f, [("rogue", rogue)], SolveBudget(total=1.0), SolveStats(), [])
             except BudgetOverrun as exc:
                 print(exc)
                 sys.exit(0)
@@ -171,10 +160,41 @@ class TestDriverLevelAccounting:
             [p for p in result.probes if p.backend != "screen"]
         )
 
-    def test_per_backend_seconds_sum_to_total(self, machine):
+    @pytest.mark.parametrize("driver", ["portfolio", "most"])
+    def test_per_backend_seconds_sum_to_total(self, machine, driver):
         loop = build_daxpy(machine)
-        options = PortfolioOptions(time_limit=2.0, cross_check=True)
-        result = portfolio_pipeline_loop(loop, machine, options)
+        if driver == "portfolio":
+            options = PortfolioOptions(time_limit=2.0, cross_check=True)
+            result = portfolio_pipeline_loop(loop, machine, options)
+            backends = {"cp", "ilp"}
+        else:
+            # MOST's production orders are ILP probe entries, and its
+            # stage-2 re-solve is charged to the same backend.
+            result = most_pipeline_loop(loop, machine, MostOptions(time_limit=20.0))
+            backends = {"ilp"}
+            assert result.winning_backend == "ilp"
+            assert result.probes
+            assert all(p.witness_ok for p in result.probes if p.answer == SAT)
         per_backend = result.stats.backend_seconds()
-        assert set(per_backend) == {"cp", "ilp"}
+        assert set(per_backend) == backends
         assert sum(per_backend.values()) == pytest.approx(result.stats.seconds)
+
+    def test_most_never_returns_a_schedule_whose_witness_fails(self, machine, monkeypatch):
+        import repro.most.scheduler as most_scheduler
+
+        real = most_scheduler.solve_ilp
+
+        def corrupt(*args, **kwargs):
+            answer = real(*args, **kwargs)
+            if answer.answer == SAT:
+                # Every op in cycle 0: breaks the dependence arcs.
+                answer.times = {op: 0 for op in answer.times}
+            return answer
+
+        monkeypatch.setattr(most_scheduler, "solve_ilp", corrupt)
+        result = most_pipeline_loop(build_daxpy(machine), machine, MostOptions(time_limit=20.0))
+        sat = [p for p in result.probes if p.answer == SAT]
+        assert sat and all(p.witness_ok is False for p in sat)
+        assert result.fallback_used and not result.optimal
+        assert result.schedule.producer != "most/ilp"
+        assert result.winning_backend == ""

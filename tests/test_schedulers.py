@@ -39,6 +39,22 @@ def test_options_from_empty_dict(name):
     assert REGISTRY[name].options_from_dict({}) is not None
 
 
+@pytest.mark.parametrize(
+    "bad", [{"engine": "highs"}, {"objective": "bufers"}], ids=["engine", "objective"]
+)
+def test_most_rejects_unknown_option_values(bad):
+    # Checking keys is not enough: an unknown engine or objective must not
+    # run silently as B&B / the buffer objective.
+    (value,) = bad.values()
+    with pytest.raises(ValueError, match=value):
+        get_scheduler("most").options_from_dict(bad)
+    with pytest.raises(ProtocolError, match=value):
+        parse_schedule_request(
+            {"id": "r1", "op": "schedule", "loop": LOOP, "scheduler": "most",
+             "options": bad}
+        )
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_every_result_exposes_the_common_read_surface(name):
     machine = r8000()

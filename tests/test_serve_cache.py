@@ -1,12 +1,9 @@
-"""The serving cache tier: LRU bounds, in-flight pinning, disk pruning.
+"""The serving cache tier: LRU bounds, tier promotion, disk pruning.
 
-The load-bearing property is the pin contract: a key being solved right
-now is *never* evicted, whatever the memory pressure — otherwise two
-concurrent identical requests could both miss and solve the same cell
-twice, breaking the dispatcher's single-flight accounting.  A hypothesis
-property drives random put/get/pin/unpin interleavings against that
-invariant; the deterministic tests cover the budgets, the tier
-promotion, and the ``repro cache`` maintenance surface (stats + prune).
+A hypothesis property drives random put/get interleavings against the
+two budgets (entries and bytes); the deterministic tests cover eviction
+order, the tier promotion, and the ``repro cache`` maintenance surface
+(stats + prune).
 """
 
 from __future__ import annotations
@@ -80,85 +77,33 @@ def test_lru_rejects_degenerate_budgets():
         LRUCache(max_bytes=0)
 
 
-# ----------------------------------------------------------------------
-# Pinning: in-flight keys survive eviction
-# ----------------------------------------------------------------------
-def test_pinned_entry_survives_eviction_pressure():
-    lru = LRUCache(max_entries=2)
-    lru.put("a", _payload("a"))
-    lru.pin("a")
-    lru.put("b", _payload("b"))
-    lru.put("c", _payload("c"))
-    lru.put("d", _payload("d"))
-    assert "a" in lru  # coldest, but pinned
-    assert lru.pinned_skips > 0
-
-
-def test_unpin_releases_and_reshrinks():
-    lru = LRUCache(max_entries=1)
-    lru.put("a", _payload("a"))
-    lru.pin("a")
-    lru.put("b", _payload("b"))
-    # Everything over budget is pinned or hot; the cache may sit over
-    # budget rather than evict the pinned key.
-    assert "a" in lru
-    lru.unpin("a")
-    lru.put("c", _payload("c"))
-    assert "a" not in lru and len(lru) == 1
-
-
-def test_pin_is_reference_counted():
-    lru = LRUCache(max_entries=1)
-    lru.put("a", _payload("a"))
-    lru.pin("a")
-    lru.pin("a")
-    lru.unpin("a")
-    assert lru.pinned("a")
-    lru.put("b", _payload("b"))
-    assert "a" in lru
-    lru.unpin("a")
-    assert not lru.pinned("a")
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["put", "get", "pin", "unpin"]),
+            st.sampled_from(["put", "get"]),
             st.sampled_from([f"k{i}" for i in range(6)]),
+            st.integers(min_value=0, max_value=300),
         ),
         max_size=60,
     ),
     max_entries=st.integers(min_value=1, max_value=4),
+    max_bytes=st.integers(min_value=1, max_value=1000),
 )
-def test_property_pinned_keys_never_evicted(ops, max_entries):
-    """Whatever the op interleaving, a key that is currently pinned and
-    was inserted while pinned is still present."""
-    lru = LRUCache(max_entries=max_entries)
-    pins: dict = {}
-    present_while_pinned: set = set()
-    for op, key in ops:
+def test_property_budgets_hold_after_every_put(ops, max_entries, max_bytes):
+    """Whatever the op interleaving, both budgets hold after every put and
+    the byte count matches the entries actually held."""
+    lru = LRUCache(max_entries=max_entries, max_bytes=max_bytes)
+    for op, key, pad in ops:
         if op == "put":
-            lru.put(key, _payload(key))
-            if pins.get(key, 0) > 0:
-                present_while_pinned.add(key)
-        elif op == "get":
+            lru.put(key, _payload(key, pad))
+            assert len(lru) <= max_entries, ops
+            assert lru.bytes <= max_bytes, ops
+        else:
             lru.get(key)
-        elif op == "pin":
-            lru.pin(key)
-            pins[key] = pins.get(key, 0) + 1
-            if key in lru:
-                present_while_pinned.add(key)
-        elif op == "unpin" and pins.get(key, 0) > 0:
-            lru.unpin(key)
-            pins[key] -= 1
-            if pins[key] == 0:
-                present_while_pinned.discard(key)
-        for pinned_key in present_while_pinned:
-            assert pinned_key in lru, (pinned_key, ops)
-    # And the budget holds whenever nothing pinned blocks eviction.
-    if not any(count > 0 for count in pins.values()):
-        assert len(lru) <= max_entries
+        assert lru.bytes == sum(
+            payload_nbytes(lru._entries[k][0]) for k in lru._entries
+        )
 
 
 # ----------------------------------------------------------------------
