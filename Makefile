@@ -36,11 +36,13 @@ lint:
 	fi
 	$(PYTHON) -m repro.analyze.codelint src/repro
 
-# Sweep both workload corpora through all three pipeliners and verify every
-# schedule, allocation and emitted listing (exits non-zero on any ERROR).
+# Sweep every workload corpus through every registered pipeliner and verify
+# every schedule, allocation and emitted listing (exits non-zero on any
+# ERROR).  recbound carries the register-bound portfolio schedules.
 verify-corpus:
 	$(PYTHON) -m repro verify livermore
 	$(PYTHON) -m repro verify spec92
+	$(PYTHON) -m repro verify recbound
 
 # The full timed (loop × scheduler) grid, emitted as
 # benchmarks/output/BENCH_pipeline.json (cached under .exec-cache/).
@@ -73,8 +75,8 @@ bench-tests:
 bench-micro:
 	$(PYTHON) -m pytest benchmarks/test_micro_hotpaths.py -q
 
-# Search-effort tracing smoke: three Livermore loops through all three
-# pipeliners with the repro.obs recorder on; --check asserts the JSONL
+# Search-effort tracing smoke: three Livermore loops through every
+# registered pipeliner with the repro.obs recorder on; --check asserts the JSONL
 # spools and the merged Chrome trace parse and nest correctly.
 trace-smoke:
 	$(PYTHON) -m repro trace livermore --limit 3 --check --trace-dir benchmarks/output/trace
@@ -128,7 +130,7 @@ history-seed:
 			pathlib.Path('benchmarks/history')); \
 		print('\n'.join(str(r) for r in records) or 'nothing to seed')"
 
-# Coverage-guided differential fuzzing of the three pipeliners.  Any
+# Coverage-guided differential fuzzing of sgi, most and rau.  Any
 # oracle violation is minimized into tests/fuzz_corpus/ and replayed by
 # tests/test_fuzz_corpus.py forever after.
 fuzz:

@@ -36,7 +36,7 @@ def experiment_config() -> ExperimentConfig:
     # The paper gave the ILP three minutes per loop; benchmarks give it a
     # few seconds — enough for optimality on small loops and a faithful
     # "timed out, fell back" signal on big ones.
-    return ExperimentConfig(most_time_limit=6.0, most_engine="scipy")
+    return ExperimentConfig(most_time_limit=6.0)
 
 
 @pytest.fixture(scope="session")

@@ -3,54 +3,44 @@
 Regenerates the paper's tables and figures (and the extensions) without
 writing any code.  ``python -m repro --list`` shows what is available.
 
-Ten subcommands sit beside the experiment runner:
+Twelve subcommands (``SUBCOMMANDS``; each takes ``--help``) sit beside it:
 
-* ``python -m repro verify <corpus>`` — static verification sweep;
-* ``python -m repro bench [--quick]`` — the timed (loop × scheduler)
-  grid, emitted as ``benchmarks/output/BENCH_pipeline.json``;
-* ``python -m repro sweep <corpus>`` — the same grid for one corpus;
-* ``python -m repro trace <corpus>`` — run the grid under the repro.obs
-  recorder and print the per-loop search-effort table (SGI B&B nodes vs
-  MOST ILP nodes vs wall time), writing JSONL spools and a merged Chrome
-  trace (``chrome://tracing`` / Perfetto);
-* ``python -m repro explain <corpus>`` — attribute every cell's achieved
-  II to its binding constraint (recurrence, resource, register pressure,
-  bank pairing, search budget);
-* ``python -m repro analyze <corpus> [--check]`` — certified refined II
-  lower bounds per loop (MinII → refined bound → achieved II), with every
-  certificate independently validated under ``--check``;
-* ``python -m repro diff <old> <new> [--strict]`` — attributed regression
-  diff of two BENCH_*.json runs (the CI gate); ``--trend`` additionally
-  judges the fresh run against the stored run history;
-* ``python -m repro trend <name> [--check]`` — classify every metric
-  series of the run-history store (``benchmarks/history/``) as stable,
-  noisy, drift or step_change, attributing changepoints to commit ranges;
-* ``python -m repro report --html`` — assemble the self-contained
-  ``report.html`` dashboard (figure tables, II explanations, bench diff);
-* ``python -m repro fuzz --seconds N --jobs J`` — coverage-guided
-  differential fuzzing of the three pipeliners; oracle violations are
-  minimized into ``tests/fuzz_corpus/`` reproducers;
-* ``python -m repro serve`` — the scheduling daemon: an asyncio NDJSON
-  front end over a batching dispatcher, two-tier result cache and a
-  persistent worker pool; ``--selftest`` boots an in-process daemon,
-  replays the committed corpora through the wire protocol and emits
-  ``benchmarks/output/BENCH_service.json``;
-* ``python -m repro cache`` — disk-tier cache statistics and
-  ``--prune --max-bytes N`` garbage collection.
+* ``verify <corpus>`` — verify every schedule, allocation and listing;
+* ``bench [--quick]`` / ``sweep <corpus>`` — the timed (loop × scheduler)
+  grid, emitted as ``benchmarks/output/BENCH_*.json``;
+* ``trace <corpus>`` — the grid under the repro.obs recorder: the per-loop
+  search-effort table plus JSONL spools and a merged Chrome trace;
+* ``explain <corpus>`` — every cell's achieved II attributed to its
+  binding constraint;
+* ``analyze <corpus> [--check]`` — certified refined II lower bounds;
+* ``diff <old> <new>`` / ``trend <name>`` — the regression gate over BENCH
+  runs and the run-history store;
+* ``report --html`` — the self-contained ``report.html`` dashboard;
+* ``fuzz`` — coverage-guided differential fuzzing, minimized reproducers
+  into ``tests/fuzz_corpus/``;
+* ``serve`` — the scheduling daemon (cache hits answered at admission,
+  misses solved on a persistent worker pool); ``--selftest`` replays the
+  committed corpora through it into ``BENCH_service.json``;
+* ``cache`` — disk-tier cache statistics and pruning.
 
-The experiment runner and both bench subcommands share the parallel
-cached engine: ``--jobs N`` fans cells out over worker processes,
-``--cache-dir``/``--no-cache`` control the content-addressed result
-cache (an edited kernel, option, or scheduler source invalidates exactly
-the affected cells).
+Every command that runs pipeliners defaults ``--schedulers`` to the whole
+scheduler registry (:mod:`repro.schedulers`; fuzz excepted) and reads each
+scheduler's options from the registry's presets.  The flags several
+commands share are defined once, in ``_SHARED``.  The experiment runner
+and both bench subcommands share the parallel cached engine: ``--jobs N``
+fans cells out over worker processes, ``--cache-dir``/``--no-cache``
+control the content-addressed result cache (an edited kernel, option, or
+scheduler source invalidates exactly the affected cells).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import pathlib
 import sys
 import time
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .eval import (
     ExperimentConfig,
@@ -66,6 +56,8 @@ from .eval import (
     sec5_ii_parity,
     sec5_scalability,
 )
+from .exec.cache import DEFAULT_CACHE_DIR
+from .schedulers import REGISTRY
 
 EXPERIMENTS = {
     "fig2": (fig2_pipelining_effectiveness, "SPEC92 fp: pipelining on vs off"),
@@ -82,136 +74,193 @@ EXPERIMENTS = {
 }
 
 
-def _verify_main(argv, parser) -> int:
-    """``python -m repro verify <corpus>``: sweep and verify all artifacts."""
-    vp = argparse.ArgumentParser(
-        prog="python -m repro verify",
-        description="Independently verify every artifact the pipeliners "
-        "produce over a workload corpus (exit 1 on ERROR diagnostics).",
-    )
-    vp.add_argument(
-        "corpus", nargs="?", default="all",
-        help="livermore, spec92 or all (default: all)",
-    )
-    vp.add_argument(
-        "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau (default: all three)",
-    )
-    vp.add_argument(
-        "--ilp-seconds", type=float, default=2.0,
-        help="MOST ILP budget per loop during the sweep (default: 2s)",
-    )
-    vp.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print every diagnostic, warnings included",
-    )
-    args = vp.parse_args(argv)
+#: The registry's schedulers, as a ``--schedulers`` default.
+ALL_SCHEDULERS = ",".join(REGISTRY)
 
+
+def _scheduler_list(*extra: str) -> Callable[[str], Tuple[str, ...]]:
+    """An argparse type: comma-separated registry names (or ``extra`` ones)."""
+    known = (*REGISTRY, *extra)
+
+    def parse(text: str) -> Tuple[str, ...]:
+        names = tuple(name.strip() for name in text.split(",") if name.strip())
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown schedulers: {', '.join(unknown)} (known: {', '.join(known)})"
+            )
+        return names
+
+    return parse
+
+
+#: One flag of a command's table: its option strings (space-separated; a
+#: bare name is a positional) and its argparse keywords.
+Row = Tuple[str, Dict[str, Any]]
+
+#: The flags several commands share, by ``dest``.  A command names the ones
+#: it takes, with its own defaults, in its :func:`_parse` call.
+_SHARED: Dict[str, Row] = {
+    "schedulers": ("--schedulers", dict(
+        type=_scheduler_list(), metavar="NAMES",
+        help="comma-separated schedulers to run (default: %(default)s)")),
+    "ilp_seconds": ("--ilp-seconds", dict(
+        type=float, metavar="SECONDS",
+        help="per-loop time_limit of every optimal driver, MOST and the portfolio "
+        "(default: %(default)ss)")),
+    "jobs": ("--jobs", dict(
+        type=int, metavar="N",
+        help="worker processes to fan cells out over (default: %(default)s)")),
+    "cache_dir": ("--cache-dir", dict(
+        metavar="DIR", help="content-addressed result cache directory (default: %(default)s)")),
+    "no_cache": ("--no-cache", dict(
+        action="store_true", help="disable the result cache even if --cache-dir is set")),
+    "seed": ("--seed", dict(type=int, help="random seed (default: %(default)s)")),
+    "limit": ("--limit", dict(
+        type=int, metavar="N", help="only the first N loops of the corpus")),
+    "cell_timeout": ("--cell-timeout", dict(
+        type=float, metavar="SECONDS", help="hard per-cell deadline (default: %(default)ss)")),
+    "json_out": ("--json", dict(
+        metavar="PATH", help="also write the results as JSON to this path ('-' for stdout)")),
+    "history_dir": ("--history-dir", dict(
+        metavar="DIR", help="run-history store (default: %(default)s)")),
+}
+
+#: The corpus positional of the commands that sweep one.
+_CORPUS = ("corpus", dict(
+    nargs="?", default="livermore",
+    help="livermore, spec92 or recbound (default: %(default)s)"))
+
+
+def _parse(
+    command: str,
+    description: str,
+    argv: Sequence[str],
+    rows: Sequence[Row] = (),
+    extra_schedulers: Tuple[str, ...] = (),
+    helps: Optional[Mapping[str, str]] = None,
+    **shared: Any,
+) -> Tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """Build ``python -m repro <command>`` from its flag table ``rows`` and
+    the shared flags named in ``shared`` (with this command's defaults;
+    ``helps`` rewords a shared flag, ``extra_schedulers`` widens
+    ``--schedulers`` beyond the registry), then parse ``argv``."""
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro {command}".rstrip(), description=description
+    )
+    for names, keywords in rows:
+        parser.add_argument(*names.split(), **keywords)
+    for dest, default in shared.items():
+        names, keywords = _SHARED[dest]
+        keywords = {**keywords, "dest": dest, "default": default}
+        if helps and dest in helps:
+            keywords["help"] = helps[dest]
+        if dest == "schedulers" and extra_schedulers:
+            keywords["type"] = _scheduler_list(*extra_schedulers)
+        parser.add_argument(names, **keywords)
+    return parser, parser.parse_args(argv)
+
+
+def _invalid(path, problems) -> bool:
+    """Report ``--check`` problems with the file at ``path``; True if any."""
+    if problems:
+        print(f"--check: {path} is invalid:", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+    return bool(problems)
+
+
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiments' config from ``--ilp-seconds``/``--jobs``/the cache flags."""
+    return ExperimentConfig(
+        most_time_limit=args.ilp_seconds,
+        jobs=args.jobs,
+        cache_dir=None if args.no_cache else args.cache_dir,
+    )
+
+
+def _print_or_write(json_out: Optional[str], payload: str, text: str) -> None:
+    """Print ``text`` and write the JSON ``payload`` to ``--json PATH``, or
+    print only the payload for ``--json -``."""
+    if json_out == "-":
+        print(payload)
+        return
+    print(text)
+    if json_out:
+        path = pathlib.Path(json_out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(payload + "\n")
+        print(f"wrote {path}")
+
+
+def _verify_main(argv) -> int:
+    """``python -m repro verify <corpus>``: sweep and verify all artifacts."""
+    vp, args = _parse(
+        "verify",
+        "Independently verify every artifact the pipeliners produce over a "
+        "workload corpus (exit 1 on ERROR diagnostics).",
+        argv,
+        [
+            ("corpus", dict(nargs="?", default="all",
+                            help="livermore, spec92, recbound or all (default: %(default)s)")),
+            ("-v --verbose", dict(action="store_true",
+                                  help="print every diagnostic, warnings included")),
+        ],
+        schedulers=ALL_SCHEDULERS, ilp_seconds=2.0,
+    )
     from .verify import verify_corpus
 
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     try:
         sweep = verify_corpus(
-            args.corpus, schedulers=schedulers, most_time_limit=args.ilp_seconds
+            args.corpus, schedulers=list(args.schedulers), ilp_seconds=args.ilp_seconds
         )
-    except ValueError as exc:  # unknown corpus / scheduler name
+    except ValueError as exc:  # unknown corpus
         vp.error(str(exc))
     print(sweep.formatted(verbose=args.verbose))
     return 0 if sweep.ok else 1
 
 
-def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
-    """The engine flags shared by bench, sweep, and the experiment runner."""
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes to fan cells out over (default: 1, inline)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result cache directory",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache even if --cache-dir is set",
-    )
-
-
 def _bench_main(argv, sweep: bool) -> int:
     """``python -m repro bench`` / ``python -m repro sweep <corpus>``."""
-    from .exec.bench import (
-        DEFAULT_CACHE_DIR,
-        DEFAULT_OUTPUT_DIR,
-        BenchOptions,
-        run_pipeline_bench,
-        run_sweep,
-    )
+    from .exec.bench import DEFAULT_OUTPUT_DIR, BenchOptions, run_pipeline_bench, run_sweep
 
-    prog = "python -m repro sweep" if sweep else "python -m repro bench"
-    bp = argparse.ArgumentParser(
-        prog=prog,
-        description="Time every (loop × scheduler) cell of the corpus grid "
-        "and write the measurements as a BENCH json.",
+    corpus = [("corpus", dict(help="corpus to sweep: livermore, spec92 or recbound"))]
+    bp, args = _parse(
+        "sweep" if sweep else "bench",
+        "Time every (loop × scheduler) cell of the corpus grid and write the "
+        "measurements as a BENCH json.",
+        argv,
+        (corpus if sweep else []) + [
+            ("--quick", dict(action="store_true", help="CI smoke configuration: "
+                             "livermore + recbound, tighter solver budget")),
+            ("--output-dir", dict(default=str(DEFAULT_OUTPUT_DIR), metavar="DIR",
+                                  help="where BENCH_*.json goes (default: %(default)s)")),
+            ("--trace", dict(action="store_true", help="run cells under the repro.obs "
+                             "recorder: obs counters land in the BENCH json, JSONL "
+                             "spools and a merged Chrome trace in --trace-dir")),
+            ("--trace-dir", dict(metavar="DIR", help="trace output directory (default: "
+                                 "<output-dir>/trace; implies --trace)")),
+            ("--explain", dict(action="store_true", help="attribute every cell's achieved "
+                               "II to its binding constraint; explanations land in the "
+                               "BENCH json cells and binding counts in the summary")),
+            ("--profile", dict(action="store_true", help="instead of benching, cProfile "
+                               "each scheduler's cells inline and print the top-20 "
+                               "cumulative-time table per scheduler")),
+            ("--no-history", dict(action="store_true",
+                                  help="do not file this run in the run-history store")),
+        ],
+        extra_schedulers=("baseline",),
+        helps={"cell_timeout": "hard per-cell deadline (default: 120s, 60s with --quick)"},
+        jobs=1, cache_dir=DEFAULT_CACHE_DIR, no_cache=False, schedulers=ALL_SCHEDULERS,
+        cell_timeout=None, seed=0, history_dir="benchmarks/history",
     )
-    if sweep:
-        bp.add_argument("corpus", help="corpus to sweep: livermore, spec92 or recbound")
-    bp.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke configuration: livermore + recbound, tighter solver budget",
-    )
-    _add_exec_arguments(bp)
-    bp.set_defaults(cache_dir=DEFAULT_CACHE_DIR)
-    bp.add_argument(
-        "--schedulers", default="sgi,most,rau,portfolio",
-        help="comma-separated subset of sgi,most,rau,baseline,portfolio "
-        "(default: sgi,most,rau,portfolio)",
-    )
-    bp.add_argument(
-        "--output-dir", default=str(DEFAULT_OUTPUT_DIR), metavar="DIR",
-        help=f"where BENCH_*.json goes (default: {DEFAULT_OUTPUT_DIR})",
-    )
-    bp.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="hard per-cell deadline (default: 120s, 60s with --quick)",
-    )
-    bp.add_argument("--seed", type=int, default=0, help="simulation seed (default: 0)")
-    bp.add_argument(
-        "--trace", action="store_true",
-        help="run cells under the repro.obs recorder: obs counters land in "
-        "the BENCH json, JSONL spools and a merged Chrome trace in --trace-dir",
-    )
-    bp.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="trace output directory (default: <output-dir>/trace; implies --trace)",
-    )
-    bp.add_argument(
-        "--explain", action="store_true",
-        help="attribute every cell's achieved II to its binding constraint; "
-        "explanations land in the BENCH json cells and binding counts in "
-        "the summary",
-    )
-    bp.add_argument(
-        "--profile", action="store_true",
-        help="instead of benching, cProfile each scheduler's cells inline "
-        "and print the top-20 cumulative-time table per scheduler",
-    )
-    bp.add_argument(
-        "--history-dir", default="benchmarks/history", metavar="DIR",
-        help="run-history store the finished BENCH payload is appended to "
-        "(default: benchmarks/history)",
-    )
-    bp.add_argument(
-        "--no-history", action="store_true",
-        help="do not file this run in the run-history store",
-    )
-    args = bp.parse_args(argv)
-
     trace = args.trace or args.trace_dir is not None
     trace_dir = args.trace_dir
     if trace and trace_dir is None:
         trace_dir = str(pathlib.Path(args.output_dir) / "trace")
     options = BenchOptions(
         quick=args.quick,
-        schedulers=tuple(s.strip() for s in args.schedulers.split(",") if s.strip()),
+        schedulers=args.schedulers,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
@@ -238,7 +287,7 @@ def _bench_main(argv, sweep: bool) -> int:
             report, path = run_sweep(args.corpus, options)
         else:
             report, path = run_pipeline_bench(options)
-    except ValueError as exc:  # unknown corpus / scheduler name
+    except ValueError as exc:  # unknown corpus
         bp.error(str(exc))
     totals = report["totals"]
     cache = report["cache"]
@@ -261,90 +310,53 @@ def _trace_main(argv) -> int:
 
     Runs the (loop × scheduler) grid with tracing on and prints the
     per-loop effort table behind the paper's §4.7 scheduling-time
-    comparison.  MOST runs our own branch-and-bound engine here so its
-    node and simplex counters are populated; the cache is bypassed because
-    counters and timings must come from live solves.
+    comparison.  Every scheduler runs its ``trace`` preset (MOST on our own
+    branch-and-bound engine, so its node and simplex counters are
+    populated); the cache is bypassed because counters and timings must
+    come from live solves.
     """
     from .exec.bench import merge_trace_dir
     from .exec.cells import Cell, corpus_loop_keys
     from .exec.runner import ExecEngine
     from .obs import format_effort_table, validate_chrome_trace_file
 
-    tp = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="Profile every (loop × scheduler) cell under the "
-        "repro.obs recorder: print the per-loop search-effort table and "
-        "write JSONL spools plus a merged Chrome trace.",
+    tp, args = _parse(
+        "trace",
+        "Profile every (loop × scheduler) cell under the repro.obs recorder: "
+        "print the per-loop search-effort table and write JSONL spools plus a "
+        "merged Chrome trace.",
+        argv,
+        [
+            _CORPUS,
+            ("--max-nodes", dict(type=int, default=4000, help="node budget per solve of "
+                                 "every optimal driver (default: %(default)s)")),
+            ("--trace-dir", dict(default="benchmarks/output/trace", metavar="DIR",
+                                 help="where JSONL spools and the merged trace.json go "
+                                 "(default: %(default)s)")),
+            ("--check", dict(action="store_true", help="validate the JSONL spools and "
+                             "merged Chrome trace; exit non-zero on schema or nesting "
+                             "problems")),
+        ],
+        schedulers=ALL_SCHEDULERS, limit=None, jobs=1, ilp_seconds=5.0,
+        cell_timeout=60.0, seed=0,
     )
-    tp.add_argument(
-        "corpus", nargs="?", default="livermore",
-        help="corpus to profile: livermore, spec92 or recbound (default: livermore)",
-    )
-    tp.add_argument(
-        "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau (default: all three)",
-    )
-    tp.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="profile only the first N loops of the corpus",
-    )
-    tp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes to fan cells out over (default: 1, inline)",
-    )
-    tp.add_argument(
-        "--ilp-seconds", type=float, default=5.0,
-        help="MOST ILP budget per loop (default: 5s)",
-    )
-    tp.add_argument(
-        "--max-nodes", type=int, default=4000,
-        help="MOST ILP node budget per solve (default: 4000)",
-    )
-    tp.add_argument(
-        "--trace-dir", default="benchmarks/output/trace", metavar="DIR",
-        help="where JSONL spools and the merged trace.json go "
-        "(default: benchmarks/output/trace)",
-    )
-    tp.add_argument(
-        "--cell-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="hard per-cell deadline (default: 60s)",
-    )
-    tp.add_argument("--seed", type=int, default=0, help="simulation seed (default: 0)")
-    tp.add_argument(
-        "--check", action="store_true",
-        help="validate the JSONL spools and merged Chrome trace; exit "
-        "non-zero on schema or nesting problems",
-    )
-    args = tp.parse_args(argv)
-
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    unknown = [s for s in schedulers if s not in ("sgi", "most", "rau")]
-    if unknown:
-        tp.error(f"unknown schedulers: {', '.join(unknown)}")
     try:
         keys = corpus_loop_keys(args.corpus)
     except ValueError as exc:
         tp.error(str(exc))
     if args.limit is not None:
         keys = keys[: args.limit]
-
-    def sched_options(scheduler: str):
-        if scheduler == "most":
-            # Our own B&B engine: unlike scipy's HiGHS, it reports nodes
-            # and simplex iterations for every solve.
-            return {
-                "time_limit": args.ilp_seconds,
-                "engine": "bnb",
-                "max_nodes": args.max_nodes,
-                "max_ops": 61,
-            }
-        return {}
-
+    options = {
+        name: REGISTRY[name].preset(
+            "trace", time_limit=args.ilp_seconds, max_nodes=args.max_nodes
+        )
+        for name in args.schedulers
+    }
     cells = [
         Cell.make(
             key,
             scheduler,
-            sched_options(scheduler),
+            options[scheduler],
             seed=args.seed,
             simulate=False,
             verify=False,
@@ -352,7 +364,7 @@ def _trace_main(argv) -> int:
             trace_dir=args.trace_dir,
         )
         for key in keys
-        for scheduler in schedulers
+        for scheduler in args.schedulers
     ]
     engine = ExecEngine(jobs=args.jobs, cache=None, default_timeout=args.cell_timeout)
     results = engine.run(cells)
@@ -371,11 +383,7 @@ def _trace_main(argv) -> int:
         if merged is None:
             print("--check: no trace files were written", file=sys.stderr)
             return 1
-        problems = validate_chrome_trace_file(merged)
-        if problems:
-            print(f"--check: {merged} is invalid:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
+        if _invalid(merged, validate_chrome_trace_file(merged)):
             return 1
         traced = sum(1 for res in ordered if res.obs)
         if not traced:
@@ -383,6 +391,25 @@ def _trace_main(argv) -> int:
             return 1
         print(f"--check: {merged} valid; {traced}/{len(ordered)} cells traced")
     return 0
+
+
+def _explanations(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """Explain ``args.corpus`` × ``args.schedulers``: every driver on its
+    defaults, with ``--ilp-seconds`` as each optimal driver's budget."""
+    from .obs.explain import explain_corpus
+
+    try:
+        return explain_corpus(
+            args.corpus,
+            schedulers=args.schedulers,
+            scheduler_options={
+                name: REGISTRY[name].preset(time_limit=args.ilp_seconds)
+                for name in args.schedulers
+            },
+            limit=args.limit,
+        )
+    except ValueError as exc:  # unknown corpus
+        parser.error(str(exc))
 
 
 def _explain_main(argv) -> int:
@@ -394,62 +421,20 @@ def _explain_main(argv) -> int:
     classified replay of the failed II−1 attempt (register pressure, bank
     pairing, search budget/exhaustion) when II > MinII.
     """
-    ep = argparse.ArgumentParser(
-        prog="python -m repro explain",
-        description="Attribute every (loop × scheduler) cell's achieved II "
-        "to its binding constraint.",
+    ep, args = _parse(
+        "explain",
+        "Attribute every (loop × scheduler) cell's achieved II to its binding "
+        "constraint.",
+        argv,
+        [_CORPUS],
+        schedulers=ALL_SCHEDULERS, limit=None, ilp_seconds=5.0, json_out=None,
     )
-    ep.add_argument(
-        "corpus", nargs="?", default="livermore",
-        help="corpus to explain: livermore, spec92 or recbound (default: livermore)",
-    )
-    ep.add_argument(
-        "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau (default: all three)",
-    )
-    ep.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="explain only the first N loops of the corpus",
-    )
-    ep.add_argument(
-        "--ilp-seconds", type=float, default=5.0,
-        help="MOST ILP budget per loop, production run and replay (default: 5s)",
-    )
-    ep.add_argument(
-        "--json", dest="json_out", default=None, metavar="PATH",
-        help="also write the explanations as JSON to this path ('-' for stdout)",
-    )
-    args = ep.parse_args(argv)
+    from .obs.explain import explanations_to_json, format_explanations
 
-    from .obs.explain import (
-        EXPLAIN_SCHEDULERS,
-        explain_corpus,
-        explanations_to_json,
-        format_explanations,
+    explanations = _explanations(ep, args)
+    _print_or_write(
+        args.json_out, explanations_to_json(explanations), format_explanations(explanations)
     )
-
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    unknown = [s for s in schedulers if s not in EXPLAIN_SCHEDULERS]
-    if unknown:
-        ep.error(f"unknown schedulers: {', '.join(unknown)}")
-    try:
-        explanations = explain_corpus(
-            args.corpus,
-            schedulers=schedulers,
-            scheduler_options={"most": {"time_limit": args.ilp_seconds}},
-            limit=args.limit,
-        )
-    except ValueError as exc:  # unknown corpus
-        ep.error(str(exc))
-    if args.json_out == "-":
-        print(explanations_to_json(explanations))
-    else:
-        print(format_explanations(explanations))
-        if args.json_out:
-            path = pathlib.Path(args.json_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(explanations_to_json(explanations) + "\n")
-            print(f"wrote {path}")
     return 0
 
 
@@ -464,157 +449,82 @@ def _analyze_main(argv) -> int:
     """
     import json as _json
 
-    ap = argparse.ArgumentParser(
-        prog="python -m repro analyze",
-        description="Derive certified refined II lower bounds for every "
-        "loop of a corpus and compare them with the achieved IIs.",
+    ap, args = _parse(
+        "analyze",
+        "Derive certified refined II lower bounds for every loop of a corpus "
+        "and compare them with the achieved IIs.",
+        argv,
+        [
+            ("corpus", dict(nargs="?", default="livermore", help="livermore, spec92, "
+                            "recbound or all (default: %(default)s)")),
+            ("--check", dict(action="store_true", help="validate every certificate with "
+                             "the independent checker and cross-check achieved IIs "
+                             "against the bounds (exit 1 on failure)")),
+            ("-v --verbose", dict(action="store_true", help="print the table legend")),
+        ],
+        extra_schedulers=("none",),
+        helps={"schedulers": "comma-separated schedulers to run, or 'none' for "
+               "bounds only (default: %(default)s)"},
+        schedulers=ALL_SCHEDULERS, limit=None, ilp_seconds=2.0, json_out=None,
     )
-    ap.add_argument(
-        "corpus", nargs="?", default="livermore",
-        help="livermore, spec92, recbound or all (default: livermore)",
-    )
-    ap.add_argument(
-        "--check", action="store_true",
-        help="validate every certificate with the independent checker and "
-        "cross-check achieved IIs against the bounds (exit 1 on failure)",
-    )
-    ap.add_argument(
-        "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau, or 'none' for "
-        "bounds only (default: all three)",
-    )
-    ap.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="analyze only the first N loops of the corpus",
-    )
-    ap.add_argument(
-        "--ilp-seconds", type=float, default=2.0,
-        help="MOST ILP budget per loop (default: 2s)",
-    )
-    ap.add_argument(
-        "--json", dest="json_out", default=None, metavar="PATH",
-        help="also write the per-loop analysis as JSON ('-' for stdout)",
-    )
-    ap.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print the table legend",
-    )
-    args = ap.parse_args(argv)
+    from .analyze.api import analyze_corpus
 
-    from .analyze.api import ANALYZE_SCHEDULERS, analyze_corpus
-
-    if args.schedulers.strip() == "none":
-        schedulers = []
-    else:
-        schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-        unknown = [s for s in schedulers if s not in ANALYZE_SCHEDULERS]
-        if unknown:
-            ap.error(f"unknown schedulers: {', '.join(unknown)}")
     try:
         report = analyze_corpus(
             args.corpus,
-            schedulers=schedulers,
+            schedulers=[name for name in args.schedulers if name != "none"],
             check=args.check,
             limit=args.limit,
-            most_time_limit=args.ilp_seconds,
+            ilp_seconds=args.ilp_seconds,
         )
     except ValueError as exc:  # unknown corpus
         ap.error(str(exc))
     payload = _json.dumps(
         [e.to_dict() for e in report.entries], indent=1, sort_keys=True
     )
-    if args.json_out == "-":
-        print(payload)
-    else:
-        print(report.formatted(verbose=args.verbose))
-        if args.json_out:
-            path = pathlib.Path(args.json_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(payload + "\n")
-            print(f"wrote {path}")
+    _print_or_write(args.json_out, payload, report.formatted(verbose=args.verbose))
     return 0 if report.ok else 1
 
 
 def _report_main(argv) -> int:
     """``python -m repro report --html``: the one-file dashboard."""
     from .obs.diffbench import load_bench
-    from .obs.explain import explain_corpus
     from .obs.html import validate_report_file, write_report
 
-    rp = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="Assemble figure tables, per-loop II explanations and "
-        "the bench diff into one self-contained report.html (inline CSS/JS, "
-        "opens offline).",
+    rp, args = _parse(
+        "report",
+        "Assemble figure tables, per-loop II explanations and the bench diff "
+        "into one self-contained report.html (inline CSS/JS, opens offline).",
+        argv,
+        [
+            ("--html", dict(action="store_true", help="write the HTML dashboard (the "
+                            "default and only format; accepted for explicitness)")),
+            ("--output", dict(default="benchmarks/output/report.html", metavar="PATH",
+                              help="where report.html goes (default: %(default)s)")),
+            ("--corpus", dict(default="livermore", help="corpus for the II-explanation "
+                              "panel (default: %(default)s)")),
+            ("--experiments", dict(default="fig2,fig3,fig4,fig5,fig6,fig7",
+                                   help="comma-separated experiment names for the "
+                                   "figure-table panel, or 'none' (default: fig2..fig7)")),
+            ("--bench", dict(default="benchmarks/output", metavar="PATH", help="BENCH "
+                             "json (file or directory) for the bench panel; skipped "
+                             "when absent (default: %(default)s)")),
+            ("--baseline", dict(default="benchmarks/baseline", metavar="PATH",
+                                help="baseline BENCH json for the diff panel; skipped "
+                                "when absent (default: %(default)s)")),
+            ("--history-last", dict(type=int, default=20, metavar="N", help="trend panel "
+                                    "looks at the last N stored runs (default: %(default)s)")),
+            ("--check", dict(action="store_true", help="validate the written report "
+                             "(well-formedness, panel presence); exit non-zero on "
+                             "problems")),
+        ],
+        helps={"history_dir": "run-history store for the trend panel; renders a "
+               "placeholder when it holds fewer than two runs (default: %(default)s)"},
+        schedulers=ALL_SCHEDULERS, limit=None, ilp_seconds=5.0,
+        history_dir="benchmarks/history", jobs=1, cache_dir=None, no_cache=False,
     )
-    rp.add_argument(
-        "--html", action="store_true",
-        help="write the HTML dashboard (the default and only format; "
-        "accepted for explicitness)",
-    )
-    rp.add_argument(
-        "--output", default="benchmarks/output/report.html", metavar="PATH",
-        help="where report.html goes (default: benchmarks/output/report.html)",
-    )
-    rp.add_argument(
-        "--corpus", default="livermore",
-        help="corpus for the II-explanation panel (default: livermore)",
-    )
-    rp.add_argument(
-        "--schedulers", default="sgi,most,rau",
-        help="schedulers for the II-explanation panel (default: all three)",
-    )
-    rp.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="explain only the first N loops of the corpus",
-    )
-    rp.add_argument(
-        "--experiments", default="fig2,fig3,fig4,fig5,fig6,fig7",
-        help="comma-separated experiment names for the figure-table panel, "
-        "or 'none' (default: fig2..fig7)",
-    )
-    rp.add_argument(
-        "--ilp-seconds", type=float, default=5.0,
-        help="MOST ILP budget per loop (default: 5s)",
-    )
-    rp.add_argument(
-        "--bench", default="benchmarks/output", metavar="PATH",
-        help="BENCH json (file or directory) for the bench panel; skipped "
-        "when absent (default: benchmarks/output)",
-    )
-    rp.add_argument(
-        "--baseline", default="benchmarks/baseline", metavar="PATH",
-        help="baseline BENCH json for the diff panel; skipped when absent "
-        "(default: benchmarks/baseline)",
-    )
-    rp.add_argument(
-        "--history-dir", default="benchmarks/history", metavar="DIR",
-        help="run-history store for the trend panel; renders a placeholder "
-        "when it holds fewer than two runs (default: benchmarks/history)",
-    )
-    rp.add_argument(
-        "--history-last", type=int, default=20, metavar="N",
-        help="trend panel looks at the last N stored runs (default: 20)",
-    )
-    _add_exec_arguments(rp)
-    rp.add_argument(
-        "--check", action="store_true",
-        help="validate the written report (well-formedness, panel presence); "
-        "exit non-zero on problems",
-    )
-    args = rp.parse_args(argv)
-
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    print(f"explaining {args.corpus} × {','.join(schedulers)} ...", flush=True)
-    try:
-        explanations = explain_corpus(
-            args.corpus,
-            schedulers=schedulers,
-            scheduler_options={"most": {"time_limit": args.ilp_seconds}},
-            limit=args.limit,
-        )
-    except ValueError as exc:
-        rp.error(str(exc))
+    print(f"explaining {args.corpus} × {','.join(args.schedulers)} ...", flush=True)
+    explanations = _explanations(rp, args)
 
     tables, charts = [], []
     names = [] if args.experiments == "none" else [
@@ -623,11 +533,7 @@ def _report_main(argv) -> int:
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         rp.error(f"unknown experiments: {', '.join(unknown)}")
-    config = ExperimentConfig(
-        most_time_limit=args.ilp_seconds,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
+    config = _experiment_config(args)
     for name in names:
         print(f"running {name} ...", flush=True)
         result = EXPERIMENTS[name][0](config)
@@ -656,7 +562,7 @@ def _report_main(argv) -> int:
 
     meta = {
         "corpus": args.corpus,
-        "schedulers": ",".join(schedulers),
+        "schedulers": ",".join(args.schedulers),
         "experiments": ",".join(names) or "none",
     }
     path = write_report(
@@ -681,11 +587,7 @@ def _report_main(argv) -> int:
             required.append("bench")
         # The history panel always renders (placeholder when <2 runs).
         required.append("history")
-        problems = validate_report_file(path, required)
-        if problems:
-            print(f"--check: {path} is invalid:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
+        if _invalid(path, validate_report_file(path, required)):
             return 1
         print(f"--check: {path} valid ({', '.join(required) or 'no panels'})")
     return 0
@@ -701,71 +603,39 @@ def _fuzz_main(argv) -> int:
     """
     from .fuzz import INJECTIONS, FuzzConfig, run_fuzz
     from .fuzz.corpus import DEFAULT_CORPUS_DIR
-    from .schedulers import REGISTRY
 
-    fp = argparse.ArgumentParser(
-        prog="python -m repro fuzz",
-        description="Generate loops by mutation and crossover, run them "
-        "through sgi, most and rau under a layered differential oracle "
-        "(crash / independent verify / functional sim / MinII / proved "
-        "optimality), and minimize any violation into a reproducer in "
-        "the regression corpus.",
+    fp, args = _parse(
+        "fuzz",
+        "Generate loops by mutation and crossover, run them through the chosen "
+        "pipeliners under a layered differential oracle (crash / independent "
+        "verify / functional sim / MinII / proved optimality), and minimize any "
+        "violation into a reproducer in the regression corpus.",
+        argv,
+        [
+            ("--seconds", dict(type=float, default=60.0,
+                               help="fuzzing wall-clock budget (default: %(default)s)")),
+            ("--oracle", dict(choices=("backend-agreement",), help="enable an extra "
+                              "oracle layer; 'backend-agreement' adds the portfolio "
+                              "scheduler (cross-check on) so every generated loop also "
+                              "races the CP and ILP backends against each other")),
+            ("--inject", dict(choices=sorted(INJECTIONS), help="seed a known fault into "
+                              "the pipeline; the session then verifies the oracle "
+                              "catches it (exit 1 if it does not)")),
+            ("--max-ops", dict(type=int, default=16, help="corpus-admission cap on "
+                               "generated loop size (default: %(default)s)")),
+            ("--max-loops", dict(type=int, metavar="N", help="stop after N generated "
+                                 "loops even if time remains")),
+            ("--corpus-dir", dict(default=DEFAULT_CORPUS_DIR, metavar="DIR",
+                                  help="regression corpus directory (default: "
+                                  "%(default)s)")),
+            ("--no-write", dict(action="store_true", help="do not write minimized "
+                                "reproducers into the corpus")),
+            ("--findings-dir", dict(metavar="DIR", help="also copy new reproducers "
+                                    "here (CI artifact upload)")),
+        ],
+        jobs=1, seed=0, schedulers=",".join(FuzzConfig.schedulers), cell_timeout=20.0,
     )
-    fp.add_argument(
-        "--seconds", type=float, default=60.0,
-        help="fuzzing wall-clock budget (default: 60)",
-    )
-    fp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes to fan cells out over (default: 1)",
-    )
-    fp.add_argument("--seed", type=int, default=0, help="session seed (default: 0)")
-    fp.add_argument(
-        "--schedulers", default="sgi,most,rau",
-        help="comma-separated subset of sgi,most,rau,portfolio "
-        "(default: sgi,most,rau)",
-    )
-    fp.add_argument(
-        "--oracle", default=None, choices=("backend-agreement",),
-        help="enable an extra oracle layer; 'backend-agreement' adds the "
-        "portfolio scheduler (cross-check on) so every generated loop "
-        "also races the CP and ILP backends against each other",
-    )
-    fp.add_argument(
-        "--inject", default=None, choices=sorted(INJECTIONS),
-        help="seed a known fault into the pipeline; the session then "
-        "verifies the oracle catches it (exit 1 if it does not)",
-    )
-    fp.add_argument(
-        "--max-ops", type=int, default=16,
-        help="corpus-admission cap on generated loop size (default: 16)",
-    )
-    fp.add_argument(
-        "--max-loops", type=int, default=None, metavar="N",
-        help="stop after N generated loops even if time remains",
-    )
-    fp.add_argument(
-        "--corpus-dir", default=DEFAULT_CORPUS_DIR, metavar="DIR",
-        help=f"regression corpus directory (default: {DEFAULT_CORPUS_DIR})",
-    )
-    fp.add_argument(
-        "--no-write", action="store_true",
-        help="do not write minimized reproducers into the corpus",
-    )
-    fp.add_argument(
-        "--findings-dir", default=None, metavar="DIR",
-        help="also copy new reproducers here (CI artifact upload)",
-    )
-    fp.add_argument(
-        "--cell-timeout", type=float, default=20.0, metavar="SECONDS",
-        help="hard per-cell deadline (default: 20s)",
-    )
-    args = fp.parse_args(argv)
-
-    schedulers = tuple(s.strip() for s in args.schedulers.split(",") if s.strip())
-    unknown = [s for s in schedulers if s not in REGISTRY]
-    if unknown:
-        fp.error(f"unknown schedulers: {', '.join(unknown)}")
+    schedulers = args.schedulers
     if args.oracle == "backend-agreement" and "portfolio" not in schedulers:
         schedulers = schedulers + ("portfolio",)
     config = FuzzConfig(
@@ -801,129 +671,82 @@ def _fuzz_main(argv) -> int:
 
 def _serve_main(argv) -> int:
     """``python -m repro serve``: the scheduling daemon (or its selftest)."""
-    from .exec.cache import DEFAULT_CACHE_DIR
-
-    sp = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Run the scheduling daemon: newline-delimited JSON "
-        "requests over TCP and/or a unix socket; cache hits are answered at "
-        "admission from a two-tier (memory LRU + disk) result cache, misses "
-        "are solved once each on a persistent worker pool. "
-        "--selftest instead boots an in-process daemon on a temporary unix "
-        "socket, replays the committed corpora through the wire protocol "
-        "at the requested concurrency and writes BENCH_service.json.",
+    sp, args = _parse(
+        "serve",
+        "Run the scheduling daemon: newline-delimited JSON requests over TCP "
+        "and/or a unix socket; cache hits are answered at admission from a "
+        "two-tier (memory LRU + disk) result cache, misses are solved once each "
+        "on a persistent worker pool. --selftest instead boots an in-process "
+        "daemon on a temporary unix socket, replays the committed corpora "
+        "through the wire protocol at the requested concurrency and writes "
+        "BENCH_service.json.",
+        argv,
+        [
+            ("--host", dict(default="127.0.0.1",
+                            help="TCP bind address (default: %(default)s)")),
+            ("--port", dict(type=int, metavar="N", help="TCP port to listen on "
+                            "(0 = ephemeral; omit for no TCP listener)")),
+            ("--unix", dict(metavar="PATH", help="unix socket path to listen on "
+                            "(daemon needs --port and/or --unix)")),
+            ("--queue-limit", dict(type=int, default=64, metavar="N", help="max "
+                                   "distinct solves outstanding; a new cache miss "
+                                   "beyond it is shed with an 'overloaded' + "
+                                   "retry_after response, while cache hits and "
+                                   "requests for a key already being solved are "
+                                   "always served (default: %(default)s)")),
+            ("--lru-entries", dict(type=int, default=1024, metavar="N", help="in-process "
+                                   "LRU entry budget (default: %(default)s)")),
+            ("--lru-mb", dict(type=float, default=64.0, metavar="MB", help="in-process "
+                              "LRU byte budget in MiB (default: %(default)s)")),
+            ("--default-budget", dict(type=float, default=60.0, metavar="SECONDS",
+                                      help="per-request wall-clock budget when the "
+                                      "request sets none (default: %(default)ss)")),
+            ("--max-budget", dict(type=float, default=300.0, metavar="SECONDS",
+                                  help="server-side clamp on request budgets "
+                                  "(default: %(default)ss)")),
+            ("--drain-timeout", dict(type=float, default=60.0, metavar="SECONDS",
+                                     help="max seconds SIGTERM waits for in-flight "
+                                     "work (default: %(default)ss)")),
+            ("--metrics-port", dict(type=int, metavar="N", help="also serve Prometheus "
+                                    "text metrics over HTTP on this port (0 = "
+                                    "ephemeral; GET /metrics)")),
+            ("--slow-log", dict(metavar="PATH", help="append requests slower than "
+                                "--slow-ms to this NDJSON file")),
+            ("--slow-ms", dict(type=float, default=1000.0, metavar="MS", help="slow-"
+                               "request log latency threshold (default: %(default)sms)")),
+            ("--gauge-interval", dict(type=float, default=5.0, metavar="SECONDS",
+                                      help="queue-depth/hit-rate gauge sampling period, "
+                                      "0 to disable (default: %(default)ss)")),
+            ("--selftest", dict(action="store_true", help="boot an in-process daemon, "
+                                "load it over the wire protocol, write "
+                                "BENCH_service.json and exit non-zero on any protocol, "
+                                "cell, verify or equivalence problem")),
+            ("--requests", dict(type=int, default=240, metavar="N", help="selftest: "
+                                "total requests across the warm + replay phases "
+                                "(default: %(default)s)")),
+            ("--concurrency", dict(type=int, default=16, metavar="N", help="selftest: "
+                                   "concurrent client connections (default: %(default)s)")),
+            ("--budget", dict(type=float, default=60.0, metavar="SECONDS", help="selftest: "
+                              "per-request budget (default: %(default)ss)")),
+            ("--check-equivalence", dict(action="store_true", help="selftest: re-run "
+                                         "every distinct cell through the direct exec "
+                                         "engine and fail on any result difference")),
+            ("--output-dir", dict(default="benchmarks/output", metavar="DIR",
+                                  help="selftest: where BENCH_service.json goes "
+                                  "(default: %(default)s)")),
+        ],
+        helps={
+            "jobs": "persistent worker processes, at least 1; each runs its cells "
+            "under a SIGALRM deadline with a kill-and-respawn backstop (default: "
+            "%(default)s)",
+            "cache_dir": "disk tier of the result cache (default: %(default)s)",
+            "no_cache": "run memory-only (no disk cache tier)",
+            "seed": "selftest: replay-shuffle seed (default: %(default)s)",
+            "history_dir": "selftest: also append BENCH_service to this run-history "
+            "store (e.g. benchmarks/history; default: off)",
+        },
+        jobs=2, cache_dir=DEFAULT_CACHE_DIR, no_cache=False, seed=0, history_dir=None,
     )
-    sp.add_argument(
-        "--host", default="127.0.0.1",
-        help="TCP bind address (default: 127.0.0.1)",
-    )
-    sp.add_argument(
-        "--port", type=int, default=None, metavar="N",
-        help="TCP port to listen on (0 = ephemeral; omit for no TCP listener)",
-    )
-    sp.add_argument(
-        "--unix", default=None, metavar="PATH",
-        help="unix socket path to listen on (daemon needs --port and/or --unix)",
-    )
-    sp.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="persistent worker processes, at least 1; each runs its cells "
-        "under a SIGALRM deadline with a kill-and-respawn backstop (default: 2)",
-    )
-    sp.add_argument(
-        "--queue-limit", type=int, default=64, metavar="N",
-        help="max distinct solves outstanding; a new cache miss beyond it is "
-        "shed with an 'overloaded' + retry_after response, while cache hits "
-        "and requests for a key already being solved are always served "
-        "(default: 64)",
-    )
-    sp.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=f"disk tier of the result cache (default: {DEFAULT_CACHE_DIR})",
-    )
-    sp.add_argument(
-        "--no-cache", action="store_true",
-        help="run memory-only (no disk cache tier)",
-    )
-    sp.add_argument(
-        "--lru-entries", type=int, default=1024, metavar="N",
-        help="in-process LRU entry budget (default: 1024)",
-    )
-    sp.add_argument(
-        "--lru-mb", type=float, default=64.0, metavar="MB",
-        help="in-process LRU byte budget in MiB (default: 64)",
-    )
-    sp.add_argument(
-        "--default-budget", type=float, default=60.0, metavar="SECONDS",
-        help="per-request wall-clock budget when the request sets none "
-        "(default: 60s)",
-    )
-    sp.add_argument(
-        "--max-budget", type=float, default=300.0, metavar="SECONDS",
-        help="server-side clamp on request budgets (default: 300s)",
-    )
-    sp.add_argument(
-        "--drain-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="max seconds SIGTERM waits for in-flight work (default: 60s)",
-    )
-    sp.add_argument(
-        "--metrics-port", type=int, default=None, metavar="N",
-        help="also serve Prometheus text metrics over HTTP on this port "
-        "(0 = ephemeral; GET /metrics)",
-    )
-    sp.add_argument(
-        "--slow-log", default=None, metavar="PATH",
-        help="append requests slower than --slow-ms to this NDJSON file",
-    )
-    sp.add_argument(
-        "--slow-ms", type=float, default=1000.0, metavar="MS",
-        help="slow-request log latency threshold (default: 1000ms)",
-    )
-    sp.add_argument(
-        "--gauge-interval", type=float, default=5.0, metavar="SECONDS",
-        help="queue-depth/hit-rate gauge sampling period, 0 to disable "
-        "(default: 5s)",
-    )
-    sp.add_argument(
-        "--selftest", action="store_true",
-        help="boot an in-process daemon, load it over the wire protocol, "
-        "write BENCH_service.json and exit non-zero on any protocol, "
-        "cell, verify or equivalence problem",
-    )
-    sp.add_argument(
-        "--requests", type=int, default=240, metavar="N",
-        help="selftest: total requests across the warm + replay phases "
-        "(default: 240)",
-    )
-    sp.add_argument(
-        "--concurrency", type=int, default=16, metavar="N",
-        help="selftest: concurrent client connections (default: 16)",
-    )
-    sp.add_argument(
-        "--budget", type=float, default=60.0, metavar="SECONDS",
-        help="selftest: per-request budget (default: 60s)",
-    )
-    sp.add_argument(
-        "--seed", type=int, default=0,
-        help="selftest: replay-shuffle seed (default: 0)",
-    )
-    sp.add_argument(
-        "--check-equivalence", action="store_true",
-        help="selftest: re-run every distinct cell through the direct exec "
-        "engine and fail on any result difference",
-    )
-    sp.add_argument(
-        "--output-dir", default="benchmarks/output", metavar="DIR",
-        help="selftest: where BENCH_service.json goes "
-        "(default: benchmarks/output)",
-    )
-    sp.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="selftest: also append BENCH_service to this run-history store "
-        "(e.g. benchmarks/history; default: off)",
-    )
-    args = sp.parse_args(argv)
-
     from .serve.service import ServeConfig
 
     try:
@@ -944,11 +767,7 @@ def _serve_main(argv) -> int:
         sp.error(f"--jobs: {exc}")
 
     if args.selftest:
-        from .serve.loadgen import (
-            LoadgenOptions,
-            format_summary,
-            run_selftest,
-        )
+        from .serve.loadgen import LoadgenOptions, format_summary, run_selftest
 
         options = LoadgenOptions(
             requests=args.requests,
@@ -987,38 +806,28 @@ def _serve_main(argv) -> int:
 
 def _cache_main(argv) -> int:
     """``python -m repro cache``: disk-tier statistics and pruning."""
-    from .exec.cache import DEFAULT_CACHE_DIR, ScheduleCache
-
-    cp = argparse.ArgumentParser(
-        prog="python -m repro cache",
-        description="Inspect the content-addressed schedule result cache "
-        "(entries, bytes, shard fill) and optionally prune it to a byte "
-        "budget, oldest entries first.",
-    )
-    cp.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    cp.add_argument(
-        "--prune", action="store_true",
-        help="garbage-collect the cache down to --max-bytes",
-    )
-    cp.add_argument(
-        "--max-bytes", type=int, default=None, metavar="N",
-        help="byte budget for --prune (also accepts --max-mb)",
-    )
-    cp.add_argument(
-        "--max-mb", type=float, default=None, metavar="MB",
-        help="byte budget for --prune, in MiB",
-    )
-    cp.add_argument(
-        "--json", dest="json_out", action="store_true",
-        help="print the stats as JSON",
-    )
-    args = cp.parse_args(argv)
-
     import json as _json
 
+    from .exec.cache import ScheduleCache
+
+    cp, args = _parse(
+        "cache",
+        "Inspect the content-addressed schedule result cache (entries, bytes, "
+        "shard fill) and optionally prune it to a byte budget, oldest entries "
+        "first.",
+        argv,
+        [
+            ("--prune", dict(action="store_true",
+                             help="garbage-collect the cache down to --max-bytes")),
+            ("--max-bytes", dict(type=int, metavar="N", help="byte budget for --prune "
+                                 "(also accepts --max-mb)")),
+            ("--max-mb", dict(type=float, metavar="MB",
+                              help="byte budget for --prune, in MiB")),
+            ("--json", dict(dest="json_out", action="store_true",
+                            help="print the stats as JSON")),
+        ],
+        cache_dir=DEFAULT_CACHE_DIR,
+    )
     cache = ScheduleCache(args.cache_dir)
     if args.prune:
         max_bytes = args.max_bytes
@@ -1046,71 +855,54 @@ def _cache_main(argv) -> int:
     return 0
 
 
+def _delegate(module: str) -> Callable[[Any], int]:
+    """A subcommand whose parser lives in ``module`` (its ``main``)."""
+    return lambda argv: importlib.import_module(module, __package__).main(argv)
+
+
+#: Every subcommand beside the experiment runner, by name.
+SUBCOMMANDS: Dict[str, Callable[[Any], int]] = {
+    "verify": _verify_main,
+    "bench": lambda argv: _bench_main(argv, sweep=False),
+    "sweep": lambda argv: _bench_main(argv, sweep=True),
+    "trace": _trace_main,
+    "explain": _explain_main,
+    "analyze": _analyze_main,
+    "diff": _delegate(".obs.diffbench"),
+    "trend": _delegate(".obs.trend"),
+    "report": _report_main,
+    "fuzz": _fuzz_main,
+    "serve": _serve_main,
+    "cache": _cache_main,
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate the Software Pipelining Showdown experiments.",
+    command = SUBCOMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        return command(argv[1:])
+    parser, args = _parse(
+        "",
+        "Regenerate the Software Pipelining Showdown experiments.",
+        argv,
+        [
+            ("experiments", dict(nargs="*", help="experiment names (see --list); 'all' "
+                                 "runs every one; or one of the subcommands "
+                                 + ", ".join(SUBCOMMANDS) + " (each takes --help)")),
+            ("--list", dict(action="store_true", help="list available experiments")),
+            ("--corpus", dict(action="store_true", help="print the workload corpus "
+                              "profiles (Livermore + SPEC92-like) and exit")),
+            ("--strict", dict(action="store_true", help="verify every pipelined loop "
+                              "while experiments run; exit non-zero on any ERROR "
+                              "diagnostic")),
+            ("--bench-json", dict(action="store_true", help="also write each "
+                                  "experiment's cell measurements as "
+                                  "benchmarks/output/BENCH_<name>.json")),
+        ],
+        helps={"ilp_seconds": "ILP budget per loop (paper: 180s; default: %(default)ss)"},
+        ilp_seconds=10.0, jobs=1, cache_dir=None, no_cache=False,
     )
-    if argv[:1] == ["verify"]:
-        return _verify_main(argv[1:], parser)
-    if argv[:1] == ["bench"]:
-        return _bench_main(argv[1:], sweep=False)
-    if argv[:1] == ["sweep"]:
-        return _bench_main(argv[1:], sweep=True)
-    if argv[:1] == ["trace"]:
-        return _trace_main(argv[1:])
-    if argv[:1] == ["explain"]:
-        return _explain_main(argv[1:])
-    if argv[:1] == ["analyze"]:
-        return _analyze_main(argv[1:])
-    if argv[:1] == ["diff"]:
-        from .obs.diffbench import main as diffbench_main
-
-        return diffbench_main(argv[1:])
-    if argv[:1] == ["trend"]:
-        from .obs.trend import main as trend_main
-
-        return trend_main(argv[1:])
-    if argv[:1] == ["report"]:
-        return _report_main(argv[1:])
-    if argv[:1] == ["fuzz"]:
-        return _fuzz_main(argv[1:])
-    if argv[:1] == ["serve"]:
-        return _serve_main(argv[1:])
-    if argv[:1] == ["cache"]:
-        return _cache_main(argv[1:])
-    parser.add_argument(
-        "experiments", nargs="*", help="experiment names (see --list); 'all' runs "
-        "every one; 'verify <corpus>' runs the static verification sweep; "
-        "'bench'/'sweep' time the corpus grid and emit BENCH json; "
-        "'explain <corpus>' attributes II gaps; 'diff <old> <new>' compares "
-        "BENCH runs; 'trend <name>' classifies run-history series; "
-        "'report --html' writes the dashboard; 'fuzz' runs the "
-        "differential fuzzer; 'serve' runs the scheduling daemon; 'cache' "
-        "inspects/prunes the result cache",
-    )
-    parser.add_argument("--list", action="store_true", help="list available experiments")
-    parser.add_argument(
-        "--corpus", action="store_true",
-        help="print the workload corpus profiles (Livermore + SPEC92-like) and exit",
-    )
-    parser.add_argument(
-        "--ilp-seconds", type=float, default=10.0,
-        help="ILP budget per loop (paper: 180s; default: 10s)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="verify every pipelined loop while experiments run; exit non-zero "
-        "on any ERROR diagnostic",
-    )
-    _add_exec_arguments(parser)
-    parser.add_argument(
-        "--bench-json", action="store_true",
-        help="also write each experiment's cell measurements as "
-        "benchmarks/output/BENCH_<name>.json",
-    )
-    args = parser.parse_args(argv)
 
     if args.corpus:
         from .eval.corpus import livermore_profile, spec92_profile
@@ -1134,11 +926,7 @@ def main(argv=None) -> int:
         from .verify import set_default_verify
 
         set_default_verify(True)
-    config = ExperimentConfig(
-        most_time_limit=args.ilp_seconds,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
+    config = _experiment_config(args)
     for name in names:
         start = time.perf_counter()
         try:

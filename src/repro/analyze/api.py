@@ -16,9 +16,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
+from ..schedulers import REGISTRY
 from .bounds import LoopBounds, compute_bounds
-
-ANALYZE_SCHEDULERS = ("sgi", "most", "rau")
 
 
 @dataclass
@@ -101,8 +100,9 @@ class AnalysisReport:
     def formatted(self, verbose: bool = False) -> str:
         width = max((len(e.loop) for e in self.entries), default=4)
         headers = f"  {'loop'.ljust(width)}  ops  MinII(res/rec)  sched>=  alloc>="
+        widths = {s: max(5, len(s)) for s in self.schedulers}
         for scheduler in self.schedulers:
-            headers += f"  {scheduler:>5}"
+            headers += f"  {scheduler:>{widths[scheduler]}}"
         headers += "  certs  status"
         lines = [
             f"analyze {self.corpus}: {len(self.entries)} loops"
@@ -118,7 +118,7 @@ class AnalysisReport:
                     text += "*"
                 if e.spill_rounds.get(scheduler):
                     text += "s"
-                cells += f"  {text:>5}"
+                cells += f"  {text:>{widths[scheduler]}}"
             if e.check_errors:
                 status = "FAIL"
             elif e.contradictions:
@@ -160,14 +160,14 @@ def _achieved(
     loop: Loop,
     machine: MachineDescription,
     schedulers: Sequence[str],
-    most_time_limit: float,
+    ilp_seconds: float,
     entry: LoopAnalysis,
 ) -> None:
     """Run the requested pipeliners and record what each one achieved."""
     from ..verify.api import run_sweep_cell
 
     for name in schedulers:
-        result = run_sweep_cell(name, loop, machine, most_time_limit)
+        result = run_sweep_cell(name, loop, machine, ilp_seconds)
         entry.achieved[name] = result.ii if result.success else None
         entry.spill_rounds[name] = result.spill_rounds
         entry.optimal[name] = result.optimal
@@ -203,11 +203,11 @@ def _cross_check(
 
 def analyze_corpus(
     corpus: str,
-    schedulers: Sequence[str] = ANALYZE_SCHEDULERS,
+    schedulers: Sequence[str] = tuple(REGISTRY),
     machine: Optional[MachineDescription] = None,
     check: bool = False,
     limit: Optional[int] = None,
-    most_time_limit: float = 2.0,
+    ilp_seconds: float = 2.0,
     keep_payload: bool = False,
     progress: Optional[Callable[[LoopAnalysis], None]] = None,
 ) -> AnalysisReport:
@@ -243,7 +243,7 @@ def analyze_corpus(
             bounds=bounds.to_dict() if keep_payload else None,
         )
         if schedulers:
-            _achieved(loop, machine, schedulers, most_time_limit, entry)
+            _achieved(loop, machine, schedulers, ilp_seconds, entry)
         if check:
             _cross_check(loop, machine, bounds, entry)
         report.entries.append(entry)

@@ -27,8 +27,8 @@ from ..exec.cells import Cell, CellResult
 from ..exec.runner import ExecEngine
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
-from ..most.scheduler import MostOptions
 from ..pipeline.overhead import pipeline_overhead
+from ..schedulers import get_scheduler
 from ..sim.layout import DataLayout
 from ..sim.perf import simulate_pipelined, simulate_sequential_body
 from ..workloads.livermore import LONG_TRIPS, SHORT_TRIPS, livermore_kernels
@@ -43,36 +43,19 @@ class ExperimentConfig:
 
     seed: int = 0
     # ILP budget per loop; the paper used 3 minutes, benchmarks use less.
+    # MOST's other options are the registry's ``paper`` preset.
     most_time_limit: float = 10.0
-    most_engine: str = "scipy"
-    most_priority_branching: bool = False  # the bnb engine uses it; HiGHS ignores
-    most_max_ops: int = 61  # the largest optimal schedule the study found
     # Parallel execution and caching (repro.exec).
     jobs: int = 1
     cache_dir: Optional[str] = None  # None = no on-disk cache
     cell_timeout: Optional[float] = None  # hard per-cell deadline (worker-side)
     progress: Optional[Callable[[int, int, Cell, CellResult], None]] = None
 
-    def most_options(self, fallback: bool = True) -> MostOptions:
-        return MostOptions(
-            time_limit=self.most_time_limit,
-            engine=self.most_engine,
-            priority_branching=self.most_priority_branching,
-            max_ops=self.most_max_ops,
-            fallback=fallback,
-        )
-
     def most_cell_options(self, fallback: bool = True, **overrides: Any) -> Dict[str, Any]:
-        """The MOST options of :meth:`most_options` as a cell-options dict."""
-        options: Dict[str, Any] = {
-            "time_limit": self.most_time_limit,
-            "engine": self.most_engine,
-            "priority_branching": self.most_priority_branching,
-            "max_ops": self.most_max_ops,
-            "fallback": fallback,
-        }
-        options.update(overrides)
-        return options
+        """MOST's cell options: the ``paper`` preset under this budget."""
+        return get_scheduler("most").preset(
+            "paper", **{"time_limit": self.most_time_limit, "fallback": fallback, **overrides}
+        )
 
     def engine(self) -> ExecEngine:
         """The cell engine every experiment runs its batch through."""
@@ -704,11 +687,12 @@ def sec5_ii_parity(config: Optional[ExperimentConfig] = None) -> ExperimentResul
     pool: List[Tuple[str, str]] = [
         (loop.name, f"livermore:{loop.name}") for loop in livermore_kernels(machine)
     ]
+    max_ops = config.most_cell_options()["max_ops"]
     for bench in spec92_suite(machine):
         pool.extend(
             (loop.name, _spec_key(bench, loop))
             for loop in bench.loops
-            if loop.n_ops <= config.most_max_ops
+            if loop.n_ops <= max_ops
         )
     batch = _Batch(config)
     for name, key in pool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import math
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -22,6 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.history import append_history
 from ..obs.provenance import provenance
+from ..obs.report import geomean
+from ..schedulers import REGISTRY
 from .cache import DEFAULT_CACHE_DIR, ScheduleCache
 from .cells import Cell, CellResult, corpus_loop_keys
 from .hashing import code_version
@@ -48,27 +49,10 @@ class BenchOptions:
 
     quick: bool = False
     corpora: Tuple[str, ...] = ("livermore", "spec92", "recbound")
-    schedulers: Tuple[str, ...] = ("sgi", "most", "rau", "portfolio")
+    schedulers: Tuple[str, ...] = tuple(REGISTRY)
     jobs: int = 1
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     use_cache: bool = True
-    # The ILP budget is primarily the *node* limit: node-limited solves
-    # stop at identical search states regardless of machine load, so
-    # ``--jobs 1`` and ``--jobs N`` emit identical schedules.  The wall
-    # budget is a generous backstop, and the cell timeout the hard one.
-    most_time_limit: float = 20.0
-    most_engine: str = "scipy"
-    most_max_ops: int = 61
-    most_max_nodes: int = 4000
-    # The backend portfolio runs in cross-check mode on the grid: every
-    # registered backend answers every (loop, II) probe, so the emitted
-    # BENCH json carries the full agreement trail (and per-backend solve
-    # seconds) rather than just the race winner.  Like MOST, node limits
-    # are the deterministic budget; the wall clock is a backstop.
-    portfolio_time_limit: float = 20.0
-    portfolio_backends: str = "cp,ilp"
-    portfolio_max_nodes: int = 20_000
-    portfolio_cross_check: bool = True
     cell_timeout: Optional[float] = 120.0
     seed: int = 0
     output_dir: pathlib.Path = field(default_factory=lambda: DEFAULT_OUTPUT_DIR)
@@ -94,31 +78,20 @@ class BenchOptions:
 
     def __post_init__(self) -> None:
         if self.quick:
-            # The smoke lane: the small corpora, a tighter solver budget.
-            # recbound stays in — it is six loops, and it is the corpus
-            # where the certified static bounds actually prune the search.
+            # The smoke lane: the small corpora (the ``quick`` preset also
+            # tightens MOST's node budget).  recbound stays in — it is six
+            # loops, and it is the corpus where the certified static bounds
+            # actually prune the search.
             self.corpora = ("livermore", "recbound")
-            self.most_max_nodes = min(self.most_max_nodes, 2000)
             self.cell_timeout = 60.0
         self.output_dir = pathlib.Path(self.output_dir)
 
     def scheduler_options(self, scheduler: str) -> Dict:
-        if scheduler == "most":
-            return {
-                "time_limit": self.most_time_limit,
-                "engine": self.most_engine,
-                "max_ops": self.most_max_ops,
-                "max_nodes": self.most_max_nodes,
-            }
-        if scheduler == "portfolio":
-            return {
-                "time_limit": self.portfolio_time_limit,
-                "backends": self.portfolio_backends,
-                "max_ops": self.most_max_ops,
-                "max_nodes": self.portfolio_max_nodes,
-                "cross_check": self.portfolio_cross_check,
-            }
-        return {}
+        """A cell's options: the registry's ``quick`` or ``bench`` preset
+        (``{}`` for the baseline, which is no registry entry)."""
+        if scheduler not in REGISTRY:
+            return {}
+        return REGISTRY[scheduler].preset("quick" if self.quick else "bench")
 
     def engine(self, progress: Optional[ProgressFn] = None) -> ExecEngine:
         cache = (
@@ -174,13 +147,6 @@ def print_progress(done: int, total: int, cell: Cell, result: CellResult) -> Non
     )
 
 
-def _geomean(values: Sequence[float]) -> Optional[float]:
-    positive = [v for v in values if v > 0]
-    if not positive:
-        return None
-    return math.exp(sum(math.log(v) for v in positive) / len(positive))
-
-
 def summarise(results: Sequence[CellResult]) -> Dict:
     """Aggregate accounting over one run's cell results."""
     by_sched: Dict[str, Dict] = {}
@@ -234,24 +200,14 @@ def summarise(results: Sequence[CellResult]) -> Dict:
         "cache_hits": sum(1 for r in results if r.cache_hit),
         "by_scheduler": by_sched,
     }
-    obs_totals: Dict[str, float] = {}
-    for agg in by_sched.values():
-        for name, value in agg.get("obs", {}).items():
-            obs_totals[name] = obs_totals.get(name, 0) + value
-    if obs_totals:
-        totals["obs"] = obs_totals
-    binding_totals: Dict[str, int] = {}
-    for agg in by_sched.values():
-        for name, count in agg.get("bindings", {}).items():
-            binding_totals[name] = binding_totals.get(name, 0) + count
-    if binding_totals:
-        totals["bindings"] = binding_totals
-    backend_totals: Dict[str, float] = {}
-    for agg in by_sched.values():
-        for name, seconds in agg.get("backend_seconds", {}).items():
-            backend_totals[name] = backend_totals.get(name, 0.0) + seconds
-    if backend_totals:
-        totals["backend_seconds"] = backend_totals
+    for key in ("obs", "bindings", "backend_seconds"):
+        merged: Dict[str, float] = {}
+        for agg in by_sched.values():
+            for name, value in agg.get(key, {}).items():
+                merged[name] = merged.get(name, 0) + value
+        if merged:
+            totals[key] = merged
+    if "backend_seconds" in totals:
         totals["probes"] = sum(a.get("probes", 0) for a in by_sched.values())
         totals["disagreements"] = sum(
             a.get("disagreements", 0) for a in by_sched.values()
@@ -269,8 +225,8 @@ def summarise(results: Sequence[CellResult]) -> Dict:
             ratios.append(res.schedule_seconds / heuristic)
             if not res.fallback and not res.timeout:
                 native_ratios.append(res.schedule_seconds / heuristic)
-        totals["ilp_vs_heuristic_time_geomean"] = _geomean(ratios)
-        totals["ilp_vs_heuristic_time_geomean_native"] = _geomean(native_ratios)
+        totals["ilp_vs_heuristic_time_geomean"] = geomean(ratios)
+        totals["ilp_vs_heuristic_time_geomean_native"] = geomean(native_ratios)
     return totals
 
 
@@ -282,25 +238,18 @@ def build_report(
     wall_seconds: float,
     cache: Optional[ScheduleCache],
 ) -> Dict:
-    ordered = [results[cell] for cell in cells]
+    """A bench run's BENCH payload: the figure payload plus the run's knobs."""
     return {
-        "name": name,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "code_version": code_version(),
-        "provenance": provenance(),
-        "machine": "r8000",
+        **figure_report(name, [results[cell] for cell in cells]),
         "quick": options.quick,
         "jobs": options.jobs,
         "corpora": list(options.corpora),
         "schedulers": list(options.schedulers),
         "cell_timeout": options.cell_timeout,
-        "most_time_limit": options.most_time_limit,
         "wall_seconds": wall_seconds,
         "cache": None
         if cache is None
         else {"dir": str(cache.directory), **cache.stats.as_dict()},
-        "totals": summarise(ordered),
-        "cells": [res.to_dict() for res in ordered],
     }
 
 
@@ -384,15 +333,16 @@ def merge_trace_dir(trace_dir) -> Optional[pathlib.Path]:
 def run_pipeline_bench(
     options: Optional[BenchOptions] = None,
     progress: Optional[ProgressFn] = print_progress,
+    name: str = "pipeline",
 ) -> Tuple[Dict, pathlib.Path]:
-    """The standard bench: corpora × schedulers, emitted as BENCH_pipeline.json."""
+    """The standard bench: corpora × schedulers, emitted as BENCH_<name>.json."""
     options = options or BenchOptions()
     engine = options.engine(progress)
     cells = bench_cells(options)
     start = time.perf_counter()
     results = engine.run(cells)
     report = build_report(
-        "pipeline", options, cells, results, time.perf_counter() - start, engine.cache
+        name, options, cells, results, time.perf_counter() - start, engine.cache
     )
     if options.trace and options.trace_dir:
         merged = merge_trace_dir(options.trace_dir)
@@ -409,16 +359,4 @@ def run_sweep(
     """Bench one corpus with the configured scheduler subset."""
     options = options or BenchOptions()
     options.corpora = (corpus,)
-    engine = options.engine(progress)
-    cells = bench_cells(options)
-    start = time.perf_counter()
-    results = engine.run(cells)
-    name = f"sweep_{corpus}"
-    report = build_report(
-        name, options, cells, results, time.perf_counter() - start, engine.cache
-    )
-    if options.trace and options.trace_dir:
-        merged = merge_trace_dir(options.trace_dir)
-        report["trace"] = None if merged is None else str(merged)
-    append_history(report, history_dir=options.history_dir)
-    return report, write_bench_json(report, options.output_dir)
+    return run_pipeline_bench(options, progress, name=f"sweep_{corpus}")

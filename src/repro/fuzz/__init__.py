@@ -14,7 +14,7 @@ that evidence continuously:
   every generated loop, per scheduler and across schedulers: no uncaught
   exception, independent :mod:`repro.verify` clean, ``II >= MinII``,
   functional-sim output equal to the sequential reference, and
-  ``II_most <= II_sgi`` whenever MOST proves optimality;
+  ``II <= II_sgi`` whenever an optimal driver proves optimality;
 * :mod:`repro.fuzz.engine` — the batch loop over the cached parallel
   :mod:`repro.exec` engine, using :func:`repro.obs.counter_signature`
   over search-effort counters (B&B nodes, prune reasons, simplex

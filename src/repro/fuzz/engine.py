@@ -2,7 +2,7 @@
 
 Each batch draws loops three ways — fresh :func:`random_spec` seeds,
 mutations of corpus members, structure-aware crossover of two members —
-fans every loop's (sgi, most, rau) cells out over the parallel
+fans every loop's per-scheduler cells out over the parallel
 :mod:`repro.exec` engine, applies the layered oracle, and folds the
 per-cell :mod:`repro.obs` counters into an AFL-style coverage signature:
 a loop joins the in-memory corpus only when it exercised search behaviour
@@ -47,6 +47,8 @@ class FuzzConfig:
     seconds: float = 60.0
     jobs: int = 1
     seed: int = 0
+    # The session default; ``--oracle backend-agreement`` adds the
+    # portfolio, whose cross-checked cell is that oracle.
     schedulers: Tuple[str, ...] = ("sgi", "most", "rau")
     max_ops: int = 16  # corpus-admission cap on generated loop size
     cell_timeout: float = 20.0
@@ -166,7 +168,7 @@ def _dedup_key(violation: Violation) -> Tuple[str, str, str]:
 def _minimal_schedulers(violation: Violation) -> Tuple[str, ...]:
     """The smallest scheduler set that can re-witness a violation."""
     if violation.kind == "optimality":
-        return ("sgi", "most")
+        return ("sgi", violation.scheduler)
     return (violation.scheduler,)
 
 

@@ -15,9 +15,10 @@ Layers, in order of how directly they witness a miscompile:
                 certificate-checked on the pristine loop) — strictly
                 sharper than the ``min_ii`` layer wherever the refined
                 bound exceeds MinII;
-``optimality``  MOST *proved* optimality natively yet reported a larger II
-                than the SGI heuristic achieved on the same loop — one of
-                the two has to be wrong;
+``optimality``  an optimal driver (MOST or the portfolio) *proved*
+                optimality natively yet reported a larger II than the SGI
+                heuristic achieved on the same loop — one of the two has
+                to be wrong;
 ``agreement``   two portfolio backends answered the *same* (loop, II)
                 formulation with contradicting definitive verdicts — one
                 sat, one unsat — or a sat witness failed the independent
@@ -44,32 +45,6 @@ from ..exec.cells import Cell, CellResult
 ORACLE_KINDS = (
     "crash", "verify", "funcsim", "min_ii", "bound", "optimality", "agreement",
 )
-
-#: MOST options used for fuzz cells: native-or-nothing (no heuristic
-#: fallback — a rescued result would just shadow the sgi cell), modest
-#: budget so throughput stays high, B&B engine so ilp.* counters feed the
-#: coverage signal.
-FUZZ_MOST_OPTIONS = {
-    "engine": "bnb",
-    "fallback": False,
-    "time_limit": 1.0,
-    "max_nodes": 2000,
-    "max_ops": 64,
-}
-
-#: Portfolio options for fuzz cells: cross-check on (every backend answers
-#: every II probe — the agreement oracle's food), no fallback, modest
-#: node-limited budget for throughput.  Backends are the always-available
-#: pair; the CI z3 matrix widens it to "cp,ilp,smt".
-FUZZ_PORTFOLIO_OPTIONS = {
-    "backends": "cp,ilp",
-    "cross_check": True,
-    "fallback": False,
-    "time_limit": 1.0,
-    "max_nodes": 2000,
-    "max_ops": 64,
-}
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -131,22 +106,19 @@ def check_results(results: Mapping[str, CellResult]) -> List[Violation]:
             for finding in probe_disagreements(res.backend_probes):
                 violations.append(Violation("agreement", scheduler, finding))
 
-    most = results.get("most")
     sgi = results.get("sgi")
-    if (
-        most is not None
-        and sgi is not None
-        and most.success
-        and sgi.success
-        and most.optimal
-        and not most.fallback
-        and most.ii is not None
-        and sgi.ii is not None
-        and most.ii > sgi.ii
-    ):
-        violations.append(Violation(
-            "optimality", "most",
-            f"proved-optimal II={most.ii} exceeds heuristic II={sgi.ii}"))
+    if sgi is not None and sgi.success and sgi.ii is not None:
+        for scheduler, res in sorted(results.items()):
+            if (
+                res.success
+                and res.optimal
+                and not res.fallback
+                and res.ii is not None
+                and res.ii > sgi.ii
+            ):
+                violations.append(Violation(
+                    "optimality", scheduler,
+                    f"proved-optimal II={res.ii} exceeds heuristic II={sgi.ii}"))
     return violations
 
 
@@ -155,23 +127,22 @@ def check_results(results: Mapping[str, CellResult]) -> List[Violation]:
 # ----------------------------------------------------------------------
 def spec_cells(
     spec,
-    schedulers: Tuple[str, ...] = ("sgi", "most", "rau"),
+    schedulers: Optional[Tuple[str, ...]] = None,
     seed: int = 0,
     timeout: Optional[float] = 20.0,
     inject: Optional[str] = None,
     trace: bool = False,
 ) -> List[Cell]:
-    """The exec cells that evaluate one LoopSpec under the oracle."""
+    """The exec cells that evaluate one LoopSpec under the oracle, each
+    scheduler (default: the session default's) on its ``fuzz`` preset."""
+    from ..schedulers import get_scheduler
     from ..workloads.mutate import spec_to_token
+    from .engine import FuzzConfig
 
     key = f"fuzz:{spec_to_token(spec)}"
     cells = []
-    for scheduler in schedulers:
-        options: Dict[str, object] = {}
-        if scheduler == "most":
-            options.update(FUZZ_MOST_OPTIONS)
-        if scheduler == "portfolio":
-            options.update(FUZZ_PORTFOLIO_OPTIONS)
+    for scheduler in schedulers or FuzzConfig.schedulers:
+        options = get_scheduler(scheduler).preset("fuzz")
         if inject:
             options["_test_inject"] = inject
         cells.append(Cell.make(
@@ -199,7 +170,7 @@ class SpecVerdict:
 
 def evaluate_spec(
     spec,
-    schedulers: Tuple[str, ...] = ("sgi", "most", "rau"),
+    schedulers: Optional[Tuple[str, ...]] = None,
     seed: int = 0,
     timeout: Optional[float] = 20.0,
     inject: Optional[str] = None,

@@ -68,7 +68,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .report import aggregate_counters, effort_rows, format_effort_table
+from .report import effort_rows, format_effort_table
 from .service import LatencyStats, ServiceMetrics
 
 # Heavier analysis layers (explain, diffbench, html) are imported lazily by
@@ -113,6 +113,5 @@ __all__ = [
     "validate_chrome_trace_file",
     "effort_rows",
     "format_effort_table",
-    "aggregate_counters",
     "counter_signature",
 ]

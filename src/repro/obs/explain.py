@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..schedulers import get_scheduler
+from ..schedulers import REGISTRY, get_scheduler
 
 #: Every class :func:`classify` can emit — the closed vocabulary the CLI,
 #: the HTML dashboard and the tests share.
@@ -499,50 +499,48 @@ def _classify_sgi_below(result, machine, options) -> Tuple[str, str, Dict[str, A
     return "search_exhausted", detail, evidence
 
 
-def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
-    """Replay the ILP one II below the achieved schedule."""
+def _classify_optimal_below(
+    result, machine, formulate, solve, producer: str
+) -> Tuple[str, str, Dict[str, Any]]:
+    """Replay an optimal driver one II below the achieved schedule.
+
+    The body both optimal drivers share: ``formulate(ii)`` builds the
+    driver's formulation, ``solve(formulation, seconds)`` answers it with a
+    :class:`~repro.portfolio.answer.BackendAnswer`; the answer maps to a
+    class here, unsat as a proof, sat by whether the witness allocates.
+    """
     from ..core.sched import Schedule
-    from ..most.formulation import build_formulation
     from ..portfolio.answer import SAT, UNSAT
-    from ..portfolio.ilp_backend import solve_ilp
 
     loop = result.loop
     target = result.ii - 1
     evidence: Dict[str, Any] = {"ii": target}
-    formulation = build_formulation(
-        loop, machine, target, stages=options.stages,
-        minimize_buffers=options.integrated,
-    )
+    formulation = formulate(target)
     if formulation.infeasible:
         evidence["proof"] = "window_collapse"
         detail = f"II−1={target} proven infeasible (ASAP/ALAP window collapse)"
         return "__proven__", detail, evidence
-    answer = solve_ilp(
-        formulation, loop,
-        time_limit=min(REPLAY_ILP_SECONDS, options.time_limit),
-        max_nodes=options.max_nodes,
-        engine=options.engine,
-    )
+    answer = solve(formulation, REPLAY_ILP_SECONDS)
     evidence.update(
         answer=answer.answer,
         nodes=answer.nodes,
         seconds=round(answer.seconds, 4),
     )
     if answer.answer == UNSAT:
-        evidence["proof"] = "ilp_infeasible"
-        detail = f"ILP proved II−1={target} infeasible"
+        evidence["proof"] = f"{answer.backend}_infeasible"
+        detail = f"{answer.backend.upper()} proved II−1={target} infeasible"
         return "__proven__", detail, evidence
     if answer.answer == SAT:
         schedule = Schedule(
             loop=loop, machine=machine, ii=target,
-            times=dict(answer.times or {}), producer="most/replay",
+            times=dict(answer.times or {}), producer=producer,
         )
         allocation = _allocate(schedule, machine)
         evidence["alloc_success"] = allocation.success
         evidence["uncolored"] = len(allocation.uncolored)
         if not allocation.success:
             detail = (
-                f"ILP schedules II−1={target} but "
+                f"{answer.backend.upper()} schedules II−1={target} but "
                 f"{len(allocation.uncolored)} live range(s) failed to colour"
             )
             return "register_pressure", detail, evidence
@@ -557,6 +555,41 @@ def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, 
         "without a solution"
     )
     return "search_budget", detail, evidence
+
+
+def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
+    """Replay MOST's ILP one II below the achieved schedule."""
+    from ..most.formulation import build_formulation
+    from ..portfolio.ilp_backend import solve_ilp
+
+    loop = result.loop
+    return _classify_optimal_below(
+        result, machine,
+        lambda ii: build_formulation(
+            loop, machine, ii, stages=options.stages, minimize_buffers=options.integrated
+        ),
+        lambda formulation, seconds: solve_ilp(
+            formulation, loop, time_limit=min(seconds, options.time_limit),
+            max_nodes=options.max_nodes, engine=options.engine,
+        ),
+        "most/replay",
+    )
+
+
+def _classify_portfolio_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
+    """Replay the portfolio's backend race one II below the achieved schedule."""
+    from ..portfolio.driver import race_backends
+    from ..portfolio.formulation import build_modulo_formulation
+
+    loop = result.loop
+    return _classify_optimal_below(
+        result, machine,
+        lambda ii: build_modulo_formulation(loop, machine, ii, stages=options.stages),
+        lambda formulation, seconds: race_backends(
+            formulation, loop, machine, options, min(seconds, options.time_limit)
+        ),
+        "portfolio/replay",
+    )
 
 
 def _classify_rau_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
@@ -613,14 +646,8 @@ _CLASSIFY_BELOW = {
     "sgi": _classify_sgi_below,
     "most": _classify_most_below,
     "rau": _classify_rau_below,
+    "portfolio": _classify_portfolio_below,
 }
-EXPLAIN_SCHEDULERS = tuple(_CLASSIFY_BELOW)
-
-
-def _scheduler_options(scheduler: str, options_dict: Optional[Mapping[str, Any]]):
-    if scheduler not in EXPLAIN_SCHEDULERS:
-        raise ValueError(f"explain does not cover scheduler {scheduler!r}")
-    return get_scheduler(scheduler).options_from_dict(dict(options_dict or {}))
 
 
 def explain_result(
@@ -714,7 +741,7 @@ def explain_result(
     # II > MinII: the cheap spill check, then a certificate citation
     # (which replaces the replay when the whole gap is certified), then
     # the II−1 replay.
-    options = _scheduler_options(scheduler, options_dict)
+    options = get_scheduler(scheduler).options_from_dict(dict(options_dict or {}))
     spilled = _spill_raised_minii(result, machine, result.ii)
     if spilled is not None:
         explanation.binding, explanation.detail, explanation.replay = spilled
@@ -751,7 +778,7 @@ def explain_loop(
 
     machine = machine if machine is not None else r8000()
     loop = resolve_loop(loop_key, machine)
-    options = _scheduler_options(scheduler, options_dict)
+    options = get_scheduler(scheduler).options_from_dict(dict(options_dict or {}))
     with recording() as rec:
         result = get_scheduler(scheduler).run(loop, machine, options, verify=verify)
     return explain_result(
@@ -766,7 +793,7 @@ def explain_loop(
 
 def explain_corpus(
     corpus: str = "livermore",
-    schedulers: Sequence[str] = EXPLAIN_SCHEDULERS,
+    schedulers: Sequence[str] = tuple(REGISTRY),
     machine=None,
     scheduler_options: Optional[Mapping[str, Mapping[str, Any]]] = None,
     limit: Optional[int] = None,

@@ -5,7 +5,8 @@ scheduling time — is an *effort* comparison, so the table puts the effort
 counters side by side per loop: SGI branch-and-bound nodes (placement
 attempts), backtracks and II attempts against MOST's ILP branch-and-bound
 nodes and simplex iterations, with Rau94's placements/evictions as the
-non-backtracking reference point.  Input is any sequence of cell-result
+non-backtracking reference point and the portfolio's probes and CP nodes
+beside them.  Input is any sequence of cell-result
 objects carrying ``loop``/``scheduler``/``schedule_seconds``/``obs``
 (duck-typed so the exec layer stays optional).
 """
@@ -13,15 +14,22 @@ objects carrying ``loop``/``scheduler``/``schedule_seconds``/``obs``
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: The obs counters each scheduler's table columns read.
-SGI_COUNTERS = ("bnb.placements", "bnb.backtracks", "ii.attempts")
-MOST_COUNTERS = ("ilp.nodes", "ilp.simplex_iters", "ilp.node_limit_hits")
-RAU_COUNTERS = ("rau.placements", "rau.evictions")
+#: One effort column group per scheduler, in table order: its label and the
+#: columns between its II and seconds, each reading one obs counter
+#: (``probes`` is the cell's probe trail length instead).
+EFFORT_GROUPS: Dict[str, Tuple[str, Dict[str, str]]] = {
+    "sgi": ("SGI", {"nodes": "bnb.placements", "bt": "bnb.backtracks", "IIs": "ii.attempts"}),
+    "most": ("MOST", {"nodes": "ilp.nodes", "simplex": "ilp.simplex_iters",
+                      "limits": "ilp.node_limit_hits"}),
+    "rau": ("RAU", {"placed": "rau.placements", "evict": "rau.evictions"}),
+    "portfolio": ("PORT", {"probes": "probes", "cp nodes": "portfolio.cp.nodes"}),
+}
 
 
-def _geomean(values: Sequence[float]) -> Optional[float]:
+def geomean(values: Sequence[float]) -> Optional[float]:
+    """Geometric mean of the positive values; None when there are none."""
     positive = [v for v in values if v > 0]
     if not positive:
         return None
@@ -39,6 +47,12 @@ def _fmt_count(value: Optional[float]) -> str:
     return str(value)
 
 
+def _effort_value(res: Any, counter: str) -> Optional[float]:
+    if counter == "probes":  # the cell's probe trail, not an obs counter
+        return len(getattr(res, "backend_probes", None) or ())
+    return (getattr(res, "obs", None) or {}).get(counter)
+
+
 def effort_rows(results: Sequence[Any]) -> List[Dict[str, Any]]:
     """Per-loop effort rows from a mixed-scheduler result sequence."""
     by_loop: Dict[str, Dict[str, Any]] = {}
@@ -51,20 +65,15 @@ def effort_rows(results: Sequence[Any]) -> List[Dict[str, Any]]:
         row: Dict[str, Any] = {"loop": loop, "n_ops": 0}
         for scheduler, res in cells.items():
             row["n_ops"] = max(row["n_ops"], getattr(res, "n_ops", 0))
-            obs = getattr(res, "obs", {}) or {}
             entry = {
                 "ii": res.ii,
                 "seconds": res.schedule_seconds,
                 "fallback": getattr(res, "fallback", False),
                 "timeout": getattr(res, "timeout", False),
             }
-            counters = {
-                "sgi": SGI_COUNTERS,
-                "most": MOST_COUNTERS,
-                "rau": RAU_COUNTERS,
-            }.get(scheduler, ())
-            for name in counters:
-                entry[name.split(".", 1)[1]] = obs.get(name)
+            _, columns = EFFORT_GROUPS.get(scheduler, ("", {}))
+            for column, counter in columns.items():
+                entry[column] = _effort_value(res, counter)
             row[scheduler] = entry
         sgi = row.get("sgi")
         most = row.get("most")
@@ -75,74 +84,63 @@ def effort_rows(results: Sequence[Any]) -> List[Dict[str, Any]]:
 
 
 def format_effort_table(results: Sequence[Any]) -> str:
-    """The per-loop search-effort table ``python -m repro trace`` prints."""
+    """The per-loop search-effort table ``python -m repro trace`` prints:
+    one column group (II, effort counters, seconds) per scheduler that ran,
+    plus MOST's scheduling time over SGI's."""
     rows = effort_rows(results)
-    header = (
-        f"{'loop':<34} {'ops':>4} | "
-        f"{'SGI II':>6} {'nodes':>8} {'bt':>5} {'IIs':>4} {'sec':>8} | "
-        f"{'MOST II':>7} {'nodes':>8} {'simplex':>8} {'sec':>8} {'xSGI':>8} | "
-        f"{'RAU II':>6} {'placed':>7} {'evict':>6} {'sec':>8}"
-    )
+    ran = {res.scheduler for res in results}
+    groups = [(s, label, columns) for s, (label, columns) in EFFORT_GROUPS.items() if s in ran]
+    ratio = "sgi" in ran and "most" in ran
+
+    def group_cols(label: str, columns: Dict[str, str]) -> List[Tuple[str, str, int]]:
+        return [
+            ("ii", f"{label} II", len(label) + 3),
+            *((column, column, max(6, len(column))) for column in columns),
+            ("seconds", "sec", 8),
+        ]
+
+    layout = [(s, group_cols(label, columns)) for s, label, columns in groups]
+    header = f"{'loop':<34} {'ops':>4} | " + " | ".join(
+        " ".join(title.rjust(width) for _, title, width in cols) for _, cols in layout
+    ) + (f" | {'MOST/SGI':>8}" if ratio else "")
     rule = "-" * len(header)
     lines = [header, rule]
 
-    def sched_cols(entry: Optional[Dict[str, Any]], fields: Sequence[str], widths) -> str:
+    def cell(entry: Optional[Dict[str, Any]], field: str, width: int) -> str:
         if entry is None:
-            return " ".join("-".rjust(w) for w in widths)
-        parts = []
-        for field, width in zip(fields, widths):
-            if field == "ii":
-                ii = "-" if entry["ii"] is None else str(entry["ii"])
-                if entry.get("fallback"):
-                    ii += "*"
-                parts.append(ii.rjust(width))
-            elif field == "seconds":
-                parts.append(f"{entry['seconds']:.3f}".rjust(width))
-            else:
-                parts.append(_fmt_count(entry.get(field)).rjust(width))
-        return " ".join(parts)
+            return "-".rjust(width)
+        if field == "ii":
+            ii = "-" if entry["ii"] is None else str(entry["ii"])
+            return (ii + ("*" if entry.get("fallback") else "")).rjust(width)
+        if field == "seconds":
+            return f"{entry['seconds']:.3f}".rjust(width)
+        return _fmt_count(entry.get(field)).rjust(width)
 
     ratios: List[float] = []
     for row in rows:
-        ratio = row.get("time_ratio")
-        if ratio is not None:
-            ratios.append(ratio)
-        ratio_text = "-" if ratio is None else f"{ratio:.1f}x"
-        lines.append(
-            f"{row['loop']:<34} {row['n_ops']:>4} | "
-            + sched_cols(row.get("sgi"), ("ii", "placements", "backtracks", "attempts", "seconds"), (6, 8, 5, 4, 8))
-            + " | "
-            + sched_cols(row.get("most"), ("ii", "nodes", "simplex_iters", "seconds"), (7, 8, 8, 8))
-            + f" {ratio_text:>8} | "
-            + sched_cols(row.get("rau"), ("ii", "placements", "evictions", "seconds"), (6, 7, 6, 8))
+        line = f"{row['loop']:<34} {row['n_ops']:>4} | " + " | ".join(
+            " ".join(cell(row.get(s), field, width) for field, _, width in cols)
+            for s, cols in layout
         )
+        if ratio:
+            value = row.get("time_ratio")
+            if value is not None:
+                ratios.append(value)
+            line += " | " + ("-" if value is None else f"{value:.1f}x").rjust(8)
+        lines.append(line)
 
     lines.append(rule)
-    totals = aggregate_counters(results)
-    lines.append(
-        "totals: "
-        f"SGI nodes={_fmt_count(totals.get('bnb.placements', 0))} "
-        f"backtracks={_fmt_count(totals.get('bnb.backtracks', 0))} "
-        f"II-attempts={_fmt_count(totals.get('ii.attempts', 0))}; "
-        f"MOST ILP nodes={_fmt_count(totals.get('ilp.nodes', 0))} "
-        f"simplex={_fmt_count(totals.get('ilp.simplex_iters', 0))} "
-        f"node-limit-hits={_fmt_count(totals.get('ilp.node_limit_hits', 0))}; "
-        f"RAU placed={_fmt_count(totals.get('rau.placements', 0))} "
-        f"evicted={_fmt_count(totals.get('rau.evictions', 0))}"
-    )
-    geo = _geomean(ratios)
+    lines.append("totals: " + "; ".join(
+        f"{label} " + " ".join(
+            f"{column}={_fmt_count(sum(row[s][column] or 0 for row in rows if s in row))}"
+            for column in columns
+        )
+        for s, label, columns in groups
+    ))
+    geo = geomean(ratios)
     if geo is not None:
         lines.append(
             f"MOST/SGI scheduling-time geomean over {len(ratios)} loops: {geo:.1f}x "
             "(the paper's §4.7 comparison; * = heuristic fallback)"
         )
     return "\n".join(lines)
-
-
-def aggregate_counters(results: Sequence[Any]) -> Dict[str, float]:
-    """Sum the per-cell obs counter dicts across a result sequence."""
-    totals: Dict[str, float] = {}
-    for res in results:
-        for name, value in (getattr(res, "obs", {}) or {}).items():
-            totals[name] = totals.get(name, 0) + value
-    return totals

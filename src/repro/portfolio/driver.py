@@ -42,7 +42,7 @@ from ..most.walk import (
     walk_ii,
 )
 from ..obs import get_recorder
-from .answer import UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
+from .answer import UNKNOWN, UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
 from .cp import solve_cp
 from .formulation import ModuloFormulation, build_modulo_formulation
 from .ilp_backend import solve_ilp
@@ -125,6 +125,34 @@ def _backend_callable(
     raise ValueError(f"unknown backend {name!r}")  # pragma: no cover - validated
 
 
+def _usable_backends(
+    loop: Loop, machine: MachineDescription, options: PortfolioOptions
+) -> List[Tuple[str, Callable[[ModuloFormulation, float], BackendAnswer]]]:
+    """The requested backends runnable here, bound, in race order."""
+    return [
+        (name, _backend_callable(name, loop, machine, options))
+        for name in options.backend_names()
+        if name != "smt" or smt_available()
+    ]
+
+
+def race_backends(
+    formulation: ModuloFormulation,
+    loop: Loop,
+    machine: MachineDescription,
+    options: PortfolioOptions,
+    time_limit: float,
+) -> BackendAnswer:
+    """One II's race outside the walk (explain's II−1 replay): the first
+    definitive answer in race order, else the last backend's unknown."""
+    answer = BackendAnswer(backend="none", answer=UNKNOWN, detail="no usable backend")
+    for _, solve in _usable_backends(loop, machine, options):
+        answer = solve(formulation, time_limit)
+        if answer.definitive:
+            break
+    return answer
+
+
 def portfolio_pipeline_loop(
     loop: Loop,
     machine: Optional[MachineDescription] = None,
@@ -140,11 +168,7 @@ def portfolio_pipeline_loop(
     machine = machine if machine is not None else r8000()
     options = options or PortfolioOptions()
     probes: List[ProbeRecord] = []
-    requested = options.backend_names()
-    usable = [n for n in requested if n != "smt" or smt_available()]
-    backends = [
-        (name, _backend_callable(name, loop, machine, options)) for name in usable
-    ]
+    backends = _usable_backends(loop, machine, options)
 
     def formulate(ii: int) -> ModuloFormulation:
         formulation = build_modulo_formulation(loop, machine, ii, stages=options.stages)
@@ -180,7 +204,9 @@ def portfolio_pipeline_loop(
     result = walk_ii(
         loop, machine, options, verify,
         tag="portfolio", formulate=formulate, solve=solve, search=bool(backends),
-        skipped_backends=tuple(n for n in requested if n not in usable),
+        skipped_backends=tuple(
+            n for n in options.backend_names() if n not in dict(backends)
+        ),
         probes=probes,
     )
     result.disagreements = probe_disagreements(probes)

@@ -8,6 +8,23 @@ exposes one read surface — ``success``, ``schedule``, ``allocation``,
 ``fallback_result``, ``spill_rounds`` and ``stats.seconds`` — so callers
 read fields instead of branching on the scheduler name.
 
+Each entry also declares its option presets: a plain mapping from preset
+name to the options dict its cells run under (no solver is imported to
+declare them).  A preset an entry does not declare runs the driver's
+defaults, ``{}``.  Every command reads its options here, through
+:meth:`Scheduler.preset`, so a new pipeliner joins every sweep with one
+entry:
+
+``paper``   the experiment runner's figures (§4): MOST on HiGHS;
+``bench``   the timed corpus grid (``repro bench``, ``repro serve --selftest``);
+``quick``   ``bench --quick``: MOST's node budget halved;
+``fuzz``    the differential fuzzer: native-or-nothing, small budgets;
+``trace``   ``repro trace``: MOST on its own B&B engine, whose node and
+            simplex counters the effort table reads;
+``sweep``   ``repro verify`` and ``repro analyze``: MOST on HiGHS.
+
+``repro explain`` runs every driver's defaults.
+
 ``baseline`` (the sequential list scheduler) is not an entry: it produces
 no modulo schedule, and the exec runner handles it as its one special case.
 
@@ -18,9 +35,13 @@ a tracer or a test) is what every caller runs.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
+
+#: Every preset name an entry may declare.
+PRESETS = ("paper", "bench", "quick", "fuzz", "trace", "sweep")
 
 
 @dataclass(frozen=True)
@@ -31,6 +52,7 @@ class Scheduler:
     module: str
     options_class: str
     driver: str
+    presets: Mapping[str, Mapping[str, Any]] = field(default_factory=dict, compare=False)
 
     def _attr(self, name: str) -> Any:
         return getattr(importlib.import_module(self.module, __package__), name)
@@ -44,15 +66,66 @@ class Scheduler:
         """Pipeline ``loop`` with this scheduler's driver."""
         return self._attr(self.driver)(loop, machine, options, verify=verify)
 
+    def preset(self, name: Optional[str] = None, **overrides: Any) -> Dict[str, Any]:
+        """The options dict of preset ``name`` (``None``: the driver's
+        defaults), each override applied when this entry's options class
+        has a field of that name; ``ValueError`` on an unknown preset."""
+        if name is not None and name not in PRESETS:
+            raise ValueError(f"unknown preset {name!r} (expected one of {', '.join(PRESETS)})")
+        options = dict(self.presets.get(name, {}))
+        if overrides:
+            known = {f.name for f in dataclasses.fields(self._attr(self.options_class))}
+            options.update((k, v) for k, v in overrides.items() if k in known)
+        return options
+
+
+#: MOST on the bench grid.  The ILP budget is primarily the *node* limit:
+#: node-limited solves stop at identical search states regardless of
+#: machine load, so ``--jobs 1`` and ``--jobs N`` emit identical schedules.
+#: The wall budget is a generous backstop, and the cell timeout the hard one.
+_MOST_BENCH = {"time_limit": 20.0, "engine": "scipy", "max_ops": 61, "max_nodes": 4000}
+
+#: The portfolio on the bench grid, in cross-check mode: every backend
+#: answers every (loop, II) probe, so the BENCH json carries the full
+#: agreement trail (and per-backend solve seconds), not just the race winner.
+_PORTFOLIO_BENCH = {
+    "time_limit": 20.0, "backends": "cp,ilp", "max_ops": 61, "max_nodes": 20_000,
+    "cross_check": True,
+}
+
+#: The fuzzer's budget, shared by both optimal drivers: native-or-nothing
+#: (a rescued result would only shadow the sgi cell), node-limited and
+#: small so throughput stays high.
+_FUZZ = {"fallback": False, "time_limit": 1.0, "max_nodes": 2000, "max_ops": 64}
+
 
 REGISTRY: Dict[str, Scheduler] = {
     entry.name: entry
     for entry in (
         Scheduler("sgi", ".core.driver", "PipelinerOptions", "pipeline_loop"),
-        Scheduler("most", ".most.scheduler", "MostOptions", "most_pipeline_loop"),
+        Scheduler(
+            "most", ".most.scheduler", "MostOptions", "most_pipeline_loop",
+            presets={
+                # The largest optimal schedule the study found has 61 ops.
+                "paper": {"engine": "scipy", "priority_branching": False, "max_ops": 61},
+                "bench": _MOST_BENCH,
+                "quick": {**_MOST_BENCH, "max_nodes": 2000},
+                # The B&B engine, so ilp.* counters feed the fuzzer's coverage.
+                "fuzz": {**_FUZZ, "engine": "bnb"},
+                "trace": {"engine": "bnb", "max_ops": 61},
+                "sweep": {"engine": "scipy"},
+            },
+        ),
         Scheduler("rau", ".rau.scheduler", "RauOptions", "rau_pipeline_loop"),
         Scheduler(
-            "portfolio", ".portfolio.driver", "PortfolioOptions", "portfolio_pipeline_loop"
+            "portfolio", ".portfolio.driver", "PortfolioOptions", "portfolio_pipeline_loop",
+            presets={
+                "bench": _PORTFOLIO_BENCH,
+                "quick": _PORTFOLIO_BENCH,
+                # Cross-check on: every backend answers every II probe,
+                # the agreement oracle's food.
+                "fuzz": {**_FUZZ, "backends": "cp,ilp", "cross_check": True},
+            },
         ),
     )
 }

@@ -42,6 +42,7 @@ from ..exec.hashing import code_version
 from ..obs.history import append_history
 from ..obs.provenance import provenance
 from ..obs.service import LatencyStats
+from ..schedulers import REGISTRY
 from .protocol import encode, parse_line
 
 DEFAULT_FUZZ_CORPUS_DIR = pathlib.Path("tests") / "fuzz_corpus"
@@ -53,7 +54,7 @@ class LoadgenOptions:
 
     requests: int = 240
     concurrency: int = 16
-    schedulers: Tuple[str, ...] = ("sgi", "most", "rau", "portfolio")
+    schedulers: Tuple[str, ...] = tuple(REGISTRY)
     corpora: Tuple[str, ...] = ("livermore", "recbound")
     fuzz_corpus_dir: Optional[str] = str(DEFAULT_FUZZ_CORPUS_DIR)
     seed: int = 0
@@ -94,39 +95,32 @@ def corpus_spec_tokens(fuzz_corpus_dir) -> List[Tuple[str, str]]:
 def build_request_specs(options: LoadgenOptions) -> List[Dict[str, Any]]:
     """The distinct request payloads of the mix (ids filled in later)."""
     bench = options.bench_options()
-    specs: List[Dict[str, Any]] = []
-    for corpus in options.corpora:
-        for key in corpus_loop_keys(corpus):
-            for scheduler in options.schedulers:
-                specs.append({
-                    "op": "schedule",
-                    "loop": key,
-                    "scheduler": scheduler,
-                    "options": bench.scheduler_options(scheduler),
-                    "budget": options.budget,
-                    "seed": bench.seed,
-                    "simulate": options.simulate,
-                    "verify": options.verify,
-                    "analyze": True,
-                })
+    # The fuzz-derived lanes run the oracle layers, so a verify regression
+    # shows up as a non-empty verify_errors list in BENCH_service.json.
+    loops = [
+        ({"loop": key}, {"simulate": options.simulate, "verify": options.verify})
+        for corpus in options.corpora
+        for key in corpus_loop_keys(corpus)
+    ]
     if options.fuzz_corpus_dir:
-        for name, token in corpus_spec_tokens(options.fuzz_corpus_dir):
-            for scheduler in options.schedulers:
-                specs.append({
-                    "op": "schedule",
-                    "spec": token,
-                    "scheduler": scheduler,
-                    "options": bench.scheduler_options(scheduler),
-                    "budget": options.budget,
-                    "seed": bench.seed,
-                    "simulate": options.simulate,
-                    # The fuzz-derived lanes run the oracle layers, so a
-                    # verify regression shows up as a non-empty
-                    # verify_errors list in BENCH_service.json.
-                    "oracle": True,
-                    "analyze": True,
-                })
-    return specs
+        loops += [
+            ({"spec": token}, {"simulate": options.simulate, "oracle": True})
+            for _, token in corpus_spec_tokens(options.fuzz_corpus_dir)
+        ]
+    return [
+        {
+            "op": "schedule",
+            **loop,
+            "scheduler": scheduler,
+            "options": bench.scheduler_options(scheduler),
+            "budget": options.budget,
+            "seed": bench.seed,
+            **flags,
+            "analyze": True,
+        }
+        for loop, flags in loops
+        for scheduler in options.schedulers
+    ]
 
 
 @dataclass

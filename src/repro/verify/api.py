@@ -2,9 +2,9 @@
 
 ``verify_all`` runs every applicable checker over the artifacts of one
 pipelined loop; ``verify_corpus`` sweeps a whole workload corpus through
-all three pipeliners (heuristic, MOST, Rau94) and verifies everything they
-produce — the trust anchor behind the paper's "both emit correct schedules
-under identical constraints" premise.
+every registered pipeliner and verifies everything they produce — the
+trust anchor behind the paper's "both emit correct schedules under
+identical constraints" premise.
 """
 
 from __future__ import annotations
@@ -14,16 +14,13 @@ from typing import Dict, List, Optional
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
-from ..schedulers import get_scheduler
+from ..schedulers import REGISTRY, get_scheduler
 from .bankcheck import check_banks
 from .ddglint import lint_ddg
 from .diagnostics import Report
 from .emitcheck import check_emitted
 from .regcheck import check_allocation
 from .schedcheck import check_schedule
-
-#: The pipeliners a corpus sweep covers.
-SWEEP_SCHEDULERS = ("sgi", "most", "rau")
 
 
 def verify_all(
@@ -124,13 +121,14 @@ class SweepResult:
 
     def formatted(self, verbose: bool = False) -> str:
         width = max((len(e.loop) for e in self.entries), default=4)
+        sched = max([5] + [len(e.scheduler) for e in self.entries])
         lines = [f"verify {self.corpus}: {len(self.entries)} scheduled artifacts"]
         for e in self.entries:
             status = "FAIL" if e.errors else ("warn" if e.warnings else "ok")
             ii = f"II={e.ii}" if e.ii is not None else "unscheduled"
             rules = f"  [{', '.join(e.rules)}]" if e.rules and (verbose or e.errors) else ""
             lines.append(
-                f"  {e.loop.ljust(width)}  {e.scheduler:<5} {ii:>8}  "
+                f"  {e.loop.ljust(width)}  {e.scheduler:<{sched}} {ii:>8}  "
                 f"{status}{rules}"
             )
         lines.append(
@@ -168,14 +166,11 @@ def corpus_loops(corpus: str, machine: Optional[MachineDescription] = None) -> L
     )
 
 
-def run_sweep_cell(name: str, loop: Loop, machine: MachineDescription, most_time_limit: float):
-    """One pipeliner of a corpus sweep, unverified: its defaults, except
-    MOST, which runs HiGHS under the sweep's ILP budget."""
-    if name not in SWEEP_SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r}")
+def run_sweep_cell(name: str, loop: Loop, machine: MachineDescription, ilp_seconds: float):
+    """One pipeliner of a corpus sweep, unverified: its ``sweep`` preset,
+    with ``ilp_seconds`` as every optimal driver's ``time_limit``."""
     scheduler = get_scheduler(name)
-    overrides = {"most": {"time_limit": most_time_limit, "engine": "scipy"}}
-    options = scheduler.options_from_dict(overrides.get(name, {}))
+    options = scheduler.options_from_dict(scheduler.preset("sweep", time_limit=ilp_seconds))
     return scheduler.run(loop, machine, options, verify=False)
 
 
@@ -183,15 +178,15 @@ def verify_corpus(
     corpus: str,
     schedulers: Optional[List[str]] = None,
     machine: Optional[MachineDescription] = None,
-    most_time_limit: float = 2.0,
+    ilp_seconds: float = 2.0,
     emit: bool = True,
 ) -> SweepResult:
     """Sweep a corpus through the requested pipeliners and verify everything.
 
-    Schedulers: ``sgi`` (heuristic branch-and-bound), ``most`` (ILP with
-    heuristic fallback), ``rau`` (iterative modulo scheduling).  Schedules,
-    allocations and emitted code are all cross-checked; loops a scheduler
-    cannot pipeline are recorded but are not verification failures.
+    Schedulers default to the whole registry (:mod:`repro.schedulers`),
+    each on its ``sweep`` preset.  Schedules, allocations and emitted code
+    are all cross-checked; loops a scheduler cannot pipeline are recorded
+    but are not verification failures.
     """
     from ..machine.descriptions import r8000
     from ..pipeline.emit import emit_pipelined_code
@@ -199,8 +194,8 @@ def verify_corpus(
     machine = machine if machine is not None else r8000()
     sweep = SweepResult(corpus=corpus)
     for loop in corpus_loops(corpus, machine):
-        for name in schedulers or SWEEP_SCHEDULERS:
-            result = run_sweep_cell(name, loop, machine, most_time_limit)
+        for name in schedulers or REGISTRY:
+            result = run_sweep_cell(name, loop, machine, ilp_seconds)
             emitted = None
             if emit and result.success and result.allocation is not None:
                 emitted = emit_pipelined_code(result.schedule, result.allocation)

@@ -97,10 +97,11 @@ class TestExperimentHelpers:
 
     def test_config_resolution(self):
         config = ExperimentConfig()
-        options = config.most_options()
-        assert options.time_limit == config.most_time_limit
-        assert options.fallback
-        assert not config.most_options(fallback=False).fallback
+        options = config.most_cell_options()
+        assert options["time_limit"] == config.most_time_limit
+        assert options["fallback"]
+        assert not config.most_cell_options(fallback=False)["fallback"]
+        assert config.most_cell_options(time_limit=1.0)["time_limit"] == 1.0
 
 
 class TestCorpusProfiles:

@@ -28,14 +28,22 @@ class TestBenchOptions:
         # recbound stays in the quick lane: it is only six loops, and it
         # is where the certified static bounds actually prune.
         assert options.corpora == ("livermore", "recbound")
-        assert options.most_max_nodes <= 2000
+        assert options.scheduler_options("most")["max_nodes"] <= 2000
         assert options.cell_timeout == 60.0
 
-    def test_most_cells_are_node_limited(self):
-        options = BenchOptions()
-        most = options.scheduler_options("most")
-        assert most["max_nodes"] == options.most_max_nodes
-        assert options.scheduler_options("sgi") == {}
+    def test_cells_run_the_registry_presets(self):
+        # The parent's literal dicts: they feed cache keys and the committed
+        # BENCH baselines, so they must not move.
+        most = {"time_limit": 20.0, "engine": "scipy", "max_ops": 61, "max_nodes": 4000}
+        portfolio = {"time_limit": 20.0, "backends": "cp,ilp", "max_ops": 61,
+                     "max_nodes": 20000, "cross_check": True}
+        for quick, most_nodes in ((False, 4000), (True, 2000)):
+            options = BenchOptions(quick=quick)
+            assert options.schedulers == ("sgi", "most", "rau", "portfolio")
+            assert options.scheduler_options("most") == {**most, "max_nodes": most_nodes}
+            assert options.scheduler_options("portfolio") == portfolio
+            for name in ("sgi", "rau", "baseline"):
+                assert options.scheduler_options(name) == {}
 
     def test_grid_shape(self):
         options = BenchOptions(quick=True, schedulers=("sgi", "rau"))

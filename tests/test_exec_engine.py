@@ -25,6 +25,7 @@ from repro.exec.cells import LOOP_SOURCES
 from repro.machine import r8000
 from repro.most.scheduler import MostOptions
 from repro.most.walk import PAPER_TIME_LIMIT, SolveBudget
+from repro.schedulers import REGISTRY
 
 from .conftest import build_daxpy, build_sdot
 
@@ -292,7 +293,7 @@ class TestExecuteCell:
         assert result.error is not None and "unknown_option" in result.error
         assert not result.success
 
-    @pytest.mark.parametrize("scheduler", ["sgi", "most", "rau"])
+    @pytest.mark.parametrize("scheduler", sorted(REGISTRY))
     def test_unknown_option_rejected_by_every_scheduler(self, scheduler):
         cell = Cell.make("livermore:lk12_firstdiff", scheduler, {"bogus": 1})
         result = CellResult.from_dict(execute_cell(cell.to_dict(), in_worker=False))

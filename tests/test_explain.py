@@ -101,6 +101,19 @@ class TestBindingClassification:
             assert explanation.binding == "register_pressure", scheduler
             assert explanation.replay, "II-1 replay evidence missing"
 
+    def test_portfolio_replays_its_backend_race(self, machine):
+        # lk18: CP answers sat at II 7 = MinII, but that schedule does not
+        # colour, so the portfolio walks on to II 8.  The replay goes
+        # through the classifier MOST's ILP replay uses.
+        explanation = explain_loop(
+            "livermore:lk18_hydro2d", "portfolio", machine, {"time_limit": 5.0}
+        )
+        assert explanation.ii == explanation.min_ii + 1
+        assert explanation.binding == "register_pressure"
+        assert explanation.detail.startswith("CP schedules II−1=7")
+        assert explanation.replay["answer"] == "sat"
+        assert explanation.replay["alloc_success"] is False
+
     def test_exactly_one_class_per_cell(self, machine):
         explanations = explain_corpus(
             "livermore", schedulers=("sgi", "rau"), machine=machine, limit=6

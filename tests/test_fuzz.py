@@ -192,6 +192,21 @@ class TestOracle:
             {"sgi": sgi, "most": _result("most", ii=6, optimal=True,
                                          fallback=True)}) == []
 
+    def test_optimality_layer_covers_the_portfolio(self):
+        from repro.fuzz.engine import _minimal_schedulers
+
+        sgi = _result("sgi", ii=4)
+        violations = check_results(
+            {"sgi": sgi, "portfolio": _result("portfolio", ii=5, optimal=True)}
+        )
+        assert [(v.kind, v.scheduler) for v in violations] == [
+            ("optimality", "portfolio")
+        ]
+        assert _minimal_schedulers(violations[0]) == ("sgi", "portfolio")
+        # A portfolio answer rescued by the SGI fallback proves nothing.
+        assert check_results({"sgi": sgi, "portfolio": _result(
+            "portfolio", ii=5, optimal=True, fallback=True)}) == []
+
     def test_all_kinds_are_documented(self):
         assert set(ORACLE_KINDS) == {"crash", "verify", "funcsim",
                                      "min_ii", "bound", "optimality",

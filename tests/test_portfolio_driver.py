@@ -6,7 +6,7 @@ import pytest
 
 from repro.exec.cells import SCHEDULERS, Cell, CellResult
 from repro.exec.runner import execute_cell
-from repro.fuzz.oracle import FUZZ_PORTFOLIO_OPTIONS, check_results, spec_cells
+from repro.fuzz.oracle import check_results, spec_cells
 from repro.obs import recording
 from repro.portfolio.driver import PortfolioOptions, portfolio_pipeline_loop
 
@@ -161,9 +161,11 @@ class TestFuzzAgreementOracle:
         cells = spec_cells(spec, schedulers=("sgi", "portfolio"))
         by_sched = {c.scheduler: c for c in cells}
         assert set(by_sched) == {"sgi", "portfolio"}
-        options = by_sched["portfolio"].options
-        for key, value in FUZZ_PORTFOLIO_OPTIONS.items():
-            assert options[key] == value
+        assert by_sched["portfolio"].options == {
+            "backends": "cp,ilp", "cross_check": True, "fallback": False,
+            "time_limit": 1.0, "max_nodes": 2000, "max_ops": 64,
+        }
+        assert by_sched["sgi"].options == {}
 
     def test_end_to_end_clean_loop_has_no_agreement_findings(self):
         from repro.fuzz.oracle import evaluate_spec

@@ -85,3 +85,54 @@ def test_forced_fallback_agrees_with_the_fallback_result(name):
     assert result.success == fallback.success
     assert result.schedule is fallback.schedule
     assert result.schedule.producer.startswith("sgi/")
+
+
+#: Every command's options before they moved into the registry: (preset,
+#: the command's overrides) -> scheduler -> the literal dict it ran.  These
+#: dicts feed cache keys and the committed BENCH baselines, so the presets
+#: must reproduce them byte for byte.
+_MOST_BENCH = {"time_limit": 20.0, "engine": "scipy", "max_ops": 61, "max_nodes": 4000}
+_PORTFOLIO_BENCH = {"time_limit": 20.0, "backends": "cp,ilp", "max_ops": 61,
+                    "max_nodes": 20000, "cross_check": True}
+PINNED_PRESETS = [
+    ("bench", {}, {"most": _MOST_BENCH, "portfolio": _PORTFOLIO_BENCH}),
+    ("quick", {}, {"most": {**_MOST_BENCH, "max_nodes": 2000},
+                   "portfolio": _PORTFOLIO_BENCH}),
+    ("fuzz", {}, {
+        "most": {"engine": "bnb", "fallback": False, "time_limit": 1.0,
+                 "max_nodes": 2000, "max_ops": 64},
+        "portfolio": {"backends": "cp,ilp", "cross_check": True, "fallback": False,
+                      "time_limit": 1.0, "max_nodes": 2000, "max_ops": 64},
+    }),
+    ("trace", {"time_limit": 5.0, "max_nodes": 4000}, {
+        "most": {"time_limit": 5.0, "engine": "bnb", "max_nodes": 4000, "max_ops": 61},
+    }),
+    ("sweep", {"time_limit": 2.0}, {"most": {"time_limit": 2.0, "engine": "scipy"}}),
+    (None, {"time_limit": 5.0}, {"most": {"time_limit": 5.0}}),  # explain
+    ("paper", {"time_limit": 10.0, "fallback": True}, {
+        "most": {"time_limit": 10.0, "engine": "scipy", "priority_branching": False,
+                 "max_ops": 61, "fallback": True},
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "preset,overrides,expected", PINNED_PRESETS,
+    ids=[p or "explain" for p, _, _ in PINNED_PRESETS],
+)
+def test_presets_reproduce_the_old_per_command_options(preset, overrides, expected):
+    for name in ("sgi", "most", "rau"):
+        got = get_scheduler(name).preset(preset, **overrides)
+        assert got == expected.get(name, {}), name
+    if "portfolio" in expected:
+        assert get_scheduler("portfolio").preset(preset, **overrides) == expected["portfolio"]
+
+
+def test_overrides_apply_only_where_the_options_class_has_the_field():
+    # No name check: the heuristics have no time_limit or max_nodes field.
+    assert get_scheduler("sgi").preset("trace", time_limit=1.0, max_nodes=9) == {}
+    assert get_scheduler("portfolio").preset("trace", time_limit=1.0, max_nodes=9) == {
+        "time_limit": 1.0, "max_nodes": 9,
+    }
+    with pytest.raises(ValueError, match="unknown preset"):
+        get_scheduler("most").preset("nightly")
