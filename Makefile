@@ -7,7 +7,7 @@ export PYTHONPATH := src
 .PHONY: test test-verify lint verify-corpus bench bench-quick bench-baseline \
         bench-tests bench-micro trace-smoke explain analyze diff-strict report \
         report-smoke fuzz fuzz-smoke portfolio-smoke serve serve-smoke \
-        serve-baseline trend history-seed ci
+        serve-baseline trend history-seed e2e-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -179,6 +179,12 @@ serve-baseline:
 	cp benchmarks/output/BENCH_service.json benchmarks/baseline/BENCH_service.json
 	@echo "service baseline refreshed; review 'git diff benchmarks/baseline' before committing"
 
+# The end-to-end benchmark's own self-tests (workload builders, checks,
+# statistics, the serve load driver).
+e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e -q
+
 # Everything CI runs, in CI's order.
 ci: lint test verify-corpus analyze bench-quick trace-smoke report-smoke \
-	diff-strict portfolio-smoke bench-micro fuzz-smoke serve-smoke trend
+	diff-strict portfolio-smoke bench-micro fuzz-smoke serve-smoke trend \
+	e2e-smoke

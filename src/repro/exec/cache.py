@@ -11,17 +11,37 @@ delete wholesale.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
+
+from ..obs.export import atomic_write_text
 
 #: Default location, relative to the working directory; CI points
 #: ``actions/cache`` at the same path.
 DEFAULT_CACHE_DIR = ".exec-cache"
 
 _FORMAT_VERSION = 1
+
+
+def cache_result(cache, key: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Stamp a fresh result payload with its key and store it.
+
+    The one caching rule, shared by the batch engine and the serve
+    daemon: an error result is never stored, and the stored copy says
+    ``cache_hit: False``.  ``cache`` is anything with ``put(key,
+    payload)`` (or None).  Returns ``payload``.
+    """
+    payload["cache_key"] = key
+    if cache is not None and not payload.get("error"):
+        cache.put(key, {**payload, "cache_hit": False})
+    return payload
+
+
+def cached_hit(payload: Dict[str, Any], key: str) -> Dict[str, Any]:
+    """A stored payload as served from the cache: a copy stamped
+    ``cache_hit: True`` plus its key."""
+    return {**payload, "cache_hit": True, "cache_key": key}
 
 
 @dataclass
@@ -75,17 +95,7 @@ class ScheduleCache:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"format": _FORMAT_VERSION, "key": key, "payload": payload}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, json.dumps(entry, sort_keys=True))
         self.stats.stores += 1
 
     def entry_count(self) -> int:

@@ -1,47 +1,48 @@
 """The parallel experiment engine: fan-out, deadlines, retries, caching.
 
-Cells are independent, so the engine fans them out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  The paper's cost story
-(an optimal pipeliner ~250x slower than the heuristic) makes two disciplines
-non-negotiable, both borrowed from the combinatorial-scheduling literature's
-per-instance budgets:
+Cells are independent, so the engine fans them out over the one process
+pool, :class:`~repro.exec.pool.WorkerPool` (the serve daemon runs its
+solves on the same pool).  The paper's cost story (an optimal pipeliner
+~250x slower than the heuristic) makes two disciplines non-negotiable,
+both borrowed from the combinatorial-scheduling literature's per-instance
+budgets:
 
 * **hard per-cell deadlines, enforced in the worker** — a wedged ILP solve
   raises :class:`CellTimeout` from a ``SIGALRM`` handler and kills only its
   own cell; the worker then runs the heuristic pipeliner and records the
   cell as ``timeout=True, fallback=True``, mirroring how MOST itself backs
-  off.  Cells always execute on a process's main thread (inline, in a pool
-  worker, or in a serve worker), the one place the alarm is delivered; a
-  deadline requested anywhere else is refused as an error cell, never run
-  unguarded;
+  off.  Cells always execute on a process's main thread (inline or in a
+  pool worker), the one place the alarm is delivered; a deadline
+  requested anywhere else is refused as an error cell, never run
+  unguarded.  A solve stuck in C code, out of the alarm's reach, is the
+  pool watchdog's to kill, ``GRACE`` seconds later;
 * **fallback accounting** — timeout and fallback flags travel with every
   result, so aggregate numbers can always separate native solves from
   rescued ones.
 
-Transient worker deaths (OOM kill, interpreter crash) break the whole pool;
-the engine rebuilds it and re-runs the unfinished cells, giving each cell
-one retry before recording an error result.  With ``jobs=1`` everything
-runs inline through the *same* worker function, so parallel and serial runs
-are byte-identical apart from wall-clock fields.
+A transient worker death (OOM kill, interpreter crash) takes down one
+worker; the pool respawns it and re-runs only the cell that was on it,
+``retries`` times at most, before recording an error result.  With
+``jobs=1`` everything runs inline through the *same* worker function, so
+parallel and serial runs are byte-identical apart from wall-clock fields.
 """
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import os
 import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.driver import FALLBACK_OPTIONS
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import TraceRecorder, recording, write_jsonl
 from ..schedulers import get_scheduler, without_harness_keys
-from .cache import ScheduleCache
+from .cache import ScheduleCache, cache_result, cached_hit
 from .cells import Cell, CellResult, resolve_loop
 from .hashing import cell_key, fingerprint_loop, fingerprint_machine
 
@@ -58,8 +59,8 @@ class _SignalDeadline:
 
     Only the main thread of a process can receive the alarm.  A C-level
     solve is interrupted at the next bytecode boundary after the signal
-    fires; one that never reaches a boundary is the serve pool's watchdog's
-    to kill.
+    fires; one that never reaches a boundary is the process pool's
+    watchdog's to kill (:mod:`repro.exec.pool`).
     """
 
     def __init__(self, seconds: float):
@@ -323,9 +324,11 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
     comes back as an error result naming the cause, without running.
 
     ``_test_*`` option keys are harness hooks: ``_test_sleep`` delays the
-    scheduler (deterministic timeout tests), ``_test_crash_once`` names a
-    marker file and kills the worker process the first time it runs
-    (worker-death retry tests; ignored inline).
+    scheduler (deterministic timeout tests), ``_test_wedge`` sleeps with
+    ``SIGALRM`` blocked, like a solve stuck in C code (pool watchdog
+    tests), ``_test_crash_once`` names a marker file and kills the worker
+    process the first time it runs (worker-death retry tests; ignored
+    inline).
     """
     cell = Cell.from_dict(spec)
     machine = r8000()
@@ -365,6 +368,10 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
         with deadline:
             if options.get("_test_sleep"):
                 time.sleep(float(options["_test_sleep"]))
+            if options.get("_test_wedge"):
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+                time.sleep(float(options["_test_wedge"]))
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if rec is not None:
                 with recording(rec), rec.span(
                     "cell", loop=cell.loop, scheduler=cell.scheduler
@@ -401,13 +408,17 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
 # ----------------------------------------------------------------------
 ProgressFn = Callable[[int, int, Cell, CellResult], None]
 
+#: Loop fingerprints :meth:`ExecEngine.key_of` keeps before starting over.
+_LOOP_FP_LIMIT = 4096
+
 
 class ExecEngine:
     """Runs cells in parallel with caching, deadlines and one retry.
 
     ``jobs=1`` executes inline (same worker code, no subprocess); ``jobs>1``
-    uses a process pool.  ``default_timeout`` applies to cells that do not
-    carry their own.  ``progress`` is called after every finished cell.
+    runs the cells on a :class:`~repro.exec.pool.WorkerPool` of that many
+    processes.  ``default_timeout`` applies to cells that do not carry
+    their own.  ``progress`` is called after every finished cell.
     """
 
     def __init__(
@@ -435,11 +446,21 @@ class ExecEngine:
         return cell
 
     def key_of(self, cell: Cell) -> str:
-        """Content address of a cell (resolves the loop to fingerprint it)."""
-        if cell.loop not in self._loop_fps:
-            self._loop_fps[cell.loop] = fingerprint_loop(resolve_loop(cell.loop))
+        """Content address of a cell (resolves the loop to fingerprint it).
+
+        Loop fingerprints are memoised per engine; fuzz batches and serve
+        requests stream one-shot ``fuzz:`` keys through one long-lived
+        engine, so the memo starts over past :data:`_LOOP_FP_LIMIT`
+        entries (corpus keys simply re-fingerprint).
+        """
+        loop_fp = self._loop_fps.get(cell.loop)
+        if loop_fp is None:
+            if len(self._loop_fps) >= _LOOP_FP_LIMIT:
+                self._loop_fps.clear()
+            loop_fp = fingerprint_loop(resolve_loop(cell.loop))
+            self._loop_fps[cell.loop] = loop_fp
         return cell_key(
-            self._loop_fps[cell.loop],
+            loop_fp,
             self._machine_fp,
             cell.scheduler,
             cell.options_json,
@@ -453,142 +474,71 @@ class ExecEngine:
             cell.analyze,
         )
 
-    def forget_loop_fingerprints(self) -> None:
-        """Drop the per-engine loop-fingerprint memo.
-
-        Long fuzzing sessions stream thousands of one-shot ``fuzz:`` keys
-        through one engine; dropping the memo between batches keeps its
-        footprint bounded (corpus keys are simply re-fingerprinted).
-        """
-        self._loop_fps.clear()
-
     # -- running -------------------------------------------------------
     def run(self, cells: Sequence[Cell]) -> Dict[Cell, CellResult]:
         """Execute every distinct cell; returns results keyed by cell.
 
         Cached results are returned without scheduling anything; the rest
-        fan out over the pool.  The result map is keyed by the cells as
+        run inline or on the pool.  The result map is keyed by the cells as
         given (before the engine's default timeout is applied).
         """
         ordered: List[Cell] = list(dict.fromkeys(cells))
         results: Dict[Cell, CellResult] = {}
-        pending: List[Cell] = []
-        keys: Dict[Cell, str] = {}
-        total = len(ordered)
-        done = 0
+        pending: Dict[Cell, str] = {}
+
+        def record(cell: Cell, result: CellResult) -> None:
+            results[cell] = result
+            if self.progress:
+                self.progress(len(results), len(ordered), cell, result)
+
+        def finish(cell: Cell, payload: Dict[str, Any]) -> None:
+            record(cell, CellResult.from_dict(cache_result(self.cache, pending[cell], payload)))
 
         for cell in ordered:
-            effective = self._effective(cell)
             try:
-                key = self.key_of(effective)
+                key = self.key_of(self._effective(cell))
             except Exception:
                 # The loop key does not resolve: an error result, not a crash
                 # (and nothing worth caching).
-                result = CellResult(
+                record(cell, CellResult(
                     loop=cell.loop,
                     scheduler=cell.scheduler,
                     options_json=cell.options_json,
                     error=traceback.format_exc(),
-                )
-                results[cell] = result
-                done += 1
-                if self.progress:
-                    self.progress(done, total, cell, result)
+                ))
                 continue
-            keys[cell] = key
             payload = self.cache.get(key) if self.cache is not None else None
             if payload is not None:
-                result = CellResult.from_dict(payload)
-                result.cache_hit = True
-                result.cache_key = key
-                results[cell] = result
-                done += 1
-                if self.progress:
-                    self.progress(done, total, cell, result)
+                record(cell, CellResult.from_dict(cached_hit(payload, key)))
             else:
-                pending.append(cell)
+                pending[cell] = key
 
-        if pending:
-            if self.jobs == 1:
-                fresh = self._run_inline(pending, keys, done, total, results)
-            else:
-                fresh = self._run_pool(pending, keys, done, total, results)
-            results.update(fresh)
+        if self.jobs == 1:
+            for cell in pending:
+                finish(cell, execute_cell(self._effective(cell).to_dict(), in_worker=False))
+        elif pending:
+            asyncio.run(self._run_pool(list(pending), finish))
         return results
 
-    def _finish(self, cell: Cell, result: CellResult, key: str) -> CellResult:
-        result.cache_key = key
-        if self.cache is not None and result.error is None:
-            payload = result.to_dict()
-            payload["cache_hit"] = False
-            self.cache.put(key, payload)
-        return result
+    async def _run_pool(
+        self, cells: Sequence[Cell], finish: Callable[[Cell, Dict[str, Any]], None]
+    ) -> None:
+        from .pool import WorkerPool, error_result  # pool.py imports execute_cell
 
-    def _run_inline(self, pending, keys, done, total, results):
-        fresh: Dict[Cell, CellResult] = {}
-        for cell in pending:
+        pool = WorkerPool(self.jobs)
+
+        async def one(cell: Cell):
             spec = self._effective(cell).to_dict()
-            result = CellResult.from_dict(execute_cell(spec, in_worker=False))
-            fresh[cell] = self._finish(cell, result, keys[cell])
-            done += 1
-            if self.progress:
-                self.progress(done, total, cell, fresh[cell])
-        return fresh
-
-    def _run_pool(self, pending, keys, done, total, results):
-        fresh: Dict[Cell, CellResult] = {}
-        attempts: Dict[Cell, int] = {cell: 0 for cell in pending}
-        remaining = list(pending)
-        while remaining:
-            executor = ProcessPoolExecutor(max_workers=self.jobs)
-            futures = {}
-            for cell in remaining:
-                attempts[cell] += 1
-                futures[executor.submit(execute_cell, self._effective(cell).to_dict())] = cell
-            crashed: List[Cell] = []
             try:
-                not_done = set(futures)
-                while not_done:
-                    finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        cell = futures[future]
-                        try:
-                            result = CellResult.from_dict(future.result())
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:  # pickling issues etc.
-                            result = CellResult(
-                                loop=cell.loop,
-                                scheduler=cell.scheduler,
-                                options_json=cell.options_json,
-                                error=f"worker error: {exc!r}",
-                            )
-                        result.attempts = attempts[cell]
-                        fresh[cell] = self._finish(cell, result, keys[cell])
-                        done += 1
-                        if self.progress:
-                            self.progress(done, total, cell, fresh[cell])
-            except BrokenProcessPool:
-                # A worker died mid-flight.  Everything without a result is
-                # suspect; re-run cells that still have retries left.
-                for future, cell in futures.items():
-                    if cell in fresh:
-                        continue
-                    if attempts[cell] <= self.retries:
-                        crashed.append(cell)
-                    else:
-                        result = CellResult(
-                            loop=cell.loop,
-                            scheduler=cell.scheduler,
-                            options_json=cell.options_json,
-                            error="worker process died repeatedly",
-                            attempts=attempts[cell],
-                        )
-                        fresh[cell] = self._finish(cell, result, keys[cell])
-                        done += 1
-                        if self.progress:
-                            self.progress(done, total, cell, fresh[cell])
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
-            remaining = crashed
-        return fresh
+                return cell, await pool.run(spec, self.retries)
+            except Exception as exc:  # pickling issues etc.
+                return cell, error_result(spec, f"worker error: {exc!r}")
+
+        # Tasks start in creation order, so cells reach the workers in the
+        # order given (``as_completed`` alone would start them in set order).
+        tasks = [asyncio.ensure_future(one(cell)) for cell in cells]
+        try:
+            for finished in asyncio.as_completed(tasks):
+                finish(*await finished)
+        finally:
+            pool.shutdown()

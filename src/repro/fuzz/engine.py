@@ -309,7 +309,6 @@ def run_fuzz(config: FuzzConfig, log: Optional[LogFn] = None) -> FuzzReport:
                 coverage |= fresh_keys
                 corpus.append(spec)
 
-        engine.forget_loop_fingerprints()
         stats.coverage_keys = len(coverage)
         stats.corpus_size = len(corpus)
         elapsed = config.seconds - (deadline - time.monotonic())

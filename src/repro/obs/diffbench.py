@@ -296,8 +296,10 @@ def _diff_cell(
             old.get("options_json"), new.get("options_json"),
         )
 
+    # A cell with no schedule in either run is no regression: only an II
+    # lost (a new None) or raised counts.
     old_ii, new_ii = old.get("ii"), new.get("ii")
-    if new_ii is None or (old_ii is not None and new_ii > old_ii):
+    if old_ii is not None and (new_ii is None or new_ii > old_ii):
         diff.regressions.append(f"II regressed: {label} {old_ii} -> {new_ii}")
         quality_regressed = True
     elif old_ii is not None and new_ii < old_ii:

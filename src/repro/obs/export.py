@@ -12,12 +12,17 @@ Every event carries ``name``/``ph``/``ts``/``pid``/``tid`` (plus ``cat``
 and ``args``); :func:`validate_trace_events` enforces that contract and
 the span-nesting discipline, and is what ``python -m repro trace --check``
 and the CI smoke lane run.
+
+:func:`atomic_write_text` is the one crash-safe file writer: the result
+cache and the run-history store both publish through it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import tempfile
 from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from .recorder import PHASES, TraceRecorder
@@ -25,6 +30,28 @@ from .recorder import PHASES, TraceRecorder
 PathLike = Union[str, pathlib.Path]
 
 REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
+
+
+def atomic_write_text(path: PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` all at once or not at all.
+
+    The text goes to a ``*.tmp`` file in the same directory, renamed over
+    ``path`` once complete: a writer killed at any point leaves either
+    the old file or the new one, plus at worst a stale ``*.tmp`` that no
+    reader globs (the cache's ``prune`` collects them).
+    """
+    path = pathlib.Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def write_jsonl(

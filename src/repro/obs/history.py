@@ -14,7 +14,9 @@ A per-name ``index.json`` summarises the series (file, created_at, git
 SHA, code version, cell count) — it is what the trend layer and the CI
 history cache key read, and it is always regenerated from the record
 files themselves, so records written by other processes (or restored
-from a CI cache) are picked up on the next append or reindex.
+from a CI cache) are picked up on the next append or reindex.  Records
+and the index are written atomically (temp file + rename), so a writer
+killed mid-append leaves no partial record and no truncated index.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
+from .export import atomic_write_text
 from .provenance import provenance
 
 DEFAULT_HISTORY_DIR = pathlib.Path("benchmarks") / "history"
@@ -99,7 +102,7 @@ class HistoryStore:
         while path.exists():
             serial += 1
             path = directory / f"{stem}-{serial}.json"
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
         self.reindex(name)
         return path
 
@@ -112,7 +115,7 @@ class HistoryStore:
         }
         path = self.root / name / "index.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(index, indent=1, sort_keys=True) + "\n")
+        atomic_write_text(path, json.dumps(index, indent=1, sort_keys=True) + "\n")
         return path
 
     # -- reading -------------------------------------------------------

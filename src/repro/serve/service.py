@@ -15,9 +15,11 @@ mode and the tests all drive this one object.  A request travels:
    ``queue_limit`` distinct solves are outstanding; hits and attachments
    never are;
 3. **execution** — cells fan out to the persistent worker pool
-   (:mod:`repro.serve.workers`), per-request budgets enforced in-worker
-   with the pool watchdog as backstop; results stream back to every
-   waiter as they finish, write-through cached on the way.
+   (:mod:`repro.exec.pool`, the one process pool the batch engine runs
+   on too), per-request budgets enforced in-worker with the pool
+   watchdog as backstop; results stream back to every waiter as they
+   finish, write-through cached on the way under the batch engine's
+   caching rule (:func:`repro.exec.cache.cache_result`).
 
 Budgets follow the anytime-solver contract from the combinatorial
 scheduling literature: every request carries (or inherits) a wall-clock
@@ -32,18 +34,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..exec.cache import DEFAULT_CACHE_DIR, ScheduleCache
+from ..exec.cache import DEFAULT_CACHE_DIR, ScheduleCache, cache_result, cached_hit
 from ..exec.cells import Cell
+from ..exec.pool import WorkerPool
 from ..exec.runner import ExecEngine
 from ..obs.recorder import get_recorder
 from ..obs.service import ServiceMetrics, SlowRequestLog
 from .cachetier import LRUCache, TieredCache
 from .protocol import ProtocolError, ScheduleRequest, error_response, ok_response
-from .workers import DEFAULT_GRACE, WorkerPool
-
-#: Drop the engine's loop-fingerprint memo past this many entries (fuzz
-#: tokens are one-shot keys; corpus keys simply re-fingerprint).
-_FP_MEMO_LIMIT = 4096
 
 
 @dataclass
@@ -57,7 +55,6 @@ class ServeConfig:
     lru_bytes: int = 64 << 20
     default_budget: float = 60.0       # per-request deadline when unset
     max_budget: float = 300.0          # server-side clamp on request budgets
-    watchdog_grace: float = DEFAULT_GRACE
     drain_timeout: float = 60.0        # max seconds to wait for in-flight work
     # Telemetry: NDJSON slow-request log (None = off), its latency
     # threshold, and the period of the queue-depth/hit-rate gauge sampler
@@ -119,9 +116,9 @@ class SchedulerService:
         self.config = config or ServeConfig()
         self.metrics = ServiceMetrics()
         self.cache = self.config.build_cache()
-        self.pool = WorkerPool(self.config.jobs, grace=self.config.watchdog_grace)
-        # key_of needs loop fingerprints; reuse the engine's memoised
-        # hashing (the engine itself never runs cells here).
+        self.pool = WorkerPool(self.config.jobs)
+        # key_of needs loop fingerprints; reuse the engine's bounded,
+        # memoised hashing (the engine itself never runs cells here).
         self._keyer = ExecEngine(jobs=1, cache=None)
         self._inflight: Dict[str, _Flight] = {}
         self._tasks: "set[asyncio.Task]" = set()
@@ -226,8 +223,6 @@ class SchedulerService:
         miss while ``queue_limit`` solves are outstanding — or ``None``
         once the request's future is resolved or has a solve behind it.
         """
-        if len(self._keyer._loop_fps) > _FP_MEMO_LIMIT:
-            self._keyer.forget_loop_fingerprints()
         request_id = pending.request.id
         try:
             key = self._keyer.key_of(pending.cell)
@@ -248,10 +243,7 @@ class SchedulerService:
                 self.metrics.memory_hits += 1
             else:
                 self.metrics.disk_hits += 1
-            payload = dict(payload)
-            payload["cache_hit"] = True
-            payload["cache_key"] = key
-            pending.resolve(ok_response(request_id, payload, cached=tier))
+            pending.resolve(ok_response(request_id, cached_hit(payload, key), cached=tier))
         elif len(self._inflight) >= self.config.queue_limit:
             self.metrics.shed += 1
             # Outstanding solves are budget-bounded and clear at pool rate;
@@ -340,15 +332,9 @@ class SchedulerService:
 
     async def _solve(self, flight: _Flight) -> None:
         try:
-            hard = None
-            if flight.cell.timeout is not None:
-                hard = flight.cell.timeout + self.config.watchdog_grace
-            payload = await self.pool.run(flight.cell.to_dict(), hard)
-            payload["cache_key"] = flight.key
-            if not payload.get("error"):
-                store = dict(payload)
-                store["cache_hit"] = False
-                self.cache.put(flight.key, store)
+            payload = cache_result(
+                self.cache, flight.key, await self.pool.run(flight.cell.to_dict())
+            )
             self.metrics.worker_respawns = self.pool.respawns
             for i, pending in enumerate(flight.waiters):
                 pending.resolve(ok_response(

@@ -45,9 +45,13 @@ OPTION_STRINGS = {
               "--port", "--queue-limit", "--requests", "--seed", "--selftest",
               "--slow-log", "--slow-ms", "--unix"],
     "cache": ["--cache-dir", "--json", "--max-bytes", "--max-mb", "--prune"],
+    # Still parsed by their own modules' ``main`` (not ``_parse``).
+    "diff": ["--history-dir", "--json", "--name", "--strict", "--time-tolerance",
+             "--trend", "--verbose", "-v"],
+    "trend": ["--check", "--history-dir", "--json", "--last", "--verbose", "-v"],
 }
 
-#: The shared flags' per-command defaults.
+#: The shared flags' per-command defaults (every flag, for diff and trend).
 DEFAULTS = {
     "": {"--ilp-seconds": 10.0, "--jobs": 1, "--cache-dir": None, "--no-cache": False},
     "verify": {"--ilp-seconds": 2.0},
@@ -65,6 +69,10 @@ DEFAULTS = {
     "serve": {"--jobs": 2, "--cache-dir": ".exec-cache", "--no-cache": False, "--seed": 0,
               "--history-dir": None},
     "cache": {"--cache-dir": ".exec-cache", "--json": False},
+    "diff": {"--name": "pipeline", "--time-tolerance": 2.0, "--strict": False,
+             "--trend": False, "--history-dir": None, "--verbose": False, "--json": None},
+    "trend": {"--history-dir": "benchmarks/history", "--last": 20, "--check": False,
+              "--json": None, "--verbose": False},
 }
 
 
@@ -102,6 +110,19 @@ def test_shared_flag_defaults_are_per_command(monkeypatch, command):
     actions = _actions(_parser(monkeypatch, command))
     got = {option: actions[option].default for option in DEFAULTS[command]}
     assert got == DEFAULTS[command]
+
+
+def test_diff_and_trend_positionals(monkeypatch):
+    positionals = {
+        command: [(action.dest, action.nargs, action.default)
+                  for action in _parser(monkeypatch, command)._actions
+                  if not action.option_strings]
+        for command in ("diff", "trend")
+    }
+    assert positionals == {
+        "diff": [("old", None, None), ("new", None, None)],
+        "trend": [("name", "?", "pipeline")],
+    }
 
 
 def _no_loops(monkeypatch):

@@ -101,6 +101,18 @@ class TestDiffReports:
         assert "new timeout" in text
         assert "new fallback" in text
 
+    def test_a_cell_without_a_schedule_in_both_runs_is_clean(self):
+        # A scheduler that gives up on a loop (RAU on mdljdp2) gives up
+        # again: same inputs, same None — nothing regressed.
+        gave_up = dict(success=False, ii=None, sim_cycles={})
+        old = _payload([_cell(**gave_up), _cell(loop="b")])
+        diff = diff_reports(old, _payload([_cell(**gave_up), _cell(loop="b")]))
+        assert diff.ok, diff.regressions
+        assert {c.status for c in diff.cells} == {"unchanged"}
+        # Losing a schedule still regresses.
+        lost = diff_reports(_payload([_cell()]), _payload([_cell(**gave_up)]))
+        assert any("II regressed" in r and "4 -> None" in r for r in lost.regressions)
+
     def test_removed_cell_regresses_added_cell_informs(self):
         old = _payload([_cell(), _cell(loop="b")])
         new = _payload([_cell(), _cell(loop="c")])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.exec import (
     fingerprint_machine,
     resolve_loop,
 )
+from repro.exec import pool as pool_module
 from repro.exec.cells import LOOP_SOURCES
 from repro.machine import r8000
 from repro.most.scheduler import MostOptions
@@ -223,6 +225,50 @@ class TestEngine:
         assert crashy.attempts == 2
         assert results[cells[1]].success  # the bystander cell still finished
 
+    def test_a_worker_crash_reruns_only_its_own_cell(self, tmp_path):
+        """Two crashers among six bystanders: only the crashers run twice."""
+        crashers = [
+            Cell.make(key, "sgi", {"_test_crash_once": str(tmp_path / key[-6:])},
+                      simulate=False, verify=False)
+            for key in ("livermore:lk12_firstdiff", "livermore:lk06_linrec")
+        ]
+        bystanders = [
+            Cell.make(f"livermore:{name}", "sgi", simulate=False, verify=False)
+            for name in ("lk01_hydro", "lk03_inner", "lk05_tridiag", "lk07_eos",
+                         "lk11_firstsum", "lk24_firstmin")
+        ]
+        results = ExecEngine(jobs=2).run(crashers + bystanders)
+        for cell in bystanders:
+            assert results[cell].success and results[cell].error is None, cell.label
+            assert results[cell].attempts == 1, cell.label
+        for cell in crashers:
+            assert results[cell].success and results[cell].error is None, cell.label
+            assert results[cell].attempts == 2, cell.label
+
+    def test_pool_kills_a_cell_stuck_out_of_the_alarms_reach(self, monkeypatch):
+        """A wedged cell comes back as a hard timeout ``GRACE`` past its
+        deadline; the engine neither hangs nor retries it."""
+        monkeypatch.setattr(pool_module, "GRACE", 1.5)
+        wedged = Cell.make("livermore:lk12_firstdiff", "sgi", {"_test_wedge": 60},
+                           timeout=1.0, simulate=False, verify=False)
+        others = [
+            Cell.make(f"livermore:{name}", "sgi", simulate=False, verify=False)
+            for name in ("lk01_hydro", "lk03_inner", "lk07_eos")
+        ]
+        results = {}
+        engine = threading.Thread(
+            target=lambda: results.update(ExecEngine(jobs=2).run([wedged, *others])),
+            daemon=True,
+        )
+        engine.start()
+        engine.join(timeout=30)
+        assert not engine.is_alive(), "the engine hung on a wedged worker"
+        stuck = results[wedged]
+        assert stuck.timeout and not stuck.success
+        assert "hard deadline" in stuck.error and stuck.attempts == 1
+        for cell in others:
+            assert results[cell].success and results[cell].error is None, cell.label
+
     def test_crash_with_no_retries_becomes_error(self, tmp_path):
         """A worker death past the retry budget is recorded, not looped."""
         marker = tmp_path / "m"
@@ -255,6 +301,20 @@ class TestEngine:
         cell = Cell.make("livermore:lk12_firstdiff", "sgi", verify=False)
         assert engine._effective(cell).timeout == 60.0
         assert engine._effective(cell.from_dict({**cell.to_dict(), "timeout": 5.0})).timeout == 5.0
+
+    def test_key_of_bounds_its_loop_fingerprint_memo(self, monkeypatch):
+        import repro.exec.runner as runner
+
+        monkeypatch.setattr(runner, "_LOOP_FP_LIMIT", 2)
+        engine = ExecEngine(jobs=1)
+        cells = [
+            Cell.make(f"livermore:{name}", "sgi", verify=False)
+            for name in ("lk01_hydro", "lk03_inner", "lk07_eos")
+        ]
+        keys = [engine.key_of(cell) for cell in cells]
+        assert len(engine._loop_fps) <= 2
+        # Starting over never changes a key.
+        assert keys == [ExecEngine(jobs=1).key_of(cell) for cell in cells]
 
     def test_progress_stream(self, tmp_path):
         seen = []

@@ -13,7 +13,9 @@ import threading
 
 import pytest
 
+from repro.exec import pool as pool_module
 from repro.exec.cells import Cell
+from repro.exec.pool import WorkerPool
 from repro.exec.runner import execute_cell
 from repro.obs.service import LatencyStats, ServiceMetrics
 from repro.serve.protocol import (
@@ -25,7 +27,6 @@ from repro.serve.protocol import (
     parse_schedule_request,
 )
 from repro.serve.service import SchedulerService, ServeConfig
-from repro.serve.workers import WorkerPool
 
 LOOP = "livermore:lk01_hydro"
 
@@ -161,9 +162,10 @@ def test_serve_config_needs_a_worker_process():
         ServeConfig(jobs=0)
 
 
-def test_pool_watchdog_kills_and_respawns_a_wedged_worker():
+def test_pool_watchdog_kills_and_respawns_a_wedged_worker(monkeypatch):
+    monkeypatch.setattr(pool_module, "GRACE", 0.5)
     spec = Cell.make(
-        LOOP, "sgi", {"_test_sleep": 30}, timeout=60,
+        LOOP, "sgi", {"_test_wedge": 30}, timeout=0.5,
         simulate=False, verify=False,
     ).to_dict()
     healthy = Cell.make(LOOP, "sgi", simulate=False, verify=False).to_dict()
@@ -171,7 +173,7 @@ def test_pool_watchdog_kills_and_respawns_a_wedged_worker():
     async def scenario():
         pool = WorkerPool(jobs=1)
         try:
-            wedged = await pool.run(spec, hard_timeout=0.5)
+            wedged = await pool.run(spec)
             respawns = pool.respawns
             after = await pool.run(healthy)
         finally:
