@@ -68,8 +68,9 @@ bench-tests:
 	$(PYTHON) -m pytest benchmarks -q
 
 # The perf CI lane: pinned-seed hot-path microbenchmarks (MRT probing,
-# distance tables, one B&B search) gated against the committed
-# benchmarks/baseline/BENCH_micro.json (warn >1.5x, fail >3x).  Refresh
+# distance tables, one B&B search) diffed against the committed
+# benchmarks/baseline/BENCH_micro.json, judged by the `micro` row of
+# repro.obs.trend.TOLERANCES.  Refresh
 # the baseline after intentional perf changes with
 # `python benchmarks/test_micro_hotpaths.py --update-baseline`.
 bench-micro:
@@ -97,7 +98,8 @@ analyze:
 	$(PYTHON) -m repro analyze recbound --check
 
 # The CI regression gate: attributed diff of the latest bench output
-# against the committed baseline; exits non-zero on quality regressions.
+# against the committed baseline; exits non-zero on quality regressions
+# (timings are judged by repro.obs.trend.TOLERANCES and only warn here).
 diff-strict:
 	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output --strict
 
@@ -112,9 +114,10 @@ report-smoke:
 
 # Statistical trend verdicts over the run-history store: every metric
 # series of the last 20 stored runs classified as stable / noisy / drift
-# / step_change, changepoints attributed to commit ranges.  Warn-only
-# here (history depth varies between checkouts); `repro diff --trend`
-# is the gate that escalates a fresh step_change to a regression.
+# / step_change, changepoints attributed to commit ranges (series with
+# fewer runs are judged by repro.obs.trend.TOLERANCES).  Warn-only here
+# (history depth varies between checkouts); `repro diff --trend` is the
+# gate that escalates a fresh step_change to a regression.
 trend:
 	$(PYTHON) -m repro trend pipeline
 	$(PYTHON) -m repro trend service

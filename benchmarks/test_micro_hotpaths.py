@@ -9,10 +9,10 @@ Two entry points:
 
 * ``pytest benchmarks/test_micro_hotpaths.py`` (or ``make bench-micro``)
   runs the suite, writes ``benchmarks/output/BENCH_micro.json``, and
-  compares against the committed ``benchmarks/baseline/BENCH_micro.json``
-  with deliberately generous thresholds — warn above 1.5x, fail above
-  3x — so CI-runner noise doesn't flake the lane while real hot-path
-  regressions still can't land silently.
+  diffs it against the committed ``benchmarks/baseline/BENCH_micro.json``
+  with ``repro diff``: the ``micro`` row of ``repro.obs.trend.TOLERANCES``
+  is generous enough that CI-runner noise doesn't flake the lane while
+  real hot-path regressions still can't land silently.
 * ``python benchmarks/test_micro_hotpaths.py --update-baseline`` refreshes
   the committed baseline after an intentional perf change.
 
@@ -40,13 +40,13 @@ from repro.core.minii import min_ii  # noqa: E402
 from repro.core.priorities import order_by_name  # noqa: E402
 from repro.machine.descriptions import r8000  # noqa: E402
 from repro.machine.resources import ModuloReservationTable  # noqa: E402
+from repro.obs.diffbench import diff_reports  # noqa: E402
+from repro.obs.export import atomic_write_text  # noqa: E402
 from repro.workloads.livermore import livermore_kernels  # noqa: E402
 
 OUTPUT_PATH = REPO_ROOT / "benchmarks" / "output" / "BENCH_micro.json"
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline" / "BENCH_micro.json"
 
-WARN_RATIO = 1.5
-FAIL_RATIO = 3.0
 REPEATS = 5
 
 
@@ -145,50 +145,21 @@ def build_report(benches: Dict[str, float]) -> Dict:
     }
 
 
-def write_report(benches: Dict[str, float], path: pathlib.Path = OUTPUT_PATH) -> pathlib.Path:
-    payload = build_report(benches)
+def write_report(payload: Dict, path: pathlib.Path = OUTPUT_PATH) -> pathlib.Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
 
 
-def compare_to_baseline(
-    benches: Dict[str, float], baseline_path: pathlib.Path = BASELINE_PATH
-) -> Dict[str, Dict[str, float]]:
-    """Per-kernel ratio vs the committed baseline, with verdicts."""
-    if not baseline_path.exists():
-        return {}
-    baseline = json.loads(baseline_path.read_text())["benches"]
-    report: Dict[str, Dict[str, float]] = {}
-    for name, fresh in benches.items():
-        base = baseline.get(name)
-        if base is None or base <= 0:
-            continue
-        ratio = fresh / base
-        verdict = "ok" if ratio <= WARN_RATIO else ("warn" if ratio <= FAIL_RATIO else "fail")
-        report[name] = {"fresh": fresh, "baseline": base, "ratio": ratio, "verdict": verdict}
-    return report
-
-
 def test_micro_hotpaths_within_baseline():
-    """The perf gate: no kernel may drift past 3x its committed baseline."""
-    benches = run_micro_bench()
-    write_report(benches)
-    comparison = compare_to_baseline(benches)
-    failed = []
-    for name, entry in sorted(comparison.items()):
-        line = (
-            f"{name}: {entry['fresh']*1e3:.2f}ms vs baseline "
-            f"{entry['baseline']*1e3:.2f}ms ({entry['ratio']:.2f}x)"
-        )
-        print(line)
-        if entry["verdict"] == "fail":
-            failed.append(line)
-        elif entry["verdict"] == "warn":
-            warnings.warn(f"perf drift (above {WARN_RATIO}x, below {FAIL_RATIO}x): {line}")
-    assert not failed, (
-        f"hot-path kernels regressed past the {FAIL_RATIO}x gate:\n" + "\n".join(failed)
-    )
+    """The perf gate: ``repro diff`` of the fresh run against the baseline."""
+    fresh = build_report(run_micro_bench())
+    write_report(fresh)
+    diff = diff_reports(json.loads(BASELINE_PATH.read_text()), fresh)
+    print(diff.formatted())
+    for line in diff.warnings:
+        warnings.warn(f"perf drift: {line}")
+    assert diff.ok, "hot-path kernels regressed:\n" + "\n".join(diff.regressions)
 
 
 def main(argv=None) -> int:
@@ -209,26 +180,23 @@ def main(argv=None) -> int:
         "(e.g. benchmarks/history); off by default",
     )
     args = parser.parse_args(argv)
-    benches = run_micro_bench(args.repeats)
-    path = write_report(benches)
+    fresh = build_report(run_micro_bench(args.repeats))
+    path = write_report(fresh)
     print(f"wrote {path}")
     if args.history_dir:
         from repro.obs.history import append_history
 
-        record = append_history(build_report(benches), history_dir=args.history_dir)
+        record = append_history(fresh, history_dir=args.history_dir)
         print(f"history record {record}")
-    for name, seconds in sorted(benches.items()):
+    for name, seconds in sorted(fresh["benches"].items()):
         print(f"  {name}: {seconds*1e3:.2f}ms")
     if args.update_baseline:
-        write_report(benches, BASELINE_PATH)
+        write_report(fresh, BASELINE_PATH)
         print(f"baseline refreshed at {BASELINE_PATH}")
         return 0
-    bad = 0
-    for name, entry in sorted(compare_to_baseline(benches).items()):
-        marker = {"ok": " ", "warn": "~", "fail": "!"}[entry["verdict"]]
-        print(f"{marker} {name}: {entry['ratio']:.2f}x baseline")
-        bad += entry["verdict"] == "fail"
-    return 1 if bad else 0
+    diff = diff_reports(json.loads(BASELINE_PATH.read_text()), fresh)
+    print(diff.formatted())
+    return 0 if diff.ok else 1
 
 
 if __name__ == "__main__":

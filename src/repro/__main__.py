@@ -36,7 +36,6 @@ scheduler source invalidates exactly the affected cells).
 from __future__ import annotations
 
 import argparse
-import importlib
 import pathlib
 import sys
 import time
@@ -57,6 +56,7 @@ from .eval import (
     sec5_scalability,
 )
 from .exec.cache import DEFAULT_CACHE_DIR
+from .obs.export import atomic_write_text
 from .schedulers import REGISTRY
 
 EXPERIMENTS = {
@@ -189,7 +189,7 @@ def _print_or_write(json_out: Optional[str], payload: str, text: str) -> None:
     if json_out:
         path = pathlib.Path(json_out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(payload + "\n")
+        atomic_write_text(path, payload + "\n")
         print(f"wrote {path}")
 
 
@@ -855,9 +855,96 @@ def _cache_main(argv) -> int:
     return 0
 
 
-def _delegate(module: str) -> Callable[[Any], int]:
-    """A subcommand whose parser lives in ``module`` (its ``main``)."""
-    return lambda argv: importlib.import_module(module, __package__).main(argv)
+def _diff_main(argv) -> int:
+    """``python -m repro diff <old> <new>``: the attributed regression gate."""
+    import json as _json
+
+    from .obs.diffbench import diff_reports, load_bench
+
+    _, args = _parse(
+        "diff",
+        "Attributed diff of two BENCH_*.json runs",
+        argv,
+        [
+            ("old", dict(help="baseline bench json (file or directory)")),
+            ("new", dict(help="fresh bench json (file or directory)")),
+            ("--name", dict(default="pipeline", help="which BENCH_<name>.json to resolve "
+                            "when old/new are directories (default: %(default)s; e.g. "
+                            "'service')")),
+            ("--strict", dict(action="store_true",
+                              help="exit 1 on regressions (default: warn only)")),
+            ("--trend", dict(action="store_true", help="judge timings over the stored run "
+                             "history plus the fresh run instead of the pair: a "
+                             "timing/latency step change starting at this run is a "
+                             "regression")),
+            ("-v --verbose", dict(action="store_true",
+                                  help="list every aligned cell, changed or not")),
+        ],
+        helps={
+            "history_dir": "run-history root for --trend (default: benchmarks/history)",
+            "json_out": "write the full diff as JSON to this path ('-' for stdout)",
+        },
+        history_dir=None, json_out=None,
+    )
+    new = load_bench(args.new, args.name)
+    history = None
+    if args.trend:
+        from .obs.trend import trend_report
+
+        history = trend_report(
+            args.name, args.history_dir or "benchmarks/history", fresh=new
+        )
+    diff = diff_reports(load_bench(args.old, args.name), new, history)
+    _print_or_write(
+        args.json_out,
+        _json.dumps(diff.to_dict(), indent=1, sort_keys=True),
+        diff.formatted(verbose=args.verbose),
+    )
+    if diff.regressions and args.strict:
+        return 1
+    if diff.regressions:
+        print(
+            f"({len(diff.regressions)} regressions; warn-only, pass --strict to fail)",
+            file=sys.stderr if args.json_out == "-" else sys.stdout,
+        )
+    return 0
+
+
+def _trend_main(argv) -> int:
+    """``python -m repro trend <name>``: trend verdicts over the run history."""
+    import json as _json
+
+    from .obs.trend import trend_report
+
+    _, args = _parse(
+        "trend",
+        "Classify every metric series of a stored run history as stable, noisy, "
+        "drift or step_change (with the changepoint attributed to a commit range).",
+        argv,
+        [
+            ("name", dict(nargs="?", default="pipeline", help="history series to judge: "
+                          "pipeline, service, micro, sweep_<corpus>, ... (default: "
+                          "%(default)s)")),
+            ("--last", dict(type=int, default=20, metavar="N", help="judge only the most "
+                            "recent N stored runs (default: %(default)s)")),
+            ("--check", dict(action="store_true", help="exit 1 when any series regressed "
+                             "(timings/latency up, II up, hit rate down)")),
+            ("-v --verbose", dict(action="store_true",
+                                  help="list every series, stable ones included")),
+        ],
+        helps={"json_out": "write the full report as JSON ('-' for stdout)"},
+        history_dir="benchmarks/history", json_out=None,
+    )
+    report = trend_report(args.name, history_dir=args.history_dir, last=args.last)
+    _print_or_write(
+        args.json_out,
+        _json.dumps(report.to_dict(), indent=1, sort_keys=True),
+        report.formatted(verbose=args.verbose),
+    )
+    if not report.runs:
+        print(f"no stored runs for {args.name!r} under {args.history_dir}", file=sys.stderr)
+        return 0
+    return 1 if args.check and not report.ok else 0
 
 
 #: Every subcommand beside the experiment runner, by name.
@@ -868,8 +955,8 @@ SUBCOMMANDS: Dict[str, Callable[[Any], int]] = {
     "trace": _trace_main,
     "explain": _explain_main,
     "analyze": _analyze_main,
-    "diff": _delegate(".obs.diffbench"),
-    "trend": _delegate(".obs.trend"),
+    "diff": _diff_main,
+    "trend": _trend_main,
     "report": _report_main,
     "fuzz": _fuzz_main,
     "serve": _serve_main,

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..obs.export import atomic_write_text
 from ..obs.history import append_history
 from ..obs.provenance import provenance
 from ..obs.report import geomean
@@ -65,10 +66,6 @@ class BenchOptions:
     # a binding-constraint explanation embedded in its BENCH record, and
     # the summary counts cells per binding class.
     explain: bool = False
-    # Certified refined II lower bounds (repro.analyze): every cell records
-    # its loop's refined bound and certificate payload, so a BENCH json is
-    # auditable against the certified floor after the fact.
-    analyze: bool = True
     # Run-history store (repro.obs.history): when set, the finished BENCH
     # payload is also filed as a timestamped record under this root so the
     # trend layer (``repro trend``) has a longitudinal series.  None keeps
@@ -119,7 +116,10 @@ def bench_cells(options: BenchOptions) -> List[Cell]:
             trace=options.trace,
             trace_dir=options.trace_dir,
             explain=options.explain,
-            analyze=options.analyze,
+            # Every cell records its loop's certified refined II lower bound,
+            # so a BENCH json is auditable against the certified floor;
+            # ``repro analyze --json`` regenerates the certificates.
+            analyze=True,
         )
         for corpus in options.corpora
         for key in corpus_loop_keys(corpus)
@@ -258,7 +258,7 @@ def write_bench_json(payload: Dict, output_dir=DEFAULT_OUTPUT_DIR, name: Optiona
     output_dir = pathlib.Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     path = output_dir / f"BENCH_{name or payload['name']}.json"
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
 
 

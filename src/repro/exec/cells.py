@@ -170,8 +170,9 @@ class Cell:
     simulation against the sequential reference into ``funcsim_ok`` — and
     also participates in the cache key.  ``analyze`` computes the certified
     refined II lower bound (:mod:`repro.analyze`) on the pristine loop and
-    stores it (plus the full certificate payload) in the result; it changes
-    the result payload and therefore participates in the cache key.
+    stores the bound in the result (``repro analyze --json`` regenerates its
+    certificates); it changes the result payload and therefore participates
+    in the cache key.
     """
 
     loop: str
@@ -319,11 +320,9 @@ class CellResult:
     funcsim_ok: Optional[bool] = None
     funcsim_detail: str = ""
     # Certified refined II lower bound (repro.analyze) when the cell was run
-    # with ``analyze=True``: the bound itself and the full LoopBounds payload
-    # (certificates included), both computed on the pristine loop before any
-    # seeded fault injection.
+    # with ``analyze=True``, computed on the pristine loop before any seeded
+    # fault injection.
     refined_bound: Optional[int] = None
-    bounds: Optional[Dict[str, Any]] = None
     # Portfolio cells only: per-backend solve seconds and the (II, backend,
     # answer) probe trail the cross-backend agreement oracle audits.
     backend_seconds: Dict[str, float] = field(default_factory=dict)
@@ -373,7 +372,6 @@ class CellResult:
             "funcsim_ok": self.funcsim_ok,
             "funcsim_detail": self.funcsim_detail,
             "refined_bound": self.refined_bound,
-            "bounds": self.bounds,
             "backend_seconds": dict(self.backend_seconds),
             "backend_probes": list(self.backend_probes),
             "cache_hit": self.cache_hit,

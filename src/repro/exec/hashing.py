@@ -142,7 +142,7 @@ def cell_key(
     a binding-constraint attribution payload.  So does ``oracle``: oracle
     results carry independent-verification and functional-sim verdicts.
     ``analyze`` likewise: analyzed results carry the certified refined II
-    lower bound and its certificate payload.
+    lower bound.
     """
     return _sha256(
         {

@@ -130,9 +130,7 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
         # not a corrupted copy the scheduler happens to see.
         from ..analyze.bounds import compute_bounds
 
-        bounds = compute_bounds(loop, machine)
-        out.refined_bound = bounds.refined_bound
-        out.bounds = bounds.to_dict()
+        out.refined_bound = compute_bounds(loop, machine).refined_bound
     trips_list: List[Optional[int]] = [None, *cell.trips] if cell.simulate else []
 
     # Seeded fault injection (fuzz-oracle calibration): corrupt what the

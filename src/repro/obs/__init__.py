@@ -14,7 +14,8 @@ The observability subsystem for all three pipeliners.  Three layers:
   (recurrence, resource, register pressure, bank pairing, search budget)
   binds each loop's achieved II, behind ``python -m repro explain``.
 * :mod:`repro.obs.diffbench` — BENCH_*.json regression diffing with
-  cause attribution, behind ``python -m repro diff``.
+  cause attribution, behind ``python -m repro diff``; its timing
+  verdicts come from :mod:`repro.obs.trend`.
 * :mod:`repro.obs.service` — request latency percentiles, queue depth,
   load-shedding and cache-tier counters for the scheduling daemon
   (:mod:`repro.serve`), rendered into ``BENCH_service.json``, plus the
@@ -27,7 +28,8 @@ The observability subsystem for all three pipeliners.  Three layers:
   statistics (Mann–Whitney U, Cliff's delta, bootstrap CIs, Kendall
   tau) and the per-series trend verdicts (stable / noisy / drift /
   step_change with commit-range attribution) behind
-  ``python -m repro trend`` and ``repro diff --trend``.
+  ``python -m repro trend`` and ``repro diff --trend``; ``TOLERANCES``
+  there is the one regression policy for timing, latency and rate.
 * :mod:`repro.obs.html` — the self-contained ``report.html`` dashboard
   behind ``python -m repro report --html``.
 

@@ -18,10 +18,12 @@ moved:
     Same options and code version yet a different ``cache_key``: the loop
     IR (or machine description) itself changed under the cell.
 
-Quality rules are machine-independent: a raised or vanished II, a new
-timeout/fallback/error, higher simulated cycles, or a disappeared cell is
-a **regression**; per-scheduler schedule time is compared against a
-generous tolerance and only ever warned about.  ``python -m repro diff <old> <new> [--strict]`` is the CLI.
+Quality rules are strict, pairwise and machine-independent: a raised or
+vanished II, a new timeout/fallback/error, higher simulated cycles, or a
+disappeared cell is a **regression**.  Timing, latency and rate numbers
+(schedule time, service latency, micro kernels) are judged by the one
+regression policy in :mod:`repro.obs.trend` (``TOLERANCES``).
+``python -m repro diff <old> <new> [--strict] [--trend]`` is the CLI.
 """
 
 from __future__ import annotations
@@ -31,12 +33,8 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-DEFAULT_TIME_TOLERANCE = 2.0
-
-#: Service request latencies are millisecond-scale and dominated by event
-#: loop and queueing noise, so their warn threshold is wider than the
-#: schedule-time one.
-SERVICE_LATENCY_TOLERANCE = 5.0
+from .history import RunRecord
+from .trend import TrendReport, build_trend, judge
 
 #: Numeric per-cell fields worth a delta line in the report.
 DELTA_FIELDS = (
@@ -119,6 +117,8 @@ class BenchDiff:
     regressions: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     infos: List[str] = field(default_factory=list)
+    #: The history trend the timing verdicts came from (``--trend``).
+    trend: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -144,6 +144,7 @@ class BenchDiff:
             "warnings": self.warnings,
             "infos": self.infos,
             "cells": [c.to_dict() for c in self.cells],
+            "trend": self.trend,
         }
 
     def formatted(self, verbose: bool = False) -> str:
@@ -230,9 +231,14 @@ def _align(
 def diff_reports(
     old: Mapping[str, Any],
     new: Mapping[str, Any],
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE,
+    history: Optional[TrendReport] = None,
 ) -> BenchDiff:
-    """Align and attribute two BENCH payloads."""
+    """Align and attribute two BENCH payloads.
+
+    Timing verdicts come from :func:`repro.obs.trend.judge`: over
+    ``history`` (stored runs ending with ``new``) when given, else over
+    the two payloads.
+    """
     diff = BenchDiff(
         old_name=old.get("name", "old"),
         new_name=new.get("name", "new"),
@@ -266,7 +272,15 @@ def diff_reports(
         delta = _diff_cell(old_cell, new_cell, code_changed, diff)
         diff.cells.append(delta)
 
-    _time_warnings(old, new, time_tolerance, diff)
+    if history is None:
+        history = build_trend(diff.new_name, [
+            RunRecord.of(old, diff.old_name), RunRecord.of(new, diff.new_name),
+        ])
+    else:
+        diff.trend = history.to_dict()
+    regressions, warnings = judge(history)
+    diff.regressions.extend(regressions)
+    diff.warnings.extend(warnings)
     diff.cells.sort(key=lambda c: (c.loop, c.scheduler))
     return diff
 
@@ -361,163 +375,3 @@ def _diff_cell(
             + ", ".join(sorted(set(delta.deltas) - {"schedule_seconds", "wall_seconds"}))
         )
     return delta
-
-
-def _time_warnings(
-    old: Mapping[str, Any],
-    new: Mapping[str, Any],
-    time_tolerance: float,
-    diff: BenchDiff,
-) -> None:
-    """Per-scheduler schedule time, warn-only (machines differ)."""
-    old_by = (old.get("totals", {}) or {}).get("by_scheduler", {})
-    new_by = (new.get("totals", {}) or {}).get("by_scheduler", {})
-    for scheduler in sorted(set(old_by) & set(new_by)):
-        old_t = old_by[scheduler].get("schedule_seconds", 0.0)
-        new_t = new_by[scheduler].get("schedule_seconds", 0.0)
-        if old_t > 0 and new_t > old_t * time_tolerance:
-            diff.warnings.append(
-                f"schedule time up {new_t / old_t:.1f}x for {scheduler}: "
-                f"{old_t:.2f}s -> {new_t:.2f}s (tolerance {time_tolerance:.1f}x)"
-            )
-
-    # Service runs (BENCH_service.json) also carry request-latency
-    # percentiles; latency is as machine-dependent as schedule time, so
-    # the same warn-only treatment applies.
-    old_svc = (old.get("totals", {}) or {}).get("service") or {}
-    new_svc = (new.get("totals", {}) or {}).get("service") or {}
-    old_lat = old_svc.get("latency_ms") or {}
-    new_lat = new_svc.get("latency_ms") or {}
-    latency_tolerance = max(time_tolerance, SERVICE_LATENCY_TOLERANCE)
-    for name in ("p50_ms", "p99_ms"):
-        old_v, new_v = old_lat.get(name), new_lat.get(name)
-        if old_v and new_v and new_v > old_v * latency_tolerance:
-            diff.warnings.append(
-                f"service latency {name[:-3]} up {new_v / old_v:.1f}x: "
-                f"{old_v:.1f}ms -> {new_v:.1f}ms "
-                f"(tolerance {latency_tolerance:.1f}x)"
-            )
-
-
-def diff_paths(
-    old_path,
-    new_path,
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE,
-    name: str = "pipeline",
-) -> BenchDiff:
-    """Diff two bench files (or directories holding them)."""
-    return diff_reports(
-        load_bench(old_path, name), load_bench(new_path, name), time_tolerance
-    )
-
-
-def apply_trend_gating(diff: BenchDiff, trend_report) -> Dict[str, Any]:
-    """Upgrade warn-only timing deltas using the history trend layer.
-
-    A pairwise timing delta is warn-only because two runs cannot tell
-    noise from a real shift.  When the stored history classifies a
-    timing/latency/rate series as a *step change that starts at the fresh
-    run*, the evidence is no longer pairwise — that metric becomes a
-    regression (gated by ``--strict`` exactly like quality fields).
-    Bad-direction drifts and steps attributed to older runs stay
-    warnings, since the fresh run did not introduce them.
-    """
-    fresh_index = len(trend_report.runs) - 1
-    for entry in trend_report.regressions:
-        if entry.kind == "quality":
-            continue  # quality stays strict and pairwise in the diff itself
-        commits = (
-            f" (commits {entry.commit_range[0]}..{entry.commit_range[1]})"
-            if entry.commit_range else ""
-        )
-        line = (
-            f"trend {entry.verdict.classification}: {entry.metric} "
-            f"{entry.verdict.detail}{commits}"
-        )
-        if (
-            entry.verdict.classification == "step_change"
-            and entry.verdict.changepoint == fresh_index
-        ):
-            diff.regressions.append(line + " — introduced by this run")
-        else:
-            diff.warnings.append(line)
-    return trend_report.to_dict()
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro diff <old> <new> [--strict] [--trend]``."""
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="repro diff",
-        description="Attributed diff of two BENCH_*.json runs",
-    )
-    parser.add_argument("old", help="baseline bench json (file or directory)")
-    parser.add_argument("new", help="fresh bench json (file or directory)")
-    parser.add_argument(
-        "--name", default="pipeline",
-        help="which BENCH_<name>.json to resolve when old/new are "
-        "directories (default: pipeline; e.g. 'service')",
-    )
-    parser.add_argument(
-        "--time-tolerance", type=float, default=DEFAULT_TIME_TOLERANCE,
-        help="per-scheduler schedule-time ratio that triggers a warning "
-        f"(default: {DEFAULT_TIME_TOLERANCE})",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 on quality regressions (default: warn only)",
-    )
-    parser.add_argument(
-        "--trend", action="store_true",
-        help="judge the fresh run against the stored run history too: a "
-        "timing/latency step change starting at this run is escalated "
-        "from warning to regression",
-    )
-    parser.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="run-history root for --trend (default: benchmarks/history)",
-    )
-    parser.add_argument(
-        "--verbose", "-v", action="store_true",
-        help="list every aligned cell, changed or not",
-    )
-    parser.add_argument(
-        "--json", dest="json_out", default=None, metavar="PATH",
-        help="write the full diff as JSON to this path ('-' for stdout)",
-    )
-    args = parser.parse_args(argv)
-
-    new_payload = load_bench(args.new, args.name)
-    diff = diff_reports(
-        load_bench(args.old, args.name), new_payload, args.time_tolerance
-    )
-    trend_dict = None
-    if args.trend:
-        from .history import DEFAULT_HISTORY_DIR
-        from .trend import trend_with_payload
-
-        history_dir = args.history_dir or DEFAULT_HISTORY_DIR
-        trend = trend_with_payload(args.name, new_payload, history_dir=history_dir)
-        trend_dict = apply_trend_gating(diff, trend)
-
-    payload = diff.to_dict()
-    if trend_dict is not None:
-        payload["trend"] = trend_dict
-    if args.json_out == "-":
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        print(diff.formatted(verbose=args.verbose))
-        if args.json_out:
-            pathlib.Path(args.json_out).write_text(
-                json.dumps(payload, indent=1, sort_keys=True) + "\n"
-            )
-    if diff.regressions and args.strict:
-        return 1
-    if diff.regressions:
-        print(
-            f"({len(diff.regressions)} regressions; warn-only, pass --strict to fail)",
-            file=sys.stderr if args.json_out == "-" else sys.stdout,
-        )
-    return 0

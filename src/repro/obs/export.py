@@ -43,6 +43,8 @@ def atomic_write_text(path: PathLike, text: str) -> None:
     path = pathlib.Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
+        # mkstemp's 0600 would hide published artifacts from other readers.
+        os.fchmod(fd, 0o644)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -108,7 +110,7 @@ def write_chrome_trace(
     events.sort(key=lambda e: e.get("ts", 0))
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(events, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(events, sort_keys=True) + "\n")
     return path
 
 

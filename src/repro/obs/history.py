@@ -59,6 +59,21 @@ class RunRecord:
     host_fingerprint: Optional[str]
     payload: Dict[str, Any]
 
+    @classmethod
+    def of(cls, payload: Mapping[str, Any], name: str,
+           path: pathlib.Path = pathlib.Path("<fresh>")) -> "RunRecord":
+        """The record of ``payload``, stored at ``path`` or not stored at all."""
+        prov = payload.get("provenance") or {}
+        return cls(
+            name=name,
+            path=path,
+            created_at=payload.get("created_at"),
+            git_sha=prov.get("git_sha"),
+            code_version=payload.get("code_version"),
+            host_fingerprint=prov.get("host_fingerprint"),
+            payload=dict(payload),
+        )
+
     @property
     def sha12(self) -> str:
         return (self.git_sha or self.code_version or "unknown")[:12]
@@ -145,16 +160,7 @@ class HistoryStore:
                 payload = json.loads(path.read_text())
             except (OSError, ValueError):
                 continue
-            prov = payload.get("provenance") or {}
-            records.append(RunRecord(
-                name=name,
-                path=path,
-                created_at=payload.get("created_at"),
-                git_sha=prov.get("git_sha"),
-                code_version=payload.get("code_version"),
-                host_fingerprint=prov.get("host_fingerprint"),
-                payload=payload,
-            ))
+            records.append(RunRecord.of(payload, name, path))
         records.sort(key=lambda r: (r.created_at or "", r.path.name))
         if last is not None and last > 0:
             records = records[-last:]

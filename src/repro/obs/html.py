@@ -32,6 +32,8 @@ import pathlib
 from html.parser import HTMLParser
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from .export import atomic_write_text
+
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
        margin: 2rem auto; max-width: 72rem; padding: 0 1rem;
@@ -521,7 +523,7 @@ def render_report(
 def write_report(path, **kwargs) -> pathlib.Path:
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_report(**kwargs))
+    atomic_write_text(path, render_report(**kwargs))
     return path
 
 

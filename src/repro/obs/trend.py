@@ -23,19 +23,20 @@ Classification per series (:func:`classify_series`):
     Neither of the above, with a coefficient of variation above
     ``NOISE_CV`` (10%) — real scatter, no direction.
 ``stable``
-    Everything else, including series too short to judge (< 4 runs).
+    Everything else, including series shorter than ``MIN_RUNS`` (4).
 
-Timing/latency series going *up* and quality series (II) going anywhere
-but down are regressions; ``repro trend <name> --check`` exits non-zero
-on any, and ``repro diff --trend`` escalates a warn-only timing delta to
-a regression when the trend layer confirms the fresh run starts a step.
+This module is also the one regression policy for numbers.
+:data:`TOLERANCES` says, per series kind, which direction is worse and
+how much worse than the point before it the newest point of a series
+shorter than ``MIN_RUNS`` may be.  :func:`judge` turns a report into the
+newest run's regressions and warnings: ``repro diff`` takes every timing,
+latency and rate verdict from it, over the two runs it compares or, with
+``--trend``, over the stored history plus the fresh run.  ``repro trend
+<name> --check`` exits non-zero on any regressing series.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -93,22 +94,14 @@ class SeriesVerdict:
         }
 
 
-def classify_series(
-    values: Sequence[Optional[float]],
-    alpha: float = ALPHA,
-    min_runs: int = MIN_RUNS,
-    step_rel: float = STEP_REL,
-    drift_tau: float = DRIFT_TAU,
-    drift_rel: float = DRIFT_REL,
-    noise_cv: float = NOISE_CV,
-) -> SeriesVerdict:
+def classify_series(values: Sequence[Optional[float]]) -> SeriesVerdict:
     """Classify one metric series (None entries are missing runs)."""
     points = [(i, float(v)) for i, v in enumerate(values) if v is not None]
     vals = [v for _, v in points]
     n = len(vals)
-    if n < min_runs:
+    if n < MIN_RUNS:
         return SeriesVerdict(
-            "stable", detail=f"insufficient history ({n} of {min_runs} runs)"
+            "stable", detail=f"insufficient history ({n} of {MIN_RUNS} runs)"
         )
     if max(vals) == min(vals):
         return SeriesVerdict("stable", detail="constant")
@@ -130,10 +123,10 @@ def classify_series(
     pre_med, post_med = median(left), median(right)
     rel = (post_med - pre_med) / max(abs(pre_med), _EPS)
     mwu = mann_whitney_u(left, right)
-    significant = mwu.p_value is not None and mwu.p_value < alpha
+    significant = mwu.p_value is not None and mwu.p_value < ALPHA
     separated = abs(delta) >= 1.0 - _EPS
 
-    if abs(rel) >= step_rel and (significant or separated):
+    if abs(rel) >= STEP_REL and (significant or separated):
         shift = post_med - pre_med
         jump = vals[k] - vals[k - 1]
         concentrated = shift != 0 and jump / shift >= STEP_CONCENTRATION
@@ -155,7 +148,7 @@ def classify_series(
 
     tau = kendall_tau(vals) or 0.0
     end_rel = (median(vals[-2:]) - median(vals[:2])) / max(abs(median(vals[:2])), _EPS)
-    if abs(tau) >= drift_tau and abs(end_rel) >= drift_rel:
+    if abs(tau) >= DRIFT_TAU and abs(end_rel) >= DRIFT_REL:
         return SeriesVerdict(
             "drift",
             p_value=mwu.p_value,
@@ -169,7 +162,7 @@ def classify_series(
 
     mu = mean(vals)
     cv = stdev(vals) / max(abs(mu), _EPS)
-    if cv > noise_cv:
+    if cv > NOISE_CV:
         return SeriesVerdict(
             "noisy",
             p_value=mwu.p_value,
@@ -189,6 +182,86 @@ def classify_series(
 
 
 # ---------------------------------------------------------------------------
+# The regression policy: one tolerance table, one judge.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Tolerance:
+    """How one kind of series is judged."""
+
+    bad_direction: str              # "up" | "down": which way is a regression
+    warn: Optional[float] = None    # pairwise worsening ratio that warns
+    fail: Optional[float] = None    # pairwise worsening ratio that regresses
+
+
+#: Every series kind :func:`collect_metric_series` emits, and how it is
+#: judged.  A series with ``MIN_RUNS`` points is judged by its trend
+#: verdict above; a shorter one (a pairwise ``repro diff`` is two points)
+#: by how much worse its newest point is than the one before, against
+#: ``warn``/``fail``.  A kind without ratios is never judged pairwise: II
+#: stays with the diff's strict quality rules, per-cell times are below
+#: the noise floor, and the hit rate is judged only as a trend.
+TOLERANCES: Dict[str, Tolerance] = {
+    "quality": Tolerance("up"),                    # per-cell II
+    "timing": Tolerance("up", warn=2.0),           # per-scheduler schedule time
+    "cell_timing": Tolerance("up"),                # per-cell schedule time
+    "latency": Tolerance("up", warn=5.0),          # service p50/p99
+    "rate": Tolerance("down"),                     # service cache hit rate
+    "micro": Tolerance("up", warn=1.5, fail=3.0),  # hot-path kernels
+}
+
+
+def _pairwise(values: Sequence[Optional[float]], tolerance: Tolerance) -> Tuple[Optional[str], str]:
+    """("regression" | "warning" | None, detail) of the newest point
+    against the one before it."""
+    if len(values) < 2 or not values[-2] or not values[-1]:
+        return None, ""
+    before, last = float(values[-2]), float(values[-1])
+    up = tolerance.bad_direction == "up"
+    ratio = last / before if up else before / last
+    for breach, limit in (("regression", tolerance.fail), ("warning", tolerance.warn)):
+        if limit is not None and ratio > limit:
+            return breach, (
+                f"{tolerance.bad_direction} {ratio:.1f}x: {before:.4g} -> {last:.4g} "
+                f"({breach} above {limit:g}x)"
+            )
+    return None, ""
+
+
+def judge(report: "TrendReport") -> Tuple[List[str], List[str]]:
+    """The newest run's (regressions, warnings) over every series but II.
+
+    A short series that breaks its tolerance is reported at the breach's
+    level.  A longer one that moved the bad way is a regression only when
+    it is a step change starting at the newest run; older steps and
+    drifts only warn, since the newest run did not introduce them.
+    Quality (II) stays strict and pairwise in :mod:`repro.obs.diffbench`.
+    """
+    fresh = len(report.runs) - 1
+    regressions: List[str] = []
+    warnings: List[str] = []
+    for entry in report.entries:
+        if entry.kind == "quality":
+            continue
+        verdict = entry.verdict
+        if entry.breach:
+            line = f"{entry.metric} {verdict.detail}"
+            (regressions if entry.breach == "regression" else warnings).append(line)
+        elif entry.regression:
+            commits = (
+                f" (commits {entry.commit_range[0]}..{entry.commit_range[1]})"
+                if entry.commit_range else ""
+            )
+            line = f"trend {verdict.classification}: {entry.metric} {verdict.detail}{commits}"
+            if verdict.classification == "step_change" and verdict.changepoint == fresh:
+                regressions.append(line + " — introduced by this run")
+            else:
+                warnings.append(line)
+    return regressions, warnings
+
+
+# ---------------------------------------------------------------------------
 # Metric-series extraction from stored runs.
 # ---------------------------------------------------------------------------
 
@@ -198,11 +271,17 @@ class MetricTrend:
     """One metric's series across the stored runs, with its verdict."""
 
     metric: str
-    kind: str            # "timing" | "quality" | "latency" | "rate"
-    bad_direction: str   # which direction is a regression
+    kind: str            # a TOLERANCES key
     values: List[Optional[float]]
     verdict: SeriesVerdict
     commit_range: Optional[Tuple[str, str]] = None  # (sha before, sha after)
+    #: "regression" | "warning" when a series shorter than MIN_RUNS broke
+    #: its kind's tolerance at the newest point.
+    breach: Optional[str] = None
+
+    @property
+    def bad_direction(self) -> str:
+        return TOLERANCES[self.kind].bad_direction
 
     @property
     def moved(self) -> bool:
@@ -210,7 +289,9 @@ class MetricTrend:
 
     @property
     def regression(self) -> bool:
-        return self.moved and self.verdict.direction == self.bad_direction
+        return (
+            self.moved and self.verdict.direction == self.bad_direction
+        ) or self.breach == "regression"
 
     @property
     def improvement(self) -> bool:
@@ -224,75 +305,57 @@ class MetricTrend:
             "values": self.values,
             "verdict": self.verdict.to_dict(),
             "commit_range": list(self.commit_range) if self.commit_range else None,
+            "breach": self.breach,
             "regression": self.regression,
             "improvement": self.improvement,
         }
 
 
-def _totals(run: RunRecord) -> Mapping[str, Any]:
-    return run.payload.get("totals") or {}
-
-
 def collect_metric_series(
-    runs: Sequence[RunRecord],
-) -> List[Tuple[str, str, str, List[Optional[float]]]]:
-    """(metric, kind, bad_direction, values) for every tracked series."""
-    series: List[Tuple[str, str, str, List[Optional[float]]]] = []
+    payloads: Sequence[Mapping[str, Any]],
+) -> List[Tuple[str, str, List[Optional[float]]]]:
+    """(metric, kind, values) for every tracked series of ``payloads``,
+    oldest first: the one reader of timing fields in a BENCH payload."""
+    series: List[Tuple[str, str, List[Optional[float]]]] = []
+    totals = [payload.get("totals") or {} for payload in payloads]
 
-    schedulers = sorted({
-        s for run in runs for s in (_totals(run).get("by_scheduler") or {})
-    })
-    for sched in schedulers:
-        vals = [
-            ((_totals(run).get("by_scheduler") or {}).get(sched) or {}).get("schedule_seconds")
-            for run in runs
-        ]
-        series.append((f"{sched} total schedule_seconds", "timing", "up", vals))
+    by_scheduler = [t.get("by_scheduler") or {} for t in totals]
+    for sched in sorted({s for table in by_scheduler for s in table}):
+        vals = [(table.get(sched) or {}).get("schedule_seconds") for table in by_scheduler]
+        series.append((f"{sched} total schedule_seconds", "timing", vals))
 
     # Per-cell II and schedule time, aligned on (loop, scheduler).
     indexed: List[Dict[Tuple[str, str], Mapping[str, Any]]] = []
-    keys: List[Tuple[str, str]] = []
-    seen = set()
-    for run in runs:
+    for payload in payloads:
         table: Dict[Tuple[str, str], Mapping[str, Any]] = {}
-        for cell in run.payload.get("cells") or []:
+        for cell in payload.get("cells") or []:
             loop, sched = cell.get("loop"), cell.get("scheduler")
-            if not loop or not sched:
-                continue
-            table.setdefault((loop, sched), cell)
-            if (loop, sched) not in seen:
-                seen.add((loop, sched))
-                keys.append((loop, sched))
+            if loop and sched:
+                table.setdefault((loop, sched), cell)
         indexed.append(table)
-    for loop, sched in sorted(keys):
+    for loop, sched in sorted({key for table in indexed for key in table}):
         cells = [table.get((loop, sched)) for table in indexed]
         series.append((
-            f"{loop} × {sched} II", "quality", "up",
+            f"{loop} × {sched} II", "quality",
             [None if c is None else c.get("ii") for c in cells],
         ))
         series.append((
-            f"{loop} × {sched} schedule_seconds", "timing", "up",
+            f"{loop} × {sched} schedule_seconds", "cell_timing",
             [None if c is None else c.get("schedule_seconds") for c in cells],
         ))
 
     # Service latency percentiles and the cache hit rate.
-    if any(_totals(run).get("service") for run in runs):
+    service = [t.get("service") or {} for t in totals]
+    if any(service):
         for name in ("p50_ms", "p99_ms"):
-            vals = [
-                ((_totals(run).get("service") or {}).get("latency_ms") or {}).get(name)
-                for run in runs
-            ]
-            series.append((f"service latency {name}", "latency", "up", vals))
-        series.append((
-            "service hit_rate", "rate", "down",
-            [(_totals(run).get("service") or {}).get("hit_rate") for run in runs],
-        ))
+            vals = [(s.get("latency_ms") or {}).get(name) for s in service]
+            series.append((f"service latency {name}", "latency", vals))
+        series.append(("service hit_rate", "rate", [s.get("hit_rate") for s in service]))
 
     # Micro hot-path kernels (BENCH_micro: flat name -> best seconds).
-    benches = sorted({b for run in runs for b in (run.payload.get("benches") or {})})
-    for bench in benches:
-        vals = [(run.payload.get("benches") or {}).get(bench) for run in runs]
-        series.append((f"micro {bench} seconds", "timing", "up", vals))
+    benches = [payload.get("benches") or {} for payload in payloads]
+    for bench in sorted({b for table in benches for b in table}):
+        series.append((f"micro {bench} seconds", "micro", [table.get(bench) for table in benches]))
     return series
 
 
@@ -343,8 +406,8 @@ class TrendReport:
         )
         if len(self.runs) < MIN_RUNS:
             lines.append(
-                f"  fewer than {MIN_RUNS} runs — trend verdicts default to "
-                "'stable' until more history accumulates"
+                f"  fewer than {MIN_RUNS} runs — each series' newest run is "
+                "judged against the one before by its tolerance"
             )
         counts = self.by_class()
         lines.append(
@@ -352,11 +415,13 @@ class TrendReport:
         )
         for entry in self.entries:
             verdict = entry.verdict
-            if not verbose and verdict.classification == "stable":
+            if not verbose and verdict.classification == "stable" and not entry.breach:
                 continue
             flag = ""
             if entry.regression:
                 flag = "  REGRESSION"
+            elif entry.breach:
+                flag = "  WARNING"
             elif entry.improvement:
                 flag = "  improvement"
             commits = (
@@ -375,19 +440,24 @@ class TrendReport:
         return "\n".join(lines)
 
 
-def build_trend(name: str, runs: Sequence[RunRecord], **thresholds) -> TrendReport:
+def build_trend(name: str, runs: Sequence[RunRecord]) -> TrendReport:
     """Classify every tracked metric series of ``runs``."""
     runs = list(runs)
     entries: List[MetricTrend] = []
-    for metric, kind, bad, values in collect_metric_series(runs):
-        verdict = classify_series(values, **thresholds)
+    for metric, kind, values in collect_metric_series([run.payload for run in runs]):
+        verdict = classify_series(values)
+        breach = None
+        if sum(v is not None for v in values) < MIN_RUNS:
+            breach, detail = _pairwise(values, TOLERANCES[kind])
+            if breach:
+                verdict.detail = detail
         commit_range = None
         cp = verdict.changepoint
         if cp is not None and 0 < cp < len(runs):
             commit_range = (runs[cp - 1].sha12, runs[cp].sha12)
         entries.append(MetricTrend(
-            metric=metric, kind=kind, bad_direction=bad,
-            values=values, verdict=verdict, commit_range=commit_range,
+            metric=metric, kind=kind, values=values, verdict=verdict,
+            commit_range=commit_range, breach=breach,
         ))
     return TrendReport(name=name, runs=runs, entries=entries)
 
@@ -396,41 +466,26 @@ def trend_report(
     name: str,
     history_dir=DEFAULT_HISTORY_DIR,
     last: Optional[int] = 20,
-    **thresholds,
+    fresh: Optional[Mapping[str, Any]] = None,
 ) -> TrendReport:
-    """The trend report over the stored history of ``name``."""
-    store = HistoryStore(history_dir)
-    return build_trend(name, store.runs(name, last=last), **thresholds)
+    """The trend report over the stored history of ``name``.
 
-
-def trend_with_payload(
-    name: str,
-    payload: Mapping[str, Any],
-    history_dir=DEFAULT_HISTORY_DIR,
-    last: Optional[int] = 20,
-    **thresholds,
-) -> TrendReport:
-    """Trend over stored history plus one fresh (unfiled) payload.
-
-    ``repro diff --trend`` uses this to judge the run being diffed as the
-    newest point of the series without committing it to the store first.
+    ``fresh`` is a BENCH payload judged as the newest run (``repro diff
+    --trend``).  ``repro bench`` files its run by default, so a stored copy
+    of ``fresh`` (same ``created_at``, ``code_version`` and git SHA) is
+    dropped first: the fresh run is counted once, and last.
     """
-    store = HistoryStore(history_dir)
-    runs = store.runs(name, last=None)
-    prov = payload.get("provenance") or {}
-    fresh = RunRecord(
-        name=name,
-        path=pathlib.Path("<fresh>"),
-        created_at=payload.get("created_at"),
-        git_sha=prov.get("git_sha"),
-        code_version=payload.get("code_version"),
-        host_fingerprint=prov.get("host_fingerprint"),
-        payload=dict(payload),
-    )
-    runs = runs + [fresh]
+    runs = HistoryStore(history_dir).runs(name)
+    if fresh is not None:
+        new = RunRecord.of(fresh, name)
+
+        def identity(run: RunRecord) -> Tuple[Any, ...]:
+            return (run.created_at, run.code_version, run.git_sha)
+
+        runs = [run for run in runs if identity(run) != identity(new)] + [new]
     if last is not None and last > 0:
         runs = runs[-last:]
-    return build_trend(name, runs, **thresholds)
+    return build_trend(name, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +494,7 @@ def trend_with_payload(
 
 #: Cell-level series are only surfaced in the dashboard when they moved;
 #: totals/service/micro series always are.  This caps the panel's size.
-_PANEL_SUMMARY_KINDS = ("latency", "rate")
+_PANEL_SUMMARY_KINDS = ("timing", "latency", "rate", "micro")
 
 
 def history_panel_data(
@@ -449,21 +504,15 @@ def history_panel_data(
     max_rows: int = 60,
 ) -> Dict[str, Any]:
     """Render-ready history series + verdicts for ``repro report``."""
-    store = HistoryStore(history_dir)
     histories: List[Dict[str, Any]] = []
     for name in names:
-        runs = store.runs(name, last=last)
-        if not runs:
+        report = trend_report(name, history_dir, last)
+        if not report.runs:
             continue
-        report = build_trend(name, runs)
         rows: List[Dict[str, Any]] = []
         dropped = 0
         for entry in report.entries:
-            summary = (
-                entry.kind in _PANEL_SUMMARY_KINDS
-                or "total" in entry.metric
-                or entry.metric.startswith("micro ")
-            )
+            summary = entry.kind in _PANEL_SUMMARY_KINDS
             if not (summary or entry.moved or entry.verdict.classification == "noisy"):
                 continue
             if len(rows) >= max_rows:
@@ -472,71 +521,9 @@ def history_panel_data(
             rows.append(entry.to_dict())
         histories.append({
             "name": name,
-            "runs": [run.meta() for run in runs],
+            "runs": [run.meta() for run in report.runs],
             "by_class": report.by_class(),
             "entries": rows,
             "dropped": dropped,
         })
     return {"histories": histories}
-
-
-# ---------------------------------------------------------------------------
-# CLI: ``python -m repro trend``.
-# ---------------------------------------------------------------------------
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro trend <name> [--check] [--json PATH|-]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro trend",
-        description="Classify every metric series of a stored run history "
-        "as stable, noisy, drift or step_change (with the changepoint "
-        "attributed to a commit range).",
-    )
-    parser.add_argument(
-        "name", nargs="?", default="pipeline",
-        help="history series to judge: pipeline, service, micro, "
-        "sweep_<corpus>, ... (default: pipeline)",
-    )
-    parser.add_argument(
-        "--history-dir", default=str(DEFAULT_HISTORY_DIR), metavar="DIR",
-        help=f"run-history root (default: {DEFAULT_HISTORY_DIR})",
-    )
-    parser.add_argument(
-        "--last", type=int, default=20, metavar="N",
-        help="judge only the most recent N stored runs (default: 20)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when any series shows a bad-direction step change or "
-        "drift (timings/latency up, II up, hit rate down)",
-    )
-    parser.add_argument(
-        "--json", dest="json_out", default=None, metavar="PATH",
-        help="write the full report as JSON ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--verbose", "-v", action="store_true",
-        help="list every series, stable ones included",
-    )
-    args = parser.parse_args(argv)
-
-    report = trend_report(args.name, history_dir=args.history_dir, last=args.last)
-    if args.json_out == "-":
-        print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(report.formatted(verbose=args.verbose))
-        if args.json_out:
-            path = pathlib.Path(args.json_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n")
-            print(f"wrote {path}")
-    if not report.runs:
-        print(f"no stored runs for {args.name!r} under {args.history_dir}",
-              file=sys.stderr)
-        return 0
-    if args.check and not report.ok:
-        return 1
-    return 0

@@ -45,9 +45,8 @@ OPTION_STRINGS = {
               "--port", "--queue-limit", "--requests", "--seed", "--selftest",
               "--slow-log", "--slow-ms", "--unix"],
     "cache": ["--cache-dir", "--json", "--max-bytes", "--max-mb", "--prune"],
-    # Still parsed by their own modules' ``main`` (not ``_parse``).
-    "diff": ["--history-dir", "--json", "--name", "--strict", "--time-tolerance",
-             "--trend", "--verbose", "-v"],
+    "diff": ["--history-dir", "--json", "--name", "--strict", "--trend", "--verbose",
+             "-v"],
     "trend": ["--check", "--history-dir", "--json", "--last", "--verbose", "-v"],
 }
 
@@ -69,8 +68,8 @@ DEFAULTS = {
     "serve": {"--jobs": 2, "--cache-dir": ".exec-cache", "--no-cache": False, "--seed": 0,
               "--history-dir": None},
     "cache": {"--cache-dir": ".exec-cache", "--json": False},
-    "diff": {"--name": "pipeline", "--time-tolerance": 2.0, "--strict": False,
-             "--trend": False, "--history-dir": None, "--verbose": False, "--json": None},
+    "diff": {"--name": "pipeline", "--strict": False, "--trend": False,
+             "--history-dir": None, "--verbose": False, "--json": None},
     "trend": {"--history-dir": "benchmarks/history", "--last": 20, "--check": False,
               "--json": None, "--verbose": False},
 }

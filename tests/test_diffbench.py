@@ -6,14 +6,13 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.exec.cells import CellResult
-from repro.obs.diffbench import (
-    BenchDiff,
-    diff_paths,
-    diff_reports,
-    load_bench,
-    main as diff_main,
-)
+from repro.obs.diffbench import BenchDiff, diff_reports, load_bench
+
+
+def diff_main(argv):
+    return main(["diff", *argv])
 
 
 def _cell(loop="a", scheduler="sgi", **kw):
@@ -135,9 +134,9 @@ class TestDiffReports:
 
         old = with_totals([_cell(schedule_seconds=0.1)])
         new = with_totals([_cell(schedule_seconds=1.0)])
-        diff = diff_reports(old, new, time_tolerance=2.0)
+        diff = diff_reports(old, new)
         assert diff.ok
-        assert any("schedule time up" in w for w in diff.warnings)
+        assert any("sgi total schedule_seconds up 10.0x" in w for w in diff.warnings)
 
     def test_to_dict_shape(self):
         old = _payload([_cell()])
@@ -174,13 +173,13 @@ class TestLoadAndCli:
         with pytest.raises(FileNotFoundError):
             load_bench(tmp_path)
 
-    def test_diff_paths(self, tmp_path):
+    def test_diff_of_loaded_files(self, tmp_path):
         old = self._write(tmp_path, "old.json", _payload([_cell()]))
         new = self._write(
             tmp_path, "new.json",
             _payload([_cell(ii=5, cache_key="k2")], code_version="def"),
         )
-        assert not diff_paths(old, new).ok
+        assert not diff_reports(load_bench(old), load_bench(new)).ok
 
     def test_strict_exit_codes(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.json", _payload([_cell()]))
@@ -206,3 +205,38 @@ class TestLoadAndCli:
         diff_main([str(old), str(new), "--json", str(out)])
         data = json.loads(out.read_text())
         assert data["by_cause"] == {"code": 1}
+
+
+def _micro(scale):
+    """A BENCH_micro payload whose kernels take ``scale`` times the baseline."""
+    return {
+        "name": "micro", "code_version": "abc",
+        "benches": {"bnb_search": 0.02 * scale, "scc_distances": 0.01 * scale},
+    }
+
+
+class TestMicroVerdicts:
+    """The micro lane's verdicts come from the one tolerance table."""
+
+    @pytest.mark.parametrize("scale, ok, warned", [
+        (1.2, True, False),
+        (2.0, True, True),
+        (3.5, False, False),
+    ])
+    def test_slowdown_verdicts(self, scale, ok, warned):
+        diff = diff_reports(_micro(1.0), _micro(scale))
+        assert diff.ok is ok
+        assert bool(diff.warnings) is warned
+        if not ok:
+            assert len(diff.regressions) == 2
+            assert all(line.startswith("micro ") for line in diff.regressions)
+
+    def test_cli_strict_fails_past_the_tolerance(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(_micro(1.0)))
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(_micro(3.5)))
+        assert diff_main([str(old), str(new), "--name", "micro", "--strict"]) == 1
+        assert "REGRESSION: micro bnb_search seconds up 3.5x" in capsys.readouterr().out
+        new.write_text(json.dumps(_micro(1.2)))
+        assert diff_main([str(old), str(new), "--name", "micro", "--strict"]) == 0

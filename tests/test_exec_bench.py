@@ -135,7 +135,7 @@ class TestCheckRegression:
 
     def test_clean_comparison(self):
         payload = self._payload([self._cell()])
-        diff = diff_reports(payload, payload, 2.0)
+        diff = diff_reports(payload, payload)
         assert not diff.regressions and not diff.warnings and not diff.infos
 
     def test_quality_regressions_detected(self):
@@ -146,7 +146,7 @@ class TestCheckRegression:
                 self._cell(loop="b", timeout=True, sim_cycles={"default": 150.0}),
             ]
         )
-        text = "\n".join(diff_reports(baseline, fresh, 2.0).regressions)
+        text = "\n".join(diff_reports(baseline, fresh).regressions)
         assert "II regressed" in text
         assert "new timeout" in text
         assert "sim cycles regressed" in text

@@ -93,3 +93,17 @@ def test_killed_history_append_leaves_no_partial_record(tmp_path, fault):
     assert [run["file"] for run in index["runs"]] == [first.name]
     # The dead writer's temp file is left behind, where no reader looks.
     assert len(list((tmp_path / "pipeline").glob("*.tmp"))) == 1
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_killed_bench_write_leaves_the_previous_file(tmp_path, fault):
+    from repro.exec.bench import write_bench_json
+
+    first = write_bench_json({"name": "pipeline", "cells": []}, tmp_path)
+    _die_writing(
+        fault,
+        "from repro.exec.bench import write_bench_json",
+        f"write_bench_json({{'name': 'pipeline', 'blob': {BLOB!r}}}, {str(tmp_path)!r})",
+    )
+    # The next ``repro diff`` still parses the previous run.
+    assert json.loads(first.read_text()) == {"name": "pipeline", "cells": []}

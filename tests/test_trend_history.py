@@ -13,9 +13,9 @@ import random
 
 import pytest
 
+from repro.__main__ import main
 from repro.obs import stats
-from repro.obs.diffbench import apply_trend_gating, diff_reports
-from repro.obs.diffbench import main as diff_main
+from repro.obs.diffbench import diff_reports
 from repro.obs.history import HistoryStore, append_history, seed_from_baselines
 from repro.obs.html import render_report, validate_html
 from repro.obs.trend import (
@@ -23,11 +23,17 @@ from repro.obs.trend import (
     classify_series,
     history_panel_data,
     trend_report,
-    trend_with_payload,
 )
-from repro.obs.trend import main as trend_main
 
-SHAS = ["%040x" % (0x1111 * (i + 1)) for i in range(8)]
+
+def diff_main(argv):
+    return main(["diff", *argv])
+
+
+def trend_main(argv):
+    return main(["trend", *argv])
+
+SHAS = [f"{i + 1:x}" * 40 for i in range(8)]
 
 
 def _payload(i, sgi_seconds, ii=5, name="pipeline"):
@@ -221,10 +227,10 @@ def test_timing_step_down_is_an_improvement(tmp_path):
     assert report.ok
 
 
-def test_trend_with_payload_judges_fresh_run_last(tmp_path):
+def test_trend_report_judges_a_fresh_run_last(tmp_path):
     _store(tmp_path, [1.0, 1.02, 0.98, 1.01])
-    report = trend_with_payload(
-        "pipeline", _payload(4, 2.2), history_dir=tmp_path
+    report = trend_report(
+        "pipeline", history_dir=tmp_path, fresh=_payload(4, 2.2)
     )
     assert len(report.runs) == 5
     entry = next(
@@ -242,20 +248,20 @@ def test_diff_trend_escalates_only_fresh_steps(tmp_path):
     fresh = _payload(4, 2.2)
     baseline = _payload(3, 1.01)
 
-    diff = diff_reports(baseline, fresh)
-    assert diff.ok  # pairwise: quality clean, timing at most a warning
-    trend = trend_with_payload("pipeline", fresh, history_dir=tmp_path)
-    trend_dict = apply_trend_gating(diff, trend)
+    assert diff_reports(baseline, fresh).ok  # pairwise: timing at most warns
+    diff = diff_reports(
+        baseline, fresh, trend_report("pipeline", history_dir=tmp_path, fresh=fresh)
+    )
     assert any("introduced by this run" in line for line in diff.regressions)
-    assert trend_dict["by_class"]["step_change"] >= 1
+    assert diff.trend["by_class"]["step_change"] >= 1
 
     # An old step (already in history before the fresh run) only warns.
     old_store = tmp_path / "old-step"
     _store(old_store, [1.0, 1.02, 2.0, 2.05])
     fresh2 = _payload(4, 2.02)
-    diff2 = diff_reports(_payload(3, 2.05), fresh2)
-    apply_trend_gating(
-        diff2, trend_with_payload("pipeline", fresh2, history_dir=old_store)
+    diff2 = diff_reports(
+        _payload(3, 2.05), fresh2,
+        trend_report("pipeline", history_dir=old_store, fresh=fresh2),
     )
     assert not any("introduced by this run" in line for line in diff2.regressions)
     assert any(line.startswith("trend step_change") for line in diff2.warnings)
@@ -294,6 +300,27 @@ def test_diff_cli_trend_strict_fails_on_fresh_step(tmp_path, capsys):
     assert len(payload["trend"]["runs"]) == 5
 
 
+def test_diff_trend_strict_fails_on_a_fresh_step_already_filed(tmp_path, capsys):
+    # ``repro bench`` files its run before ``repro diff --trend`` reads the
+    # store: the stored copy must not count as an older run.
+    _store(tmp_path / "hist", [1.0, 1.02, 0.98, 1.01])
+    fresh = _payload(4, 2.2)
+    HistoryStore(tmp_path / "hist").append(fresh)
+    old = tmp_path / "old.json"
+    new = tmp_path / "new.json"
+    old.write_text(json.dumps(_payload(3, 1.01)))
+    new.write_text(json.dumps(fresh))
+
+    rc = diff_main([
+        str(old), str(new), "--trend",
+        "--history-dir", str(tmp_path / "hist"), "--strict", "--json", "-",
+    ])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["trend"]["runs"]) == 5
+    assert any("introduced by this run" in line for line in payload["regressions"])
+
+
 # ----------------------------------------------------------------------
 # CLI + dashboard panel
 # ----------------------------------------------------------------------
@@ -313,6 +340,43 @@ def test_trend_cli_check_and_json(tmp_path, capsys):
 
     # Unknown names are an empty report, not an error.
     assert trend_main(["nonesuch", "--history-dir", str(tmp_path)]) == 0
+
+
+def test_trend_check_names_only_the_series_that_stepped(tmp_path, capsys):
+    """A 2x step in one phase at one run fails ``repro trend --check``,
+    naming that series and its commit range; every other series stays
+    stable."""
+    jitter = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0]
+    store = HistoryStore(tmp_path)
+    for i, j in enumerate(jitter):
+        payload = _payload(i, 3.0 * j)
+        payload["totals"]["by_scheduler"]["most"] = {"schedule_seconds": 40.0 * j}
+        payload["totals"]["service"] = {
+            "latency_ms": {"p50_ms": 2.0 * j, "p99_ms": 9.0 * j}, "hit_rate": 0.8,
+        }
+        payload["benches"] = {"bnb_search": 0.02 * j}
+        payload["cells"].append({
+            "loop": "livermore:lk02_iccg", "scheduler": "sgi", "ii": 7,
+            "schedule_seconds": 0.05 * j * (2 if i >= 3 else 1),
+        })
+        store.append(payload)
+
+    rc = trend_main(["pipeline", "--history-dir", str(tmp_path), "--check"])
+    assert rc == 1
+    flagged = [line for line in capsys.readouterr().out.splitlines()
+               if "REGRESSION" in line]
+    stepped = "livermore:lk02_iccg × sgi schedule_seconds"
+    (line,) = flagged
+    assert stepped in line
+    assert f"commits {SHAS[2][:12]}..{SHAS[3][:12]}" in line
+
+    trend_main(["pipeline", "--history-dir", str(tmp_path), "--json", "-"])
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert {e["metric"]: e["verdict"]["classification"] for e in entries} == {
+        e["metric"]: "step_change" if e["metric"] == stepped else "stable"
+        for e in entries
+    }
+    assert len(entries) == 10
 
 
 def test_history_panel_renders_and_validates(tmp_path):
