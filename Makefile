@@ -68,7 +68,8 @@ bench-tests:
 	$(PYTHON) -m pytest benchmarks -q
 
 # The perf CI lane: pinned-seed hot-path microbenchmarks (MRT probing,
-# distance tables, one B&B search) diffed against the committed
+# distance tables, one B&B search, register allocation, the pipelined
+# memory simulation) diffed against the committed
 # benchmarks/baseline/BENCH_micro.json, judged by the `micro` row of
 # repro.obs.trend.TOLERANCES.  Refresh
 # the baseline after intentional perf changes with

@@ -1,9 +1,12 @@
 """Pinned-seed microbenchmarks of the scheduler hot paths (perf CI lane).
 
-Three timed kernels cover the inner loops the raw-speed campaign
+Five timed kernels cover the inner loops the raw-speed campaign
 optimized — reservation-table probing, distance-table construction and
-query, and one full branch-and-bound search — so a per-PR time series of
-``schedule_seconds`` exists below the full bench grid's noise floor.
+query, one full branch-and-bound search — and the two per-cell layers
+every scheduled loop pays for: register allocation (renaming, bitset
+interference, colouring) and the banked-memory performance simulation.
+A per-PR time series of ``schedule_seconds`` thus exists below the full
+bench grid's noise floor.
 
 Two entry points:
 
@@ -16,13 +19,15 @@ Two entry points:
 * ``python benchmarks/test_micro_hotpaths.py --update-baseline`` refreshes
   the committed baseline after an intentional perf change.
 
-Every kernel is deterministic (fixed loops, fixed II sequences, no RNG at
-all) and reports the *best* of several repeats, which is the standard way
-to damp scheduler-preemption noise out of wall-clock microbenchmarks.
+Every kernel is deterministic (fixed loops, fixed II sequences, fixed
+schedules, no RNG at all) and reports the *best* of several repeats, which
+is the standard way to damp scheduler-preemption noise out of wall-clock
+microbenchmarks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import sys
@@ -36,12 +41,17 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.core.bnb import BnBConfig, modulo_schedule_bnb  # noqa: E402
 from repro.core.distances import SccDistanceTables  # noqa: E402
+from repro.core.driver import pipeline_loop  # noqa: E402
 from repro.core.minii import min_ii  # noqa: E402
 from repro.core.priorities import order_by_name  # noqa: E402
 from repro.machine.descriptions import r8000  # noqa: E402
 from repro.machine.resources import ModuloReservationTable  # noqa: E402
 from repro.obs.diffbench import diff_reports  # noqa: E402
 from repro.obs.export import atomic_write_text  # noqa: E402
+from repro.regalloc.coloring import allocate  # noqa: E402
+from repro.regalloc.rename import rename_kernel  # noqa: E402
+from repro.sim.layout import DataLayout  # noqa: E402
+from repro.sim.perf import simulate_pipelined  # noqa: E402
 from repro.workloads.livermore import livermore_kernels  # noqa: E402
 
 OUTPUT_PATH = REPO_ROOT / "benchmarks" / "output" / "BENCH_micro.json"
@@ -105,10 +115,35 @@ def bench_bnb_search() -> None:
         modulo_schedule_bnb(loop, machine, ii, priority, BnBConfig())
 
 
+@functools.lru_cache(maxsize=None)
+def _schedule(name: str):
+    """SGI's schedule of one Livermore kernel, computed once per process."""
+    loop, machine = _loop(name)
+    return pipeline_loop(loop, machine).schedule, machine
+
+
+def bench_regalloc_allocate() -> None:
+    """Rename, build the interference graphs and colour a 90-range kernel,
+    with the machine's register files and with 16-register files (which
+    forces optimistic spill pushes)."""
+    schedule, machine = _schedule("lk18_hydro2d")
+    for fp_regs, int_regs in ((machine.fp_regs, machine.int_regs), (16, 16)):
+        allocate(rename_kernel(schedule), fp_regs, int_regs)
+
+
+def bench_sim_pipelined() -> None:
+    """Banked-memory simulation of a 10-stream kernel over its 995 trips."""
+    schedule, machine = _schedule("lk07_eos")
+    layout = DataLayout(schedule.loop, trip_count=schedule.loop.trip_count)
+    simulate_pipelined(schedule, layout, machine)
+
+
 BENCHES: Dict[str, Callable[[], None]] = {
     "mrt_fits_place_remove": bench_mrt_fits_place_remove,
     "scc_distances": bench_scc_distances,
     "bnb_search": bench_bnb_search,
+    "regalloc_allocate": bench_regalloc_allocate,
+    "sim_pipelined": bench_sim_pipelined,
 }
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
@@ -26,25 +26,47 @@ SCHEDULERS = (*REGISTRY, "baseline")
 # ----------------------------------------------------------------------
 # The loop registry: key -> Loop
 # ----------------------------------------------------------------------
+def _memoize_corpus(
+    prefix: str, machine: MachineDescription, loops: Iterable[Tuple[str, Loop]]
+) -> Dict[str, Loop]:
+    """Memoise every loop of a freshly built corpus under its own key.
+
+    A corpus is built as a whole, so the first key resolved from it pays
+    for its siblings too.  The loops live only in :data:`_LOOP_MEMO`, which
+    :func:`clear_loop_memo` empties; the first loop of a repeated name wins.
+    """
+    by_rest: Dict[str, Loop] = {}
+    for rest, loop in loops:
+        by_rest.setdefault(rest, loop)
+    for rest, loop in by_rest.items():
+        _LOOP_MEMO.setdefault((f"{prefix}:{rest}", machine.name), loop)
+    return by_rest
+
+
 def _livermore(rest: str, machine: MachineDescription) -> Loop:
     from ..workloads.livermore import livermore_kernels
 
-    for loop in livermore_kernels(machine):
-        if loop.name == rest:
-            return loop
-    raise KeyError(f"no Livermore kernel named {rest!r}")
+    kernels = _memoize_corpus(
+        "livermore", machine, ((loop.name, loop) for loop in livermore_kernels(machine))
+    )
+    if rest not in kernels:
+        raise KeyError(f"no Livermore kernel named {rest!r}")
+    return kernels[rest]
 
 
 def _spec92(rest: str, machine: MachineDescription) -> Loop:
     from ..workloads.spec92 import spec92_suite
 
+    suite = spec92_suite(machine)
+    loops = _memoize_corpus(
+        "spec92",
+        machine,
+        ((f"{bench.name}/{loop.name}", loop) for bench in suite for loop in bench.loops),
+    )
+    if rest in loops:
+        return loops[rest]
     bench_name, _, loop_name = rest.partition("/")
-    for bench in spec92_suite(machine):
-        if bench.name != bench_name:
-            continue
-        for loop in bench.loops:
-            if loop.name == loop_name:
-                return loop
+    if any(bench.name == bench_name for bench in suite):
         raise KeyError(f"benchmark {bench_name!r} has no loop {loop_name!r}")
     raise KeyError(f"no SPEC92 benchmark named {bench_name!r}")
 
@@ -68,9 +90,14 @@ def _fuzz(rest: str, machine: MachineDescription) -> Loop:
 
 
 def _recbound(rest: str, machine: MachineDescription) -> Loop:
-    from ..workloads.recbound import recbound_kernel
+    from ..workloads.recbound import recbound_kernels
 
-    return recbound_kernel(rest, machine)
+    kernels = _memoize_corpus(
+        "recbound", machine, ((loop.name, loop) for loop in recbound_kernels(machine))
+    )
+    if rest not in kernels:
+        raise KeyError(f"unknown recbound kernel {rest!r}; known: {', '.join(kernels)}")
+    return kernels[rest]
 
 
 #: Loop sources by key prefix.  Tests may register extra sources (or shadow

@@ -9,8 +9,9 @@ optimistically, then *select* colours in reverse order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..ir.operations import RegClass
 from ..obs import get_recorder
@@ -19,24 +20,93 @@ from .rename import LiveRange, RenamedKernel
 
 @dataclass
 class InterferenceGraph:
-    """Interference graph over one register class's live ranges."""
+    """Interference graph over one register class's live ranges.
+
+    ``nodes`` are in name order and indexed by position; ``masks[i]`` has
+    bit ``j`` set when ``nodes[i]`` and ``nodes[j]`` interfere (exactly
+    :meth:`LiveRange.overlaps`).
+    """
 
     nodes: List[LiveRange]
-    adjacency: Dict[str, Set[str]]
+    masks: List[int]
 
     @classmethod
     def build(cls, ranges: Sequence[LiveRange], period: int) -> "InterferenceGraph":
-        nodes = list(ranges)
-        adjacency: Dict[str, Set[str]] = {r.name: set() for r in nodes}
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                if a.overlaps(b, period):
-                    adjacency[a.name].add(b.name)
-                    adjacency[b.name].add(a.name)
-        return cls(nodes=nodes, adjacency=adjacency)
+        """Build from the arcs' start points, without a pairwise test.
+
+        A full-period range interferes with every other one.  Two arcs
+        interfere when either starts inside the other, so arc ``a``'s
+        neighbours are the ranges starting in ``a`` (a start-sorted prefix
+        mask and ``bisect``) plus the ranges live at ``a.start`` (one sweep
+        over the arcs' start and end points).
+        """
+        nodes = sorted(ranges, key=lambda r: r.name)
+        repeated = sorted({a.name for a, b in zip(nodes, nodes[1:]) if a.name == b.name})
+        if repeated:
+            raise ValueError(f"duplicate live-range names: {', '.join(repeated)}")
+        everyone = (1 << len(nodes)) - 1
+        full = 0
+        arcs: List[Tuple[int, int, int]] = []  # (start, length, node index)
+        for i, r in enumerate(nodes):
+            if r.length >= period:
+                full |= 1 << i
+            else:
+                arcs.append((r.start % period, r.length, i))
+        arcs.sort()
+        starts = [start for start, _, _ in arcs]
+        prefix = [0]  # prefix[j]: the first j arcs by start
+        begins: Dict[int, int] = {}
+        ends: Dict[int, int] = {}
+        live = 0  # arcs that wrap past the period: live at cycle 0
+        for start, length, i in arcs:
+            bit = 1 << i
+            prefix.append(prefix[-1] | bit)
+            begins[start] = begins.get(start, 0)  # every start is a sweep point
+            if length <= 0:
+                continue  # an empty arc is never live
+            begins[start] |= bit
+            end = start + length
+            if end > period:
+                live |= bit
+                end -= period
+            end %= period
+            ends[end] = ends.get(end, 0) | bit
+        live_at: Dict[int, int] = {}
+        for cycle in sorted(begins.keys() | ends.keys()):
+            live = (live & ~ends.get(cycle, 0)) | begins.get(cycle, 0)
+            live_at[cycle] = live
+        masks = [everyone & ~(1 << i) if (full >> i) & 1 else 0 for i in range(len(nodes))]
+        for start, length, i in arcs:
+            lo = bisect_left(starts, start)
+            end = start + length
+            if end <= period:
+                inside = prefix[bisect_left(starts, end, lo)] & ~prefix[lo]
+            else:
+                inside = (prefix[-1] & ~prefix[lo]) | prefix[bisect_left(starts, end - period)]
+            masks[i] = (inside | live_at[start] | full) & ~(1 << i)
+        return cls(nodes=nodes, masks=masks)
+
+    @property
+    def adjacency(self) -> Dict[str, Set[str]]:
+        """Neighbour names by node name (derived from :attr:`masks`)."""
+        return {
+            r.name: {self.nodes[j].name for j in _bits(mask)}
+            for r, mask in zip(self.nodes, self.masks)
+        }
 
     def degree(self, name: str) -> int:
-        return len(self.adjacency[name])
+        for r, mask in zip(self.nodes, self.masks):
+            if r.name == name:
+                return mask.bit_count()
+        raise KeyError(name)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -55,43 +125,82 @@ class ColoringResult:
 
 def color_graph(graph: InterferenceGraph, k: int) -> ColoringResult:
     """Colour with at most ``k`` colours; optimistic (Briggs) spilling."""
-    by_name = {r.name: r for r in graph.nodes}
-    remaining: Set[str] = set(by_name)
-    degree = {name: len(graph.adjacency[name] & remaining) for name in remaining}
-    stack: List[str] = []
+    nodes, masks = graph.nodes, graph.masks
+    remaining = (1 << len(nodes)) - 1
+    # Degrees as bit-sliced counters: bit i of planes[b] is bit b of node
+    # i's degree among the remaining nodes.  Nodes are in name order, so
+    # the lowest set bit of a candidate mask is its first name.
+    by_degree: Dict[int, int] = {}
+    for i, mask in enumerate(masks):
+        d = mask.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << i
+    planes = [0] * max(by_degree, default=0).bit_length()
+    for d, members in by_degree.items():
+        for b in range(d.bit_length()):
+            if d >> b & 1:
+                planes[b] |= members
+    top = range(len(planes) - 1, -1, -1)
+    ratio_groups: List[int] = []  # nodes by spill ratio, highest first; built on demand
+    group = 0
+    stack: List[int] = []
     simplify_steps = 0
     optimistic_pushes = 0
 
     while remaining:
-        # Simplify: any node with degree < k is trivially colourable.
-        trivial = [n for n in remaining if degree[n] < k]
-        if trivial:
-            # Deterministic order; removing low-degree nodes first.
-            node = min(trivial, key=lambda n: (degree[n], n))
+        # Simplify: the lowest (degree, name) node, if its degree is below k.
+        candidates, least = remaining, 0
+        for b in top:
+            zeros = candidates & ~planes[b]
+            if zeros:
+                candidates = zeros
+            else:
+                least |= 1 << b
+        if least < k:
+            node = (candidates & -candidates).bit_length() - 1
             simplify_steps += 1
         else:
-            # Potential spill: push the worst cost/benefit node optimistically.
-            node = max(remaining, key=lambda n: (by_name[n].spill_ratio, degree[n], n))
+            # Potential spill: the worst (spill ratio, degree, name) node,
+            # pushed optimistically.
+            if not ratio_groups:
+                by_ratio: Dict[float, int] = {}
+                for i, r in enumerate(nodes):
+                    by_ratio[r.spill_ratio] = by_ratio.get(r.spill_ratio, 0) | 1 << i
+                ratio_groups = [by_ratio[ratio] for ratio in sorted(by_ratio, reverse=True)]
+            while not ratio_groups[group] & remaining:
+                group += 1
+            candidates = ratio_groups[group] & remaining
+            for b in top:
+                ones = candidates & planes[b]
+                if ones:
+                    candidates = ones
+            node = candidates.bit_length() - 1
             optimistic_pushes += 1
-        remaining.discard(node)
+        remaining ^= 1 << node
         stack.append(node)
-        for neigh in graph.adjacency[node]:
-            if neigh in remaining:
-                degree[neigh] -= 1
+        borrow = masks[node] & remaining  # every neighbour's degree drops by one
+        for b, plane in enumerate(planes):
+            if not borrow:
+                break
+            planes[b] = plane ^ borrow
+            borrow &= ~plane
 
     assignment: Dict[str, int] = {}
     uncolored: List[LiveRange] = []
+    by_color: List[int] = []  # by_color[c]: nodes holding colour c
     for node in reversed(stack):
-        taken = {
-            assignment[neigh]
-            for neigh in graph.adjacency[node]
-            if neigh in assignment
-        }
-        color = next((c for c in range(k) if c not in taken), None)
-        if color is None:
-            uncolored.append(by_name[node])
-        else:
-            assignment[node] = color
+        mask = masks[node]
+        color = len(by_color)  # a new colour unless an old one is free
+        for c, members in enumerate(by_color):
+            if not members & mask:
+                color = c
+                break
+        if color >= k:
+            uncolored.append(nodes[node])
+            continue
+        if color == len(by_color):
+            by_color.append(0)
+        by_color[color] |= 1 << node
+        assignment[nodes[node].name] = color
     rec = get_recorder()
     if rec.enabled:
         rec.counter("regalloc.colorings")

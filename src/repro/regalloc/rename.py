@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..ir.ddg import DepKind
+from ..ir.ddg import Dependence, DepKind
 from ..ir.loop import Loop
 from ..ir.operations import OpClass, RegClass, result_reg_class
 from ..core.sched import Schedule
@@ -91,13 +91,15 @@ def rename_kernel(schedule: Schedule) -> RenamedKernel:
     refs: Dict[str, int] = {}
     carried: Dict[str, bool] = {}
     defs = loop.defs_of()
+    uses: Dict[Tuple[int, str], List[Dependence]] = {}  # (def op, value) -> its flow arcs
+    for arc in loop.ddg.arcs:
+        if arc.kind is DepKind.FLOW:
+            uses.setdefault((arc.src, arc.value), []).append(arc)
     for value, d in defs.items():
         end: Optional[int] = None
         count = 1
         has_carried = False
-        for arc in loop.ddg.arcs:
-            if arc.kind is not DepKind.FLOW or arc.value != value or arc.src != d:
-                continue
+        for arc in uses.get((d, value), ()):
             use_time = schedule.time(arc.dst) + ii * arc.omega
             end = use_time if end is None else max(end, use_time)
             count += 1
@@ -118,7 +120,7 @@ def rename_kernel(schedule: Schedule) -> RenamedKernel:
     ranges: List[LiveRange] = []
     for value, d in defs.items():
         life = lifetimes[value]
-        cls = value_reg_class(loop, value)
+        cls = result_reg_class(loop.ops[d].opclass)  # single assignment: d is the def
         for r in range(kmin):
             ranges.append(
                 LiveRange(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.sched import Schedule
 from ..machine.descriptions import MachineDescription
@@ -41,6 +41,9 @@ class SimReport:
         return self.cycles / max(self.trips, 1)
 
 
+Queue = Tuple[int, ...]  # bank ids of the references in the bellows queue
+
+
 class BankedMemory:
     """The two banks + bellows queue, stepped one cycle at a time.
 
@@ -50,52 +53,71 @@ class BankedMemory:
     processor until the queue drains enough to accept them.
 
     ``step`` returns the number of stall cycles the cycle's arrivals cost.
+    The memory has few states (the queued banks), so each (queue, arrivals)
+    outcome is computed once and replayed.  A cycle with no arrivals and an
+    empty queue changes nothing, so callers may skip it (``busy`` says
+    whether an idle cycle would drain anything).
     """
 
     def __init__(self, banks: int = 2, bellows_depth: int = 1):
         self.banks = banks
         self.depth = bellows_depth
-        self._queued: List[int] = []  # bank ids of queued references
+        self._all = (1 << banks) - 1  # every bank free
+        self._queued: Queue = ()  # bank ids of queued references
+        self._outcomes: Dict[Tuple[Queue, Tuple[int, ...]], Tuple[int, Queue]] = {}
 
-    def step(self, arrivals: List[int]) -> int:
+    @property
+    def busy(self) -> bool:
+        return bool(self._queued)
+
+    def step(self, arrivals: Sequence[int]) -> int:
+        key = (self._queued, tuple(arrivals))
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            outcome = self._outcomes[key] = self._advance(*key)
+        stalls, self._queued = outcome
+        return stalls
+
+    def _service(self, queue: List[int]) -> Tuple[List[int], int]:
+        """One cycle of the banks on ``queue``: what stays queued, free banks."""
+        free = self._all
+        remaining: List[int] = []
+        for bank in queue:
+            if free >> bank & 1:
+                free ^= 1 << bank
+            else:
+                remaining.append(bank)
+        return remaining, free
+
+    def _advance(self, queued: Queue, arrivals: Tuple[int, ...]) -> Tuple[int, Queue]:
+        """One cycle from queue ``queued``: its stalls and the next queue."""
         # Queued references from earlier cycles get first claim on banks.
-        free = set(range(self.banks))
-        still_queued: List[int] = []
-        for bank in self._queued:
-            if bank in free:
-                free.discard(bank)
-            else:
-                still_queued.append(bank)
-        overflow: List[int] = []
-        for bank in arrivals:
-            if bank % self.banks in free:
-                free.discard(bank % self.banks)
-            else:
-                overflow.append(bank % self.banks)
+        still_queued, free = self._service(list(queued))
         stalls = 0
-        for bank in overflow:
+        for bank in arrivals:
+            bank %= self.banks
+            if free >> bank & 1:
+                free ^= 1 << bank
+                continue
             while len(still_queued) >= self.depth:
                 # Processor stalls one cycle; banks service the queue.
                 stalls += 1
-                drained = set(range(self.banks))
-                remaining: List[int] = []
-                for queued_bank in still_queued:
-                    if queued_bank in drained:
-                        drained.discard(queued_bank)
-                    else:
-                        remaining.append(queued_bank)
-                still_queued = remaining
+                still_queued, _ = self._service(still_queued)
             still_queued.append(bank)
-        self._queued = still_queued
-        return stalls
+        return stalls, tuple(still_queued)
 
 
-def _memory_issue_slots(schedule: Schedule) -> Dict[int, List[int]]:
-    """Map modulo slot -> memory operation indices issued there."""
-    slots: Dict[int, List[int]] = {}
-    for op in schedule.loop.memory_ops():
-        slots.setdefault(schedule.slot(op.index), []).append(op.index)
-    return slots
+def _bank_stream(layout: DataLayout, op_index: int, trips: int) -> List[int]:
+    """Banks hit by ``op_index`` in iterations ``0 .. trips-1``.
+
+    Direct references are an arithmetic stream, so their banks come
+    straight from the base address; indirect ones ask the layout.
+    """
+    m = layout.loop.ops[op_index].mem
+    if m is not None and m.is_direct:
+        first = layout.bases[m.base] + m.offset
+        return [(first + n * m.stride) >> 3 & 1 for n in range(trips)]
+    return [layout.bank(op_index, n) for n in range(trips)]
 
 
 def simulate_pipelined(
@@ -114,15 +136,21 @@ def simulate_pipelined(
     stalls = 0
     if machine.has_banked_memory and loop.memory_ops():
         memory = BankedMemory(machine.memory_banks, machine.bellows_depth)
-        # Instance (op, n) issues at t(op) + n*II; walk issue cycles in order.
+        # Instance (op, n) issues at t(op) + n*II; walk issue cycles in order,
+        # stepping idle cycles only while the bellows queue still drains.
         events: Dict[int, List[int]] = {}
         for op in loop.memory_ops():
             t0 = schedule.time(op.index)
-            for n in range(trips):
-                events.setdefault(t0 + n * ii, []).append(layout.bank(op.index, n))
-        last = max(events) if events else 0
-        for cycle in range(0, last + 1):
-            stalls += memory.step(events.get(cycle, []))
+            cycles = range(t0, t0 + trips * ii, ii)
+            for cycle, bank in zip(cycles, _bank_stream(layout, op.index, trips)):
+                events.setdefault(cycle, []).append(bank)
+        next_cycle = 0  # the first cycle not stepped yet
+        for cycle in sorted(events):
+            while next_cycle < cycle and memory.busy:
+                memory.step([])
+                next_cycle += 1
+            stalls += memory.step(events[cycle])
+            next_cycle = cycle + 1
     span = schedule.span
     base_cycles = span + (trips - 1) * ii
     extra = overhead.total if overhead is not None else 0

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import re
 import threading
 
 import pytest
 
+from repro.core.driver import pipeline_loop
 from repro.exec import (
     Cell,
     CellResult,
@@ -69,6 +72,66 @@ class TestCells:
     def test_unknown_loop_source(self, machine):
         with pytest.raises(KeyError):
             resolve_loop("nonesuch:thing", machine)
+
+
+#: Each corpus, the workload module that builds it, and its builder.
+CORPUS_BUILDERS = (
+    ("livermore", "repro.workloads.livermore", "livermore_kernels"),
+    ("spec92", "repro.workloads.spec92", "spec92_suite"),
+    ("recbound", "repro.workloads.recbound", "recbound_kernels"),
+)
+
+
+def _flat_loops(corpus, built):
+    return [loop for bench in built for loop in bench.loops] if corpus == "spec92" else built
+
+
+class TestLoopMemo:
+    @pytest.mark.parametrize("corpus, module, builder", CORPUS_BUILDERS)
+    def test_every_key_of_a_corpus_costs_one_build(self, corpus, module, builder, machine,
+                                                   monkeypatch):
+        keys = corpus_loop_keys(corpus, machine)
+        workload = importlib.import_module(module)
+        original = getattr(workload, builder)
+        calls = []
+
+        def counting(m=None):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(workload, builder, counting)
+        clear_loop_memo()
+        try:
+            loops = [resolve_loop(key, machine) for key in keys]
+        finally:
+            clear_loop_memo()
+        assert len(calls) == 1
+        direct = _flat_loops(corpus, original(machine))
+        assert [fingerprint_loop(loop) for loop in loops] == [
+            fingerprint_loop(loop) for loop in direct
+        ]
+
+    @pytest.mark.parametrize("key, message", [
+        ("livermore:lk99_nothing", "no Livermore kernel named 'lk99_nothing'"),
+        ("spec92:alvinn/nothing", "benchmark 'alvinn' has no loop 'nothing'"),
+        ("spec92:nothing/sdot", "no SPEC92 benchmark named 'nothing'"),
+        ("recbound:rb_nothing", "unknown recbound kernel 'rb_nothing'; known: rb_"),
+    ])
+    def test_unknown_names_keep_their_messages(self, key, message, machine):
+        with pytest.raises(KeyError, match=re.escape(message)):
+            resolve_loop(key, machine)
+
+    def test_clearing_the_memo_drops_every_loop_and_its_search_memos(self, machine):
+        keys = corpus_loop_keys("livermore", machine)
+        clear_loop_memo()
+        first = [resolve_loop(key, machine) for key in keys]
+        pipeline_loop(first[0], machine)
+        assert first[0].ddg._bnb_attempt_memo
+        clear_loop_memo()
+        again = [resolve_loop(key, machine) for key in keys]
+        for old, new in zip(first, again):
+            assert new is not old
+            assert getattr(new.ddg, "_bnb_attempt_memo", None) is None
 
 
 class TestHashing:
