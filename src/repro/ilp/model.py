@@ -3,18 +3,21 @@
 The MOST scheduler formulates modulo scheduling as an ILP and hands it "to
 one of a number of standard ILP solving packages" (Section 1.2).  This
 module is our stand-in for the modelling front of such a package: variables
-with bounds and integrality, linear constraints, a linear objective, and a
-conversion to the sparse arrays the LP engine consumes.
+with bounds and integrality, linear constraints and a linear objective.
+It needs no numerical library: the conversion to the sparse arrays the LP
+engine consumes lives in :mod:`repro.ilp.solver`, the one module that
+loads numpy and scipy.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-from scipy import sparse
+#: The solve engines: our LP-relaxation branch-and-bound, or HiGHS' MILP.
+#: Kept here so option validation needs no solver import.
+ENGINES = ("bnb", "scipy")
 
 
 class Sense(enum.Enum):
@@ -95,66 +98,6 @@ class Model:
         return [v.index for v in self.variables if v.integer]
 
     # ------------------------------------------------------------------
-    def to_arrays(
-        self,
-        extra_bounds: Optional[Dict[int, Tuple[float, Optional[float]]]] = None,
-    ):
-        """Convert to (c, A_ub, b_ub, A_eq, b_eq, bounds) for the LP engine.
-
-        ``extra_bounds`` lets a branch-and-bound driver tighten variable
-        bounds per node without copying the model.
-        """
-        n = self.n_vars
-        c = np.zeros(n)
-        for idx, coeff in self.objective.items():
-            c[idx] = coeff
-        if not self.minimize:
-            c = -c
-
-        ub_rows: List[Dict[int, float]] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[Dict[int, float]] = []
-        eq_rhs: List[float] = []
-        for con in self.constraints:
-            if con.sense is Sense.LE:
-                ub_rows.append(con.coeffs)
-                ub_rhs.append(con.rhs)
-            elif con.sense is Sense.GE:
-                ub_rows.append({i: -v for i, v in con.coeffs.items()})
-                ub_rhs.append(-con.rhs)
-            else:
-                eq_rows.append(con.coeffs)
-                eq_rhs.append(con.rhs)
-
-        def build(rows: List[Dict[int, float]]):
-            if not rows:
-                return None
-            data, ri, ci = [], [], []
-            for r, row in enumerate(rows):
-                for col, val in row.items():
-                    data.append(val)
-                    ri.append(r)
-                    ci.append(col)
-            return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-
-        bounds = []
-        for v in self.variables:
-            lo, hi = v.lb, v.ub
-            if extra_bounds and v.index in extra_bounds:
-                extra_lo, extra_hi = extra_bounds[v.index]
-                lo = max(lo, extra_lo)
-                if extra_hi is not None:
-                    hi = extra_hi if hi is None else min(hi, extra_hi)
-            bounds.append((lo, hi))
-        return (
-            c,
-            build(ub_rows),
-            np.array(ub_rhs) if ub_rhs else None,
-            build(eq_rows),
-            np.array(eq_rhs) if eq_rhs else None,
-            bounds,
-        )
-
     def __str__(self) -> str:
         return (
             f"Model({self.name}: {self.n_vars} vars, "

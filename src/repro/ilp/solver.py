@@ -12,6 +12,12 @@ solving packages" (Section 3.3):
 The linear relaxations are solved with scipy's HiGHS ``linprog``.  A
 ``scipy`` engine using :func:`scipy.optimize.milp` directly is provided for
 cross-checking our branch-and-bound on small instances.
+
+This is the only module of the package that imports numpy or scipy
+(``tests/test_import_boundary.py`` holds that line), so a process loads
+them only once it solves an ILP.  Optimal drivers import this module
+before their :class:`~repro.most.walk.SolveBudget` starts, so the import
+never spends a loop's wall-clock budget.
 """
 
 from __future__ import annotations
@@ -23,15 +29,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from ..obs import get_recorder
-from .model import Model
+from .model import ENGINES, Model, Sense
 
 INT_TOL = 1e-6
-
-#: The solve engines: our LP-relaxation branch-and-bound, or HiGHS' MILP.
-ENGINES = ("bnb", "scipy")
 
 
 class Status(enum.Enum):
@@ -80,8 +83,69 @@ class SolverOptions:
     branch_up_first: bool = False
 
 
+def to_arrays(
+    model: Model,
+    extra_bounds: Optional[Dict[int, Tuple[float, Optional[float]]]] = None,
+):
+    """Convert ``model`` to (c, A_ub, b_ub, A_eq, b_eq, bounds) for the LP engine.
+
+    ``extra_bounds`` lets a branch-and-bound driver tighten variable
+    bounds per node without copying the model.
+    """
+    n = model.n_vars
+    c = np.zeros(n)
+    for idx, coeff in model.objective.items():
+        c[idx] = coeff
+    if not model.minimize:
+        c = -c
+
+    ub_rows: List[Dict[int, float]] = []
+    ub_rhs: List[float] = []
+    eq_rows: List[Dict[int, float]] = []
+    eq_rhs: List[float] = []
+    for con in model.constraints:
+        if con.sense is Sense.LE:
+            ub_rows.append(con.coeffs)
+            ub_rhs.append(con.rhs)
+        elif con.sense is Sense.GE:
+            ub_rows.append({i: -v for i, v in con.coeffs.items()})
+            ub_rhs.append(-con.rhs)
+        else:
+            eq_rows.append(con.coeffs)
+            eq_rhs.append(con.rhs)
+
+    def build(rows: List[Dict[int, float]]):
+        if not rows:
+            return None
+        data, ri, ci = [], [], []
+        for r, row in enumerate(rows):
+            for col, val in row.items():
+                data.append(val)
+                ri.append(r)
+                ci.append(col)
+        return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+
+    bounds = []
+    for v in model.variables:
+        lo, hi = v.lb, v.ub
+        if extra_bounds and v.index in extra_bounds:
+            extra_lo, extra_hi = extra_bounds[v.index]
+            lo = max(lo, extra_lo)
+            if extra_hi is not None:
+                hi = extra_hi if hi is None else min(hi, extra_hi)
+        bounds.append((lo, hi))
+    return (
+        c,
+        build(ub_rows),
+        np.array(ub_rhs) if ub_rhs else None,
+        build(eq_rows),
+        np.array(eq_rhs) if eq_rhs else None,
+        bounds,
+    )
+
+
 def _solve_lp(model: Model, extra_bounds: Dict[int, Tuple[float, Optional[float]]]):
-    c, A_ub, b_ub, A_eq, b_eq, bounds = model.to_arrays(extra_bounds)
+    c, A_ub, b_ub, A_eq, b_eq, bounds = to_arrays(model, extra_bounds)
     return optimize.linprog(
         c,
         A_ub=A_ub,
@@ -125,7 +189,7 @@ def solve_milp(model: Model, options: Optional[SolverOptions] = None) -> MILPRes
 
 def _solve_with_scipy(model: Model, options: SolverOptions) -> MILPResult:
     start = time.perf_counter()
-    c, A_ub, b_ub, A_eq, b_eq, bounds = model.to_arrays(None)
+    c, A_ub, b_ub, A_eq, b_eq, bounds = to_arrays(model)
     constraints = []
     if A_ub is not None:
         constraints.append(optimize.LinearConstraint(A_ub, -np.inf, b_ub))

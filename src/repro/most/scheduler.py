@@ -29,13 +29,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from ..core.driver import options_from_mapping
 from ..core.priorities import production_orders
 from ..core.sched import Schedule
-from ..ilp.solver import ENGINES
+from ..ilp.model import ENGINES
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
 from ..portfolio.answer import SAT, BackendAnswer, ProbeRecord
 from ..portfolio.formulation import check_witness
-from ..portfolio.ilp_backend import solve_ilp
+from ..portfolio.ilp_backend import load_ilp_solver, solve_ilp
 from .formulation import ScheduleFormulation, build_formulation, model_from_formulation
 from .walk import (
     PAPER_TIME_LIMIT,
@@ -144,6 +144,7 @@ def most_pipeline_loop(
         )
         return schedule, {"buffers": buffers, "winning_backend": winner.backend}
 
+    load_ilp_solver()
     return walk_ii(
         loop, machine, options, verify, tag="most", formulate=formulate, solve=solve,
         probes=probes,

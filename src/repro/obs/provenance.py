@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.metadata
 import pathlib
 import platform
 import socket
@@ -50,11 +51,11 @@ def host_fingerprint() -> str:
 
 
 def _scipy_version() -> Optional[str]:
+    """The installed scipy's version, read from its package metadata so
+    stamping a payload does not load scipy itself."""
     try:
-        import scipy  # noqa: PLC0415
-
-        return str(scipy.__version__)
-    except Exception:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
         return None
 
 

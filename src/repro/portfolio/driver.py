@@ -45,7 +45,7 @@ from ..obs import get_recorder
 from .answer import UNKNOWN, UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
 from .cp import solve_cp
 from .formulation import ModuloFormulation, build_modulo_formulation
-from .ilp_backend import solve_ilp
+from .ilp_backend import load_ilp_solver, solve_ilp
 from .smt import smt_available, solve_smt
 
 #: Backends every build of this repo can run.  ``smt`` joins the set only
@@ -201,6 +201,8 @@ def portfolio_pipeline_loop(
         )
         return schedule, {"winning_backend": winner.backend}
 
+    if "ilp" in dict(backends):
+        load_ilp_solver()
     result = walk_ii(
         loop, machine, options, verify,
         tag="portfolio", formulate=formulate, solve=solve, search=bool(backends),

@@ -12,14 +12,27 @@ UNSOLVED (budget) -> unknown.
 
 Imports of :mod:`repro.most` stay inside the function: the MOST modules
 import the neutral formulation from this package, and a top-level import
-back into ``most`` would complete a cycle.
+back into ``most`` would complete a cycle.  The solver import stays there
+too, so a process that never solves an ILP never loads numpy or scipy.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Optional, Sequence
 
 from .answer import SAT, UNKNOWN, UNSAT, BackendAnswer
+
+
+def load_ilp_solver() -> None:
+    """Import :mod:`repro.ilp.solver`, and with it numpy and scipy, now.
+
+    An optimal driver calls this before its
+    :class:`~repro.most.walk.SolveBudget` starts: the first import costs
+    about half a second, which inside the walk would come out of the
+    loop's wall-clock budget.
+    """
+    importlib.import_module("..ilp.solver", __package__)
 
 
 def solve_ilp(

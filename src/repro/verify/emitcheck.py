@@ -19,6 +19,7 @@ kernel passes, epilogue) to prove:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.ddg import DepKind
@@ -313,19 +314,18 @@ def _check_clobbers(
     for reg in writes:
         writes[reg].sort()
 
-    flow = [
-        (a.src, a.dst, a.value, a.omega)
-        for a in loop.ddg.arcs
-        if a.kind is DepKind.FLOW and a.value
-    ]
+    # Flow arcs grouped by producer, in arc order.
+    flow: Dict[int, List[Tuple[int, str, int]]] = {}
+    for a in loop.ddg.arcs:
+        if a.kind is DepKind.FLOW and a.value:
+            flow.setdefault(a.src, []).append((a.dst, a.value, a.omega))
     reported = set()
     for inst in trace:
-        if inst.dest is None:
+        if inst.dest is None or inst.op not in flow:
             continue
         expected = names.get(f"{_dest_value(loop, inst.op)}@{inst.iteration % kmin}")
-        for src, dst, value, omega in flow:
-            if src != inst.op:
-                continue
+        reg_writes = writes[inst.dest]
+        for dst, value, omega in flow[inst.op]:
             consumer = by_key.get((dst, inst.iteration + omega))
             if consumer is None:
                 continue  # past the end of the replayed window
@@ -344,30 +344,30 @@ def _check_clobbers(
                         where=consumer.line.strip(),
                     )
                 continue
-            for w_cycle, w_ident in writes.get(inst.dest, ()):
+            # A clobber is a write to the same register in the def's own
+            # cycle, or strictly between the def and the read: the cycles
+            # [def, max(def + 1, read)), cut from the sorted write list.
+            lo = bisect_left(reg_writes, (inst.cycle,))
+            hi = bisect_left(reg_writes, (max(inst.cycle + 1, consumer.cycle),), lo)
+            for w_cycle, w_ident in reg_writes[lo:hi]:
                 if w_ident == (inst.op, inst.iteration):
                     continue
-                clobbers = (
-                    inst.cycle < w_cycle < consumer.cycle
-                    or w_cycle == inst.cycle  # two writes, same register, same cycle
+                key = (inst.dest, w_ident)
+                if key in reported:
+                    continue
+                reported.add(key)
+                report.add(
+                    "EMIT002",
+                    Severity.ERROR,
+                    f"{inst.dest} written by op {inst.op} (iteration "
+                    f"{inst.iteration}, cycle {inst.cycle}) is overwritten by "
+                    f"op {w_ident[0]} (iteration {w_ident[1]}, cycle {w_cycle}) "
+                    f"before op {dst} reads it at cycle {consumer.cycle}",
+                    loop=name,
+                    ops=(inst.op, w_ident[0], dst),
+                    hint="overlapped pipestages reuse a register too early; "
+                    "kmin or the colouring is wrong",
                 )
-                if clobbers:
-                    key = (inst.dest, w_ident)
-                    if key in reported:
-                        continue
-                    reported.add(key)
-                    report.add(
-                        "EMIT002",
-                        Severity.ERROR,
-                        f"{inst.dest} written by op {inst.op} (iteration "
-                        f"{inst.iteration}, cycle {inst.cycle}) is overwritten by "
-                        f"op {w_ident[0]} (iteration {w_ident[1]}, cycle {w_cycle}) "
-                        f"before op {dst} reads it at cycle {consumer.cycle}",
-                        loop=name,
-                        ops=(inst.op, w_ident[0], dst),
-                        hint="overlapped pipestages reuse a register too early; "
-                        "kmin or the colouring is wrong",
-                    )
 
 
 def _dest_value(loop: Loop, op: int) -> str:

@@ -23,13 +23,16 @@ straightforward code it replaced (kept below as the reference):
   ``LiveRange.overlaps`` graph, and :func:`color_graph` must give the same
   assignment and ``uncolored`` order as the list-scan colourer;
 * :func:`simulate_pipelined` (busy cycles only, arithmetic bank streams)
-  must return the same :class:`SimReport` as the walk over every cycle.
+  must return the same :class:`SimReport` as the walk over every cycle;
+* the emitted-code clobber check (EMIT002: flow arcs grouped by producer,
+  each register's writes bisected by cycle) must give the same report,
+  messages and order included, as the scan of every arc and every write.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +41,7 @@ from repro.core.bnb import BnBConfig, _Attempt
 from repro.core.driver import pipeline_loop
 from repro.core.sched import Schedule
 from repro.ir.builder import LoopBuilder
+from repro.ir.ddg import DepKind
 from repro.ir.operations import RegClass
 from repro.core.distances import SccDistanceTables
 from repro.core.minii import min_ii
@@ -49,11 +53,14 @@ from repro.machine.resources import (
     ReservationTable,
     ResourceUse,
 )
+from repro.pipeline.emit import emit_pipelined_code
 from repro.pipeline.overhead import pipeline_overhead
 from repro.regalloc.coloring import InterferenceGraph, color_graph
 from repro.regalloc.rename import LiveRange, rename_kernel
 from repro.sim.layout import DataLayout
 from repro.sim.perf import SimReport, simulate_pipelined
+from repro.verify import emitcheck
+from repro.verify.diagnostics import Severity
 from repro.workloads.livermore import livermore_kernels
 from repro.workloads.recbound import recbound_kernels
 from repro.workloads.spec92 import spec92_suite
@@ -501,3 +508,118 @@ class TestBusyCycleSimVsEveryCycle:
         assert simulate_pipelined(schedule, layout, machine) == _reference_simulate_pipelined(
             schedule, layout, machine
         )
+
+
+def _reference_check_clobbers(loop, allocation, kmin, trace, report, name) -> None:
+    """EMIT002 as it was: every flow arc and every write, per write."""
+    names = emitcheck._register_names(allocation)
+    by_key = {(inst.op, inst.iteration): inst for inst in trace}
+    writes: Dict[str, List[Tuple[int, Tuple[int, int]]]] = {}
+    for inst in trace:
+        if inst.dest is not None:
+            writes.setdefault(inst.dest, []).append((inst.cycle, (inst.op, inst.iteration)))
+    for reg in writes:
+        writes[reg].sort()
+
+    flow = [
+        (a.src, a.dst, a.value, a.omega)
+        for a in loop.ddg.arcs
+        if a.kind is DepKind.FLOW and a.value
+    ]
+    reported = set()
+    for inst in trace:
+        if inst.dest is None:
+            continue
+        expected = names.get(f"{emitcheck._dest_value(loop, inst.op)}@{inst.iteration % kmin}")
+        for src, dst, value, omega in flow:
+            if src != inst.op:
+                continue
+            consumer = by_key.get((dst, inst.iteration + omega))
+            if consumer is None:
+                continue
+            if expected is not None and expected not in consumer.srcs:
+                key = (inst.op, dst, inst.iteration)
+                if key not in reported:
+                    reported.add(key)
+                    report.add(
+                        "EMIT002",
+                        Severity.ERROR,
+                        f"op {dst} (iteration {consumer.iteration}) should read "
+                        f"{value!r} from {expected} written by op {inst.op} "
+                        f"(iteration {inst.iteration}) but reads {consumer.srcs}",
+                        loop=name,
+                        ops=(inst.op, dst),
+                        where=consumer.line.strip(),
+                    )
+                continue
+            for w_cycle, w_ident in writes.get(inst.dest, ()):
+                if w_ident == (inst.op, inst.iteration):
+                    continue
+                clobbers = (
+                    inst.cycle < w_cycle < consumer.cycle
+                    or w_cycle == inst.cycle
+                )
+                if clobbers:
+                    key = (inst.dest, w_ident)
+                    if key in reported:
+                        continue
+                    reported.add(key)
+                    report.add(
+                        "EMIT002",
+                        Severity.ERROR,
+                        f"{inst.dest} written by op {inst.op} (iteration "
+                        f"{inst.iteration}, cycle {inst.cycle}) is overwritten by "
+                        f"op {w_ident[0]} (iteration {w_ident[1]}, cycle {w_cycle}) "
+                        f"before op {dst} reads it at cycle {consumer.cycle}",
+                        loop=name,
+                        ops=(inst.op, w_ident[0], dst),
+                        hint="overlapped pipestages reuse a register too early; "
+                        "kmin or the colouring is wrong",
+                    )
+
+
+def _collapsed(allocation, colours: int):
+    """The allocation with every range folded onto ``colours`` registers
+    per class: overlapped lifetimes now share registers (seeded EMIT002)."""
+    return dataclasses.replace(
+        allocation,
+        fp_assignment={r: c % colours for r, c in allocation.fp_assignment.items()},
+        int_assignment={r: c % colours for r, c in allocation.int_assignment.items()},
+    )
+
+
+class TestClobberCheckVsScan:
+    def _assert_same_report(self, monkeypatch, schedule, allocation, emitted):
+        loop = schedule.loop
+        args = (loop, schedule.ii, schedule.times, allocation, emitted)
+        fast = emitcheck.check_emitted(*args).diagnostics
+        with monkeypatch.context() as m:
+            m.setattr(emitcheck, "_check_clobbers", _reference_check_clobbers)
+            reference = emitcheck.check_emitted(*args).diagnostics
+        assert fast == reference, loop.name
+        return fast
+
+    def test_reports_agree_on_the_corpus_and_on_seeded_clobbers(self, monkeypatch):
+        seeded = set()
+        for loop in _corpus():
+            result = pipeline_loop(loop, MACHINE, verify=False)
+            schedule, allocation = result.schedule, result.allocation
+            emitted = emit_pipelined_code(schedule, allocation)
+            clean = self._assert_same_report(monkeypatch, schedule, allocation, emitted)
+            assert not [d for d in clean if d.rule == "EMIT002"], loop.name
+            if loop.name not in SAMPLE_LOOPS:
+                continue
+            for colours in (1, 2, 3):
+                tight = _collapsed(allocation, colours)
+                tight_code = emit_pipelined_code(schedule, tight)
+                # Checked against its own allocation: clobbered registers.
+                # Against the real one: reads of the wrong register.
+                for checked in (tight, allocation):
+                    found = self._assert_same_report(
+                        monkeypatch, schedule, checked, tight_code
+                    )
+                    seeded.update(
+                        "wrong read" if "should read" in d.message else "clobber"
+                        for d in found if d.rule == "EMIT002"
+                    )
+        assert seeded == {"wrong read", "clobber"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilp import Model, Sense, SolverOptions, Status, solve_milp
+from repro.ilp.solver import to_arrays
 
 
 def knapsack(values, weights, capacity):
@@ -22,7 +23,7 @@ class TestModel:
 
     def test_to_arrays_shapes(self):
         m, xs = knapsack([1, 2], [1, 1], 1)
-        c, A_ub, b_ub, A_eq, b_eq, bounds = m.to_arrays()
+        c, A_ub, b_ub, A_eq, b_eq, bounds = to_arrays(m)
         assert c.shape == (2,)
         assert A_ub.shape == (1, 2)
         assert A_eq is None
@@ -30,20 +31,20 @@ class TestModel:
 
     def test_maximize_negates_costs(self):
         m, xs = knapsack([3, 5], [1, 1], 2)
-        c, *_ = m.to_arrays()
+        c, *_ = to_arrays(m)
         assert c[0] == -3 and c[1] == -5
 
     def test_ge_constraints_flip(self):
         m = Model()
         x = m.add_var("x", lb=0, ub=10)
         m.add_constraint({x: 1.0}, Sense.GE, 4.0)
-        _, A_ub, b_ub, *_ = m.to_arrays()
+        _, A_ub, b_ub, *_ = to_arrays(m)
         assert A_ub[0, 0] == -1.0 and b_ub[0] == -4.0
 
     def test_extra_bounds_tighten(self):
         m = Model()
         x = m.add_var("x", lb=0, ub=10)
-        *_, bounds = m.to_arrays({x.index: (2.0, 5.0)})
+        *_, bounds = to_arrays(m, {x.index: (2.0, 5.0)})
         assert bounds[0] == (2.0, 5.0)
 
 
