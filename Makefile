@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-verify lint verify-corpus bench bench-quick bench-baseline \
-        bench-tests bench-micro trace-smoke explain analyze diff-strict report \
+        bench-tests bench-micro trace-smoke explain explain-smoke analyze diff-strict report \
         report-smoke fuzz fuzz-smoke portfolio-smoke serve serve-smoke \
         serve-baseline trend history-seed e2e-smoke ci
 
@@ -84,10 +84,23 @@ trace-smoke:
 	$(PYTHON) -m repro trace livermore --limit 3 --check --trace-dir benchmarks/output/trace
 
 # II-gap attribution over the full Livermore corpus: which constraint
-# (recurrence, resource, register pressure, bank pairing, search budget)
-# binds each loop's achieved II, per scheduler.
+# (recurrence, resource, register pressure, search budget or exhaustion)
+# binds each loop's achieved II, per scheduler, read from each run's trail.
 explain:
 	$(PYTHON) -m repro explain livermore
+
+# CI's attribution smoke: six Livermore loops through all four schedulers;
+# fails when no cell was explained or a binding falls outside
+# repro.obs.explain.BINDING_CLASSES.
+explain-smoke:
+	$(PYTHON) -m repro explain livermore --limit 6 --json benchmarks/output/explain.json
+	$(PYTHON) -c "import json, sys; \
+		from repro.obs.explain import BINDING_CLASSES; \
+		cells = json.load(open('benchmarks/output/explain.json')); \
+		bad = ['%s x %s: %s' % (c['loop'], c['scheduler'], c['binding']) \
+		       for c in cells if c['binding'] not in BINDING_CLASSES]; \
+		print('explain cells=%d outside BINDING_CLASSES=%d' % (len(cells), len(bad)), *bad); \
+		sys.exit(1 if bad or not cells else 0)"
 
 # Certified II lower bounds over every corpus: derive the refined bounds,
 # validate every shipped certificate with the independent checker, and
@@ -189,6 +202,6 @@ e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Everything CI runs, in CI's order.
-ci: lint test verify-corpus analyze bench-quick trace-smoke report-smoke \
+ci: lint test verify-corpus analyze bench-quick trace-smoke explain-smoke report-smoke \
 	diff-strict portfolio-smoke bench-micro fuzz-smoke serve-smoke trend \
 	e2e-smoke

@@ -417,9 +417,11 @@ def _explain_main(argv) -> int:
 
     Runs every (loop × scheduler) cell of the corpus and attributes its
     achieved II to exactly one binding-constraint class: the critical
-    recurrence circuit or bottleneck resource when II == MinII, and a
-    classified replay of the failed II−1 attempt (register pressure, bank
-    pairing, search budget/exhaustion) when II > MinII.
+    recurrence circuit or bottleneck resource when II == MinII, and, when
+    II > MinII, a certificate citation or a read of the trail the driver
+    wrote below the achieved II (register pressure, search budget or
+    exhaustion, or every lower II proven infeasible).  Nothing is solved
+    twice: the only solves are the production runs themselves.
     """
     ep, args = _parse(
         "explain",

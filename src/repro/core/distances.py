@@ -16,11 +16,9 @@ this: the frontier is computed once per dependence graph (one profile
 Floyd–Warshall mirroring the numeric recursion exactly), cached on the
 DDG, and re-evaluated per candidate II as a cheap max over a handful of
 lines.  Re-running the II search, other priority orders, or other
-schedulers against the same loop all hit the same cache.
-
-``SccDistanceTables(..., memo=False)`` runs the original per-II
-Floyd–Warshall instead, the reference the equivalence tests compare
-against.
+schedulers against the same loop all hit the same cache.  The per-II
+Floyd–Warshall it replaced survives only as the fallback for oversized
+frontiers; the equivalence tests compare against it.
 """
 
 from __future__ import annotations
@@ -88,20 +86,10 @@ class _DistanceMemo:
 class SccDistanceTables:
     """Per-SCC all-pairs longest-path tables at a fixed II."""
 
-    def __init__(self, loop: Loop, ii: int, memo: bool = True):
+    def __init__(self, loop: Loop, ii: int):
         self.loop = loop
         self.ii = ii
-        self._tables: Dict[int, Dict[Tuple[int, int], float]] = {}
-        self._feasible = True
-        if memo:
-            self._feasible, self._tables = self._evaluate_memo()
-        else:
-            for scc in loop.ddg.nontrivial_sccs():
-                scc_id = loop.ddg.scc_id(scc[0])
-                table = self._floyd_warshall(scc)
-                self._tables[scc_id] = table
-                if any(table.get((v, v), NEG_INF) > 0 for v in scc):
-                    self._feasible = False
+        self._feasible, self._tables = self._evaluate_memo()
 
     # ------------------------------------------------------------------
     # Memoized parametric path

@@ -26,7 +26,7 @@ from ..obs import get_recorder
 from ..regalloc.coloring import AllocationResult, allocate_schedule
 from .bankpolish import polish_bank_schedule
 from .bnb import BnBConfig, modulo_schedule_bnb, prepare_attempt
-from .iisearch import search_ii
+from .iisearch import IIAttempt, search_ii
 from .membank import BankPairer
 from .minii import min_ii as compute_min_ii
 from .pipestage import adjust_pipestages
@@ -101,6 +101,9 @@ class PipelineResult:
     spill_rounds: int = 0
     spilled: List[str] = field(default_factory=list)
     stats: SchedulingStats = field(default_factory=SchedulingStats)
+    # The final spill round's II attempts, every order's in turn; each found
+    # II carries its allocation outcome (repro.obs.explain reads this trail).
+    attempted: List[IIAttempt] = field(default_factory=list)
     # The common read surface of every scheduler's result (repro.schedulers):
     # the heuristic neither proves II-optimality nor falls back.
     optimal = False
@@ -184,6 +187,7 @@ def pipeline_loop(
                     spill_rounds=spill_round,
                     spilled=spilled_total,
                     stats=stats,
+                    attempted=outcome.attempted,
                 ),
                 machine,
                 verify,
@@ -214,6 +218,7 @@ def pipeline_loop(
         spill_rounds=rounds_done,
         spilled=spilled_total,
         stats=stats,
+        attempted=outcome.attempted,
     )
 
 
@@ -221,6 +226,7 @@ def pipeline_loop(
 class _RoundOutcome:
     best: Optional[Tuple[Schedule, AllocationResult, str]] = None
     best_failed: Optional[Tuple[Schedule, AllocationResult, str]] = None
+    attempted: List[IIAttempt] = field(default_factory=list)
 
 
 def _schedule_and_allocate(
@@ -263,6 +269,7 @@ def _schedule_and_allocate(
                 stats=stats,
                 static_bound=static_bound,
             )
+        outcome.attempted.extend(found.attempted)
         if not found.success:
             continue
         times = adjust_pipestages(loop, found.ii, found.times)
@@ -271,6 +278,8 @@ def _schedule_and_allocate(
             producer=f"sgi/{order_name}",
         )
         allocation = allocate_schedule(schedule, machine)
+        winner = next(a for a in found.attempted if a.success and a.ii == found.ii)
+        winner.allocated, winner.uncolored = allocation.success, len(allocation.uncolored)
         entry = (schedule, allocation, order_name)
         if allocation.success:
             if outcome.best is None or schedule.ii < outcome.best[0].ii:

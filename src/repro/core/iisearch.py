@@ -15,9 +15,11 @@ on compile speed.  Two phases:
 After spilling, a simple binary search over [MinII, MaxII] is used instead
 (Section 2.8).
 
-Every candidate II tried is recorded — phase, outcome and search effort —
-in :attr:`IISearchResult.attempted`, *including* on overall failure, so
-the compile-speed analyses can see exactly which IIs each phase visited.
+Every candidate II tried is recorded — phase, outcome, search effort and
+why a failed attempt stopped — in :attr:`IISearchResult.attempted`,
+*including* on overall failure, so the compile-speed analyses can see
+exactly which IIs each phase visited and :mod:`repro.obs.explain` can
+attribute an II gap without searching again.
 """
 
 from __future__ import annotations
@@ -42,14 +44,20 @@ class IIAttempt:
     """One candidate II tried during the search, with its outcome."""
 
     ii: int
-    phase: str  # "linear" | "backoff" | "binary" | "simple"
+    phase: str  # "linear" | "backoff" | "binary" | "simple" | "rau"
     success: bool
     placements: int = 0
     backtracks: int = 0
     seconds: float = 0.0
-    # True when the II was rejected by a certified static lower bound
-    # (repro.analyze) without running the B&B scheduler at all.
-    pruned: bool = False
+    # Why a failed attempt stopped: "budget" (the B&B backtrack/placement
+    # limit, or Rau94's placement budget), "exhausted" (the search ran out
+    # of choices within budget) or "pruned" (a certified static lower bound
+    # from repro.analyze rejected the II without scheduling).  "" on success.
+    stop: str = ""
+    # For a found II, stamped by the driver: did the schedule
+    # register-allocate, and how many live ranges failed to colour?
+    allocated: Optional[bool] = None
+    uncolored: int = 0
 
 
 @dataclass
@@ -127,7 +135,7 @@ def search_ii(
 
     def try_ii(ii: int, phase: str) -> Optional[Dict[int, int]]:
         if static_bound is not None and ii < static_bound:
-            attempted.append(IIAttempt(ii=ii, phase=phase, success=False, pruned=True))
+            attempted.append(IIAttempt(ii=ii, phase=phase, success=False, stop="pruned"))
             if rec.enabled:
                 rec.counter("ii.static_prunes")
                 rec.event(
@@ -141,6 +149,13 @@ def search_ii(
                 )
             return None
         result = _attempt(loop, machine, ii, priority, config, pairer_factory, stats)
+        stop = ""
+        if not result.success:
+            over = (
+                result.backtracks >= config.max_backtracks
+                or result.placements > config.max_placements
+            )
+            stop = "budget" if over else "exhausted"
         attempted.append(
             IIAttempt(
                 ii=ii,
@@ -149,6 +164,7 @@ def search_ii(
                 placements=result.placements,
                 backtracks=result.backtracks,
                 seconds=result.seconds,
+                stop=stop,
             )
         )
         if rec.enabled:

@@ -196,22 +196,13 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
     if cell.oracle:
         _apply_oracle(cell, result, machine, out)
     if cell.explain:
-        from ..obs import get_recorder
         from ..obs.explain import explain_result
 
-        rec = get_recorder()
         try:
-            out.explanation = explain_result(
-                result,
-                cell.scheduler,
-                machine,
-                options,
-                events=getattr(rec, "events", None),
-                obs=getattr(rec, "counters", None),
-            ).to_dict()
+            out.explanation = explain_result(result, cell.scheduler, machine).to_dict()
         except Exception:
-            # Attribution is best-effort decoration; a replay crash must
-            # not lose the measured result.
+            # Attribution is best-effort decoration; a crash in it must not
+            # lose the measured result.
             out.explanation = {"error": traceback.format_exc()}
     return out
 

@@ -9,22 +9,16 @@ own class across iterations, which is what makes such operations hard to
 modulo-schedule and why the priority heuristics move them to the head of
 the list (Section 2.7).
 
-Two interchangeable modulo-reservation-table implementations live here:
-
-* :class:`PackedModuloReservationTable` (the default) interns resource
-  names to dense integers once per availability map, pre-lowers each
-  :class:`ReservationTable` into ``(slot_offset, resource_id, count)``
-  arrays per II, and tracks occupancy in flat integer arrays plus one
-  "slot full" bitmask per resource.  The bitmasks let the schedulers test
-  a whole II's worth of candidate slots with a handful of big-int
-  operations (:meth:`~PackedModuloReservationTable.blocked_mask`).
-* :class:`DictModuloReservationTable` is the original
-  ``List[Dict[str, int]]`` probing implementation, retained as the
-  reference the differential tests compare against.
-
-Both expose the same public ``fits/place/remove/used_at/copy`` API and the
-same lowered fast-path API, so the schedulers never need to know which one
-they got.
+The modulo reservation table, :class:`PackedModuloReservationTable`,
+interns resource names to dense integers once per availability map,
+pre-lowers each :class:`ReservationTable` into ``(slot_offset,
+resource_id, count)`` arrays per II, and tracks occupancy in flat integer
+arrays plus one "slot full" bitmask per resource.  The bitmasks let the
+schedulers test a whole II's worth of candidate slots with a handful of
+big-int operations (:meth:`~PackedModuloReservationTable.blocked_mask`).
+The original per-slot dict probing implementation lives on in
+``tests/test_hotpath_equivalence.py`` as the reference the differential
+tests compare against.
 """
 
 from __future__ import annotations
@@ -336,94 +330,6 @@ class PackedModuloReservationTable:
         clone._counts = self._counts[:]
         clone._full = self._full[:]
         return clone
-
-
-class DictModuloReservationTable:
-    """The original per-slot dict probing implementation.
-
-    Retained as the differential-testing oracle for
-    :class:`PackedModuloReservationTable`.  It also implements the lowered
-    fast-path API (by ignoring the lowering) so the schedulers run
-    unmodified against either implementation.
-    """
-
-    def __init__(self, ii: int, availability: Dict[str, int]):
-        if ii <= 0:
-            raise ValueError(f"II must be positive, got {ii}")
-        self.ii = ii
-        self.availability = dict(availability)
-        self._used: List[Dict[str, int]] = [dict() for _ in range(ii)]
-
-    def fits(self, table: ReservationTable, cycle: int) -> bool:
-        """Can an operation with this reservation table issue at ``cycle``?
-
-        An operation longer than II can collide with *itself* across
-        iterations (several of its uses land in the same modulo slot), so
-        pending usage is accumulated while checking.
-        """
-        pending: Dict[Tuple[int, str], int] = {}
-        for u in table.uses:
-            slot = (cycle + u.offset) % self.ii
-            avail = self.availability.get(u.resource)
-            if avail is None:
-                raise KeyError(f"machine has no resource {u.resource!r}")
-            key = (slot, u.resource)
-            pending[key] = pending.get(key, 0) + u.count
-            if self._used[slot].get(u.resource, 0) + pending[key] > avail:
-                return False
-        return True
-
-    def place(self, table: ReservationTable, cycle: int) -> None:
-        if not self.fits(table, cycle):
-            raise ValueError(f"resource conflict placing op at cycle {cycle}")
-        for u in table.uses:
-            slot = (cycle + u.offset) % self.ii
-            used = self._used[slot]
-            used[u.resource] = used.get(u.resource, 0) + u.count
-
-    def remove(self, table: ReservationTable, cycle: int) -> None:
-        for u in table.uses:
-            slot = (cycle + u.offset) % self.ii
-            used = self._used[slot]
-            remaining = used.get(u.resource, 0) - u.count
-            if remaining < 0:
-                raise ValueError(f"removing op at cycle {cycle} that was never placed")
-            if remaining:
-                used[u.resource] = remaining
-            else:
-                del used[u.resource]
-
-    def used_at(self, slot: int, resource: str) -> int:
-        return self._used[slot % self.ii].get(resource, 0)
-
-    def copy(self) -> "DictModuloReservationTable":
-        clone = DictModuloReservationTable(self.ii, self.availability)
-        clone._used = [dict(d) for d in self._used]
-        return clone
-
-    # Lowered-API shims: `lower` returns the reservation table itself, so
-    # the scheduler fast paths degrade to the probing implementation.
-    def lower(self, table: ReservationTable) -> ReservationTable:
-        return table
-
-    def fits_lowered(self, table: ReservationTable, cycle: int) -> bool:
-        return self.fits(table, cycle)
-
-    def place_lowered(self, table: ReservationTable, cycle: int) -> None:
-        for u in table.uses:
-            slot = (cycle + u.offset) % self.ii
-            used = self._used[slot]
-            used[u.resource] = used.get(u.resource, 0) + u.count
-
-    def remove_lowered(self, table: ReservationTable, cycle: int) -> None:
-        self.remove(table, cycle)
-
-    def blocked_mask(self, table: ReservationTable) -> int:
-        blocked = 0
-        for s in range(self.ii):
-            if not self.fits(table, s):
-                blocked |= 1 << s
-        return blocked
 
 
 #: The table every scheduler builds.

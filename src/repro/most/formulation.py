@@ -67,6 +67,10 @@ class ScheduleFormulation:
         """ASAP/ALAP windows collapsed at this horizon."""
         return self.neutral.infeasible
 
+    @property
+    def infeasible_reason(self) -> str:
+        return self.neutral.infeasible_reason
+
     def decode_times(self, result) -> Dict[int, int]:
         """Extract issue cycles from a solved model."""
         times: Dict[int, int] = {}

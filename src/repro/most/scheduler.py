@@ -102,7 +102,6 @@ def most_pipeline_loop(
     """
     machine = machine if machine is not None else r8000()
     options = options or MostOptions()
-    probes: List[ProbeRecord] = []
     # §3.3 adjustment 3: the SGI production orders as branch orders, in turn.
     orders: List[Optional[List[int]]] = (
         list(production_orders(loop, machine).values())
@@ -123,7 +122,12 @@ def most_pipeline_loop(
             first_solution=not options.integrated,
         )
 
-    def solve(encoded: ScheduleFormulation, budget: SolveBudget, stats: SolveStats) -> Verdict:
+    def solve(
+        encoded: ScheduleFormulation,
+        budget: SolveBudget,
+        stats: SolveStats,
+        probes: List[ProbeRecord],
+    ) -> Verdict:
         entries = [("ilp", entry(encoded, order)) for order in orders]
         winner = probe_ii(encoded.neutral, entries, budget, stats, probes, tag="most")
         if not isinstance(winner, BackendAnswer):
@@ -146,8 +150,7 @@ def most_pipeline_loop(
 
     load_ilp_solver()
     return walk_ii(
-        loop, machine, options, verify, tag="most", formulate=formulate, solve=solve,
-        probes=probes,
+        loop, machine, options, verify, tag="most", formulate=formulate, solve=solve
     )
 
 

@@ -11,6 +11,9 @@ proven when every smaller II was proven infeasible; a register-allocation
 failure walks on (a larger II shortens relative lifetimes); an
 empty-handed walk falls back on the SGI heuristic without bank pairing;
 one verification at the end.  A driver supplies only its per-II step.
+The walk owns the probe trail: every screen and every probe lands in
+``OptimalResult.probes``, and the winning sat probe of each II reached
+carries that schedule's allocation outcome.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ def walk_ii(
     *,
     tag: str,
     formulate: Callable[[int], Any],
-    solve: Callable[[Any, SolveBudget, SolveStats], Verdict],
+    solve: Callable[[Any, SolveBudget, SolveStats, List[ProbeRecord]], Verdict],
     search: bool = True,
     **fields: Any,
 ) -> OptimalResult:
@@ -258,14 +261,16 @@ def walk_ii(
 
     ``options`` supplies ``time_limit``, ``max_ops``, ``ii_cap_factor`` and
     ``fallback``.  ``formulate(ii)`` returns a formulation with an
-    ``infeasible`` flag that ``solve(formulation, budget, stats)`` decides.
-    ``tag`` prefixes the recorder names (``<tag>.ii_attempts``,
-    ``<tag>.ii``); ``search=False`` goes straight to the fallback;
-    ``fields`` are set on every result.
+    ``infeasible`` flag (and ``infeasible_reason``) that
+    ``solve(formulation, budget, stats, probes)`` decides, appending its
+    probes to the walk's trail.  ``tag`` prefixes the recorder names
+    (``<tag>.ii_attempts``, ``<tag>.ii``); ``search=False`` goes straight
+    to the fallback; ``fields`` are set on every result.
     """
     mii = compute_min_ii(loop, machine)
     budget = SolveBudget(total=options.time_limit)
     stats = SolveStats()
+    probes: List[ProbeRecord] = []
     rec = get_recorder()
     if search and loop.n_ops <= options.max_ops:
         # MinII itself is a hard lower bound, so the proof chain starts whole.
@@ -279,8 +284,16 @@ def walk_ii(
                 rec.event(f"{tag}.ii", loop=loop.name, ii=ii)
             formulation = formulate(ii)
             if formulation.infeasible:
-                continue  # proven infeasible at this II (window collapse)
-            verdict = solve(formulation, budget, stats)
+                # Proven infeasible at this II (window collapse): a proof
+                # every backend would repeat, recorded once.
+                probes.append(
+                    ProbeRecord(
+                        ii=ii, backend="screen", answer=UNSAT,
+                        detail=formulation.infeasible_reason,
+                    )
+                )
+                continue
+            verdict = solve(formulation, budget, stats, probes)
             if verdict is None:
                 smaller_proven_infeasible = False
                 continue  # inconclusive at this II; try the next
@@ -288,10 +301,12 @@ def walk_ii(
                 continue
             schedule, found = verdict
             allocation = allocate_schedule(schedule, machine)
+            winner = next(p for p in probes if p.ii == ii and p.witness_ok)
+            winner.allocated, winner.uncolored = allocation.success, len(allocation.uncolored)
             if allocation.success:
                 result = OptimalResult(
-                    True, schedule, allocation, loop, mii,
-                    optimal=smaller_proven_infeasible, stats=stats, **fields, **found,
+                    True, schedule, allocation, loop, mii, optimal=smaller_proven_infeasible,
+                    stats=stats, probes=probes, **fields, **found,
                 )
                 return _maybe_verify(result, machine, verify)
             # Register allocation failed at this II: a larger II shortens
@@ -300,7 +315,9 @@ def walk_ii(
             smaller_proven_infeasible = False
 
     if not options.fallback:
-        return OptimalResult(False, None, None, loop, mii, stats=stats, **fields)
+        return OptimalResult(
+            False, None, None, loop, mii, stats=stats, probes=probes, **fields
+        )
     # verify=False here: the wrapping result is verified below instead, so
     # the fallback schedule is not checked twice.
     fallback = pipeline_loop(
@@ -308,6 +325,6 @@ def walk_ii(
     )
     result = OptimalResult(
         fallback.success, fallback.schedule, fallback.allocation, fallback.loop, mii,
-        fallback_used=True, fallback_result=fallback, stats=stats, **fields,
+        fallback_used=True, fallback_result=fallback, stats=stats, probes=probes, **fields,
     )
     return _maybe_verify(result, machine, verify)

@@ -11,8 +11,9 @@ The observability subsystem for all three pipeliners.  Three layers:
   ``python -m repro trace`` (SGI B&B nodes vs MOST ILP nodes vs wall
   time: the paper's §4.7 scheduling-time comparison).
 * :mod:`repro.obs.explain` — II-gap attribution: which constraint
-  (recurrence, resource, register pressure, bank pairing, search budget)
-  binds each loop's achieved II, behind ``python -m repro explain``.
+  (recurrence, resource, register pressure, search budget or exhaustion)
+  binds each loop's achieved II, read from the per-II trail the driver
+  already wrote, behind ``python -m repro explain``.
 * :mod:`repro.obs.diffbench` — BENCH_*.json regression diffing with
   cause attribution, behind ``python -m repro diff``; its timing
   verdicts come from :mod:`repro.obs.trend`.

@@ -12,24 +12,24 @@ This module produces that attribution as a per-(loop × scheduler)
   SccDistanceTables` at ``RecMII - 1``, where the binding circuit shows up
   as a positive self-distance), and per-resource utilization at the
   achieved II;
-* when II > MinII, a **one-shot replay of the failed II−1 attempt** under
-  a private trace recorder, classified from the ``IIAttempt``/BnB prune
-  counters into exactly one binding-constraint class — unless a
-  :mod:`repro.analyze` certificate already covers the whole gap, in which
-  case the attribution **cites the certificate** (machine-checkable, and
-  cheaper than the replay):
+* when II > MinII, a **read of the trail the driver already wrote** —
+  the final spill round's ``IIAttempt``s (SGI, Rau94) or the walk's
+  ``ProbeRecord``s (MOST, portfolio) below the achieved II — classified
+  into exactly one binding-constraint class; nothing is scheduled or
+  solved again, so an explanation cannot contradict the run it explains.
+  When a :mod:`repro.analyze` certificate covers the whole gap, the
+  attribution **cites the certificate** (machine-checkable) instead:
 
   ==================  ==================================================
-  ``recurrence``      II == MinII and RecMII > ResMII (or II−1 proven
-                      infeasible with the recurrence side larger)
+  ``recurrence``      II == MinII and RecMII > ResMII (or every II below
+                      proven infeasible with the recurrence side larger)
   ``resource``        II == MinII and ResMII >= RecMII (ditto)
-  ``register_pressure``  a schedule exists below the achieved II but
-                      register allocation fails even after spill rounds
-  ``bank_pairing``    the driver kept a higher-II bank-paired schedule
-                      although II−1 was schedulable and allocatable
-  ``search_budget``   the II−1 attempt died on an explicit effort budget
-                      (backtrack/placement limit, ILP node/time limit)
-  ``search_exhausted``  the II−1 search completed empty-handed within
+  ``register_pressure``  a schedule existed below the achieved II but
+                      register allocation failed there (or spill code
+                      raised MinII to the achieved II)
+  ``search_budget``   an attempt below stopped on an explicit effort
+                      budget (backtrack/placement limit, solver unknown)
+  ``search_exhausted``  an attempt below completed empty-handed within
                       budget (heuristic incompleteness)
   ``unschedulable``   the pipeliner produced no schedule at all
   ==================  ==================================================
@@ -42,7 +42,7 @@ must not import them at module scope.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..schedulers import REGISTRY, get_scheduler
@@ -53,7 +53,6 @@ BINDING_CLASSES = (
     "recurrence",
     "resource",
     "register_pressure",
-    "bank_pairing",
     "search_budget",
     "search_exhausted",
     "unschedulable",
@@ -61,10 +60,6 @@ BINDING_CLASSES = (
 
 #: Classes that mean "the schedule is as good as the MinII bound allows".
 AT_BOUND_CLASSES = ("recurrence", "resource")
-
-#: Wall-clock ceiling on one ILP replay solve; the replay is diagnostic,
-#: not a benchmark, so it never inherits the full paper budget.
-REPLAY_ILP_SECONDS = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,38 +181,17 @@ class IIExplanation:
     spill_rounds: int = 0
     spilled: List[str] = field(default_factory=list)
     fallback: bool = False
-    #: Production II-attempt timeline (from recorder events, when traced).
+    #: The production run's per-II trail (:func:`trail`), in run order.
     attempts: List[Dict[str, Any]] = field(default_factory=list)
-    #: Evidence gathered by the II−1 replay (empty when gap == 0).
-    replay: Dict[str, Any] = field(default_factory=dict)
+    #: The trail step or certificate that decided the class (empty at MinII).
+    evidence: Dict[str, Any] = field(default_factory=dict)
     #: Modulo reservation table rows of the achieved schedule (drill-down).
     mrt: List[Dict[str, Any]] = field(default_factory=list)
-    obs: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loop": self.loop,
-            "scheduler": self.scheduler,
-            "success": self.success,
-            "ii": self.ii,
-            "min_ii": self.min_ii,
-            "res_mii": self.res_mii,
-            "rec_mii": self.rec_mii,
-            "minii_side": self.minii_side,
-            "binding": self.binding,
-            "detail": self.detail,
-            "gap": self.gap,
-            "critical_circuit": self.critical_circuit,
-            "utilization": {k: round(v, 4) for k, v in self.utilization.items()},
-            "bottleneck": self.bottleneck,
-            "spill_rounds": self.spill_rounds,
-            "spilled": list(self.spilled),
-            "fallback": self.fallback,
-            "attempts": self.attempts,
-            "replay": self.replay,
-            "mrt": self.mrt,
-            "obs": self.obs,
-        }
+        data = asdict(self)
+        data["utilization"] = {k: round(v, 4) for k, v in self.utilization.items()}
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "IIExplanation":
@@ -235,7 +209,7 @@ class IIExplanation:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers for the replay classifiers.
+# Certificates and spill code: attributions that need no trail.
 # ---------------------------------------------------------------------------
 
 
@@ -265,55 +239,6 @@ def _mrt_rows(schedule, machine) -> List[Dict[str, Any]]:
             }
         )
     return rows
-
-
-def _harvest_attempts(events: Sequence[Mapping[str, Any]], loop_name: str) -> List[Dict[str, Any]]:
-    """Normalise recorder events into one II-attempt timeline.
-
-    Understands the three schedulers' event shapes: ``ii.attempt`` (SGI
-    two-phase search), ``most.ii`` (ILP II walk) and ``rau.attempt``
-    (iterative modulo scheduling).  Spill rounds rename the loop (spill
-    code changes the body), so the filter matches by prefix.
-    """
-    timeline: List[Dict[str, Any]] = []
-    for event in events:
-        name = event.get("name")
-        args = event.get("args", {})
-        if name not in ("ii.attempt", "most.ii", "rau.attempt"):
-            continue
-        ev_loop = str(args.get("loop", ""))
-        if not (ev_loop == loop_name or ev_loop.startswith(loop_name)):
-            continue
-        entry: Dict[str, Any] = {"ii": args.get("ii")}
-        if name == "ii.attempt":
-            entry.update(
-                phase=args.get("phase"),
-                success=bool(args.get("success")),
-                placements=args.get("placements", 0),
-                backtracks=args.get("backtracks", 0),
-            )
-        elif name == "most.ii":
-            entry.update(phase="ilp", success=None)
-        else:
-            entry.update(
-                phase="rau",
-                success=bool(args.get("success")),
-                placements=args.get("placements", 0),
-                evictions=args.get("evictions", 0),
-            )
-        timeline.append(entry)
-    # The ILP walk stops at the accepted II; mark the last visit a success.
-    for entry in reversed(timeline):
-        if entry.get("phase") == "ilp":
-            entry["success"] = True
-            break
-    return timeline
-
-
-def _allocate(schedule, machine):
-    from ..regalloc.coloring import allocate_schedule
-
-    return allocate_schedule(schedule, machine)
 
 
 def _bound_binding(profile: MinIIProfile) -> str:
@@ -356,8 +281,8 @@ def _certified_gap(
 
     When every II below the achieved one carries an infeasibility
     certificate (and no spill code rewrote the loop, so the certificates
-    still bind), the II−1 replay is unnecessary: the binding constraint is
-    whatever the II−1 certificate counts, machine-checkably.
+    still bind), the binding constraint is whatever the II−1 certificate
+    counts, machine-checkably.
     """
     if getattr(result, "spilled", []):
         return None
@@ -366,7 +291,7 @@ def _certified_gap(
     target = result.ii - 1
     bounds = compute_bounds(original, machine, cap=target)
     if bounds.allocatable_bound != result.ii:
-        return None  # gap not fully certified; fall back to the replay
+        return None  # gap not fully certified; the trail decides
     cert = next(
         (c for c in bounds.certificates if c.get("ii") == target), None
     )
@@ -391,11 +316,6 @@ def _certified_gap(
     return _bound_binding(profile), detail, evidence
 
 
-# ---------------------------------------------------------------------------
-# Per-scheduler II−1 replay classifiers.
-# ---------------------------------------------------------------------------
-
-
 def _spill_raised_minii(result, machine, achieved_ii: int) -> Optional[Tuple[str, str, Dict[str, Any]]]:
     """Did spill code raise MinII up to the achieved II?
 
@@ -418,253 +338,98 @@ def _spill_raised_minii(result, machine, achieved_ii: int) -> Optional[Tuple[str
     return None
 
 
-def _classify_sgi_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
-    """Replay the SGI search below the achieved II.
+# ---------------------------------------------------------------------------
+# The trail and its classifier.
+# ---------------------------------------------------------------------------
 
-    Mirrors the production structure: each priority order searches for
-    *its own* minimal schedulable II (here capped at achieved − 1) and
-    only then register-allocates.  The driver never revisits intermediate
-    IIs after an allocation failure — it spills or takes another order's
-    higher II — so when a lower II is schedulable, the colouring outcome
-    at that II is what actually decided the gap.
+
+def trail(result) -> List[Dict[str, Any]]:
+    """The production run's per-II trail as JSON-friendly steps, in run order.
+
+    SGI and Rau94 results carry their final spill round's ``IIAttempt``s
+    (``phase``, ``stop``), the optimal drivers their ``ProbeRecord``s
+    (``backend``, ``answer``); a found II carries ``allocated`` and
+    ``uncolored``.  Wall-clock seconds are dropped: an explanation depends
+    only on what the run decided.
     """
-    from ..core.iisearch import search_ii
-    from ..core.minii import min_ii as compute_min_ii
-    from ..core.pipestage import adjust_pipestages
-    from ..core.priorities import production_orders
-    from ..core.sched import Schedule
-
-    loop = result.loop
-    target = result.ii - 1
-    config = options.bnb
-    mii = compute_min_ii(loop, machine)
-    orders = production_orders(loop, machine)
-    evidence: Dict[str, Any] = {"ii": target, "orders": {}}
-    budget_hit = False
-    for order_name in options.orders:
-        found = search_ii(
-            loop, machine, orders[order_name], mii, target, config=config,
-            linear=options.linear_ii_search,
-        )
-        order_evidence: Dict[str, Any] = {
-            "found_ii": found.ii,
-            "attempts": found.attempts,
-            "placements": sum(a.placements for a in found.attempted),
-            "backtracks": sum(a.backtracks for a in found.attempted),
-        }
-        evidence["orders"][order_name] = order_evidence
-        budget_hit = budget_hit or any(
-            a.backtracks >= config.max_backtracks
-            or a.placements >= config.max_placements
-            for a in found.attempted
-            if not a.success
-        )
-        if not found.success:
-            continue
-        times = adjust_pipestages(loop, found.ii, found.times)
-        schedule = Schedule(
-            loop=loop, machine=machine, ii=found.ii, times=times,
-            producer=f"sgi/{order_name}",
-        )
-        allocation = _allocate(schedule, machine)
-        order_evidence["alloc_success"] = allocation.success
-        order_evidence["uncolored"] = len(allocation.uncolored)
-        if not allocation.success:
-            detail = (
-                f"schedulable at II={found.ii} ({order_name}) but "
-                f"{len(allocation.uncolored)} live range(s) failed to "
-                f"colour there; the driver took a higher-II order instead"
-            )
-            return "register_pressure", detail, evidence
-        producer = result.schedule.producer if result.schedule else ""
-        if producer.endswith("+bank"):
-            detail = (
-                f"II={found.ii} schedulable and allocatable, but the "
-                "driver kept a bank-paired schedule at the higher II"
-            )
-            return "bank_pairing", detail, evidence
-        detail = (
-            f"II={found.ii} schedulable and allocatable on replay; the "
-            "production search missed it (schedulability is not "
-            "monotone in II for this loop)"
-        )
-        return "search_exhausted", detail, evidence
-    if budget_hit:
-        detail = (
-            f"no II <= {target} schedulable; attempts hit the B&B effort "
-            f"budget (max_backtracks={config.max_backtracks})"
-        )
-        return "search_budget", detail, evidence
-    detail = f"every priority order exhausted II <= {target} within budget"
-    return "search_exhausted", detail, evidence
+    steps = [asdict(a) for a in getattr(result, "attempted", ())]
+    steps += [p.to_dict() for p in getattr(result, "probes", ())]
+    for step in steps:
+        step.pop("seconds")
+    return steps
 
 
-def _classify_optimal_below(
-    result, machine, formulate, solve, producer: str
+def _verdict(step: Mapping[str, Any]) -> str:
+    """What one trail step says about its II."""
+    if step.get("allocated") is False:
+        return "register"
+    if step.get("stop") == "pruned" or step.get("answer") == "unsat":
+        return "proven"
+    if step.get("stop") == "exhausted":
+        return "exhausted"
+    if step.get("stop") == "budget" or step.get("answer") == "unknown":
+        return "budget"
+    return "found"  # a schedule that allocated, or a cross-checked sat
+
+
+def _who(step: Mapping[str, Any]) -> str:
+    if "backend" in step:
+        return step["backend"].upper()
+    return "Rau94" if step["phase"] == "rau" else f"the B&B ({step['phase']} search)"
+
+
+def classify(
+    steps: Sequence[Mapping[str, Any]], achieved_ii: int, profile: MinIIProfile
 ) -> Tuple[str, str, Dict[str, Any]]:
-    """Replay an optimal driver one II below the achieved schedule.
+    """Attribute the gap below ``achieved_ii`` from a run's trail.
 
-    The body both optimal drivers share: ``formulate(ii)`` builds the
-    driver's formulation, ``solve(formulation, seconds)`` answers it with a
-    :class:`~repro.portfolio.answer.BackendAnswer`; the answer maps to a
-    class here, unsat as a proof, sat by whether the witness allocates.
+    An II with a proof (unsat, the window-collapse screen, a certified
+    prune) is settled.  Across the unsettled IIs below, a schedule that
+    failed to colour outranks a budget stop, which outranks an exhausted
+    search; the step cited is the one nearest the achieved II.  When every
+    II below is proven infeasible, MinII was a loose bound and its larger
+    side binds.
     """
-    from ..core.sched import Schedule
-    from ..portfolio.answer import SAT, UNSAT
-
-    loop = result.loop
-    target = result.ii - 1
-    evidence: Dict[str, Any] = {"ii": target}
-    formulation = formulate(target)
-    if formulation.infeasible:
-        evidence["proof"] = "window_collapse"
-        detail = f"II−1={target} proven infeasible (ASAP/ALAP window collapse)"
-        return "__proven__", detail, evidence
-    answer = solve(formulation, REPLAY_ILP_SECONDS)
-    evidence.update(
-        answer=answer.answer,
-        nodes=answer.nodes,
-        seconds=round(answer.seconds, 4),
-    )
-    if answer.answer == UNSAT:
-        evidence["proof"] = f"{answer.backend}_infeasible"
-        detail = f"{answer.backend.upper()} proved II−1={target} infeasible"
-        return "__proven__", detail, evidence
-    if answer.answer == SAT:
-        schedule = Schedule(
-            loop=loop, machine=machine, ii=target,
-            times=dict(answer.times or {}), producer=producer,
-        )
-        allocation = _allocate(schedule, machine)
-        evidence["alloc_success"] = allocation.success
-        evidence["uncolored"] = len(allocation.uncolored)
-        if not allocation.success:
-            detail = (
-                f"{answer.backend.upper()} schedules II−1={target} but "
-                f"{len(allocation.uncolored)} live range(s) failed to colour"
+    below = [s for s in steps if s["ii"] < achieved_ii]
+    proven = {s["ii"] for s in below if _verdict(s) == "proven"}
+    for verdict in ("register", "budget", "exhausted"):
+        hits = [s for s in below if s["ii"] not in proven and _verdict(s) == verdict]
+        if not hits:
+            continue
+        step = dict(max(hits, key=lambda s: s["ii"]))
+        k, who = step["ii"], _who(step)
+        if verdict == "register":
+            return "register_pressure", (
+                f"{who} scheduled II={k} but {step['uncolored']} live range(s) "
+                "failed to colour there; the driver moved to a higher II"
+            ), step
+        if verdict == "budget":
+            why = step.get("detail") or ", ".join(
+                f"{step[name]} {name}" for name in ("placements", "backtracks", "nodes")
+                if step.get(name)
             )
-            return "register_pressure", detail, evidence
-        detail = (
-            f"II−1={target} solvable on replay; the production solve "
-            "budget expired before reaching it"
-        )
-        return "search_budget", detail, evidence
-    evidence["limit"] = answer.detail
-    detail = (
-        f"II−1={target} solve stopped by its budget ({answer.detail}) "
-        "without a solution"
-    )
-    return "search_budget", detail, evidence
+            return "search_budget", (
+                f"{who} stopped at II={k} on its search budget ({why})"
+            ), step
+        return "search_exhausted", (
+            f"{who} exhausted its search at II={k} within budget"
+        ), step
+    step = dict(max((s for s in below if _verdict(s) == "proven"), key=lambda s: s["ii"]))
+    if step.get("backend") == "screen":
+        how = "the ASAP/ALAP window collapse"
+    else:
+        how = _who(step) if "backend" in step else "a certified static bound"
+    return _bound_binding(profile), (
+        f"every II tried below {achieved_ii} proven infeasible (II={step['ii']} "
+        f"by {how}); MinII is a loose bound for this loop"
+    ), step
 
 
-def _classify_most_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
-    """Replay MOST's ILP one II below the achieved schedule."""
-    from ..most.formulation import build_formulation
-    from ..portfolio.ilp_backend import solve_ilp
-
-    loop = result.loop
-    return _classify_optimal_below(
-        result, machine,
-        lambda ii: build_formulation(
-            loop, machine, ii, stages=options.stages, minimize_buffers=options.integrated
-        ),
-        lambda formulation, seconds: solve_ilp(
-            formulation, loop, time_limit=min(seconds, options.time_limit),
-            max_nodes=options.max_nodes, engine=options.engine,
-        ),
-        "most/replay",
-    )
-
-
-def _classify_portfolio_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
-    """Replay the portfolio's backend race one II below the achieved schedule."""
-    from ..portfolio.driver import race_backends
-    from ..portfolio.formulation import build_modulo_formulation
-
-    loop = result.loop
-    return _classify_optimal_below(
-        result, machine,
-        lambda ii: build_modulo_formulation(loop, machine, ii, stages=options.stages),
-        lambda formulation, seconds: race_backends(
-            formulation, loop, machine, options, min(seconds, options.time_limit)
-        ),
-        "portfolio/replay",
-    )
-
-
-def _classify_rau_below(result, machine, options) -> Tuple[str, str, Dict[str, Any]]:
-    """Replay iterative modulo scheduling one II below the achieved one."""
-    from ..core.sched import Schedule, SchedulingStats
-    from ..rau.scheduler import iterative_modulo_schedule
-
-    loop = result.loop
-    target = result.ii - 1
-    stats = SchedulingStats()
-    times = iterative_modulo_schedule(loop, machine, target, options, stats)
-    budget = max(1, int(options.budget_ratio * loop.n_ops))
-    evidence: Dict[str, Any] = {
-        "ii": target,
-        "placements": stats.placements,
-        "evictions": stats.evictions,
-        "budget": budget,
-    }
-    if times is None:
-        if stats.placements >= budget:
-            detail = (
-                f"II−1={target} exceeded the placement budget "
-                f"({stats.placements}/{budget} placements)"
-            )
-            return "search_budget", detail, evidence
-        detail = (
-            f"II−1={target} hit a forced-placement dead end after "
-            f"{stats.placements} placements"
-        )
-        return "search_exhausted", detail, evidence
-    schedule = Schedule(
-        loop=loop, machine=machine, ii=target, times=times, producer="rau94"
-    )
-    allocation = _allocate(schedule, machine)
-    evidence["alloc_success"] = allocation.success
-    evidence["uncolored"] = len(allocation.uncolored)
-    if not allocation.success:
-        detail = (
-            f"II−1={target} schedulable but "
-            f"{len(allocation.uncolored)} live range(s) failed to colour"
-        )
-        return "register_pressure", detail, evidence
-    detail = f"II−1={target} schedulable and allocatable on replay"
-    return "search_exhausted", detail, evidence
-
-
-# ---------------------------------------------------------------------------
-# The classifier.
-# ---------------------------------------------------------------------------
-
-
-#: The II−1 replay classifier of every scheduler explain covers.
-_CLASSIFY_BELOW = {
-    "sgi": _classify_sgi_below,
-    "most": _classify_most_below,
-    "rau": _classify_rau_below,
-    "portfolio": _classify_portfolio_below,
-}
-
-
-def explain_result(
-    result,
-    scheduler: str,
-    machine,
-    options_dict: Optional[Mapping[str, Any]] = None,
-    events: Optional[Sequence[Mapping[str, Any]]] = None,
-    obs: Optional[Mapping[str, float]] = None,
-    with_mrt: bool = True,
-) -> IIExplanation:
-    """Attribute one already-computed pipeliner result.
+def explain_result(result, scheduler: str, machine, with_mrt: bool = True) -> IIExplanation:
+    """Attribute one already-computed pipeliner result from its own trail.
 
     ``result`` is any registered scheduler's result (:mod:`repro.schedulers`);
-    the production run is *not* repeated — only the II−1 replay runs, and
-    only when II > MinII.  ``events`` (recorder events of the production
-    run, when it was traced) feed the II-attempt timeline.
+    nothing is scheduled, solved or allocated again.
     """
     original = getattr(result, "original", None) or result.loop
     profile = minii_profile(original, machine)
@@ -682,8 +447,7 @@ def explain_result(
         spill_rounds=result.spill_rounds,
         spilled=list(getattr(result, "spilled", [])),
         fallback=result.fallback_used,
-        attempts=_harvest_attempts(events or [], original.name),
-        obs=dict(obs or {}),
+        attempts=trail(result),
     )
 
     if not result.success or result.ii is None:
@@ -700,23 +464,15 @@ def explain_result(
     if with_mrt and result.schedule is not None:
         explanation.mrt = _mrt_rows(result.schedule, machine)
 
-    # The ILP's heuristic fallback produced this schedule: attribute it
-    # with the SGI classifier over the fallback's own result.
+    # The optimal walk's heuristic fallback produced this schedule:
+    # attribute it from the fallback result's own trail.
     fallback_result = result.fallback_result
     if explanation.fallback and fallback_result is not None:
-        from ..core.driver import FALLBACK_OPTIONS
-
-        inner = explain_result(
-            fallback_result,
-            "sgi",
-            machine,
-            FALLBACK_OPTIONS,
-            events=events,
-            with_mrt=False,
-        )
+        inner = explain_result(fallback_result, "sgi", machine, with_mrt=False)
         explanation.binding = inner.binding
-        explanation.detail = f"ILP budget exhausted → heuristic fallback; {inner.detail}"
-        explanation.replay = inner.replay
+        explanation.detail = f"optimal walk came back empty → heuristic fallback; {inner.detail}"
+        explanation.evidence = inner.evidence
+        explanation.attempts += inner.attempts
         explanation.spill_rounds = inner.spill_rounds
         explanation.spilled = inner.spilled
         return explanation
@@ -738,29 +494,14 @@ def explain_result(
             )
         return explanation
 
-    # II > MinII: the cheap spill check, then a certificate citation
-    # (which replaces the replay when the whole gap is certified), then
-    # the II−1 replay.
-    options = get_scheduler(scheduler).options_from_dict(dict(options_dict or {}))
-    spilled = _spill_raised_minii(result, machine, result.ii)
-    if spilled is not None:
-        explanation.binding, explanation.detail, explanation.replay = spilled
-        return explanation
-    certified = _certified_gap(result, original, machine, profile)
-    if certified is not None:
-        explanation.binding, explanation.detail, explanation.replay = certified
-        return explanation
-
-    binding, detail, evidence = _CLASSIFY_BELOW[scheduler](result, machine, options)
-
-    if binding == "__proven__":
-        # II−1 is provably impossible: the loop is genuinely bound by its
-        # resources/recurrences; MinII was simply a loose lower bound.
-        binding = _bound_binding(profile)
-        detail += "; MinII is a loose bound for this loop"
-    explanation.binding, explanation.detail, explanation.replay = (
-        binding, detail, evidence,
+    # II > MinII: the spill check, then a certificate citation (when the
+    # whole gap is certified), then the trail.
+    attributed = (
+        _spill_raised_minii(result, machine, result.ii)
+        or _certified_gap(result, original, machine, profile)
+        or classify(explanation.attempts, result.ii, profile)
     )
+    explanation.binding, explanation.detail, explanation.evidence = attributed
     return explanation
 
 
@@ -774,21 +515,13 @@ def explain_loop(
     """Run one (loop × scheduler) cell live and attribute its II."""
     from ..exec.cells import resolve_loop
     from ..machine.descriptions import r8000
-    from . import recording
 
     machine = machine if machine is not None else r8000()
     loop = resolve_loop(loop_key, machine)
-    options = get_scheduler(scheduler).options_from_dict(dict(options_dict or {}))
-    with recording() as rec:
-        result = get_scheduler(scheduler).run(loop, machine, options, verify=verify)
-    return explain_result(
-        result,
-        scheduler,
-        machine,
-        options_dict,
-        events=rec.events,
-        obs=dict(rec.counters),
-    )
+    driver = get_scheduler(scheduler)
+    options = driver.options_from_dict(dict(options_dict or {}))
+    result = driver.run(loop, machine, options, verify=verify)
+    return explain_result(result, scheduler, machine)
 
 
 def explain_corpus(

@@ -56,7 +56,6 @@ summary { cursor: pointer; color: #2b5278; }
 .binding-recurrence { background: #d7e8ff; }
 .binding-resource { background: #d9f2dc; }
 .binding-register_pressure { background: #ffe3c7; }
-.binding-bank_pairing { background: #f3d9f5; }
 .binding-search_budget { background: #fff3b8; }
 .binding-search_exhausted { background: #ffd9d9; }
 .binding-unschedulable { background: #f4c6c6; }
@@ -144,18 +143,20 @@ def _mrt_html(mrt: Sequence[Mapping[str, Any]]) -> str:
 
 def _timeline_html(attempts: Sequence[Mapping[str, Any]]) -> str:
     if not attempts:
-        return "<p class='info'>no II-attempt timeline (run was not traced)</p>"
+        return "<p class='info'>no II-attempt timeline</p>"
     headers = ["#", "II", "phase", "outcome", "effort"]
     rows = []
     for i, a in enumerate(attempts, 1):
-        success = a.get("success")
-        outcome = "·" if success is None else ("ok" if success else "fail")
+        outcome = a.get("answer") or ("ok" if a.get("success") else a.get("stop") or "fail")
+        if a.get("allocated") is False:
+            outcome += f", {a.get('uncolored')} uncoloured"
         effort = ", ".join(
             f"{k}={a[k]}"
-            for k in ("placements", "backtracks", "evictions")
+            for k in ("placements", "backtracks", "nodes")
             if a.get(k)
         )
-        rows.append([str(i), str(a.get("ii")), str(a.get("phase", "")), outcome, effort])
+        phase = a.get("phase") or a.get("backend", "")
+        rows.append([str(i), str(a.get("ii")), str(phase), outcome, effort])
     return _table(headers, rows)
 
 

@@ -47,7 +47,10 @@ class ProbeRecord:
     the differential test suite can audit, after the fact, exactly which
     backend said what at which II.  ``witness_ok`` is the independent
     :func:`~repro.portfolio.formulation.check_witness` verdict for sat
-    answers (None otherwise).
+    answers (None otherwise).  The walk stamps the winning sat probe of
+    each II it reached with ``allocated`` (did the schedule
+    register-allocate?) and ``uncolored`` (live ranges that failed to
+    colour); both stay unset, and out of :meth:`to_dict`, elsewhere.
     """
 
     ii: int
@@ -57,9 +60,11 @@ class ProbeRecord:
     nodes: int = 0
     witness_ok: Optional[bool] = None
     detail: str = ""
+    allocated: Optional[bool] = None
+    uncolored: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        data = {
             "ii": self.ii,
             "backend": self.backend,
             "answer": self.answer,
@@ -68,6 +73,9 @@ class ProbeRecord:
             "witness_ok": self.witness_ok,
             "detail": self.detail,
         }
+        if self.allocated is not None:
+            data.update(allocated=self.allocated, uncolored=self.uncolored)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ProbeRecord":
@@ -79,6 +87,8 @@ class ProbeRecord:
             nodes=data.get("nodes", 0),
             witness_ok=data.get("witness_ok"),
             detail=data.get("detail", ""),
+            allocated=data.get("allocated"),
+            uncolored=data.get("uncolored", 0),
         )
 
 

@@ -42,7 +42,7 @@ from ..most.walk import (
     walk_ii,
 )
 from ..obs import get_recorder
-from .answer import UNKNOWN, UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
+from .answer import BackendAnswer, ProbeRecord, probe_disagreements
 from .cp import solve_cp
 from .formulation import ModuloFormulation, build_modulo_formulation
 from .ilp_backend import load_ilp_solver, solve_ilp
@@ -136,23 +136,6 @@ def _usable_backends(
     ]
 
 
-def race_backends(
-    formulation: ModuloFormulation,
-    loop: Loop,
-    machine: MachineDescription,
-    options: PortfolioOptions,
-    time_limit: float,
-) -> BackendAnswer:
-    """One II's race outside the walk (explain's II−1 replay): the first
-    definitive answer in race order, else the last backend's unknown."""
-    answer = BackendAnswer(backend="none", answer=UNKNOWN, detail="no usable backend")
-    for _, solve in _usable_backends(loop, machine, options):
-        answer = solve(formulation, time_limit)
-        if answer.definitive:
-            break
-    return answer
-
-
 def portfolio_pipeline_loop(
     loop: Loop,
     machine: Optional[MachineDescription] = None,
@@ -167,24 +150,16 @@ def portfolio_pipeline_loop(
     """
     machine = machine if machine is not None else r8000()
     options = options or PortfolioOptions()
-    probes: List[ProbeRecord] = []
     backends = _usable_backends(loop, machine, options)
 
     def formulate(ii: int) -> ModuloFormulation:
-        formulation = build_modulo_formulation(loop, machine, ii, stages=options.stages)
-        if formulation.infeasible:
-            # The shared screen is a proof every backend would repeat;
-            # record it once so the probe trail stays complete.
-            probes.append(
-                ProbeRecord(
-                    ii=ii, backend="screen", answer=UNSAT,
-                    detail=formulation.infeasible_reason,
-                )
-            )
-        return formulation
+        return build_modulo_formulation(loop, machine, ii, stages=options.stages)
 
     def solve(
-        formulation: ModuloFormulation, budget: SolveBudget, stats: SolveStats
+        formulation: ModuloFormulation,
+        budget: SolveBudget,
+        stats: SolveStats,
+        probes: List[ProbeRecord],
     ) -> Verdict:
         entries = [(name, functools.partial(fn, formulation)) for name, fn in backends]
         winner = probe_ii(
@@ -209,9 +184,8 @@ def portfolio_pipeline_loop(
         skipped_backends=tuple(
             n for n in options.backend_names() if n not in dict(backends)
         ),
-        probes=probes,
     )
-    result.disagreements = probe_disagreements(probes)
+    result.disagreements = probe_disagreements(result.probes)
     rec = get_recorder()
     if rec.enabled and result.disagreements:
         rec.counter("portfolio.disagreements", len(result.disagreements))

@@ -5,7 +5,7 @@ A thin adapter — the model construction lives in
 formulation, so all backends answer the same object) and the solve in
 :mod:`repro.ilp.solver`.  Every ILP solve in the program comes through
 :func:`solve_ilp`: the portfolio's ``ilp`` backend, MOST's per-order
-probes and its stage-2 re-solve, and explain's II−1 replay.  Status
+probes and its stage-2 re-solve.  Status
 mapping is the portfolio's three-valued contract: OPTIMAL/FEASIBLE -> sat
 (with decoded times and the objective value), INFEASIBLE -> unsat,
 UNSOLVED (budget) -> unknown.

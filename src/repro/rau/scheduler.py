@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.driver import _maybe_verify, options_from_mapping
+from ..core.iisearch import IIAttempt
 from ..core.minii import min_ii as compute_min_ii
 from ..core.sched import Schedule, SchedulingStats
 from ..core.spill import MAX_SPILL_ROUNDS, choose_spill_candidates, insert_spills
@@ -64,6 +65,9 @@ class RauResult:
     min_ii: int
     spilled: List[str] = field(default_factory=list)
     stats: SchedulingStats = field(default_factory=SchedulingStats)
+    # The final spill round's II attempts, in the order tried; each found II
+    # carries its allocation outcome (repro.obs.explain reads this trail).
+    attempted: List[IIAttempt] = field(default_factory=list)
     # The common read surface of every scheduler's result (repro.schedulers).
     optimal = False
     fallback_used = False
@@ -105,6 +109,11 @@ def height_r(loop: Loop, ii: int) -> Dict[int, int]:
     return {op: heights[op] for op in range(n)}
 
 
+def placement_budget(loop: Loop, options: RauOptions) -> int:
+    """Placements one candidate-II attempt may make before it fails."""
+    return max(1, int(options.budget_ratio * loop.n_ops))
+
+
 def iterative_modulo_schedule(
     loop: Loop,
     machine: MachineDescription,
@@ -116,7 +125,7 @@ def iterative_modulo_schedule(
     options = options or RauOptions()
     heights = height_r(loop, ii)
     n = loop.n_ops
-    budget = max(1, int(options.budget_ratio * n))
+    budget = placement_budget(loop, options)
 
     mrt = ModuloReservationTable(ii, machine.availability)
     times: Dict[int, int] = {}
@@ -288,19 +297,30 @@ def rau_pipeline_loop(
         mii = compute_min_ii(current, machine)
         best_failed: Optional[Tuple[Schedule, AllocationResult]] = None
         found = None
+        attempted: List[IIAttempt] = []
         # Rau94 searches IIs linearly from MinII.
         for ii in range(mii, options.ii_cap_factor * mii + 1):
             start = _time.perf_counter()
+            placed = stats.placements
             with get_recorder().span("rau.ii", loop=current.name, ii=ii):
                 times = iterative_modulo_schedule(current, machine, ii, options, stats)
+            seconds = _time.perf_counter() - start
             stats.attempts += 1
-            stats.seconds += _time.perf_counter() - start
+            stats.seconds += seconds
+            attempt = IIAttempt(
+                ii=ii, phase="rau", success=times is not None,
+                placements=stats.placements - placed, seconds=seconds,
+            )
+            attempted.append(attempt)
             if times is None:
+                over = attempt.placements >= placement_budget(current, options)
+                attempt.stop = "budget" if over else "exhausted"
                 continue
             schedule = Schedule(
                 loop=current, machine=machine, ii=ii, times=times, producer="rau94"
             )
             allocation = allocate_schedule(schedule, machine)
+            attempt.allocated, attempt.uncolored = allocation.success, len(allocation.uncolored)
             if allocation.success:
                 found = (schedule, allocation)
                 break
@@ -317,6 +337,7 @@ def rau_pipeline_loop(
                     min_ii=original_min_ii,
                     spilled=spilled_total,
                     stats=stats,
+                    attempted=attempted,
                 ),
                 machine,
                 verify,
@@ -342,4 +363,5 @@ def rau_pipeline_loop(
         min_ii=original_min_ii,
         spilled=spilled_total,
         stats=stats,
+        attempted=attempted,
     )

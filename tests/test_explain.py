@@ -9,6 +9,12 @@ Seeded on empirically mapped Livermore loops (r8000 machine model):
 * ``lk08_adi`` — MinII 11 from tight 2-FPU packing, but every II-11
   schedule leaves live ranges uncolorable: the classic register-pressure
   II bump, for both the SGI driver and Rau94.
+* ``lk18_hydro2d`` — MinII 7; MOST's ILP and the portfolio's CP both
+  answer sat at II 7, but that schedule does not colour, so both walks
+  move on to II 8.
+
+Every gap above MinII is attributed from the trail the driver wrote
+(``IIAttempt``s, ``ProbeRecord``s); nothing is solved again.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import pytest
 
 from repro.exec.cells import resolve_loop
 from repro.machine.descriptions import r8000
+from repro.schedulers import get_scheduler
 from repro.obs.explain import (
     AT_BOUND_CLASSES,
     BINDING_CLASSES,
@@ -25,6 +32,7 @@ from repro.obs.explain import (
     critical_circuit,
     explain_corpus,
     explain_loop,
+    explain_result,
     format_explanations,
     minii_profile,
     resource_utilization,
@@ -99,20 +107,97 @@ class TestBindingClassification:
             assert explanation.success
             assert explanation.gap is not None and explanation.gap > 0
             assert explanation.binding == "register_pressure", scheduler
-            assert explanation.replay, "II-1 replay evidence missing"
+            assert explanation.evidence["allocated"] is False, scheduler
+            assert explanation.evidence["uncolored"] > 0, scheduler
 
-    def test_portfolio_replays_its_backend_race(self, machine):
+    def test_portfolio_explained_from_its_probe_trail(self, machine):
         # lk18: CP answers sat at II 7 = MinII, but that schedule does not
-        # colour, so the portfolio walks on to II 8.  The replay goes
-        # through the classifier MOST's ILP replay uses.
+        # colour, so the portfolio walks on to II 8.  The walk stamped the
+        # allocation outcome on the II-7 probe; explain cites that probe.
         explanation = explain_loop(
             "livermore:lk18_hydro2d", "portfolio", machine, {"time_limit": 5.0}
         )
         assert explanation.ii == explanation.min_ii + 1
         assert explanation.binding == "register_pressure"
-        assert explanation.detail.startswith("CP schedules II−1=7")
-        assert explanation.replay["answer"] == "sat"
-        assert explanation.replay["alloc_success"] is False
+        assert explanation.detail.startswith("CP scheduled II=7")
+        assert explanation.evidence["ii"] == 7
+        assert explanation.evidence["answer"] == "sat"
+        assert explanation.evidence["allocated"] is False
+
+    def test_most_register_pressure_cites_the_production_probe(self, machine):
+        # The production walk's ILP answered sat at II 7 with a valid
+        # witness; the walk moved to II 8 only because that schedule did
+        # not allocate.  The explanation must say so, not that a budget
+        # expired.
+        loop = resolve_loop("livermore:lk18_hydro2d", machine)
+        most = get_scheduler("most")
+        result = most.run(loop, machine, most.options_from_dict({"time_limit": 20.0}))
+        (probe,) = [p for p in result.probes if p.ii == 7 and p.witness_ok]
+        assert probe.allocated is False and probe.uncolored > 0
+        explanation = explain_result(result, "most", machine)
+        assert (explanation.ii, explanation.min_ii) == (8, 7)
+        assert explanation.binding == "register_pressure"
+        assert explanation.evidence["ii"] == 7
+        assert explanation.evidence["backend"] == "ilp"
+        assert explanation.evidence["uncolored"] == probe.uncolored
+        assert f"{probe.uncolored} live range(s) failed to colour" in explanation.detail
+
+    def test_explaining_solves_nothing(self, machine, monkeypatch):
+        # Run the cells first, then make every scheduling and solving entry
+        # point raise: attributing the finished results must not call one.
+        cells = [
+            ("livermore:lk08_adi", "sgi", {}),
+            ("livermore:lk08_adi", "rau", {}),
+            ("livermore:lk18_hydro2d", "most", {"time_limit": 20.0}),
+            ("livermore:lk18_hydro2d", "portfolio", {"time_limit": 5.0}),
+        ]
+        results = []
+        for key, name, options in cells:
+            driver = get_scheduler(name)
+            loop = resolve_loop(key, machine)
+            results.append((name, driver.run(loop, machine, driver.options_from_dict(options))))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("explain must not schedule or solve")
+
+        import repro.core.driver
+        import repro.core.iisearch
+        import repro.most.scheduler
+        import repro.portfolio.cp
+        import repro.portfolio.driver
+        import repro.portfolio.ilp_backend
+        import repro.rau.scheduler
+
+        for module, name in (
+            (repro.core.iisearch, "search_ii"),
+            (repro.core.driver, "search_ii"),
+            (repro.rau.scheduler, "iterative_modulo_schedule"),
+            (repro.portfolio.ilp_backend, "solve_ilp"),
+            (repro.most.scheduler, "solve_ilp"),
+            (repro.portfolio.driver, "solve_ilp"),
+            (repro.portfolio.cp, "solve_cp"),
+            (repro.portfolio.driver, "solve_cp"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        for name, result in results:
+            explanation = explain_result(result, name, machine)
+            assert explanation.binding == "register_pressure", name
+            assert explanation.evidence, name
+
+    def test_untraced_explanation_equals_traced(self, machine):
+        from repro.exec.cells import Cell
+        from repro.exec.runner import execute_cell
+        from repro.obs import recording
+
+        for key, name in (("livermore:lk08_adi", "sgi"), ("livermore:lk18_hydro2d", "rau")):
+            untraced = explain_loop(key, name, machine).to_dict()
+            with recording():
+                traced = explain_loop(key, name, machine).to_dict()
+            assert untraced == traced, (key, name)
+            assert untraced["attempts"], (key, name)
+            # An untraced exec cell carries the same explanation.
+            cell = Cell.make(key, name, simulate=False, explain=True)
+            assert execute_cell(cell.to_dict(), in_worker=False)["explanation"] == untraced
 
     def test_exactly_one_class_per_cell(self, machine):
         explanations = explain_corpus(
@@ -169,7 +254,7 @@ class TestExecPlumbing:
         assert result.error is None
         assert result.explanation is not None
         assert result.explanation["binding"] == "recurrence"
-        # The II-attempt timeline was harvested from the live recorder.
+        # The II-attempt timeline is the driver's own trail.
         assert result.explanation["attempts"]
         assert CellResult.from_dict(result.to_dict()).explanation is not None
 

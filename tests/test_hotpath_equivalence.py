@@ -2,12 +2,14 @@
 
 The campaign's contract is *bit-identical outcomes, only speed moves*:
 
-* :class:`PackedModuloReservationTable` must agree with the retained
-  :class:`DictModuloReservationTable` on every ``fits/place/remove/used_at``
-  observation — hypothesis drives random reservation tables, IIs and
-  availability maps through identical operation sequences on both;
+* :class:`PackedModuloReservationTable` must agree with the original
+  :class:`DictModuloReservationTable` (kept below as the reference) on
+  every ``fits/place/remove/used_at`` observation — hypothesis drives
+  random reservation tables, IIs and availability maps through identical
+  operation sequences on both;
 * memoized :class:`SccDistanceTables` (parametric Pareto profiles) must
-  match the per-II Floyd-Warshall on every corpus loop at MinII..MinII+4;
+  match the per-II Floyd-Warshall (:class:`FloydWarshallTables` below) on
+  every corpus loop at MinII..MinII+4;
 * the branch-and-bound scheduler must produce identical schedules *and*
   identical search effort (placements/backtracks/prunes) with the dict
   tables swapped back in underneath it.
@@ -48,7 +50,6 @@ from repro.core.minii import min_ii
 from repro.core.priorities import production_orders
 from repro.machine.descriptions import r8000
 from repro.machine.resources import (
-    DictModuloReservationTable,
     PackedModuloReservationTable,
     ReservationTable,
     ResourceUse,
@@ -66,6 +67,108 @@ from repro.workloads.recbound import recbound_kernels
 from repro.workloads.spec92 import spec92_suite
 
 MACHINE = r8000()
+
+
+class DictModuloReservationTable:
+    """The original per-slot dict probing implementation.
+
+    The differential-testing oracle for :class:`PackedModuloReservationTable`.
+    It also implements the lowered fast-path API (by ignoring the lowering)
+    so the schedulers run unmodified against either implementation.
+    """
+
+    def __init__(self, ii: int, availability: Dict[str, int]):
+        if ii <= 0:
+            raise ValueError(f"II must be positive, got {ii}")
+        self.ii = ii
+        self.availability = dict(availability)
+        self._used: List[Dict[str, int]] = [dict() for _ in range(ii)]
+
+    def fits(self, table: ReservationTable, cycle: int) -> bool:
+        """Can an operation with this reservation table issue at ``cycle``?
+
+        An operation longer than II can collide with *itself* across
+        iterations (several of its uses land in the same modulo slot), so
+        pending usage is accumulated while checking.
+        """
+        pending: Dict[Tuple[int, str], int] = {}
+        for u in table.uses:
+            slot = (cycle + u.offset) % self.ii
+            avail = self.availability.get(u.resource)
+            if avail is None:
+                raise KeyError(f"machine has no resource {u.resource!r}")
+            key = (slot, u.resource)
+            pending[key] = pending.get(key, 0) + u.count
+            if self._used[slot].get(u.resource, 0) + pending[key] > avail:
+                return False
+        return True
+
+    def place(self, table: ReservationTable, cycle: int) -> None:
+        if not self.fits(table, cycle):
+            raise ValueError(f"resource conflict placing op at cycle {cycle}")
+        for u in table.uses:
+            slot = (cycle + u.offset) % self.ii
+            used = self._used[slot]
+            used[u.resource] = used.get(u.resource, 0) + u.count
+
+    def remove(self, table: ReservationTable, cycle: int) -> None:
+        for u in table.uses:
+            slot = (cycle + u.offset) % self.ii
+            used = self._used[slot]
+            remaining = used.get(u.resource, 0) - u.count
+            if remaining < 0:
+                raise ValueError(f"removing op at cycle {cycle} that was never placed")
+            if remaining:
+                used[u.resource] = remaining
+            else:
+                del used[u.resource]
+
+    def used_at(self, slot: int, resource: str) -> int:
+        return self._used[slot % self.ii].get(resource, 0)
+
+    def copy(self) -> "DictModuloReservationTable":
+        clone = DictModuloReservationTable(self.ii, self.availability)
+        clone._used = [dict(d) for d in self._used]
+        return clone
+
+    # Lowered-API shims: `lower` returns the reservation table itself, so
+    # the scheduler fast paths degrade to the probing implementation.
+    def lower(self, table: ReservationTable) -> ReservationTable:
+        return table
+
+    def fits_lowered(self, table: ReservationTable, cycle: int) -> bool:
+        return self.fits(table, cycle)
+
+    def place_lowered(self, table: ReservationTable, cycle: int) -> None:
+        for u in table.uses:
+            slot = (cycle + u.offset) % self.ii
+            used = self._used[slot]
+            used[u.resource] = used.get(u.resource, 0) + u.count
+
+    def remove_lowered(self, table: ReservationTable, cycle: int) -> None:
+        self.remove(table, cycle)
+
+    def blocked_mask(self, table: ReservationTable) -> int:
+        blocked = 0
+        for s in range(self.ii):
+            if not self.fits(table, s):
+                blocked |= 1 << s
+        return blocked
+
+
+class FloydWarshallTables(SccDistanceTables):
+    """The per-II Floyd–Warshall tables the parametric memo replaced."""
+
+    def __init__(self, loop, ii: int):
+        self.loop = loop
+        self.ii = ii
+        self._tables = {}
+        self._feasible = True
+        for scc in loop.ddg.nontrivial_sccs():
+            table = self._floyd_warshall(scc)
+            self._tables[loop.ddg.scc_id(scc[0])] = table
+            if any(table.get((v, v), float("-inf")) > 0 for v in scc):
+                self._feasible = False
 
 RESOURCES = ("issue", "mem", "fp", "fpdiv")
 
@@ -174,8 +277,8 @@ class TestMemoizedDistances:
         for loop in _corpus():
             mii = min_ii(loop, MACHINE)
             for ii in range(mii, mii + 5):
-                memoized = SccDistanceTables(loop, ii, memo=True)
-                legacy = SccDistanceTables(loop, ii, memo=False)
+                memoized = SccDistanceTables(loop, ii)
+                legacy = FloydWarshallTables(loop, ii)
                 assert memoized.feasible == legacy.feasible, (loop.name, ii)
                 for scc in loop.ddg.nontrivial_sccs():
                     for src in scc:
@@ -191,7 +294,7 @@ class TestMemoizedDistances:
         loop = next(lp for lp in livermore_kernels(MACHINE) if lp.ddg.nontrivial_sccs())
         SccDistanceTables.prime(loop)
         memo = loop.ddg._distance_memo
-        SccDistanceTables(loop, min_ii(loop, MACHINE), memo=True)
+        SccDistanceTables(loop, min_ii(loop, MACHINE))
         assert loop.ddg._distance_memo is memo
 
 

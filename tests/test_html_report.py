@@ -23,7 +23,7 @@ def _explanation(loop="lk01", scheduler="sgi", binding="resource", **kw):
         "bottleneck": "mem", "spill_rounds": 0, "spilled": [],
         "fallback": False,
         "attempts": [{"phase": "sgi", "ii": 2, "success": True}],
-        "replay": None,
+        "evidence": {},
         "mrt": [
             {
                 "slot": 0,
@@ -36,7 +36,6 @@ def _explanation(loop="lk01", scheduler="sgi", binding="resource", **kw):
                 "used": {"fp": 0, "mem": 1},
             },
         ],
-        "obs": {},
     }
     base.update(kw)
     return base

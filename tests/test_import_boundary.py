@@ -134,3 +134,39 @@ def test_solver_loads_before_the_budget_starts(driver, loads_scipy):
     assert report["success"]
     assert report["budgets"] == [loads_scipy]
     assert report["scipy"] is loads_scipy
+
+
+#: The driver and solver entry points :mod:`repro.obs.explain` must never
+#: reach: it attributes a finished run from that run's own trail.
+EXPLAIN_FORBIDDEN = (
+    "repro.core.iisearch",
+    "repro.rau.scheduler",
+    "repro.most.formulation",
+    "repro.portfolio.ilp_backend",
+    "repro.portfolio.driver",
+    "repro.portfolio.cp",
+)
+
+
+def _absolute_imports(path: pathlib.Path):
+    """Every module ``path`` imports, relative imports resolved; for
+    ``from pkg import name`` both ``pkg`` and ``pkg.name``."""
+    package = list(path.relative_to(SRC.parent).with_suffix("").parts[:-1])
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_explain_imports_no_driver_or_solver_entry_point():
+    imports = set(_absolute_imports(SRC / "obs" / "explain.py"))
+    assert "repro.schedulers" in imports  # the resolver sees the module's imports
+    found = sorted(
+        name for name in imports
+        if any(name == bad or name.startswith(bad + ".") for bad in EXPLAIN_FORBIDDEN)
+    )
+    assert not found, f"repro/obs/explain.py imports {', '.join(found)}"
