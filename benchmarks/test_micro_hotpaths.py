@@ -1,10 +1,11 @@
 """Pinned-seed microbenchmarks of the scheduler hot paths (perf CI lane).
 
-Five timed kernels cover the inner loops the raw-speed campaign
+Eight timed kernels cover the inner loops the raw-speed campaign
 optimized — reservation-table probing, distance-table construction and
-query, one full branch-and-bound search — and the two per-cell layers
-every scheduled loop pays for: register allocation (renaming, bitset
-interference, colouring) and the banked-memory performance simulation.
+query, one full branch-and-bound search — and the per-cell layers every
+scheduled loop pays for: register allocation (renaming, bitset
+interference, colouring), the banked-memory performance simulation
+(fast-forwarded and walked), the functional oracle and the emitter.
 A per-PR time series of ``schedule_seconds`` thus exists below the full
 bench grid's noise floor.
 
@@ -48,8 +49,10 @@ from repro.machine.descriptions import r8000  # noqa: E402
 from repro.machine.resources import ModuloReservationTable  # noqa: E402
 from repro.obs.diffbench import diff_reports  # noqa: E402
 from repro.obs.export import atomic_write_text  # noqa: E402
+from repro.pipeline.emit import emit_pipelined_code  # noqa: E402
 from repro.regalloc.coloring import allocate  # noqa: E402
 from repro.regalloc.rename import rename_kernel  # noqa: E402
+from repro.sim.functional import run_pipelined, run_sequential  # noqa: E402
 from repro.sim.layout import DataLayout  # noqa: E402
 from repro.sim.perf import simulate_pipelined  # noqa: E402
 from repro.workloads.livermore import livermore_kernels  # noqa: E402
@@ -116,10 +119,15 @@ def bench_bnb_search() -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _schedule(name: str):
-    """SGI's schedule of one Livermore kernel, computed once per process."""
+def _result(name: str):
+    """SGI's result for one Livermore kernel, computed once per process."""
     loop, machine = _loop(name)
-    return pipeline_loop(loop, machine).schedule, machine
+    return pipeline_loop(loop, machine)
+
+
+def _schedule(name: str):
+    schedule = _result(name).schedule
+    return schedule, schedule.machine
 
 
 def bench_regalloc_allocate() -> None:
@@ -132,10 +140,35 @@ def bench_regalloc_allocate() -> None:
 
 
 def bench_sim_pipelined() -> None:
-    """Banked-memory simulation of a 10-stream kernel over its 995 trips."""
+    """Banked-memory simulation of a 10-stream kernel over its 995 trips
+    (all references direct: the steady state is fast-forwarded)."""
     schedule, machine = _schedule("lk07_eos")
     layout = DataLayout(schedule.loop, trip_count=schedule.loop.trip_count)
     simulate_pipelined(schedule, layout, machine)
+
+
+def bench_sim_pipelined_indirect() -> None:
+    """The same over 1,001 trips of a kernel with 3 hashed (indirect)
+    streams, which the simulator walks trip by trip."""
+    schedule, machine = _schedule("lk14_pic1d")
+    layout = DataLayout(schedule.loop, trip_count=schedule.loop.trip_count)
+    simulate_pipelined(schedule, layout, machine)
+
+
+def bench_funcsim() -> None:
+    """The oracle's functional check: sequential and pipelined runs of a
+    14-reference kernel on one fresh layout, at the oracle's trip count."""
+    result = _result("lk18_hydro2d")
+    trips = min(64, max(12, 3 * result.schedule.n_stages))
+    layout = DataLayout(result.loop, trip_count=trips)
+    run_sequential(result.loop, layout, trips)
+    run_pipelined(result.schedule, result.allocation, layout, trips)
+
+
+def bench_emit() -> None:
+    """Prologue, unrolled kernel and epilogue listing of the same kernel."""
+    result = _result("lk18_hydro2d")
+    emit_pipelined_code(result.schedule, result.allocation)
 
 
 BENCHES: Dict[str, Callable[[], None]] = {
@@ -144,6 +177,9 @@ BENCHES: Dict[str, Callable[[], None]] = {
     "bnb_search": bench_bnb_search,
     "regalloc_allocate": bench_regalloc_allocate,
     "sim_pipelined": bench_sim_pipelined,
+    "sim_pipelined_indirect": bench_sim_pipelined_indirect,
+    "funcsim": bench_funcsim,
+    "emit": bench_emit,
 }
 
 

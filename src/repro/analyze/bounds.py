@@ -53,7 +53,6 @@ from ..ir.ddg import DDG, Dependence, DepKind
 from ..ir.loop import Loop
 from ..ir.operations import relative_bank
 from ..machine.descriptions import MachineDescription
-from ..core.minii import min_ii as compute_min_ii
 from ..core.minii import rec_mii, res_mii
 from ..regalloc.rename import value_reg_class
 
@@ -784,7 +783,7 @@ def compute_bounds(
         n_ops=loop.n_ops,
         res_mii=res,
         rec_mii=rec,
-        min_ii=compute_min_ii(loop, machine),
+        min_ii=mii,
         schedulable_bound=schedulable,
         allocatable_bound=alloc,
         pairing_bound=pairing,

@@ -18,7 +18,7 @@ Composition, mirroring the MIPSpro pipeliner:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Type, TypeVar
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
@@ -359,14 +359,28 @@ def _repair_bank_grouping(
     # form of every candidate compete.
     from ..pipeline.overhead import pipeline_overhead
 
+    # Polish, allocation, risk and overhead depend only on a form's times
+    # (the pairer's bank answers ignore its priority order), and equal ranks
+    # keep the first: times already polished or costed cannot change the
+    # winner, so each distinct schedule is polished and costed once.
+    polished_from: Set[Tuple[Tuple[int, int], ...]] = set()
+    costed: Set[Tuple[Tuple[int, int], ...]] = set()
     best: Optional[Tuple[Tuple[float, int], Schedule, AllocationResult, str]] = None
     for candidate, order_name in candidates:
+        key = _times_key(candidate)
+        if key in polished_from:
+            continue
+        polished_from.add(key)
         pairer = BankPairer(loop, ii, orders[order_name], strict=options.strict_pairing)
         forms = [candidate]
         polished = polish_bank_schedule(candidate, machine, pairer)
         if polished is not None:
             forms.append(polished)
         for form in forms:
+            form_key = _times_key(form)
+            if form_key in costed:
+                continue
+            costed.add(form_key)
             allocation = (
                 base_allocation
                 if form is base_schedule
@@ -383,6 +397,10 @@ def _repair_bank_grouping(
     if best is None:
         return None
     return best[1], best[2], best[3]
+
+
+def _times_key(schedule: Schedule) -> Tuple[Tuple[int, int], ...]:
+    return tuple(sorted(schedule.times.items()))
 
 
 def _residual_risk(schedule: Schedule, pairer: BankPairer) -> int:

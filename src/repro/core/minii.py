@@ -59,7 +59,18 @@ def rec_mii(loop: Loop) -> int:
     ``t(op) - t(op) > 0``; equivalently the ceiling of the maximum cycle
     ratio ``sum(latency) / sum(omega)``.  Found by binary search with a
     positive-cycle oracle.
+
+    The answer depends only on the dependence graph, which is immutable
+    once built, so it is memoized on ``loop.ddg``: the driver, the
+    certified bounds and the runner ask it of the same body.
     """
+    rec = getattr(loop.ddg, "_rec_mii_memo", None)
+    if rec is None:
+        rec = loop.ddg._rec_mii_memo = _search_rec_mii(loop)  # type: ignore[attr-defined]
+    return rec
+
+
+def _search_rec_mii(loop: Loop) -> int:
     if not loop.ddg.arcs:
         return 1
     hi = max(1, sum(max(a.latency, 0) for a in loop.ddg.arcs))

@@ -67,22 +67,27 @@ def _operand(
     return _register_name(colors, f"{value}@{iteration % kmin}")
 
 
-def _format_instance(
+def _format_op(
     loop: Loop,
     colors: Dict[str, Tuple[str, int]],
     defs: Dict[str, int],
     omegas: Dict[int, List[int]],
     op_index: int,
-    iteration: int,
+    replica: int,
     kmin: int,
 ) -> str:
+    """An instance's line up to its iteration offset.
+
+    Registers depend on the iteration only modulo ``kmin``, so one text
+    serves every instance of ``op_index`` in kernel copy ``replica``.
+    """
     op = loop.ops[op_index]
     srcs = [
-        _operand(loop, colors, defs, src, iteration - omegas[op_index][pos], kmin)
+        _operand(loop, colors, defs, src, replica - omegas[op_index][pos], kmin)
         for pos, src in enumerate(op.srcs)
     ]
     dest = (
-        _operand(loop, colors, defs, op.dest, iteration, kmin) + " <- "
+        _operand(loop, colors, defs, op.dest, replica, kmin) + " <- "
         if op.dests
         else ""
     )
@@ -91,7 +96,7 @@ def _format_instance(
         off = "?" if op.mem.offset is None else str(op.mem.offset)
         mem = f" [{op.mem.base}+{off}+i*{op.mem.stride}]"
     body = f"{op.opcode} {dest}{', '.join(srcs)}".rstrip(" ,")
-    return f"    {body}{mem}  ; op{op_index} iter{{i{iteration:+d}}}"
+    return f"    {body}{mem}  ; op{op_index} iter{{i"
 
 
 def emit_pipelined_code(schedule: Schedule, allocation: AllocationResult) -> PipelinedCode:
@@ -110,12 +115,16 @@ def emit_pipelined_code(schedule: Schedule, allocation: AllocationResult) -> Pip
     for name, color in allocation.int_assignment.items():
         colors[name] = ("int", color)
 
+    texts: Dict[Tuple[int, int], str] = {}  # (op, iteration % kmin) -> line head
+
     def bundle(instances: List[Tuple[int, int]], cycle_label: str) -> List[str]:
         lines = [f"  {cycle_label}:"]
         for op_index, iteration in sorted(instances):
-            lines.append(
-                _format_instance(loop, colors, defs, omegas, op_index, iteration, kmin)
-            )
+            key = (op_index, iteration % kmin)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = _format_op(loop, colors, defs, omegas, *key, kmin)
+            lines.append(f"{text}{iteration:+d}}}")
         return lines
 
     # Prologue: cycles before the steady state.  The steady state begins

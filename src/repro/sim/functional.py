@@ -27,6 +27,7 @@ from typing import Dict, List, Tuple
 from ..core.sched import Schedule
 from ..ir.ddg import DepKind
 from ..ir.loop import Loop
+from ..ir.operations import OpClass
 from ..regalloc.coloring import AllocationResult
 from .layout import DataLayout
 
@@ -91,7 +92,17 @@ def _use_omegas(loop: Loop) -> Dict[int, List[int]]:
     encoded 0).  When an operation reads the same value at two different
     distances, the distances are assigned to its source positions in
     ascending order.
+
+    Memoized on the loop: a check's two runs and the emitter decode the
+    same body.
     """
+    memo = getattr(loop, "_use_omegas_memo", None)
+    if memo is None:
+        memo = loop._use_omegas_memo = _decode_omegas(loop)  # type: ignore[attr-defined]
+    return memo
+
+
+def _decode_omegas(loop: Loop) -> Dict[int, List[int]]:
     defs = loop.defs_of()
     arcs_by_use: Dict[Tuple[int, str], List[int]] = {}
     for arc in loop.ddg.arcs:
@@ -115,45 +126,57 @@ def _use_omegas(loop: Loop) -> Dict[int, List[int]]:
     return result
 
 
+#: Operation kinds, decoded once per run.
+_COMPUTE, _LOAD, _STORE = 0, 1, 2
+
+
+def _kind(opclass: OpClass) -> int:
+    return {OpClass.LOAD: _LOAD, OpClass.STORE: _STORE}.get(opclass, _COMPUTE)
+
+
 def run_sequential(loop: Loop, layout: DataLayout, trips: int) -> ExecutionResult:
     """Reference execution: iteration at a time, program order."""
     defs = loop.defs_of()
     omegas = _use_omegas(loop)
     invariants = {name: _live_in_value(layout, name) for name in loop.live_in}
+    # Each op decoded once: kind, and per source either its invariant value
+    # (``None`` omega) or the value's per-iteration history and distance.
+    history: Dict[str, List[float]] = {name: [] for name in defs}
+    decoded = []
+    for op in loop.ops:
+        srcs = [
+            (None, invariants[src], None)
+            if src not in defs
+            else (omegas[op.index][pos], invariants.get(src, 0.0), history[src])
+            for pos, src in enumerate(op.srcs)
+        ]
+        kind = _kind(op.opclass)
+        dest = None if kind == _STORE else history[op.dest]
+        decoded.append((op.index, kind, op.opcode, srcs, dest))
     memory: Dict[int, float] = {}
     written: Dict[int, float] = {}
-    history: Dict[Tuple[str, int], float] = {}
-
-    def read_mem(addr: int) -> float:
-        if addr in memory:
-            return memory[addr]
-        return layout.initial_value(addr)
 
     for n in range(trips):
-        for op in loop.ops:
+        for op_index, kind, opcode, srcs, dest in decoded:
             vals: List[float] = []
-            for pos, src in enumerate(op.srcs):
-                if src not in defs:
-                    vals.append(invariants[src])
+            for omega, before, values in srcs:
+                if omega is None:
+                    vals.append(before)
                     continue
-                m = n - omegas[op.index][pos]
-                if m < 0:
-                    vals.append(invariants.get(src, 0.0))
-                else:
-                    vals.append(history[(src, m)])
-            if op.opclass.name == "LOAD":
-                result = read_mem(layout.address(op.index, n))
-            elif op.opclass.name == "STORE":
-                addr = layout.address(op.index, n)
+                m = n - omega
+                vals.append(before if m < 0 else values[m])
+            if kind == _LOAD:
+                addr = layout.address(op_index, n)
+                result = memory[addr] if addr in memory else layout.initial_value(addr)
+            elif kind == _STORE:
+                addr = layout.address(op_index, n)
                 memory[addr] = vals[0]
                 written[addr] = vals[0]
                 continue
             else:
-                result = _evaluate(op.opcode, vals)
-            history[(op.dest, n)] = result
-    live_out = {
-        name: history[(name, trips - 1)] for name in loop.live_out if (name, trips - 1) in history
-    }
+                result = _evaluate(opcode, vals)
+            dest.append(result)
+    live_out = {name: history[name][-1] for name in loop.live_out if trips and name in history}
     return ExecutionResult(memory=written, live_out=live_out)
 
 
@@ -190,47 +213,67 @@ def run_pipelined(
         if key is not None:
             regfile[key] = invariants[name]
 
+    # Each op decoded once: kind, and per source either the invariant's
+    # register (``None`` omega) or its distance, the value before the loop
+    # and the register of each replica ``m % kmin``.  A register missing
+    # from the allocation reads as the key ``None``, which no write makes.
+    replicas: Dict[str, Tuple] = {}
+    for name in defs:
+        replicas[name] = tuple(colors.get(f"{name}@{r}") for r in range(kmin))
+    decoded = []
+    for op in loop.ops:
+        srcs = [
+            (None, None, colors.get(f"{src}@in"))
+            if src not in defs
+            else (omegas[op.index][pos], invariants.get(src, 0.0), replicas[src])
+            for pos, src in enumerate(op.srcs)
+        ]
+        kind = _kind(op.opclass)
+        dest_name, dest = None, None
+        if kind != _STORE:
+            # Every register the run writes must exist.
+            dest_name = op.dest
+            dest = tuple(colors[f"{dest_name}@{r}"] for r in range(min(kmin, trips)))
+        decoded.append((op.index, kind, op.opcode, srcs, dest, dest_name))
+
     memory: Dict[int, float] = {}
     written: Dict[int, float] = {}
     last_def_value: Dict[str, float] = {}
 
-    def read_mem(addr: int) -> float:
-        return memory.get(addr, layout.initial_value(addr))
+    # The ops issuing in a cycle are those of its modulo slot whose
+    # iteration ``(cycle - t0) / II`` has started and not ended, in op order.
+    times = [schedule.time(op.index) for op in loop.ops]
+    by_slot: List[List[Tuple[int, tuple]]] = [[] for _ in range(ii)]
+    for op_decoded, t0 in zip(decoded, times):
+        by_slot[t0 % ii].append((t0, op_decoded))
 
-    # Group instances by issue cycle.
-    by_cycle: Dict[int, List[Tuple[int, int]]] = {}
-    for op in loop.ops:
-        t0 = schedule.time(op.index)
-        for n in range(trips):
-            by_cycle.setdefault(t0 + n * ii, []).append((op.index, n))
-
-    for cycle in sorted(by_cycle):
-        reads: List[Tuple[int, int, List[float]]] = []
-        for op_index, n in sorted(by_cycle[cycle]):
-            op = loop.ops[op_index]
+    for cycle in range(min(times), max(times) + (trips - 1) * ii + 1):
+        reads: List[Tuple[tuple, int, List[float]]] = []
+        for t0, op_decoded in by_slot[cycle % ii]:
+            n = (cycle - t0) // ii
+            if n < 0 or n >= trips:
+                continue
+            op_index, kind, _, srcs, _, _ = op_decoded
             vals: List[float] = []
-            for pos, src in enumerate(op.srcs):
-                if src not in defs:
-                    vals.append(regfile[colors[f"{src}@in"]])
+            for omega, before, regs in srcs:
+                if omega is None:
+                    vals.append(regfile[regs])
                     continue
-                m = n - omegas[op_index][pos]
-                if m < 0:
-                    vals.append(invariants.get(src, 0.0))
-                else:
-                    vals.append(regfile[colors[f"{src}@{m % kmin}"]])
-            if op.opclass.name == "LOAD":
-                vals = [read_mem(layout.address(op_index, n))]
-            reads.append((op_index, n, vals))
-        for op_index, n, vals in reads:
-            op = loop.ops[op_index]
-            if op.opclass.name == "STORE":
+                m = n - omega
+                vals.append(before if m < 0 else regfile[regs[m % kmin]])
+            if kind == _LOAD:
+                addr = layout.address(op_index, n)
+                vals = [memory[addr] if addr in memory else layout.initial_value(addr)]
+            reads.append((op_decoded, n, vals))
+        for (op_index, kind, opcode, _, dest, dest_name), n, vals in reads:
+            if kind == _STORE:
                 addr = layout.address(op_index, n)
                 memory[addr] = vals[0]
                 written[addr] = vals[0]
                 continue
-            result = vals[0] if op.opclass.name == "LOAD" else _evaluate(op.opcode, vals)
-            regfile[colors[f"{op.dest}@{n % kmin}"]] = result
+            result = vals[0] if kind == _LOAD else _evaluate(opcode, vals)
+            regfile[dest[n % kmin]] = result
             if n == trips - 1:
-                last_def_value[op.dest] = result
+                last_def_value[dest_name] = result
     live_out = {name: last_def_value[name] for name in loop.live_out if name in last_def_value}
     return ExecutionResult(memory=written, live_out=live_out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir.loop import Loop
 
@@ -38,7 +38,13 @@ class DataLayout:
     bases: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._regions: Dict[str, Tuple[int, int]] = {}  # base -> [lo, hi) addresses
+        # [lo, hi) addresses of each spilled invariant's region, by name.
+        self._spill_regions: List[Tuple[int, int, str]] = []
+        # Addresses and initial contents are pure functions of the layout;
+        # every run on it (a check's sequential and pipelined runs, the
+        # simulator's indirect streams) hashes each one once.
+        self._addresses: Dict[Tuple[int, int], int] = {}
+        self._initial: Dict[int, float] = {}
         cursor = 0x1000_0000
         extents: Dict[str, Tuple[int, int]] = {}
         for op in self.loop.memory_ops():
@@ -65,12 +71,19 @@ class DataLayout:
             if ((start >> 3) & 1) != parity:
                 start += 8
             self.bases[base] = start
-            self._regions[base] = (start + lo, start + hi)
+            if base.startswith("__spill_"):
+                self._spill_regions.append((start + lo, start + hi, base[len("__spill_") :]))
             cursor = start + hi + 64  # pad between regions
 
     # ------------------------------------------------------------------
     def address(self, op_index: int, iteration: int) -> int:
         """Concrete address of memory operation ``op_index`` at ``iteration``."""
+        addr = self._addresses.get((op_index, iteration))
+        if addr is None:
+            addr = self._addresses[op_index, iteration] = self._address(op_index, iteration)
+        return addr
+
+    def _address(self, op_index: int, iteration: int) -> int:
         m = self.loop.ops[op_index].mem
         if m is None:
             raise ValueError(f"op {op_index} is not a memory operation")
@@ -103,7 +116,13 @@ class DataLayout:
         created when register pressure forces a loop invariant to be
         reloaded from memory) hold that invariant's live-in value.
         """
-        for base, (lo, hi) in self._regions.items():
-            if base.startswith("__spill_") and lo <= addr < hi:
-                return self.live_in_value(base[len("__spill_") :])
+        value = self._initial.get(addr)
+        if value is None:
+            value = self._initial[addr] = self._initial_value(addr)
+        return value
+
+    def _initial_value(self, addr: int) -> float:
+        for lo, hi, name in self._spill_regions:
+            if lo <= addr < hi:
+                return self.live_in_value(name)
         return ((_stable_hash("mem", self.seed, addr) % 2_000_001) - 1_000_000) / 1e4

@@ -24,8 +24,16 @@ straightforward code it replaced (kept below as the reference):
 * the bitset :class:`InterferenceGraph` must equal the pairwise
   ``LiveRange.overlaps`` graph, and :func:`color_graph` must give the same
   assignment and ``uncolored`` order as the list-scan colourer;
-* :func:`simulate_pipelined` (busy cycles only, arithmetic bank streams)
-  must return the same :class:`SimReport` as the walk over every cycle;
+* :func:`simulate_pipelined` (busy cycles only, arithmetic bank streams,
+  the steady state fast-forwarded) must return the same
+  :class:`SimReport` as the walk over every cycle and as the full walk
+  over every trip, and :func:`simulate_sequential_body` (that walk at
+  II = completion) the same as stepping one iteration at a time;
+* the decoded functional runs must give the results of the per-instance
+  runs, and the per-replica emitter the per-instance listing, byte for
+  byte;
+* bank repair, costing each distinct schedule once, must pick the same
+  schedule and allocation as costing every form;
 * the emitted-code clobber check (EMIT002: flow arcs grouped by producer,
   each register's writes bisected by cycle) must give the same report,
   messages and order included, as the scan of every arc and every write.
@@ -34,14 +42,21 @@ straightforward code it replaced (kept below as the reference):
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bnb import BnBConfig, _Attempt
+from repro.baseline.list_scheduler import list_schedule
+from repro.core import driver
+from repro.core.bankpolish import polish_bank_schedule
+from repro.core.bnb import BnBConfig, _Attempt, modulo_schedule_bnb, prepare_attempt
 from repro.core.driver import pipeline_loop
-from repro.core.sched import Schedule
+from repro.core.membank import BankPairer
+from repro.core.pipestage import adjust_pipestages
+from repro.core.sched import Schedule, SchedulingStats
 from repro.ir.builder import LoopBuilder
 from repro.ir.ddg import DepKind
 from repro.ir.operations import RegClass
@@ -54,14 +69,27 @@ from repro.machine.resources import (
     ReservationTable,
     ResourceUse,
 )
-from repro.pipeline.emit import emit_pipelined_code
+from repro.pipeline.emit import PipelinedCode, emit_pipelined_code
 from repro.pipeline.overhead import pipeline_overhead
 from repro.regalloc.coloring import InterferenceGraph, color_graph
 from repro.regalloc.rename import LiveRange, rename_kernel
+from repro.sim.functional import (
+    ExecutionResult,
+    _evaluate,
+    _use_omegas,
+    run_pipelined,
+    run_sequential,
+)
 from repro.sim.layout import DataLayout
-from repro.sim.perf import SimReport, simulate_pipelined
+from repro.sim.perf import (
+    BankedMemory,
+    SimReport,
+    simulate_pipelined,
+    simulate_sequential_body,
+)
 from repro.verify import emitcheck
 from repro.verify.diagnostics import Severity
+from repro.workloads.generators import GeneratorConfig, random_loop
 from repro.workloads.livermore import livermore_kernels
 from repro.workloads.recbound import recbound_kernels
 from repro.workloads.spec92 import spec92_suite
@@ -583,17 +611,23 @@ mem_ref_strategy = st.tuples(
 
 
 class TestBusyCycleSimVsEveryCycle:
+    # Trips run to a few hundred so an all-direct draw spans the three or
+    # more bank periods the fast-forward needs; a draw that keeps its
+    # indirect references exercises the full walk instead.
     @given(
         st.lists(mem_ref_strategy, min_size=1, max_size=6),
+        st.booleans(),
         st.integers(1, 6),
-        st.integers(1, 30),
+        st.integers(1, 400),
         st.integers(0, 3),
         st.dictionaries(st.sampled_from("abc"), st.integers(0, 1)),
         st.integers(2, 4),
         st.integers(1, 3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_sim_report_agrees(self, refs, ii, trips, seed, parity, banks, depth):
+    def test_sim_report_agrees(self, refs, indirect, ii, trips, seed, parity, banks, depth):
+        if not indirect:
+            refs = [(s, b, 0 if o is None else o, *rest) for s, b, o, *rest in refs]
         machine = dataclasses.replace(MACHINE, memory_banks=banks, bellows_depth=depth)
         builder = LoopBuilder("memsched", machine, trip_count=trips)
         value = builder.invariant("x")
@@ -704,8 +738,8 @@ class TestClobberCheckVsScan:
 
     def test_reports_agree_on_the_corpus_and_on_seeded_clobbers(self, monkeypatch):
         seeded = set()
-        for loop in _corpus():
-            result = pipeline_loop(loop, MACHINE, verify=False)
+        for result in _corpus_results():
+            loop = result.loop
             schedule, allocation = result.schedule, result.allocation
             emitted = emit_pipelined_code(schedule, allocation)
             clean = self._assert_same_report(monkeypatch, schedule, allocation, emitted)
@@ -726,3 +760,436 @@ class TestClobberCheckVsScan:
                         for d in found if d.rule == "EMIT002"
                     )
         assert seeded == {"wrong read", "clobber"}
+
+
+# ---------------------------------------------------------------------------
+# Each per-cell fact computed once: the fast-forward bank simulator, the
+# decoded functional runs, the per-replica emitter and the bank-repair skip,
+# each against the code it replaced.
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_results():
+    """SGI's result for every corpus loop, scheduled once per session."""
+    return tuple(pipeline_loop(loop, MACHINE, verify=False) for loop in _corpus())
+
+
+def _generated_schedules():
+    """150 random loops in the e2e generator's shapes (a tenth of the loads
+    indirect in every third loop), each given its list schedule's times at
+    MinII: dense, conflict-heavy memory timing without an II search."""
+    schedules = []
+    for i in range(150):
+        config = GeneratorConfig(
+            n_compute=4 + i % 30, n_streams=1 + i % 8, n_recurrences=i % 4,
+            p_indirect=0.0 if i % 3 else 0.1, trip_count=(16, 100, 512)[i % 3],
+        )
+        loop = random_loop(i, config, MACHINE)
+        times = list_schedule(loop, MACHINE).times
+        schedules.append(Schedule(loop, MACHINE, min_ii(loop, MACHINE), times))
+    return schedules
+
+
+def _full_walk_bank_stream(layout, op_index, trips):
+    m = layout.loop.ops[op_index].mem
+    if m is not None and m.is_direct:
+        first = layout.bases[m.base] + m.offset
+        return [(first + n * m.stride) >> 3 & 1 for n in range(trips)]
+    return [layout.bank(op_index, n) for n in range(trips)]
+
+
+def _full_walk_simulate_pipelined(schedule, layout, machine, trips=None, overhead=None):
+    """``simulate_pipelined`` as it was: every trip's events, busy cycles stepped."""
+    loop = schedule.loop
+    ii = schedule.ii
+    if trips is None:
+        trips = loop.trip_count
+    stalls = 0
+    if machine.has_banked_memory and loop.memory_ops():
+        memory = BankedMemory(machine.memory_banks, machine.bellows_depth)
+        events: Dict[int, List[int]] = {}
+        for op in loop.memory_ops():
+            t0 = schedule.time(op.index)
+            cycles = range(t0, t0 + trips * ii, ii)
+            for cycle, bank in zip(cycles, _full_walk_bank_stream(layout, op.index, trips)):
+                events.setdefault(cycle, []).append(bank)
+        next_cycle = 0
+        for cycle in sorted(events):
+            while next_cycle < cycle and memory.queue:
+                memory.step([])
+                next_cycle += 1
+            stalls += memory.step(events[cycle])
+            next_cycle = cycle + 1
+    extra = overhead.total if overhead is not None else 0
+    return SimReport(
+        cycles=schedule.span + (trips - 1) * ii + stalls + extra,
+        stall_cycles=stalls,
+        memory_refs=len(loop.memory_ops()) * trips,
+        trips=trips,
+        overhead_cycles=extra,
+    )
+
+
+def _per_iteration_simulate_sequential_body(schedule, layout, machine, trips):
+    """``simulate_sequential_body`` one iteration at a time: each owns
+    ``completion`` cycles, through whose idle ones the queue drains."""
+    loop = schedule.loop
+    issue_len = 2 + max(schedule.time(op.index) for op in loop.ops)
+    carried_stall = 0
+    for arc in loop.ddg.arcs:
+        if arc.omega > 0:
+            need = schedule.time(arc.src) + arc.latency - schedule.time(arc.dst)
+            carried_stall = max(carried_stall, math.ceil(need / arc.omega))
+    completion = max(issue_len, carried_stall)
+    memory = BankedMemory(machine.memory_banks, machine.bellows_depth)
+    stalls = 0
+    for n in range(trips):
+        events: Dict[int, List[int]] = {}
+        for op in loop.memory_ops():
+            events.setdefault(schedule.time(op.index), []).append(layout.bank(op.index, n))
+        now = 0
+        for cycle in sorted(events):
+            while now < cycle and memory.queue:
+                memory.step([])
+                now += 1
+            stalls += memory.step(events[cycle])
+            now = cycle + 1
+        while now < completion and memory.queue:
+            memory.step([])
+            now += 1
+    return SimReport(
+        cycles=trips * completion + stalls,
+        stall_cycles=stalls,
+        memory_refs=len(loop.memory_ops()) * trips,
+        trips=trips,
+    )
+
+
+class TestFastForwardSimVsFullWalk:
+    def test_corpus_and_generated_loops_at_every_trip_count(self):
+        schedules = [r.schedule for r in _corpus_results()] + _generated_schedules()
+        assert len(schedules) == 58 + 150
+        stalled = 0
+        for schedule in schedules:
+            for trips in (None, 7, 33, 1000):
+                layout = DataLayout(
+                    schedule.loop, trip_count=trips or schedule.loop.trip_count, seed=1
+                )
+                fast = simulate_pipelined(schedule, layout, MACHINE, trips=trips)
+                assert fast == _full_walk_simulate_pipelined(
+                    schedule, layout, MACHINE, trips=trips
+                ), (schedule.loop.name, trips)
+                stalled += fast.stall_cycles > 0
+        assert stalled > 100  # the queue state matters, not just empty runs
+
+    def test_baseline_walk_matches_iteration_by_iteration(self):
+        # The baseline is the same walk at II = completion.
+        stalled = 0
+        for loop in _corpus() + [s.loop for s in _generated_schedules()[::3]]:
+            schedule = list_schedule(loop, MACHINE)
+            for trips in (7, 100):
+                layout = DataLayout(loop, trip_count=trips, seed=2)
+                report = simulate_sequential_body(schedule, layout, MACHINE, trips=trips)
+                assert report == _per_iteration_simulate_sequential_body(
+                    schedule, layout, MACHINE, trips
+                ), (loop.name, trips)
+                stalled += report.stall_cycles > 0
+        assert stalled > 20
+
+
+def _reference_run_sequential(loop, layout, trips):
+    """``run_sequential`` as it was: (register, iteration) history keys."""
+    defs = loop.defs_of()
+    omegas = _use_omegas(loop)
+    invariants = {name: layout.live_in_value(name) for name in loop.live_in}
+    memory: Dict[int, float] = {}
+    written: Dict[int, float] = {}
+    history: Dict[Tuple[str, int], float] = {}
+    for n in range(trips):
+        for op in loop.ops:
+            vals: List[float] = []
+            for pos, src in enumerate(op.srcs):
+                if src not in defs:
+                    vals.append(invariants[src])
+                    continue
+                m = n - omegas[op.index][pos]
+                vals.append(invariants.get(src, 0.0) if m < 0 else history[(src, m)])
+            if op.opclass.name == "LOAD":
+                addr = layout.address(op.index, n)
+                result = memory.get(addr, layout.initial_value(addr))
+            elif op.opclass.name == "STORE":
+                addr = layout.address(op.index, n)
+                memory[addr] = written[addr] = vals[0]
+                continue
+            else:
+                result = _evaluate(op.opcode, vals)
+            history[(op.dest, n)] = result
+    live_out = {
+        name: history[(name, trips - 1)] for name in loop.live_out if (name, trips - 1) in history
+    }
+    return ExecutionResult(memory=written, live_out=live_out)
+
+
+def _reference_run_pipelined(schedule, allocation, layout, trips):
+    """``run_pipelined`` as it was: an f-string register key per operand."""
+    loop = schedule.loop
+    kmin = allocation.kmin
+    defs = loop.defs_of()
+    omegas = _use_omegas(loop)
+    invariants = {name: layout.live_in_value(name) for name in loop.live_in}
+    colors: Dict[str, Tuple[str, int]] = {}
+    for name, color in allocation.fp_assignment.items():
+        colors[name] = ("fp", color)
+    for name, color in allocation.int_assignment.items():
+        colors[name] = ("int", color)
+    regfile: Dict[Tuple[str, int], float] = {}
+    for name in loop.live_in:
+        key = colors.get(f"{name}@in")
+        if name not in defs and key is not None:
+            regfile[key] = invariants[name]
+    memory: Dict[int, float] = {}
+    written: Dict[int, float] = {}
+    last_def_value: Dict[str, float] = {}
+    by_cycle: Dict[int, List[Tuple[int, int]]] = {}
+    for op in loop.ops:
+        for n in range(trips):
+            by_cycle.setdefault(schedule.time(op.index) + n * schedule.ii, []).append(
+                (op.index, n)
+            )
+    for cycle in sorted(by_cycle):
+        reads = []
+        for op_index, n in sorted(by_cycle[cycle]):
+            op = loop.ops[op_index]
+            vals: List[float] = []
+            for pos, src in enumerate(op.srcs):
+                if src not in defs:
+                    vals.append(regfile[colors[f"{src}@in"]])
+                    continue
+                m = n - omegas[op_index][pos]
+                vals.append(
+                    invariants.get(src, 0.0) if m < 0 else regfile[colors[f"{src}@{m % kmin}"]]
+                )
+            if op.opclass.name == "LOAD":
+                addr = layout.address(op_index, n)
+                vals = [memory.get(addr, layout.initial_value(addr))]
+            reads.append((op_index, n, vals))
+        for op_index, n, vals in reads:
+            op = loop.ops[op_index]
+            if op.opclass.name == "STORE":
+                addr = layout.address(op_index, n)
+                memory[addr] = written[addr] = vals[0]
+                continue
+            result = vals[0] if op.opclass.name == "LOAD" else _evaluate(op.opcode, vals)
+            regfile[colors[f"{op.dest}@{n % kmin}"]] = result
+            if n == trips - 1:
+                last_def_value[op.dest] = result
+    live_out = {name: last_def_value[name] for name in loop.live_out if name in last_def_value}
+    return ExecutionResult(memory=written, live_out=live_out)
+
+
+def _same_result(a: ExecutionResult, b: ExecutionResult) -> bool:
+    """Equal contents, written order included (NaNs by bit pattern)."""
+    return list(a.memory) == list(b.memory) and a.matches(b)
+
+
+class TestDecodedFunctionalRunsVsPerInstance:
+    def test_sequential_and_pipelined_runs_agree_clean_and_clobbered(self):
+        clobbered = 0
+        for result in _corpus_results():
+            schedule, allocation = result.schedule, result.allocation
+            for trips, seed in ((12, 0), (3 * schedule.n_stages + 1, 5)):
+                # The new runs share one layout, as the oracle's check does.
+                shared = DataLayout(result.loop, trip_count=trips, seed=seed)
+                alone = DataLayout(result.loop, trip_count=trips, seed=seed)
+                seq = run_sequential(result.loop, shared, trips)
+                assert _same_result(seq, _reference_run_sequential(result.loop, alone, trips))
+                allocations = [allocation]
+                if result.loop.name in SAMPLE_LOOPS:
+                    allocations += [_collapsed(allocation, c) for c in (1, 2)]
+                for alloc in allocations:
+                    pipe = run_pipelined(schedule, alloc, shared, trips)
+                    reference = _reference_run_pipelined(schedule, alloc, alone, trips)
+                    assert _same_result(pipe, reference), (result.loop.name, trips)
+                    clobbered += not pipe.matches(seq)
+        assert clobbered > 0  # the collapsed allocations really do clobber
+
+    def test_missing_register_raises_in_both(self):
+        result = _corpus_results()[0]
+        allocation = result.allocation
+        name = next(iter(allocation.fp_assignment))
+        broken = dataclasses.replace(
+            allocation,
+            fp_assignment={k: c for k, c in allocation.fp_assignment.items() if k != name},
+        )
+        layout = DataLayout(result.loop, trip_count=12)
+        for run in (run_pipelined, _reference_run_pipelined):
+            with pytest.raises(KeyError):
+                run(result.schedule, broken, layout, 12)
+
+
+def _reference_format_instance(loop, colors, defs, omegas, op_index, iteration, kmin):
+    def operand(value, it):
+        key = f"{value}@in" if value not in defs else f"{value}@{it % kmin}"
+        cls, color = colors[key]
+        return f"{'$f' if cls == 'fp' else '$r'}{color}"
+
+    op = loop.ops[op_index]
+    srcs = [operand(src, iteration - omegas[op_index][pos]) for pos, src in enumerate(op.srcs)]
+    dest = operand(op.dest, iteration) + " <- " if op.dests else ""
+    mem = ""
+    if op.mem is not None:
+        off = "?" if op.mem.offset is None else str(op.mem.offset)
+        mem = f" [{op.mem.base}+{off}+i*{op.mem.stride}]"
+    body = f"{op.opcode} {dest}{', '.join(srcs)}".rstrip(" ,")
+    return f"    {body}{mem}  ; op{op_index} iter{{i{iteration:+d}}}"
+
+
+def _reference_emit_pipelined_code(schedule, allocation):
+    """``emit_pipelined_code`` as it was: every instance formatted afresh."""
+    loop = schedule.loop
+    ii = schedule.ii
+    kmin = allocation.kmin
+    stages = schedule.n_stages
+    defs = loop.defs_of()
+    omegas = _use_omegas(loop)
+    colors: Dict[str, Tuple[str, int]] = {}
+    for name, color in allocation.fp_assignment.items():
+        colors[name] = ("fp", color)
+    for name, color in allocation.int_assignment.items():
+        colors[name] = ("int", color)
+
+    def bundle(instances, cycle_label):
+        return [f"  {cycle_label}:"] + [
+            _reference_format_instance(loop, colors, defs, omegas, op_index, n, kmin)
+            for op_index, n in sorted(instances)
+        ]
+
+    steady_start = (stages - 1) * ii
+    events: Dict[int, List[Tuple[int, int]]] = {}
+    for op in loop.ops:
+        for n in range(stages + kmin):
+            events.setdefault(schedule.time(op.index) + n * ii, []).append((op.index, n))
+    prologue: List[str] = []
+    for cycle in range(steady_start):
+        if events.get(cycle):
+            prologue.extend(bundle(events[cycle], f"fill+{cycle}"))
+    kernel: List[str] = []
+    for u in range(kmin):
+        for slot in range(ii):
+            instances = events.get(steady_start + u * ii + slot, [])
+            if instances:
+                kernel.extend(bundle(instances, f"kernel[{u}]+{slot}"))
+    epilogue: List[str] = []
+    drain_events: Dict[int, List[Tuple[int, int]]] = {}
+    for op in loop.ops:
+        for n in range(stages - 1):
+            t = schedule.time(op.index) + n * ii
+            if t >= steady_start:
+                drain_events.setdefault(t - steady_start, []).append((op.index, n))
+    for cycle in sorted(drain_events):
+        epilogue.extend(bundle(drain_events[cycle], f"drain+{cycle}"))
+    return PipelinedCode(prologue, kernel, epilogue, kmin, stages)
+
+
+class TestPerReplicaEmitterVsPerInstance:
+    def test_listing_is_byte_identical(self):
+        for result in _corpus_results():
+            for alloc in (result.allocation, _collapsed(result.allocation, 2)):
+                fast = emit_pipelined_code(result.schedule, alloc)
+                reference = _reference_emit_pipelined_code(result.schedule, alloc)
+                assert fast == reference, result.loop.name
+                assert fast.listing() == reference.listing()
+
+
+def _reference_repair_bank_grouping(loop, machine, ii, options, stats, base):
+    """``_repair_bank_grouping`` as it was: every form polished and costed."""
+    orders = production_orders(loop, machine)
+    candidates = []
+
+    def reschedule(order_name, with_pairer):
+        order = orders[order_name]
+        pairer = (
+            BankPairer(loop, ii, order, strict=options.strict_pairing) if with_pairer else None
+        )
+        prepare_attempt(loop, machine, ii, order)
+        result = modulo_schedule_bnb(loop, machine, ii, order, options.bnb, pairer)
+        stats.attempts += 1
+        stats.placements += result.placements
+        stats.backtracks += result.backtracks
+        if result.success:
+            times = adjust_pipestages(loop, ii, result.times)
+            suffix = "+bank" if with_pairer else ""
+            schedule = Schedule(
+                loop=loop, machine=machine, ii=ii, times=times,
+                producer=f"sgi/{order_name}{suffix}",
+            )
+            candidates.append((schedule, order_name))
+
+    base_schedule, base_allocation, base_order = base
+    for order_name in options.orders:
+        reschedule(order_name, with_pairer=True)
+    candidates.append((base_schedule, base_order))
+    for order_name in options.orders:
+        if order_name != base_order:
+            reschedule(order_name, with_pairer=False)
+    best = None
+    for candidate, order_name in candidates:
+        pairer = BankPairer(loop, ii, orders[order_name], strict=options.strict_pairing)
+        forms = [candidate]
+        polished = polish_bank_schedule(candidate, machine, pairer)
+        if polished is not None:
+            forms.append(polished)
+        for form in forms:
+            allocation = (
+                base_allocation if form is base_schedule else driver.allocate_schedule(form, machine)
+            )
+            if not allocation.success:
+                continue
+            risk = driver._residual_risk(form, pairer)
+            overhead = pipeline_overhead(form, allocation, machine).total
+            rank = (overhead + 0.5 * risk * loop.trip_count, risk)
+            if best is None or rank < best[0]:
+                best = (rank, form, allocation, order_name)
+    return None if best is None else best[1:]
+
+
+def _outcome(result):
+    allocation = result.allocation
+    return (
+        result.schedule.times, result.ii, result.order_name, result.schedule.producer,
+        allocation.fp_assignment, allocation.int_assignment, allocation.kmin,
+        result.stats.attempts, result.stats.placements, result.stats.backtracks,
+    )
+
+
+class TestBankRepairSkipVsEveryForm:
+    def test_every_corpus_result_is_unchanged(self, monkeypatch):
+        calls = {"fast": 0, "reference": 0}
+        allocate = driver.allocate_schedule
+        fast_repair = driver._repair_bank_grouping
+
+        def both(loop, machine, ii, options, stats, base):
+            # Each repair picks on the same inputs, its allocations counted.
+            lane = "fast"
+
+            def counting(schedule, machine):
+                calls[lane] += 1
+                return allocate(schedule, machine)
+
+            monkeypatch.setattr(driver, "allocate_schedule", counting)
+            fast = fast_repair(loop, machine, ii, options, SchedulingStats(), base)
+            lane = "reference"
+            reference = _reference_repair_bank_grouping(loop, machine, ii, options, stats, base)
+            monkeypatch.setattr(driver, "allocate_schedule", allocate)
+            picks = [
+                None if pick is None else (pick[0].times, pick[0].producer, pick[1], pick[2])
+                for pick in (fast, reference)
+            ]
+            assert picks[0] == picks[1], loop.name
+            return reference
+
+        monkeypatch.setattr(driver, "_repair_bank_grouping", both)
+        reference = [pipeline_loop(loop, MACHINE, verify=False) for loop in _corpus()]
+        for new, old in zip(_corpus_results(), reference):
+            assert _outcome(new) == _outcome(old), new.loop.name
+        assert calls["fast"] < calls["reference"]  # repeated schedules were skipped

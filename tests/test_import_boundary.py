@@ -16,6 +16,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+from typing import Optional
 
 import pytest
 
@@ -148,11 +149,14 @@ EXPLAIN_FORBIDDEN = (
 )
 
 
-def _absolute_imports(path: pathlib.Path):
+def _absolute_imports(path: pathlib.Path, source: Optional[str] = None):
     """Every module ``path`` imports, relative imports resolved; for
-    ``from pkg import name`` both ``pkg`` and ``pkg.name``."""
+    ``from pkg import name`` both ``pkg`` and ``pkg.name``.  ``source``
+    stands in for the file's text (a mutated copy)."""
     package = list(path.relative_to(SRC.parent).with_suffix("").parts[:-1])
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    if source is None:
+        source = path.read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source, filename=str(path))):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -162,11 +166,44 @@ def _absolute_imports(path: pathlib.Path):
             yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
+def _reached(imports, forbidden):
+    return sorted(
+        name for name in set(imports)
+        if any(name == bad or name.startswith(bad + ".") for bad in forbidden)
+    )
+
+
 def test_explain_imports_no_driver_or_solver_entry_point():
     imports = set(_absolute_imports(SRC / "obs" / "explain.py"))
     assert "repro.schedulers" in imports  # the resolver sees the module's imports
-    found = sorted(
-        name for name in imports
-        if any(name == bad or name.startswith(bad + ".") for bad in EXPLAIN_FORBIDDEN)
-    )
+    found = _reached(imports, EXPLAIN_FORBIDDEN)
     assert not found, f"repro/obs/explain.py imports {', '.join(found)}"
+
+
+#: The schedule checker audits II against a MinII it recomputes itself; the
+#: schedulers' memoized RecMII and the certified bounds must stay out of it.
+SCHEDCHECK = SRC / "verify" / "schedcheck.py"
+SCHEDCHECK_FORBIDDEN = ("repro.core", "repro.analyze")
+
+
+def test_schedule_checker_imports_nothing_from_core_or_analyze():
+    found = _reached(_absolute_imports(SCHEDCHECK), SCHEDCHECK_FORBIDDEN)
+    assert not found, f"repro/verify/schedcheck.py imports {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "line, reached",
+    [
+        ("from ..core.minii import rec_mii", ["repro.core.minii", "repro.core.minii.rec_mii"]),
+        ("import repro.analyze.bounds", ["repro.analyze.bounds"]),
+    ],
+)
+def test_schedule_checker_guard_catches_a_mutated_copy(line, reached):
+    source = SCHEDCHECK.read_text(encoding="utf-8")
+    # Inside a function, as a lazy import would be.
+    mutated = source.replace(
+        "def _independent_rec_mii(loop: Loop) -> int:\n",
+        f"def _independent_rec_mii(loop: Loop) -> int:\n    {line}\n",
+    )
+    assert mutated != source
+    assert _reached(_absolute_imports(SCHEDCHECK, mutated), SCHEDCHECK_FORBIDDEN) == reached

@@ -178,6 +178,26 @@ class TestPerformanceSimulation:
         assert rep.stall_cycles == 0
 
 
+    def test_baseline_queue_drains_through_idle_cycles(self, machine):
+        # Two same-bank loads share cycle 0 of every iteration: the second
+        # waits in the bellows queue, which drains on the idle cycles that
+        # follow.  The next iteration's pair finds it empty, so the loop
+        # never stalls.  (Stepping only cycles with arrivals left the
+        # queued reference waiting until the next pair: one stall per
+        # iteration after the first.)
+        b = LoopBuilder("pair", machine=machine, trip_count=10)
+        for base in ("a", "b"):
+            b.load(base, offset=0, stride=16)  # a whole bank period: bank stays 0
+            b.set_parity(base, 0)
+        loop = b.build()
+        sched = list_schedule(loop, machine)
+        assert sched.time(0) == sched.time(1) == 0
+        layout = DataLayout(loop, trip_count=10)
+        rep = simulate_sequential_body(sched, layout, machine, trips=10)
+        assert rep.stall_cycles == 0
+        assert rep.cycles == 10 * 2  # issue cycle + loop control, back to back
+
+
 class TestBaselineListScheduler:
     def test_valid_schedule(self, machine, daxpy):
         sched = list_schedule(daxpy, machine)
