@@ -36,13 +36,13 @@ lint:
 	fi
 	$(PYTHON) -m repro.analyze.codelint src/repro
 
-# Sweep every workload corpus through every registered pipeliner and verify
-# every schedule, allocation and emitted listing (exits non-zero on any
-# ERROR).  recbound carries the register-bound portfolio schedules.
+# Sweep every workload corpus through every registered pipeliner, one exec
+# cell each, and verify every schedule, allocation and emitted listing
+# (exits non-zero on any ERROR, functional mismatch or crashed cell).  One
+# process builds the three corpora once; recbound carries the
+# register-bound portfolio schedules.
 verify-corpus:
-	$(PYTHON) -m repro verify livermore
-	$(PYTHON) -m repro verify spec92
-	$(PYTHON) -m repro verify recbound
+	$(PYTHON) -m repro verify all
 
 # The full timed (loop × scheduler) grid, emitted as
 # benchmarks/output/BENCH_pipeline.json (cached under .exec-cache/).
@@ -90,15 +90,15 @@ explain:
 	$(PYTHON) -m repro explain livermore
 
 # CI's attribution smoke: six Livermore loops through all four schedulers;
-# fails when no cell was explained or a binding falls outside
-# repro.obs.explain.BINDING_CLASSES.
+# fails when a cell crashed, when no cell was explained or when a binding
+# falls outside repro.obs.explain.BINDING_CLASSES.
 explain-smoke:
 	$(PYTHON) -m repro explain livermore --limit 6 --json benchmarks/output/explain.json
 	$(PYTHON) -c "import json, sys; \
 		from repro.obs.explain import BINDING_CLASSES; \
 		cells = json.load(open('benchmarks/output/explain.json')); \
-		bad = ['%s x %s: %s' % (c['loop'], c['scheduler'], c['binding']) \
-		       for c in cells if c['binding'] not in BINDING_CLASSES]; \
+		bad = ['%s x %s: %s' % (c['loop'], c['scheduler'], c.get('binding', 'error')) \
+		       for c in cells if c.get('binding') not in BINDING_CLASSES]; \
 		print('explain cells=%d outside BINDING_CLASSES=%d' % (len(cells), len(bad)), *bad); \
 		sys.exit(1 if bad or not cells else 0)"
 
@@ -107,9 +107,7 @@ explain-smoke:
 # cross-check each scheduler's achieved II against the certified floor
 # (exits non-zero on a checker failure or a bound contradiction).
 analyze:
-	$(PYTHON) -m repro analyze livermore --check
-	$(PYTHON) -m repro analyze spec92 --check
-	$(PYTHON) -m repro analyze recbound --check
+	$(PYTHON) -m repro analyze all --check
 
 # The CI regression gate: attributed diff of the latest bench output
 # against the committed baseline; exits non-zero on quality regressions

@@ -61,7 +61,7 @@ from .ir import (
 from .machine import MachineDescription, r8000, single_issue, two_wide
 from .most import MostOptions, OptimalResult, most_pipeline_loop
 from .pipeline import emit_pipelined_code, pipeline_overhead
-from .rau import RauOptions, RauResult, rau_pipeline_loop
+from .rau import RauOptions, rau_pipeline_loop
 from .regalloc import allocate_schedule, rename_kernel
 from .sim import DataLayout, run_pipelined, run_sequential, simulate_pipelined
 from .workloads import livermore_kernel, livermore_kernels, random_loop, spec92_benchmark, spec92_suite
@@ -99,7 +99,6 @@ __all__ = [
     "random_loop",
     "rau_pipeline_loop",
     "RauOptions",
-    "RauResult",
     "rec_mii",
     "rename_kernel",
     "res_mii",

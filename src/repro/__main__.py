@@ -129,7 +129,7 @@ _SHARED: Dict[str, Row] = {
 #: The corpus positional of the commands that sweep one.
 _CORPUS = ("corpus", dict(
     nargs="?", default="livermore",
-    help="livermore, spec92 or recbound (default: %(default)s)"))
+    help="livermore, spec92, recbound or all (default: %(default)s)"))
 
 
 def _parse(
@@ -193,12 +193,50 @@ def _print_or_write(json_out: Optional[str], payload: str, text: str) -> None:
         print(f"wrote {path}")
 
 
+def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace, preset: Optional[str],
+           **cell_fields: Any) -> list:
+    """Run ``args.corpus`` × ``args.schedulers`` as exec cells, each
+    scheduler on its ``preset`` with ``--ilp-seconds`` as every optimal
+    driver's ``time_limit``; the results come back in grid order.  The
+    cells run serially and uncached unless the command has ``--jobs`` and
+    ``--cache-dir``; a crashed driver is one error result."""
+    from .exec.cache import ScheduleCache
+    from .exec.cells import corpus_cells
+    from .exec.runner import ExecEngine
+
+    options = {
+        name: REGISTRY[name].preset(preset, time_limit=args.ilp_seconds)
+        for name in args.schedulers
+    }
+    try:
+        cells = corpus_cells(
+            args.corpus, args.schedulers, options, getattr(args, "limit", None),
+            verify=False, simulate=False, **cell_fields,
+        )
+    except ValueError as exc:  # unknown corpus
+        parser.error(str(exc))
+    cache_dir = None if getattr(args, "no_cache", False) else getattr(args, "cache_dir", None)
+    engine = ExecEngine(
+        jobs=getattr(args, "jobs", 1),
+        cache=ScheduleCache(cache_dir) if cache_dir else None,
+    )
+    results = engine.run(cells)
+    return [results[cell] for cell in cells]
+
+
+def _loop_name(key: str) -> str:
+    """The loop name a corpus key ends in (``spec92:doduc/doduc_state`` →
+    ``doduc_state``)."""
+    return key.partition(":")[2].rpartition("/")[2]
+
+
 def _verify_main(argv) -> int:
     """``python -m repro verify <corpus>``: sweep and verify all artifacts."""
     vp, args = _parse(
         "verify",
         "Independently verify every artifact the pipeliners produce over a "
-        "workload corpus (exit 1 on ERROR diagnostics).",
+        "workload corpus (exit 1 on ERROR diagnostics, a functional mismatch "
+        "or a crashed cell).",
         argv,
         [
             ("corpus", dict(nargs="?", default="all",
@@ -208,14 +246,13 @@ def _verify_main(argv) -> int:
         ],
         schedulers=ALL_SCHEDULERS, ilp_seconds=2.0,
     )
-    from .verify import verify_corpus
+    from .verify import SweepEntry, SweepResult
 
-    try:
-        sweep = verify_corpus(
-            args.corpus, schedulers=list(args.schedulers), ilp_seconds=args.ilp_seconds
-        )
-    except ValueError as exc:  # unknown corpus
-        vp.error(str(exc))
+    results = _sweep(vp, args, "sweep", oracle=True)
+    sweep = SweepResult(
+        corpus=args.corpus,
+        entries=[SweepEntry.from_cell(_loop_name(res.loop), res) for res in results],
+    )
     print(sweep.formatted(verbose=args.verbose))
     return 0 if sweep.ok else 1
 
@@ -316,7 +353,7 @@ def _trace_main(argv) -> int:
     come from live solves.
     """
     from .exec.bench import merge_trace_dir
-    from .exec.cells import Cell, corpus_loop_keys
+    from .exec.cells import corpus_cells
     from .exec.runner import ExecEngine
     from .obs import format_effort_table, validate_chrome_trace_file
 
@@ -340,32 +377,20 @@ def _trace_main(argv) -> int:
         schedulers=ALL_SCHEDULERS, limit=None, jobs=1, ilp_seconds=5.0,
         cell_timeout=60.0, seed=0,
     )
-    try:
-        keys = corpus_loop_keys(args.corpus)
-    except ValueError as exc:
-        tp.error(str(exc))
-    if args.limit is not None:
-        keys = keys[: args.limit]
     options = {
         name: REGISTRY[name].preset(
             "trace", time_limit=args.ilp_seconds, max_nodes=args.max_nodes
         )
         for name in args.schedulers
     }
-    cells = [
-        Cell.make(
-            key,
-            scheduler,
-            options[scheduler],
-            seed=args.seed,
-            simulate=False,
-            verify=False,
-            trace=True,
+    try:
+        cells = corpus_cells(
+            args.corpus, args.schedulers, options, args.limit,
+            seed=args.seed, simulate=False, verify=False, trace=True,
             trace_dir=args.trace_dir,
         )
-        for key in keys
-        for scheduler in args.schedulers
-    ]
+    except ValueError as exc:
+        tp.error(str(exc))
     engine = ExecEngine(jobs=args.jobs, cache=None, default_timeout=args.cell_timeout)
     results = engine.run(cells)
     ordered = [results[cell] for cell in cells]
@@ -394,22 +419,14 @@ def _trace_main(argv) -> int:
 
 
 def _explanations(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    """Explain ``args.corpus`` × ``args.schedulers``: every driver on its
-    defaults, with ``--ilp-seconds`` as each optimal driver's budget."""
-    from .obs.explain import explain_corpus
-
-    try:
-        return explain_corpus(
-            args.corpus,
-            schedulers=args.schedulers,
-            scheduler_options={
-                name: REGISTRY[name].preset(time_limit=args.ilp_seconds)
-                for name in args.schedulers
-            },
-            limit=args.limit,
-        )
-    except ValueError as exc:  # unknown corpus
-        parser.error(str(exc))
+    """Explain ``args.corpus`` × ``args.schedulers``: one explanation dict
+    per cell, every driver on its defaults; a crashed cell's dict names
+    its loop and scheduler and carries the ``error``."""
+    return [
+        {"loop": _loop_name(res.loop), "scheduler": res.scheduler,
+         **(res.explanation or {"error": res.error or "no explanation"})}
+        for res in _sweep(parser, args, None, explain=True)
+    ]
 
 
 def _explain_main(argv) -> int:
@@ -437,7 +454,10 @@ def _explain_main(argv) -> int:
     _print_or_write(
         args.json_out, explanations_to_json(explanations), format_explanations(explanations)
     )
-    return 0
+    crashed = [f"{e['loop']} × {e['scheduler']}" for e in explanations if "binding" not in e]
+    if crashed:
+        print(f"{len(crashed)} cell(s) errored: {', '.join(crashed)}", file=sys.stderr)
+    return 1 if crashed else 0
 
 
 def _analyze_main(argv) -> int:

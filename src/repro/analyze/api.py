@@ -3,21 +3,22 @@
 For every loop of a corpus this derives the refined II lower bounds of
 :mod:`repro.analyze.bounds`, optionally validates every shipped
 certificate with the independent checker (:mod:`repro.verify.boundcheck`),
-runs the requested pipeliners, and cross-checks each achieved II against
-the certified bounds — a contradiction (an achieved or proved-optimal II
-below a *validated* bound) means either a scheduler or the analyzer is
-wrong, and is reported as such rather than averaged away.
+runs the requested pipeliners as :mod:`repro.exec` cells, and
+cross-checks each achieved II against the certified bounds — a
+contradiction (an achieved or proved-optimal II below a *validated*
+bound) means either a scheduler or the analyzer is wrong, and is
+reported as such rather than averaged away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..ir.loop import Loop
-from ..machine.descriptions import MachineDescription
+from ..machine.descriptions import MachineDescription, r8000
 from ..schedulers import REGISTRY
-from .bounds import LoopBounds, compute_bounds
+from .bounds import compute_bounds
 
 
 @dataclass
@@ -33,7 +34,7 @@ class LoopAnalysis:
     allocatable_bound: int
     pairing_bound: int
     certificates: int
-    bounds: Optional[Dict[str, Any]] = None  # LoopBounds.to_dict payload
+    bounds: Dict[str, Any] = field(default_factory=dict)  # LoopBounds.to_dict payload
     #: scheduler -> achieved II (None = no allocatable schedule found)
     achieved: Dict[str, Optional[int]] = field(default_factory=dict)
     #: scheduler -> spill rounds (spill code voids the pristine certificates)
@@ -44,6 +45,8 @@ class LoopAnalysis:
     check_errors: List[str] = field(default_factory=list)
     #: achieved-vs-bound contradictions (BOUND005 findings)
     contradictions: List[str] = field(default_factory=list)
+    #: scheduler -> the last line of its crashed cell's error
+    cell_errors: Dict[str, str] = field(default_factory=dict)
     checked: bool = False
 
     @property
@@ -56,11 +59,19 @@ class LoopAnalysis:
         return self.schedulable_bound - self.min_ii
 
     @property
+    def problems(self) -> List[str]:
+        return (
+            self.check_errors
+            + self.contradictions
+            + [f"{name} cell error: {error}" for name, error in self.cell_errors.items()]
+        )
+
+    @property
     def ok(self) -> bool:
-        return not self.check_errors and not self.contradictions
+        return not self.problems
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        data = {
             "loop": self.loop,
             "n_ops": self.n_ops,
             "res_mii": self.res_mii,
@@ -70,6 +81,7 @@ class LoopAnalysis:
             "allocatable_bound": self.allocatable_bound,
             "pairing_bound": self.pairing_bound,
             "certificates": self.certificates,
+            "bounds": self.bounds,
             "achieved": dict(self.achieved),
             "spill_rounds": dict(self.spill_rounds),
             "optimal": dict(self.optimal),
@@ -77,6 +89,9 @@ class LoopAnalysis:
             "contradictions": list(self.contradictions),
             "checked": self.checked,
         }
+        if self.cell_errors:  # only a crashed pipeliner adds the key
+            data["cell_errors"] = dict(self.cell_errors)
+        return data
 
 
 @dataclass
@@ -119,7 +134,7 @@ class AnalysisReport:
                 if e.spill_rounds.get(scheduler):
                     text += "s"
                 cells += f"  {text:>{widths[scheduler]}}"
-            if e.check_errors:
+            if e.check_errors or e.cell_errors:
                 status = "FAIL"
             elif e.contradictions:
                 status = "CONTRADICTED"
@@ -146,7 +161,7 @@ class AnalysisReport:
         problems = [e for e in self.entries if not e.ok]
         if problems:
             for e in problems:
-                for msg in e.check_errors + e.contradictions:
+                for msg in e.problems:
                     lines.append(f"  !! {e.loop}: {msg}")
         elif self.checked:
             total = sum(e.certificates for e in self.entries)
@@ -156,33 +171,11 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _achieved(
-    loop: Loop,
-    machine: MachineDescription,
-    schedulers: Sequence[str],
-    ilp_seconds: float,
-    entry: LoopAnalysis,
-) -> None:
-    """Run the requested pipeliners and record what each one achieved."""
-    from ..verify.api import run_sweep_cell
-
-    for name in schedulers:
-        result = run_sweep_cell(name, loop, machine, ilp_seconds)
-        entry.achieved[name] = result.ii if result.success else None
-        entry.spill_rounds[name] = result.spill_rounds
-        entry.optimal[name] = result.optimal
-
-
-def _cross_check(
-    loop: Loop,
-    machine: MachineDescription,
-    bounds: LoopBounds,
-    entry: LoopAnalysis,
-) -> None:
+def _cross_check(loop: Loop, machine: MachineDescription, entry: LoopAnalysis) -> None:
     """Validate certificates and test every achieved II against the bounds."""
     from ..verify.boundcheck import check_achieved, check_bounds
 
-    payload = bounds.to_dict()
+    payload = entry.bounds
     report = check_bounds(loop, machine, payload)
     entry.check_errors = [f"{d.rule}: {d.message}" for d in report.errors]
     entry.checked = True
@@ -204,31 +197,36 @@ def _cross_check(
 def analyze_corpus(
     corpus: str,
     schedulers: Sequence[str] = tuple(REGISTRY),
-    machine: Optional[MachineDescription] = None,
     check: bool = False,
     limit: Optional[int] = None,
     ilp_seconds: float = 2.0,
-    keep_payload: bool = False,
-    progress: Optional[Callable[[LoopAnalysis], None]] = None,
 ) -> AnalysisReport:
     """Derive, (optionally) check, and cross-validate bounds for a corpus.
 
     ``schedulers`` may be empty to compute and check bounds without
-    running any pipeliner.  ``check=True`` additionally validates every
-    certificate with the independent checker and cross-checks each
-    achieved II against the certified bounds.  ``keep_payload`` retains
-    each loop's full ``LoopBounds.to_dict`` payload on the entry (tests
-    and the JSON output use it; the printed table does not).
+    running any pipeliner; each one that runs is an exec cell on its
+    ``sweep`` preset, with ``ilp_seconds`` as every optimal driver's
+    ``time_limit``, and a crashed cell fails its loop's row.
+    ``check=True`` additionally validates every certificate with the
+    independent checker and cross-checks each achieved II against the
+    certified bounds.
     """
-    from ..machine.descriptions import r8000
-    from ..verify.api import corpus_loops
+    from ..exec.cells import corpus_cells, corpus_loop_keys, resolve_loop
+    from ..exec.runner import ExecEngine
 
-    machine = machine if machine is not None else r8000()
-    loops = corpus_loops(corpus, machine)
-    if limit is not None:
-        loops = loops[:limit]
+    machine = r8000()
+    keys = corpus_loop_keys(corpus)[:limit]
+    presets = {
+        name: REGISTRY[name].preset("sweep", time_limit=ilp_seconds) for name in schedulers
+    }
+    cells = corpus_cells(corpus, schedulers, presets, limit, simulate=False, verify=False)
+    results = ExecEngine().run(cells)
+    by_loop: Dict[str, List] = {}
+    for cell in cells:
+        by_loop.setdefault(cell.loop, []).append(results[cell])
     report = AnalysisReport(corpus=corpus, checked=check, schedulers=tuple(schedulers))
-    for loop in loops:
+    for key in keys:
+        loop = resolve_loop(key, machine)
         bounds = compute_bounds(loop, machine)
         entry = LoopAnalysis(
             loop=loop.name,
@@ -240,13 +238,15 @@ def analyze_corpus(
             allocatable_bound=bounds.allocatable_bound,
             pairing_bound=bounds.pairing_bound,
             certificates=len(bounds.certificates),
-            bounds=bounds.to_dict() if keep_payload else None,
+            bounds=bounds.to_dict(),
         )
-        if schedulers:
-            _achieved(loop, machine, schedulers, ilp_seconds, entry)
+        for result in by_loop.get(key, ()):
+            if result.error is not None:
+                entry.cell_errors[result.scheduler] = result.error.strip().splitlines()[-1]
+            entry.achieved[result.scheduler] = result.ii if result.success else None
+            entry.spill_rounds[result.scheduler] = result.spill_rounds
+            entry.optimal[result.scheduler] = result.optimal
         if check:
-            _cross_check(loop, machine, bounds, entry)
+            _cross_check(loop, machine, entry)
         report.entries.append(entry)
-        if progress is not None:
-            progress(entry)
     return report

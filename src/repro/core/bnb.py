@@ -165,14 +165,16 @@ def modulo_schedule_bnb(
     are memoized per loop: the driver re-runs the winning configuration
     during bank-grouping repair, and the re-run returns the identical
     result — times *and* search-effort counters — without searching again.
-    Memoization is skipped while the recorder is live (span structure
-    should reflect real work).
+    Under a live recorder a memo hit replays the stored attempt's
+    ``bnb.*`` counters and its ``bnb.attempt`` event (flagged ``memo``,
+    with no span: nothing was searched), so traced and untraced runs do
+    the same work and count the same effort.
     """
     config = config or BnBConfig()
     rec = get_recorder()
     memo: Optional[Dict] = None
     memo_key = None
-    if not rec.enabled and (pairer is None or type(pairer) is BankPairer):
+    if pairer is None or type(pairer) is BankPairer:
         memo_key = (
             id(machine), ii, tuple(priority),
             config.max_backtracks, config.max_placements,
@@ -184,17 +186,27 @@ def modulo_schedule_bnb(
             memo = loop.ddg._bnb_attempt_memo = {}
         hit = memo.get(memo_key)
         if hit is not None:
+            if rec.enabled:
+                _record_attempt(rec, loop, ii, hit, memo=True)
             return _copy_result(hit)
     attempt = _Attempt(loop, machine, ii, priority, config, pairer)
-    if not rec.enabled:
+    if rec.enabled:
+        with rec.span("bnb", loop=loop.name, ii=ii, n_ops=loop.n_ops):
+            result = attempt.run()
+        _record_attempt(rec, loop, ii, result)
+    else:
         result = attempt.run()
-        if memo is not None:
-            memo[memo_key] = _copy_result(result)
-        return result
-    with rec.span("bnb", loop=loop.name, ii=ii, n_ops=loop.n_ops):
-        result = attempt.run()
-    # Inner-loop effort is counted with plain integers; it is folded into
-    # the recorder once per attempt so the hot path stays unobserved.
+    if memo is not None:
+        memo[memo_key] = _copy_result(result)
+    return result
+
+
+def _record_attempt(rec, loop: Loop, ii: int, result: BnBResult, memo: bool = False) -> None:
+    """Fold one attempt's effort into the live recorder.
+
+    Inner-loop effort is counted with plain integers; it is folded into
+    the recorder once per attempt so the hot path stays unobserved.
+    """
     rec.counter("bnb.attempts")
     rec.counter("bnb.placements", result.placements)
     rec.counter("bnb.backtracks", result.backtracks)
@@ -209,8 +221,8 @@ def modulo_schedule_bnb(
         backtracks=result.backtracks,
         max_depth=result.max_depth,
         prunes=dict(result.prunes),
+        **({"memo": True} if memo else {}),
     )
-    return result
 
 
 class _IIPlan:

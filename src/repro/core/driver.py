@@ -119,8 +119,7 @@ def _maybe_verify(result, machine: MachineDescription, verify: Optional[bool]):
     """Run the independent checkers over a driver result when enabled.
 
     Shared by every pipeliner.  ``verify=None`` defers to the process
-    default (:func:`repro.verify.set_default_verify`); imports are lazy
-    because ``repro.verify`` imports the drivers for its corpus sweeps.
+    default (:func:`repro.verify.set_default_verify`).
     """
     from ..verify import resolve_verify
     from ..verify.api import enforce_verified

@@ -21,16 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.driver import PipelineResult
 from ..exec.cache import ScheduleCache
 from ..exec.cells import Cell, CellResult
 from ..exec.runner import ExecEngine
 from ..ir.loop import Loop
-from ..machine.descriptions import MachineDescription, r8000
-from ..pipeline.overhead import pipeline_overhead
+from ..machine.descriptions import r8000
 from ..schedulers import get_scheduler
-from ..sim.layout import DataLayout
-from ..sim.perf import simulate_pipelined, simulate_sequential_body
 from ..workloads.livermore import LONG_TRIPS, SHORT_TRIPS, livermore_kernels
 from ..workloads.spec92 import Benchmark, spec92_suite
 from .metrics import geometric_mean, weighted_relative_time
@@ -93,35 +89,6 @@ class ExperimentResult:
 # ----------------------------------------------------------------------
 # Shared machinery
 # ----------------------------------------------------------------------
-def _pipelined_cycles(
-    result: PipelineResult,
-    machine: MachineDescription,
-    trips: Optional[int] = None,
-    seed: int = 0,
-) -> float:
-    """Simulated cycles of a heuristic/ILP pipelining result (with the
-    fill/drain overhead included).  Retained for direct driver results;
-    batched experiments read the same quantity off their cells."""
-    if not result.success:
-        raise ValueError(f"loop {result.original.name!r} failed to pipeline")
-    layout = DataLayout(result.loop, trip_count=trips or result.loop.trip_count, seed=seed)
-    overhead = pipeline_overhead(result.schedule, result.allocation, machine)
-    report = simulate_pipelined(
-        result.schedule, layout, machine, trips=trips, overhead=overhead
-    )
-    return report.cycles
-
-
-def _baseline_cycles(
-    loop: Loop, machine: MachineDescription, trips: Optional[int] = None, seed: int = 0
-) -> float:
-    from ..baseline.list_scheduler import list_schedule
-
-    schedule = list_schedule(loop, machine)
-    layout = DataLayout(loop, trip_count=trips or loop.trip_count, seed=seed)
-    return simulate_sequential_body(schedule, layout, machine, trips=trips).cycles
-
-
 def _benchmark_relative_time(
     bench: Benchmark,
     cycles: Dict[str, float],

@@ -18,6 +18,7 @@ from .cells import (
     SCHEDULERS,
     canonical_options,
     clear_loop_memo,
+    corpus_cells,
     corpus_loop_keys,
     resolve_loop,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "cell_key",
     "clear_loop_memo",
     "code_version",
+    "corpus_cells",
     "corpus_loop_keys",
     "execute_cell",
     "figure_report",

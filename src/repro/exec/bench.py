@@ -25,7 +25,7 @@ from ..obs.provenance import provenance
 from ..obs.report import geomean
 from ..schedulers import REGISTRY
 from .cache import DEFAULT_CACHE_DIR, ScheduleCache
-from .cells import Cell, CellResult, corpus_loop_keys
+from .cells import Cell, CellResult, corpus_cells
 from .hashing import code_version
 from .runner import ExecEngine, ProgressFn
 
@@ -106,11 +106,14 @@ class BenchOptions:
 
 def bench_cells(options: BenchOptions) -> List[Cell]:
     """The (loop × scheduler) cell grid of a bench run."""
+    presets = {name: options.scheduler_options(name) for name in options.schedulers}
     return [
-        Cell.make(
-            key,
-            scheduler,
-            options.scheduler_options(scheduler),
+        cell
+        for corpus in options.corpora
+        for cell in corpus_cells(
+            corpus,
+            options.schedulers,
+            presets,
             seed=options.seed,
             verify=False,
             trace=options.trace,
@@ -121,9 +124,6 @@ def bench_cells(options: BenchOptions) -> List[Cell]:
             # ``repro analyze --json`` regenerates the certificates.
             analyze=True,
         )
-        for corpus in options.corpora
-        for key in corpus_loop_keys(corpus)
-        for scheduler in options.schedulers
     ]
 
 

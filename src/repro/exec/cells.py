@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
@@ -144,10 +144,16 @@ def clear_loop_memo() -> None:
     _LOOP_MEMO.clear()
 
 
+#: The committed corpora, in the order ``all`` lists them.
+CORPORA = ("livermore", "spec92", "recbound")
+
+
 def corpus_loop_keys(corpus: str, machine: Optional[MachineDescription] = None) -> List[str]:
-    """All registry keys of a named corpus (``livermore``, ``spec92`` or
-    ``recbound``)."""
+    """All registry keys of a named corpus: ``livermore``, ``spec92``,
+    ``recbound``, or ``all`` (the three in that order)."""
     machine = machine if machine is not None else r8000()
+    if corpus == "all":
+        return [key for name in CORPORA for key in corpus_loop_keys(name, machine)]
     if corpus == "livermore":
         from ..workloads.livermore import livermore_kernels
 
@@ -165,8 +171,25 @@ def corpus_loop_keys(corpus: str, machine: Optional[MachineDescription] = None) 
 
         return [f"recbound:{loop.name}" for loop in recbound_kernels(machine)]
     raise ValueError(
-        f"unknown corpus {corpus!r} (expected livermore, spec92 or recbound)"
+        f"unknown corpus {corpus!r} (expected livermore, spec92, recbound or all)"
     )
+
+
+def corpus_cells(
+    corpus: str,
+    schedulers: Sequence[str],
+    options: Mapping[str, Mapping[str, Any]],
+    limit: Optional[int] = None,
+    **cell_fields: Any,
+) -> List[Cell]:
+    """The (loop × scheduler) cells of a corpus, loops outer, schedulers
+    inner: each scheduler runs ``options[scheduler]``, and ``cell_fields``
+    go to every :meth:`Cell.make`.  ``limit`` keeps the first loops only."""
+    return [
+        Cell.make(key, scheduler, options[scheduler], **cell_fields)
+        for key in corpus_loop_keys(corpus)[:limit]
+        for scheduler in schedulers
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +216,8 @@ class Cell:
     to its binding constraint (:mod:`repro.obs.explain`); like ``trace``
     it changes the result payload and therefore the cache key.  ``oracle``
     runs the fuzzer's dynamic oracle layers after scheduling — independent
-    re-verification into ``verify_errors`` and a functional-equivalence
+    re-verification into ``verify_errors``/``verify_warnings`` (a loop
+    nothing was scheduled for is linted) and a functional-equivalence
     simulation against the sequential reference into ``funcsim_ok`` — and
     also participates in the cache key.  ``analyze`` computes the certified
     refined II lower bound (:mod:`repro.analyze`) on the pristine loop and
@@ -340,10 +364,12 @@ class CellResult:
     # run with ``explain=True``: an IIExplanation.to_dict() payload.
     explanation: Optional[Dict[str, Any]] = None
     # Fuzz-oracle layers, filled when the cell was run with ``oracle=True``:
-    # independent-verifier errors ("RULE: message" strings; empty = clean)
-    # and whether the pipelined functional simulation matched the
-    # sequential reference (None = oracle off or nothing to simulate).
+    # independent-verifier errors and warnings ("RULE: message" strings;
+    # empty = clean) and whether the pipelined functional simulation
+    # matched the sequential reference (None = oracle off or nothing to
+    # simulate).
     verify_errors: List[str] = field(default_factory=list)
+    verify_warnings: List[str] = field(default_factory=list)
     funcsim_ok: Optional[bool] = None
     funcsim_detail: str = ""
     # Certified refined II lower bound (repro.analyze) when the cell was run
@@ -396,6 +422,7 @@ class CellResult:
             "trace_file": self.trace_file,
             "explanation": self.explanation,
             "verify_errors": list(self.verify_errors),
+            "verify_warnings": list(self.verify_warnings),
             "funcsim_ok": self.funcsim_ok,
             "funcsim_detail": self.funcsim_detail,
             "refined_bound": self.refined_bound,

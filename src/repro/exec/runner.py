@@ -51,6 +51,13 @@ class CellTimeout(Exception):
     """Raised inside a worker when a cell exceeds its wall-clock deadline."""
 
 
+#: The machine every cell of this process runs on.  The search memos a
+#: loop carries key the machine by identity, so one description lets the
+#: cells of a loop share them: an optimal driver's heuristic fallback
+#: replays the searches of the loop's own sgi cell instead of repeating them.
+MACHINE = r8000()
+
+
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
@@ -215,21 +222,27 @@ def _apply_oracle(cell: Cell, result, machine, out: CellResult) -> None:
     the pipelined functional simulation against the sequential reference
     semantics.  Runs on whatever the scheduler produced — including results
     corrupted by a seeded ``_test_inject`` fault — which is exactly what
-    makes those faults detectable.
+    makes those faults detectable.  When nothing was scheduled, only the
+    loop itself is linted.
     """
-    if not getattr(result, "success", False) or result.schedule is None:
-        return
+    scheduled = getattr(result, "success", False) and result.schedule is not None
     try:
         from ..pipeline.emit import emit_pipelined_code
-        from ..verify import verify_result
+        from ..verify import verify_all, verify_result
 
-        emitted = None
-        if result.allocation is not None and result.allocation.success:
-            emitted = emit_pipelined_code(result.schedule, result.allocation)
-        report = verify_result(result, emitted=emitted, machine=machine)
+        if scheduled:
+            emitted = None
+            if result.allocation is not None and result.allocation.success:
+                emitted = emit_pipelined_code(result.schedule, result.allocation)
+            report = verify_result(result, emitted=emitted, machine=machine)
+        else:
+            report = verify_all(result.loop, machine=machine)
         out.verify_errors = [f"{d.rule}: {d.message}" for d in report.errors]
+        out.verify_warnings = [f"{d.rule}: {d.message}" for d in report.warnings]
     except Exception:
         out.verify_errors = [f"verifier crashed: {traceback.format_exc()}"]
+    if not scheduled:
+        return
     if result.allocation is None or not result.allocation.success:
         return
     try:
@@ -320,7 +333,7 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
     inline).
     """
     cell = Cell.from_dict(spec)
-    machine = r8000()
+    machine = MACHINE
     options = cell.options
 
     if cell.timeout is not None:

@@ -64,14 +64,6 @@ class Loop:
                 defs[d] = op.index
         return defs
 
-    def uses_of(self) -> Dict[str, List[int]]:
-        """Map virtual register -> list of using operation indices."""
-        uses: Dict[str, List[int]] = {}
-        for op in self.ops:
-            for s in op.srcs:
-                uses.setdefault(s, []).append(op.index)
-        return uses
-
     def check_well_formed(self) -> None:
         """Raise ValueError if the loop violates IR invariants.
 

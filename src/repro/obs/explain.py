@@ -34,9 +34,10 @@ This module produces that attribution as a per-(loop × scheduler)
   ``unschedulable``   the pipeliner produced no schedule at all
   ==================  ==================================================
 
-All pipeliner imports are lazy (the registry resolves drivers at call
-time): ``repro.obs`` is imported by the core pipeliners, so this module
-must not import them at module scope.
+Explanations are computed inside :mod:`repro.exec` cells
+(``Cell(explain=True)``), which run the pipeliners; this module imports no
+driver and no scheduler registry.  Its imports of the analyses it cites
+are lazy: ``repro.obs`` is imported by the core pipeliners.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from ..schedulers import REGISTRY, get_scheduler
 
 #: Every class :func:`classify` can emit — the closed vocabulary the CLI,
 #: the HTML dashboard and the tests share.
@@ -505,72 +504,39 @@ def explain_result(result, scheduler: str, machine, with_mrt: bool = True) -> II
     return explanation
 
 
-def explain_loop(
-    loop_key: str,
-    scheduler: str,
-    machine=None,
-    options_dict: Optional[Mapping[str, Any]] = None,
-    verify: bool = False,
-) -> IIExplanation:
-    """Run one (loop × scheduler) cell live and attribute its II."""
-    from ..exec.cells import resolve_loop
-    from ..machine.descriptions import r8000
-
-    machine = machine if machine is not None else r8000()
-    loop = resolve_loop(loop_key, machine)
-    driver = get_scheduler(scheduler)
-    options = driver.options_from_dict(dict(options_dict or {}))
-    result = driver.run(loop, machine, options, verify=verify)
-    return explain_result(result, scheduler, machine)
-
-
-def explain_corpus(
-    corpus: str = "livermore",
-    schedulers: Sequence[str] = tuple(REGISTRY),
-    machine=None,
-    scheduler_options: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    limit: Optional[int] = None,
-    progress=None,
-) -> List[IIExplanation]:
-    """Attribute every (loop × scheduler) cell of one corpus."""
-    from ..exec.cells import corpus_loop_keys
-
-    keys = corpus_loop_keys(corpus)
-    if limit is not None:
-        keys = keys[:limit]
-    out: List[IIExplanation] = []
-    for key in keys:
-        for scheduler in schedulers:
-            opts = (scheduler_options or {}).get(scheduler, {})
-            explanation = explain_loop(key, scheduler, machine, opts)
-            out.append(explanation)
-            if progress is not None:
-                progress(explanation)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Presentation.
 # ---------------------------------------------------------------------------
 
 
-def format_explanations(explanations: Sequence[IIExplanation]) -> str:
-    """The ``python -m repro explain`` table."""
+def format_explanations(explanations: Sequence[Mapping[str, Any]]) -> str:
+    """The ``python -m repro explain`` table, one row per explanation dict
+    (:meth:`IIExplanation.to_dict`; a crashed cell's dict carries an
+    ``error`` instead of a ``binding``)."""
     headers = (
         "loop", "sched", "II", "MinII", "res/rec", "gap", "binding", "detail"
     )
+
+    def text(value: Any) -> str:
+        return "-" if value is None else str(value)
+
     rows = []
+    counts: Dict[str, int] = {}
     for e in explanations:
+        binding = e.get("binding", "error")
+        counts[binding] = counts.get(binding, 0) + 1
+        detail = e["detail"] if "binding" in e else e["error"].strip().splitlines()[-1]
+        res_rec = "-" if "res_mii" not in e else f"{e['res_mii']}/{e['rec_mii']}"
         rows.append(
             (
-                e.loop,
-                e.scheduler,
-                "-" if e.ii is None else str(e.ii),
-                str(e.min_ii),
-                f"{e.res_mii}/{e.rec_mii}",
-                "-" if e.gap is None else str(e.gap),
-                e.binding,
-                e.detail,
+                e["loop"],
+                e["scheduler"],
+                text(e.get("ii")),
+                text(e.get("min_ii")),
+                res_rec,
+                text(e.get("gap")),
+                binding,
+                detail,
             )
         )
     widths = [
@@ -583,9 +549,6 @@ def format_explanations(explanations: Sequence[IIExplanation]) -> str:
     ]
     for r in rows:
         lines.append("  ".join(r[c].ljust(widths[c]) for c in range(len(headers))))
-    counts: Dict[str, int] = {}
-    for e in explanations:
-        counts[e.binding] = counts.get(e.binding, 0) + 1
     lines.append("")
     lines.append(
         "bindings: "
@@ -594,5 +557,5 @@ def format_explanations(explanations: Sequence[IIExplanation]) -> str:
     return "\n".join(lines)
 
 
-def explanations_to_json(explanations: Sequence[IIExplanation]) -> str:
-    return json.dumps([e.to_dict() for e in explanations], indent=1, sort_keys=True)
+def explanations_to_json(explanations: Sequence[Mapping[str, Any]]) -> str:
+    return json.dumps(list(explanations), indent=1, sort_keys=True)

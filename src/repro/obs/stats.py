@@ -59,22 +59,6 @@ def stdev(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
 
 
-def rankdata(values: Sequence[float]) -> List[float]:
-    """Ranks (1-based) with ties assigned their average rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
 def _u_statistic(a: Sequence[float], b: Sequence[float]) -> float:
     """U of sample ``a``: concordant pairs, ties counted half."""
     u = 0.0

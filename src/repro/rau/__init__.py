@@ -2,7 +2,6 @@
 
 from .scheduler import (
     RauOptions,
-    RauResult,
     height_r,
     iterative_modulo_schedule,
     rau_pipeline_loop,
@@ -10,7 +9,6 @@ from .scheduler import (
 
 __all__ = [
     "RauOptions",
-    "RauResult",
     "height_r",
     "iterative_modulo_schedule",
     "rau_pipeline_loop",

@@ -24,10 +24,10 @@ machinery as the other two pipeliners.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.driver import _maybe_verify, options_from_mapping
+from ..core.driver import PipelineResult, _maybe_verify, options_from_mapping
 from ..core.iisearch import IIAttempt
 from ..core.minii import min_ii as compute_min_ii
 from ..core.sched import Schedule, SchedulingStats
@@ -51,38 +51,6 @@ class RauOptions:
     def from_dict(cls, data: Mapping[str, Any]) -> "RauOptions":
         """Build options from a JSON-style mapping (the repro.exec cell form)."""
         return options_from_mapping(cls, data)
-
-
-@dataclass
-class RauResult:
-    """Outcome of iterative-modulo-scheduling one loop."""
-
-    success: bool
-    schedule: Optional[Schedule]
-    allocation: Optional[AllocationResult]
-    loop: Loop
-    original: Loop
-    min_ii: int
-    spilled: List[str] = field(default_factory=list)
-    stats: SchedulingStats = field(default_factory=SchedulingStats)
-    # The final spill round's II attempts, in the order tried; each found II
-    # carries its allocation outcome (repro.obs.explain reads this trail).
-    attempted: List[IIAttempt] = field(default_factory=list)
-    # The common read surface of every scheduler's result (repro.schedulers).
-    optimal = False
-    fallback_used = False
-    fallback_result = None
-
-    @property
-    def ii(self) -> Optional[int]:
-        return self.schedule.ii if self.schedule is not None else None
-
-    @property
-    def spill_rounds(self) -> int:
-        """1 when any value was spilled: the spilled set is what Rau94
-        reports, and any spill means the scheduled loop is not the
-        pristine one."""
-        return 1 if self.spilled else 0
 
 
 def height_r(loop: Loop, ii: int) -> Dict[int, int]:
@@ -277,8 +245,13 @@ def rau_pipeline_loop(
     machine: Optional[MachineDescription] = None,
     options: Optional[RauOptions] = None,
     verify: Optional[bool] = None,
-) -> RauResult:
+) -> PipelineResult:
     """Full Rau94 pipeliner: linear II search, allocation, spilling.
+
+    Returns the heuristic result type the SGI driver returns, with no
+    winning order and ``spill_rounds`` 1 when any value was spilled (the
+    spilled set is what Rau94 reports; any spill means the scheduled loop
+    is not the pristine one).
 
     ``verify`` cross-checks successful results with the independent
     ``repro.verify`` analyzers (``None`` = process default); ERROR
@@ -328,13 +301,14 @@ def rau_pipeline_loop(
                 best_failed = (schedule, allocation)
         if found is not None:
             return _maybe_verify(
-                RauResult(
+                PipelineResult(
                     success=True,
                     schedule=found[0],
                     allocation=found[1],
                     loop=current,
                     original=original,
                     min_ii=original_min_ii,
+                    spill_rounds=1 if spilled_total else 0,
                     spilled=spilled_total,
                     stats=stats,
                     attempted=attempted,
@@ -354,13 +328,14 @@ def rau_pipeline_loop(
         current = insert_spills(current, machine, candidates)
         spilled_total.extend(candidates)
         spill_budget *= 2
-    return RauResult(
+    return PipelineResult(
         success=False,
         schedule=None,
         allocation=None,
         loop=current,
         original=original,
         min_ii=original_min_ii,
+        spill_rounds=1 if spilled_total else 0,
         spilled=spilled_total,
         stats=stats,
         attempted=attempted,

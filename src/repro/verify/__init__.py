@@ -16,17 +16,9 @@ Checkers
 * :func:`check_banks` — compile-time bank claims vs concrete layouts
   (BANK001-BANK003)
 * :func:`verify_all` / :func:`verify_result` — everything applicable at once
-* :func:`verify_corpus` — sweep a workload corpus through all pipeliners
 """
 
-from .api import (
-    SweepEntry,
-    SweepResult,
-    corpus_loops,
-    verify_all,
-    verify_corpus,
-    verify_result,
-)
+from .api import SweepEntry, SweepResult, verify_all, verify_result
 from .bankcheck import check_banks
 from .config import default_verify, resolve_verify, set_default_verify
 from .ddglint import lint_ddg
@@ -47,12 +39,10 @@ __all__ = [
     "check_banks",
     "check_emitted",
     "check_schedule",
-    "corpus_loops",
     "default_verify",
     "lint_ddg",
     "resolve_verify",
     "set_default_verify",
     "verify_all",
-    "verify_corpus",
     "verify_result",
 ]

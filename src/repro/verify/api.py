@@ -1,20 +1,20 @@
-"""One-shot verification API and corpus sweeps.
+"""One-shot verification API and the corpus-sweep report.
 
 ``verify_all`` runs every applicable checker over the artifacts of one
-pipelined loop; ``verify_corpus`` sweeps a whole workload corpus through
-every registered pipeliner and verifies everything they produce — the
-trust anchor behind the paper's "both emit correct schedules under
-identical constraints" premise.
+pipelined loop.  :class:`SweepResult` is the ``python -m repro verify``
+table: one row per (loop × pipeliner) exec cell, built from what each
+cell's oracle found — the trust anchor behind the paper's "both emit
+correct schedules under identical constraints" premise.  The cells run
+in :mod:`repro.exec`; nothing here calls a pipeliner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, List, Optional
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
-from ..schedulers import REGISTRY, get_scheduler
 from .bankcheck import check_banks
 from .ddglint import lint_ddg
 from .diagnostics import Report
@@ -88,7 +88,7 @@ def enforce_verified(result, machine: Optional[MachineDescription] = None) -> No
 
 
 # ----------------------------------------------------------------------
-# Corpus sweeps (the `python -m repro verify <corpus>` backend)
+# Corpus sweeps (the `python -m repro verify <corpus>` report)
 # ----------------------------------------------------------------------
 @dataclass
 class SweepEntry:
@@ -99,13 +99,38 @@ class SweepEntry:
     errors: int
     warnings: int
     rules: List[str] = field(default_factory=list)
+    #: "RULE: message" lines, the errors first
+    diagnostics: List[str] = field(default_factory=list)
+    #: why the row fails beyond its diagnostics: the cell crashed, or the
+    #: pipelined code computes something else than the loop (empty = neither)
+    failure: str = ""
+
+    @classmethod
+    def from_cell(cls, loop: str, result: Any) -> "SweepEntry":
+        """The row of one exec cell run with ``oracle=True``."""
+        failure = ""
+        if result.error is not None:
+            failure = "cell error: " + result.error.strip().splitlines()[-1]
+        elif result.funcsim_ok is False:
+            failure = "functional mismatch: " + result.funcsim_detail
+        diagnostics = result.verify_errors + result.verify_warnings
+        return cls(
+            loop=loop,
+            scheduler=result.scheduler,
+            ii=result.ii,
+            success=result.success,
+            errors=len(result.verify_errors),
+            warnings=len(result.verify_warnings),
+            rules=sorted({line.partition(":")[0] for line in diagnostics}),
+            diagnostics=diagnostics,
+            failure=failure,
+        )
 
 
 @dataclass
 class SweepResult:
     corpus: str
     entries: List[SweepEntry] = field(default_factory=list)
-    reports: Dict[str, Report] = field(default_factory=dict)
 
     @property
     def total_errors(self) -> int:
@@ -116,103 +141,33 @@ class SweepResult:
         return sum(e.warnings for e in self.entries)
 
     @property
+    def failures(self) -> List[SweepEntry]:
+        return [e for e in self.entries if e.failure]
+
+    @property
     def ok(self) -> bool:
-        return self.total_errors == 0
+        return self.total_errors == 0 and not self.failures
 
     def formatted(self, verbose: bool = False) -> str:
         width = max((len(e.loop) for e in self.entries), default=4)
         sched = max([5] + [len(e.scheduler) for e in self.entries])
         lines = [f"verify {self.corpus}: {len(self.entries)} scheduled artifacts"]
         for e in self.entries:
-            status = "FAIL" if e.errors else ("warn" if e.warnings else "ok")
+            status = "FAIL" if e.errors or e.failure else ("warn" if e.warnings else "ok")
             ii = f"II={e.ii}" if e.ii is not None else "unscheduled"
             rules = f"  [{', '.join(e.rules)}]" if e.rules and (verbose or e.errors) else ""
             lines.append(
                 f"  {e.loop.ljust(width)}  {e.scheduler:<{sched}} {ii:>8}  "
                 f"{status}{rules}"
             )
+        failed = len(self.failures)
         lines.append(
             f"total: {self.total_errors} error(s), {self.total_warnings} warning(s)"
+            + (f", {failed} failed cell(s)" if failed else "")
         )
-        if verbose or not self.ok:
-            for key, report in self.reports.items():
-                if report.errors or (verbose and report.diagnostics):
-                    lines.append(f"-- {key}")
-                    shown = report.errors if not verbose else report.diagnostics
-                    lines.extend("   " + d.formatted() for d in shown)
+        for e in self.entries:
+            shown = e.diagnostics if verbose else e.diagnostics[: e.errors]
+            if e.failure or shown:
+                lines.append(f"-- {e.loop}/{e.scheduler}")
+                lines.extend("   " + line for line in [e.failure] + shown if line)
         return "\n".join(lines)
-
-
-def corpus_loops(corpus: str, machine: Optional[MachineDescription] = None) -> List[Loop]:
-    """The loops of a named corpus: 'livermore', 'spec92', 'recbound' or 'all'."""
-    from ..workloads.livermore import livermore_kernels
-    from ..workloads.recbound import recbound_kernels
-    from ..workloads.spec92 import spec92_suite
-
-    if corpus == "livermore":
-        return livermore_kernels(machine)
-    if corpus == "spec92":
-        return [loop for bench in spec92_suite(machine) for loop in bench.loops]
-    if corpus == "recbound":
-        return recbound_kernels(machine)
-    if corpus == "all":
-        return (
-            corpus_loops("livermore", machine)
-            + corpus_loops("spec92", machine)
-            + corpus_loops("recbound", machine)
-        )
-    raise ValueError(
-        f"unknown corpus {corpus!r}; expected livermore, spec92, recbound or all"
-    )
-
-
-def run_sweep_cell(name: str, loop: Loop, machine: MachineDescription, ilp_seconds: float):
-    """One pipeliner of a corpus sweep, unverified: its ``sweep`` preset,
-    with ``ilp_seconds`` as every optimal driver's ``time_limit``."""
-    scheduler = get_scheduler(name)
-    options = scheduler.options_from_dict(scheduler.preset("sweep", time_limit=ilp_seconds))
-    return scheduler.run(loop, machine, options, verify=False)
-
-
-def verify_corpus(
-    corpus: str,
-    schedulers: Optional[List[str]] = None,
-    machine: Optional[MachineDescription] = None,
-    ilp_seconds: float = 2.0,
-    emit: bool = True,
-) -> SweepResult:
-    """Sweep a corpus through the requested pipeliners and verify everything.
-
-    Schedulers default to the whole registry (:mod:`repro.schedulers`),
-    each on its ``sweep`` preset.  Schedules, allocations and emitted code
-    are all cross-checked; loops a scheduler cannot pipeline are recorded
-    but are not verification failures.
-    """
-    from ..machine.descriptions import r8000
-    from ..pipeline.emit import emit_pipelined_code
-
-    machine = machine if machine is not None else r8000()
-    sweep = SweepResult(corpus=corpus)
-    for loop in corpus_loops(corpus, machine):
-        for name in schedulers or REGISTRY:
-            result = run_sweep_cell(name, loop, machine, ilp_seconds)
-            emitted = None
-            if emit and result.success and result.allocation is not None:
-                emitted = emit_pipelined_code(result.schedule, result.allocation)
-            if result.success:
-                report = verify_result(result, emitted=emitted, machine=machine)
-            else:
-                report = verify_all(result.loop, machine=machine)
-            sweep.entries.append(
-                SweepEntry(
-                    loop=loop.name,
-                    scheduler=name,
-                    ii=result.ii,
-                    success=result.success,
-                    errors=len(report.errors),
-                    warnings=len(report.warnings),
-                    rules=report.rules_hit(),
-                )
-            )
-            sweep.reports[f"{loop.name}/{name}"] = report
-    return sweep

@@ -105,8 +105,6 @@ class Report:
     """A collection of diagnostics from one or more checkers."""
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: diagnostics suppressed by `# KNOWN:` waivers, kept for inspection
-    waived: List[Diagnostic] = field(default_factory=list)
 
     def add(
         self,
@@ -135,7 +133,6 @@ class Report:
 
     def extend(self, other: "Report") -> None:
         self.diagnostics.extend(other.diagnostics)
-        self.waived.extend(other.waived)
 
     # ------------------------------------------------------------------
     @property
@@ -157,24 +154,6 @@ class Report:
     def rules_hit(self) -> List[str]:
         return sorted({d.rule for d in self.diagnostics})
 
-    def waive(self, rule: str, reason: str = "") -> int:
-        """Suppress all diagnostics of ``rule``; returns how many were waived.
-
-        Mirrors an inline ``# KNOWN: <rule>`` waiver in the code under
-        check: the finding is real but accepted, and stays visible in
-        ``report.waived`` rather than silently vanishing.
-        """
-        kept: List[Diagnostic] = []
-        moved = 0
-        for d in self.diagnostics:
-            if d.rule == rule:
-                self.waived.append(d)
-                moved += 1
-            else:
-                kept.append(d)
-        self.diagnostics = kept
-        return moved
-
     def raise_if_errors(self) -> None:
         if not self.ok:
             raise VerificationError(self)
@@ -183,8 +162,5 @@ class Report:
         if not self.diagnostics:
             return "verification clean: no diagnostics"
         lines = [d.formatted() for d in self.diagnostics]
-        lines.append(
-            f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"
-            + (f", {len(self.waived)} waived" if self.waived else "")
-        )
+        lines.append(f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)")
         return "\n".join(lines)

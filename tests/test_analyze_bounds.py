@@ -94,11 +94,10 @@ class TestGoldenBounds:
     def test_recurrence_certificate_matches_rec_mii(self):
         """The recurrence certificate's bound is exactly RecMII, corpus-wide."""
         machine = r8000()
-        from repro.verify.api import corpus_loops
+        from repro.exec.cells import corpus_loop_keys, resolve_loop
 
-        for loop in corpus_loops("livermore", machine) + corpus_loops(
-            "recbound", machine
-        ):
+        for key in corpus_loop_keys("livermore") + corpus_loop_keys("recbound"):
+            loop = resolve_loop(key, machine)
             bounds = compute_bounds(loop, machine)
             recs = [c for c in bounds.certificates if c["kind"] == "recurrence"]
             if bounds.rec_mii > 1:
@@ -171,3 +170,21 @@ class TestCraftedCircuit:
         )
         assert not achieved.ok
         assert "BOUND005" in achieved.rules_hit()
+
+
+def test_analyze_json_carries_checkable_certificates(capsys):
+    """``repro analyze --json`` regenerates every loop's certificates."""
+    import json
+
+    from repro.__main__ import main
+    from repro.exec.cells import resolve_loop
+
+    assert main(["analyze", "recbound", "--schedulers", "sgi", "--json", "-"]) == 0
+    entries = json.loads(capsys.readouterr().out)
+    assert {e["loop"] for e in entries} == set(RECBOUND_GOLDEN)
+    machine = r8000()
+    for entry in entries:
+        payload = entry["bounds"]
+        assert len(payload["certificates"]) == entry["certificates"], entry["loop"]
+        report = check_bounds(resolve_loop(f"recbound:{entry['loop']}", machine), machine, payload)
+        assert report.ok, report.formatted()

@@ -236,3 +236,55 @@ class TestScheduleSerialization:
         sched = schedule_at(loop, machine, min_ii(loop, machine))
         with pytest.raises(ValueError, match="machine"):
             Schedule.from_dict(sched.to_dict(), loop, two_wide())
+
+
+class TestAttemptMemoUnderRecorder:
+    """The attempt memo is used whether or not a recorder is live."""
+
+    #: The ``bnb.*`` counters of a traced ``lk01_hydro × sgi`` cell when a
+    #: live recorder still bypassed the memo (every repeat searched again):
+    #: replayed memo hits must count the same effort.
+    TRACED_COUNTERS = {"bnb.attempts": 8, "bnb.backtracks": 0, "bnb.placements": 83}
+
+    def test_traced_and_untraced_cells_search_alike(self, monkeypatch):
+        from repro.core import bnb
+        from repro.exec.cells import Cell, clear_loop_memo
+        from repro.exec.runner import execute_cell
+
+        calls = []
+        real = bnb._Attempt.run
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(bnb._Attempt, "run", counting)
+        runs = {}
+        for trace in (False, True):
+            clear_loop_memo()  # a fresh loop, so its attempt memo starts empty
+            calls.clear()
+            cell = Cell.make("livermore:lk01_hydro", "sgi", trace=trace)
+            result = execute_cell(cell.to_dict(), in_worker=False)
+            assert result["error"] is None, result["error"]
+            bnb_counters = {k: v for k, v in result["obs"].items() if k.startswith("bnb.")}
+            runs[trace] = (len(calls), bnb_counters)
+        assert runs[True][0] == runs[False][0]
+        assert runs[True][1] == self.TRACED_COUNTERS
+
+    def test_a_memo_hit_replays_its_event_without_a_span(self, machine):
+        from repro.obs import recording
+
+        loop = build_sdot(machine)
+        ii = min_ii(loop, machine)
+        order = order_by_name(loop, machine, "FDMS")
+        with recording() as rec:
+            first = modulo_schedule_bnb(loop, machine, ii, order)
+            again = modulo_schedule_bnb(loop, machine, ii, order)
+        assert again.times == first.times
+        assert (again.placements, again.backtracks) == (first.placements, first.backtracks)
+        attempts = [e for e in rec.events if e["name"] == "bnb.attempt"]
+        spans = [e for e in rec.events if e["name"] == "bnb" and e["ph"] == "B"]
+        assert [e["args"].get("memo", False) for e in attempts] == [False, True]
+        assert len(spans) == 1
+        assert rec.counters["bnb.attempts"] == 2
+        assert rec.counters["bnb.placements"] == 2 * first.placements

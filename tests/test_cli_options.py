@@ -127,12 +127,10 @@ def test_diff_and_trend_positionals(monkeypatch):
 def _no_loops(monkeypatch):
     """Make any corpus load fail loudly."""
     import repro.exec.cells as cells
-    import repro.verify.api as verify_api
 
     def refuse(*args, **kwargs):
         raise AssertionError("a corpus was loaded")
 
-    monkeypatch.setattr(verify_api, "corpus_loops", refuse)
     monkeypatch.setattr(cells, "corpus_loop_keys", refuse)
 
 
@@ -149,11 +147,11 @@ def test_unknown_scheduler_rejected_before_any_loop(monkeypatch, capsys, command
 
 
 def test_verify_accepts_the_portfolio(monkeypatch, capsys):
-    import repro.verify.api as verify_api
+    import repro.exec.cells as cells
 
-    real = verify_api.corpus_loops
+    real = cells.corpus_loop_keys
     monkeypatch.setattr(
-        verify_api, "corpus_loops", lambda corpus, machine: real(corpus, machine)[:1]
+        cells, "corpus_loop_keys", lambda corpus, machine=None: real(corpus, machine)[:1]
     )
     assert main(["verify", "livermore", "--schedulers", "portfolio"]) == 0
     out = capsys.readouterr().out

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.eval import ExperimentConfig, Table, bar_chart, geometric_mean, speedup, weighted_relative_time
-from repro.eval.experiments import _baseline_cycles, _pipelined_cycles
+from repro.exec.cells import Cell, resolve_loop
+from repro.exec.runner import ExecEngine
 from repro.core import pipeline_loop
 from repro.machine import r8000
 from repro.pipeline import CALLER_SAVED_FP, OverheadReport, pipeline_overhead
 
-from .conftest import build_daxpy, build_sdot
+from .conftest import build_sdot
 
 
 class TestMetrics:
@@ -83,17 +84,25 @@ class TestOverheadModel:
 
 
 class TestExperimentHelpers:
-    def test_pipelined_cycles_positive_and_overheaded(self, machine):
-        loop = build_daxpy(machine)
-        res = pipeline_loop(loop, machine)
-        cycles = _pipelined_cycles(res, machine)
-        bare = res.schedule.span + (loop.trip_count - 1) * res.ii
-        assert cycles >= bare  # includes overhead and stalls
+    @staticmethod
+    def _cell(key, scheduler):
+        cell = Cell.make(key, scheduler)
+        result = ExecEngine().run([cell])[cell]
+        assert result.error is None, result.error
+        return result
 
-    def test_baseline_slower_than_pipelined(self, machine):
-        loop = build_sdot(machine)
+    def test_pipelined_cycles_positive_and_overheaded(self, machine):
+        key = "livermore:lk01_hydro"
+        loop = resolve_loop(key, machine)
         res = pipeline_loop(loop, machine)
-        assert _baseline_cycles(loop, machine) > _pipelined_cycles(res, machine)
+        cell = self._cell(key, "sgi")
+        assert cell.ii == res.ii
+        bare = res.schedule.span + (loop.trip_count - 1) * res.ii
+        assert cell.cycles() >= bare  # includes overhead and stalls
+
+    def test_baseline_slower_than_pipelined(self):
+        key = "livermore:lk03_inner"
+        assert self._cell(key, "baseline").cycles() > self._cell(key, "sgi").cycles()
 
     def test_config_resolution(self):
         config = ExperimentConfig()

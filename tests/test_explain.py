@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec.cells import resolve_loop
+from repro.exec.cells import Cell, corpus_cells, resolve_loop
+from repro.exec.runner import ExecEngine, execute_cell
 from repro.machine.descriptions import r8000
 from repro.schedulers import get_scheduler
 from repro.obs.explain import (
@@ -30,8 +31,6 @@ from repro.obs.explain import (
     IIExplanation,
     bottleneck_resource,
     critical_circuit,
-    explain_corpus,
-    explain_loop,
     explain_result,
     format_explanations,
     minii_profile,
@@ -42,6 +41,17 @@ from repro.obs.explain import (
 @pytest.fixture(scope="module")
 def machine():
     return r8000()
+
+
+def explain_cell(key, scheduler, options=None, **fields) -> IIExplanation:
+    """Run one (loop × scheduler) exec cell with ``explain=True``, as
+    ``repro explain`` does, and return its attribution."""
+    cell = Cell.make(
+        key, scheduler, options, simulate=False, verify=False, explain=True, **fields
+    )
+    result = execute_cell(cell.to_dict(), in_worker=False)
+    assert result["error"] is None, result["error"]
+    return IIExplanation.from_dict(result["explanation"])
 
 
 class TestMinIIProfile:
@@ -80,9 +90,9 @@ class TestMinIIProfile:
 
 
 class TestBindingClassification:
-    def test_recurrence_bound_cells(self, machine):
+    def test_recurrence_bound_cells(self):
         for scheduler in ("sgi", "rau"):
-            explanation = explain_loop("livermore:lk13_pic2d", scheduler, machine)
+            explanation = explain_cell("livermore:lk13_pic2d", scheduler)
             assert explanation.success
             assert explanation.binding == "recurrence"
             assert explanation.gap == 0
@@ -90,32 +100,32 @@ class TestBindingClassification:
             assert explanation.critical_circuit
             assert "circuit" in explanation.detail
 
-    def test_resource_bound_cell(self, machine):
-        explanation = explain_loop("livermore:lk01_hydro", "sgi", machine)
+    def test_resource_bound_cell(self):
+        explanation = explain_cell("livermore:lk01_hydro", "sgi")
         assert explanation.binding == "resource"
         assert explanation.gap == 0
         assert explanation.bottleneck == "mem"
         assert "'mem'" in explanation.detail
         assert explanation.utilization["mem"] == pytest.approx(1.0)
 
-    def test_register_pressure_ii_bump(self, machine):
+    def test_register_pressure_ii_bump(self):
         # lk08: every schedule at MinII=11 is legal but uncolorable, so the
         # achieved II exceeds MinII for the register file's sake, not the
         # search's.
         for scheduler in ("sgi", "rau"):
-            explanation = explain_loop("livermore:lk08_adi", scheduler, machine)
+            explanation = explain_cell("livermore:lk08_adi", scheduler)
             assert explanation.success
             assert explanation.gap is not None and explanation.gap > 0
             assert explanation.binding == "register_pressure", scheduler
             assert explanation.evidence["allocated"] is False, scheduler
             assert explanation.evidence["uncolored"] > 0, scheduler
 
-    def test_portfolio_explained_from_its_probe_trail(self, machine):
+    def test_portfolio_explained_from_its_probe_trail(self):
         # lk18: CP answers sat at II 7 = MinII, but that schedule does not
         # colour, so the portfolio walks on to II 8.  The walk stamped the
         # allocation outcome on the II-7 probe; explain cites that probe.
-        explanation = explain_loop(
-            "livermore:lk18_hydro2d", "portfolio", machine, {"time_limit": 5.0}
+        explanation = explain_cell(
+            "livermore:lk18_hydro2d", "portfolio", {"time_limit": 5.0}
         )
         assert explanation.ii == explanation.min_ii + 1
         assert explanation.binding == "register_pressure"
@@ -184,25 +194,20 @@ class TestBindingClassification:
             assert explanation.binding == "register_pressure", name
             assert explanation.evidence, name
 
-    def test_untraced_explanation_equals_traced(self, machine):
-        from repro.exec.cells import Cell
-        from repro.exec.runner import execute_cell
-        from repro.obs import recording
-
+    def test_untraced_explanation_equals_traced(self):
         for key, name in (("livermore:lk08_adi", "sgi"), ("livermore:lk18_hydro2d", "rau")):
-            untraced = explain_loop(key, name, machine).to_dict()
-            with recording():
-                traced = explain_loop(key, name, machine).to_dict()
+            untraced = explain_cell(key, name).to_dict()
+            traced = explain_cell(key, name, trace=True).to_dict()
             assert untraced == traced, (key, name)
             assert untraced["attempts"], (key, name)
-            # An untraced exec cell carries the same explanation.
-            cell = Cell.make(key, name, simulate=False, explain=True)
-            assert execute_cell(cell.to_dict(), in_worker=False)["explanation"] == untraced
 
-    def test_exactly_one_class_per_cell(self, machine):
-        explanations = explain_corpus(
-            "livermore", schedulers=("sgi", "rau"), machine=machine, limit=6
+    def test_exactly_one_class_per_cell(self):
+        cells = corpus_cells(
+            "livermore", ("sgi", "rau"), {"sgi": {}, "rau": {}}, limit=6,
+            simulate=False, verify=False, explain=True,
         )
+        results = ExecEngine().run(cells)
+        explanations = [IIExplanation.from_dict(results[c].explanation) for c in cells]
         assert len(explanations) == 6 * 2
         for explanation in explanations:
             assert explanation.binding in BINDING_CLASSES
@@ -210,7 +215,7 @@ class TestBindingClassification:
                 assert explanation.binding in AT_BOUND_CLASSES
 
     def test_mrt_covers_the_kernel(self, machine):
-        explanation = explain_loop("livermore:lk01_hydro", "sgi", machine)
+        explanation = explain_cell("livermore:lk01_hydro", "sgi")
         assert explanation.mrt is not None
         assert len(explanation.mrt) == explanation.ii
         placed = sum(len(row["ops"]) for row in explanation.mrt)
@@ -218,22 +223,22 @@ class TestBindingClassification:
 
 
 class TestSerialisation:
-    def test_round_trip(self, machine):
-        explanation = explain_loop("livermore:lk03_inner", "sgi", machine)
+    def test_round_trip(self):
+        explanation = explain_cell("livermore:lk03_inner", "sgi")
         data = explanation.to_dict()
         again = IIExplanation.from_dict(data)
         assert again.to_dict() == data
         assert again.binding == explanation.binding
 
     def test_from_dict_tolerates_future_keys(self):
-        data = explain_loop("livermore:lk03_inner", "sgi").to_dict()
+        data = explain_cell("livermore:lk03_inner", "sgi").to_dict()
         data["from_the_future"] = True
         assert IIExplanation.from_dict(data).loop == data["loop"]
 
-    def test_format_explanations_table(self, machine):
+    def test_format_explanations_table(self):
         explanations = [
-            explain_loop("livermore:lk01_hydro", "sgi", machine),
-            explain_loop("livermore:lk03_inner", "sgi", machine),
+            explain_cell("livermore:lk01_hydro", "sgi").to_dict(),
+            explain_cell("livermore:lk03_inner", "sgi").to_dict(),
         ]
         text = format_explanations(explanations)
         assert "lk01_hydro" in text

@@ -175,9 +175,88 @@ def _reached(imports, forbidden):
 
 def test_explain_imports_no_driver_or_solver_entry_point():
     imports = set(_absolute_imports(SRC / "obs" / "explain.py"))
-    assert "repro.schedulers" in imports  # the resolver sees the module's imports
+    assert "repro.core.minii" in imports  # the resolver sees the lazy imports
     found = _reached(imports, EXPLAIN_FORBIDDEN)
     assert not found, f"repro/obs/explain.py imports {', '.join(found)}"
+
+
+#: The scheduler registry and the pipeliner drivers: what only
+#: :mod:`repro.exec` may run.  The checkers and the explainer judge what a
+#: cell produced and never reach them.
+DRIVERS = (
+    "repro.schedulers",
+    "repro.core.driver",
+    "repro.most",
+    "repro.rau",
+    "repro.portfolio.driver",
+)
+DRIVER_FREE = sorted((SRC / "verify").glob("*.py")) + [SRC / "obs" / "explain.py"]
+
+
+@pytest.mark.parametrize("path", DRIVER_FREE, ids=lambda p: str(p.relative_to(SRC)))
+def test_checkers_and_explain_import_no_driver(path):
+    found = _reached(_absolute_imports(path), DRIVERS)
+    assert not found, f"{path.relative_to(SRC.parent)} imports {', '.join(found)}"
+
+
+def _names(node: ast.AST):
+    """The name a ``get_scheduler``/``REGISTRY`` reference goes by."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _scheduler_runs(source: str, filename: str = "<src>"):
+    """Lines that call ``Scheduler.run``: ``.run`` on ``get_scheduler(...)``
+    or ``REGISTRY[...]``, or on a name assigned from one."""
+    tree = ast.parse(source, filename=filename)
+
+    def entry(node):
+        if isinstance(node, ast.Call):
+            return _names(node.func) == "get_scheduler"
+        return isinstance(node, ast.Subscript) and _names(node.value) == "REGISTRY"
+
+    bound = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and entry(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "run"
+        and (entry(node.func.value) or _names(node.func.value) in bound)
+    ]
+
+
+RUNNER = SRC / "exec" / "runner.py"
+
+
+def test_only_the_exec_runner_runs_a_scheduler():
+    found = {
+        str(path.relative_to(SRC)): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := _scheduler_runs(path.read_text(encoding="utf-8"), str(path)))
+    }
+    assert list(found) == ["exec/runner.py"], found
+    assert len(found["exec/runner.py"]) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["get_scheduler(name).run(loop, machine, options)",
+     "driver = REGISTRY[name]\n    driver.run(loop, machine, options)"],
+)
+def test_scheduler_run_guard_catches_a_mutated_copy(call):
+    path = SRC / "analyze" / "api.py"
+    source = path.read_text(encoding="utf-8")
+    anchor = "def _cross_check(loop: Loop, machine: MachineDescription, entry: LoopAnalysis) -> None:\n"
+    mutated = source.replace(anchor, anchor + f"    {call}\n")
+    assert mutated != source
+    assert _scheduler_runs(source) == []
+    assert len(_scheduler_runs(mutated)) == 1
 
 
 #: The schedule checker audits II against a MinII it recomputes itself; the

@@ -6,7 +6,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.verify import default_verify, set_default_verify
-from repro.verify.api import SweepEntry, SweepResult, corpus_loops
+from repro.exec.cells import corpus_loop_keys
+from repro.verify.api import SweepEntry, SweepResult
 
 pytestmark = pytest.mark.verify
 
@@ -33,13 +34,14 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "unknown scheduler" in capsys.readouterr().err
 
-    def test_corpus_loops_counts(self):
-        assert len(corpus_loops("livermore")) == 24
-        assert len(corpus_loops("recbound")) == 6
-        assert len(corpus_loops("all")) == (
-            len(corpus_loops("livermore"))
-            + len(corpus_loops("spec92"))
-            + len(corpus_loops("recbound"))
+    def test_corpus_loop_keys_counts(self):
+        assert len(corpus_loop_keys("livermore")) == 24
+        assert len(corpus_loop_keys("recbound")) == 6
+        # ``all`` is the three corpora, concatenated in order.
+        assert corpus_loop_keys("all") == (
+            corpus_loop_keys("livermore")
+            + corpus_loop_keys("spec92")
+            + corpus_loop_keys("recbound")
         )
 
 
