@@ -1,11 +1,12 @@
 """Pinned-seed microbenchmarks of the scheduler hot paths (perf CI lane).
 
-Eight timed kernels cover the inner loops the raw-speed campaign
+Ten timed kernels cover the inner loops the raw-speed campaign
 optimized — reservation-table probing, distance-table construction and
-query, one full branch-and-bound search — and the per-cell layers every
-scheduled loop pays for: register allocation (renaming, bitset
-interference, colouring), the banked-memory performance simulation
-(fast-forwarded and walked), the functional oracle and the emitter.
+query, the RecMII search, one full branch-and-bound search — and the
+per-cell layers every scheduled loop pays for: register allocation
+(renaming, bitset interference, colouring), the banked-memory
+performance simulation (fast-forwarded and walked), the functional
+oracle, the independent verifier and the emitter.
 A per-PR time series of ``schedule_seconds`` thus exists below the full
 bench grid's noise floor.
 
@@ -43,7 +44,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.core.bnb import BnBConfig, modulo_schedule_bnb  # noqa: E402
 from repro.core.distances import SccDistanceTables  # noqa: E402
 from repro.core.driver import pipeline_loop  # noqa: E402
-from repro.core.minii import min_ii  # noqa: E402
+from repro.core.minii import _search_rec_mii, min_ii  # noqa: E402
 from repro.core.priorities import order_by_name  # noqa: E402
 from repro.machine.descriptions import r8000  # noqa: E402
 from repro.machine.resources import ModuloReservationTable  # noqa: E402
@@ -55,6 +56,8 @@ from repro.regalloc.rename import rename_kernel  # noqa: E402
 from repro.sim.functional import run_pipelined, run_sequential  # noqa: E402
 from repro.sim.layout import DataLayout  # noqa: E402
 from repro.sim.perf import simulate_pipelined  # noqa: E402
+from repro.verify import verify_result  # noqa: E402
+from repro.workloads.generators import GeneratorConfig, random_loop  # noqa: E402
 from repro.workloads.livermore import livermore_kernels  # noqa: E402
 
 OUTPUT_PATH = REPO_ROOT / "benchmarks" / "output" / "BENCH_micro.json"
@@ -107,6 +110,20 @@ def bench_scc_distances() -> None:
                 for src in scc:
                     for dst in scc:
                         dists.dist(src, dst)
+
+
+@functools.lru_cache(maxsize=None)
+def _recurrent_body():
+    """A 40-op generated body (66 arcs) with 3 recurrences, none in the corpora."""
+    return random_loop(0, GeneratorConfig(n_compute=31, n_streams=4, n_recurrences=3,
+                                          p_fdiv=0.0), r8000())
+
+
+def bench_rec_mii() -> None:
+    """20 RecMII binary searches of that body, past the per-loop memo."""
+    loop = _recurrent_body()
+    for _ in range(20):
+        _search_rec_mii(loop)
 
 
 def bench_bnb_search() -> None:
@@ -165,6 +182,14 @@ def bench_funcsim() -> None:
     run_pipelined(result.schedule, result.allocation, layout, trips)
 
 
+def bench_oracle_verify() -> None:
+    """The oracle's independent verification of the same kernel: schedule,
+    allocation, banks and the emitted listing."""
+    result = _result("lk18_hydro2d")
+    emitted = emit_pipelined_code(result.schedule, result.allocation)
+    verify_result(result, emitted=emitted, machine=result.schedule.machine)
+
+
 def bench_emit() -> None:
     """Prologue, unrolled kernel and epilogue listing of the same kernel."""
     result = _result("lk18_hydro2d")
@@ -174,11 +199,13 @@ def bench_emit() -> None:
 BENCHES: Dict[str, Callable[[], None]] = {
     "mrt_fits_place_remove": bench_mrt_fits_place_remove,
     "scc_distances": bench_scc_distances,
+    "rec_mii": bench_rec_mii,
     "bnb_search": bench_bnb_search,
     "regalloc_allocate": bench_regalloc_allocate,
     "sim_pipelined": bench_sim_pipelined,
     "sim_pipelined_indirect": bench_sim_pipelined_indirect,
     "funcsim": bench_funcsim,
+    "oracle_verify": bench_oracle_verify,
     "emit": bench_emit,
 }
 

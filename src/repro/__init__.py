@@ -33,38 +33,37 @@ Quick start::
     print(heuristic.ii, optimal.ii)
 """
 
-from .baseline import list_schedule
-from .core import (
-    BnBConfig,
-    PipelineResult,
-    PipelinerOptions,
-    Schedule,
-    max_ii,
-    min_ii,
-    pipeline_loop,
-    rec_mii,
-    res_mii,
-)
-from .ir import (
-    DDG,
-    Dependence,
-    DepKind,
-    Loop,
-    LoopBuilder,
-    MemRef,
-    OpClass,
-    Operation,
-    interleave_reduction,
-    promote_inter_iteration_loads,
-    unroll,
-)
-from .machine import MachineDescription, r8000, single_issue, two_wide
-from .most import MostOptions, OptimalResult, most_pipeline_loop
-from .pipeline import emit_pipelined_code, pipeline_overhead
-from .rau import RauOptions, rau_pipeline_loop
-from .regalloc import allocate_schedule, rename_kernel
-from .sim import DataLayout, run_pipelined, run_sequential, simulate_pipelined
-from .workloads import livermore_kernel, livermore_kernels, random_loop, spec92_benchmark, spec92_suite
+from importlib import import_module
+
+#: Each re-exported name and the subpackage it comes from.  They load on
+#: first access (module ``__getattr__``), so importing one subpackage —
+#: an exec worker importing ``repro.exec.runner`` — pays for no other.
+_EXPORTS = {
+    "list_schedule": "baseline",
+    **dict.fromkeys(
+        ("BnBConfig", "PipelineResult", "PipelinerOptions", "Schedule",
+         "max_ii", "min_ii", "pipeline_loop", "rec_mii", "res_mii"),
+        "core",
+    ),
+    **dict.fromkeys(
+        ("DDG", "Dependence", "DepKind", "Loop", "LoopBuilder", "MemRef", "OpClass",
+         "Operation", "interleave_reduction", "promote_inter_iteration_loads", "unroll"),
+        "ir",
+    ),
+    **dict.fromkeys(("MachineDescription", "r8000", "single_issue", "two_wide"), "machine"),
+    **dict.fromkeys(("MostOptions", "OptimalResult", "most_pipeline_loop"), "most"),
+    **dict.fromkeys(("emit_pipelined_code", "pipeline_overhead"), "pipeline"),
+    **dict.fromkeys(("RauOptions", "rau_pipeline_loop"), "rau"),
+    **dict.fromkeys(("allocate_schedule", "rename_kernel"), "regalloc"),
+    **dict.fromkeys(
+        ("DataLayout", "run_pipelined", "run_sequential", "simulate_pipelined"), "sim"
+    ),
+    **dict.fromkeys(
+        ("livermore_kernel", "livermore_kernels", "random_loop", "spec92_benchmark",
+         "spec92_suite"),
+        "workloads",
+    ),
+}
 
 __version__ = "1.0.0"
 
@@ -113,3 +112,12 @@ __all__ = [
     "spec92_suite",
     "two_wide",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -18,7 +18,22 @@ def res_mii(loop: Loop, machine: MachineDescription) -> int:
 
     For each resource, total units consumed by one iteration divided by the
     units available per cycle, rounded up; the maximum over resources.
+
+    Memoized on ``loop.ddg`` per machine, like :func:`rec_mii`: the runner,
+    the certified bound and the II walk all ask it of the same body.
     """
+    memo = getattr(loop.ddg, "_res_mii_memo", None)
+    if memo is None:
+        memo = loop.ddg._res_mii_memo = {}  # type: ignore[attr-defined]
+    hit = memo.get(id(machine))
+    if hit is not None and hit[0] is machine:
+        return hit[1]
+    bound = _count_res_mii(loop, machine)
+    memo[id(machine)] = (machine, bound)
+    return bound
+
+
+def _count_res_mii(loop: Loop, machine: MachineDescription) -> int:
     demand: dict = {}
     for op in loop.ops:
         for resource, count in machine.table(op.opclass).totals().items():
@@ -32,18 +47,19 @@ def res_mii(loop: Loop, machine: MachineDescription) -> int:
     return bound
 
 
-def _has_positive_cycle(loop: Loop, ii: int) -> bool:
+def _has_positive_cycle(arcs, n_ops: int, passes: int, ii: int) -> bool:
     """Is there a dependence cycle with positive total ``latency - ii*omega``?
 
-    Detected with a Bellman-Ford-style longest-path relaxation: if after
-    ``n`` full passes a distance still improves, a positive cycle exists.
+    Detected with a Bellman-Ford-style longest-path relaxation over
+    ``arcs`` (``src, dst, latency, omega``): if after ``passes`` full
+    passes a distance still improves, a positive cycle exists.  Any
+    ``passes`` above the arc count of the longest simple path is exact.
     """
-    n = loop.n_ops
-    dist = [0] * n
-    arcs = [(a.src, a.dst, a.latency - ii * a.omega) for a in loop.ddg.arcs]
-    for _ in range(n):
+    dist = [0] * n_ops
+    weighted = [(src, dst, lat - ii * omega) for src, dst, lat, omega in arcs]
+    for _ in range(passes):
         changed = False
-        for src, dst, w in arcs:
+        for src, dst, w in weighted:
             if dist[src] + w > dist[dst]:
                 dist[dst] = dist[src] + w
                 changed = True
@@ -71,19 +87,34 @@ def rec_mii(loop: Loop) -> int:
 
 
 def _search_rec_mii(loop: Loop) -> int:
-    if not loop.ddg.arcs:
+    """Binary-search RecMII over the arcs a dependence cycle can use.
+
+    A cycle never leaves its strongly connected component, so only arcs
+    whose two ends share an SCC are relaxed, for as many passes as the
+    largest SCC has members; their latency sum is an II at which no
+    carried cycle is positive.
+    """
+    ddg = loop.ddg
+    arcs = [
+        (a.src, a.dst, a.latency, a.omega)
+        for a in ddg.arcs
+        if ddg.scc_id(a.src) == ddg.scc_id(a.dst)
+    ]
+    if not arcs:
         return 1
-    hi = max(1, sum(max(a.latency, 0) for a in loop.ddg.arcs))
-    if not _has_positive_cycle(loop, 1):
+    n = loop.n_ops
+    passes = max(len(ddg.scc_members(src)) for src, _, _, _ in arcs)
+    if not _has_positive_cycle(arcs, n, passes, 1):
         return 1
+    hi = max(1, sum(max(lat, 0) for _, _, lat, _ in arcs))
     lo = 1  # infeasible
-    if _has_positive_cycle(loop, hi):
+    if _has_positive_cycle(arcs, n, passes, hi):
         raise ValueError(
             f"loop {loop.name!r} has a dependence cycle with no carried arc; cannot pipeline"
         )
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _has_positive_cycle(loop, mid):
+        if _has_positive_cycle(arcs, n, passes, mid):
             lo = mid
         else:
             hi = mid

@@ -132,12 +132,14 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
         min_ii=compute_min_ii(loop, machine),
     )
     if cell.analyze:
-        # Certified refined lower bound, also on the pristine loop: the
-        # certificates must describe the loop the oracle reasons about,
-        # not a corrupted copy the scheduler happens to see.
-        from ..analyze.bounds import compute_bounds
+        # Certified schedulability bound, also on the pristine loop: the
+        # proofs must describe the loop the oracle reasons about, not a
+        # corrupted copy the scheduler happens to see.  Only the per-II
+        # infeasibility proofs are built; ``repro analyze`` assembles the
+        # full certificate set.
+        from ..analyze.bounds import schedulable_bound
 
-        out.refined_bound = compute_bounds(loop, machine).refined_bound
+        out.refined_bound = schedulable_bound(loop, machine, base=out.min_ii)
     trips_list: List[Optional[int]] = [None, *cell.trips] if cell.simulate else []
 
     # Seeded fault injection (fuzz-oracle calibration): corrupt what the

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..ir.ddg import Dependence, DepKind
 from ..ir.loop import Loop
 from ..ir.operations import OpClass, RegClass, result_reg_class
-from ..core.sched import Schedule
+
+if TYPE_CHECKING:  # repro.core imports this package; annotations only
+    from ..core.sched import Schedule
 
 
 @dataclass

@@ -186,41 +186,46 @@ def _independent_res_mii(loop: Loop, machine: MachineDescription) -> int:
     return bound
 
 
-def _independent_rec_mii(loop: Loop) -> int:
-    """Smallest II with no positive-weight dependence cycle.
+def _positive_cycle_at(loop: Loop, ii: int) -> bool:
+    """Does some dependence cycle have positive weight at ``ii``?
 
     Weights are ``latency - II * omega``; a positive cycle at II means some
     operation would have to issue after itself.  Detected with a longest-
-    path relaxation (any improvement after n full passes implies a positive
-    cycle), and the threshold II found by linear-from-1 then binary search.
+    path relaxation: any improvement after n full passes implies a
+    positive cycle.
     """
-    arcs = [(a.src, a.dst, a.latency, a.omega) for a in loop.ddg.arcs]
+    n = loop.n_ops
+    dist = [0] * n
+    weighted = [(a.src, a.dst, a.latency - ii * a.omega) for a in loop.ddg.arcs]
+    for _ in range(n):
+        changed = False
+        for s, d, w in weighted:
+            if 0 <= s < n and 0 <= d < n and dist[s] + w > dist[d]:
+                dist[d] = dist[s] + w
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def _independent_rec_mii(loop: Loop) -> int:
+    """Smallest II with no positive-weight dependence cycle.
+
+    The threshold II is found by linear-from-1 then binary search over
+    :func:`_positive_cycle_at`.
+    """
+    arcs = loop.ddg.arcs
     if not arcs:
         return 1
-
-    def has_positive_cycle(ii: int) -> bool:
-        n = loop.n_ops
-        dist = [0] * n
-        weighted = [(s, d, lat - ii * om) for s, d, lat, om in arcs]
-        for _ in range(n):
-            changed = False
-            for s, d, w in weighted:
-                if 0 <= s < n and 0 <= d < n and dist[s] + w > dist[d]:
-                    dist[d] = dist[s] + w
-                    changed = True
-            if not changed:
-                return False
-        return True
-
-    if not has_positive_cycle(1):
+    if not _positive_cycle_at(loop, 1):
         return 1
-    hi = max(1, sum(max(lat, 0) for _, _, lat, _ in arcs))
-    if has_positive_cycle(hi):
+    hi = max(1, sum(max(a.latency, 0) for a in arcs))
+    if _positive_cycle_at(loop, hi):
         return hi + 1  # cycle with no carried arc; any II is infeasible
     lo = 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if has_positive_cycle(mid):
+        if _positive_cycle_at(loop, mid):
             lo = mid
         else:
             hi = mid
@@ -230,7 +235,16 @@ def _independent_rec_mii(loop: Loop) -> int:
 def _audit_min_ii(
     loop: Loop, machine: MachineDescription, ii: int, report: Report
 ) -> None:
+    """SCHED004, decided at the schedule's own II.
+
+    ``ii >= RecMII`` exactly when no cycle is positive at ``ii`` (cycle
+    weights only fall as II grows), so a schedule at or above ResMII with
+    no positive cycle passes on one relaxation; RecMII itself is searched
+    only to word a failure.
+    """
     res = _independent_res_mii(loop, machine)
+    if ii >= res and not _positive_cycle_at(loop, ii):
+        return
     rec = _independent_rec_mii(loop)
     bound = max(res, rec)
     if ii < bound:

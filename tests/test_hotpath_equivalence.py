@@ -36,7 +36,12 @@ straightforward code it replaced (kept below as the reference):
   schedule and allocation as costing every form;
 * the emitted-code clobber check (EMIT002: flow arcs grouped by producer,
   each register's writes bisected by cycle) must give the same report,
-  messages and order included, as the scan of every arc and every write.
+  messages and order included, as the scan of every arc and every write;
+* RecMII searched over the arcs inside one SCC, the exec cell's
+  ``schedulable_bound`` and SCHED004 decided at the schedule's II must
+  give the full-graph search's RecMII (or its ``ValueError``),
+  ``compute_bounds(...).refined_bound`` and the binary-search audit's
+  report, byte for byte.
 """
 
 from __future__ import annotations
@@ -44,11 +49,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import random
 from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analyze import bounds
+from repro.analyze.bounds import compute_bounds, schedulable_bound
 from repro.baseline.list_scheduler import list_schedule
 from repro.core import driver
 from repro.core.bankpolish import polish_bank_schedule
@@ -58,10 +66,13 @@ from repro.core.membank import BankPairer
 from repro.core.pipestage import adjust_pipestages
 from repro.core.sched import Schedule, SchedulingStats
 from repro.ir.builder import LoopBuilder
-from repro.ir.ddg import DepKind
-from repro.ir.operations import RegClass
+from repro.exec.cells import Cell, resolve_loop
+from repro.exec.runner import execute_cell
+from repro.ir.ddg import DDG, Dependence, DepKind
+from repro.ir.loop import Loop
+from repro.ir.operations import OpClass, Operation, RegClass
 from repro.core.distances import SccDistanceTables
-from repro.core.minii import min_ii
+from repro.core.minii import _search_rec_mii, min_ii, res_mii
 from repro.core.priorities import production_orders
 from repro.machine.descriptions import r8000
 from repro.machine.resources import (
@@ -87,9 +98,9 @@ from repro.sim.perf import (
     simulate_pipelined,
     simulate_sequential_body,
 )
-from repro.verify import emitcheck
+from repro.verify import check_schedule, emitcheck, schedcheck
 from repro.verify.diagnostics import Severity
-from repro.workloads.generators import GeneratorConfig, random_loop
+from repro.workloads.generators import GeneratorConfig, random_loop, random_spec
 from repro.workloads.livermore import livermore_kernels
 from repro.workloads.recbound import recbound_kernels
 from repro.workloads.spec92 import spec92_suite
@@ -1193,3 +1204,238 @@ class TestBankRepairSkipVsEveryForm:
         for new, old in zip(_corpus_results(), reference):
             assert _outcome(new) == _outcome(old), new.loop.name
         assert calls["fast"] < calls["reference"]  # repeated schedules were skipped
+
+
+# ---------------------------------------------------------------------------
+# Each bound at the price of one proof: RecMII relaxed over cycle arcs only,
+# the runner's bound without the certificates it never read, and SCHED004
+# decided at the schedule's own II, each against the code it replaced.
+
+
+def _reference_search_rec_mii(loop):
+    """``minii._search_rec_mii`` as it was: every arc relaxed ``n`` times."""
+
+    def positive(ii):
+        n = loop.n_ops
+        dist = [0] * n
+        arcs = [(a.src, a.dst, a.latency - ii * a.omega) for a in loop.ddg.arcs]
+        for _ in range(n):
+            changed = False
+            for src, dst, w in arcs:
+                if dist[src] + w > dist[dst]:
+                    dist[dst] = dist[src] + w
+                    changed = True
+            if not changed:
+                return False
+        return True
+
+    if not loop.ddg.arcs:
+        return 1
+    hi = max(1, sum(max(a.latency, 0) for a in loop.ddg.arcs))
+    if not positive(1):
+        return 1
+    lo = 1
+    if positive(hi):
+        raise ValueError(
+            f"loop {loop.name!r} has a dependence cycle with no carried arc; cannot pipeline"
+        )
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _reference_independent_rec_mii(loop):
+    """``schedcheck._independent_rec_mii`` as it was."""
+    arcs = [(a.src, a.dst, a.latency, a.omega) for a in loop.ddg.arcs]
+    if not arcs:
+        return 1
+
+    def has_positive_cycle(ii):
+        n = loop.n_ops
+        dist = [0] * n
+        weighted = [(s, d, lat - ii * om) for s, d, lat, om in arcs]
+        for _ in range(n):
+            changed = False
+            for s, d, w in weighted:
+                if 0 <= s < n and 0 <= d < n and dist[s] + w > dist[d]:
+                    dist[d] = dist[s] + w
+                    changed = True
+            if not changed:
+                return False
+        return True
+
+    if not has_positive_cycle(1):
+        return 1
+    hi = max(1, sum(max(lat, 0) for _, _, lat, _ in arcs))
+    if has_positive_cycle(hi):
+        return hi + 1
+    lo = 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if has_positive_cycle(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _reference_audit_min_ii(loop, machine, ii, report):
+    """``schedcheck._audit_min_ii`` as it was: RecMII searched at every audit."""
+    res = schedcheck._independent_res_mii(loop, machine)
+    rec = _reference_independent_rec_mii(loop)
+    bound = max(res, rec)
+    if ii < bound:
+        report.add(
+            "SCHED004",
+            Severity.ERROR,
+            f"II={ii} below the independent MinII bound {bound} "
+            f"(ResMII={res}, RecMII={rec})",
+            loop=loop.name,
+            hint="either the schedule, the bound computation, or this checker "
+            "is wrong; all three claim to model the same machine",
+        )
+
+
+def _raised_or_returned(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@functools.lru_cache(maxsize=None)
+def _stratified_loops(seed: int, n: int = 150):
+    """The e2e ``generated-cp`` workload's loops for ``seed``: its stratified
+    shapes, its seeded draws, bodies with two or more divides redrawn."""
+    rng = random.Random(f"generated-cp/{seed}")
+
+    def column(values):
+        out = [values[i % len(values)] for i in range(n)]
+        rng.shuffle(out)
+        return out
+
+    compute = column([4 + round(i * 36 / max(1, n - 1)) for i in range(n)])
+    streams = column(list(range(1, 9)))
+    recurrences = column([0, 1, 2, 3])
+    fdiv = column([0.0, 0.03])
+    trips = column([16, 100, 512])
+    loops = []
+    for i in range(n):
+        config = GeneratorConfig(n_compute=compute[i], n_streams=streams[i],
+                                 n_recurrences=recurrences[i], p_fdiv=fdiv[i],
+                                 trip_count=trips[i])
+        while True:
+            spec = random_spec(rng.randrange(2**31), config, name=f"gen{seed}_{i}")
+            if sum(op.kind == "fdiv" for op in spec.ops) <= 1:
+                loops.append(spec.build(MACHINE))
+                break
+    return tuple(loops)
+
+
+def _bound_loops():
+    """All 58 corpus loops and 150 generated loops for each of seeds 0-2."""
+    return [*_corpus(), *_stratified_loops(0), *_stratified_loops(1), *_stratified_loops(2)]
+
+
+# A drawn dependence graph over 1-8 ops: self-arcs, several SCCs, negative
+# latencies and zero-omega cycles (positive ones included) all occur.
+@st.composite
+def drawn_loops(draw):
+    n = draw(st.integers(1, 8))
+    arcs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(-2, 9), st.integers(0, 3)),
+        max_size=18,
+    ))
+    ops = [Operation(index=i, opcode="fadd", opclass=OpClass.FADD) for i in range(n)]
+    deps = [
+        Dependence(src, dst, lat, omega)
+        for src, dst, lat, omega in arcs
+        if not (src == dst and omega == 0 and lat > 0)  # the DDG refuses these
+    ]
+    return Loop(name="drawn", ops=ops, ddg=DDG(n, deps))
+
+
+def _audit_reports(monkeypatch, loop, ii, times):
+    """Full ``check_schedule`` diagnostics with the audit and with its reference."""
+    reports = []
+    for audit in (schedcheck._audit_min_ii, _reference_audit_min_ii):
+        monkeypatch.setattr(schedcheck, "_audit_min_ii", audit)
+        reports.append([d.formatted() for d in check_schedule(loop, MACHINE, ii, times).diagnostics])
+    return reports
+
+
+class TestCycleArcRecMiiVsFullGraph:
+    def test_corpus_and_generated_loops(self):
+        for loop in _bound_loops():
+            assert _search_rec_mii(loop) == _reference_search_rec_mii(loop), loop.name
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_loops())
+    def test_drawn_graphs(self, loop):
+        assert _raised_or_returned(_search_rec_mii, loop) == _raised_or_returned(
+            _reference_search_rec_mii, loop
+        )
+
+    def test_zero_omega_positive_cycle_raises_the_same_error(self):
+        ops = [Operation(index=i, opcode="fadd", opclass=OpClass.FADD) for i in range(3)]
+        deps = [Dependence(0, 1, 2), Dependence(1, 0, 1), Dependence(2, 2, 4, 1)]
+        loop = Loop(name="uncarried", ops=ops, ddg=DDG(3, deps))
+        new = _raised_or_returned(_search_rec_mii, loop)
+        assert new == _raised_or_returned(_reference_search_rec_mii, loop)
+        assert new[0] == "ValueError"
+
+    def test_res_mii_memo_is_per_machine(self, machine, tiny_machine):
+        loop = _corpus()[0]
+        assert res_mii(loop, machine) == schedcheck._independent_res_mii(loop, machine)
+        assert res_mii(loop, tiny_machine) == schedcheck._independent_res_mii(loop, tiny_machine)
+        assert res_mii(loop, machine) == schedcheck._independent_res_mii(loop, machine)
+
+
+class TestRunnerBoundVsCertificates:
+    def test_schedulable_bound_is_the_refined_bound(self):
+        for loop in _bound_loops():
+            assert schedulable_bound(loop, MACHINE, base=min_ii(loop, MACHINE)) == (
+                compute_bounds(loop, MACHINE).refined_bound
+            ), loop.name
+
+    def test_analyze_cell_builds_no_certificate_it_does_not_read(self, monkeypatch):
+        key = "recbound:rb_diamond3"  # lifted: MinII 12, bound 13
+        reference = compute_bounds(resolve_loop(key), MACHINE)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a certificate the cell never reads was built")
+
+        for name in ("prove_alloc_infeasible", "pairing_certificate",
+                     "resource_certificate", "recurrence_certificate"):
+            monkeypatch.setattr(bounds, name, unread)
+        cell = Cell.make(key, "sgi", {}, simulate=False, oracle=True, analyze=True)
+        result = execute_cell(cell.to_dict(), in_worker=False)
+        assert result["error"] is None
+        assert result["refined_bound"] == reference.refined_bound
+        assert result["min_ii"] == reference.min_ii
+
+
+class TestOneIiAuditVsBinarySearch:
+    def test_seeded_below_minii_schedules_report_identically(self, monkeypatch):
+        below = 0
+        for loop in _bound_loops():
+            times = list_schedule(loop, MACHINE).times
+            mii = min_ii(loop, MACHINE)
+            for ii in sorted({1, mii - 2, mii - 1, mii, mii + 1} - {-1, 0}):
+                new, old = _audit_reports(monkeypatch, loop, ii, times)
+                assert new == old, (loop.name, ii)
+                below += any("SCHED004" in line for line in new)
+        assert below > 300  # the seeded schedules do reach the audit
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_loops(), st.integers(1, 12))
+    def test_drawn_graphs(self, loop, ii):
+        times = {op: 0 for op in range(loop.n_ops)}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            new, old = _audit_reports(monkeypatch, loop, ii, times)
+        assert new == old

@@ -100,6 +100,22 @@ def test_sgi_and_cp_cells_never_load_numpy_or_scipy():
     assert report["scipy_after_most"]
 
 
+def test_package_import_loads_no_subpackage_until_asked():
+    report = _run_fresh("""
+        import json, sys
+        import repro
+
+        loaded = sorted(m for m in sys.modules if m.startswith("repro."))
+        import repro.regalloc  # first: the eager init hid its cycle with repro.core
+        resolved = {name: getattr(repro, name) is not None for name in repro.__all__}
+        exec("from repro import *", {})
+        print(json.dumps({"loaded": loaded, "resolved": resolved}))
+    """)
+    assert report["loaded"] == []  # neither repro.core.driver nor repro.most
+    assert all(report["resolved"].values())
+    assert sorted(report["resolved"]) == sorted(repro.__all__)
+
+
 @pytest.mark.parametrize(
     "driver, loads_scipy",
     [("most", True), ("portfolio:cp,ilp", True), ("portfolio:cp", False)],
