@@ -5,7 +5,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-verify lint verify-corpus bench bench-quick bench-baseline \
-        bench-tests bench-micro trace-smoke explain explain-smoke analyze diff-strict report \
+        bench-tests bench-micro trace-smoke explain explain-smoke strict-smoke analyze \
+        diff-strict report \
         report-smoke fuzz fuzz-smoke portfolio-smoke serve serve-smoke \
         serve-baseline trend history-seed e2e-smoke ci
 
@@ -101,6 +102,13 @@ explain-smoke:
 		       for c in cells if c.get('binding') not in BINDING_CLASSES]; \
 		print('explain cells=%d outside BINDING_CLASSES=%d' % (len(cells), len(bad)), *bad); \
 		sys.exit(1 if bad or not cells else 0)"
+
+# The experiment runner's --strict path outside pytest: Figure 2 with every
+# cell run under the exec oracle (independent verification of schedule,
+# allocation and listing, plus the functional simulation); exits 1 naming
+# each cell with an ERROR diagnostic or a functional mismatch.
+strict-smoke:
+	$(PYTHON) -m repro fig2 --strict
 
 # Certified II lower bounds over every corpus: derive the refined bounds,
 # validate every shipped certificate with the independent checker, and
@@ -200,6 +208,6 @@ e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Everything CI runs, in CI's order.
-ci: lint test verify-corpus analyze bench-quick trace-smoke explain-smoke report-smoke \
+ci: lint test verify-corpus analyze bench-quick trace-smoke explain-smoke report-smoke strict-smoke \
 	diff-strict portfolio-smoke bench-micro fuzz-smoke serve-smoke trend \
 	e2e-smoke

@@ -17,18 +17,16 @@ import pathlib
 import pytest
 
 from repro.eval import ExperimentConfig
+from tests import verified_drivers
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _strict_verification():
-    """Benchmarks run strict: the quoted figures must verify cleanly."""
-    from repro.verify import set_default_verify
+def pytest_configure(config):
+    """Benchmarks run strict: the quoted figures must verify cleanly.
 
-    set_default_verify(True)
-    yield
-    set_default_verify(False)
+    Installed before collection, like the test suite's safety net."""
+    verified_drivers.install()
 
 
 @pytest.fixture(scope="session")

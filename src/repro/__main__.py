@@ -211,7 +211,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace, preset: Op
     try:
         cells = corpus_cells(
             args.corpus, args.schedulers, options, getattr(args, "limit", None),
-            verify=False, simulate=False, **cell_fields,
+            simulate=False, **cell_fields,
         )
     except ValueError as exc:  # unknown corpus
         parser.error(str(exc))
@@ -386,7 +386,7 @@ def _trace_main(argv) -> int:
     try:
         cells = corpus_cells(
             args.corpus, args.schedulers, options, args.limit,
-            seed=args.seed, simulate=False, verify=False, trace=True,
+            seed=args.seed, simulate=False, trace=True,
             trace_dir=args.trace_dir,
         )
     except ValueError as exc:
@@ -1002,9 +1002,10 @@ def main(argv=None) -> int:
             ("--list", dict(action="store_true", help="list available experiments")),
             ("--corpus", dict(action="store_true", help="print the workload corpus "
                               "profiles (Livermore + SPEC92-like) and exit")),
-            ("--strict", dict(action="store_true", help="verify every pipelined loop "
-                              "while experiments run; exit non-zero on any ERROR "
-                              "diagnostic")),
+            ("--strict", dict(action="store_true", help="run every experiment cell "
+                              "with the exec oracle (independent verification and "
+                              "functional simulation); exit 1 naming each cell "
+                              "with an ERROR diagnostic or a functional mismatch")),
             ("--bench-json", dict(action="store_true", help="also write each "
                                   "experiment's cell measurements as "
                                   "benchmarks/output/BENCH_<name>.json")),
@@ -1031,11 +1032,8 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
-    if args.strict:
-        from .verify import set_default_verify
-
-        set_default_verify(True)
     config = _experiment_config(args)
+    config.strict = args.strict
     for name in names:
         start = time.perf_counter()
         try:

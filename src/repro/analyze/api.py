@@ -219,7 +219,7 @@ def analyze_corpus(
     presets = {
         name: REGISTRY[name].preset("sweep", time_limit=ilp_seconds) for name in schedulers
     }
-    cells = corpus_cells(corpus, schedulers, presets, limit, simulate=False, verify=False)
+    cells = corpus_cells(corpus, schedulers, presets, limit, simulate=False)
     results = ExecEngine().run(cells)
     by_loop: Dict[str, List] = {}
     for cell in cells:

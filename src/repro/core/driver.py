@@ -115,25 +115,10 @@ class PipelineResult:
         return self.schedule.ii if self.schedule is not None else None
 
 
-def _maybe_verify(result, machine: MachineDescription, verify: Optional[bool]):
-    """Run the independent checkers over a driver result when enabled.
-
-    Shared by every pipeliner.  ``verify=None`` defers to the process
-    default (:func:`repro.verify.set_default_verify`).
-    """
-    from ..verify import resolve_verify
-    from ..verify.api import enforce_verified
-
-    if resolve_verify(verify):
-        enforce_verified(result, machine)
-    return result
-
-
 def pipeline_loop(
     loop: Loop,
     machine: Optional[MachineDescription] = None,
     options: Optional[PipelinerOptions] = None,
-    verify: Optional[bool] = None,
 ) -> PipelineResult:
     """Software-pipeline ``loop``: returns the best allocated schedule found.
 
@@ -144,10 +129,8 @@ def pipeline_loop(
     still register-allocates (Section 2.9: the exploration of other
     schedules at the same II with provably better stalling behaviour).
 
-    ``verify=True`` (or a true process default, see
-    :func:`repro.verify.set_default_verify`) cross-checks every successful
-    result with the independent ``repro.verify`` analyzers and raises
-    :class:`repro.verify.VerificationError` on any ERROR diagnostic.
+    The driver does not check its own output: an exec cell run with
+    ``oracle=True`` reports :func:`repro.verify.result_report` on it.
     """
     machine = machine if machine is not None else r8000()
     options = options or PipelinerOptions()
@@ -174,22 +157,18 @@ def pipeline_loop(
                 )
                 if paired is not None:
                     schedule, allocation, order_name = paired
-            return _maybe_verify(
-                PipelineResult(
-                    success=True,
-                    schedule=schedule,
-                    allocation=allocation,
-                    loop=current,
-                    original=original,
-                    min_ii=original_min_ii,
-                    order_name=order_name,
-                    spill_rounds=spill_round,
-                    spilled=spilled_total,
-                    stats=stats,
-                    attempted=outcome.attempted,
-                ),
-                machine,
-                verify,
+            return PipelineResult(
+                success=True,
+                schedule=schedule,
+                allocation=allocation,
+                loop=current,
+                original=original,
+                min_ii=original_min_ii,
+                order_name=order_name,
+                spill_rounds=spill_round,
+                spilled=spilled_total,
+                stats=stats,
+                attempted=outcome.attempted,
             )
         if outcome.best_failed is None:
             break  # could not even find a schedule: give up entirely

@@ -18,7 +18,7 @@ changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.cache import ScheduleCache
@@ -27,6 +27,7 @@ from ..exec.runner import ExecEngine
 from ..ir.loop import Loop
 from ..machine.descriptions import r8000
 from ..schedulers import get_scheduler
+from ..verify.diagnostics import Diagnostic, Report, Severity, VerificationError
 from ..workloads.livermore import LONG_TRIPS, SHORT_TRIPS, livermore_kernels
 from ..workloads.spec92 import Benchmark, spec92_suite
 from .metrics import geometric_mean, weighted_relative_time
@@ -45,6 +46,10 @@ class ExperimentConfig:
     jobs: int = 1
     cache_dir: Optional[str] = None  # None = no on-disk cache
     cell_timeout: Optional[float] = None  # hard per-cell deadline (worker-side)
+    # Run every cell with the exec oracle (independent verification plus
+    # the functional simulation, in the cache key) and fail the experiment
+    # with VerificationError naming each cell it caught.
+    strict: bool = False
     progress: Optional[Callable[[int, int, Cell, CellResult], None]] = None
 
     def most_cell_options(self, fallback: bool = True, **overrides: Any) -> Dict[str, Any]:
@@ -63,7 +68,13 @@ class ExperimentConfig:
         )
 
     def run_cells(self, cells: Sequence[Cell]) -> Dict[Cell, CellResult]:
-        return self.engine().run(cells)
+        """Run a batch; results keyed by the cells as given."""
+        if not self.strict:
+            return self.engine().run(cells)
+        oracled = {cell: replace(cell, oracle=True) for cell in cells}
+        results = self.engine().run(list(oracled.values()))
+        _raise_on_oracle_failures(results)
+        return {cell: results[run] for cell, run in oracled.items()}
 
 
 @dataclass
@@ -153,6 +164,26 @@ class _Batch:
 
     def all_results(self) -> List[CellResult]:
         return list(self.results.values())
+
+
+def _raise_on_oracle_failures(results: Dict[Cell, CellResult]) -> None:
+    """A strict batch's verdict: VerificationError naming every cell whose
+    oracle found an ERROR diagnostic or a functional mismatch, one line
+    each; the report holds every ERROR, located by cell."""
+    report = Report()
+    failed: List[str] = []
+    for cell, result in results.items():
+        rules = sorted({line.partition(": ")[0] for line in result.verify_errors})
+        problems = [f"{len(result.verify_errors)} error(s) [{', '.join(rules)}]"] if rules else []
+        if result.funcsim_ok is False:
+            problems.append(f"functional mismatch: {result.funcsim_detail}")
+        if problems:
+            failed.append(f"{cell.label}: {'; '.join(problems)}")
+        for line in result.verify_errors:
+            rule, _, message = line.partition(": ")
+            report.diagnostics.append(Diagnostic(rule, Severity.ERROR, message, where=cell.label))
+    if failed:
+        raise VerificationError(report, "\n".join(failed))
 
 
 # ----------------------------------------------------------------------

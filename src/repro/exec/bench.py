@@ -115,7 +115,6 @@ def bench_cells(options: BenchOptions) -> List[Cell]:
             options.schedulers,
             presets,
             seed=options.seed,
-            verify=False,
             trace=options.trace,
             trace_dir=options.trace_dir,
             explain=options.explain,

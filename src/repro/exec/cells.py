@@ -26,49 +26,74 @@ SCHEDULERS = (*REGISTRY, "baseline")
 # ----------------------------------------------------------------------
 # The loop registry: key -> Loop
 # ----------------------------------------------------------------------
-def _memoize_corpus(
-    prefix: str, machine: MachineDescription, loops: Iterable[Tuple[str, Loop]]
-) -> Dict[str, Loop]:
-    """Memoise every loop of a freshly built corpus under its own key.
+def _livermore_loops(machine: MachineDescription) -> Iterable[Tuple[str, Loop]]:
+    from ..workloads.livermore import livermore_kernels
 
-    A corpus is built as a whole, so the first key resolved from it pays
-    for its siblings too.  The loops live only in :data:`_LOOP_MEMO`, which
-    :func:`clear_loop_memo` empties; the first loop of a repeated name wins.
+    return ((loop.name, loop) for loop in livermore_kernels(machine))
+
+
+def _spec92_loops(machine: MachineDescription) -> Iterable[Tuple[str, Loop]]:
+    from ..workloads.spec92 import spec92_suite
+
+    return (
+        (f"{bench.name}/{loop.name}", loop)
+        for bench in spec92_suite(machine)
+        for loop in bench.loops
+    )
+
+
+def _recbound_loops(machine: MachineDescription) -> Iterable[Tuple[str, Loop]]:
+    from ..workloads.recbound import recbound_kernels
+
+    return ((loop.name, loop) for loop in recbound_kernels(machine))
+
+
+#: The committed corpora, in the order ``all`` lists them, and the builder
+#: of each one's ``(name, loop)`` pairs (keyed ``<corpus>:<name>``).
+CORPORA: Dict[str, Callable[[MachineDescription], Iterable[Tuple[str, Loop]]]] = {
+    "livermore": _livermore_loops,
+    "spec92": _spec92_loops,
+    "recbound": _recbound_loops,
+}
+
+
+def _corpus_loops(corpus: str, machine: MachineDescription) -> Dict[str, Loop]:
+    """A committed corpus, name -> loop, built once per process and machine.
+
+    Listing a corpus and resolving its keys read this one build; the first
+    loop of a repeated name wins.  :func:`clear_loop_memo` drops it.
     """
-    by_rest: Dict[str, Loop] = {}
-    for rest, loop in loops:
-        by_rest.setdefault(rest, loop)
-    for rest, loop in by_rest.items():
-        _LOOP_MEMO.setdefault((f"{prefix}:{rest}", machine.name), loop)
-    return by_rest
+    memo_key = (corpus, machine.name)
+    if memo_key not in _CORPUS_MEMO:
+        loops: Dict[str, Loop] = {}
+        for rest, loop in CORPORA[corpus](machine):
+            loops.setdefault(rest, loop)
+        _CORPUS_MEMO[memo_key] = loops
+    return _CORPUS_MEMO[memo_key]
 
 
 def _livermore(rest: str, machine: MachineDescription) -> Loop:
-    from ..workloads.livermore import livermore_kernels
-
-    kernels = _memoize_corpus(
-        "livermore", machine, ((loop.name, loop) for loop in livermore_kernels(machine))
-    )
+    kernels = _corpus_loops("livermore", machine)
     if rest not in kernels:
         raise KeyError(f"no Livermore kernel named {rest!r}")
     return kernels[rest]
 
 
 def _spec92(rest: str, machine: MachineDescription) -> Loop:
-    from ..workloads.spec92 import spec92_suite
-
-    suite = spec92_suite(machine)
-    loops = _memoize_corpus(
-        "spec92",
-        machine,
-        ((f"{bench.name}/{loop.name}", loop) for bench in suite for loop in bench.loops),
-    )
+    loops = _corpus_loops("spec92", machine)
     if rest in loops:
         return loops[rest]
     bench_name, _, loop_name = rest.partition("/")
-    if any(bench.name == bench_name for bench in suite):
+    if any(key.partition("/")[0] == bench_name for key in loops):
         raise KeyError(f"benchmark {bench_name!r} has no loop {loop_name!r}")
     raise KeyError(f"no SPEC92 benchmark named {bench_name!r}")
+
+
+def _recbound(rest: str, machine: MachineDescription) -> Loop:
+    kernels = _corpus_loops("recbound", machine)
+    if rest not in kernels:
+        raise KeyError(f"unknown recbound kernel {rest!r}; known: {', '.join(kernels)}")
+    return kernels[rest]
 
 
 def _scaling(rest: str, machine: MachineDescription) -> Loop:
@@ -89,17 +114,6 @@ def _fuzz(rest: str, machine: MachineDescription) -> Loop:
     return spec_from_token(rest).build(machine)
 
 
-def _recbound(rest: str, machine: MachineDescription) -> Loop:
-    from ..workloads.recbound import recbound_kernels
-
-    kernels = _memoize_corpus(
-        "recbound", machine, ((loop.name, loop) for loop in recbound_kernels(machine))
-    )
-    if rest not in kernels:
-        raise KeyError(f"unknown recbound kernel {rest!r}; known: {', '.join(kernels)}")
-    return kernels[rest]
-
-
 #: Loop sources by key prefix.  Tests may register extra sources (or shadow
 #: existing ones) to model IR drift without editing workload modules.
 LOOP_SOURCES: Dict[str, Callable[[str, MachineDescription], Loop]] = {
@@ -117,6 +131,7 @@ LOOP_SOURCES: Dict[str, Callable[[str, MachineDescription], Loop]] = {
 UNMEMOIZED_SOURCES = frozenset({"fuzz"})
 
 _LOOP_MEMO: Dict[Tuple[str, str], Loop] = {}
+_CORPUS_MEMO: Dict[Tuple[str, str], Dict[str, Loop]] = {}
 
 
 def resolve_loop(key: str, machine: Optional[MachineDescription] = None) -> Loop:
@@ -140,12 +155,9 @@ def resolve_loop(key: str, machine: Optional[MachineDescription] = None) -> Loop
 
 
 def clear_loop_memo() -> None:
-    """Drop the per-process loop memo (tests mutate ``LOOP_SOURCES``)."""
+    """Drop the per-process loop memos (tests mutate ``LOOP_SOURCES``)."""
     _LOOP_MEMO.clear()
-
-
-#: The committed corpora, in the order ``all`` lists them.
-CORPORA = ("livermore", "spec92", "recbound")
+    _CORPUS_MEMO.clear()
 
 
 def corpus_loop_keys(corpus: str, machine: Optional[MachineDescription] = None) -> List[str]:
@@ -154,25 +166,11 @@ def corpus_loop_keys(corpus: str, machine: Optional[MachineDescription] = None) 
     machine = machine if machine is not None else r8000()
     if corpus == "all":
         return [key for name in CORPORA for key in corpus_loop_keys(name, machine)]
-    if corpus == "livermore":
-        from ..workloads.livermore import livermore_kernels
-
-        return [f"livermore:{loop.name}" for loop in livermore_kernels(machine)]
-    if corpus == "spec92":
-        from ..workloads.spec92 import spec92_suite
-
-        return [
-            f"spec92:{bench.name}/{loop.name}"
-            for bench in spec92_suite(machine)
-            for loop in bench.loops
-        ]
-    if corpus == "recbound":
-        from ..workloads.recbound import recbound_kernels
-
-        return [f"recbound:{loop.name}" for loop in recbound_kernels(machine)]
-    raise ValueError(
-        f"unknown corpus {corpus!r} (expected livermore, spec92, recbound or all)"
-    )
+    if corpus not in CORPORA:
+        raise ValueError(
+            f"unknown corpus {corpus!r} (expected livermore, spec92, recbound or all)"
+        )
+    return [f"{corpus}:{rest}" for rest in _corpus_loops(corpus, machine)]
 
 
 def corpus_cells(
@@ -215,11 +213,13 @@ class Cell:
     does not.  ``explain`` additionally attributes the cell's achieved II
     to its binding constraint (:mod:`repro.obs.explain`); like ``trace``
     it changes the result payload and therefore the cache key.  ``oracle``
-    runs the fuzzer's dynamic oracle layers after scheduling — independent
-    re-verification into ``verify_errors``/``verify_warnings`` (a loop
-    nothing was scheduled for is linted) and a functional-equivalence
+    runs the fuzzer's dynamic oracle layers after scheduling — the
+    independent :func:`repro.verify.result_report` into
+    ``verify_errors``/``verify_warnings`` and a functional-equivalence
     simulation against the sequential reference into ``funcsim_ok`` — and
-    also participates in the cache key.  ``analyze`` computes the certified
+    also participates in the cache key.  It is the only way a run is
+    verified, so a verified answer is never served from an unverified
+    cache entry.  ``analyze`` computes the certified
     refined II lower bound (:mod:`repro.analyze`) on the pristine loop and
     stores the bound in the result (``repro analyze --json`` regenerates its
     certificates); it changes the result payload and therefore participates
@@ -233,7 +233,6 @@ class Cell:
     seed: int = 0
     timeout: Optional[float] = None
     simulate: bool = True
-    verify: Optional[bool] = None
     trace: bool = False
     trace_dir: Optional[str] = None
     explain: bool = False
@@ -256,7 +255,6 @@ class Cell:
         seed: int = 0,
         timeout: Optional[float] = None,
         simulate: bool = True,
-        verify: Optional[bool] = None,
         trace: bool = False,
         trace_dir: Optional[str] = None,
         explain: bool = False,
@@ -271,7 +269,6 @@ class Cell:
             seed=seed,
             timeout=timeout,
             simulate=simulate,
-            verify=verify,
             trace=trace,
             trace_dir=trace_dir,
             explain=explain,
@@ -297,7 +294,6 @@ class Cell:
             "seed": self.seed,
             "timeout": self.timeout,
             "simulate": self.simulate,
-            "verify": self.verify,
             "trace": self.trace,
             "trace_dir": self.trace_dir,
             "explain": self.explain,
@@ -315,7 +311,6 @@ class Cell:
             seed=data.get("seed", 0),
             timeout=data.get("timeout"),
             simulate=data.get("simulate", True),
-            verify=data.get("verify"),
             trace=data.get("trace", False),
             trace_dir=data.get("trace_dir"),
             explain=data.get("explain", False),

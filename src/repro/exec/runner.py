@@ -168,9 +168,7 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
 
     scheduler = get_scheduler(cell.scheduler)
     sched_start = time.perf_counter()
-    result = scheduler.run(
-        loop, machine, scheduler.options_from_dict(options), verify=cell.verify
-    )
+    result = scheduler.run(loop, machine, scheduler.options_from_dict(options))
     out.sched_wall_seconds = time.perf_counter() - sched_start
     out.schedule_seconds = result.stats.seconds
     out.fallback = result.fallback_used
@@ -219,26 +217,18 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
 def _apply_oracle(cell: Cell, result, machine, out: CellResult) -> None:
     """The fuzz oracle's dynamic layers; decorates ``out``, never raises.
 
-    Independently re-verifies the produced artifacts (schedule, allocation,
-    emitted listing) against the *pristine* machine description, then runs
-    the pipelined functional simulation against the sequential reference
+    Records :func:`repro.verify.result_report` on the produced artifacts,
+    checked against the *pristine* machine description, then runs the
+    pipelined functional simulation against the sequential reference
     semantics.  Runs on whatever the scheduler produced — including results
     corrupted by a seeded ``_test_inject`` fault — which is exactly what
-    makes those faults detectable.  When nothing was scheduled, only the
-    loop itself is linted.
+    makes those faults detectable.
     """
     scheduled = getattr(result, "success", False) and result.schedule is not None
     try:
-        from ..pipeline.emit import emit_pipelined_code
-        from ..verify import verify_all, verify_result
+        from ..verify import result_report
 
-        if scheduled:
-            emitted = None
-            if result.allocation is not None and result.allocation.success:
-                emitted = emit_pipelined_code(result.schedule, result.allocation)
-            report = verify_result(result, emitted=emitted, machine=machine)
-        else:
-            report = verify_all(result.loop, machine=machine)
+        report = result_report(result, machine)
         out.verify_errors = [f"{d.rule}: {d.message}" for d in report.errors]
         out.verify_warnings = [f"{d.rule}: {d.message}" for d in report.warnings]
     except Exception:
@@ -281,7 +271,7 @@ def _fallback_result(cell: Cell, loop, machine, elapsed: float) -> CellResult:
     """Heuristic rescue of a timed-out cell, with honest accounting."""
     fallback_cell = Cell.make(
         cell.loop, "sgi", FALLBACK_OPTIONS,
-        trips=cell.trips, seed=cell.seed, simulate=cell.simulate, verify=False,
+        trips=cell.trips, seed=cell.seed, simulate=cell.simulate,
     )
     try:
         out = _run_scheduler(fallback_cell, loop, machine)

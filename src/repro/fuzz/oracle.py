@@ -152,7 +152,6 @@ def spec_cells(
             seed=seed,
             timeout=timeout,
             simulate=False,
-            verify=False,  # the oracle runs its own, independent pass
             trace=trace,
             oracle=True,
             analyze=True,  # certified refined bound for the ``bound`` layer

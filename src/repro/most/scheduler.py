@@ -92,14 +92,8 @@ def most_pipeline_loop(
     loop: Loop,
     machine: Optional[MachineDescription] = None,
     options: Optional[MostOptions] = None,
-    verify: Optional[bool] = None,
 ) -> OptimalResult:
-    """Schedule ``loop`` with the ILP pipeliner, falling back to heuristics.
-
-    ``verify`` cross-checks successful results with the independent
-    ``repro.verify`` analyzers (``None`` = process default); ERROR
-    diagnostics raise :class:`repro.verify.VerificationError`.
-    """
+    """Schedule ``loop`` with the ILP pipeliner, falling back to heuristics."""
     machine = machine if machine is not None else r8000()
     options = options or MostOptions()
     # §3.3 adjustment 3: the SGI production orders as branch orders, in turn.
@@ -149,9 +143,7 @@ def most_pipeline_loop(
         return schedule, {"buffers": buffers, "winning_backend": winner.backend}
 
     load_ilp_solver()
-    return walk_ii(
-        loop, machine, options, verify, tag="most", formulate=formulate, solve=solve
-    )
+    return walk_ii(loop, machine, options, tag="most", formulate=formulate, solve=solve)
 
 
 def _optimise_secondary(

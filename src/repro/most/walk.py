@@ -9,8 +9,8 @@ once per SGI production order.  Around the probe, once: IIs from MinII to
 ``ii_cap_factor * MinII``; the window-collapse screen; II-optimality
 proven when every smaller II was proven infeasible; a register-allocation
 failure walks on (a larger II shortens relative lifetimes); an
-empty-handed walk falls back on the SGI heuristic without bank pairing;
-one verification at the end.  A driver supplies only its per-II step.
+empty-handed walk falls back on the SGI heuristic without bank pairing.
+A driver supplies only its per-II step.
 The walk owns the probe trail: every screen and every probe lands in
 ``OptimalResult.probes``, and the winning sat probe of each II reached
 carries that schedule's allocation outcome.
@@ -26,7 +26,6 @@ from ..core.driver import (
     FALLBACK_OPTIONS,
     PipelineResult,
     PipelinerOptions,
-    _maybe_verify,
     pipeline_loop,
 )
 from ..core.minii import min_ii as compute_min_ii
@@ -249,7 +248,6 @@ def walk_ii(
     loop: Loop,
     machine: MachineDescription,
     options: Any,
-    verify: Optional[bool],
     *,
     tag: str,
     formulate: Callable[[int], Any],
@@ -304,11 +302,10 @@ def walk_ii(
             winner = next(p for p in probes if p.ii == ii and p.witness_ok)
             winner.allocated, winner.uncolored = allocation.success, len(allocation.uncolored)
             if allocation.success:
-                result = OptimalResult(
+                return OptimalResult(
                     True, schedule, allocation, loop, mii, optimal=smaller_proven_infeasible,
                     stats=stats, probes=probes, **fields, **found,
                 )
-                return _maybe_verify(result, machine, verify)
             # Register allocation failed at this II: a larger II shortens
             # relative lifetimes, so keep walking the II range before
             # resorting to the heuristic fallback.
@@ -318,13 +315,8 @@ def walk_ii(
         return OptimalResult(
             False, None, None, loop, mii, stats=stats, probes=probes, **fields
         )
-    # verify=False here: the wrapping result is verified below instead, so
-    # the fallback schedule is not checked twice.
-    fallback = pipeline_loop(
-        loop, machine, PipelinerOptions.from_dict(FALLBACK_OPTIONS), verify=False
-    )
-    result = OptimalResult(
+    fallback = pipeline_loop(loop, machine, PipelinerOptions.from_dict(FALLBACK_OPTIONS))
+    return OptimalResult(
         fallback.success, fallback.schedule, fallback.allocation, fallback.loop, mii,
         fallback_used=True, fallback_result=fallback, stats=stats, probes=probes, **fields,
     )
-    return _maybe_verify(result, machine, verify)

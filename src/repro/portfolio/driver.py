@@ -140,14 +140,8 @@ def portfolio_pipeline_loop(
     loop: Loop,
     machine: Optional[MachineDescription] = None,
     options: Optional[PortfolioOptions] = None,
-    verify: Optional[bool] = None,
 ) -> OptimalResult:
-    """Schedule ``loop`` with the backend portfolio, falling back to heuristics.
-
-    ``verify`` cross-checks successful results with the independent
-    ``repro.verify`` analyzers (``None`` = process default); ERROR
-    diagnostics raise :class:`repro.verify.VerificationError`.
-    """
+    """Schedule ``loop`` with the backend portfolio, falling back to heuristics."""
     machine = machine if machine is not None else r8000()
     options = options or PortfolioOptions()
     backends = _usable_backends(loop, machine, options)
@@ -179,7 +173,7 @@ def portfolio_pipeline_loop(
     if "ilp" in dict(backends):
         load_ilp_solver()
     result = walk_ii(
-        loop, machine, options, verify,
+        loop, machine, options,
         tag="portfolio", formulate=formulate, solve=solve, search=bool(backends),
         skipped_backends=tuple(
             n for n in options.backend_names() if n not in dict(backends)

@@ -27,7 +27,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.driver import PipelineResult, _maybe_verify, options_from_mapping
+from ..core.driver import PipelineResult, options_from_mapping
 from ..core.iisearch import IIAttempt
 from ..core.minii import min_ii as compute_min_ii
 from ..core.sched import Schedule, SchedulingStats
@@ -244,7 +244,6 @@ def rau_pipeline_loop(
     loop: Loop,
     machine: Optional[MachineDescription] = None,
     options: Optional[RauOptions] = None,
-    verify: Optional[bool] = None,
 ) -> PipelineResult:
     """Full Rau94 pipeliner: linear II search, allocation, spilling.
 
@@ -252,10 +251,6 @@ def rau_pipeline_loop(
     winning order and ``spill_rounds`` 1 when any value was spilled (the
     spilled set is what Rau94 reports; any spill means the scheduled loop
     is not the pristine one).
-
-    ``verify`` cross-checks successful results with the independent
-    ``repro.verify`` analyzers (``None`` = process default); ERROR
-    diagnostics raise :class:`repro.verify.VerificationError`.
     """
     machine = machine if machine is not None else r8000()
     options = options or RauOptions()
@@ -300,21 +295,17 @@ def rau_pipeline_loop(
             if best_failed is None:
                 best_failed = (schedule, allocation)
         if found is not None:
-            return _maybe_verify(
-                PipelineResult(
-                    success=True,
-                    schedule=found[0],
-                    allocation=found[1],
-                    loop=current,
-                    original=original,
-                    min_ii=original_min_ii,
-                    spill_rounds=1 if spilled_total else 0,
-                    spilled=spilled_total,
-                    stats=stats,
-                    attempted=attempted,
-                ),
-                machine,
-                verify,
+            return PipelineResult(
+                success=True,
+                schedule=found[0],
+                allocation=found[1],
+                loop=current,
+                original=original,
+                min_ii=original_min_ii,
+                spill_rounds=1 if spilled_total else 0,
+                spilled=spilled_total,
+                stats=stats,
+                attempted=attempted,
             )
         if best_failed is None:
             break

@@ -2,7 +2,7 @@
 
 Each entry maps a scheduler name to its options parser
 (``options_from_dict``: the JSON/cell form, unknown keys rejected) and its
-driver (``run(loop, machine, options, verify)``).  Every driver's result
+driver (``run(loop, machine, options)``).  Every driver's result
 exposes one read surface — ``success``, ``schedule``, ``allocation``,
 ``loop``, ``ii``, ``min_ii``, ``optimal``, ``fallback_used``,
 ``fallback_result``, ``spill_rounds`` and ``stats.seconds`` — so callers
@@ -62,9 +62,9 @@ class Scheduler:
         on an unknown key."""
         return self._attr(self.options_class).from_dict(data)
 
-    def run(self, loop: Any, machine: Any, options: Any, verify: Optional[bool] = None) -> Any:
+    def run(self, loop: Any, machine: Any, options: Any) -> Any:
         """Pipeline ``loop`` with this scheduler's driver."""
-        return self._attr(self.driver)(loop, machine, options, verify=verify)
+        return self._attr(self.driver)(loop, machine, options)
 
     def preset(self, name: Optional[str] = None, **overrides: Any) -> Dict[str, Any]:
         """The options dict of preset ``name`` (``None``: the driver's

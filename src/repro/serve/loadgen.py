@@ -59,7 +59,6 @@ class LoadgenOptions:
     fuzz_corpus_dir: Optional[str] = str(DEFAULT_FUZZ_CORPUS_DIR)
     seed: int = 0
     budget: Optional[float] = 60.0
-    verify: Optional[bool] = None
     simulate: bool = True
     output_dir: str = "benchmarks/output"
     # When set, the finished BENCH_service payload is also filed in the
@@ -98,7 +97,7 @@ def build_request_specs(options: LoadgenOptions) -> List[Dict[str, Any]]:
     # The fuzz-derived lanes run the oracle layers, so a verify regression
     # shows up as a non-empty verify_errors list in BENCH_service.json.
     loops = [
-        ({"loop": key}, {"simulate": options.simulate, "verify": options.verify})
+        ({"loop": key}, {"simulate": options.simulate})
         for corpus in options.corpora
         for key in corpus_loop_keys(corpus)
     ]

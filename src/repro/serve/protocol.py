@@ -26,7 +26,8 @@ Responses::
      "error": {"code": "overloaded", "message": "...", "retry_after": 0.05}}
 
 Error codes: ``bad-request`` (malformed line, unknown fields, or options
-the scheduler rejects),
+the scheduler rejects; the fields are exactly the ones a request is read
+for, and ``"oracle": true`` is how a client asks for a verified answer),
 ``overloaded`` (a new cache miss while the server's limit of outstanding
 solves is reached; honour ``retry_after``),
 ``shutting-down`` (graceful drain in progress), ``internal``.  The
@@ -53,8 +54,7 @@ ERROR_CODES = ("bad-request", "overloaded", "shutting-down", "internal")
 _REQUEST_FIELDS = frozenset(
     {
         "id", "op", "loop", "spec", "scheduler", "options", "budget",
-        "seed", "trips", "simulate", "verify", "trace", "explain",
-        "oracle", "analyze",
+        "seed", "trips", "simulate", "explain", "oracle", "analyze",
     }
 )
 
@@ -81,7 +81,6 @@ class ScheduleRequest:
     seed: int = 0
     trips: Tuple[int, ...] = ()
     simulate: bool = True
-    verify: Optional[bool] = None
     explain: bool = False
     oracle: bool = False
     analyze: bool = True
@@ -96,7 +95,6 @@ class ScheduleRequest:
             seed=self.seed,
             timeout=budget,
             simulate=self.simulate,
-            verify=self.verify,
             explain=self.explain,
             oracle=self.oracle,
             analyze=self.analyze,
@@ -174,9 +172,6 @@ def parse_schedule_request(payload: Mapping[str, Any]) -> ScheduleRequest:
         if not isinstance(value, bool):
             raise ProtocolError(f"'{name}' must be a boolean")
         flags[name] = value
-    verify = payload.get("verify")
-    if verify is not None and not isinstance(verify, bool):
-        raise ProtocolError("'verify' must be a boolean or omitted")
     return ScheduleRequest(
         id=request_id,
         scheduler=scheduler,
@@ -185,7 +180,6 @@ def parse_schedule_request(payload: Mapping[str, Any]) -> ScheduleRequest:
         budget=budget,
         seed=seed,
         trips=tuple(trips),
-        verify=verify,
         **flags,
     )
 

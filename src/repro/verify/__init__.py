@@ -16,11 +16,14 @@ Checkers
 * :func:`check_banks` — compile-time bank claims vs concrete layouts
   (BANK001-BANK003)
 * :func:`verify_all` / :func:`verify_result` — everything applicable at once
+* :func:`result_report` — the report on one driver result, listing
+  included; what an exec cell run with ``oracle=True`` records.  It is
+  the only verification a run gets: the drivers never check themselves,
+  and the oracle flag is part of the cell's cache key.
 """
 
-from .api import SweepEntry, SweepResult, verify_all, verify_result
+from .api import SweepEntry, SweepResult, result_report, verify_all, verify_result
 from .bankcheck import check_banks
-from .config import default_verify, resolve_verify, set_default_verify
 from .ddglint import lint_ddg
 from .diagnostics import RULES, Diagnostic, Report, Severity, VerificationError
 from .emitcheck import check_emitted
@@ -39,10 +42,8 @@ __all__ = [
     "check_banks",
     "check_emitted",
     "check_schedule",
-    "default_verify",
     "lint_ddg",
-    "resolve_verify",
-    "set_default_verify",
+    "result_report",
     "verify_all",
     "verify_result",
 ]

@@ -1,11 +1,13 @@
 """One-shot verification API and the corpus-sweep report.
 
 ``verify_all`` runs every applicable checker over the artifacts of one
-pipelined loop.  :class:`SweepResult` is the ``python -m repro verify``
-table: one row per (loop × pipeliner) exec cell, built from what each
-cell's oracle found — the trust anchor behind the paper's "both emit
-correct schedules under identical constraints" premise.  The cells run
-in :mod:`repro.exec`; nothing here calls a pipeliner.
+pipelined loop; ``result_report`` runs it over whatever one driver
+returned, the one verification a run gets (the exec oracle).
+:class:`SweepResult` is the ``python -m repro verify`` table: one row per
+(loop × pipeliner) exec cell, built from what each cell's oracle found —
+the trust anchor behind the paper's "both emit correct schedules under
+identical constraints" premise.  The cells run in :mod:`repro.exec`;
+nothing here calls a pipeliner.
 """
 
 from __future__ import annotations
@@ -68,23 +70,22 @@ def verify_result(result, emitted=None, machine=None) -> Report:
     )
 
 
-def enforce_verified(result, machine: Optional[MachineDescription] = None) -> None:
-    """Verify a successful pipeliner result, raising on ERROR diagnostics.
+def result_report(result, machine: Optional[MachineDescription] = None) -> Report:
+    """The independent report on one driver result, whatever it holds.
 
-    The hook behind the drivers' ``verify=`` option: emits the pipelined
-    code and runs every checker, raising :class:`VerificationError` if any
-    produced an ERROR.  Unsuccessful results are left alone — they carry
-    no artifact to verify.
+    A scheduled result is checked whole: schedule, allocation and, when
+    allocation succeeded, the emitted listing.  A result with nothing
+    scheduled still has its loop linted.  This is the exec oracle's
+    verification (``Cell.oracle``); the report is returned, never raised.
     """
     if not getattr(result, "success", False) or result.schedule is None:
-        return
-    from ..pipeline.emit import emit_pipelined_code
-
+        return verify_all(result.loop, machine=machine)
     emitted = None
     if result.allocation is not None and result.allocation.success:
+        from ..pipeline.emit import emit_pipelined_code
+
         emitted = emit_pipelined_code(result.schedule, result.allocation)
-    report = verify_result(result, emitted=emitted, machine=machine)
-    report.raise_if_errors()
+    return verify_result(result, emitted=emitted, machine=machine)
 
 
 # ----------------------------------------------------------------------

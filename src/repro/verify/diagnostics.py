@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class Severity(enum.Enum):
@@ -93,11 +93,15 @@ class Diagnostic:
 
 
 class VerificationError(ValueError):
-    """Raised when strict verification finds ERROR diagnostics."""
+    """Raised when strict verification finds ERROR diagnostics.
 
-    def __init__(self, report: "Report"):
+    ``message`` replaces the report's own rendering when the failure spans
+    more than one report (a strict experiment names every failed cell).
+    """
+
+    def __init__(self, report: "Report", message: Optional[str] = None):
         self.report = report
-        super().__init__(report.formatted())
+        super().__init__(report.formatted() if message is None else message)
 
 
 @dataclass

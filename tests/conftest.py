@@ -7,6 +7,8 @@ import pytest
 from repro.ir import LoopBuilder
 from repro.machine import r8000, single_issue, two_wide
 
+from . import verified_drivers
+
 
 def pytest_configure(config):
     # Registered in pyproject.toml too; repeated here so the marker exists
@@ -15,20 +17,9 @@ def pytest_configure(config):
         "markers",
         "fuzz: fuzzing-engine sessions (bounded; run with -m fuzz)",
     )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _verify_by_default():
-    """Cross-check every schedule the suite produces with repro.verify.
-
-    Any pipelined loop a test builds through the drivers is independently
-    verified; an ERROR diagnostic fails the test with VerificationError.
-    """
-    from repro.verify import set_default_verify
-
-    set_default_verify(True)
-    yield
-    set_default_verify(False)
+    # Before collection: every schedule a test produces through a driver
+    # is independently verified; an ERROR fails it with VerificationError.
+    verified_drivers.install()
 
 
 @pytest.fixture

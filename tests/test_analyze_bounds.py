@@ -152,7 +152,7 @@ class TestCraftedCircuit:
     def test_bound_is_tight(self, divpair, machine):
         """The scheduler achieves exactly the certified bound, spill-free."""
         loop, bounds = divpair
-        result = pipeline_loop(loop, machine, verify=False)
+        result = pipeline_loop(loop, machine)
         assert result.success
         assert result.spill_rounds == 0
         assert result.ii == bounds.refined_bound == 42

@@ -61,7 +61,6 @@ class TestBoundsVsProvedOptimal:
                 loop,
                 machine,
                 MostOptions(time_limit=2.0, engine="scipy"),
-                verify=False,
             )
             if not (result.success and result.optimal):
                 continue
@@ -87,10 +86,10 @@ class TestPruningIsOutcomeIdentical:
         pruned_effort = baseline_effort = 0
         for loop in recbound_kernels(machine):
             on = pipeline_loop(
-                loop, machine, PipelinerOptions(static_bounds=True), verify=False
+                loop, machine, PipelinerOptions(static_bounds=True)
             )
             off = pipeline_loop(
-                loop, machine, PipelinerOptions(static_bounds=False), verify=False
+                loop, machine, PipelinerOptions(static_bounds=False)
             )
             assert on.success == off.success, loop.name
             assert on.ii == off.ii, loop.name
@@ -130,7 +129,7 @@ class TestCircuitBreakerShortCircuit:
             return (cap if cap is not None else 0) + 1
 
         monkeypatch.setattr(bounds_mod, "schedulable_bound", sky_high)
-        result = pipeline_loop(loop, machine, verify=False)
+        result = pipeline_loop(loop, machine)
         assert not result.success
         assert result.schedule is None and result.allocation is None
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import re
@@ -90,7 +91,8 @@ class TestLoopMemo:
     @pytest.mark.parametrize("corpus, module, builder", CORPUS_BUILDERS)
     def test_every_key_of_a_corpus_costs_one_build(self, corpus, module, builder, machine,
                                                    monkeypatch):
-        keys = corpus_loop_keys(corpus, machine)
+        """Listing a corpus (alone or within ``all``) and resolving each of
+        its keys share one build."""
         workload = importlib.import_module(module)
         original = getattr(workload, builder)
         calls = []
@@ -102,10 +104,13 @@ class TestLoopMemo:
         monkeypatch.setattr(workload, builder, counting)
         clear_loop_memo()
         try:
+            keys = corpus_loop_keys(corpus, machine)
             loops = [resolve_loop(key, machine) for key in keys]
+            in_all = [k for k in corpus_loop_keys("all", machine) if k.startswith(f"{corpus}:")]
         finally:
             clear_loop_memo()
         assert len(calls) == 1
+        assert in_all == keys
         direct = _flat_loops(corpus, original(machine))
         assert [fingerprint_loop(loop) for loop in loops] == [
             fingerprint_loop(loop) for loop in direct
@@ -160,6 +165,30 @@ class TestHashing:
         assert cell_key(loop_fp, machine_fp, "sgi", "{}", (7,), 0, True, None) != base
         assert cell_key(loop_fp, machine_fp, "sgi", "{}", (), 1, True, None) != base
 
+    def test_every_cell_field_but_trace_dir_is_in_the_key(self):
+        """A field outside the key lets one cache entry answer two
+        different requests; ``trace_dir`` only says where a trace goes."""
+        flips = {
+            "loop": "livermore:lk03_inner",
+            "scheduler": "rau",
+            "options_json": '{"enable_membank":false}',
+            "trips": (10,),
+            "seed": 1,
+            "timeout": 5.0,
+            "simulate": False,
+            "trace": True,
+            "explain": True,
+            "oracle": True,
+            "analyze": True,
+        }
+        assert set(flips) == {f.name for f in dataclasses.fields(Cell)} - {"trace_dir"}
+        engine = ExecEngine()
+        base = Cell.make("livermore:lk01_hydro", "sgi")
+        base_key = engine.key_of(base)
+        for name, value in flips.items():
+            assert engine.key_of(dataclasses.replace(base, **{name: value})) != base_key, name
+        assert engine.key_of(dataclasses.replace(base, trace_dir="elsewhere")) == base_key
+
 
 class TestCache:
     def test_round_trip_and_stats(self, tmp_path):
@@ -182,7 +211,7 @@ class TestCache:
 class TestEngine:
     def test_inline_cell_execution(self, tmp_path):
         engine = ExecEngine(jobs=1, cache=ScheduleCache(tmp_path / "c"))
-        cell = Cell.make("livermore:lk12_firstdiff", "sgi", verify=False)
+        cell = Cell.make("livermore:lk12_firstdiff", "sgi")
         result = engine.run([cell])[cell]
         assert result.success and result.ii is not None
         assert result.ii >= result.min_ii
@@ -192,7 +221,7 @@ class TestEngine:
 
     def test_cache_hit_on_second_run(self, tmp_path):
         cache_dir = tmp_path / "c"
-        cell = Cell.make("livermore:lk12_firstdiff", "sgi", verify=False)
+        cell = Cell.make("livermore:lk12_firstdiff", "sgi")
         first = ExecEngine(jobs=1, cache=ScheduleCache(cache_dir)).run([cell])[cell]
         second_cache = ScheduleCache(cache_dir)
         second = ExecEngine(jobs=1, cache=second_cache).run([cell])[cell]
@@ -203,9 +232,9 @@ class TestEngine:
 
     def test_option_change_misses(self, tmp_path):
         cache = ScheduleCache(tmp_path / "c")
-        cell = Cell.make("livermore:lk12_firstdiff", "sgi", verify=False)
+        cell = Cell.make("livermore:lk12_firstdiff", "sgi")
         changed = Cell.make(
-            "livermore:lk12_firstdiff", "sgi", {"enable_membank": False}, verify=False
+            "livermore:lk12_firstdiff", "sgi", {"enable_membank": False}
         )
         ExecEngine(jobs=1, cache=cache).run([cell])
         ExecEngine(jobs=1, cache=cache).run([changed])
@@ -218,7 +247,7 @@ class TestEngine:
         LOOP_SOURCES["testsrc"] = lambda rest, m: build_sdot(m, trip_count=trip_count)
         try:
             cache = ScheduleCache(tmp_path / "c")
-            cell = Cell.make("testsrc:sdot", "sgi", verify=False)
+            cell = Cell.make("testsrc:sdot", "sgi")
             ExecEngine(jobs=1, cache=cache).run([cell])
             assert cache.stats.misses == 1
             # Same IR again (fresh engine, fresh memo): a hit.
@@ -243,7 +272,6 @@ class TestEngine:
             "most",
             {**MOST_OPTS, "_test_sleep": 30.0},
             timeout=0.3,
-            verify=False,
         )
         result = ExecEngine(jobs=1, cache=cache).run([cell])[cell]
         assert result.timeout and result.fallback
@@ -258,7 +286,7 @@ class TestEngine:
     def test_pool_matches_inline(self, tmp_path):
         """jobs=4 and jobs=1 must produce identical IIs and sim cycles."""
         cells = [
-            Cell.make(key, scheduler, MOST_OPTS if scheduler == "most" else None, verify=False)
+            Cell.make(key, scheduler, MOST_OPTS if scheduler == "most" else None)
             for key in ("livermore:lk12_firstdiff", "livermore:lk24_firstmin")
             for scheduler in ("sgi", "rau", "most")
         ]
@@ -277,9 +305,8 @@ class TestEngine:
                 "livermore:lk12_firstdiff",
                 "sgi",
                 {"_test_crash_once": str(marker)},
-                verify=False,
             ),
-            Cell.make("livermore:lk24_firstmin", "sgi", verify=False),
+            Cell.make("livermore:lk24_firstmin", "sgi"),
         ]
         results = ExecEngine(jobs=2).run(cells)
         crashy = results[cells[0]]
@@ -292,11 +319,11 @@ class TestEngine:
         """Two crashers among six bystanders: only the crashers run twice."""
         crashers = [
             Cell.make(key, "sgi", {"_test_crash_once": str(tmp_path / key[-6:])},
-                      simulate=False, verify=False)
+                      simulate=False)
             for key in ("livermore:lk12_firstdiff", "livermore:lk06_linrec")
         ]
         bystanders = [
-            Cell.make(f"livermore:{name}", "sgi", simulate=False, verify=False)
+            Cell.make(f"livermore:{name}", "sgi", simulate=False)
             for name in ("lk01_hydro", "lk03_inner", "lk05_tridiag", "lk07_eos",
                          "lk11_firstsum", "lk24_firstmin")
         ]
@@ -313,9 +340,9 @@ class TestEngine:
         deadline; the engine neither hangs nor retries it."""
         monkeypatch.setattr(pool_module, "GRACE", 1.5)
         wedged = Cell.make("livermore:lk12_firstdiff", "sgi", {"_test_wedge": 60},
-                           timeout=1.0, simulate=False, verify=False)
+                           timeout=1.0, simulate=False)
         others = [
-            Cell.make(f"livermore:{name}", "sgi", simulate=False, verify=False)
+            Cell.make(f"livermore:{name}", "sgi", simulate=False)
             for name in ("lk01_hydro", "lk03_inner", "lk07_eos")
         ]
         results = {}
@@ -339,7 +366,6 @@ class TestEngine:
             "livermore:lk12_firstdiff",
             "sgi",
             {"_test_crash_once": str(marker)},
-            verify=False,
         )
         result = ExecEngine(jobs=2, retries=0).run([cell])[cell]
         assert marker.exists()
@@ -348,20 +374,20 @@ class TestEngine:
 
     def test_error_results_are_not_cached(self, tmp_path):
         cache = ScheduleCache(tmp_path / "c")
-        cell = Cell.make("nonesuch:loop", "sgi", verify=False)
+        cell = Cell.make("nonesuch:loop", "sgi")
         result = ExecEngine(jobs=1, cache=cache).run([cell])[cell]
         assert result.error is not None
         assert cache.stats.stores == 0 and cache.entry_count() == 0
 
     def test_duplicate_cells_run_once(self, tmp_path):
         cache = ScheduleCache(tmp_path / "c")
-        cell = Cell.make("livermore:lk12_firstdiff", "sgi", verify=False)
+        cell = Cell.make("livermore:lk12_firstdiff", "sgi")
         results = ExecEngine(jobs=1, cache=cache).run([cell, cell, cell])
         assert len(results) == 1 and cache.stats.stores == 1
 
     def test_default_timeout_fills_only_unset_cells(self, tmp_path):
         engine = ExecEngine(jobs=1, default_timeout=60.0)
-        cell = Cell.make("livermore:lk12_firstdiff", "sgi", verify=False)
+        cell = Cell.make("livermore:lk12_firstdiff", "sgi")
         assert engine._effective(cell).timeout == 60.0
         assert engine._effective(cell.from_dict({**cell.to_dict(), "timeout": 5.0})).timeout == 5.0
 
@@ -371,7 +397,7 @@ class TestEngine:
         monkeypatch.setattr(runner, "_LOOP_FP_LIMIT", 2)
         engine = ExecEngine(jobs=1)
         cells = [
-            Cell.make(f"livermore:{name}", "sgi", verify=False)
+            Cell.make(f"livermore:{name}", "sgi")
             for name in ("lk01_hydro", "lk03_inner", "lk07_eos")
         ]
         keys = [engine.key_of(cell) for cell in cells]
@@ -385,8 +411,8 @@ class TestEngine:
             jobs=1, progress=lambda done, total, cell, result: seen.append((done, total))
         )
         cells = [
-            Cell.make("livermore:lk12_firstdiff", "sgi", verify=False),
-            Cell.make("livermore:lk24_firstmin", "sgi", verify=False),
+            Cell.make("livermore:lk12_firstdiff", "sgi"),
+            Cell.make("livermore:lk24_firstmin", "sgi"),
         ]
         engine.run(cells)
         assert seen == [(1, 2), (2, 2)]
@@ -403,7 +429,7 @@ class TestExecuteCell:
         assert result.cycles() > 0
 
     def test_extra_trip_counts_simulated(self):
-        cell = Cell.make("livermore:lk12_firstdiff", "sgi", trips=(10, 1000), verify=False)
+        cell = Cell.make("livermore:lk12_firstdiff", "sgi", trips=(10, 1000))
         result = CellResult.from_dict(execute_cell(cell.to_dict(), in_worker=False))
         assert set(result.sim_cycles) == {"default", "10", "1000"}
         assert result.cycles(10) < result.cycles(1000)

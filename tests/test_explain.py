@@ -47,7 +47,7 @@ def explain_cell(key, scheduler, options=None, **fields) -> IIExplanation:
     """Run one (loop × scheduler) exec cell with ``explain=True``, as
     ``repro explain`` does, and return its attribution."""
     cell = Cell.make(
-        key, scheduler, options, simulate=False, verify=False, explain=True, **fields
+        key, scheduler, options, simulate=False, explain=True, **fields
     )
     result = execute_cell(cell.to_dict(), in_worker=False)
     assert result["error"] is None, result["error"]
@@ -204,7 +204,7 @@ class TestBindingClassification:
     def test_exactly_one_class_per_cell(self):
         cells = corpus_cells(
             "livermore", ("sgi", "rau"), {"sgi": {}, "rau": {}}, limit=6,
-            simulate=False, verify=False, explain=True,
+            simulate=False, explain=True,
         )
         results = ExecEngine().run(cells)
         explanations = [IIExplanation.from_dict(results[c].explanation) for c in cells]

@@ -782,7 +782,7 @@ class TestClobberCheckVsScan:
 @functools.lru_cache(maxsize=None)
 def _corpus_results():
     """SGI's result for every corpus loop, scheduled once per session."""
-    return tuple(pipeline_loop(loop, MACHINE, verify=False) for loop in _corpus())
+    return tuple(pipeline_loop(loop, MACHINE) for loop in _corpus())
 
 
 def _generated_schedules():
@@ -1200,7 +1200,7 @@ class TestBankRepairSkipVsEveryForm:
             return reference
 
         monkeypatch.setattr(driver, "_repair_bank_grouping", both)
-        reference = [pipeline_loop(loop, MACHINE, verify=False) for loop in _corpus()]
+        reference = [pipeline_loop(loop, MACHINE) for loop in _corpus()]
         for new, old in zip(_corpus_results(), reference):
             assert _outcome(new) == _outcome(old), new.loop.name
         assert calls["fast"] < calls["reference"]  # repeated schedules were skipped

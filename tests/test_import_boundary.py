@@ -77,7 +77,7 @@ def test_sgi_and_cp_cells_never_load_numpy_or_scipy():
             return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 
         def run(scheduler, options):
-            cell = Cell.make("livermore:lk01_hydro", scheduler, options, verify=True,
+            cell = Cell.make("livermore:lk01_hydro", scheduler, options,
                              oracle=True, analyze=True)
             result = execute_cell(cell.to_dict(), in_worker=False)
             return result["error"], result["ii"]

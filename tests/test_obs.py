@@ -299,7 +299,7 @@ class TestExecTraceIntegration:
         from repro.exec.runner import execute_cell
 
         cell = Cell.make(
-            "livermore:lk03_inner", "sgi", simulate=False, verify=False,
+            "livermore:lk03_inner", "sgi", simulate=False,
             trace=True, trace_dir=str(tmp_path),
         )
         payload = execute_cell(cell.to_dict(), in_worker=False)
@@ -318,7 +318,7 @@ class TestExecTraceIntegration:
         from repro.exec.runner import execute_cell
 
         cell = Cell.make(
-            "livermore:lk03_inner", "sgi", simulate=False, verify=False,
+            "livermore:lk03_inner", "sgi", simulate=False,
         )
         payload = execute_cell(cell.to_dict(), in_worker=False)
         assert payload["error"] is None
@@ -360,7 +360,7 @@ class TestExecTraceIntegration:
 
         for scheduler in ("sgi", "rau"):
             cell = Cell.make(
-                "livermore:lk03_inner", scheduler, simulate=False, verify=False,
+                "livermore:lk03_inner", scheduler, simulate=False,
                 trace=True, trace_dir=str(tmp_path),
             )
             execute_cell(cell.to_dict(), in_worker=False)

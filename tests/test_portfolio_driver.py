@@ -70,7 +70,7 @@ class TestExecIntegration:
             "livermore:lk01_hydro",
             "portfolio",
             {"time_limit": 5.0, "cross_check": True, "max_nodes": 20_000},
-            seed=0, timeout=30.0, simulate=False, verify=True,
+            seed=0, timeout=30.0, simulate=False, oracle=True,
         )
         payload = execute_cell(cell.to_dict(), in_worker=False)
         res = CellResult.from_dict(payload)
@@ -79,7 +79,7 @@ class TestExecIntegration:
         assert res.optimal
         assert set(res.backend_seconds) == {"cp", "ilp"}
         assert res.backend_probes
-        assert res.verify_errors == []
+        assert res.verify_errors == [] and res.funcsim_ok is True
         # Round-trip again: the backend payload survives serialisation.
         again = CellResult.from_dict(res.to_dict())
         assert again.backend_seconds == res.backend_seconds
@@ -88,7 +88,7 @@ class TestExecIntegration:
     def test_bad_options_surface_as_cell_error(self):
         cell = Cell.make(
             "livermore:lk01_hydro", "portfolio", {"backends": "nope"},
-            seed=0, timeout=30.0, simulate=False, verify=False,
+            seed=0, timeout=30.0, simulate=False,
         )
         payload = execute_cell(cell.to_dict(), in_worker=False)
         res = CellResult.from_dict(payload)

@@ -81,7 +81,8 @@ def test_parse_line_rejects_garbage():
         {"trips": "many"},
         {"seed": 1.5},
         {"simulate": "yes"},
-        {"verify": 1},
+        {"verify": True},                    # unknown field: "oracle" verifies
+        {"trace": True},                     # unknown field: nothing reads it
         {"frobnicate": True},                # unknown field
     ],
 )
@@ -91,6 +92,14 @@ def test_parse_schedule_request_rejects(mutation):
     payload = {k: v for k, v in payload.items() if v is not None or k in mutation}
     with pytest.raises(ProtocolError):
         parse_schedule_request(payload)
+
+
+@pytest.mark.parametrize("name", ["verify", "trace"])
+def test_fields_no_request_reads_are_refused_by_name(name):
+    payload = {"id": "r1", "op": "schedule", "loop": LOOP, "scheduler": "sgi", name: True}
+    with pytest.raises(ProtocolError, match=f"unknown request fields: {name}") as exc:
+        parse_schedule_request(payload)
+    assert exc.value.code == "bad-request"
 
 
 def test_parse_schedule_request_rejects_options_the_scheduler_rejects():
@@ -144,7 +153,7 @@ def test_deadline_off_main_thread_is_an_error_cell():
     refused with an error naming the cause instead of running unguarded."""
     spec = Cell.make(
         LOOP, "sgi", {"_test_sleep": 30.0}, timeout=0.3,
-        simulate=False, verify=False,
+        simulate=False,
     ).to_dict()
     box = {}
     thread = threading.Thread(
@@ -166,9 +175,9 @@ def test_pool_watchdog_kills_and_respawns_a_wedged_worker(monkeypatch):
     monkeypatch.setattr(pool_module, "GRACE", 0.5)
     spec = Cell.make(
         LOOP, "sgi", {"_test_wedge": 30}, timeout=0.5,
-        simulate=False, verify=False,
+        simulate=False,
     ).to_dict()
-    healthy = Cell.make(LOOP, "sgi", simulate=False, verify=False).to_dict()
+    healthy = Cell.make(LOOP, "sgi", simulate=False).to_dict()
 
     async def scenario():
         pool = WorkerPool(jobs=1)
@@ -190,7 +199,7 @@ def test_pool_watchdog_kills_and_respawns_a_wedged_worker(monkeypatch):
 def test_pool_respawns_a_crashed_worker(tmp_path):
     marker = str(tmp_path / "crashed")
     spec = Cell.make(
-        LOOP, "sgi", {"_test_crash_once": marker}, simulate=False, verify=False,
+        LOOP, "sgi", {"_test_crash_once": marker}, simulate=False,
     ).to_dict()
 
     async def scenario():

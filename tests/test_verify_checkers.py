@@ -37,7 +37,7 @@ pytestmark = pytest.mark.verify
 @pytest.fixture
 def pipelined(machine):
     """A clean daxpy pipeline: loop, schedule, allocation, emitted code."""
-    res = pipeline_loop(build_daxpy(machine), machine, verify=False)
+    res = pipeline_loop(build_daxpy(machine), machine)
     assert res.success
     emitted = emit_pipelined_code(res.schedule, res.allocation)
     return res, emitted
@@ -105,7 +105,7 @@ class TestScheduleChecker:
         """SCHED003: an arc-less op vanishing from the schedule is caught by
         the checker-backed validation, which walks the full op range."""
         loop = build_with_dead_load(machine)
-        res = pipeline_loop(loop, machine, verify=False)
+        res = pipeline_loop(loop, machine)
         assert res.success
         sched = res.schedule
         dead = next(
@@ -121,7 +121,7 @@ class TestScheduleChecker:
 
     def test_resource_overflow_reports_all_contributors(self, tiny_machine):
         loop = build_daxpy(tiny_machine)
-        res = pipeline_loop(loop, tiny_machine, verify=False)
+        res = pipeline_loop(loop, tiny_machine)
         assert res.success
         times = dict(res.schedule.times)
         a, b = loop.ops[0].index, loop.ops[1].index  # the two loads
@@ -135,7 +135,7 @@ class TestScheduleChecker:
         loop = build_daxpy(tiny_machine)
         mii = min_ii(loop, tiny_machine)
         assert mii > 1
-        res = pipeline_loop(loop, tiny_machine, verify=False)
+        res = pipeline_loop(loop, tiny_machine)
         report = check_schedule(loop, tiny_machine, mii - 1, res.schedule.times)
         assert "SCHED004" in report.rules_hit()
 
@@ -274,18 +274,3 @@ class TestBankChecker:
         risky = report.by_rule("BANK002")
         assert risky
         assert all(d.severity is Severity.WARNING for d in risky)
-
-
-class TestDriverIntegration:
-    def test_verify_option_raises_on_corrupt_ddg(self, machine):
-        loop = build_daxpy(machine)
-        object.__setattr__(loop.ddg.arcs[0], "latency", -2)
-        with pytest.raises(VerificationError) as exc:
-            pipeline_loop(loop, machine, verify=True)
-        assert "DDG002" in str(exc.value)
-
-    def test_verify_off_is_silent(self, machine):
-        loop = build_daxpy(machine)
-        object.__setattr__(loop.ddg.arcs[0], "latency", -2)
-        res = pipeline_loop(loop, machine, verify=False)
-        assert res.success

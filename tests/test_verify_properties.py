@@ -28,7 +28,7 @@ _SETTINGS = settings(
 
 
 def _pipeline(build, machine):
-    res = pipeline_loop(build(machine), machine, verify=False)
+    res = pipeline_loop(build(machine), machine)
     assert res.success
     return res
 
