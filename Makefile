@@ -209,5 +209,5 @@ e2e-smoke:
 
 # Everything CI runs, in CI's order.
 ci: lint test verify-corpus analyze bench-quick trace-smoke explain-smoke report-smoke strict-smoke \
-	diff-strict portfolio-smoke bench-micro fuzz-smoke serve-smoke trend \
+	diff-strict portfolio-smoke bench-micro bench-tests fuzz-smoke serve-smoke trend \
 	e2e-smoke

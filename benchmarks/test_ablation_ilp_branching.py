@@ -10,6 +10,7 @@ from repro.ilp import SolverOptions, solve_milp
 from repro.ir import LoopBuilder
 from repro.machine import r8000
 from repro.most import build_formulation
+from repro.portfolio import build_modulo_formulation
 
 from .conftest import OUTPUT_DIR, run_once
 
@@ -39,7 +40,7 @@ def test_ablation_ilp_branching(benchmark, record_artifact):
         for pairs in (3, 4, 5):
             loop = _reduction_loop(machine, pairs)
             ii = min_ii(loop, machine)
-            formulation = build_formulation(loop, machine, ii)
+            formulation = build_formulation(build_modulo_formulation(loop, machine, ii))
             order = next(iter(production_orders(loop, machine).values()))
             guided = solve_milp(
                 formulation.model,
@@ -49,7 +50,7 @@ def test_ablation_ilp_branching(benchmark, record_artifact):
                     branch_up_first=True,
                 ),
             )
-            formulation2 = build_formulation(loop, machine, ii)
+            formulation2 = build_formulation(build_modulo_formulation(loop, machine, ii))
             unguided = solve_milp(
                 formulation2.model,
                 SolverOptions(engine="bnb", time_limit=20, first_solution=True),

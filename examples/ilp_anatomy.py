@@ -17,6 +17,7 @@ import time
 from repro import Schedule, allocate_schedule, livermore_kernel, min_ii, pipeline_loop, r8000
 from repro.ilp import SolverOptions, Status, solve_milp
 from repro.most import MostOptions, build_formulation, most_pipeline_loop
+from repro.portfolio import build_modulo_formulation
 
 
 def main() -> None:
@@ -33,7 +34,7 @@ def main() -> None:
     times = None
     winning_ii = None
     for ii in range(max(1, mii - 2), mii + 2):
-        formulation = build_formulation(loop, machine, ii)
+        formulation = build_formulation(build_modulo_formulation(loop, machine, ii))
         if formulation.infeasible:
             print(f"  II={ii}: infeasible (dependence windows collapse)")
             continue
@@ -57,8 +58,8 @@ def main() -> None:
     # 2. Buffer minimisation at the winning II.
     # ------------------------------------------------------------------
     formulation = build_formulation(
-        loop, machine, winning_ii, minimize_buffers=True,
-        buffer_cutoff=schedule.buffer_count(),
+        build_modulo_formulation(loop, machine, winning_ii), "buffers",
+        cutoff=schedule.buffer_count(),
     )
     result = solve_milp(formulation.model, SolverOptions(engine="scipy", time_limit=30))
     best = Schedule(

@@ -8,7 +8,10 @@ Two software pipeliners with identical goals:
   two-phase binary II search, spilling, memory-bank pairing);
 * :func:`most_pipeline_loop` — the McGill MOST-style optimal pipeliner
   (time-indexed integer linear programming with buffer minimisation,
-  time limits, and a heuristic fallback).
+  time limits, and a heuristic fallback).  It is the one optimal driver
+  (:func:`repro.most.walk.optimal_pipeline_loop`) under MOST's default
+  set, :class:`MostOptions`; the backend portfolio
+  (:mod:`repro.portfolio`) is the same driver under another.
 
 Plus everything both need: a loop IR with a builder DSL, an R8000 machine
 model with its two-banked streaming cache, modulo renaming and

@@ -5,7 +5,8 @@ unchanged: the loop IR, the machine description, the pipeliner options and
 the scheduling code itself.  Each of those gets a canonical JSON rendering
 hashed with SHA-256; the cell key combines them, so any drift — an edited
 kernel, a latency tweak, a new pruning rule — silently invalidates exactly
-the affected entries and nothing else.
+the affected entries and nothing else.  An oracle cell also carries the
+checkers' verdict, so its key covers the ``verify`` sources as well.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ import hashlib
 import json
 import pathlib
 from functools import lru_cache
-from typing import Any
+from typing import Any, Iterable
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
 
+#: The ``repro`` package directory every source digest is taken under.
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 # Subpackages whose source participates in scheduling or simulation; editing
-# any of them invalidates every cache entry.  ``exec`` itself, ``eval`` and
-# ``verify`` are deliberately excluded: they orchestrate and check results
-# but never change them.
+# any of them invalidates every cache entry.  ``exec`` itself and ``eval``
+# are deliberately excluded: they orchestrate results but never change
+# them.  ``verify`` checks them: it is in the key of oracle cells only.
 _RESULT_BEARING = (
     "ir",
     "machine",
@@ -38,6 +42,9 @@ _RESULT_BEARING = (
     "workloads",
     "analyze",
 )
+#: Top-level modules that shape results: the registry picks each
+#: scheduler's options class and presets.
+_RESULT_BEARING_FILES = ("schedulers.py",)
 
 
 def _sha256(payload: Any) -> str:
@@ -103,6 +110,14 @@ def fingerprint_machine(machine: MachineDescription) -> str:
     )
 
 
+def _source_digest(root: pathlib.Path, paths: Iterable[pathlib.Path]) -> str:
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 @lru_cache(maxsize=1)
 def code_version() -> str:
     """Hash of every result-bearing source file in the ``repro`` package.
@@ -110,13 +125,15 @@ def code_version() -> str:
     Computed once per process; any edit to scheduling, allocation or
     simulation code changes the version and therefore every cache key.
     """
-    root = pathlib.Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    for sub in _RESULT_BEARING:
-        for path in sorted((root / sub).glob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
+    paths = [path for sub in _RESULT_BEARING for path in sorted((_ROOT / sub).glob("*.py"))]
+    return _source_digest(_ROOT, paths + [_ROOT / name for name in _RESULT_BEARING_FILES])
+
+
+@lru_cache(maxsize=1)
+def checker_version(root: pathlib.Path = _ROOT) -> str:
+    """Hash of the ``verify`` sources under ``root`` (a ``repro`` package
+    directory): the checkers whose verdict an oracle cell carries."""
+    return _source_digest(root, sorted((root / "verify").glob("*.py")))
 
 
 def cell_key(
@@ -142,22 +159,25 @@ def cell_key(
     a binding-constraint attribution payload.  So does ``oracle``: oracle
     results carry independent-verification and functional-sim verdicts.
     ``analyze`` likewise: analyzed results carry the certified refined II
-    lower bound.
+    lower bound.  An oracle cell's key also covers the checkers'
+    sources (:func:`checker_version`), so a checker edit re-runs exactly the
+    oracle cells.
     """
-    return _sha256(
-        {
-            "loop": loop_fingerprint,
-            "machine": machine_fingerprint,
-            "scheduler": scheduler,
-            "options": options_json,
-            "trips": list(trips),
-            "seed": seed,
-            "simulate": simulate,
-            "timeout": timeout,
-            "trace": trace,
-            "explain": explain,
-            "oracle": oracle,
-            "analyze": analyze,
-            "code": code_version(),
-        }
-    )
+    payload = {
+        "loop": loop_fingerprint,
+        "machine": machine_fingerprint,
+        "scheduler": scheduler,
+        "options": options_json,
+        "trips": list(trips),
+        "seed": seed,
+        "simulate": simulate,
+        "timeout": timeout,
+        "trace": trace,
+        "explain": explain,
+        "oracle": oracle,
+        "analyze": analyze,
+        "code": code_version(),
+    }
+    if oracle:
+        payload["checkers"] = checker_version()
+    return _sha256(payload)

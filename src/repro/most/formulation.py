@@ -34,20 +34,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..ilp.model import Model, Sense, Var
-from ..ir.loop import Loop
-from ..machine.descriptions import MachineDescription
-from ..portfolio.formulation import (
-    ModuloFormulation,
-    build_modulo_formulation,
-    default_horizon_stages,
-)
+from ..portfolio.formulation import ModuloFormulation, default_horizon_stages
 
 __all__ = [
+    "OBJECTIVES",
     "ScheduleFormulation",
     "build_formulation",
     "default_horizon_stages",
-    "model_from_formulation",
 ]
+
+#: The secondary objectives an encoding can minimise: buffers (§3.3) or,
+#: as the extension of §5, the stage count that loop overhead scales
+#: with.  None is stage 1's plain resource-constrained model.
+OBJECTIVES = (None, "buffers", "overhead")
 
 
 @dataclass
@@ -55,7 +54,6 @@ class ScheduleFormulation:
     """An ILP model plus the bookkeeping to decode its solutions."""
 
     model: Model
-    loop: Loop
     neutral: ModuloFormulation  # what this model encodes (witness checks, re-encodes)
     ii: int
     horizon: int
@@ -77,7 +75,7 @@ class ScheduleFormulation:
         for (op, t), var in self.assign.items():
             if result.value(var) > 0.5:
                 times[op] = t
-        missing = set(range(self.loop.n_ops)) - set(times)
+        missing = set(range(self.neutral.n_ops)) - set(times)
         if missing:
             raise ValueError(f"solution does not place ops {sorted(missing)}")
         return times
@@ -93,22 +91,30 @@ class ScheduleFormulation:
         return priority
 
 
-def model_from_formulation(
+def build_formulation(
     neutral: ModuloFormulation,
-    loop: Loop,
-    minimize_buffers: bool = False,
-    buffer_cutoff: Optional[int] = None,
-    minimize_overhead: bool = False,
-    overhead_cutoff: Optional[int] = None,
+    objective: Optional[str] = None,
+    cutoff: Optional[int] = None,
 ) -> ScheduleFormulation:
     """Encode one neutral formulation as the time-indexed ILP.
 
+    With no ``objective`` the model is the resource-constrained stage 1:
+    a feasibility question whose compactness objective only helps the
+    search.  ``"buffers"`` reproduces MOST's adjusted objective (§3.3);
+    ``"overhead"`` implements the paper's closing suggestion — "an ILP
+    formulation ... that optimizes loop overhead more directly than by
+    optimizing register usage" (§5) — by minimising the pipeline's stage
+    count ``S >= (sigma_i + 1) / II``, which is what fill/drain cost scales
+    with.  ``cutoff`` bounds that objective from above, a sound bound from
+    an already-known feasible schedule and a large help to the
+    branch-and-bound.
+
     Variable and constraint order follow the neutral object's op, window
-    and arc order exactly, which themselves follow the loop's DDG — so
-    this refactor is bit-identical to the historical inline builder (the
-    branch-and-bound explores the same tree and returns the same
-    schedules).
+    and arc order exactly, which themselves follow the loop's DDG, so the
+    branch-and-bound explores the same tree on every call.
     """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r} (known: {OBJECTIVES})")
     ii = neutral.ii
     stages = neutral.stages
     horizon = neutral.horizon
@@ -116,7 +122,7 @@ def model_from_formulation(
 
     if neutral.infeasible:
         return ScheduleFormulation(
-            model=model, loop=loop, neutral=neutral, ii=ii, horizon=horizon, assign={}
+            model=model, neutral=neutral, ii=ii, horizon=horizon, assign={}
         )
     windows = neutral.windows
 
@@ -176,7 +182,7 @@ def model_from_formulation(
                 name=f"res[{resource}@{slot}]",
             )
 
-    def lifetime_tiebreak(objective: Dict[Var, float]) -> None:
+    def lifetime_tiebreak(costs: Dict[Var, float]) -> None:
         """Add a < 1-total lifetime term: prefer register-friendly optima."""
         flow_arcs = [
             arc for arc in neutral.flow_value_arcs() if arc.src != arc.dst
@@ -187,13 +193,13 @@ def model_from_formulation(
         for arc in flow_arcs:
             for t in domain(arc.dst):
                 var = assign[(arc.dst, t)]
-                objective[var] = objective.get(var, 0.0) + epsilon * t
+                costs[var] = costs.get(var, 0.0) + epsilon * t
             for t in domain(arc.src):
                 var = assign[(arc.src, t)]
-                objective[var] = objective.get(var, 0.0) - epsilon * t
+                costs[var] = costs.get(var, 0.0) - epsilon * t
 
     buffers: Dict[str, Var] = {}
-    if minimize_overhead:
+    if objective == "overhead":
         # S >= (sigma_i + 1) / II for every op; minimise S (the number of
         # pipestages), i.e. the fill/drain ramp of Section 4.6.
         s_var = model.add_var("stages", lb=1.0, ub=float(stages), integer=True)
@@ -203,16 +209,16 @@ def model_from_formulation(
                 var = assign[(op, t)]
                 coeffs[var] = coeffs.get(var, 0.0) - t
             model.add_constraint(coeffs, Sense.GE, 1.0, name=f"stage[{op}]")
-        if overhead_cutoff is not None:
-            model.add_constraint({s_var: 1.0}, Sense.LE, float(overhead_cutoff))
-        objective: Dict[Var, float] = {s_var: 1.0}
-        lifetime_tiebreak(objective)
-        model.set_objective(objective, minimize=True)
+        if cutoff is not None:
+            model.add_constraint({s_var: 1.0}, Sense.LE, float(cutoff))
+        costs: Dict[Var, float] = {s_var: 1.0}
+        lifetime_tiebreak(costs)
+        model.set_objective(costs, minimize=True)
         return ScheduleFormulation(
-            model=model, loop=loop, neutral=neutral, ii=ii, horizon=horizon,
+            model=model, neutral=neutral, ii=ii, horizon=horizon,
             assign=assign, buffers={},
         )
-    if minimize_buffers:
+    if objective == "buffers":
         # One buffer count per value: II * b_v >= sigma_j - sigma_i + II*omega
         # for every consumer j of the value.
         for arc in neutral.arcs:
@@ -241,61 +247,27 @@ def model_from_formulation(
                 float(ii * arc.omega),
                 name=f"buf[{arc.value}<-{arc.dst}]",
             )
-        if buffer_cutoff is not None and buffers:
+        if cutoff is not None and buffers:
             model.add_constraint(
                 {b: 1.0 for b in buffers.values()},
                 Sense.LE,
-                float(buffer_cutoff),
+                float(cutoff),
                 name="buffer-cutoff",
             )
         # Primary objective: total buffers.  Secondary (lexicographic via a
         # weight too small to trade against one buffer): total lifetime —
         # among buffer-optimal schedules prefer the register-friendly ones
         # rather than ones that stretch every value to exactly II cycles.
-        objective: Dict[Var, float] = {b: 1.0 for b in buffers.values()}
-        lifetime_tiebreak(objective)
-        model.set_objective(objective, minimize=True)
+        costs = {b: 1.0 for b in buffers.values()}
+        lifetime_tiebreak(costs)
+        model.set_objective(costs, minimize=True)
     else:
         # Resource-constrained stage: compact schedules help the search and
         # shorten lifetimes without constraining feasibility.
-        objective: Dict[Var, float] = {}
-        for (op, t), var in assign.items():
-            objective[var] = float(t)
-        model.set_objective(objective, minimize=True)
+        model.set_objective({var: float(t) for (_, t), var in assign.items()}, minimize=True)
 
     return ScheduleFormulation(
-        model=model, loop=loop, neutral=neutral, ii=ii, horizon=horizon,
+        model=model, neutral=neutral, ii=ii, horizon=horizon,
         assign=assign, buffers=buffers,
     )
 
-
-def build_formulation(
-    loop: Loop,
-    machine: MachineDescription,
-    ii: int,
-    stages: Optional[int] = None,
-    minimize_buffers: bool = False,
-    buffer_cutoff: Optional[int] = None,
-    minimize_overhead: bool = False,
-    overhead_cutoff: Optional[int] = None,
-) -> ScheduleFormulation:
-    """Build the modulo scheduling ILP, with an optional secondary objective.
-
-    ``minimize_buffers`` reproduces MOST's adjusted objective (§3.3);
-    ``minimize_overhead`` implements the paper's closing suggestion — "an
-    ILP formulation ... that optimizes loop overhead more directly than by
-    optimizing register usage" (§5) — by minimising the pipeline's stage
-    count ``S >= (sigma_i + 1) / II``, which is what fill/drain cost scales
-    with.  ``buffer_cutoff``/``overhead_cutoff`` add sound upper bounds
-    from an already-known feasible schedule, a large help to the
-    branch-and-bound.
-    """
-    neutral = build_modulo_formulation(loop, machine, ii, stages=stages)
-    return model_from_formulation(
-        neutral,
-        loop,
-        minimize_buffers=minimize_buffers,
-        buffer_cutoff=buffer_cutoff,
-        minimize_overhead=minimize_overhead,
-        overhead_cutoff=overhead_cutoff,
-    )

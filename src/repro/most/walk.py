@@ -1,16 +1,22 @@
-"""The II walk and the per-II probe both optimal drivers share (§3.3, §4.4).
+"""The one optimal driver: II walk, per-II probe and stage 2 (§3.3, §4.4).
 
-MOST and the backend portfolio ask one question per (loop, II), and
-:func:`probe_ii` asks it for both: a list of entries (a backend bound to
-this II's formulation) run in order under the loop's one
-:class:`SolveBudget`, every answer charged, recorded and its witness
-re-checked.  The portfolio's entries are its backends; MOST's are the ILP
-once per SGI production order.  Around the probe, once: IIs from MinII to
-``ii_cap_factor * MinII``; the window-collapse screen; II-optimality
-proven when every smaller II was proven infeasible; a register-allocation
-failure walks on (a larger II shortens relative lifetimes); an
-empty-handed walk falls back on the SGI heuristic without bank pairing.
-A driver supplies only its per-II step.
+MOST and the backend portfolio are one driver, :func:`optimal_pipeline_loop`,
+run under two default sets (:class:`~repro.most.scheduler.MostOptions`,
+:class:`~repro.portfolio.driver.PortfolioOptions`) of one options class,
+:class:`OptimalOptions`.  Per (loop, II), :func:`probe_ii` asks one
+question of a list of entries (a backend bound to this II's neutral
+formulation) in order under the loop's one :class:`SolveBudget`, every
+answer charged, recorded and its witness re-checked.  The entries are the
+requested backends in race order; the ``ilp`` backend contributes one entry
+per branch order (every SGI production order for MOST, the first one for
+the portfolio, one unordered entry without priority branching), all over
+one encoding of the II.  Around the probe, :func:`walk_ii` runs once: IIs
+from MinII to ``ii_cap_factor * MinII``; the window-collapse screen;
+II-optimality proven when every smaller II was proven infeasible; a
+register-allocation failure walks on (a larger II shortens relative
+lifetimes); an empty-handed walk falls back on the SGI heuristic without
+bank pairing.  When the options name a secondary objective, stage 2
+re-solves the winning II with the ILP, starting from the winner's times.
 The walk owns the probe trail: every screen and every probe lands in
 ``OptimalResult.probes``, and the winning sat probe of each II reached
 carries that schedule's allocation outcome.
@@ -18,24 +24,32 @@ carries that schedule's allocation outcome.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.driver import (
     FALLBACK_OPTIONS,
     PipelineResult,
     PipelinerOptions,
+    options_from_mapping,
     pipeline_loop,
 )
 from ..core.minii import min_ii as compute_min_ii
+from ..core.priorities import production_orders
 from ..core.sched import Schedule
+from ..ilp.model import ENGINES
 from ..ir.loop import Loop
-from ..machine.descriptions import MachineDescription
+from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
-from ..portfolio.answer import SAT, UNSAT, BackendAnswer, ProbeRecord
-from ..portfolio.formulation import ModuloFormulation, check_witness
+from ..portfolio.answer import SAT, UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
+from ..portfolio.cp import solve_cp
+from ..portfolio.formulation import ModuloFormulation, build_modulo_formulation, check_witness
+from ..portfolio.ilp_backend import load_ilp_solver, solve_ilp
+from ..portfolio.smt import smt_available, solve_smt
 from ..regalloc.coloring import AllocationResult, allocate_schedule
+from .formulation import OBJECTIVES, build_formulation
 
 #: The study's limit on searches for optimal schedules ("we used 3
 #: minutes").  This is the *single* definition of the paper's budget;
@@ -129,9 +143,9 @@ class OptimalResult:
     fallback_used: bool = False
     fallback_result: Optional[PipelineResult] = None
     stats: SolveStats = field(default_factory=SolveStats)
-    buffers: Optional[int] = None  # MOST: buffer objective value, when minimised
+    buffers: Optional[int] = None  # the secondary objective value, when minimised
     winning_backend: str = ""  # the backend whose witness was used
-    skipped_backends: Tuple[str, ...] = ()  # portfolio: requested but unavailable
+    skipped_backends: Tuple[str, ...] = ()  # requested but not runnable here
     probes: List[ProbeRecord] = field(default_factory=list)  # the probe trail
     disagreements: List[str] = field(default_factory=list)
 
@@ -146,9 +160,86 @@ class OptimalResult:
         return fallback.spill_rounds if fallback is not None else 0
 
 
+#: Backends every build of this repo can run.  ``smt`` joins the set only
+#: when ``z3-solver`` is importable — requesting it without z3 is a clean
+#: skip (recorded in the result), not an error, so one options dict works
+#: on machines with and without the optional dependency.
+KNOWN_BACKENDS = ("cp", "ilp", "smt")
+
+
+def _runnable(name: str) -> bool:
+    return name != "smt" or smt_available()
+
+
+def available_backend_names() -> Tuple[str, ...]:
+    """The backends runnable in this environment, in race order."""
+    return tuple(filter(_runnable, KNOWN_BACKENDS))
+
+
+@dataclass
+class OptimalOptions:
+    """Configuration of the optimal pipeliner.
+
+    The class defaults are MOST's (§3.3); the portfolio is the same driver
+    under its own default set
+    (:class:`~repro.portfolio.driver.PortfolioOptions`).
+    """
+
+    # Per-loop search budget, shared by every backend at every II; the
+    # paper's three minutes (experiment configurations pass their own,
+    # much smaller, value).
+    time_limit: float = PAPER_TIME_LIMIT
+    # Comma-separated race order of the probe's backends.
+    backends: str = "ilp"
+    # Query every backend at every II (instead of stopping at the first
+    # definitive answer) and record the full probe trail — the agreement
+    # oracle's mode.  Costs roughly a factor of len(backends).
+    cross_check: bool = False
+    # Stage 2 re-solves the winning II for "buffers" (§3.3) or "overhead",
+    # the stage count the paper's conclusions propose as future work (§5);
+    # None keeps stage 1's schedule.
+    objective: Optional[str] = "buffers"
+    integrated: bool = False  # ILP entries minimise buffers in one solve (§3.3 adj. 1)
+    engine: str = "bnb"  # the ILP's engine: "bnb" (ours) or "scipy" (HiGHS)
+    priority_branching: bool = True  # the ILP branches on SGI orders (§3.3 adj. 3)
+    branch_orders: Optional[int] = None  # that many production orders, in turn (None: all)
+    max_ops: int = 80  # loops beyond this go straight to the fallback
+    ii_cap_factor: int = 2
+    stages: Optional[int] = None
+    fallback: bool = True  # use the heuristic pipeliner as backup
+    max_nodes: int = 200_000  # deterministic per-solve budget (cp + ilp)
+
+    def __post_init__(self) -> None:
+        self.backend_names()
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r} (known: {', '.join(ENGINES)})")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r} (known: {OBJECTIVES})")
+        if self.branch_orders is not None and self.branch_orders < 1:
+            raise ValueError(f"branch_orders must be at least 1, not {self.branch_orders}")
+
+    def backend_names(self) -> List[str]:
+        """The requested backends, in race order."""
+        names = [name.strip() for name in self.backends.split(",") if name.strip()]
+        unknown = sorted(set(names) - set(KNOWN_BACKENDS))
+        if unknown:
+            raise ValueError(
+                f"unknown portfolio backends: {', '.join(unknown)} "
+                f"(known: {', '.join(KNOWN_BACKENDS)})"
+            )
+        if not names:
+            raise ValueError("an optimal driver needs at least one backend")
+        return names
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "OptimalOptions":
+        """Build options from a JSON-style mapping (the repro.exec cell form)."""
+        return options_from_mapping(cls, data)
+
+
 #: A per-II step's verdict that its II is proven infeasible.  ``None`` means
 #: inconclusive; a found schedule comes back as ``(schedule, fields)``, the
-#: fields being driver-specific :class:`OptimalResult` attributes.
+#: fields being the :class:`OptimalResult` attributes the II's step set.
 INFEASIBLE = "infeasible"
 Verdict = Union[None, str, Tuple[Schedule, Dict[str, Any]]]
 
@@ -247,23 +338,18 @@ def probe_ii(
 def walk_ii(
     loop: Loop,
     machine: MachineDescription,
-    options: Any,
+    options: OptimalOptions,
+    solve: Callable[[ModuloFormulation, SolveBudget, SolveStats, List[ProbeRecord]], Verdict],
     *,
     tag: str,
-    formulate: Callable[[int], Any],
-    solve: Callable[[Any, SolveBudget, SolveStats, List[ProbeRecord]], Verdict],
     search: bool = True,
-    **fields: Any,
 ) -> OptimalResult:
-    """Walk the II range with one driver's per-II step; fall back if needed.
+    """Walk the II range with the per-II step ``solve``; fall back if needed.
 
-    ``options`` supplies ``time_limit``, ``max_ops``, ``ii_cap_factor`` and
-    ``fallback``.  ``formulate(ii)`` returns a formulation with an
-    ``infeasible`` flag (and ``infeasible_reason``) that
-    ``solve(formulation, budget, stats, probes)`` decides, appending its
-    probes to the walk's trail.  ``tag`` prefixes the recorder names
-    (``<tag>.ii_attempts``, ``<tag>.ii``); ``search=False`` goes straight
-    to the fallback; ``fields`` are set on every result.
+    ``solve(formulation, budget, stats, probes)`` decides one II's neutral
+    formulation, appending its probes to the walk's trail.  ``tag``
+    prefixes the recorder names (``<tag>.ii_attempts``, ``<tag>.ii``);
+    ``search=False`` goes straight to the fallback.
     """
     mii = compute_min_ii(loop, machine)
     budget = SolveBudget(total=options.time_limit)
@@ -280,7 +366,7 @@ def walk_ii(
             if rec.enabled:
                 rec.counter(f"{tag}.ii_attempts")
                 rec.event(f"{tag}.ii", loop=loop.name, ii=ii)
-            formulation = formulate(ii)
+            formulation = build_modulo_formulation(loop, machine, ii, stages=options.stages)
             if formulation.infeasible:
                 # Proven infeasible at this II (window collapse): a proof
                 # every backend would repeat, recorded once.
@@ -304,7 +390,7 @@ def walk_ii(
             if allocation.success:
                 return OptimalResult(
                     True, schedule, allocation, loop, mii, optimal=smaller_proven_infeasible,
-                    stats=stats, probes=probes, **fields, **found,
+                    stats=stats, probes=probes, **found,
                 )
             # Register allocation failed at this II: a larger II shortens
             # relative lifetimes, so keep walking the II range before
@@ -312,11 +398,132 @@ def walk_ii(
             smaller_proven_infeasible = False
 
     if not options.fallback:
-        return OptimalResult(
-            False, None, None, loop, mii, stats=stats, probes=probes, **fields
-        )
+        return OptimalResult(False, None, None, loop, mii, stats=stats, probes=probes)
     fallback = pipeline_loop(loop, machine, PipelinerOptions.from_dict(FALLBACK_OPTIONS))
     return OptimalResult(
         fallback.success, fallback.schedule, fallback.allocation, fallback.loop, mii,
-        fallback_used=True, fallback_result=fallback, stats=stats, probes=probes, **fields,
+        fallback_used=True, fallback_result=fallback, stats=stats, probes=probes,
     )
+
+
+def optimal_pipeline_loop(
+    loop: Loop,
+    machine: Optional[MachineDescription],
+    options: OptimalOptions,
+    *,
+    tag: str,
+) -> OptimalResult:
+    """Schedule ``loop`` with the optimal pipeliner, falling back to heuristics.
+
+    ``tag`` (``most`` or ``portfolio``) prefixes the recorder names and the
+    schedule's producer.
+    """
+    machine = machine if machine is not None else r8000()
+    requested = options.backend_names()
+    usable = list(filter(_runnable, requested))
+    secondary = options.objective is not None and not options.integrated
+    orders: List[Optional[List[int]]] = [None]
+    if "ilp" in usable or secondary:
+        if options.priority_branching:
+            # §3.3 adjustment 3: the SGI production orders as branch orders.
+            orders = list(production_orders(loop, machine).values())[: options.branch_orders]
+        load_ilp_solver()
+
+    def solve(
+        neutral: ModuloFormulation,
+        budget: SolveBudget,
+        stats: SolveStats,
+        probes: List[ProbeRecord],
+    ) -> Verdict:
+        # One encoding per II, built when the first ILP entry runs.
+        encoded = functools.cache(
+            lambda: build_formulation(neutral, "buffers" if options.integrated else None)
+        )
+
+        def ilp(order: Optional[Sequence[int]]) -> Callable[[float], BackendAnswer]:
+            # Stage 1 is a feasibility question: the first schedule wins.
+            return lambda limit: solve_ilp(
+                encoded(), time_limit=limit, max_nodes=options.max_nodes,
+                engine=options.engine, branch_priority=order,
+                first_solution=not options.integrated,
+            )
+
+        solvers: Dict[str, List[Callable[[float], BackendAnswer]]] = {
+            "cp": [lambda limit: solve_cp(neutral, time_limit=limit, max_nodes=options.max_nodes)],
+            "ilp": [ilp(order) for order in orders],
+            "smt": [lambda limit: solve_smt(neutral, time_limit=limit)],
+        }
+        entries = [(name, fn) for name in usable for fn in solvers[name]]
+        winner = probe_ii(
+            neutral, entries, budget, stats, probes, cross_check=options.cross_check, tag=tag
+        )
+        if not isinstance(winner, BackendAnswer):
+            return winner
+        times = dict(winner.times or {})
+        buffers: Optional[int] = None
+        if options.integrated and winner.objective is not None:
+            buffers = int(round(winner.objective))
+        if secondary:
+            # Cap the secondary solve so one II cannot starve the rest of
+            # the II range of solver time: at most a third of the budget,
+            # and never more than remains of it.
+            times, buffers = _optimise_secondary(
+                neutral, loop, machine, times, orders[0], options, stats,
+                budget.slice(parts=3), tag,
+            )
+        schedule = Schedule(
+            loop=loop, machine=machine, ii=neutral.ii, times=times,
+            producer=f"{tag}/{winner.backend}",
+        )
+        return schedule, {"buffers": buffers, "winning_backend": winner.backend}
+
+    result = walk_ii(loop, machine, options, solve, tag=tag, search=bool(usable))
+    result.skipped_backends = tuple(name for name in requested if name not in usable)
+    result.disagreements = probe_disagreements(result.probes)
+    rec = get_recorder()
+    if rec.enabled and result.disagreements:
+        rec.counter(f"{tag}.disagreements", len(result.disagreements))
+    return result
+
+
+def _optimise_secondary(
+    neutral: ModuloFormulation,
+    loop: Loop,
+    machine: MachineDescription,
+    initial_times: Dict[int, int],
+    order: Optional[Sequence[int]],
+    options: OptimalOptions,
+    stats: SolveStats,
+    time_limit: float,
+    tag: str,
+) -> Tuple[Dict[int, int], Optional[int]]:
+    """Stage 2: re-solve the winning II with the secondary objective.
+
+    Keeps the stage-1 schedule when the solver cannot improve on it in
+    time ("it would accept the best suboptimal solution found, if any").
+    The model re-encodes the II's neutral formulation with the objective,
+    whichever backend found the stage-1 schedule.  ``time_limit`` is the
+    slice of the loop's :class:`SolveBudget` this stage may consume.
+    """
+    if time_limit <= 0.5:
+        return initial_times, None
+    # The stage-1 schedule is a feasible incumbent: its own objective value
+    # is a sound cutoff that prunes most of the minimisation tree.
+    incumbent = Schedule(
+        loop=loop, machine=machine, ii=neutral.ii, times=dict(initial_times),
+        producer=f"{tag}/stage1",
+    )
+    if options.objective == "overhead":
+        cutoff = incumbent.n_stages
+    else:
+        cutoff = incumbent.buffer_count()
+    encoded = build_formulation(neutral, options.objective, cutoff)
+    with get_recorder().span(f"{tag}.secondary", loop=loop.name, ii=neutral.ii):
+        answer = solve_ilp(
+            encoded, time_limit=time_limit, max_nodes=options.max_nodes,
+            engine=options.engine, branch_priority=order, first_solution=False,
+        )
+    stats.charge(answer)
+    if answer.answer == SAT and not check_witness(neutral, answer.times or {}):
+        return dict(answer.times or {}), int(round(answer.objective))
+    return initial_times, None

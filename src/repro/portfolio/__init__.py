@@ -16,8 +16,10 @@ MOST model builder, and interchangeable decision procedures behind it —
 * ``smt`` — a difference-logic encoding for Z3, optional-dependency-gated
   and skipped cleanly when ``z3-solver`` is absent.
 
-:func:`~repro.portfolio.driver.portfolio_pipeline_loop` races the
-registered backends per (loop, II) under one shared
+:func:`~repro.portfolio.driver.portfolio_pipeline_loop` is the one
+optimal driver (:func:`~repro.most.walk.optimal_pipeline_loop`, which MOST
+runs too) under the portfolio's default set: it races the registered
+backends per (loop, II) under one shared
 :class:`~repro.most.walk.SolveBudget` and takes the first definitive
 sat/unsat answer.  Because every backend answers the *same* formulation,
 any disagreement is a soundness bug in one of them — the cross-backend
@@ -26,7 +28,8 @@ standing differential test.
 
 Only the leaf modules (formulation, answer) are imported eagerly;
 driver-level names resolve lazily so :mod:`repro.most` can import the
-neutral formulation without pulling the drivers back in (no import cycle).
+neutral formulation and the backends without pulling the portfolio's
+default set back in (no import cycle).
 """
 
 from .answer import BackendAnswer, ProbeRecord, probe_disagreements

@@ -1,27 +1,27 @@
 """The ILP backend: the one place outside :mod:`repro.ilp` that solves a model.
 
-A thin adapter — the model construction lives in
-:mod:`repro.most.formulation` (itself built *from* the neutral
-formulation, so all backends answer the same object) and the solve in
-:mod:`repro.ilp.solver`.  Every ILP solve in the program comes through
-:func:`solve_ilp`: the portfolio's ``ilp`` backend, MOST's per-order
-probes and its stage-2 re-solve.  Status
-mapping is the portfolio's three-valued contract: OPTIMAL/FEASIBLE -> sat
-(with decoded times and the objective value), INFEASIBLE -> unsat,
-UNSOLVED (budget) -> unknown.
+A thin adapter — the encoding lives in :mod:`repro.most.formulation`
+(:func:`~repro.most.formulation.build_formulation`, built *from* the
+neutral formulation, so all backends answer the same object) and the solve
+in :mod:`repro.ilp.solver`.  Every ILP solve in the program comes through
+:func:`solve_ilp`: the optimal walk's ``ilp`` probe entries and its stage-2
+re-solve.  Status mapping is the portfolio's three-valued contract:
+OPTIMAL/FEASIBLE -> sat (with decoded times and the objective value),
+INFEASIBLE -> unsat, UNSOLVED (budget) -> unknown.
 
-Imports of :mod:`repro.most` stay inside the function: the MOST modules
-import the neutral formulation from this package, and a top-level import
-back into ``most`` would complete a cycle.  The solver import stays there
-too, so a process that never solves an ILP never loads numpy or scipy.
+The solver import stays inside the function, so a process that never
+solves an ILP never loads numpy or scipy.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .answer import SAT, UNKNOWN, UNSAT, BackendAnswer
+
+if TYPE_CHECKING:
+    from ..most.formulation import ScheduleFormulation
 
 
 def load_ilp_solver() -> None:
@@ -36,35 +36,24 @@ def load_ilp_solver() -> None:
 
 
 def solve_ilp(
-    formulation,
-    loop,
+    encoded: ScheduleFormulation,
     time_limit: Optional[float] = None,
     max_nodes: int = 200_000,
     engine: str = "bnb",
     branch_priority: Optional[Sequence[int]] = None,
     first_solution: bool = True,
 ) -> BackendAnswer:
-    """Answer one formulation with the time-indexed ILP.
+    """Answer one ILP encoding of a formulation.
 
-    ``formulation`` is either the neutral
-    :class:`~repro.portfolio.formulation.ModuloFormulation`, encoded here
-    with the plain resource-constrained objective, or an encoding already
-    built (a :class:`~repro.most.formulation.ScheduleFormulation`) that a
-    caller solves more than once or with its own objective.  ``loop`` is
-    the IR loop it was built from (the encoding attaches decode
-    bookkeeping to it); ``branch_priority`` optionally carries an SGI
+    ``encoded`` comes from :func:`~repro.most.formulation.build_formulation`
+    (one encoding per II, solved once per branch order, or re-encoded with
+    a secondary objective).  ``branch_priority`` optionally carries an SGI
     production order of op indices (§3.3 adjustment 3).
     ``first_solution`` stops at the first integral solution — a
     feasibility question; False minimises the model's objective.
     """
     from ..ilp.solver import SolverOptions, Status, solve_milp
-    from ..most.formulation import ScheduleFormulation, model_from_formulation
 
-    encoded = (
-        formulation
-        if isinstance(formulation, ScheduleFormulation)
-        else model_from_formulation(formulation, loop)
-    )
     if encoded.infeasible:
         return BackendAnswer(
             backend="ilp", answer=UNSAT, detail=encoded.neutral.infeasible_reason

@@ -6,7 +6,11 @@ driver (``run(loop, machine, options)``).  Every driver's result
 exposes one read surface — ``success``, ``schedule``, ``allocation``,
 ``loop``, ``ii``, ``min_ii``, ``optimal``, ``fallback_used``,
 ``fallback_result``, ``spill_rounds`` and ``stats.seconds`` — so callers
-read fields instead of branching on the scheduler name.
+read fields instead of branching on the scheduler name.  The two optimal
+entries, ``most`` and ``portfolio``, run one driver
+(:func:`repro.most.walk.optimal_pipeline_loop`) under two default sets of
+one options class (``MostOptions``, ``PortfolioOptions``), so both accept
+every optimal-driver field and an override reaches both alike.
 
 Each entry also declares its option presets: a plain mapping from preset
 name to the options dict its cells run under (no solver is imported to

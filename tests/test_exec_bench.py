@@ -162,25 +162,28 @@ class TestCheckRegression:
         assert schedulers == {"sgi", "most", "rau", "portfolio"}
 
 
-class TestExperimentCellPlumbing:
-    def test_experiments_expose_their_cells(self, tmp_path):
-        from repro.eval.experiments import ExperimentConfig, fig7_static_quality
+@pytest.fixture(scope="module")
+def fig7_cold(tmp_path_factory):
+    """One cold Figure 7 grid into a module-scoped cache: its config and
+    result, shared by every test that needs the grid run once."""
+    from repro.eval.experiments import ExperimentConfig, fig7_static_quality
 
-        config = ExperimentConfig(
-            most_time_limit=2.0, jobs=2, cache_dir=str(tmp_path / "cache")
-        )
-        result = fig7_static_quality(config)
+    cache_dir = tmp_path_factory.mktemp("fig7") / "cache"
+    config = ExperimentConfig(most_time_limit=2.0, jobs=2, cache_dir=str(cache_dir))
+    return config, fig7_static_quality(config)
+
+
+class TestExperimentCellPlumbing:
+    def test_experiments_expose_their_cells(self, fig7_cold):
+        _, result = fig7_cold
         assert len(result.cells) == 24 * 2  # sgi + most per kernel
         payload = figure_report(result.name, result.cells)
         assert payload["totals"]["cells"] == 48
 
-    def test_experiment_cache_reused_across_runs(self, tmp_path):
-        from repro.eval.experiments import ExperimentConfig, fig7_static_quality
-        from repro.exec import ScheduleCache
+    def test_experiment_cache_reused_across_runs(self, fig7_cold):
+        from repro.eval.experiments import fig7_static_quality
 
-        cache_dir = tmp_path / "cache"
-        config = ExperimentConfig(most_time_limit=2.0, jobs=2, cache_dir=str(cache_dir))
-        first = fig7_static_quality(config)
+        config, first = fig7_cold
         second = fig7_static_quality(config)
         assert all(not r.cache_hit for r in first.cells)
         assert all(r.cache_hit for r in second.cells)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import pathlib
 import re
 import threading
 
@@ -218,6 +219,40 @@ class TestEngine:
         assert result.n_ops > 0
         assert "default" in result.sim_cycles
         assert not result.cache_hit and result.cache_key
+
+    def test_a_checker_edit_misses_oracle_cells_only(self, tmp_path, monkeypatch):
+        """An oracle cell carries the checkers' verdict, so editing a checker
+        must re-run it; a cell without the oracle keeps its key."""
+        import shutil
+
+        import repro
+        from repro.exec import hashing
+
+        cache_dir = tmp_path / "c"
+        oracle = Cell.make("livermore:lk01_hydro", "sgi", oracle=True)
+        plain = Cell.make("livermore:lk01_hydro", "sgi")
+        engine = ExecEngine(jobs=1, cache=ScheduleCache(cache_dir))
+        assert not engine.run([oracle])[oracle].cache_hit
+        assert engine.run([oracle])[oracle].cache_hit
+        plain_key = engine.key_of(plain)
+
+        # The checkers as they would read after an edit to check_schedule.
+        copy = tmp_path / "repro"
+        shutil.copytree(pathlib.Path(repro.__file__).parent / "verify", copy / "verify")
+        schedcheck = copy / "verify" / "schedcheck.py"
+        source = schedcheck.read_text(encoding="utf-8")
+        edited = source.replace(
+            "def check_schedule(", "# every schedule now fails\ndef check_schedule(", 1
+        )
+        assert edited != source
+        schedcheck.write_text(edited, encoding="utf-8")
+        edited_version = hashing.checker_version(copy)
+        assert edited_version != hashing.checker_version()
+        monkeypatch.setattr(hashing, "checker_version", lambda: edited_version)
+
+        rerun = ExecEngine(jobs=1, cache=ScheduleCache(cache_dir)).run([oracle])[oracle]
+        assert not rerun.cache_hit
+        assert engine.key_of(plain) == plain_key
 
     def test_cache_hit_on_second_run(self, tmp_path):
         cache_dir = tmp_path / "c"

@@ -19,6 +19,8 @@ Every gap above MinII is attributed from the trail the driver wrote
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.exec.cells import Cell, corpus_cells, resolve_loop
@@ -41,6 +43,15 @@ from repro.obs.explain import (
 @pytest.fixture(scope="module")
 def machine():
     return r8000()
+
+
+@pytest.fixture(scope="module")
+def lk18_most(machine):
+    """``lk18_hydro2d × most`` under MOST's defaults with a 20 s budget,
+    solved once for every test that reads its trail."""
+    loop = resolve_loop("livermore:lk18_hydro2d", machine)
+    most = get_scheduler("most")
+    return most.run(loop, machine, most.options_from_dict({"time_limit": 20.0}))
 
 
 def explain_cell(key, scheduler, options=None, **fields) -> IIExplanation:
@@ -134,14 +145,12 @@ class TestBindingClassification:
         assert explanation.evidence["answer"] == "sat"
         assert explanation.evidence["allocated"] is False
 
-    def test_most_register_pressure_cites_the_production_probe(self, machine):
+    def test_most_register_pressure_cites_the_production_probe(self, machine, lk18_most):
         # The production walk's ILP answered sat at II 7 with a valid
         # witness; the walk moved to II 8 only because that schedule did
         # not allocate.  The explanation must say so, not that a budget
         # expired.
-        loop = resolve_loop("livermore:lk18_hydro2d", machine)
-        most = get_scheduler("most")
-        result = most.run(loop, machine, most.options_from_dict({"time_limit": 20.0}))
+        result = lk18_most
         (probe,) = [p for p in result.probes if p.ii == 7 and p.witness_ok]
         assert probe.allocated is False and probe.uncolored > 0
         explanation = explain_result(result, "most", machine)
@@ -152,16 +161,15 @@ class TestBindingClassification:
         assert explanation.evidence["uncolored"] == probe.uncolored
         assert f"{probe.uncolored} live range(s) failed to colour" in explanation.detail
 
-    def test_explaining_solves_nothing(self, machine, monkeypatch):
+    def test_explaining_solves_nothing(self, machine, monkeypatch, lk18_most):
         # Run the cells first, then make every scheduling and solving entry
         # point raise: attributing the finished results must not call one.
         cells = [
             ("livermore:lk08_adi", "sgi", {}),
             ("livermore:lk08_adi", "rau", {}),
-            ("livermore:lk18_hydro2d", "most", {"time_limit": 20.0}),
             ("livermore:lk18_hydro2d", "portfolio", {"time_limit": 5.0}),
         ]
-        results = []
+        results = [("most", lk18_most)]
         for key, name, options in cells:
             driver = get_scheduler(name)
             loop = resolve_loop(key, machine)
@@ -172,21 +180,27 @@ class TestBindingClassification:
 
         import repro.core.driver
         import repro.core.iisearch
-        import repro.most.scheduler
         import repro.portfolio.cp
-        import repro.portfolio.driver
         import repro.portfolio.ilp_backend
         import repro.rau.scheduler
 
+        # Every module that binds a solver entry point, wherever it lives.
+        solvers = (repro.portfolio.ilp_backend.solve_ilp, repro.portfolio.cp.solve_cp)
+        bindings = [
+            (module, name)
+            for module in list(sys.modules.values())
+            if getattr(module, "__name__", "").startswith("repro.")
+            for name, value in list(vars(module).items())
+            if any(value is solver for solver in solvers)
+        ]
+        assert {module.__name__ for module, _ in bindings} >= {
+            "repro.portfolio.ilp_backend", "repro.portfolio.cp", "repro.most.walk",
+        }
         for module, name in (
             (repro.core.iisearch, "search_ii"),
             (repro.core.driver, "search_ii"),
             (repro.rau.scheduler, "iterative_modulo_schedule"),
-            (repro.portfolio.ilp_backend, "solve_ilp"),
-            (repro.most.scheduler, "solve_ilp"),
-            (repro.portfolio.driver, "solve_ilp"),
-            (repro.portfolio.cp, "solve_cp"),
-            (repro.portfolio.driver, "solve_cp"),
+            *bindings,
         ):
             monkeypatch.setattr(module, name, forbidden)
         for name, result in results:

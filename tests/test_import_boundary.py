@@ -159,6 +159,7 @@ EXPLAIN_FORBIDDEN = (
     "repro.core.iisearch",
     "repro.rau.scheduler",
     "repro.most.formulation",
+    "repro.most.walk",
     "repro.portfolio.ilp_backend",
     "repro.portfolio.driver",
     "repro.portfolio.cp",

@@ -7,7 +7,7 @@ from repro.ilp import SolverOptions, Status, solve_milp
 from repro.ir import LoopBuilder
 from repro.machine import r8000, two_wide
 from repro.most import MostOptions, build_formulation, most_pipeline_loop
-from repro.portfolio.formulation import time_windows
+from repro.portfolio.formulation import build_modulo_formulation, time_windows
 from repro.sim import DataLayout, run_pipelined, run_sequential
 
 from .conftest import build_daxpy, build_first_diff, build_recurrence_chain, build_sdot
@@ -39,7 +39,7 @@ class TestFormulation:
     def test_solution_decodes_to_valid_schedule(self, machine):
         loop = build_sdot(machine)
         mii = min_ii(loop, machine)
-        f = build_formulation(loop, machine, mii)
+        f = build_formulation(build_modulo_formulation(loop, machine, mii))
         result = solve_milp(f.model, SolverOptions(engine="scipy", time_limit=20))
         assert result.status is Status.OPTIMAL
         times = f.decode_times(result)
@@ -47,7 +47,7 @@ class TestFormulation:
 
     def test_infeasible_ii_flagged(self, machine):
         loop = build_sdot(machine)
-        f = build_formulation(loop, machine, 3)  # below RecMII=4
+        f = build_formulation(build_modulo_formulation(loop, machine, 3))  # below RecMII=4
         assert f.infeasible
 
     def test_resource_constraints_enforced(self, machine):
@@ -58,7 +58,7 @@ class TestFormulation:
         v3 = b.load("c", offset=0)
         b.store("o", b.fadd(b.fadd(v1, v2), v3))
         loop = b.build()
-        f = build_formulation(loop, machine, 1)
+        f = build_formulation(build_modulo_formulation(loop, machine, 1))
         if not f.infeasible:
             result = solve_milp(f.model, SolverOptions(engine="scipy", time_limit=20))
             assert result.status is Status.INFEASIBLE
@@ -66,7 +66,7 @@ class TestFormulation:
     def test_buffer_objective_counts_buffers(self, machine):
         loop = build_first_diff(machine)
         mii = min_ii(loop, machine)
-        f = build_formulation(loop, machine, mii, minimize_buffers=True)
+        f = build_formulation(build_modulo_formulation(loop, machine, mii), "buffers")
         result = solve_milp(f.model, SolverOptions(engine="scipy", time_limit=20))
         assert result.has_solution
         times = f.decode_times(result)
@@ -79,13 +79,13 @@ class TestFormulation:
     def test_buffer_cutoff_respected(self, machine):
         loop = build_first_diff(machine)
         mii = min_ii(loop, machine)
-        f = build_formulation(loop, machine, mii, minimize_buffers=True, buffer_cutoff=0)
+        f = build_formulation(build_modulo_formulation(loop, machine, mii), "buffers", cutoff=0)
         result = solve_milp(f.model, SolverOptions(engine="scipy", time_limit=20))
         assert result.status is Status.INFEASIBLE  # every value needs >= 1
 
     def test_branch_priority_covers_assignment_vars(self, machine):
         loop = build_sdot(machine)
-        f = build_formulation(loop, machine, min_ii(loop, machine))
+        f = build_formulation(build_modulo_formulation(loop, machine, min_ii(loop, machine)))
         priority = f.branch_priority(list(range(loop.n_ops)))
         assert set(priority) <= {v.index for v in f.model.variables}
         assert len(priority) == len(f.assign)

@@ -7,6 +7,7 @@ from repro.ilp import SolverOptions, Status, solve_milp
 from repro.machine import r8000
 from repro.most import MostOptions, build_formulation, most_pipeline_loop
 from repro.pipeline import pipeline_overhead
+from repro.portfolio import build_modulo_formulation
 from repro.sim import DataLayout, run_pipelined, run_sequential
 
 from .conftest import build_first_diff, build_sdot
@@ -23,7 +24,7 @@ class TestOverheadFormulation:
     def test_stage_variable_bounds_all_ops(self, machine):
         loop = build_first_diff(machine)
         mii = min_ii(loop, machine)
-        f = build_formulation(loop, machine, mii, minimize_overhead=True)
+        f = build_formulation(build_modulo_formulation(loop, machine, mii), "overhead")
         result = solve_milp(f.model, SolverOptions(engine="scipy", time_limit=20))
         assert result.status is Status.OPTIMAL
         times = f.decode_times(result)
@@ -36,7 +37,7 @@ class TestOverheadFormulation:
         loop = build_sdot(machine)
         mii = min_ii(loop, machine)
         f = build_formulation(
-            loop, machine, mii, minimize_overhead=True, overhead_cutoff=1
+            build_modulo_formulation(loop, machine, mii), "overhead", cutoff=1
         )
         result = solve_milp(f.model, SolverOptions(engine="scipy", time_limit=20))
         # One stage cannot hold the 10+ cycle critical path at II=4.
@@ -45,12 +46,12 @@ class TestOverheadFormulation:
     def test_minimises_stage_count(self, machine):
         loop = build_first_diff(machine)
         mii = min_ii(loop, machine)
-        plain = build_formulation(loop, machine, mii)
+        plain = build_formulation(build_modulo_formulation(loop, machine, mii))
         r_plain = solve_milp(plain.model, SolverOptions(engine="scipy", time_limit=20))
         s_plain = Schedule(
             loop=loop, machine=machine, ii=mii, times=plain.decode_times(r_plain)
         )
-        f = build_formulation(loop, machine, mii, minimize_overhead=True)
+        f = build_formulation(build_modulo_formulation(loop, machine, mii), "overhead")
         r = solve_milp(f.model, SolverOptions(engine="scipy", time_limit=20))
         s = Schedule(loop=loop, machine=machine, ii=mii, times=f.decode_times(r))
         assert s.n_stages <= s_plain.n_stages

@@ -18,6 +18,7 @@ from repro.portfolio import build_modulo_formulation, check_witness
 from repro.portfolio.answer import SAT, UNSAT, ProbeRecord, probe_disagreements
 from repro.portfolio.cp import solve_cp
 from repro.portfolio.driver import PortfolioOptions, portfolio_pipeline_loop
+from repro.most.formulation import build_formulation
 from repro.portfolio.ilp_backend import solve_ilp
 from repro.portfolio.smt import smt_available, solve_smt
 from repro.workloads import livermore_kernels, recbound_kernels
@@ -39,7 +40,7 @@ def _probe(loop, ii):
         return f, [ProbeRecord(ii=ii, backend="screen", answer=UNSAT,
                                detail=f.infeasible_reason)]
     probes = []
-    answers = [solve_cp(f, **CP_BUDGET), solve_ilp(f, loop, **ILP_BUDGET)]
+    answers = [solve_cp(f, **CP_BUDGET), solve_ilp(build_formulation(f), **ILP_BUDGET)]
     if smt_available():
         answers.append(solve_smt(f, time_limit=2.0))
     for answer in answers:

@@ -10,6 +10,7 @@ from repro.machine import single_issue
 from repro.portfolio import build_modulo_formulation, check_witness
 from repro.portfolio.answer import SAT, UNKNOWN, UNSAT, BackendAnswer
 from repro.portfolio.cp import default_order, solve_cp
+from repro.most.formulation import build_formulation
 from repro.portfolio.ilp_backend import solve_ilp
 
 from .conftest import build_daxpy, build_divider, build_recurrence_chain, build_sdot
@@ -106,7 +107,7 @@ class TestIlpBackend:
     def test_sat_witness_passes_independent_check(self, machine, daxpy):
         ii = min_ii(daxpy, machine)
         f = build_modulo_formulation(daxpy, machine, ii)
-        answer = solve_ilp(f, daxpy, time_limit=10.0)
+        answer = solve_ilp(build_formulation(f), time_limit=10.0)
         assert answer.answer == SAT
         assert check_witness(f, answer.times) == []
 
@@ -116,19 +117,19 @@ class TestIlpBackend:
         f = build_modulo_formulation(loop, machine, 1)
         if f.infeasible:
             pytest.skip("screened before solve")
-        answer = solve_ilp(f, loop, time_limit=10.0)
+        answer = solve_ilp(build_formulation(f), time_limit=10.0)
         assert answer.answer == UNSAT
 
     def test_unknown_on_node_budget(self, machine, sdot):
         ii = min_ii(sdot, machine)
         f = build_modulo_formulation(sdot, machine, ii)
-        answer = solve_ilp(f, sdot, max_nodes=0)
+        answer = solve_ilp(build_formulation(f), max_nodes=0)
         assert answer.answer == UNKNOWN
         assert "limit" in answer.detail
 
     def test_infeasible_formulation_short_circuits(self, machine, sdot):
         f = build_modulo_formulation(sdot, machine, 1, stages=1)
-        answer = solve_ilp(f, sdot)
+        answer = solve_ilp(build_formulation(f))
         assert answer.answer == UNSAT
         assert answer.nodes == 0
 
@@ -138,7 +139,7 @@ class TestIlpBackend:
         ii = min_ii(daxpy, machine)
         f = build_modulo_formulation(daxpy, machine, ii)
         order = next(iter(production_orders(daxpy, machine).values()))
-        answer = solve_ilp(f, daxpy, time_limit=10.0, branch_priority=order)
+        answer = solve_ilp(build_formulation(f), time_limit=10.0, branch_priority=order)
         assert answer.answer == SAT
         assert check_witness(f, answer.times) == []
 
@@ -158,6 +159,6 @@ class TestAnswerSemantics:
                 if f.infeasible:
                     continue
                 cp = solve_cp(f, max_nodes=50_000, time_limit=2.0)
-                ilp = solve_ilp(f, loop, max_nodes=20_000, time_limit=2.0)
+                ilp = solve_ilp(build_formulation(f), max_nodes=20_000, time_limit=2.0)
                 if cp.definitive and ilp.definitive:
                     assert cp.answer == ilp.answer, (loop.name, ii)

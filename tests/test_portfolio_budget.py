@@ -180,9 +180,9 @@ class TestDriverLevelAccounting:
         assert sum(per_backend.values()) == pytest.approx(result.stats.seconds)
 
     def test_most_never_returns_a_schedule_whose_witness_fails(self, machine, monkeypatch):
-        import repro.most.scheduler as most_scheduler
+        import repro.most.walk as walk
 
-        real = most_scheduler.solve_ilp
+        real = walk.solve_ilp
 
         def corrupt(*args, **kwargs):
             answer = real(*args, **kwargs)
@@ -191,7 +191,7 @@ class TestDriverLevelAccounting:
                 answer.times = {op: 0 for op in answer.times}
             return answer
 
-        monkeypatch.setattr(most_scheduler, "solve_ilp", corrupt)
+        monkeypatch.setattr(walk, "solve_ilp", corrupt)
         result = most_pipeline_loop(build_daxpy(machine), machine, MostOptions(time_limit=20.0))
         sat = [p for p in result.probes if p.answer == SAT]
         assert sat and all(p.witness_ok is False for p in sat)

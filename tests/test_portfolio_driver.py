@@ -38,6 +38,25 @@ class TestDriver:
         assert result.schedule is None
         assert not result.fallback_used
 
+    def test_stage_two_re_solves_a_cp_witness(self, machine, sdot):
+        # One driver, one stage 2: a portfolio asked for buffers re-solves
+        # the II its CP backend won, with the ILP, from CP's times.
+        plain = portfolio_pipeline_loop(
+            sdot, machine, PortfolioOptions(time_limit=20.0, backends="cp")
+        )
+        options = PortfolioOptions(time_limit=20.0, backends="cp", objective="buffers")
+        with recording() as rec:
+            result = portfolio_pipeline_loop(sdot, machine, options)
+            spans = [event["name"] for event in rec.events]
+        assert result.winning_backend == "cp" and plain.winning_backend == "cp"
+        assert result.schedule.producer == "portfolio/cp"
+        assert result.ii == plain.ii and plain.buffers is None
+        assert "portfolio.secondary" in spans
+        assert result.stats.per_backend["ilp"]["solves"] == 1  # the stage-2 solve
+        assert result.buffers is not None
+        assert result.buffers == result.schedule.buffer_count()
+        assert result.buffers <= plain.schedule.buffer_count()
+
     def test_options_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown PortfolioOptions"):
             PortfolioOptions.from_dict({"time_limit": 1.0, "typo_key": 1})

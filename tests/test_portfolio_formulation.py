@@ -8,7 +8,6 @@ from repro.core import min_ii
 from repro.ir import LoopBuilder
 from repro.machine import r8000, single_issue
 from repro.most import build_formulation
-from repro.most.formulation import model_from_formulation
 from repro.portfolio import (
     ModuloFormulation,
     build_modulo_formulation,
@@ -146,24 +145,25 @@ class TestWitnessChecker:
 
 
 class TestMostEncodingOfNeutral:
-    """model_from_formulation is the ILP *encoding* of the neutral object."""
+    """build_formulation is the ILP *encoding* of the neutral object."""
 
-    def test_build_formulation_goes_through_neutral(self, machine, daxpy):
+    def test_encoding_one_neutral_twice_builds_the_same_model(self, machine, daxpy):
         ii = min_ii(daxpy, machine)
         neutral = build_modulo_formulation(daxpy, machine, ii)
-        direct = model_from_formulation(neutral, daxpy)
-        convenience = build_formulation(daxpy, machine, ii)
-        assert direct.model.name == convenience.model.name
-        assert direct.model.n_vars == convenience.model.n_vars
-        assert len(direct.model.constraints) == len(convenience.model.constraints)
-        assert [v.name for v in direct.model.variables] == [
-            v.name for v in convenience.model.variables
+        first, second = build_formulation(neutral), build_formulation(neutral)
+        assert first.model.name == second.model.name
+        assert first.model.n_vars == second.model.n_vars
+        assert len(first.model.constraints) == len(second.model.constraints)
+        assert [v.name for v in first.model.variables] == [
+            v.name for v in second.model.variables
         ]
+        with pytest.raises(ValueError, match="unknown objective"):
+            build_formulation(neutral, "buffer")
 
     def test_assignment_vars_cover_windows(self, machine, rec1):
         ii = min_ii(rec1, machine)
         neutral = build_modulo_formulation(rec1, machine, ii)
-        encoded = model_from_formulation(neutral, rec1)
+        encoded = build_formulation(neutral)
         for op in range(neutral.n_ops):
             lo, hi = neutral.windows[op]
             for t in range(lo, hi + 1):
@@ -171,7 +171,7 @@ class TestMostEncodingOfNeutral:
 
     def test_infeasible_neutral_yields_infeasible_model(self, machine, sdot):
         neutral = build_modulo_formulation(sdot, machine, 1, stages=1)
-        encoded = model_from_formulation(neutral, sdot)
+        encoded = build_formulation(neutral)
         assert encoded.infeasible
         assert encoded.assign == {}
 
@@ -181,7 +181,7 @@ class TestMostEncodingOfNeutral:
         loop = build_daxpy(machine)
         ii = min_ii(loop, machine)
         neutral = build_modulo_formulation(loop, machine, ii)
-        encoded = model_from_formulation(neutral, loop)
+        encoded = build_formulation(neutral)
         result = solve_milp(encoded.model, SolverOptions(time_limit=10.0))
         assert result.has_solution
         times = encoded.decode_times(result)
@@ -196,6 +196,6 @@ class TestMostEncodingOfNeutral:
         neutral = build_modulo_formulation(loop, machine, ii)
         assert isinstance(neutral, ModuloFormulation)
         # The MOST encoding consumed the same instance the CP backend gets.
-        encoded = model_from_formulation(neutral, loop)
+        encoded = build_formulation(neutral)
         assert encoded.ii == neutral.ii
         assert encoded.horizon == neutral.horizon

@@ -26,6 +26,7 @@ from repro.machine import r8000  # noqa: E402
 from repro.portfolio import build_modulo_formulation, check_witness  # noqa: E402
 from repro.portfolio.answer import SAT, ProbeRecord, probe_disagreements  # noqa: E402
 from repro.portfolio.cp import solve_cp  # noqa: E402
+from repro.most.formulation import build_formulation  # noqa: E402
 from repro.portfolio.ilp_backend import solve_ilp  # noqa: E402
 from repro.portfolio.smt import smt_available, solve_smt  # noqa: E402
 from repro.workloads import GeneratorConfig, mutate, normalize, random_spec  # noqa: E402
@@ -58,7 +59,7 @@ def loop_specs(draw):
 
 
 def _answers(loop, f):
-    out = [solve_cp(f, **CP_BUDGET), solve_ilp(f, loop, **ILP_BUDGET)]
+    out = [solve_cp(f, **CP_BUDGET), solve_ilp(build_formulation(f), **ILP_BUDGET)]
     if smt_available():
         out.append(solve_smt(f, time_limit=1.0))
     return out

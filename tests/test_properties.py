@@ -245,8 +245,7 @@ class TestOptimalityCrossCheck:
         heuristic = pipeline_loop(loop, MACHINE)
         optimal = most_pipeline_loop(
             loop, MACHINE,
-            MostOptions(time_limit=20, engine="scipy", fallback=False,
-                        minimize_buffers=False),
+            MostOptions(time_limit=20, engine="scipy", fallback=False, objective=None),
         )
         if not (heuristic.success and optimal.success and optimal.optimal):
             return  # solver budget ran out: nothing to compare
