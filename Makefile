@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-verify lint verify-corpus bench bench-quick bench-baseline \
+.PHONY: test test-verify lint verify-corpus bench bench-quick cache-smoke bench-baseline \
         bench-tests bench-micro trace-smoke explain explain-smoke strict-smoke analyze \
         diff-strict report \
         report-smoke fuzz fuzz-smoke portfolio-smoke serve serve-smoke \
@@ -55,6 +55,17 @@ bench:
 bench-quick:
 	$(PYTHON) -m repro bench --quick --jobs 4
 	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output
+
+# The cache key is stable: rerun the quick grid against the cache the
+# previous quick run filled (bench-quick, or CI's bench step), into a
+# scratch output directory and out of the history store; every one of the
+# 120 cells must hit.
+cache-smoke:
+	$(PYTHON) -m repro bench --quick --jobs 2 --no-history --output-dir benchmarks/output/cache-smoke
+	$(PYTHON) -c "import json, sys; \
+		cache = json.load(open('benchmarks/output/cache-smoke/BENCH_pipeline.json'))['cache']; \
+		print('cache rerun hits=%d misses=%d' % (cache['hits'], cache['misses'])); \
+		sys.exit(0 if (cache['hits'], cache['misses']) == (120, 0) else 1)"
 
 # Refresh the committed baseline from a clean (uncached) quick run.  Run
 # after intentional scheduler changes; commit the result and mention the
@@ -168,9 +179,12 @@ fuzz-smoke:
 # The backend-portfolio smoke lane: run the quick grid (portfolio rides
 # in the default scheduler set with cross-check on), gate it against the
 # committed baseline, and require a contradiction-free probe trail —
-# zero cross-backend disagreements and a witness behind every sat.
+# zero cross-backend disagreements and a witness behind every sat.  Two
+# workers, as in CI's strict gate: the quick preset's wall budget decides
+# whether rb_reg_farm x portfolio falls back, and four workers on two
+# cores can spend it.
 portfolio-smoke:
-	$(PYTHON) -m repro bench --quick --jobs 4 --schedulers portfolio
+	$(PYTHON) -m repro bench --quick --jobs 2 --schedulers portfolio
 	$(PYTHON) -c "import json, sys; \
 		bench = json.load(open('benchmarks/output/BENCH_pipeline.json')); \
 		totals = bench['totals']; \
@@ -178,7 +192,7 @@ portfolio-smoke:
 		bad = totals.get('disagreements', 0); \
 		print(f'portfolio probes={probes} disagreements={bad}'); \
 		sys.exit(1 if bad or not probes else 0)"
-	$(PYTHON) -m repro bench --quick --jobs 4
+	$(PYTHON) -m repro bench --quick --jobs 2
 	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output --strict
 
 # The scheduling daemon on the default TCP port (ctrl-C drains gracefully).
@@ -208,6 +222,6 @@ e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Everything CI runs, in CI's order.
-ci: lint test verify-corpus analyze bench-quick trace-smoke explain-smoke report-smoke strict-smoke \
+ci: lint test verify-corpus analyze bench-quick cache-smoke trace-smoke explain-smoke report-smoke strict-smoke \
 	diff-strict portfolio-smoke bench-micro bench-tests fuzz-smoke serve-smoke trend \
 	e2e-smoke

@@ -4,8 +4,10 @@ The paper's experiments are a grid of independent (loop, scheduler,
 options) *cells*; this package fans them out over worker processes with
 per-cell wall-clock deadlines (a stuck ILP solve kills only its own cell
 and is rescued by the heuristic, with honest timeout/fallback accounting),
-caches results content-addressed by loop IR + machine + options + code
-version, and emits machine-readable ``BENCH_*.json`` artefacts.  The
+caches results content-addressed by the cell's own fields plus a digest of
+the code it runs (the import closure of the runner and the cell's
+driver, :mod:`repro.exec.hashing`), and emits machine-readable
+``BENCH_*.json`` artefacts.  The
 experiment drivers in :mod:`repro.eval` and the ``bench``/``sweep`` CLI
 subcommands are built on it.
 """
@@ -34,7 +36,7 @@ from .bench import (
     summarise,
     write_bench_json,
 )
-from .hashing import cell_key, code_version, fingerprint_loop, fingerprint_machine
+from .hashing import cell_key, code_version, fingerprint_loop
 from .runner import CellTimeout, ExecEngine, execute_cell
 
 __all__ = [
@@ -60,7 +62,6 @@ __all__ = [
     "execute_cell",
     "figure_report",
     "fingerprint_loop",
-    "fingerprint_machine",
     "print_progress",
     "run_pipeline_bench",
     "run_sweep",

@@ -4,13 +4,16 @@ A *cell* is one (loop, scheduler, options) combination, exactly what the
 sequential experiment drivers used to evaluate inline.  Cells reference
 loops by *registry key* (``livermore:lk01_hydro``, ``spec92:alvinn/...``)
 rather than by value: workers re-materialise the loop from the workload
-modules, which keeps cells trivially picklable and lets the cache key
-incorporate the loop IR's content hash — an edited kernel invalidates its
-own entries automatically.
+modules, which keeps cells trivially picklable and their cache keys cheap.
+A key names the loop by that registry key; the builder's source is in the
+digest of the code the cell runs (:mod:`repro.exec.hashing`), so an
+edited kernel still misses.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -198,32 +201,43 @@ def canonical_options(options: Optional[Mapping[str, Any]]) -> str:
     return json.dumps(dict(options or {}), sort_keys=True, separators=(",", ":"))
 
 
+def _fields_of(obj: Any) -> Dict[str, Any]:
+    """A dataclass instance as a dict of its fields (containers copied)."""
+    return {f.name: copy.copy(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def _known_fields(cls: type, data: Mapping[str, Any]) -> Dict[str, Any]:
+    """The entries of ``data`` that name a field of ``cls`` (payloads from
+    other versions may carry more or fewer)."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in data.items() if k in names}
+
+
 @dataclass(frozen=True)
 class Cell:
     """One schedulable unit: a loop, a scheduler, and its options.
 
-    ``options_json`` is canonical JSON so cells are hashable dict keys and
-    byte-identical options always map to the same cache entry.  ``trips``
-    lists extra trip counts to simulate beyond the loop's nominal one;
-    ``timeout`` is the hard per-cell wall-clock deadline enforced in the
-    worker.  ``trace`` records the scheduler's search through ``repro.obs``
-    (folded counters plus a per-cell JSONL event spool when ``trace_dir``
-    is set); it participates in the cache key — traced and untraced results
-    differ in payload — but ``trace_dir`` is just an output location and
-    does not.  ``explain`` additionally attributes the cell's achieved II
-    to its binding constraint (:mod:`repro.obs.explain`); like ``trace``
-    it changes the result payload and therefore the cache key.  ``oracle``
-    runs the fuzzer's dynamic oracle layers after scheduling — the
-    independent :func:`repro.verify.result_report` into
+    Every field but ``trace_dir`` is in the cache key
+    (:func:`repro.exec.hashing.cell_key`), next to the digest of the code
+    the cell runs.  ``options_json`` is canonical JSON so cells are
+    hashable dict keys and byte-identical options always map to the same
+    cache entry.  ``trips`` lists extra trip counts to simulate beyond the
+    loop's nominal one; ``timeout`` is the hard per-cell wall-clock
+    deadline enforced in the worker.  ``trace`` records the scheduler's
+    search through ``repro.obs`` (folded counters plus a per-cell JSONL
+    event spool when ``trace_dir`` is set; ``trace_dir`` is just an output
+    location).  ``explain`` additionally attributes the cell's achieved II
+    to its binding constraint (:mod:`repro.obs.explain`).  ``oracle`` runs
+    the fuzzer's dynamic oracle layers after scheduling — the independent
+    :func:`repro.verify.result_report` into
     ``verify_errors``/``verify_warnings`` and a functional-equivalence
-    simulation against the sequential reference into ``funcsim_ok`` — and
-    also participates in the cache key.  It is the only way a run is
-    verified, so a verified answer is never served from an unverified
-    cache entry.  ``analyze`` computes the certified
-    refined II lower bound (:mod:`repro.analyze`) on the pristine loop and
-    stores the bound in the result (``repro analyze --json`` regenerates its
-    certificates); it changes the result payload and therefore participates
-    in the cache key.
+    simulation against the sequential reference into ``funcsim_ok``.  It
+    is the only way a run is verified, so a verified answer is never
+    served from an unverified cache entry.  ``analyze`` computes the
+    certified refined II lower bound (:mod:`repro.analyze`) on the
+    pristine loop and stores the bound in the result (``repro analyze
+    --json`` regenerates its certificates).  Each flag changes the
+    result's payload, which is why each is in the key.
     """
 
     loop: str
@@ -244,6 +258,7 @@ class Cell:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r} (expected one of {SCHEDULERS})"
             )
+        object.__setattr__(self, "trips", tuple(self.trips))
 
     @classmethod
     def make(
@@ -251,30 +266,11 @@ class Cell:
         loop: str,
         scheduler: str,
         options: Optional[Mapping[str, Any]] = None,
-        trips: Tuple[int, ...] = (),
-        seed: int = 0,
-        timeout: Optional[float] = None,
-        simulate: bool = True,
-        trace: bool = False,
-        trace_dir: Optional[str] = None,
-        explain: bool = False,
-        oracle: bool = False,
-        analyze: bool = False,
+        **fields: Any,
     ) -> "Cell":
-        return cls(
-            loop=loop,
-            scheduler=scheduler,
-            options_json=canonical_options(options),
-            trips=tuple(trips),
-            seed=seed,
-            timeout=timeout,
-            simulate=simulate,
-            trace=trace,
-            trace_dir=trace_dir,
-            explain=explain,
-            oracle=oracle,
-            analyze=analyze,
-        )
+        """A cell with ``options`` canonicalised; ``fields`` are the other
+        fields by name (``trips``, ``seed``, ``timeout``, ...)."""
+        return cls(loop, scheduler, canonical_options(options), **fields)
 
     @property
     def options(self) -> Dict[str, Any]:
@@ -286,37 +282,11 @@ class Cell:
         return f"{self.loop} × {self.scheduler}{opts}"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loop": self.loop,
-            "scheduler": self.scheduler,
-            "options_json": self.options_json,
-            "trips": list(self.trips),
-            "seed": self.seed,
-            "timeout": self.timeout,
-            "simulate": self.simulate,
-            "trace": self.trace,
-            "trace_dir": self.trace_dir,
-            "explain": self.explain,
-            "oracle": self.oracle,
-            "analyze": self.analyze,
-        }
+        return _fields_of(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Cell":
-        return cls(
-            loop=data["loop"],
-            scheduler=data["scheduler"],
-            options_json=data.get("options_json", "{}"),
-            trips=tuple(data.get("trips", ())),
-            seed=data.get("seed", 0),
-            timeout=data.get("timeout"),
-            simulate=data.get("simulate", True),
-            trace=data.get("trace", False),
-            trace_dir=data.get("trace_dir"),
-            explain=data.get("explain", False),
-            oracle=data.get("oracle", False),
-            analyze=data.get("analyze", False),
-        )
+        return cls(**_known_fields(cls, data))
 
 
 @dataclass
@@ -391,44 +361,8 @@ class CellResult:
             ) from None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loop": self.loop,
-            "scheduler": self.scheduler,
-            "options_json": self.options_json,
-            "success": self.success,
-            "error": self.error,
-            "n_ops": self.n_ops,
-            "ii": self.ii,
-            "min_ii": self.min_ii,
-            "schedule_seconds": self.schedule_seconds,
-            "sched_wall_seconds": self.sched_wall_seconds,
-            "wall_seconds": self.wall_seconds,
-            "timeout": self.timeout,
-            "fallback": self.fallback,
-            "optimal": self.optimal,
-            "producer": self.producer,
-            "order_name": self.order_name,
-            "spill_rounds": self.spill_rounds,
-            "n_stages": self.n_stages,
-            "registers_used": self.registers_used,
-            "overhead_cycles": self.overhead_cycles,
-            "sim_cycles": dict(self.sim_cycles),
-            "obs": dict(self.obs),
-            "trace_file": self.trace_file,
-            "explanation": self.explanation,
-            "verify_errors": list(self.verify_errors),
-            "verify_warnings": list(self.verify_warnings),
-            "funcsim_ok": self.funcsim_ok,
-            "funcsim_detail": self.funcsim_detail,
-            "refined_bound": self.refined_bound,
-            "backend_seconds": dict(self.backend_seconds),
-            "backend_probes": list(self.backend_probes),
-            "cache_hit": self.cache_hit,
-            "cache_key": self.cache_key,
-            "attempts": self.attempts,
-        }
+        return _fields_of(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellResult":
-        known = {f for f in cls.__dataclass_fields__}  # tolerate future fields
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**_known_fields(cls, data))

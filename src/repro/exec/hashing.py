@@ -1,50 +1,41 @@
-"""Stable content hashing for the experiment cache.
+"""Content addresses for the experiment cache.
 
-A cached schedule is only reusable when *everything* that determined it is
-unchanged: the loop IR, the machine description, the pipeliner options and
-the scheduling code itself.  Each of those gets a canonical JSON rendering
-hashed with SHA-256; the cell key combines them, so any drift — an edited
-kernel, a latency tweak, a new pruning rule — silently invalidates exactly
-the affected entries and nothing else.  An oracle cell also carries the
-checkers' verdict, so its key covers the ``verify`` sources as well.
+A cached result is only reusable when everything that determined it is
+unchanged: what the cell asks for and the code that answers it.  A cell's
+key hashes both.  The cell's own fields (:meth:`Cell.to_dict` without
+``trace_dir``, which only says where a trace is written) name the loop by
+registry key, the scheduler, its options, trips, seed, deadline and
+flags.  The code is a digest of every source in the import closure of
+what the cell runs: :mod:`repro.exec.runner` plus the cell's registry
+driver module, walked through module-level and call-time imports alike.
+The loop IR and the machine follow from the two (the loop key names a
+builder in the closure, and every cell runs on ``runner.MACHINE``), so an
+edited kernel, latency or checker re-runs exactly the cells whose code
+imports it, and an edit to code no cell runs (the CLI, the daemon, the
+dashboards) re-runs nothing.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib.util
 import json
 import pathlib
 from functools import lru_cache
-from typing import Any, Iterable
+from typing import Any, Dict, Iterable, Tuple
 
 from ..ir.loop import Loop
-from ..machine.descriptions import MachineDescription
+from ..schedulers import REGISTRY
+from .cells import Cell
 
-#: The ``repro`` package directory every source digest is taken under.
+#: The ``repro`` package directory every source digest is taken under, and
+#: the package's name.
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
+_PACKAGE = __package__.partition(".")[0]
 
-# Subpackages whose source participates in scheduling or simulation; editing
-# any of them invalidates every cache entry.  ``exec`` itself and ``eval``
-# are deliberately excluded: they orchestrate results but never change
-# them.  ``verify`` checks them: it is in the key of oracle cells only.
-_RESULT_BEARING = (
-    "ir",
-    "machine",
-    "core",
-    "most",
-    "rau",
-    "ilp",
-    "portfolio",
-    "regalloc",
-    "sim",
-    "pipeline",
-    "baseline",
-    "workloads",
-    "analyze",
-)
-#: Top-level modules that shape results: the registry picks each
-#: scheduler's options class and presets.
-_RESULT_BEARING_FILES = ("schedulers.py",)
+#: The module every cell runs through, whatever its scheduler.
+_RUNNER = f"{_PACKAGE}.exec.runner"
 
 
 def _sha256(payload: Any) -> str:
@@ -86,98 +77,92 @@ def fingerprint_loop(loop: Loop) -> str:
     )
 
 
-def fingerprint_machine(machine: MachineDescription) -> str:
-    """Content hash of a machine description."""
-    tables = {
-        opclass.value: sorted(
-            (use.offset, use.resource, use.count) for use in table.uses
-        )
-        for opclass, table in machine.tables.items()
-    }
-    return _sha256(
-        {
-            "name": machine.name,
-            "availability": dict(sorted(machine.availability.items())),
-            "latencies": {c.value: l for c, l in sorted(machine.latencies.items(), key=lambda kv: kv[0].value)},
-            "tables": tables,
-            "store_to_load": machine.store_to_load_latency,
-            "mem_serialize": machine.mem_serialize_latency,
-            "fp_regs": machine.fp_regs,
-            "int_regs": machine.int_regs,
-            "banks": machine.memory_banks,
-            "bellows": machine.bellows_depth,
-        }
-    )
+def _package_modules(root: pathlib.Path) -> Dict[str, pathlib.Path]:
+    """Every module under the package directory ``root``, by dotted name
+    (a package by its ``__init__``)."""
+    modules = {}
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join((_PACKAGE, *parts))] = path
+    return modules
 
 
-def _source_digest(root: pathlib.Path, paths: Iterable[pathlib.Path]) -> str:
+@lru_cache(maxsize=None)
+def _imports(module: str, is_package: bool, source: bytes) -> Tuple[str, ...]:
+    """Every module name ``source`` may import, at any depth of its body.
+
+    ``from m import n`` names both ``m`` and ``m.n``: ``n`` may be a
+    submodule.  Names that are not modules resolve to no file and drop out
+    of the walk.  Memoised on the source: the drivers' closures share most
+    modules, and parsing is the walk's whole cost.
+    """
+    package = module if is_package else module.rpartition(".")[0]
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+            names += [base, *(f"{base}.{alias.name}" for alias in node.names)]
+    return tuple(names)
+
+
+def import_closure(modules: Iterable[str], root: pathlib.Path = _ROOT) -> Dict[str, pathlib.Path]:
+    """Every ``repro`` module that running ``modules`` may execute, with its
+    source file: their imports, module-level and call-time, followed
+    transitively.  A submodule brings its packages' ``__init__`` files."""
+    files = _package_modules(root)
+    found: Dict[str, pathlib.Path] = {}
+    todo = list(modules)
+    while todo:
+        module = todo.pop()
+        if module in found or module not in files:
+            continue
+        path = found[module] = files[module]
+        todo.append(module.rpartition(".")[0])
+        todo += _imports(module, path.name == "__init__.py", path.read_bytes())
+    return found
+
+
+@lru_cache(maxsize=None)
+def closure_digest(modules: Tuple[str, ...], root: pathlib.Path = _ROOT) -> str:
+    """SHA-256 over the sources in the import closure of ``modules``, each
+    named by its path relative to ``root`` (so where the checkout lives
+    does not enter it).  Memoised: one walk per process and root."""
     digest = hashlib.sha256()
-    for path in paths:
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
+    for path in sorted(import_closure(modules, root).values()):
+        source = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(source)}\0".encode())
+        digest.update(source)
     return digest.hexdigest()
 
 
-@lru_cache(maxsize=1)
+def _driver(name: str) -> str:
+    return importlib.util.resolve_name(REGISTRY[name].module, _PACKAGE)
+
+
+def cell_modules(scheduler: str) -> Tuple[str, ...]:
+    """The modules a cell of ``scheduler`` runs: the runner, plus the
+    registry driver it loads by name (``baseline`` has none)."""
+    return (_RUNNER, _driver(scheduler)) if scheduler in REGISTRY else (_RUNNER,)
+
+
 def code_version() -> str:
-    """Hash of every result-bearing source file in the ``repro`` package.
-
-    Computed once per process; any edit to scheduling, allocation or
-    simulation code changes the version and therefore every cache key.
-    """
-    paths = [path for sub in _RESULT_BEARING for path in sorted((_ROOT / sub).glob("*.py"))]
-    return _source_digest(_ROOT, paths + [_ROOT / name for name in _RESULT_BEARING_FILES])
+    """Digest of the code every registered scheduler's cells run: the
+    provenance stamp of a BENCH report or a history record."""
+    return closure_digest((_RUNNER, *map(_driver, REGISTRY)), _ROOT)
 
 
-@lru_cache(maxsize=1)
-def checker_version(root: pathlib.Path = _ROOT) -> str:
-    """Hash of the ``verify`` sources under ``root`` (a ``repro`` package
-    directory): the checkers whose verdict an oracle cell carries."""
-    return _source_digest(root, sorted((root / "verify").glob("*.py")))
-
-
-def cell_key(
-    loop_fingerprint: str,
-    machine_fingerprint: str,
-    scheduler: str,
-    options_json: str,
-    trips: tuple,
-    seed: int,
-    simulate: bool,
-    timeout: float | None,
-    trace: bool = False,
-    explain: bool = False,
-    oracle: bool = False,
-    analyze: bool = False,
-) -> str:
+def cell_key(cell: Cell) -> str:
     """The content address of one experiment cell.
 
-    ``trace`` is part of the key because traced results carry payload
-    (folded ``obs`` counters) that untraced results lack; where the trace
-    is *written* is not, so moving the output directory reuses the cache.
-    ``explain`` participates for the same reason: explained results carry
-    a binding-constraint attribution payload.  So does ``oracle``: oracle
-    results carry independent-verification and functional-sim verdicts.
-    ``analyze`` likewise: analyzed results carry the certified refined II
-    lower bound.  An oracle cell's key also covers the checkers'
-    sources (:func:`checker_version`), so a checker edit re-runs exactly the
-    oracle cells.
+    The cell's fields, ``trace_dir`` aside, plus the digest of the code it
+    runs.  Every flag is a field: traced, explained, oracle and analyzed
+    results each carry payload a plain result lacks.  The digest is
+    computed on the first key, never at import.
     """
-    payload = {
-        "loop": loop_fingerprint,
-        "machine": machine_fingerprint,
-        "scheduler": scheduler,
-        "options": options_json,
-        "trips": list(trips),
-        "seed": seed,
-        "simulate": simulate,
-        "timeout": timeout,
-        "trace": trace,
-        "explain": explain,
-        "oracle": oracle,
-        "analyze": analyze,
-        "code": code_version(),
-    }
-    if oracle:
-        payload["checkers"] = checker_version()
-    return _sha256(payload)
+    fields = cell.to_dict()
+    del fields["trace_dir"]
+    return _sha256({**fields, "code": closure_digest(cell_modules(cell.scheduler), _ROOT)})

@@ -44,7 +44,7 @@ from ..obs import TraceRecorder, recording, write_jsonl
 from ..schedulers import get_scheduler, without_harness_keys
 from .cache import ScheduleCache, cache_result, cached_hit
 from .cells import Cell, CellResult, resolve_loop
-from .hashing import cell_key, fingerprint_loop, fingerprint_machine
+from .hashing import cell_key
 
 
 class CellTimeout(Exception):
@@ -402,10 +402,6 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
 # ----------------------------------------------------------------------
 ProgressFn = Callable[[int, int, Cell, CellResult], None]
 
-#: Loop fingerprints :meth:`ExecEngine.key_of` keeps before starting over.
-_LOOP_FP_LIMIT = 4096
-
-
 class ExecEngine:
     """Runs cells in parallel with caching, deadlines and one retry.
 
@@ -430,8 +426,6 @@ class ExecEngine:
         self.default_timeout = default_timeout
         self.retries = retries
         self.progress = progress
-        self._machine_fp = fingerprint_machine(r8000())
-        self._loop_fps: Dict[str, str] = {}
 
     # -- keys ----------------------------------------------------------
     def _effective(self, cell: Cell) -> Cell:
@@ -440,41 +434,19 @@ class ExecEngine:
         return cell
 
     def key_of(self, cell: Cell) -> str:
-        """Content address of a cell (resolves the loop to fingerprint it).
-
-        Loop fingerprints are memoised per engine; fuzz batches and serve
-        requests stream one-shot ``fuzz:`` keys through one long-lived
-        engine, so the memo starts over past :data:`_LOOP_FP_LIMIT`
-        entries (corpus keys simply re-fingerprint).
-        """
-        loop_fp = self._loop_fps.get(cell.loop)
-        if loop_fp is None:
-            if len(self._loop_fps) >= _LOOP_FP_LIMIT:
-                self._loop_fps.clear()
-            loop_fp = fingerprint_loop(resolve_loop(cell.loop))
-            self._loop_fps[cell.loop] = loop_fp
-        return cell_key(
-            loop_fp,
-            self._machine_fp,
-            cell.scheduler,
-            cell.options_json,
-            cell.trips,
-            cell.seed,
-            cell.simulate,
-            cell.timeout,
-            cell.trace,
-            cell.explain,
-            cell.oracle,
-            cell.analyze,
-        )
+        """Content address of a cell (:func:`~repro.exec.hashing.cell_key`):
+        its fields and the digest of its code; no loop is built."""
+        return cell_key(cell)
 
     # -- running -------------------------------------------------------
     def run(self, cells: Sequence[Cell]) -> Dict[Cell, CellResult]:
         """Execute every distinct cell; returns results keyed by cell.
 
         Cached results are returned without scheduling anything; the rest
-        run inline or on the pool.  The result map is keyed by the cells as
-        given (before the engine's default timeout is applied).
+        run inline or on the pool.  A loop key that does not resolve comes
+        back as the worker's error result, which is never cached.  The
+        result map is keyed by the cells as given (before the engine's
+        default timeout is applied).
         """
         ordered: List[Cell] = list(dict.fromkeys(cells))
         results: Dict[Cell, CellResult] = {}
@@ -489,18 +461,7 @@ class ExecEngine:
             record(cell, CellResult.from_dict(cache_result(self.cache, pending[cell], payload)))
 
         for cell in ordered:
-            try:
-                key = self.key_of(self._effective(cell))
-            except Exception:
-                # The loop key does not resolve: an error result, not a crash
-                # (and nothing worth caching).
-                record(cell, CellResult(
-                    loop=cell.loop,
-                    scheduler=cell.scheduler,
-                    options_json=cell.options_json,
-                    error=traceback.format_exc(),
-                ))
-                continue
+            key = self.key_of(self._effective(cell))
             payload = self.cache.get(key) if self.cache is not None else None
             if payload is not None:
                 record(cell, CellResult.from_dict(cached_hit(payload, key)))

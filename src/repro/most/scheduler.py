@@ -14,7 +14,8 @@ Mirrors the adjusted McGill methodology of Section 3.3:
 
 MOST is the one optimal driver (:func:`~repro.most.walk.optimal_pipeline_loop`)
 under its default set: the ILP alone, one probe entry per SGI production
-order over the II's one encoding, then the buffer re-solve.
+order over the II's one encoding (one unordered entry on HiGHS), then the
+buffer re-solve.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ formulation) in order under the loop's one :class:`SolveBudget`, every
 answer charged, recorded and its witness re-checked.  The entries are the
 requested backends in race order; the ``ilp`` backend contributes one entry
 per branch order (every SGI production order for MOST, the first one for
-the portfolio, one unordered entry without priority branching), all over
-one encoding of the II.  Around the probe, :func:`walk_ii` runs once: IIs
+the portfolio, one unordered entry without priority branching or on
+HiGHS, which cannot branch on an order), all over one encoding of the II.  Around the probe, :func:`walk_ii` runs once: IIs
 from MinII to ``ii_cap_factor * MinII``; the window-collapse screen;
 II-optimality proven when every smaller II was proven infeasible; a
 register-allocation failure walks on (a larger II shortens relative
@@ -201,7 +201,10 @@ class OptimalOptions:
     objective: Optional[str] = "buffers"
     integrated: bool = False  # ILP entries minimise buffers in one solve (§3.3 adj. 1)
     engine: str = "bnb"  # the ILP's engine: "bnb" (ours) or "scipy" (HiGHS)
-    priority_branching: bool = True  # the ILP branches on SGI orders (§3.3 adj. 3)
+    # The ILP branches on SGI orders (§3.3 adj. 3).  Only our B&B engine
+    # can: HiGHS ignores a branch order, so with "scipy" the ILP gets one
+    # unordered entry whatever this says.
+    priority_branching: bool = True
     branch_orders: Optional[int] = None  # that many production orders, in turn (None: all)
     max_ops: int = 80  # loops beyond this go straight to the fallback
     ii_cap_factor: int = 2
@@ -424,7 +427,7 @@ def optimal_pipeline_loop(
     secondary = options.objective is not None and not options.integrated
     orders: List[Optional[List[int]]] = [None]
     if "ilp" in usable or secondary:
-        if options.priority_branching:
+        if options.priority_branching and options.engine == "bnb":
             # §3.3 adjustment 3: the SGI production orders as branch orders.
             orders = list(production_orders(loop, machine).values())[: options.branch_orders]
         load_ilp_solver()

@@ -6,17 +6,17 @@ and obs counters, and *attributes* every changed cell to the input that
 moved:
 
 ``identical-inputs``
-    The two cells share a ``cache_key`` — same loop IR, same machine,
-    same options, same code version.  Any timing delta is runner noise;
-    any quality delta would be nondeterminism (and is still reported).
+    The two cells share a ``cache_key`` — the same cell fields and the
+    same code.  Any timing delta is runner noise; any quality delta would
+    be nondeterminism (and is still reported).
 ``options``
     Same (loop, scheduler), different ``options_json`` — the knobs moved.
 ``code``
     Same inputs otherwise, but the report-level ``code_version`` differs:
-    the source of the result-bearing subpackages changed.
-``ir-or-machine``
-    Same options and code version yet a different ``cache_key``: the loop
-    IR (or machine description) itself changed under the cell.
+    the source the cells run changed.
+``cell-fields``
+    Same options and code version yet a different ``cache_key``: another
+    field of the cell moved (its seed, trips, timeout or a flag).
 
 Quality rules are strict, pairwise and machine-independent: a raised or
 vanished II, a new timeout/fallback/error, higher simulated cycles, or a
@@ -83,7 +83,7 @@ class CellDelta:
     scheduler: str
     #: "regression" | "improvement" | "unchanged" | "noise" | "added" | "removed"
     status: str
-    #: "identical-inputs" | "options" | "code" | "ir-or-machine" | "new" | "gone"
+    #: "identical-inputs" | "options" | "code" | "cell-fields" | "new" | "gone"
     cause: str
     deltas: Dict[str, Tuple[Any, Any]] = field(default_factory=dict)
     obs_deltas: Dict[str, float] = field(default_factory=dict)
@@ -193,7 +193,7 @@ def _cause(old: Mapping[str, Any], new: Mapping[str, Any], code_changed: bool) -
         return "identical-inputs"
     if code_changed:
         return "code"
-    return "ir-or-machine"
+    return "cell-fields"
 
 
 def _align(

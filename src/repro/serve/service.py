@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..exec.cache import DEFAULT_CACHE_DIR, ScheduleCache, cache_result, cached_hit
-from ..exec.cells import Cell
+from ..exec.cells import Cell, resolve_loop
+from ..exec.hashing import cell_key
 from ..exec.pool import WorkerPool
-from ..exec.runner import ExecEngine
 from ..obs.recorder import get_recorder
 from ..obs.service import ServiceMetrics, SlowRequestLog
 from .cachetier import LRUCache, TieredCache
@@ -117,9 +117,6 @@ class SchedulerService:
         self.metrics = ServiceMetrics()
         self.cache = self.config.build_cache()
         self.pool = WorkerPool(self.config.jobs)
-        # key_of needs loop fingerprints; reuse the engine's bounded,
-        # memoised hashing (the engine itself never runs cells here).
-        self._keyer = ExecEngine(jobs=1, cache=None)
         self._inflight: Dict[str, _Flight] = {}
         self._tasks: "set[asyncio.Task]" = set()
         self._gauge_task: Optional[asyncio.Task] = None
@@ -219,18 +216,15 @@ class SchedulerService:
         """Key the request's cell, then answer it from the cache, attach it
         to an identical in-flight solve, or start a solve for it.
 
-        Returns a refusal response — an unresolvable loop key, or a new
-        miss while ``queue_limit`` solves are outstanding — or ``None``
-        once the request's future is resolved or has a solve behind it.
+        Returns a refusal response — a new miss while ``queue_limit``
+        solves are outstanding, or one whose loop key does not resolve —
+        or ``None`` once the request's future is resolved or has a solve
+        behind it.  Only a new miss builds its loop: keying builds none,
+        and a hit or an attachment had its loop built by the solve behind
+        it.
         """
         request_id = pending.request.id
-        try:
-            key = self._keyer.key_of(pending.cell)
-        except Exception as exc:
-            self.metrics.rejected += 1
-            return error_response(
-                request_id, "bad-request", f"loop key does not resolve: {exc}"
-            )
+        key = cell_key(pending.cell)
         flight = self._inflight.get(key)
         hit = self.cache.get(key) if flight is None else None
         pending.keyed_at = time.perf_counter()
@@ -255,6 +249,13 @@ class SchedulerService:
                 retry_after=retry,
             )
         else:
+            try:
+                resolve_loop(pending.cell.loop)
+            except Exception as exc:
+                self.metrics.rejected += 1
+                return error_response(
+                    request_id, "bad-request", f"loop key does not resolve: {exc}"
+                )
             self.metrics.misses += 1
             flight = _Flight(key, pending.cell)
             flight.waiters.append(pending)

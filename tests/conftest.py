@@ -135,3 +135,25 @@ def memheavy(machine):
 @pytest.fixture
 def divloop(machine):
     return build_divider(machine)
+
+
+@pytest.fixture
+def repro_copy(tmp_path, monkeypatch):
+    """A copy of the ``repro`` sources that every cache key is taken from
+    while the test runs; the code that runs stays the original."""
+    import shutil
+
+    from repro.exec import hashing
+
+    root = tmp_path / "repro"
+    shutil.copytree(hashing._ROOT, root, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(hashing, "_ROOT", root)
+    yield root
+    hashing.closure_digest.cache_clear()
+
+
+def edit_source(path, text="\n# edited\n"):
+    """Append ``text`` to a source file; returns what it held before."""
+    original = path.read_bytes()
+    path.write_bytes(original + text.encode())
+    return original

@@ -71,6 +71,17 @@ class TestDiffReports:
         # change is intentional.
         assert not diff.ok
 
+    def test_a_seed_only_change_is_attributed_to_the_cell_fields(self):
+        # Same options and code version: with the loop IR and the machine
+        # out of the key, only another cell field (here the seed, which
+        # picks the data layout) can move the cache key.
+        old = _payload([_cell()])
+        new = _payload([_cell(cache_key="key-a-sgi-seed1", sim_cycles={"default": 104.0})])
+        diff = diff_reports(old, new)
+        (changed,) = diff.cells
+        assert changed.cause == "cell-fields"
+        assert diff.by_cause == {"cell-fields": 1}
+
     def test_identical_inputs_timing_delta_is_noise(self):
         old = _payload([_cell()])
         new = _payload([_cell(schedule_seconds=0.15, wall_seconds=0.3)])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
-import pathlib
 import re
 import threading
 
@@ -24,12 +23,9 @@ from repro.exec import (
     corpus_loop_keys,
     execute_cell,
     fingerprint_loop,
-    fingerprint_machine,
     resolve_loop,
 )
 from repro.exec import pool as pool_module
-from repro.exec.cells import LOOP_SOURCES
-from repro.machine import r8000
 from repro.most.scheduler import MostOptions
 from repro.most.walk import PAPER_TIME_LIMIT, SolveBudget
 from repro.schedulers import REGISTRY
@@ -149,22 +145,17 @@ class TestHashing:
             build_sdot(machine, trip_count=20)
         )
 
-    def test_machine_fingerprint_stable(self, machine):
-        assert fingerprint_machine(machine) == fingerprint_machine(r8000())
-
     def test_code_version_is_a_hash(self):
         version = code_version()
         assert len(version) == 64  # sha256 hexdigest
         assert version == code_version()  # cached and stable in-process
 
-    def test_cell_key_changes_with_every_input(self, machine):
-        loop_fp = fingerprint_loop(build_sdot(machine))
-        machine_fp = fingerprint_machine(machine)
-        base = cell_key(loop_fp, machine_fp, "sgi", "{}", (), 0, True, None)
-        assert cell_key(loop_fp, machine_fp, "most", "{}", (), 0, True, None) != base
-        assert cell_key(loop_fp, machine_fp, "sgi", '{"a":1}', (), 0, True, None) != base
-        assert cell_key(loop_fp, machine_fp, "sgi", "{}", (7,), 0, True, None) != base
-        assert cell_key(loop_fp, machine_fp, "sgi", "{}", (), 1, True, None) != base
+    def test_cell_key_changes_with_every_input(self):
+        base = cell_key(Cell("scaling:16", "sgi"))
+        assert cell_key(Cell("scaling:16", "most")) != base
+        assert cell_key(Cell("scaling:16", "sgi", '{"a":1}')) != base
+        assert cell_key(Cell("scaling:16", "sgi", trips=(7,))) != base
+        assert cell_key(Cell("scaling:16", "sgi", seed=1)) != base
 
     def test_every_cell_field_but_trace_dir_is_in_the_key(self):
         """A field outside the key lets one cache entry answer two
@@ -220,39 +211,31 @@ class TestEngine:
         assert "default" in result.sim_cycles
         assert not result.cache_hit and result.cache_key
 
-    def test_a_checker_edit_misses_oracle_cells_only(self, tmp_path, monkeypatch):
-        """An oracle cell carries the checkers' verdict, so editing a checker
-        must re-run it; a cell without the oracle keeps its key."""
-        import shutil
-
-        import repro
+    def test_a_checker_edit_misses_oracle_and_plain_cells(self, tmp_path, repro_copy):
+        """SGI's bank polish runs ``check_schedule`` on every schedule
+        (``Schedule.validate()``), so editing it must re-run a plain cell
+        as well as an oracle cell, which carries the checkers' verdict."""
         from repro.exec import hashing
 
         cache_dir = tmp_path / "c"
         oracle = Cell.make("livermore:lk01_hydro", "sgi", oracle=True)
         plain = Cell.make("livermore:lk01_hydro", "sgi")
         engine = ExecEngine(jobs=1, cache=ScheduleCache(cache_dir))
-        assert not engine.run([oracle])[oracle].cache_hit
-        assert engine.run([oracle])[oracle].cache_hit
-        plain_key = engine.key_of(plain)
+        assert not any(r.cache_hit for r in engine.run([oracle, plain]).values())
+        assert all(r.cache_hit for r in engine.run([oracle, plain]).values())
 
         # The checkers as they would read after an edit to check_schedule.
-        copy = tmp_path / "repro"
-        shutil.copytree(pathlib.Path(repro.__file__).parent / "verify", copy / "verify")
-        schedcheck = copy / "verify" / "schedcheck.py"
+        schedcheck = repro_copy / "verify" / "schedcheck.py"
         source = schedcheck.read_text(encoding="utf-8")
         edited = source.replace(
             "def check_schedule(", "# every schedule now fails\ndef check_schedule(", 1
         )
         assert edited != source
         schedcheck.write_text(edited, encoding="utf-8")
-        edited_version = hashing.checker_version(copy)
-        assert edited_version != hashing.checker_version()
-        monkeypatch.setattr(hashing, "checker_version", lambda: edited_version)
+        hashing.closure_digest.cache_clear()
 
-        rerun = ExecEngine(jobs=1, cache=ScheduleCache(cache_dir)).run([oracle])[oracle]
-        assert not rerun.cache_hit
-        assert engine.key_of(plain) == plain_key
+        rerun = ExecEngine(jobs=1, cache=ScheduleCache(cache_dir)).run([oracle, plain])
+        assert not any(r.cache_hit for r in rerun.values())
 
     def test_cache_hit_on_second_run(self, tmp_path):
         cache_dir = tmp_path / "c"
@@ -276,28 +259,37 @@ class TestEngine:
         assert cache.stats.misses == 2 and cache.stats.hits == 0
         assert cache.entry_count() == 2
 
-    def test_ir_change_invalidates(self, tmp_path, machine):
-        """Editing a kernel's IR must invalidate its cache entries."""
-        trip_count = 100
-        LOOP_SOURCES["testsrc"] = lambda rest, m: build_sdot(m, trip_count=trip_count)
-        try:
-            cache = ScheduleCache(tmp_path / "c")
-            cell = Cell.make("testsrc:sdot", "sgi")
-            ExecEngine(jobs=1, cache=cache).run([cell])
-            assert cache.stats.misses == 1
-            # Same IR again (fresh engine, fresh memo): a hit.
-            clear_loop_memo()
-            ExecEngine(jobs=1, cache=cache).run([cell])
-            assert cache.stats.hits == 1
-            # The kernel "gets edited": same key, different IR — a miss.
-            trip_count = 200
-            clear_loop_memo()
+    def test_ir_change_invalidates(self, tmp_path, repro_copy):
+        """Editing a kernel's IR must invalidate its cache entries: the
+        kernel's builder is in the code every cell runs."""
+        from repro.exec import hashing
+
+        cache = ScheduleCache(tmp_path / "c")
+        cell = Cell.make("livermore:lk12_firstdiff", "sgi")
+        ExecEngine(jobs=1, cache=cache).run([cell])
+        assert cache.stats.misses == 1
+        # Same sources again (fresh engine): a hit.
+        ExecEngine(jobs=1, cache=cache).run([cell])
+        assert cache.stats.hits == 1
+        # The kernel "gets edited": same key, different builder — a miss.
+        livermore = repro_copy / "workloads" / "livermore.py"
+        source = livermore.read_text(encoding="utf-8")
+        edited = source.replace("trip_count=", "trip_count=2 * ", 1)
+        assert edited != source
+        livermore.write_text(edited, encoding="utf-8")
+        hashing.closure_digest.cache_clear()
+        result = ExecEngine(jobs=1, cache=cache).run([cell])[cell]
+        assert cache.stats.misses == 2
+        assert not result.cache_hit
+
+    def test_an_unresolvable_loop_is_an_error_result_never_cached(self, tmp_path):
+        cache = ScheduleCache(tmp_path / "c")
+        cell = Cell.make("nosuchcorpus:zzz", "sgi")
+        for _ in range(2):
             result = ExecEngine(jobs=1, cache=cache).run([cell])[cell]
-            assert cache.stats.misses == 2
-            assert not result.cache_hit
-        finally:
-            del LOOP_SOURCES["testsrc"]
-            clear_loop_memo()
+            assert not result.success and not result.cache_hit
+            assert "unknown loop source 'nosuchcorpus'" in result.error
+        assert cache.stats.stores == 0 and cache.entry_count() == 0
 
     def test_timeout_falls_back_with_accounting(self, tmp_path):
         """A cell over its deadline is rescued by the heuristic and says so."""
@@ -426,19 +418,23 @@ class TestEngine:
         assert engine._effective(cell).timeout == 60.0
         assert engine._effective(cell.from_dict({**cell.to_dict(), "timeout": 5.0})).timeout == 5.0
 
-    def test_key_of_bounds_its_loop_fingerprint_memo(self, monkeypatch):
+    def test_key_of_builds_no_loop(self, monkeypatch):
+        import repro.exec.cells as cells_module
         import repro.exec.runner as runner
 
-        monkeypatch.setattr(runner, "_LOOP_FP_LIMIT", 2)
+        def refuse(*args, **kwargs):
+            raise AssertionError("keying a cell built its loop")
+
+        monkeypatch.setattr(cells_module, "resolve_loop", refuse)
+        monkeypatch.setattr(runner, "resolve_loop", refuse)
         engine = ExecEngine(jobs=1)
         cells = [
             Cell.make(f"livermore:{name}", "sgi")
             for name in ("lk01_hydro", "lk03_inner", "lk07_eos")
         ]
         keys = [engine.key_of(cell) for cell in cells]
-        assert len(engine._loop_fps) <= 2
-        # Starting over never changes a key.
-        assert keys == [ExecEngine(jobs=1).key_of(cell) for cell in cells]
+        assert len(set(keys)) == 3
+        assert keys == [cell_key(cell) for cell in cells]
 
     def test_progress_stream(self, tmp_path):
         seen = []

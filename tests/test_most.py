@@ -185,3 +185,58 @@ class TestMostScheduler:
         res = most_pipeline_loop(sdot, machine, fast_options())
         assert res.stats.solves >= 1
         assert res.stats.seconds > 0
+
+
+class TestBranchOrders:
+    """HiGHS ignores a branch order, so on ``scipy`` MOST asks the ILP once
+    per II; our B&B engine gets one entry per SGI production order."""
+
+    @pytest.mark.parametrize("engine", ["scipy", "bnb"])
+    def test_an_unknown_answer_is_re_asked_only_under_another_order(
+        self, machine, monkeypatch, engine
+    ):
+        from repro.core.priorities import production_orders
+        from repro.most import walk
+        from repro.portfolio.answer import UNKNOWN, BackendAnswer
+
+        calls = []
+
+        def unknown(encoded, **kwargs):
+            calls.append((encoded.neutral.ii, kwargs["branch_priority"]))
+            return BackendAnswer(backend="ilp", answer=UNKNOWN)
+
+        monkeypatch.setattr(walk, "solve_ilp", unknown)
+        loop = build_first_diff(machine)
+        res = most_pipeline_loop(
+            loop, machine, MostOptions(engine=engine, time_limit=60.0, fallback=False)
+        )
+        assert not res.success
+        iis = sorted({ii for ii, _ in calls})
+        assert iis and all(p.answer == UNKNOWN for p in res.probes)
+        if engine == "scipy":
+            assert calls == [(ii, None) for ii in iis]
+        else:
+            orders = list(production_orders(loop, machine).values())
+            assert calls == [(ii, order) for ii in iis for order in orders]
+
+    def test_scipy_computes_no_order_and_stage_two_gets_none(self, machine, monkeypatch):
+        from repro.most import walk
+
+        def no_orders(*args, **kwargs):
+            raise AssertionError("production orders computed for HiGHS")
+
+        priorities = []
+        real = walk.solve_ilp
+
+        def spy(encoded, **kwargs):
+            priorities.append((kwargs["first_solution"], kwargs["branch_priority"]))
+            return real(encoded, **kwargs)
+
+        monkeypatch.setattr(walk, "production_orders", no_orders)
+        monkeypatch.setattr(walk, "solve_ilp", spy)
+        res = most_pipeline_loop(
+            build_sdot(machine), machine, MostOptions(engine="scipy", time_limit=20.0)
+        )
+        assert res.success and not res.fallback_used and res.buffers is not None
+        assert (False, None) in priorities  # stage 2 ran, unordered
+        assert all(order is None for _, order in priorities)

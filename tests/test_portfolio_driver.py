@@ -118,8 +118,8 @@ class TestExecIntegration:
         from repro.exec.hashing import cell_key
 
         def key(scheduler, options_json):
-            return cell_key("loopfp", "machfp", scheduler, options_json,
-                            (), 0, False, 30.0)
+            return cell_key(Cell("livermore:lk01_hydro", scheduler, options_json,
+                                 simulate=False, timeout=30.0))
 
         a = key("portfolio", '{"backends":"cp,ilp"}')
         b = key("portfolio", '{"backends":"cp"}')

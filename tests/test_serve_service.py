@@ -253,6 +253,28 @@ def test_memory_cache_hit_on_second_submit():
     assert (metrics.misses, metrics.memory_hits) == (1, 1)
 
 
+def test_only_a_new_miss_builds_its_loop(monkeypatch):
+    """A hot loop is refused or admitted once: keying builds no loop, and a
+    cache hit never rebuilds the loop its solve resolved."""
+    from repro.serve import service as service_module
+
+    built = []
+    real = service_module.resolve_loop
+
+    def counting(key, *args):
+        built.append(key)
+        return real(key, *args)
+
+    monkeypatch.setattr(service_module, "resolve_loop", counting)
+
+    async def scenario(service):
+        return [await service.submit(_request(f"r{i}")) for i in range(3)]
+
+    responses = asyncio.run(_with_service(_service(), scenario))
+    assert [r["cached"] for r in responses] == [False, "memory", "memory"]
+    assert built == [LOOP]
+
+
 def test_single_flight_dedup_solves_once():
     n = 6
 
