@@ -53,7 +53,7 @@ bench:
 # The CI smoke lane: Livermore only, tighter solver budget, then a
 # warn-only comparison against the committed baseline.
 bench-quick:
-	$(PYTHON) -m repro bench --quick --jobs 4
+	$(PYTHON) -m repro bench --quick --jobs 4 --no-history
 	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output
 
 # The cache key is stable: rerun the quick grid against the cache the
@@ -184,7 +184,7 @@ fuzz-smoke:
 # whether rb_reg_farm x portfolio falls back, and four workers on two
 # cores can spend it.
 portfolio-smoke:
-	$(PYTHON) -m repro bench --quick --jobs 2 --schedulers portfolio
+	$(PYTHON) -m repro bench --quick --jobs 2 --schedulers portfolio --no-history
 	$(PYTHON) -c "import json, sys; \
 		bench = json.load(open('benchmarks/output/BENCH_pipeline.json')); \
 		totals = bench['totals']; \
@@ -192,7 +192,7 @@ portfolio-smoke:
 		bad = totals.get('disagreements', 0); \
 		print(f'portfolio probes={probes} disagreements={bad}'); \
 		sys.exit(1 if bad or not probes else 0)"
-	$(PYTHON) -m repro bench --quick --jobs 2
+	$(PYTHON) -m repro bench --quick --jobs 2 --no-history
 	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output --strict
 
 # The scheduling daemon on the default TCP port (ctrl-C drains gracefully).

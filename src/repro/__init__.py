@@ -36,7 +36,9 @@ Quick start::
     print(heuristic.ii, optimal.ii)
 """
 
+import sys
 from importlib import import_module
+from typing import Any, Callable, Dict
 
 #: Each re-exported name and the subpackage it comes from.  They load on
 #: first access (module ``__getattr__``), so importing one subpackage —
@@ -70,57 +72,27 @@ _EXPORTS = {
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BnBConfig",
-    "DDG",
-    "DataLayout",
-    "Dependence",
-    "DepKind",
-    "Loop",
-    "LoopBuilder",
-    "MachineDescription",
-    "MemRef",
-    "MostOptions",
-    "OpClass",
-    "Operation",
-    "OptimalResult",
-    "PipelineResult",
-    "PipelinerOptions",
-    "Schedule",
-    "allocate_schedule",
-    "emit_pipelined_code",
-    "list_schedule",
-    "livermore_kernel",
-    "livermore_kernels",
-    "max_ii",
-    "min_ii",
-    "most_pipeline_loop",
-    "pipeline_loop",
-    "pipeline_overhead",
-    "r8000",
-    "random_loop",
-    "rau_pipeline_loop",
-    "RauOptions",
-    "rec_mii",
-    "rename_kernel",
-    "res_mii",
-    "run_pipelined",
-    "run_sequential",
-    "simulate_pipelined",
-    "single_issue",
-    "interleave_reduction",
-    "promote_inter_iteration_loads",
-    "unroll",
-    "spec92_benchmark",
-    "spec92_suite",
-    "two_wide",
-]
+__all__ = sorted(_EXPORTS)
 
 
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy_exports(package: str, exports: Dict[str, str]) -> Callable[[str], Any]:
+    """The module ``__getattr__`` of ``package``: each name of ``exports``
+    is imported from its submodule on first access and then kept in the
+    package's namespace.  Every package init of ``repro`` resolves its
+    re-exports this way, so importing a package loads none of its
+    submodules, and code inside ``repro`` imports each name from its
+    defining module (the cache key's import walk follows those imports,
+    not this table)."""
+
+    def __getattr__(name: str) -> Any:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(f".{module}", package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

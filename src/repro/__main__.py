@@ -39,38 +39,47 @@ import argparse
 import pathlib
 import sys
 import time
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from .eval import (
-    ExperimentConfig,
-    ext_overhead_objective,
-    ext_rau_comparison,
-    fig2_pipelining_effectiveness,
-    fig3_priority_heuristics,
-    fig4_membank_effectiveness,
-    fig5_ilp_vs_heuristic,
-    fig6_livermore,
-    fig7_static_quality,
-    sec47_compile_speed,
-    sec5_ii_parity,
-    sec5_scalability,
-)
 from .exec.cache import DEFAULT_CACHE_DIR
 from .obs.export import atomic_write_text
 from .schedulers import REGISTRY
 
+if TYPE_CHECKING:
+    from .eval.experiments import ExperimentConfig, ExperimentResult
+
+
+def _experiment(name: str) -> Callable[[ExperimentConfig], ExperimentResult]:
+    """The experiment function ``name`` of :mod:`repro.eval.experiments`,
+    imported when it runs: a command that runs no experiment (``serve``,
+    ``--help``) loads none of them."""
+
+    def run(config: ExperimentConfig) -> ExperimentResult:
+        from .eval import experiments
+
+        return getattr(experiments, name)(config)
+
+    run.__name__ = name
+    return run
+
+
+#: Each experiment by CLI name: its function (imported when it runs) and
+#: its one-line blurb.
 EXPERIMENTS = {
-    "fig2": (fig2_pipelining_effectiveness, "SPEC92 fp: pipelining on vs off"),
-    "fig3": (fig3_priority_heuristics, "single priority heuristic vs all four"),
-    "fig4": (fig4_membank_effectiveness, "memory-bank heuristics on vs off"),
-    "fig5": (fig5_ilp_vs_heuristic, "ILP vs MIPSpro, with/without bank pairing"),
-    "fig6": (fig6_livermore, "Livermore kernels, short and long trip counts"),
-    "fig7": (fig7_static_quality, "registers and overhead, MIPSpro minus ILP"),
-    "sec47": (sec47_compile_speed, "compile-speed comparison"),
-    "scalability": (sec5_scalability, "largest schedulable loop per technique"),
-    "iiparity": (sec5_ii_parity, "how often the ILP finds a lower II"),
-    "ext-rau": (ext_rau_comparison, "extension: add Rau94 iterative modulo scheduling"),
-    "ext-overhead": (ext_overhead_objective, "extension: overhead-minimising ILP objective"),
+    name: (_experiment(function), blurb)
+    for name, function, blurb in (
+        ("fig2", "fig2_pipelining_effectiveness", "SPEC92 fp: pipelining on vs off"),
+        ("fig3", "fig3_priority_heuristics", "single priority heuristic vs all four"),
+        ("fig4", "fig4_membank_effectiveness", "memory-bank heuristics on vs off"),
+        ("fig5", "fig5_ilp_vs_heuristic", "ILP vs MIPSpro, with/without bank pairing"),
+        ("fig6", "fig6_livermore", "Livermore kernels, short and long trip counts"),
+        ("fig7", "fig7_static_quality", "registers and overhead, MIPSpro minus ILP"),
+        ("sec47", "sec47_compile_speed", "compile-speed comparison"),
+        ("scalability", "sec5_scalability", "largest schedulable loop per technique"),
+        ("iiparity", "sec5_ii_parity", "how often the ILP finds a lower II"),
+        ("ext-rau", "ext_rau_comparison", "extension: add Rau94 iterative modulo scheduling"),
+        ("ext-overhead", "ext_overhead_objective", "extension: overhead-minimising ILP objective"),
+    )
 }
 
 
@@ -172,6 +181,8 @@ def _invalid(path, problems) -> bool:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The experiments' config from ``--ilp-seconds``/``--jobs``/the cache flags."""
+    from .eval.experiments import ExperimentConfig
+
     return ExperimentConfig(
         most_time_limit=args.ilp_seconds,
         jobs=args.jobs,
@@ -202,7 +213,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace, preset: Op
     ``--cache-dir``; a crashed driver is one error result."""
     from .exec.cache import ScheduleCache
     from .exec.cells import corpus_cells
-    from .exec.runner import ExecEngine
+    from .exec.engine import ExecEngine
 
     options = {
         name: REGISTRY[name].preset(preset, time_limit=args.ilp_seconds)
@@ -354,8 +365,9 @@ def _trace_main(argv) -> int:
     """
     from .exec.bench import merge_trace_dir
     from .exec.cells import corpus_cells
-    from .exec.runner import ExecEngine
-    from .obs import format_effort_table, validate_chrome_trace_file
+    from .exec.engine import ExecEngine
+    from .obs.export import validate_chrome_trace_file
+    from .obs.report import format_effort_table
 
     tp, args = _parse(
         "trace",
@@ -623,8 +635,9 @@ def _fuzz_main(argv) -> int:
     ``--inject`` the seeded fault *must* be found (a calibration run of
     the oracle), so zero findings is the failure.
     """
-    from .fuzz import INJECTIONS, FuzzConfig, run_fuzz
     from .fuzz.corpus import DEFAULT_CORPUS_DIR
+    from .fuzz.engine import FuzzConfig, run_fuzz
+    from .fuzz.inject import INJECTIONS
 
     fp, args = _parse(
         "fuzz",

@@ -212,7 +212,7 @@ def analyze_corpus(
     certified bounds.
     """
     from ..exec.cells import corpus_cells, corpus_loop_keys, resolve_loop
-    from ..exec.runner import ExecEngine
+    from ..exec.engine import ExecEngine
 
     machine = r8000()
     keys = corpus_loop_keys(corpus)[:limit]

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.cache import ScheduleCache
 from ..exec.cells import Cell, CellResult
-from ..exec.runner import ExecEngine
+from ..exec.engine import ExecEngine
 from ..ir.loop import Loop
 from ..machine.descriptions import r8000
 from ..schedulers import get_scheduler

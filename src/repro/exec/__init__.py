@@ -10,61 +10,35 @@ driver, :mod:`repro.exec.hashing`), and emits machine-readable
 ``BENCH_*.json`` artefacts.  The
 experiment drivers in :mod:`repro.eval` and the ``bench``/``sweep`` CLI
 subcommands are built on it.
+
+The work splits in two: :mod:`repro.exec.runner` is the worker side (one
+cell under its deadline, the oracle, the fallback) and imports only what a
+cell runs; :mod:`repro.exec.engine` is the parent side (fan-out over
+:mod:`repro.exec.pool`, the cache, the keys).  The names below load on
+first access, so a worker importing the runner pays for neither the
+engine nor the bench reporter.
 """
 
-from .cache import DEFAULT_CACHE_DIR, CacheStats, ScheduleCache
-from .cells import (
-    Cell,
-    CellResult,
-    LOOP_SOURCES,
-    SCHEDULERS,
-    canonical_options,
-    clear_loop_memo,
-    corpus_cells,
-    corpus_loop_keys,
-    resolve_loop,
-)
-from .bench import (
-    BENCH_CELL_FIELDS,
-    BenchOptions,
-    bench_cells,
-    build_report,
-    figure_report,
-    print_progress,
-    run_pipeline_bench,
-    run_sweep,
-    summarise,
-    write_bench_json,
-)
-from .hashing import cell_key, code_version, fingerprint_loop
-from .runner import CellTimeout, ExecEngine, execute_cell
+from .. import _lazy_exports
 
-__all__ = [
-    "BENCH_CELL_FIELDS",
-    "BenchOptions",
-    "Cell",
-    "CellResult",
-    "CellTimeout",
-    "CacheStats",
-    "DEFAULT_CACHE_DIR",
-    "ExecEngine",
-    "LOOP_SOURCES",
-    "SCHEDULERS",
-    "ScheduleCache",
-    "bench_cells",
-    "build_report",
-    "canonical_options",
-    "cell_key",
-    "clear_loop_memo",
-    "code_version",
-    "corpus_cells",
-    "corpus_loop_keys",
-    "execute_cell",
-    "figure_report",
-    "fingerprint_loop",
-    "print_progress",
-    "run_pipeline_bench",
-    "run_sweep",
-    "summarise",
-    "write_bench_json",
-]
+#: Each re-exported name and the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("BENCH_CELL_FIELDS", "BenchOptions", "bench_cells", "build_report", "figure_report",
+         "print_progress", "run_pipeline_bench", "run_sweep", "summarise", "write_bench_json"),
+        "bench",
+    ),
+    **dict.fromkeys(("DEFAULT_CACHE_DIR", "CacheStats", "ScheduleCache"), "cache"),
+    **dict.fromkeys(
+        ("Cell", "CellResult", "LOOP_SOURCES", "SCHEDULERS", "canonical_options",
+         "clear_loop_memo", "corpus_cells", "corpus_loop_keys", "resolve_loop"),
+        "cells",
+    ),
+    "ExecEngine": "engine",
+    **dict.fromkeys(("cell_key", "code_version", "fingerprint_loop"), "hashing"),
+    **dict.fromkeys(("CellTimeout", "execute_cell"), "runner"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,7 +1,7 @@
 """Benchmark emission: timed cell sweeps written as machine-readable JSON.
 
 ``run_pipeline_bench`` is the CI workhorse: every (loop × scheduler) cell of
-the standard corpora, fanned out by :class:`~repro.exec.runner.ExecEngine`,
+the standard corpora, fanned out by :class:`~repro.exec.engine.ExecEngine`,
 timed, and written to ``benchmarks/output/BENCH_pipeline.json`` together
 with solver-budget accounting (timeouts, fallbacks, native-vs-rescued
 schedule time).  ``run_sweep`` is the same machinery pointed at an
@@ -27,7 +27,7 @@ from ..schedulers import REGISTRY
 from .cache import DEFAULT_CACHE_DIR, ScheduleCache
 from .cells import Cell, CellResult, corpus_cells
 from .hashing import code_version
-from .runner import ExecEngine, ProgressFn
+from .engine import ExecEngine, ProgressFn
 
 DEFAULT_OUTPUT_DIR = pathlib.Path("benchmarks") / "output"
 
@@ -320,7 +320,7 @@ def merge_trace_dir(trace_dir) -> Optional[pathlib.Path]:
     ``chrome://tracing`` or Perfetto.  Returns the path, or ``None`` when
     there was nothing to merge.
     """
-    from ..obs import merge_jsonl, write_chrome_trace
+    from ..obs.export import merge_jsonl, write_chrome_trace
 
     trace_dir = pathlib.Path(trace_dir)
     spools = sorted(trace_dir.glob("*.jsonl"))

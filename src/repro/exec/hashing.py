@@ -12,7 +12,17 @@ The loop IR and the machine follow from the two (the loop key names a
 builder in the closure, and every cell runs on ``runner.MACHINE``), so an
 edited kernel, latency or checker re-runs exactly the cells whose code
 imports it, and an edit to code no cell runs (the CLI, the daemon, the
-dashboards) re-runs nothing.
+dashboards, the engine, cache and pool of the parent side, this module)
+re-runs nothing.
+
+The walk reads import statements, not the ``_EXPORTS`` tables through
+which package inits re-export names on first access, so code inside
+``repro`` imports each name from its defining module: a module reached
+only through a package ``__getattr__`` would run without being keyed
+(``tests/test_cache_key.py`` runs cells and checks every module they load
+is in their key).  The digest is taken on a process's first key, never at
+import: about 0.3 s for the 63 modules an ``sgi`` cell runs, on a
+2-vCPU VM, then one more parse for each module another driver adds.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every fan-out runs its cells here: ``repro bench --jobs N``, fuzz, the
 experiments, the serve daemon's equivalence check
-(:class:`~repro.exec.runner.ExecEngine`) and the daemon's solves
+(:class:`~repro.exec.engine.ExecEngine`) and the daemon's solves
 (:mod:`repro.serve.service`).  Each slot owns a single-process executor,
 so the pool can kill and respawn exactly one worker without disturbing
 its siblings, and a worker's per-process memos (the loop registry, the

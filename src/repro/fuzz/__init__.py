@@ -30,23 +30,21 @@ that evidence continuously:
 Entry point: ``python -m repro fuzz --seconds N --jobs J [--seed S]``.
 """
 
-from .corpus import CorpusEntry, load_entries, write_entry
-from .engine import FuzzConfig, FuzzReport, run_fuzz
-from .inject import INJECTIONS
-from .minimize import minimize_spec
-from .oracle import ORACLE_KINDS, Violation, check_results, evaluate_spec
+from .. import _lazy_exports
 
-__all__ = [
-    "CorpusEntry",
-    "FuzzConfig",
-    "FuzzReport",
-    "INJECTIONS",
-    "ORACLE_KINDS",
-    "Violation",
-    "check_results",
-    "evaluate_spec",
-    "load_entries",
-    "minimize_spec",
-    "run_fuzz",
-    "write_entry",
-]
+#: Each re-exported name and the submodule that defines it; they load on
+#: first access, so a cell importing :mod:`repro.fuzz.inject` pays for no
+#: fuzz engine.
+_EXPORTS = {
+    **dict.fromkeys(("CorpusEntry", "load_entries", "write_entry"), "corpus"),
+    **dict.fromkeys(("FuzzConfig", "FuzzReport", "run_fuzz"), "engine"),
+    "INJECTIONS": "inject",
+    "minimize_spec": "minimize",
+    **dict.fromkeys(
+        ("ORACLE_KINDS", "Violation", "check_results", "evaluate_spec"), "oracle"
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.cells import Cell, CellResult
-from ..exec.runner import ExecEngine
+from ..exec.engine import ExecEngine
 from ..obs import counter_signature
 from ..workloads.generators import GeneratorConfig, random_spec
 from ..workloads.mutate import LoopSpec, crossover, mutate, normalize

@@ -54,6 +54,7 @@ probe's granted budget slice rides on its ``most.probe`` /
 ``portfolio.probe`` span) and ``rau.*`` (placements, evictions).
 """
 
+from .. import _lazy_exports
 from .recorder import (
     NULL,
     NullRecorder,
@@ -63,20 +64,20 @@ from .recorder import (
     recording,
     set_recorder,
 )
-from .export import (
-    merge_jsonl,
-    read_jsonl,
-    validate_chrome_trace_file,
-    validate_trace_events,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .report import effort_rows, format_effort_table
-from .service import LatencyStats, ServiceMetrics
 
-# Heavier analysis layers (explain, diffbench, html) are imported lazily by
-# their users: repro.obs is imported by the core pipeliners, and pulling the
-# analysis layers in here would close an import cycle.
+#: Each lazily re-exported name and the submodule that defines it.  The
+#: recorder above is eager (the pipeliners reach it through this package);
+#: the other layers load on first access, so a pipeliner importing
+#: ``repro.obs`` pays for no exporter, report or service metric.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("merge_jsonl", "read_jsonl", "validate_chrome_trace_file", "validate_trace_events",
+         "write_chrome_trace", "write_jsonl"),
+        "export",
+    ),
+    **dict.fromkeys(("effort_rows", "format_effort_table"), "report"),
+    **dict.fromkeys(("LatencyStats", "ServiceMetrics"), "service"),
+}
 
 
 def counter_signature(counters, prefix=""):
@@ -100,21 +101,17 @@ def counter_signature(counters, prefix=""):
         sig.add((f"{prefix}{name}", bucket))
     return frozenset(sig)
 
+
 __all__ = [
     "NULL",
     "NullRecorder",
     "Recorder",
     "TraceRecorder",
-    "get_recorder",
-    "set_recorder",
-    "recording",
-    "write_jsonl",
-    "read_jsonl",
-    "merge_jsonl",
-    "write_chrome_trace",
-    "validate_trace_events",
-    "validate_chrome_trace_file",
-    "effort_rows",
-    "format_effort_table",
     "counter_signature",
+    "get_recorder",
+    "recording",
+    "set_recorder",
+    *_EXPORTS,
 ]
+
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

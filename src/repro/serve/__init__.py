@@ -24,30 +24,21 @@ Module map:
 * :mod:`repro.serve.loadgen` — the load harness and selftest.
 """
 
-from .cachetier import LRUCache, TieredCache
-from .daemon import ServeDaemon, handle_payload, run_daemon
-from .loadgen import LoadgenOptions, LoadReport, run_loadgen
-from .protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    ScheduleRequest,
-    parse_schedule_request,
-)
-from .service import SchedulerService, ServeConfig
+from .. import _lazy_exports
 
-__all__ = [
-    "LRUCache",
-    "TieredCache",
-    "ServeDaemon",
-    "handle_payload",
-    "run_daemon",
-    "LoadgenOptions",
-    "LoadReport",
-    "run_loadgen",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ScheduleRequest",
-    "parse_schedule_request",
-    "SchedulerService",
-    "ServeConfig",
-]
+#: Each re-exported name and the submodule that defines it; they load on
+#: first access, so the daemon pays for no load generator.
+_EXPORTS = {
+    **dict.fromkeys(("LRUCache", "TieredCache"), "cachetier"),
+    **dict.fromkeys(("ServeDaemon", "handle_payload", "run_daemon"), "daemon"),
+    **dict.fromkeys(("LoadgenOptions", "LoadReport", "run_loadgen"), "loadgen"),
+    **dict.fromkeys(
+        ("PROTOCOL_VERSION", "ProtocolError", "ScheduleRequest", "parse_schedule_request"),
+        "protocol",
+    ),
+    **dict.fromkeys(("SchedulerService", "ServeConfig"), "service"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -509,7 +509,7 @@ EQUIVALENCE_FIELDS = (
 def check_equivalence(report: LoadReport, jobs: int = 2) -> List[str]:
     """Re-run every distinct cell through the direct engine; return
     human-readable mismatches (empty = daemon is result-identical)."""
-    from ..exec.runner import ExecEngine
+    from ..exec.engine import ExecEngine
     from .protocol import parse_schedule_request
     from .service import ServeConfig
 

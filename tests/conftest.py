@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
+
+import repro
 
 from repro.ir import LoopBuilder
 from repro.machine import r8000, single_issue, two_wide
@@ -157,3 +166,13 @@ def edit_source(path, text="\n# edited\n"):
     original = path.read_bytes()
     path.write_bytes(original + text.encode())
     return original
+
+
+def run_fresh(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter; its last stdout line is JSON."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])

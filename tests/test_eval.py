@@ -4,7 +4,7 @@ import pytest
 
 from repro.eval import ExperimentConfig, Table, bar_chart, geometric_mean, speedup, weighted_relative_time
 from repro.exec.cells import Cell, resolve_loop
-from repro.exec.runner import ExecEngine
+from repro.exec.engine import ExecEngine
 from repro.core import pipeline_loop
 from repro.machine import r8000
 from repro.pipeline import CALLER_SAVED_FP, OverheadReport, pipeline_overhead

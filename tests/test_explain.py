@@ -24,7 +24,8 @@ import sys
 import pytest
 
 from repro.exec.cells import Cell, corpus_cells, resolve_loop
-from repro.exec.runner import ExecEngine, execute_cell
+from repro.exec.engine import ExecEngine
+from repro.exec.runner import execute_cell
 from repro.machine.descriptions import r8000
 from repro.schedulers import get_scheduler
 from repro.obs.explain import (
@@ -263,7 +264,7 @@ class TestSerialisation:
 class TestExecPlumbing:
     def test_cell_explain_flag_lands_in_result(self):
         from repro.exec.cells import Cell, CellResult
-        from repro.exec.runner import ExecEngine
+        from repro.exec.engine import ExecEngine
 
         cell = Cell.make(
             "livermore:lk03_inner", "sgi", simulate=False, trace=True, explain=True
@@ -279,7 +280,7 @@ class TestExecPlumbing:
 
     def test_explain_participates_in_the_cache_key(self):
         from repro.exec.cells import Cell
-        from repro.exec.runner import ExecEngine
+        from repro.exec.engine import ExecEngine
 
         engine = ExecEngine(jobs=1)
         plain = Cell.make("livermore:lk03_inner", "sgi", simulate=False)

@@ -24,13 +24,13 @@ from repro.workloads import (
     MUTATORS,
     OpSpec,
     crossover,
-    mutate,
     normalize,
     random_spec,
     remove_position,
     spec_from_token,
     spec_to_token,
 )
+from repro.workloads.mutate import mutate
 
 MACHINE = r8000()
 

@@ -1,5 +1,6 @@
-"""numpy and scipy load only in processes that solve an ILP.
+"""Import boundaries: each process loads only the code it runs.
 
+numpy and scipy load only in processes that solve an ILP.
 :mod:`repro.ilp.solver` is the one module that imports them.  The lint
 below holds that line over the source tree; the subprocess tests check
 its effect in fresh interpreters (this suite has long since loaded scipy
@@ -10,18 +11,16 @@ and every optimal driver loads it before its wall-clock budget starts.
 from __future__ import annotations
 
 import ast
-import json
-import os
+import importlib
 import pathlib
-import subprocess
-import sys
-import textwrap
 from typing import Optional
 
 import pytest
 
 import repro
 from repro.obs.provenance import _scipy_version
+
+from .conftest import run_fresh
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 BOUNDARY = SRC / "ilp" / "solver.py"
@@ -56,17 +55,8 @@ def test_scipy_version_is_read_without_importing_scipy():
     assert _scipy_version() == scipy.__version__
 
 
-def _run_fresh(script: str) -> dict:
-    """Run ``script`` in a fresh interpreter; its last stdout line is JSON."""
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-3000:]
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def test_sgi_and_cp_cells_never_load_numpy_or_scipy():
-    report = _run_fresh("""
+    report = run_fresh("""
         import json, sys
         import repro, repro.__main__, repro.serve
         from repro.exec.cells import Cell
@@ -100,20 +90,64 @@ def test_sgi_and_cp_cells_never_load_numpy_or_scipy():
     assert report["scipy_after_most"]
 
 
-def test_package_import_loads_no_subpackage_until_asked():
-    report = _run_fresh("""
-        import json, sys
-        import repro
+#: The packages whose inits re-export their submodules' names lazily.
+LAZY_PACKAGES = ("repro", "repro.exec", "repro.obs", "repro.serve", "repro.fuzz",
+                 "repro.workloads")
 
-        loaded = sorted(m for m in sys.modules if m.startswith("repro."))
+
+def test_package_import_loads_no_subpackage_until_asked():
+    report = run_fresh(f"""
+        import importlib, json, sys
+
+        packages = [importlib.import_module(name) for name in {LAZY_PACKAGES!r}]
+        loaded = sorted(m for m in sys.modules
+                        if m.startswith("repro.") and m not in {LAZY_PACKAGES!r})
         import repro.regalloc  # first: the eager init hid its cycle with repro.core
-        resolved = {name: getattr(repro, name) is not None for name in repro.__all__}
-        exec("from repro import *", {})
-        print(json.dumps({"loaded": loaded, "resolved": resolved}))
+        resolved = {{p.__name__: {{name: getattr(p, name) is not None for name in p.__all__}}
+                    for p in packages}}
+        for package in packages:
+            exec(f"from {{package.__name__}} import *", {{}})
+        print(json.dumps({{"loaded": loaded, "resolved": resolved}}))
     """)
-    assert report["loaded"] == []  # neither repro.core.driver nor repro.most
-    assert all(report["resolved"].values())
-    assert sorted(report["resolved"]) == sorted(repro.__all__)
+    # Only the recorder: the pipeliners reach it through ``repro.obs``.
+    assert report["loaded"] == ["repro.obs.recorder"]
+    for name in LAZY_PACKAGES:
+        package = importlib.import_module(name)
+        assert sorted(report["resolved"][name]) == sorted(package.__all__), name
+        assert all(report["resolved"][name].values()), name
+
+
+#: What a fresh import of each entry point must not load: a module (or a
+#: package, with everything under it) that the entry point does not run.
+STARTUP_BUDGETS = {
+    # The worker side of every cell: the parent-side engine, the bench
+    # reporter and its history store, asyncio and the fuzz engine are
+    # neither run by a cell nor part of its cache key.
+    "repro.exec.runner": (
+        "asyncio", "importlib.metadata", "repro.exec.engine", "repro.exec.bench",
+        "repro.exec.cache", "repro.exec.hashing", "repro.exec.pool", "repro.obs.history",
+        "repro.obs.provenance", "repro.obs.service", "repro.fuzz.engine", "repro.eval",
+        "repro.serve",
+    ),
+    # Every ``python -m repro`` command: the experiments load only when one runs.
+    "repro.__main__": ("repro.eval", "repro.verify", "repro.sim", "repro.exec.bench"),
+    # ``repro serve``: no experiment, load generator or bench reporter.
+    "repro.serve.daemon": ("repro.eval", "repro.serve.loadgen", "repro.exec.bench"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STARTUP_BUDGETS))
+def test_a_fresh_import_loads_only_what_it_runs(entry):
+    modules = run_fresh(f"""
+        import json, sys
+        import {entry}
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    loaded = sorted(
+        module for module in modules
+        if any(module == name or module.startswith(name + ".") for name in STARTUP_BUDGETS[entry])
+    )
+    assert loaded == [], f"import {entry} loads {', '.join(loaded)}"
 
 
 @pytest.mark.parametrize(
@@ -121,7 +155,7 @@ def test_package_import_loads_no_subpackage_until_asked():
     [("most", True), ("portfolio:cp,ilp", True), ("portfolio:cp", False)],
 )
 def test_solver_loads_before_the_budget_starts(driver, loads_scipy):
-    report = _run_fresh(f"""
+    report = run_fresh(f"""
         import json, sys
         from repro.most import walk
         from repro.most.scheduler import MostOptions, most_pipeline_loop

@@ -327,7 +327,7 @@ class TestExecTraceIntegration:
 
     def test_trace_participates_in_cell_key_but_trace_dir_does_not(self):
         from repro.exec.cells import Cell
-        from repro.exec.runner import ExecEngine
+        from repro.exec.engine import ExecEngine
 
         engine = ExecEngine()
         plain = Cell.make("livermore:lk03_inner", "sgi")
@@ -340,7 +340,7 @@ class TestExecTraceIntegration:
 
     def test_bench_summary_folds_obs_counters(self, tmp_path):
         from repro.exec.bench import BenchOptions, bench_cells, summarise
-        from repro.exec.runner import ExecEngine
+        from repro.exec.engine import ExecEngine
 
         options = BenchOptions(
             corpora=("livermore",), schedulers=("sgi",), use_cache=False,

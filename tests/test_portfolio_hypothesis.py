@@ -29,7 +29,8 @@ from repro.portfolio.cp import solve_cp  # noqa: E402
 from repro.most.formulation import build_formulation  # noqa: E402
 from repro.portfolio.ilp_backend import solve_ilp  # noqa: E402
 from repro.portfolio.smt import smt_available, solve_smt  # noqa: E402
-from repro.workloads import GeneratorConfig, mutate, normalize, random_spec  # noqa: E402
+from repro.workloads import GeneratorConfig, normalize, random_spec  # noqa: E402
+from repro.workloads.mutate import mutate  # noqa: E402
 
 MACHINE = r8000()
 
