@@ -50,10 +50,13 @@ verify-corpus:
 bench:
 	$(PYTHON) -m repro bench --jobs 4
 
-# The CI smoke lane: Livermore only, tighter solver budget, then a
-# warn-only comparison against the committed baseline.
+# The CI smoke lane: Livermore and recbound, tighter solver budget, then a
+# warn-only comparison against the committed baseline.  Two workers, as in
+# CI: the quick preset's wall budget decides whether rb_reg_farm x
+# portfolio falls back, four workers on two cores can spend it, and the
+# fallback would then be cached for cache-smoke and portfolio-smoke.
 bench-quick:
-	$(PYTHON) -m repro bench --quick --jobs 4 --no-history
+	$(PYTHON) -m repro bench --quick --jobs 2 --no-history
 	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output
 
 # The cache key is stable: rerun the quick grid against the cache the
@@ -67,11 +70,12 @@ cache-smoke:
 		print('cache rerun hits=%d misses=%d' % (cache['hits'], cache['misses'])); \
 		sys.exit(0 if (cache['hits'], cache['misses']) == (120, 0) else 1)"
 
-# Refresh the committed baseline from a clean (uncached) quick run.  Run
-# after intentional scheduler changes; commit the result and mention the
-# cause in the commit message (see EXPERIMENTS.md).
+# Refresh the committed baseline from a clean (uncached) quick run, at
+# bench-quick's two workers.  Run after intentional scheduler changes;
+# commit the result and mention the cause in the commit message (see
+# EXPERIMENTS.md).
 bench-baseline:
-	$(PYTHON) -m repro bench --quick --jobs 4 --no-cache
+	$(PYTHON) -m repro bench --quick --jobs 2 --no-cache
 	cp benchmarks/output/BENCH_pipeline.json benchmarks/baseline/BENCH_pipeline.json
 	@echo "baseline refreshed; review 'git diff benchmarks/baseline' before committing"
 
@@ -136,11 +140,11 @@ diff-strict:
 
 # The full dashboard: figure tables, per-loop II explanations, bench diff.
 report:
-	$(PYTHON) -m repro report --html --check
+	$(PYTHON) -m repro report --check
 
 # CI's dashboard smoke: three loops, no experiment tables, validated HTML.
 report-smoke:
-	$(PYTHON) -m repro report --html --corpus livermore --limit 3 \
+	$(PYTHON) -m repro report --corpus livermore --limit 3 \
 		--experiments none --output benchmarks/output/report.html --check
 
 # Statistical trend verdicts over the run-history store: every metric

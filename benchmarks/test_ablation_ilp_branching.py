@@ -47,7 +47,6 @@ def test_ablation_ilp_branching(benchmark, record_artifact):
                 SolverOptions(
                     engine="bnb", time_limit=20, first_solution=True,
                     branch_priority=formulation.branch_priority(order),
-                    branch_up_first=True,
                 ),
             )
             formulation2 = build_formulation(build_modulo_formulation(loop, machine, ii))

@@ -3,11 +3,11 @@
 Regenerates the paper's tables and figures (and the extensions) without
 writing any code.  ``python -m repro --list`` shows what is available.
 
-Twelve subcommands (``SUBCOMMANDS``; each takes ``--help``) sit beside it:
+Eleven subcommands (``SUBCOMMANDS``; each takes ``--help``) sit beside it:
 
 * ``verify <corpus>`` — verify every schedule, allocation and listing;
-* ``bench [--quick]`` / ``sweep <corpus>`` — the timed (loop × scheduler)
-  grid, emitted as ``benchmarks/output/BENCH_*.json``;
+* ``bench [--quick] [<corpus>]`` — the timed (loop × scheduler) grid,
+  emitted as ``benchmarks/output/BENCH_*.json``;
 * ``trace <corpus>`` — the grid under the repro.obs recorder: the per-loop
   search-effort table plus JSONL spools and a merged Chrome trace;
 * ``explain <corpus>`` — every cell's achieved II attributed to its
@@ -15,7 +15,7 @@ Twelve subcommands (``SUBCOMMANDS``; each takes ``--help``) sit beside it:
 * ``analyze <corpus> [--check]`` — certified refined II lower bounds;
 * ``diff <old> <new>`` / ``trend <name>`` — the regression gate over BENCH
   runs and the run-history store;
-* ``report --html`` — the self-contained ``report.html`` dashboard;
+* ``report`` — the self-contained ``report.html`` dashboard;
 * ``fuzz`` — coverage-guided differential fuzzing, minimized reproducers
   into ``tests/fuzz_corpus/``;
 * ``serve`` — the scheduling daemon (cache hits answered at admission,
@@ -27,7 +27,7 @@ Every command that runs pipeliners defaults ``--schedulers`` to the whole
 scheduler registry (:mod:`repro.schedulers`; fuzz excepted) and reads each
 scheduler's options from the registry's presets.  The flags several
 commands share are defined once, in ``_SHARED``.  The experiment runner
-and both bench subcommands share the parallel cached engine: ``--jobs N``
+and ``bench`` share the parallel cached engine: ``--jobs N``
 fans cells out over worker processes, ``--cache-dir``/``--no-cache``
 control the content-addressed result cache (an edited kernel, option, or
 scheduler source invalidates exactly the affected cells).
@@ -268,17 +268,19 @@ def _verify_main(argv) -> int:
     return 0 if sweep.ok else 1
 
 
-def _bench_main(argv, sweep: bool) -> int:
-    """``python -m repro bench`` / ``python -m repro sweep <corpus>``."""
+def _bench_main(argv) -> int:
+    """``python -m repro bench [<corpus>]``: the timed grid."""
     from .exec.bench import DEFAULT_OUTPUT_DIR, BenchOptions, run_pipeline_bench, run_sweep
 
-    corpus = [("corpus", dict(help="corpus to sweep: livermore, spec92 or recbound"))]
     bp, args = _parse(
-        "sweep" if sweep else "bench",
+        "bench",
         "Time every (loop × scheduler) cell of the corpus grid and write the "
         "measurements as a BENCH json.",
         argv,
-        (corpus if sweep else []) + [
+        [
+            ("corpus", dict(nargs="?", help="bench this one corpus (livermore, spec92 "
+                            "or recbound) into BENCH_sweep_<corpus>.json instead of "
+                            "the standard corpora into BENCH_pipeline.json")),
             ("--quick", dict(action="store_true", help="CI smoke configuration: "
                              "livermore + recbound, tighter solver budget")),
             ("--output-dir", dict(default=str(DEFAULT_OUTPUT_DIR), metavar="DIR",
@@ -310,8 +312,7 @@ def _bench_main(argv, sweep: bool) -> int:
         quick=args.quick,
         schedulers=args.schedulers,
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        cache_dir=None if args.no_cache else args.cache_dir,
         seed=args.seed,
         output_dir=args.output_dir,
         trace=trace,
@@ -324,14 +325,14 @@ def _bench_main(argv, sweep: bool) -> int:
     if args.profile:
         from .exec.bench import profile_schedulers
 
-        if sweep:
+        if args.corpus is not None:
             options.corpora = (args.corpus,)
         for scheduler, table in profile_schedulers(options).items():
             print(f"=== cProfile: {scheduler} ===")
             print(table)
         return 0
     try:
-        if sweep:
+        if args.corpus is not None:
             report, path = run_sweep(args.corpus, options)
         else:
             report, path = run_pipeline_bench(options)
@@ -521,7 +522,7 @@ def _analyze_main(argv) -> int:
 
 
 def _report_main(argv) -> int:
-    """``python -m repro report --html``: the one-file dashboard."""
+    """``python -m repro report``: the one-file dashboard."""
     from .obs.diffbench import load_bench
     from .obs.html import validate_report_file, write_report
 
@@ -531,8 +532,6 @@ def _report_main(argv) -> int:
         "into one self-contained report.html (inline CSS/JS, opens offline).",
         argv,
         [
-            ("--html", dict(action="store_true", help="write the HTML dashboard (the "
-                            "default and only format; accepted for explicitness)")),
             ("--output", dict(default="benchmarks/output/report.html", metavar="PATH",
                               help="where report.html goes (default: %(default)s)")),
             ("--corpus", dict(default="livermore", help="corpus for the II-explanation "
@@ -854,10 +853,7 @@ def _cache_main(argv) -> int:
         [
             ("--prune", dict(action="store_true",
                              help="garbage-collect the cache down to --max-bytes")),
-            ("--max-bytes", dict(type=int, metavar="N", help="byte budget for --prune "
-                                 "(also accepts --max-mb)")),
-            ("--max-mb", dict(type=float, metavar="MB",
-                              help="byte budget for --prune, in MiB")),
+            ("--max-bytes", dict(type=int, metavar="N", help="byte budget for --prune")),
             ("--json", dict(dest="json_out", action="store_true",
                             help="print the stats as JSON")),
         ],
@@ -865,13 +861,10 @@ def _cache_main(argv) -> int:
     )
     cache = ScheduleCache(args.cache_dir)
     if args.prune:
-        max_bytes = args.max_bytes
-        if max_bytes is None and args.max_mb is not None:
-            max_bytes = int(args.max_mb * (1 << 20))
-        if max_bytes is None:
-            cp.error("--prune needs --max-bytes N or --max-mb MB")
+        if args.max_bytes is None:
+            cp.error("--prune needs --max-bytes N")
         before = cache.disk_stats()
-        pruned = cache.prune(max_bytes)
+        pruned = cache.prune(args.max_bytes)
         print(
             f"pruned {pruned['removed']} of {before['entries']} entries "
             f"({pruned['freed_bytes']} bytes freed, "
@@ -985,8 +978,7 @@ def _trend_main(argv) -> int:
 #: Every subcommand beside the experiment runner, by name.
 SUBCOMMANDS: Dict[str, Callable[[Any], int]] = {
     "verify": _verify_main,
-    "bench": lambda argv: _bench_main(argv, sweep=False),
-    "sweep": lambda argv: _bench_main(argv, sweep=True),
+    "bench": _bench_main,
     "trace": _trace_main,
     "explain": _explain_main,
     "analyze": _analyze_main,

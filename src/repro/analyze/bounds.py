@@ -53,7 +53,7 @@ from ..ir.ddg import DDG, Dependence, DepKind
 from ..ir.loop import Loop
 from ..ir.operations import relative_bank
 from ..machine.descriptions import MachineDescription
-from ..core.minii import rec_mii, res_mii
+from ..core.minii import max_ii, rec_mii, res_mii
 from ..regalloc.rename import value_reg_class
 
 Certificate = Dict[str, Any]
@@ -737,14 +737,15 @@ def compute_bounds(
 ) -> LoopBounds:
     """Derive every certified bound for ``loop`` on ``machine``.
 
-    ``cap`` limits the infeasibility climb (default ``2 * MinII``, the
-    driver's circuit breaker); a ``schedulable_bound`` of ``cap + 1``
+    ``cap`` limits the infeasibility climb (default MaxII, the drivers'
+    circuit breaker :func:`~repro.core.minii.max_ii`); a
+    ``schedulable_bound`` of ``cap + 1``
     certifies the loop unschedulable under the breaker.
     """
     res = res_mii(loop, machine)
     rec = rec_mii(loop)
     mii = max(res, rec)
-    cap = 2 * mii if cap is None else cap
+    cap = max_ii(loop, machine) if cap is None else cap
     certificates: List[Certificate] = []
 
     res_cert = resource_certificate(loop, machine)
@@ -809,7 +810,7 @@ def schedulable_bound(
     if base is None:
         base = max(res_mii(loop, machine), rec_mii(loop))
     if cap is None:
-        cap = 2 * base
+        cap = max_ii(loop, machine)
     bound = max(base, 1)
     while bound <= cap and prove_ii_infeasible(loop, machine, bound) is not None:
         bound += 1

@@ -161,7 +161,7 @@ def modulo_schedule_bnb(
 
     The search is deterministic in ``(machine, ii, priority, config)`` plus
     the pairer's configuration (a :class:`BankPairer` is itself a pure
-    function of ``(loop, ii, priority, strict)``), so completed attempts
+    function of ``(loop, ii, priority)``), so completed attempts
     are memoized per loop: the driver re-runs the winning configuration
     during bank-grouping repair, and the re-run returns the identical
     result — times *and* search-effort counters — without searching again.
@@ -178,8 +178,7 @@ def modulo_schedule_bnb(
         memo_key = (
             id(machine), ii, tuple(priority),
             config.max_backtracks, config.max_placements,
-            config.use_rule3, config.prune,
-            None if pairer is None else pairer.strict,
+            config.use_rule3, config.prune, pairer is not None,
         )
         memo = getattr(loop.ddg, "_bnb_attempt_memo", None)
         if memo is None:
@@ -626,13 +625,12 @@ class _Attempt:
     def _try_place(self, pos: int, state: _State) -> bool:
         """Place the operation at ``pos`` at the next workable cycle."""
         op = state.op
-        pairing_wanted = (
+        if (
             self.pairer is not None
             and self.pairer.want_more_pairs()
             and self.pairer.is_pairable(op)
             and self.pairer.mate_of(op) is None
-        )
-        if pairing_wanted and self.pairer.strict:
+        ):
             cycle = self._scan_with_pairing(state)
             if cycle is not None:
                 state.cycle = cycle
@@ -653,8 +651,6 @@ class _Attempt:
                 self._place(op, cycle)
                 state.cycle = cycle
                 state.next_cycle = cycle + state.direction
-                if pairing_wanted and not self.pairer.strict:
-                    self._pair_partner(op, cycle)
                 return True
         else:
             # Riskiness depends on co-resident memory ops, so this scan
@@ -672,8 +668,6 @@ class _Attempt:
                         self._place(op, cycle)
                         state.cycle = cycle
                         state.next_cycle = cycle + state.direction
-                        if pairing_wanted and not self.pairer.strict:
-                            self._pair_partner(op, cycle)
                         return True
         state.next_cycle = (state.hi + 1) if state.direction > 0 else (state.lo - 1)
         state.cycle = None

@@ -28,7 +28,7 @@ from .bankpolish import polish_bank_schedule
 from .bnb import BnBConfig, modulo_schedule_bnb, prepare_attempt
 from .iisearch import IIAttempt, search_ii
 from .membank import BankPairer
-from .minii import min_ii as compute_min_ii
+from .minii import max_ii, min_ii as compute_min_ii
 from .pipestage import adjust_pipestages
 from .priorities import PRODUCTION_ORDER_NAMES, production_orders
 from .sched import Schedule, SchedulingStats
@@ -63,10 +63,7 @@ class PipelinerOptions:
 
     orders: Tuple[str, ...] = PRODUCTION_ORDER_NAMES
     enable_membank: bool = True
-    strict_pairing: bool = True
     bnb: BnBConfig = field(default_factory=BnBConfig)
-    max_spill_rounds: int = MAX_SPILL_ROUNDS
-    ii_cap_factor: int = 2
     linear_ii_search: bool = False  # ablation of the binary II search
     # Consult the certified refined II lower bound (repro.analyze) before
     # each scheduling pass, skipping statically-infeasible IIs in the
@@ -143,7 +140,7 @@ def pipeline_loop(
     spilled_total: List[str] = []
     spill_budget = 1
     rounds_done = 0
-    for spill_round in range(options.max_spill_rounds + 1):
+    for spill_round in range(MAX_SPILL_ROUNDS + 1):
         rounds_done = spill_round
         with rec.span("sgi.round", loop=current.name, spill_round=spill_round):
             outcome = _schedule_and_allocate(
@@ -180,7 +177,7 @@ def pipeline_loop(
             failed_alloc, current, set(spilled_total),
             min(spill_budget, max(1, distinct_failed)),
         )
-        if not candidates or spill_round == options.max_spill_rounds:
+        if not candidates or spill_round == MAX_SPILL_ROUNDS:
             break
         rec.counter("spill.rounds")
         current = insert_spills(current, machine, candidates)
@@ -216,7 +213,7 @@ def _schedule_and_allocate(
 ) -> _RoundOutcome:
     """One scheduling pass: all priority orders at the best reachable II."""
     mii = compute_min_ii(loop, machine)
-    maxii = options.ii_cap_factor * mii
+    maxii = max_ii(loop, machine)
     outcome = _RoundOutcome()
     orders = production_orders(loop, machine)
     rec = get_recorder()
@@ -296,11 +293,7 @@ def _repair_bank_grouping(
 
     def reschedule(order_name: str, with_pairer: bool) -> None:
         order = orders[order_name]
-        pairer = (
-            BankPairer(loop, ii, order, strict=options.strict_pairing)
-            if with_pairer
-            else None
-        )
+        pairer = BankPairer(loop, ii, order) if with_pairer else None
         prepare_attempt(loop, machine, ii, order)
         start = _time.perf_counter()
         result = modulo_schedule_bnb(loop, machine, ii, order, options.bnb, pairer)
@@ -349,7 +342,7 @@ def _repair_bank_grouping(
         if key in polished_from:
             continue
         polished_from.add(key)
-        pairer = BankPairer(loop, ii, orders[order_name], strict=options.strict_pairing)
+        pairer = BankPairer(loop, ii, orders[order_name])
         forms = [candidate]
         polished = polish_bank_schedule(candidate, machine, pairer)
         if polished is not None:

@@ -26,10 +26,9 @@ from ..ir.operations import MemRef, relative_bank
 class BankPairer:
     """Pairing state for one scheduling attempt at a fixed II."""
 
-    def __init__(self, loop: Loop, ii: int, priority: Sequence[int], strict: bool = True):
+    def __init__(self, loop: Loop, ii: int, priority: Sequence[int]):
         self.loop = loop
         self.ii = ii
-        self.strict = strict
         rank = {op: i for i, op in enumerate(priority)}
         mem_ops = [op.index for op in loop.ops if op.is_memory]
         self._partners: Dict[int, List[int]] = {}

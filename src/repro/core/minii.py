@@ -126,6 +126,12 @@ def min_ii(loop: Loop, machine: MachineDescription) -> int:
     return max(res_mii(loop, machine), rec_mii(loop))
 
 
-def max_ii(loop: Loop, machine: MachineDescription, factor: int = 2) -> int:
-    """The compile-speed circuit breaker of Section 2.3: MaxII = 2 * MinII."""
-    return factor * min_ii(loop, machine)
+#: The compile-speed circuit breaker of Section 2.3: no pipeliner tries an
+#: II above ``MAX_II_FACTOR * MinII``, and the certified bound climb stops
+#: there too.
+MAX_II_FACTOR = 2
+
+
+def max_ii(loop: Loop, machine: MachineDescription) -> int:
+    """MaxII = 2 * MinII, the one II ceiling of every pipeliner (§2.3)."""
+    return MAX_II_FACTOR * min_ii(loop, machine)

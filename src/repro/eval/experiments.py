@@ -38,7 +38,6 @@ from .report import Table, bar_chart
 class ExperimentConfig:
     """Shared knobs for all experiments."""
 
-    seed: int = 0
     # ILP budget per loop; the paper used 3 minutes, benchmarks use less.
     # MOST's other options are the registry's ``paper`` preset.
     most_time_limit: float = 10.0
@@ -149,7 +148,6 @@ class _Batch:
             scheduler,
             options,
             trips=trips,
-            seed=self.config.seed,
             timeout=self.config.cell_timeout,
         )
 

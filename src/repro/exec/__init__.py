@@ -8,8 +8,8 @@ caches results content-addressed by the cell's own fields plus a digest of
 the code it runs (the import closure of the runner and the cell's
 driver, :mod:`repro.exec.hashing`), and emits machine-readable
 ``BENCH_*.json`` artefacts.  The
-experiment drivers in :mod:`repro.eval` and the ``bench``/``sweep`` CLI
-subcommands are built on it.
+experiment drivers in :mod:`repro.eval` and the ``bench`` CLI subcommand
+are built on it.
 
 The work splits in two: :mod:`repro.exec.runner` is the worker side (one
 cell under its deadline, the oracle, the fallback) and imports only what a

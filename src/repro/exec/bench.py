@@ -52,8 +52,7 @@ class BenchOptions:
     corpora: Tuple[str, ...] = ("livermore", "spec92", "recbound")
     schedulers: Tuple[str, ...] = tuple(REGISTRY)
     jobs: int = 1
-    cache_dir: Optional[str] = DEFAULT_CACHE_DIR
-    use_cache: bool = True
+    cache_dir: Optional[str] = DEFAULT_CACHE_DIR  # None = no result cache
     cell_timeout: Optional[float] = 120.0
     seed: int = 0
     output_dir: pathlib.Path = field(default_factory=lambda: DEFAULT_OUTPUT_DIR)
@@ -91,14 +90,9 @@ class BenchOptions:
         return REGISTRY[scheduler].preset("quick" if self.quick else "bench")
 
     def engine(self, progress: Optional[ProgressFn] = None) -> ExecEngine:
-        cache = (
-            ScheduleCache(self.cache_dir)
-            if self.use_cache and self.cache_dir is not None
-            else None
-        )
         return ExecEngine(
             jobs=self.jobs,
-            cache=cache,
+            cache=None if self.cache_dir is None else ScheduleCache(self.cache_dir),
             default_timeout=self.cell_timeout,
             progress=progress,
         )

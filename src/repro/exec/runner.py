@@ -29,6 +29,7 @@ belong to the parent side.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import signal
 import threading
@@ -41,7 +42,7 @@ from ..machine.descriptions import MachineDescription, r8000
 from ..obs.export import write_jsonl
 from ..obs.recorder import TraceRecorder, recording
 from ..schedulers import get_scheduler, without_harness_keys
-from .cells import Cell, CellResult, resolve_loop
+from .cells import Cell, CellResult, canonical_options, resolve_loop
 
 
 class CellTimeout(Exception):
@@ -262,10 +263,13 @@ def _apply_oracle(cell: Cell, result, machine, out: CellResult) -> None:
 
 
 def _fallback_result(cell: Cell, loop, machine, elapsed: float) -> CellResult:
-    """Heuristic rescue of a timed-out cell, with honest accounting."""
-    fallback_cell = Cell.make(
-        cell.loop, "sgi", FALLBACK_OPTIONS,
-        trips=cell.trips, seed=cell.seed, simulate=cell.simulate,
+    """Heuristic rescue of a timed-out cell, with honest accounting.
+
+    The rescue is the cell itself on the heuristic backup, so it passes
+    through the same oracle, analyze and explain layers.
+    """
+    fallback_cell = dataclasses.replace(
+        cell, scheduler="sgi", options_json=canonical_options(FALLBACK_OPTIONS), timeout=None
     )
     try:
         out = _run_scheduler(fallback_cell, loop, machine)

@@ -72,15 +72,14 @@ class MILPResult:
 class SolverOptions:
     time_limit: float = 60.0
     max_nodes: int = 200_000
-    # Variable indices in preferred branching order; unlisted variables
-    # are branched on by maximum fractionality.
+    # Variable indices in preferred branching order, each explored ceil
+    # ("place it") branch first, which suits time-indexed scheduling models
+    # driven by a priority order; unlisted variables are branched on by
+    # maximum fractionality.
     branch_priority: Optional[Sequence[int]] = None
     engine: str = "bnb"  # "bnb" (ours) or "scipy" (HiGHS MILP)
     # Stop at the first integral solution (feasibility problems).
     first_solution: bool = False
-    # Explore the ceil ("place it") branch first — effective for
-    # time-indexed scheduling models driven by a priority order.
-    branch_up_first: bool = False
 
 
 def to_arrays(
@@ -319,9 +318,9 @@ def _solve_with_bnb(model: Model, options: SolverOptions) -> MILPResult:
         lo, hi = up.get(branch, (-math.inf, None))
         up[branch] = (max(lo, float(ceil_v)), hi)
         # Depth-first; the stack top is explored next.  Scheduling models
-        # do best placing the priority variable (ceil side) first;
-        # otherwise explore the side nearer the LP value.
-        if options.branch_up_first or value - floor_v > 0.5:
+        # driven by a priority order do best placing the variable (ceil
+        # side) first; otherwise explore the side nearer the LP value.
+        if options.branch_priority is not None or value - floor_v > 0.5:
             stack.append(down)
             stack.append(up)
         else:

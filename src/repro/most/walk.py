@@ -9,9 +9,10 @@ formulation) in order under the loop's one :class:`SolveBudget`, every
 answer charged, recorded and its witness re-checked.  The entries are the
 requested backends in race order; the ``ilp`` backend contributes one entry
 per branch order (every SGI production order for MOST, the first one for
-the portfolio, one unordered entry without priority branching or on
-HiGHS, which cannot branch on an order), all over one encoding of the II.  Around the probe, :func:`walk_ii` runs once: IIs
-from MinII to ``ii_cap_factor * MinII``; the window-collapse screen;
+the portfolio, one unordered entry on HiGHS, which cannot branch on an
+order), all over one encoding of the II.  Around the probe,
+:func:`walk_ii` runs once: IIs from MinII to MaxII
+(:func:`~repro.core.minii.max_ii`); the window-collapse screen;
 II-optimality proven when every smaller II was proven infeasible; a
 register-allocation failure walks on (a larger II shortens relative
 lifetimes); an empty-handed walk falls back on the SGI heuristic without
@@ -36,7 +37,7 @@ from ..core.driver import (
     options_from_mapping,
     pipeline_loop,
 )
-from ..core.minii import min_ii as compute_min_ii
+from ..core.minii import max_ii, min_ii as compute_min_ii
 from ..core.priorities import production_orders
 from ..core.sched import Schedule
 from ..ilp.model import ENGINES
@@ -200,15 +201,12 @@ class OptimalOptions:
     # None keeps stage 1's schedule.
     objective: Optional[str] = "buffers"
     integrated: bool = False  # ILP entries minimise buffers in one solve (§3.3 adj. 1)
-    engine: str = "bnb"  # the ILP's engine: "bnb" (ours) or "scipy" (HiGHS)
-    # The ILP branches on SGI orders (§3.3 adj. 3).  Only our B&B engine
-    # can: HiGHS ignores a branch order, so with "scipy" the ILP gets one
-    # unordered entry whatever this says.
-    priority_branching: bool = True
+    # The ILP's engine: "bnb" (ours) branches on the SGI production orders
+    # (§3.3 adj. 3); "scipy" (HiGHS) cannot branch on an order, so there
+    # the ILP gets one unordered entry.
+    engine: str = "bnb"
     branch_orders: Optional[int] = None  # that many production orders, in turn (None: all)
     max_ops: int = 80  # loops beyond this go straight to the fallback
-    ii_cap_factor: int = 2
-    stages: Optional[int] = None
     fallback: bool = True  # use the heuristic pipeliner as backup
     max_nodes: int = 200_000  # deterministic per-solve budget (cp + ilp)
 
@@ -362,14 +360,14 @@ def walk_ii(
     if search and loop.n_ops <= options.max_ops:
         # MinII itself is a hard lower bound, so the proof chain starts whole.
         smaller_proven_infeasible = True
-        for ii in range(mii, options.ii_cap_factor * mii + 1):
+        for ii in range(mii, max_ii(loop, machine) + 1):
             if budget.expired():
                 break
             stats.ii_attempts += 1
             if rec.enabled:
                 rec.counter(f"{tag}.ii_attempts")
                 rec.event(f"{tag}.ii", loop=loop.name, ii=ii)
-            formulation = build_modulo_formulation(loop, machine, ii, stages=options.stages)
+            formulation = build_modulo_formulation(loop, machine, ii)
             if formulation.infeasible:
                 # Proven infeasible at this II (window collapse): a proof
                 # every backend would repeat, recorded once.
@@ -427,7 +425,7 @@ def optimal_pipeline_loop(
     secondary = options.objective is not None and not options.integrated
     orders: List[Optional[List[int]]] = [None]
     if "ilp" in usable or secondary:
-        if options.priority_branching and options.engine == "bnb":
+        if options.engine == "bnb":
             # §3.3 adjustment 3: the SGI production orders as branch orders.
             orders = list(production_orders(loop, machine).values())[: options.branch_orders]
         load_ilp_solver()

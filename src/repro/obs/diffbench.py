@@ -181,10 +181,6 @@ class BenchDiff:
         return "\n".join(lines)
 
 
-def _number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _cause(old: Mapping[str, Any], new: Mapping[str, Any], code_changed: bool) -> str:
     if old.get("options_json", "{}") != new.get("options_json", "{}"):
         return "options"

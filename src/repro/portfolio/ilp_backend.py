@@ -73,7 +73,6 @@ def solve_ilp(
         branch_priority=priority,
         engine=engine,
         first_solution=first_solution,
-        branch_up_first=priority is not None,
     )
     result = solve_milp(encoded.model, options)
     if result.status is Status.INFEASIBLE:

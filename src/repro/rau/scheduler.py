@@ -12,7 +12,7 @@ the best-known non-backtracking heuristic:
   only); if no slot is free, it is *force-placed* and the conflicting
   operations — resource conflicts and violated successors — are evicted
   and rescheduled later;
-* the total number of placements is budgeted (``budget_ratio * n_ops``);
+* the total number of placements is budgeted (``BUDGET_RATIO * n_ops``);
   exceeding the budget fails the candidate II.
 
 Unlike the SGI branch-and-bound, there is no backtracking state: eviction
@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.driver import PipelineResult, options_from_mapping
 from ..core.iisearch import IIAttempt
-from ..core.minii import min_ii as compute_min_ii
+from ..core.minii import max_ii, min_ii as compute_min_ii
 from ..core.sched import Schedule, SchedulingStats
 from ..core.spill import MAX_SPILL_ROUNDS, choose_spill_candidates, insert_spills
 from ..ir.loop import Loop
@@ -39,13 +39,14 @@ from ..obs import get_recorder
 from ..regalloc.coloring import AllocationResult, allocate_schedule
 
 
+#: Placements one candidate-II attempt may make per operation.
+BUDGET_RATIO = 5.0
+
+
 @dataclass
 class RauOptions:
-    """Configuration of the iterative modulo scheduler."""
-
-    budget_ratio: float = 5.0  # placements allowed per operation
-    ii_cap_factor: int = 2
-    max_spill_rounds: int = MAX_SPILL_ROUNDS
+    """Configuration of the iterative modulo scheduler: it has none (the
+    registry's options class, so every option key is rejected)."""
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RauOptions":
@@ -77,23 +78,21 @@ def height_r(loop: Loop, ii: int) -> Dict[int, int]:
     return {op: heights[op] for op in range(n)}
 
 
-def placement_budget(loop: Loop, options: RauOptions) -> int:
+def placement_budget(loop: Loop) -> int:
     """Placements one candidate-II attempt may make before it fails."""
-    return max(1, int(options.budget_ratio * loop.n_ops))
+    return max(1, int(BUDGET_RATIO * loop.n_ops))
 
 
 def iterative_modulo_schedule(
     loop: Loop,
     machine: MachineDescription,
     ii: int,
-    options: Optional[RauOptions] = None,
     stats: Optional[SchedulingStats] = None,
 ) -> Optional[Dict[int, int]]:
     """One candidate-II attempt; returns issue times or None."""
-    options = options or RauOptions()
     heights = height_r(loop, ii)
     n = loop.n_ops
-    budget = placement_budget(loop, options)
+    budget = placement_budget(loop)
 
     mrt = ModuloReservationTable(ii, machine.availability)
     times: Dict[int, int] = {}
@@ -250,10 +249,10 @@ def rau_pipeline_loop(
     Returns the heuristic result type the SGI driver returns, with no
     winning order and ``spill_rounds`` 1 when any value was spilled (the
     spilled set is what Rau94 reports; any spill means the scheduled loop
-    is not the pristine one).
+    is not the pristine one).  ``options`` is the registry's calling
+    convention; :class:`RauOptions` has no field.
     """
     machine = machine if machine is not None else r8000()
-    options = options or RauOptions()
     stats = SchedulingStats()
     original = loop
     original_min_ii = compute_min_ii(loop, machine)
@@ -261,17 +260,17 @@ def rau_pipeline_loop(
     current = loop
     spilled_total: List[str] = []
     spill_budget = 1
-    for spill_round in range(options.max_spill_rounds + 1):
+    for spill_round in range(MAX_SPILL_ROUNDS + 1):
         mii = compute_min_ii(current, machine)
         best_failed: Optional[Tuple[Schedule, AllocationResult]] = None
         found = None
         attempted: List[IIAttempt] = []
         # Rau94 searches IIs linearly from MinII.
-        for ii in range(mii, options.ii_cap_factor * mii + 1):
+        for ii in range(mii, max_ii(current, machine) + 1):
             start = _time.perf_counter()
             placed = stats.placements
             with get_recorder().span("rau.ii", loop=current.name, ii=ii):
-                times = iterative_modulo_schedule(current, machine, ii, options, stats)
+                times = iterative_modulo_schedule(current, machine, ii, stats)
             seconds = _time.perf_counter() - start
             stats.attempts += 1
             stats.seconds += seconds
@@ -281,7 +280,7 @@ def rau_pipeline_loop(
             )
             attempted.append(attempt)
             if times is None:
-                over = attempt.placements >= placement_budget(current, options)
+                over = attempt.placements >= placement_budget(current)
                 attempt.stop = "budget" if over else "exhausted"
                 continue
             schedule = Schedule(
@@ -314,7 +313,7 @@ def rau_pipeline_loop(
             best_failed[1], current, set(spilled_total),
             min(spill_budget, max(1, distinct)),
         )
-        if not candidates or spill_round == options.max_spill_rounds:
+        if not candidates or spill_round == MAX_SPILL_ROUNDS:
             break
         current = insert_spills(current, machine, candidates)
         spilled_total.extend(candidates)

@@ -111,7 +111,7 @@ REGISTRY: Dict[str, Scheduler] = {
             "most", ".most.scheduler", "MostOptions", "most_pipeline_loop",
             presets={
                 # The largest optimal schedule the study found has 61 ops.
-                "paper": {"engine": "scipy", "priority_branching": False, "max_ops": 61},
+                "paper": {"engine": "scipy", "max_ops": 61},
                 "bench": _MOST_BENCH,
                 "quick": {**_MOST_BENCH, "max_nodes": 2000},
                 # The B&B engine, so ilp.* counters feed the fuzzer's coverage.

@@ -23,18 +23,14 @@ OPTION_STRINGS = {
     "bench": ["--cache-dir", "--cell-timeout", "--explain", "--history-dir",
               "--jobs", "--no-cache", "--no-history", "--output-dir", "--profile",
               "--quick", "--schedulers", "--seed", "--trace", "--trace-dir"],
-    "sweep": ["--cache-dir", "--cell-timeout", "--explain", "--history-dir",
-              "--jobs", "--no-cache", "--no-history", "--output-dir", "--profile",
-              "--quick", "--schedulers", "--seed", "--trace", "--trace-dir"],
     "trace": ["--cell-timeout", "--check", "--ilp-seconds", "--jobs", "--limit",
               "--max-nodes", "--schedulers", "--seed", "--trace-dir"],
     "explain": ["--ilp-seconds", "--json", "--limit", "--schedulers"],
     "analyze": ["--check", "--ilp-seconds", "--json", "--limit", "--schedulers",
                 "--verbose", "-v"],
     "report": ["--baseline", "--bench", "--cache-dir", "--check", "--corpus",
-               "--experiments", "--history-dir", "--history-last", "--html",
-               "--ilp-seconds", "--jobs", "--limit", "--no-cache", "--output",
-               "--schedulers"],
+               "--experiments", "--history-dir", "--history-last", "--ilp-seconds",
+               "--jobs", "--limit", "--no-cache", "--output", "--schedulers"],
     "fuzz": ["--cell-timeout", "--corpus-dir", "--findings-dir", "--inject",
              "--jobs", "--max-loops", "--max-ops", "--no-write", "--oracle",
              "--schedulers", "--seconds", "--seed"],
@@ -44,7 +40,7 @@ OPTION_STRINGS = {
               "--max-budget", "--metrics-port", "--no-cache", "--output-dir",
               "--port", "--queue-limit", "--requests", "--seed", "--selftest",
               "--slow-log", "--slow-ms", "--unix"],
-    "cache": ["--cache-dir", "--json", "--max-bytes", "--max-mb", "--prune"],
+    "cache": ["--cache-dir", "--json", "--max-bytes", "--prune"],
     "diff": ["--history-dir", "--json", "--name", "--strict", "--trend", "--verbose",
              "-v"],
     "trend": ["--check", "--history-dir", "--json", "--last", "--verbose", "-v"],
@@ -55,8 +51,6 @@ DEFAULTS = {
     "": {"--ilp-seconds": 10.0, "--jobs": 1, "--cache-dir": None, "--no-cache": False},
     "verify": {"--ilp-seconds": 2.0},
     "bench": {"--jobs": 1, "--cache-dir": ".exec-cache", "--no-cache": False,
-              "--cell-timeout": None, "--seed": 0, "--history-dir": "benchmarks/history"},
-    "sweep": {"--jobs": 1, "--cache-dir": ".exec-cache", "--no-cache": False,
               "--cell-timeout": None, "--seed": 0, "--history-dir": "benchmarks/history"},
     "trace": {"--limit": None, "--jobs": 1, "--ilp-seconds": 5.0, "--max-nodes": 4000,
               "--cell-timeout": 60.0, "--seed": 0},
@@ -124,6 +118,32 @@ def test_diff_and_trend_positionals(monkeypatch):
     }
 
 
+def test_bench_takes_one_optional_corpus(monkeypatch):
+    """``bench <corpus>`` benches that corpus alone (``run_sweep``: the
+    ``BENCH_sweep_<corpus>.json`` file and history series); without it
+    the standard corpora run."""
+    import repro.exec.bench as bench
+
+    [corpus] = [action for action in _parser(monkeypatch, "bench")._actions
+                if not action.option_strings]
+    assert (corpus.dest, corpus.nargs, corpus.default) == ("corpus", "?", None)
+    monkeypatch.undo()
+    ran = []
+
+    def runner(name):
+        def run(*args):  # (corpus,) options for run_sweep; options alone otherwise
+            ran.append((name, *args[:-1]))
+            raise _Captured()
+        return run
+
+    monkeypatch.setattr(bench, "run_sweep", runner("run_sweep"))
+    monkeypatch.setattr(bench, "run_pipeline_bench", runner("run_pipeline_bench"))
+    for argv in (["bench", "spec92"], ["bench", "--quick"]):
+        with pytest.raises(_Captured):
+            main(argv)
+    assert ran == [("run_sweep", "spec92"), ("run_pipeline_bench",)]
+
+
 def _no_loops(monkeypatch):
     """Make any corpus load fail loudly."""
     import repro.exec.cells as cells
@@ -136,7 +156,7 @@ def _no_loops(monkeypatch):
 
 @pytest.mark.parametrize(
     "command",
-    ["verify", "bench", "sweep livermore", "trace", "explain", "analyze", "report", "fuzz"],
+    ["verify", "bench", "bench livermore", "trace", "explain", "analyze", "report", "fuzz"],
 )
 def test_unknown_scheduler_rejected_before_any_loop(monkeypatch, capsys, command):
     _no_loops(monkeypatch)
@@ -144,6 +164,13 @@ def test_unknown_scheduler_rejected_before_any_loop(monkeypatch, capsys, command
         main(command.split() + ["--schedulers", "bogus"])
     assert info.value.code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_cache_prune_needs_a_byte_budget(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["cache", "--cache-dir", str(tmp_path), "--prune"])
+    assert info.value.code == 2
+    assert "--max-bytes" in capsys.readouterr().err
 
 
 def test_verify_accepts_the_portfolio(monkeypatch, capsys):

@@ -2,29 +2,17 @@
 
 import pytest
 
-from repro.core import BnBConfig, PipelinerOptions, pipeline_loop
+from repro.core import BnBConfig, PipelinerOptions, minii, pipeline_loop
 from repro.core.driver import _residual_risk
 from repro.core.membank import BankPairer
 from repro.core.priorities import production_orders
 from repro.ir import LoopBuilder
 from repro.machine import r8000
-from repro.sim import DataLayout, run_pipelined, run_sequential
 
 from .conftest import build_memory_heavy, build_sdot
 
 
 class TestPairingModes:
-    def test_soft_pairing_produces_valid_code(self, machine, memheavy):
-        res = pipeline_loop(
-            memheavy, machine, PipelinerOptions(strict_pairing=False)
-        )
-        assert res.success
-        res.schedule.validate()
-        layout = DataLayout(res.loop, trip_count=30)
-        assert run_sequential(res.loop, layout, 30).matches(
-            run_pipelined(res.schedule, res.allocation, layout, 30)
-        )
-
     def test_bank_repair_labels_producer(self, machine):
         # A loop with guaranteed pairable streams: repair should engage.
         b = LoopBuilder("pairable", machine=machine, trip_count=200)
@@ -71,9 +59,10 @@ class TestBudgets:
         assert res.success
         assert res.order_name in ("RHMS", "HMS")
 
-    def test_ii_cap_factor(self, machine):
+    def test_ii_cap_factor(self, machine, monkeypatch):
         # With a cap factor of 1, only MinII may be tried.
+        monkeypatch.setattr(minii, "MAX_II_FACTOR", 1)
         loop = build_sdot(machine)
-        res = pipeline_loop(loop, machine, PipelinerOptions(ii_cap_factor=1))
+        res = pipeline_loop(loop, machine)
         assert res.success
         assert res.ii == res.min_ii

@@ -87,6 +87,11 @@ class TestSummarise:
 
 
 class TestBenchEmission:
+    def test_no_cache_dir_means_no_cache(self, tmp_path):
+        assert BenchOptions(cache_dir=None).engine().cache is None
+        cached = BenchOptions(cache_dir=str(tmp_path / "cache")).engine().cache
+        assert cached is not None and cached.directory == tmp_path / "cache"
+
     def test_sweep_writes_the_contract_fields(self, tmp_path):
         options = BenchOptions(
             quick=True,

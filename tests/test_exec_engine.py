@@ -299,6 +299,9 @@ class TestEngine:
             "most",
             {**MOST_OPTS, "_test_sleep": 30.0},
             timeout=0.3,
+            oracle=True,
+            analyze=True,
+            explain=True,
         )
         result = ExecEngine(jobs=1, cache=cache).run([cell])[cell]
         assert result.timeout and result.fallback
@@ -306,6 +309,11 @@ class TestEngine:
         assert result.scheduler == "most"  # accounted against the original cell
         assert result.schedule_seconds >= 0.3  # the burned budget is charged
         assert result.error is None
+        # The rescue passes through the cell's own layers: it is cached
+        # under the oracle cell's key, so it must carry the oracle's verdict.
+        assert result.funcsim_ok is True and result.verify_errors == []
+        assert result.refined_bound is not None
+        assert result.explanation is not None and "binding" in result.explanation
         # Timeout results are cacheable (the deadline is part of the key).
         rerun = ExecEngine(jobs=1, cache=ScheduleCache(tmp_path / "c")).run([cell])[cell]
         assert rerun.cache_hit and rerun.timeout and rerun.fallback

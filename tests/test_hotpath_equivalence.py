@@ -1120,7 +1120,7 @@ def _reference_repair_bank_grouping(loop, machine, ii, options, stats, base):
     def reschedule(order_name, with_pairer):
         order = orders[order_name]
         pairer = (
-            BankPairer(loop, ii, order, strict=options.strict_pairing) if with_pairer else None
+            BankPairer(loop, ii, order) if with_pairer else None
         )
         prepare_attempt(loop, machine, ii, order)
         result = modulo_schedule_bnb(loop, machine, ii, order, options.bnb, pairer)
@@ -1145,7 +1145,7 @@ def _reference_repair_bank_grouping(loop, machine, ii, options, stats, base):
             reschedule(order_name, with_pairer=False)
     best = None
     for candidate, order_name in candidates:
-        pairer = BankPairer(loop, ii, orders[order_name], strict=options.strict_pairing)
+        pairer = BankPairer(loop, ii, orders[order_name])
         forms = [candidate]
         polished = polish_bank_schedule(candidate, machine, pairer)
         if polished is not None:

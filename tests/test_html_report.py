@@ -178,7 +178,7 @@ class TestReportCli:
 
         out = tmp_path / "report.html"
         code = main([
-            "report", "--html", "--corpus", "livermore", "--limit", "2",
+            "report", "--corpus", "livermore", "--limit", "2",
             "--schedulers", "sgi", "--experiments", "none",
             "--bench", str(tmp_path / "nobench"),
             "--baseline", str(tmp_path / "nobase"),

@@ -6,6 +6,7 @@ from repro.core import (
     BnBConfig,
     PipelinerOptions,
     choose_spill_candidates,
+    driver,
     insert_spills,
     min_ii,
     order_by_name,
@@ -197,10 +198,11 @@ class TestDriver:
         assert res.stats.attempts >= 1
         assert res.stats.seconds > 0
 
-    def test_failure_result_shape(self, machine):
+    def test_failure_result_shape(self, machine, monkeypatch):
         # An impossible loop: bound every knob to zero effort.
+        monkeypatch.setattr(driver, "MAX_SPILL_ROUNDS", 0)
         loop = build_memory_heavy(machine)
-        options = PipelinerOptions(bnb=BnBConfig(max_placements=0), max_spill_rounds=0)
+        options = PipelinerOptions(bnb=BnBConfig(max_placements=0))
         res = pipeline_loop(loop, machine, options)
         assert not res.success
         assert res.schedule is None

@@ -115,7 +115,6 @@ class TestBranchAndBound:
             SolverOptions(
                 engine="bnb",
                 first_solution=True,
-                branch_up_first=True,
                 branch_priority=[xs[0].index, xs[1].index],
             ),
         )

@@ -80,6 +80,30 @@ class TestMinMaxII:
         loop = build_sdot(machine)
         assert max_ii(loop, machine) == 2 * min_ii(loop, machine)
 
+    def test_max_ii_is_every_consumers_ceiling(self, machine, monkeypatch):
+        """SGI, Rau94, the optimal walk and the bound climb all stop at
+        max_ii: with a ceiling below MinII none of them tries an II."""
+        from repro.analyze.bounds import compute_bounds, schedulable_bound
+        from repro.core import minii, pipeline_loop
+        from repro.most.scheduler import MostOptions, most_pipeline_loop
+        from repro.rau import rau_pipeline_loop
+
+        loop = build_sdot(machine)
+        mii = min_ii(loop, machine)
+        monkeypatch.setattr(minii, "MAX_II_FACTOR", 0)
+        assert max_ii(loop, machine) == 0
+        sgi = pipeline_loop(loop, machine)
+        assert not sgi.success and sgi.stats.attempts == 0
+        rau = rau_pipeline_loop(loop, machine)
+        assert not rau.success and rau.attempted == []
+        most = most_pipeline_loop(
+            loop, machine, MostOptions(engine="scipy", time_limit=10.0, fallback=False)
+        )
+        assert not most.success and most.stats.ii_attempts == 0 and most.probes == []
+        assert schedulable_bound(loop, machine) == mii
+        bounds = compute_bounds(loop, machine)
+        assert bounds.cap == 0 and bounds.schedulable_bound == mii
+
     def test_min_ii_positive_for_trivial_loop(self, machine):
         b = LoopBuilder("one", machine=machine)
         b.load("x")

@@ -12,11 +12,11 @@ from repro.sim import DataLayout, run_pipelined, run_sequential
 
 from .conftest import build_daxpy, build_first_diff, build_recurrence_chain, build_sdot
 
-FAST = MostOptions(time_limit=20.0, engine="scipy", priority_branching=False)
+FAST = MostOptions(time_limit=20.0, engine="scipy")
 
 
 def fast_options(**kw):
-    base = dict(time_limit=20.0, engine="scipy", priority_branching=False)
+    base = dict(time_limit=20.0, engine="scipy")
     base.update(kw)
     return MostOptions(**base)
 
@@ -168,7 +168,7 @@ class TestMostScheduler:
         res = most_pipeline_loop(
             loop,
             machine,
-            fast_options(engine="bnb", priority_branching=True, time_limit=30),
+            fast_options(engine="bnb", time_limit=30),
         )
         assert res.success
         assert not res.fallback_used

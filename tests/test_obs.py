@@ -343,7 +343,7 @@ class TestExecTraceIntegration:
         from repro.exec.engine import ExecEngine
 
         options = BenchOptions(
-            corpora=("livermore",), schedulers=("sgi",), use_cache=False,
+            corpora=("livermore",), schedulers=("sgi",), cache_dir=None,
             trace=True, trace_dir=str(tmp_path),
         )
         cells = [c for c in bench_cells(options) if c.loop.endswith("lk03_inner")]

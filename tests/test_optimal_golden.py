@@ -36,8 +36,7 @@ RUNS: List[Tuple[str, str, Dict[str, Any]]] = [
     *(
         (key, "most", {**_MOST, **extra})
         for key in LOOPS
-        for extra in ({}, {"priority_branching": False}, {"integrated": True},
-                      {"objective": "overhead"})
+        for extra in ({}, {"integrated": True}, {"objective": "overhead"})
     ),
     ("livermore:lk01_hydro", "most", {"time_limit": 20.0, "engine": "bnb"}),
     *(

@@ -14,8 +14,7 @@ from .conftest import build_first_diff, build_sdot
 
 
 def overhead_options(**kw):
-    base = dict(time_limit=20.0, engine="scipy", priority_branching=False,
-                objective="overhead")
+    base = dict(time_limit=20.0, engine="scipy", objective="overhead")
     base.update(kw)
     return MostOptions(**base)
 
@@ -68,7 +67,7 @@ class TestOverheadDriver:
             loop = builder(machine)
             buf = most_pipeline_loop(
                 loop, machine,
-                MostOptions(time_limit=20, engine="scipy", priority_branching=False),
+                MostOptions(time_limit=20, engine="scipy"),
             )
             ovh = most_pipeline_loop(loop, machine, overhead_options())
             if buf.ii != ovh.ii:
@@ -91,7 +90,7 @@ class TestOverheadDriver:
         loop = build_sdot(machine)
         buf = most_pipeline_loop(
             loop, machine,
-            MostOptions(time_limit=20, engine="scipy", priority_branching=False),
+            MostOptions(time_limit=20, engine="scipy"),
         )
         ovh = most_pipeline_loop(loop, machine, overhead_options())
         if buf.ii != ovh.ii:

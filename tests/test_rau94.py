@@ -6,7 +6,8 @@ from repro.core import min_ii, pipeline_loop
 from repro.core.sched import Schedule, SchedulingStats
 from repro.ir import LoopBuilder
 from repro.machine import r8000, two_wide
-from repro.rau import RauOptions, height_r, iterative_modulo_schedule, rau_pipeline_loop
+from repro.rau import height_r, iterative_modulo_schedule, rau_pipeline_loop
+from repro.rau import scheduler as rau_scheduler
 from repro.sim import DataLayout, run_pipelined, run_sequential
 from repro.workloads import GeneratorConfig, random_loop
 
@@ -62,13 +63,11 @@ class TestIterativeScheduling:
             with pytest.raises(ValueError):
                 Schedule(loop=loop, machine=machine, ii=3, times=times).validate()
 
-    def test_budget_limits_work(self, machine):
+    def test_budget_limits_work(self, machine, monkeypatch):
+        monkeypatch.setattr(rau_scheduler, "BUDGET_RATIO", 0.1)
         loop = build_memory_heavy(machine)
         stats = SchedulingStats()
-        times = iterative_modulo_schedule(
-            loop, machine, min_ii(loop, machine),
-            RauOptions(budget_ratio=0.1), stats,
-        )
+        times = iterative_modulo_schedule(loop, machine, min_ii(loop, machine), stats)
         # With a fraction of a placement per op, scheduling must fail.
         assert times is None
         assert stats.placements <= max(1, int(0.1 * loop.n_ops)) + 1

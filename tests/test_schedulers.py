@@ -39,6 +39,24 @@ def test_options_from_empty_dict(name):
     assert REGISTRY[name].options_from_dict({}) is not None
 
 
+#: Option keys retired because no production caller set them (MaxII, the
+#: spill-round limit and the Rau94 budget are module constants now).
+RETIRED = {
+    "sgi": ("ii_cap_factor", "max_spill_rounds", "strict_pairing"),
+    "rau": ("ii_cap_factor", "max_spill_rounds", "budget_ratio"),
+    "most": ("ii_cap_factor", "stages", "priority_branching"),
+    "portfolio": ("ii_cap_factor", "stages", "priority_branching"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_option_keys_are_rejected(name):
+    # A retired key fails loudly; it never runs silently as the default.
+    for key in RETIRED[name]:
+        with pytest.raises(ValueError, match=key):
+            REGISTRY[name].options_from_dict({key: 1})
+
+
 @pytest.mark.parametrize(
     "bad", [{"engine": "highs"}, {"objective": "bufers"}], ids=["engine", "objective"]
 )
@@ -110,8 +128,7 @@ PINNED_PRESETS = [
     ("sweep", {"time_limit": 2.0}, {"most": {"time_limit": 2.0, "engine": "scipy"}}),
     (None, {"time_limit": 5.0}, {"most": {"time_limit": 5.0}}),  # explain
     ("paper", {"time_limit": 10.0, "fallback": True}, {
-        "most": {"time_limit": 10.0, "engine": "scipy", "priority_branching": False,
-                 "max_ops": 61, "fallback": True},
+        "most": {"time_limit": 10.0, "engine": "scipy", "max_ops": 61, "fallback": True},
     }),
 ]
 
