@@ -1,8 +1,9 @@
 """Pinned-seed microbenchmarks of the scheduler hot paths (perf CI lane).
 
-Ten timed kernels cover the inner loops the raw-speed campaign
+Eleven timed kernels cover the inner loops the raw-speed campaign
 optimized — reservation-table probing, distance-table construction and
-query, the RecMII search, one full branch-and-bound search — and the
+query, the RecMII search, two budget-stopped branch-and-bound attempts
+(one with bank pairing) — and the
 per-cell layers every scheduled loop pays for: register allocation
 (renaming, bitset interference, colouring), the banked-memory
 performance simulation (fast-forwarded and walked), the functional
@@ -41,11 +42,13 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.bnb import BnBConfig, modulo_schedule_bnb  # noqa: E402
+from repro.core.bnb import BnBConfig, _Attempt, prepare_attempt  # noqa: E402
 from repro.core.distances import SccDistanceTables  # noqa: E402
 from repro.core.driver import pipeline_loop  # noqa: E402
+from repro.core.membank import BankPairer  # noqa: E402
 from repro.core.minii import _search_rec_mii, min_ii  # noqa: E402
 from repro.core.priorities import order_by_name  # noqa: E402
+from repro.exec.cells import resolve_loop  # noqa: E402
 from repro.machine.descriptions import r8000  # noqa: E402
 from repro.machine.resources import ModuloReservationTable  # noqa: E402
 from repro.obs.diffbench import diff_reports  # noqa: E402
@@ -126,13 +129,35 @@ def bench_rec_mii() -> None:
         _search_rec_mii(loop)
 
 
+@functools.lru_cache(maxsize=None)
+def _registry_loop(key: str):
+    """A registry loop (``corpus:name``), built once per process."""
+    machine = r8000()
+    return resolve_loop(key, machine), machine
+
+
+def _bnb_attempt(key: str, order: str, ii: int, paired: bool) -> None:
+    """One fresh branch-and-bound attempt: a new ``_Attempt`` run, so the
+    per-loop attempt memo never answers a repeat."""
+    loop, machine = _registry_loop(key)
+    priority = order_by_name(loop, machine, order)
+    prepare_attempt(loop, machine, ii, priority)
+    pairer = BankPairer(loop, ii, priority) if paired else None
+    _Attempt(loop, machine, ii, priority, BnBConfig(), pairer).run()
+
+
 def bench_bnb_search() -> None:
-    """One branch-and-bound search on a backtracking-heavy kernel."""
-    loop, machine = _loop("lk14_pic1d")
-    priority = order_by_name(loop, machine, "FDMS")
-    mii = min_ii(loop, machine)
-    for ii in (mii, mii + 1):
-        modulo_schedule_bnb(loop, machine, ii, priority, BnBConfig())
+    """The II-search attempt shape that dominates an SGI corpus round: the
+    19-op, divide-bound ``ora_trace`` under FDMS at its MinII of 82, which
+    stops on the 400-backtrack budget (~100k placements)."""
+    _bnb_attempt("spec92:ora/ora_trace", "FDMS", 82, paired=False)
+
+
+def bench_bnb_paired() -> None:
+    """A bank-repair attempt: ``lk09_predict`` under FDNMS with a
+    :class:`BankPairer` at its SGI II of 6, also stopped by the
+    400-backtrack budget."""
+    _bnb_attempt("livermore:lk09_predict", "FDNMS", 6, paired=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,6 +226,7 @@ BENCHES: Dict[str, Callable[[], None]] = {
     "scc_distances": bench_scc_distances,
     "rec_mii": bench_rec_mii,
     "bnb_search": bench_bnb_search,
+    "bnb_paired": bench_bnb_paired,
     "regalloc_allocate": bench_regalloc_allocate,
     "sim_pipelined": bench_sim_pipelined,
     "sim_pipelined_indirect": bench_sim_pipelined_indirect,

@@ -27,20 +27,27 @@ a pairable memory reference is placed and more known even-odd pairs are
 needed, the first schedulable element of its partner list is immediately
 placed in the same cycle, out of priority order.
 
-Hot-path engineering (the raw-speed campaign; outcome-identical to the
-straightforward form by construction):
+Hot-path engineering (outcome-identical to the straightforward form —
+``tests/test_hotpath_equivalence.py`` keeps that form as the reference and
+compares times, their insertion order and every effort counter):
 
 * every per-operation lookup — reservation table, lowered resource
   entries, SCC membership, memory-ness, intra-SCC distances, direct-arc
   bounds at this II — is precomputed once per attempt into dense arrays;
-* candidate-cycle scans and the backtracker's open-slot test use the
-  packed reservation table's :meth:`blocked_mask` — one bitmask covering a
-  whole II of slots — instead of probing cycle by cycle.  The
-  ``placements`` accounting still counts exactly the probes the per-cycle
-  loop would have made, so search budgets cut off at identical states;
-* legal ranges are cached and invalidated through a precomputed inverse
-  dependency map on place/unplace, instead of being recomputed from all
-  placed predecessors and successors on every query.
+* one fused loop places the priority list: legal-range lookup, the
+  blocked-mask scan (one bitmask covering a whole II of slots, read off
+  the packed table's occupancy arrays), first fit and the placement run
+  inline, with counters and tables in locals.  The ``placements``
+  accounting still counts exactly the probes a cycle-by-cycle scan would
+  have made, so search budgets cut off at identical states;
+* the backtracker tests catch points against a private view of the
+  failing operation's legal range and resource occupancy with the swept
+  positions removed, then unschedules only the positions from the catch
+  up: a rule-3 catch restores nothing, because nothing below it moved;
+* legal ranges are cached in a list indexed by operation and invalidated
+  through a precomputed inverse dependency map on place/unplace, instead
+  of being recomputed from all placed predecessors and successors on
+  every query.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
-from ..machine.resources import ModuloReservationTable
+from ..machine.resources import ModuloReservationTable, blocked_slots
 from ..obs import get_recorder
 from .distances import SccDistanceTables
 from .membank import BankPairer
@@ -110,7 +117,8 @@ class _State:
     legal range is computed: an operation constrained only by already-
     scheduled *successors* is placed as late as possible (shortening live
     ranges from their beginnings), one constrained by predecessors as
-    early as possible (Section 2.7).
+    early as possible (Section 2.7).  The state is *exhausted* once
+    ``next_cycle`` has left ``[lo, hi]`` in the scan direction.
     """
 
     __slots__ = ("op", "lo", "hi", "next_cycle", "direction", "cycle", "via_pairing")
@@ -132,12 +140,6 @@ class _State:
         self.direction = direction
         self.cycle = cycle
         self.via_pairing = via_pairing
-
-    @property
-    def exhausted(self) -> bool:
-        if self.direction > 0:
-            return self.next_cycle > self.hi
-        return self.next_cycle < self.lo
 
     def candidates(self):
         if self.direction > 0:
@@ -353,6 +355,8 @@ def _plan_for(
 
 
 class _Attempt:
+    """One branch-and-bound search at a fixed II and priority order."""
+
     def __init__(
         self,
         loop: Loop,
@@ -364,8 +368,8 @@ class _Attempt:
     ):
         plan = _plan_for(loop, machine, ii, priority)
         base = plan.base
-        self.loop = loop
-        self.machine = machine
+        n = loop.n_ops
+        self.n = n
         self.ii = ii
         self.order = plan.order
         self.pos_of = plan.pos_of
@@ -374,7 +378,8 @@ class _Attempt:
         self.dists = base.dists
         self.mrt = ModuloReservationTable(ii, machine.availability)
         self.times: Dict[int, int] = {}
-        self.states: Dict[int, _State] = {}
+        # Indexed by priority position; None until the position is reached.
+        self.states: List[Optional[_State]] = [None] * n
         # slot -> {memory op: placement count} (count-aware: an op placed
         # and unplaced through backtracking never corrupts its neighbours).
         self._mem_at_slot: Dict[int, Dict[int, int]] = {}
@@ -395,18 +400,13 @@ class _Attempt:
         self._pred_arcs = base.pred_arcs
         self._succ_arcs = base.succ_arcs
         self._range_inv = base.range_inv
-        self._range_cache: Dict[int, Tuple[int, int, int]] = {}
+        # op -> (lo, hi, direction) against the current schedule, or None.
+        self._range_cache: List[Optional[Tuple[int, int, int]]] = [None] * n
 
     # ------------------------------------------------------------------
-    # Placement primitives
+    # Bank-pairing primitives (the main loop and the backtracker inline
+    # the same placement steps)
     # ------------------------------------------------------------------
-    def _table(self, op: int):
-        return self.machine.table(self.loop.ops[op].opclass)
-
-    def _fits(self, op: int, cycle: int) -> bool:
-        self.placements += 1
-        return self.mrt.fits_lowered(self._lt[op], cycle)
-
     def _place(self, op: int, cycle: int) -> None:
         self.mrt.place_lowered(self._lt[op], cycle)
         self.times[op] = cycle
@@ -415,7 +415,7 @@ class _Attempt:
             at_slot[op] = at_slot.get(op, 0) + 1
         cache = self._range_cache
         for dep in self._range_inv[op]:
-            cache.pop(dep, None)
+            cache[dep] = None
 
     def _unplace(self, op: int) -> int:
         cycle = self.times.pop(op)
@@ -431,7 +431,7 @@ class _Attempt:
             self.pairer.unnote(op)
         cache = self._range_cache
         for dep in self._range_inv[op]:
-            cache.pop(dep, None)
+            cache[dep] = None
         return cycle
 
     def _cycle_is_risky(self, op: int, cycle: int) -> bool:
@@ -456,24 +456,23 @@ class _Attempt:
         return False
 
     def legal_range(self, op: int) -> Tuple[int, int]:
-        lo, hi, _ = self.legal_range_directed(op)
-        return lo, hi
+        cached = self._range_cache[op]
+        if cached is None:
+            cached = self._range_cache[op] = self._range(op, self.times)
+        return cached[0], cached[1]
 
-    def legal_range_directed(self, op: int) -> Tuple[int, int, int]:
-        """Legal cycle range for ``op`` given currently scheduled operations.
+    def _range(self, op: int, times: Dict[int, int]) -> Tuple[int, int, int]:
+        """Legal cycle range and scan direction for ``op`` against ``times``.
 
         SCC members consult the longest-path table against scheduled
         members of their component; other operations consult their direct
         scheduled predecessors and successors.  The range is clipped to II
         cycles (searching further would revisit the same modulo slots).
 
-        Results are cached; placing or unplacing any operation this range
-        depends on (via ``_range_inv``) invalidates the cache entry.
+        Against the live schedule the result is cached in ``_range_cache``;
+        placing or unplacing any operation it depends on (via
+        ``_range_inv``) invalidates the entry.
         """
-        cached = self._range_cache.get(op)
-        if cached is not None:
-            return cached
-        times = self.times
         lo: Optional[int] = None
         hi: Optional[int] = None
         use_direct_arcs = True
@@ -515,28 +514,23 @@ class _Attempt:
                 if hi is None or bound < hi:
                     hi = bound
         if lo is None and hi is None:
-            lo, hi, direction = 0, self.ii - 1, 1
-        elif lo is None:
+            return 0, self.ii - 1, 1
+        if lo is None:
             # Only successors constrain: place as late as possible.
-            lo, direction = hi - self.ii + 1, -1
-        elif hi is None:
+            return hi - self.ii + 1, hi, -1
+        if hi is None:
             # Only predecessors constrain: place as early as possible.
-            hi, direction = lo + self.ii - 1, 1
-        else:
-            # Both sides constrain: place next to the consumers.  With the
-            # production orders, an operation's not-yet-scheduled inputs
-            # will in turn be dragged toward it, keeping live ranges short
-            # from their beginnings (Section 2.7).  The II-cycle clip is
-            # anchored at the consumer end to match.
-            if soft_bounds and lo > hi:
-                # Soft (cross-SCC) bounds only: conflicts are repairable by
-                # pipestage adjustment, so keep a producer-side window.
-                hi = lo + self.ii - 1
-            lo = max(lo, hi - self.ii + 1)
-            direction = -1
-        result = (lo, hi, direction)
-        self._range_cache[op] = result
-        return result
+            return lo, lo + self.ii - 1, 1
+        # Both sides constrain: place next to the consumers.  With the
+        # production orders, an operation's not-yet-scheduled inputs will
+        # in turn be dragged toward it, keeping live ranges short from
+        # their beginnings (Section 2.7).  The II-cycle clip is anchored at
+        # the consumer end to match.
+        if soft_bounds and lo > hi:
+            # Soft (cross-SCC) bounds only: conflicts are repairable by
+            # pipestage adjustment, so keep a producer-side window.
+            hi = lo + self.ii - 1
+        return max(lo, hi - self.ii + 1), hi, -1
 
     # ------------------------------------------------------------------
     # Main search
@@ -546,132 +540,173 @@ class _Attempt:
             times, self.placements, self.backtracks, self.prunes, self.max_depth
         )
 
-    def _prune(self, reason: str) -> None:
-        self.prunes[reason] = self.prunes.get(reason, 0) + 1
-
     def run(self) -> BnBResult:
+        """Place the priority list in order, backtracking on failure.
+
+        One fused loop per placement: legal-range lookup, blocked-mask
+        scan, first fit and placement inline, against the packed table's
+        occupancy arrays.  Probe accounting is that of a cycle-by-cycle
+        scan (see the module docstring).  Operations a :class:`BankPairer`
+        wants paired, and memory references once any is placed, take the
+        cycle-by-cycle scans that weigh bank pairs and risky groupings.
+        """
         if not self.dists.feasible:
             return self._result(None)
-        n = self.loop.n_ops
+        n = self.n
         order = self.order
         times = self.times
         states = self.states
         max_placements = self.config.max_placements
         max_backtracks = self.config.max_backtracks
-        try_place = self._try_place
-        legal_range_directed = self.legal_range_directed
+        pairer = self.pairer
+        ii = self.ii
+        wrap = (1 << ii) - 1
+        mrt = self.mrt
+        full = mrt.full
+        counts = mrt.counts
+        avail = mrt.index.avail
+        lts = self._lt
+        is_mem = self._is_mem
+        mem_at_slot = self._mem_at_slot
+        range_cache = self._range_cache
+        range_inv = self._range_inv
+        compute_range = self._range
+        backtrack = self._backtrack
+        placements = backtracks = max_depth = 0
         i = 0
         while i < n:
-            if self.placements > max_placements:
-                return self._result(None)
+            if placements > max_placements:
+                break
             op = order[i]
             if op in times:
                 i += 1  # already scheduled as someone's bank partner
                 continue
-            if i > self.max_depth:
-                self.max_depth = i
-            state = states.get(i)
+            if i > max_depth:
+                max_depth = i
+            state = states[i]
             if state is None:
-                lo, hi, direction = legal_range_directed(op)
-                start = lo if direction > 0 else hi
-                state = _State(op=op, lo=lo, hi=hi, next_cycle=start, direction=direction)
-                states[i] = state
-            if try_place(i, state):
+                rng = range_cache[op]
+                if rng is None:
+                    rng = range_cache[op] = compute_range(op, times)
+                lo, hi, direction = rng
+                state = states[i] = _State(op, lo, hi, lo if direction > 0 else hi, direction)
+            else:
+                lo, hi, direction = state.lo, state.hi, state.direction
+            start = state.next_cycle
+            cycle: Optional[int] = None
+            risk_scan = False
+            if pairer is not None:
+                if (
+                    pairer.want_more_pairs()
+                    and pairer.is_pairable(op)
+                    and pairer.mate_of(op) is None
+                ):
+                    self.placements = placements
+                    cycle = self._scan_with_pairing(state)
+                    placements = self.placements
+                # No cycle admits a pair: place unpaired, avoiding risky
+                # groupings once any memory reference is placed.
+                risk_scan = cycle is None and is_mem[op] and bool(mem_at_slot)
+                if risk_scan:
+                    self.placements = placements
+                    cycle = self._scan_avoiding_risk(state)
+                    placements = self.placements
+            if cycle is None and not risk_scan:
+                # First fit over the candidate window.  It never exceeds II
+                # cycles, so each modulo slot is visited at most once and
+                # one blocked mask covers the whole scan.
+                if direction > 0:
+                    span, low = hi - start + 1, start
+                else:
+                    span, low = start - lo + 1, lo
+                if span > 0:
+                    lt = lts[op]
+                    entries = lt.mask_entries
+                    if entries is not None:
+                        blocked = 0
+                        for off, rid in entries:
+                            m = full[rid]
+                            if m:
+                                blocked |= ((m >> off) | (m << (ii - off))) & wrap
+                    else:
+                        blocked = blocked_slots(lt, ii, full, counts, avail)
+                    free = ~blocked & wrap
+                    r = low % ii
+                    aligned = ((free >> r) | (free << (ii - r))) & ((1 << span) - 1)
+                    if not aligned:
+                        # Probe parity with the risk-avoiding scan, which
+                        # (with no memory reference placed yet) re-probes
+                        # every candidate in its second pass.
+                        placements += 2 * span if pairer is not None and is_mem[op] else span
+                    else:
+                        if direction > 0:
+                            offset = (aligned & -aligned).bit_length() - 1
+                            cycle = start + offset
+                            placements += offset + 1
+                        else:
+                            offset = aligned.bit_length() - 1  # latest free cycle
+                            cycle = lo + offset
+                            placements += span - offset
+                        r = cycle % ii
+                        for rid, m in lt.unit_groups:
+                            full[rid] |= ((m << r) | (m >> (ii - r))) & wrap
+                        for off, rid, cnt in lt.multi_entries:
+                            s = r + off
+                            if s >= ii:
+                                s -= ii
+                            k = rid * ii + s
+                            c = counts[k] + cnt
+                            counts[k] = c
+                            if c >= avail[rid]:
+                                full[rid] |= 1 << s
+                        times[op] = cycle
+                        if is_mem[op]:
+                            at_slot = mem_at_slot.get(r)
+                            if at_slot is None:
+                                at_slot = mem_at_slot[r] = {}
+                            at_slot[op] = at_slot.get(op, 0) + 1
+                        for dep in range_inv[op]:
+                            range_cache[dep] = None
+            if cycle is not None:
+                state.cycle = cycle
+                state.next_cycle = cycle + direction
                 i += 1
                 continue
-            catch = self._backtrack(i)
-            if catch is None or self.backtracks >= max_backtracks:
-                return self._result(None)
-            self.backtracks += 1
+            state.next_cycle = hi + 1 if direction > 0 else lo - 1
+            state.cycle = None
+            self.placements = placements
+            catch = backtrack(i, backtracks >= max_backtracks)
+            placements = self.placements
+            if catch is None or backtracks >= max_backtracks:
+                break
+            backtracks += 1
             i = catch
-        return self._result(dict(times))
+        self.placements = placements
+        self.backtracks = backtracks
+        self.max_depth = max_depth
+        return self._result(dict(times) if i >= n else None)
 
-    def _first_fit(self, op: int, state: _State) -> Tuple[Optional[int], int]:
-        """First workable cycle in ``state.candidates()`` plus probe count.
+    def _scan_avoiding_risk(self, state: _State) -> Optional[int]:
+        """First fit preferring cycles without a risky memory grouping.
 
-        Probe-for-probe equivalent to scanning ``state.candidates()`` with
-        :meth:`_fits`: the returned count is exactly the number of cycles
-        the sequential scan would have probed (all of them on failure), so
-        ``placements`` budgets cut off identically.  The candidate window
-        never exceeds II cycles, so each modulo slot is visited at most
-        once and one ``blocked_mask`` covers the whole scan.
+        Riskiness depends on co-resident memory ops, so this scan stays
+        cycle by cycle (a risky cycle skipped in the first pass is not
+        probed); the fit test itself is one bit probe, as occupancy cannot
+        change mid-scan.  Places the op on success.
         """
-        ii = self.ii
-        wrap = (1 << ii) - 1
-        if state.direction > 0:
-            start = state.next_cycle
-            span = state.hi - start + 1
-            if span <= 0:
-                return None, 0
-            free = ~self.mrt.blocked_mask(self._lt[op]) & wrap
-            r = start % ii
-            aligned = ((free >> r) | (free << (ii - r))) & ((1 << span) - 1)
-            if not aligned:
-                return None, span
-            offset = (aligned & -aligned).bit_length() - 1
-            return start + offset, offset + 1
-        start = state.next_cycle
-        span = start - state.lo + 1
-        if span <= 0:
-            return None, 0
-        free = ~self.mrt.blocked_mask(self._lt[op]) & wrap
-        r = state.lo % ii
-        aligned = ((free >> r) | (free << (ii - r))) & ((1 << span) - 1)
-        if not aligned:
-            return None, span
-        offset = aligned.bit_length() - 1  # highest free bit = latest cycle
-        return state.lo + offset, span - offset
-
-    def _try_place(self, pos: int, state: _State) -> bool:
-        """Place the operation at ``pos`` at the next workable cycle."""
         op = state.op
-        if (
-            self.pairer is not None
-            and self.pairer.want_more_pairs()
-            and self.pairer.is_pairable(op)
-            and self.pairer.mate_of(op) is None
-        ):
-            cycle = self._scan_with_pairing(state)
-            if cycle is not None:
-                state.cycle = cycle
-                state.next_cycle = cycle + state.direction
-                return True
-            # No cycle admits a pair; fall through and place unpaired.
-        avoid_risk = self.pairer is not None and self._is_mem[op]
-        if not avoid_risk or not self._mem_at_slot:
-            # With no memory op placed anywhere, no cycle can be risky: the
-            # risk-avoiding scan degenerates to plain first-fit (same visit
-            # order), so both cases take the batched path.  Probe parity:
-            # the two-pass risky scan re-probes every candidate in its
-            # second pass when the first finds nothing, hence the doubled
-            # charge on failure.
-            cycle, probes = self._first_fit(op, state)
-            self.placements += probes if cycle is not None or not avoid_risk else 2 * probes
-            if cycle is not None:
-                self._place(op, cycle)
-                state.cycle = cycle
-                state.next_cycle = cycle + state.direction
-                return True
-        else:
-            # Riskiness depends on co-resident memory ops, so this scan
-            # stays cycle by cycle; the fit test itself is one bit probe
-            # (occupancy cannot change mid-scan).
-            blocked = self.mrt.blocked_mask(self._lt[op])
-            ii = self.ii
-            cycle_is_risky = self._cycle_is_risky
-            for risky_allowed in (False, True):
-                for cycle in state.candidates():
-                    if not risky_allowed and cycle_is_risky(op, cycle):
-                        continue
-                    self.placements += 1
-                    if not (blocked >> (cycle % ii)) & 1:
-                        self._place(op, cycle)
-                        state.cycle = cycle
-                        state.next_cycle = cycle + state.direction
-                        return True
-        state.next_cycle = (state.hi + 1) if state.direction > 0 else (state.lo - 1)
-        state.cycle = None
-        return False
+        blocked = self.mrt.blocked_mask(self._lt[op])
+        ii = self.ii
+        cycle_is_risky = self._cycle_is_risky
+        for risky_allowed in (False, True):
+            for cycle in state.candidates():
+                if not risky_allowed and cycle_is_risky(op, cycle):
+                    continue
+                self.placements += 1
+                if not (blocked >> (cycle % ii)) & 1:
+                    self._place(op, cycle)
+                    return cycle
+        return None
 
     def _scan_with_pairing(self, state: _State) -> Optional[int]:
         """Find a cycle where the op fits *and* a known opposite-bank partner
@@ -680,7 +715,7 @@ class _Attempt:
         fits = self.mrt.fits_lowered
         lt = self._lt[op]
         for cycle in state.candidates():
-            self.placements += 1  # same probe accounting as _fits
+            self.placements += 1  # one probe per candidate, as in first fit
             if not fits(lt, cycle):
                 continue
             self._place(op, cycle)
@@ -701,13 +736,12 @@ class _Attempt:
             lo, hi = self.legal_range(partner)
             if not (lo <= cycle <= hi):
                 continue
-            self.placements += 1  # same probe accounting as _fits
+            self.placements += 1  # one probe, as in first fit
             if not fits(lts[partner], cycle):
                 continue
             self._place(partner, cycle)
             pairer.note_pair(op, partner)
-            ppos = self.pos_of[partner]
-            self.states[ppos] = _State(
+            self.states[self.pos_of[partner]] = _State(
                 op=partner, lo=cycle, hi=cycle, next_cycle=cycle + 1,
                 cycle=cycle, via_pairing=True,
             )
@@ -717,76 +751,169 @@ class _Attempt:
     # ------------------------------------------------------------------
     # Backtracking with catch-point pruning
     # ------------------------------------------------------------------
-    def _backtrack(self, fail_pos: int) -> Optional[int]:
-        """Unschedule a suffix and choose the catch point for ``fail_pos``.
+    def _backtrack(self, fail_pos: int, last: bool) -> Optional[int]:
+        """Choose the catch point for ``fail_pos``, then unschedule above it.
 
-        Sweeps positions downward, unscheduling as it goes, testing each as
-        a catch point under the pruning rules.  On success, positions below
-        the catch are restored exactly as they were.
+        The sweep walks positions downward and tests each as a catch under
+        the pruning rules *as if* it and everything swept before it were
+        unscheduled.  The real schedule is untouched: the failing
+        operation's legal range and resource occupancy are evaluated in a
+        private view (``vtimes``, ``vfull``/``vcounts``) with the swept
+        operations, and their out-of-band bank partners, removed.  Only
+        the positions from the catch up (and their partners) are then
+        unscheduled for real, so a rule-3 catch restores nothing.  With
+        ``last`` set the caller stops whatever is caught (the backtrack
+        budget is spent), and nothing is unscheduled.
         """
-        target = self.order[fail_pos]
-        removed: List[Tuple[int, int, Optional[int]]] = []  # (pos, cycle, mate)
-        rule3_catch: Optional[int] = None
-        rule3_depth: Optional[int] = None
-        catch: Optional[int] = None
-        target_lt = self._lt[target]
-        target_tkey = self._tkey[target]
+        order = self.order
+        states = self.states
+        times = self.times
+        config = self.config
+        prune = config.prune
+        use_rule3 = config.use_rule3
+        pairer = self.pairer
+        prunes = self.prunes
+        rule1_pos = self._rule1_pos
+        tkey = self._tkey
+        lts = self._lt
         ii = self.ii
+        wrap = (1 << ii) - 1
+        mrt = self.mrt
+        full = mrt.full
+        counts = mrt.counts
+        avail = mrt.index.avail
+        placements = self.placements
+        target = order[fail_pos]
+        target_tkey = tkey[target]
+        target_lt = lts[target]
+        target_rids = target_lt.rids
+        range_inv = self._range_inv
+        target_entries = target_lt.mask_entries
+        probed = target_entries is None  # blocked slots read counts too
+        # (pos, op, cycle) in sweep order; a partner follows its primary.
+        swept: List[Tuple[int, int, int]] = []
+        applied = 0  # swept entries already removed from the view
+        vtimes: Optional[Dict[int, int]] = None
+        vfull: Optional[List[int]] = None
+        vcounts: Optional[List[int]] = None
+        rng = self._range_cache[target]  # the view's range; None = stale
+        free: Optional[int] = None  # the view's free slots; None = stale
+        rule3_catch: Optional[int] = None
+        rule3_depth = 0
+        catch: Optional[int] = None
 
         for j in range(fail_pos - 1, -1, -1):
-            state = self.states.get(j)
-            if state is None or state.cycle is None:
-                continue
-            jop = self.order[j]
-            if jop not in self.times:
+            state = states[j]
+            if state is None:
                 continue
             old_cycle = state.cycle
-            mate = self.pairer.mate_of(jop) if self.pairer is not None else None
-            self._unplace(jop)
-            state.cycle = None
-            removed.append((j, old_cycle, mate))
-            if mate is not None and mate in self.times:
-                mate_pos = self.pos_of[mate]
-                if mate_pos > fail_pos:
+            if old_cycle is None:
+                continue
+            jop = order[j]
+            if jop not in times:
+                continue
+            swept.append((j, jop, old_cycle))
+            if pairer is not None:
+                # A partner swept earlier in this sweep sits below fail_pos.
+                mate = pairer.mate_of(jop)
+                if mate is not None and self.pos_of[mate] > fail_pos:
                     # Out-of-band partner ahead of the failure point: it was
                     # only scheduled for this pair, so release it too.
-                    mstate = self.states.get(mate_pos)
-                    removed.append((mate_pos, self.times[mate], jop))
-                    self._unplace(mate)
-                    if mstate is not None:
-                        self.states.pop(mate_pos, None)
+                    swept.append((self.pos_of[mate], mate, times[mate]))
             if state.via_pairing:
                 continue  # partners have no range of their own; cannot catch
-            if not self.config.prune:
-                if not state.exhausted:
+            direction = state.direction
+            if direction > 0:
+                exhausted = state.next_cycle > state.hi
+            else:
+                exhausted = state.next_cycle < state.lo
+            if not prune:
+                if not exhausted:
                     catch = j
                     break
                 continue
-            if self._rule1_pos[j] != j:
-                self._prune("rule1")
+            if rule1_pos[j] != j:
+                prunes["rule1"] = prunes.get("rule1", 0) + 1
                 continue  # rule 1
-            if state.exhausted:
-                self._prune("exhausted")
+            if exhausted:
+                prunes["exhausted"] = prunes.get("exhausted", 0) + 1
                 continue
-            lo, hi = self.legal_range(target)
+            # Bring the view up to date with everything swept so far.  The
+            # free slots go stale only when a full bit clears (or, for a
+            # table probed slot by slot, when any count it reads drops).
+            for k in range(applied, len(swept)):
+                _, x, cx = swept[k]
+                if target in range_inv[x]:
+                    rng = None
+                    if vtimes is None:
+                        vtimes = dict(times)
+                    del vtimes[x]
+                lt = lts[x]
+                if target_rids.isdisjoint(lt.rids):
+                    continue
+                if vfull is None:
+                    vfull = full[:]
+                r = cx % ii
+                for rid, m in lt.unit_groups:
+                    if rid in target_rids:
+                        vfull[rid] &= ~(((m << r) | (m >> (ii - r))) & wrap)
+                        free = None
+                for off, rid, cnt in lt.multi_entries:
+                    if rid in target_rids:
+                        s = r + off
+                        if s >= ii:
+                            s -= ii
+                        # Below a clear full bit a count only drops further:
+                        # only a full slot's count (or, for a probed table,
+                        # every count) is worth keeping.
+                        if probed or (vfull[rid] >> s) & 1:
+                            if vcounts is None:
+                                vcounts = counts[:]
+                            idx = rid * ii + s
+                            left = vcounts[idx] - cnt
+                            vcounts[idx] = left
+                            if left < avail[rid]:
+                                vfull[rid] &= ~(1 << s)
+                                free = None
+                            elif probed:
+                                free = None
+            applied = len(swept)
+            if rng is None:
+                if vtimes is None:
+                    rng = self._range_cache[target] = self._range(target, times)
+                else:
+                    rng = self._range(target, vtimes)
+            lo, hi, _ = rng
             span = hi - lo + 1
             if span <= 0:
-                self._prune("no_slot")
+                prunes["no_slot"] = prunes.get("no_slot", 0) + 1
                 continue
-            # One blocked_mask stands in for probing every cycle of
+            # One blocked mask stands in for probing every cycle of
             # [lo, hi]; the probes are still charged to the budget.
-            self.placements += span
-            free = ~self.mrt.blocked_mask(target_lt) & ((1 << ii) - 1)
+            placements += span
+            if free is None:
+                fl = full if vfull is None else vfull
+                if target_entries is not None:
+                    blocked = 0
+                    for off, rid in target_entries:
+                        m = fl[rid]
+                        if m:
+                            blocked |= ((m >> off) | (m << (ii - off))) & wrap
+                else:
+                    blocked = blocked_slots(
+                        target_lt, ii, fl, counts if vcounts is None else vcounts, avail
+                    )
+                free = ~blocked & wrap
             r = lo % ii
             open_mask = ((free >> r) | (free << (ii - r))) & ((1 << span) - 1)
             if not open_mask:
-                self._prune("no_slot")
+                prunes["no_slot"] = prunes.get("no_slot", 0) + 1
                 continue
-            if self._tkey[jop] != target_tkey:
-                self._prune("catch_rule2")
+            if tkey[jop] != target_tkey:
+                prunes["catch_rule2"] = prunes.get("catch_rule2", 0) + 1
                 catch = j  # rule 2: non-identical resources, now schedulable
                 break
-            if self.config.use_rule3 and rule3_catch is None:
+            if use_rule3 and rule3_catch is None:
                 # Any open cycle in a *different* modulo slot than the
                 # unscheduled op's old cycle?  Bit p of open_mask is cycle
                 # lo + p; the old slot recurs every II bits.
@@ -797,42 +924,60 @@ class _Attempt:
                     p += ii
                 if open_mask & ~same_slot:
                     rule3_catch = j
-                    rule3_depth = len(removed)
+                    rule3_depth = len(swept)
                     continue
-            self._prune("same_resource")
+            prunes["same_resource"] = prunes.get("same_resource", 0) + 1
 
+        self.placements = placements
+        below: List[Tuple[int, int, int]] = []
         if catch is None and rule3_catch is not None:
-            self._prune("catch_rule3")
+            prunes["catch_rule3"] = prunes.get("catch_rule3", 0) + 1
             catch = rule3_catch
-            # Restore everything removed after the rule-3 sweep passed it.
-            self._restore(removed[rule3_depth:])
-            removed = removed[:rule3_depth]
-        if catch is None:
-            return None
+            below = swept[rule3_depth:]  # swept past the catch: stay placed
+            del swept[rule3_depth:]
+        if catch is None or last:
+            return catch
+        range_cache = self._range_cache
+        is_mem = self._is_mem
+        mem_at_slot = self._mem_at_slot
+        for pos, op, cycle in swept:
+            del times[op]
+            lt = lts[op]
+            r = cycle % ii
+            for rid, m in lt.unit_groups:
+                full[rid] &= ~(((m << r) | (m >> (ii - r))) & wrap)
+            for off, rid, cnt in lt.multi_entries:
+                s = r + off
+                if s >= ii:
+                    s -= ii
+                k = rid * ii + s
+                c = counts[k] - cnt
+                counts[k] = c
+                if c < avail[rid]:
+                    full[rid] &= ~(1 << s)
+            if is_mem[op]:
+                at_slot = mem_at_slot[r]
+                remaining = at_slot[op] - 1
+                if remaining:
+                    at_slot[op] = remaining
+                else:
+                    del at_slot[op]
+            if pairer is not None:
+                pairer.unnote(op)
+            for dep in range_inv[op]:
+                range_cache[dep] = None
+            if pos > fail_pos:
+                states[pos] = None  # a released partner starts over
+        states[catch].cycle = None
         # Positions above the catch start over with fresh legal ranges.
-        for pos in range(catch + 1, self.loop.n_ops):
-            if self.order[pos] not in self.times:
-                self.states.pop(pos, None)
+        for pos in range(catch + 1, fail_pos + 1):
+            if order[pos] not in times:
+                states[pos] = None
+        # Keep the insertion order that unscheduling and re-placing the
+        # positions below a rule-3 catch gave the schedule: that moved a
+        # released bank partner before its primary.  Without a pairer the
+        # order is ascending by position either way.
+        if pairer is not None:
+            for _, op, _ in reversed(below):
+                times[op] = times.pop(op)
         return catch
-
-    def _restore(self, entries: List[Tuple[int, int, Optional[int]]]) -> None:
-        """Re-place unscheduled entries (in increasing position order)."""
-        for pos, cycle, mate in reversed(entries):
-            op = self.order[pos]
-            self._place(op, cycle)
-            state = self.states.get(pos)
-            if state is None:
-                self.states[pos] = _State(
-                    op=op, lo=cycle, hi=cycle, next_cycle=cycle + 1,
-                    cycle=cycle, via_pairing=True,
-                )
-            else:
-                state.cycle = cycle
-            if (
-                mate is not None
-                and self.pairer is not None
-                and mate in self.times
-                and self.pairer.mate_of(op) is None
-                and self.pairer.mate_of(mate) is None
-            ):
-                self.pairer.note_pair(op, mate)

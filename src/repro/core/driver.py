@@ -6,7 +6,11 @@ Composition, mirroring the MIPSpro pipeliner:
 * at each II, a branch-and-bound scheduler with catch-point pruning packs
   the operations, driven by up to four priority-list heuristics (FDMS,
   FDNMS, HMS, RHMS) — subsequent heuristics are tried only when earlier
-  ones do not already achieve MinII;
+  ones do not already achieve MinII.  So every order's MinII attempt runs
+  first, in order, and the first order to allocate there wins; only when
+  none does are the orders searched above MinII (not after a spill, when
+  the search is a plain binary one, nor when a certified static bound
+  already rules MinII out);
 * memory-bank pairing is woven into the scheduling search;
 * raw schedules get a pipestage-adjustment postpass, then modulo renaming
   and Chaitin-Briggs register allocation;
@@ -26,7 +30,7 @@ from ..obs import get_recorder
 from ..regalloc.coloring import AllocationResult, allocate_schedule
 from .bankpolish import polish_bank_schedule
 from .bnb import BnBConfig, modulo_schedule_bnb, prepare_attempt
-from .iisearch import IIAttempt, search_ii
+from .iisearch import IIAttempt, IISearchResult, search_ii
 from .membank import BankPairer
 from .minii import max_ii, min_ii as compute_min_ii
 from .pipestage import adjust_pipestages
@@ -229,33 +233,66 @@ def _schedule_and_allocate(
             rec.event(
                 "ii.static_bound", loop=loop.name, min_ii=mii, bound=static_bound
             )
-    for order_name in options.orders:
-        order = orders[order_name]
+    def search(order_name: str, top: int, into: SchedulingStats) -> IISearchResult:
         with rec.span("sgi.order", loop=loop.name, order=order_name):
-            found = search_ii(
+            return search_ii(
                 loop,
                 machine,
-                order,
+                orders[order_name],
                 mii,
-                maxii,
+                top,
                 config=options.bnb,
                 simple_binary=after_spill,
                 linear=options.linear_ii_search,
-                stats=stats,
+                stats=into,
                 static_bound=static_bound,
             )
+
+    def allocate(order_name: str, found: IISearchResult) -> Tuple[Schedule, AllocationResult, str]:
+        if found.ii == mii and order_name in at_min_ii:
+            schedule, allocation = at_min_ii[order_name]
+        else:
+            times = adjust_pipestages(loop, found.ii, found.times)
+            schedule = Schedule(
+                loop=loop, machine=machine, ii=found.ii, times=times,
+                producer=f"sgi/{order_name}",
+            )
+            allocation = allocate_schedule(schedule, machine)
+            if found.ii == mii:
+                at_min_ii[order_name] = (schedule, allocation)
+        winner = next(a for a in found.attempted if a.success and a.ii == found.ii)
+        winner.allocated, winner.uncolored = allocation.success, len(allocation.uncolored)
+        return schedule, allocation, order_name
+
+    # MinII first across orders: an order that allocates at MinII wins
+    # outright, and an earlier order whose MinII attempt fails can only
+    # finish above it, so each order's MinII attempt runs before any
+    # order searches higher.  When none wins there, the per-order searches
+    # below run as if this pass had not happened: the attempt memo answers
+    # their MinII attempts, and the pass's trail and effort counters are
+    # dropped (its search time is kept).
+    at_min_ii: Dict[str, Tuple[Schedule, AllocationResult]] = {}
+    if not after_spill and mii <= maxii and (static_bound is None or static_bound <= mii):
+        first = SchedulingStats()
+        trail: List[IIAttempt] = []
+        for order_name in options.orders:
+            found = search(order_name, mii, first)
+            trail.extend(found.attempted)
+            if found.success:
+                entry = allocate(order_name, found)
+                if entry[1].success:
+                    stats.merge(first)
+                    outcome.best, outcome.attempted = entry, trail
+                    return outcome
+        stats.seconds += first.seconds
+
+    for order_name in options.orders:
+        found = search(order_name, maxii, stats)
         outcome.attempted.extend(found.attempted)
         if not found.success:
             continue
-        times = adjust_pipestages(loop, found.ii, found.times)
-        schedule = Schedule(
-            loop=loop, machine=machine, ii=found.ii, times=times,
-            producer=f"sgi/{order_name}",
-        )
-        allocation = allocate_schedule(schedule, machine)
-        winner = next(a for a in found.attempted if a.success and a.ii == found.ii)
-        winner.allocated, winner.uncolored = allocation.success, len(allocation.uncolored)
-        entry = (schedule, allocation, order_name)
+        entry = allocate(order_name, found)
+        schedule, allocation, _ = entry
         if allocation.success:
             if outcome.best is None or schedule.ii < outcome.best[0].ii:
                 outcome.best = entry

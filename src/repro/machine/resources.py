@@ -24,7 +24,7 @@ tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,17 @@ class LoweredTable:
     ``(resource_id, offset_mask)`` pair, so a 20-entry divide reservation
     probes/places/removes with one mask rotation; ``multi_entries`` keeps
     the remaining triples for the counting path.
+
+    ``mask_entries`` are the ``(slot_offset, resource_id)`` pairs whose
+    rotated "slot full" masks OR into the blocked mask when that is exact
+    (every entry needs one unit), ``None`` when the table needs the
+    per-slot count probe; ``rids`` is the set of resources the table uses.
     """
 
-    __slots__ = ("entries", "all_unit", "impossible", "unit_groups", "multi_entries")
+    __slots__ = (
+        "entries", "all_unit", "impossible", "unit_groups", "multi_entries",
+        "mask_entries", "rids",
+    )
 
     def __init__(self, entries: Tuple[Tuple[int, int, int], ...], avail: Sequence[int]):
         self.entries = entries
@@ -109,6 +117,12 @@ class LoweredTable:
                     rest.append((off, rid, cnt))
         self.unit_groups: Tuple[Tuple[int, int], ...] = tuple(sorted(unit.items()))
         self.multi_entries: Tuple[Tuple[int, int, int], ...] = tuple(rest)
+        self.mask_entries: Optional[Tuple[Tuple[int, int], ...]] = (
+            tuple((off, rid) for off, rid, _ in entries)
+            if self.all_unit and not self.impossible
+            else None
+        )
+        self.rids: FrozenSet[int] = frozenset(rid for _, rid, _ in entries)
 
 
 class ReservationTable:
@@ -190,9 +204,12 @@ class PackedModuloReservationTable:
         self.availability = dict(availability)
         self.index = resource_index(self.availability)
         full = (1 << ii) - 1
-        self._counts: List[int] = [0] * (self.index.n * ii)
-        # Bit s of _full[rid] is set when slot s cannot take one more unit.
-        self._full: List[int] = [0 if a > 0 else full for a in self.index.avail]
+        # Occupancy, also read directly by the B&B kernel's fused loop
+        # (change it only through place/remove): per-(resource, slot) unit
+        # counts, resource-major (maintained for multi-unit resources only),
+        # and bit s of full[rid] set when slot s cannot take one more unit.
+        self.counts: List[int] = [0] * (self.index.n * ii)
+        self.full: List[int] = [0 if a > 0 else full for a in self.index.avail]
 
     # ------------------------------------------------------------------
     # Lowered fast-path API (used by the schedulers)
@@ -203,13 +220,13 @@ class PackedModuloReservationTable:
     def fits_lowered(self, lt: LoweredTable, cycle: int) -> bool:
         ii = self.ii
         r = cycle % ii
-        full = self._full
+        full = self.full
         wrap = (1 << ii) - 1
         for rid, m in lt.unit_groups:
             # Bit (off + r) mod II of the rotation is bit off of m.
             if full[rid] & (((m << r) | (m >> (ii - r))) & wrap):
                 return False
-        counts = self._counts
+        counts = self.counts
         avail = self.index.avail
         for off, rid, cnt in lt.multi_entries:
             s = r + off
@@ -223,8 +240,8 @@ class PackedModuloReservationTable:
         """Consume the lowered uses at ``cycle`` without a fit check."""
         ii = self.ii
         r = cycle % ii
-        counts = self._counts
-        full = self._full
+        counts = self.counts
+        full = self.full
         avail = self.index.avail
         wrap = (1 << ii) - 1
         for rid, m in lt.unit_groups:
@@ -242,8 +259,8 @@ class PackedModuloReservationTable:
     def remove_lowered(self, lt: LoweredTable, cycle: int) -> None:
         ii = self.ii
         r = cycle % ii
-        counts = self._counts
-        full = self._full
+        counts = self.counts
+        full = self.full
         avail = self.index.avail
         wrap = (1 << ii) - 1
         for rid, m in lt.unit_groups:
@@ -267,28 +284,9 @@ class PackedModuloReservationTable:
         """Bitmask of modulo slots at which this op cannot issue *now*.
 
         Bit ``s`` is set when a cycle with ``cycle % II == s`` conflicts.
-        For all-unit tables this is an OR of per-resource full masks
-        rotated by the use offsets; tables with multi-unit entries fall
-        back to probing each slot.  The mask is only valid until the next
-        place/remove.
+        The mask is only valid until the next place/remove.
         """
-        ii = self.ii
-        if lt.impossible:
-            return (1 << ii) - 1
-        wrap = (1 << ii) - 1
-        blocked = 0
-        if lt.all_unit:
-            full = self._full
-            for off, rid, _ in lt.entries:
-                m = full[rid]
-                if m:
-                    # Bit c of the rotation is bit (c + off) mod II of m.
-                    blocked |= ((m >> off) | (m << (ii - off))) & wrap
-            return blocked
-        for s in range(ii):
-            if not self.fits_lowered(lt, s):
-                blocked |= 1 << s
-        return blocked
+        return blocked_slots(lt, self.ii, self.full, self.counts, self.index.avail)
 
     # ------------------------------------------------------------------
     # Public (checked) API
@@ -319,17 +317,56 @@ class PackedModuloReservationTable:
         if self.index.avail[rid] == 1:
             # Single-unit resources are tracked by the full mask alone
             # (counts are not maintained for them on the lowered paths).
-            return (self._full[rid] >> (slot % self.ii)) & 1
-        return self._counts[rid * self.ii + slot % self.ii]
+            return (self.full[rid] >> (slot % self.ii)) & 1
+        return self.counts[rid * self.ii + slot % self.ii]
 
     def copy(self) -> "PackedModuloReservationTable":
         clone = PackedModuloReservationTable.__new__(PackedModuloReservationTable)
         clone.ii = self.ii
         clone.availability = dict(self.availability)
         clone.index = self.index
-        clone._counts = self._counts[:]
-        clone._full = self._full[:]
+        clone.counts = self.counts[:]
+        clone.full = self.full[:]
         return clone
+
+
+def blocked_slots(
+    lt: LoweredTable, ii: int, full: Sequence[int], counts: Sequence[int],
+    avail: Sequence[int],
+) -> int:
+    """Bitmask of the modulo slots at which ``lt`` cannot issue, given
+    occupancy arrays laid out as a packed table's ``full`` and ``counts``.
+
+    For all-unit tables this is an OR of per-resource full masks rotated by
+    the use offsets; tables with multi-unit entries probe each slot.  The
+    branch-and-bound backtracker calls it on a private copy of the arrays
+    (occupancy with some operations removed, without removing them).
+    """
+    wrap = (1 << ii) - 1
+    if lt.impossible:
+        return wrap
+    blocked = 0
+    if lt.mask_entries is not None:
+        for off, rid in lt.mask_entries:
+            m = full[rid]
+            if m:
+                # Bit c of the rotation is bit (c + off) mod II of m.
+                blocked |= ((m >> off) | (m << (ii - off))) & wrap
+        return blocked
+    for r in range(ii):
+        for rid, m in lt.unit_groups:
+            if full[rid] & (((m << r) | (m >> (ii - r))) & wrap):
+                blocked |= 1 << r
+                break
+        else:
+            for off, rid, cnt in lt.multi_entries:
+                s = r + off
+                if s >= ii:
+                    s -= ii
+                if counts[rid * ii + s] + cnt > avail[rid]:
+                    blocked |= 1 << r
+                    break
+    return blocked
 
 
 #: The table every scheduler builds.

@@ -19,8 +19,9 @@ moved:
     field of the cell moved (its seed, trips, timeout or a flag).
 
 Quality rules are strict, pairwise and machine-independent: a raised or
-vanished II, a new timeout/fallback/error, higher simulated cycles, or a
-disappeared cell is a **regression**.  Timing, latency and rate numbers
+vanished II, a new timeout/fallback/error, a lost optimality proof, a
+functional simulation that stops matching, new verifier errors, higher
+simulated cycles, or a disappeared cell is a **regression**.  Timing, latency and rate numbers
 (schedule time, service latency, micro kernels) are judged by the one
 regression policy in :mod:`repro.obs.trend` (``TOLERANCES``).
 ``python -m repro diff <old> <new> [--strict] [--trend]`` is the CLI.
@@ -44,6 +45,7 @@ DELTA_FIELDS = (
     "overhead_cycles",
     "spill_rounds",
     "n_stages",
+    "optimal",
     "schedule_seconds",
     "wall_seconds",
 )
@@ -328,6 +330,20 @@ def _diff_cell(
     if new.get("error") and not old.get("error"):
         diff.regressions.append(f"new error: {label}")
         delta.deltas["error"] = (old.get("error"), new.get("error"))
+        quality_regressed = True
+    if old.get("optimal") and not new.get("optimal"):
+        diff.regressions.append(f"optimality proof lost: {label}")
+        quality_regressed = True
+    if old.get("funcsim_ok") is True and new.get("funcsim_ok") is False:
+        diff.regressions.append(f"functional simulation now fails: {label}")
+        delta.deltas["funcsim_ok"] = (True, False)
+        quality_regressed = True
+    old_errors, new_errors = old.get("verify_errors") or [], new.get("verify_errors") or []
+    if new_errors and not old_errors:
+        diff.regressions.append(
+            f"new verifier errors: {label} ({len(new_errors)}, first: {new_errors[0]})"
+        )
+        delta.deltas["verify_errors"] = (0, len(new_errors))
         quality_regressed = True
 
     old_cycles = old.get("sim_cycles", {}) or {}

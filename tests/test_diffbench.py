@@ -111,6 +111,38 @@ class TestDiffReports:
         assert "new timeout" in text
         assert "new fallback" in text
 
+    @pytest.mark.parametrize(
+        "field, old_value, new_value, message",
+        [
+            ("optimal", True, False, "optimality proof lost"),
+            ("funcsim_ok", True, False, "functional simulation now fails"),
+            ("verify_errors", [], ["SCHED001 resource conflict"], "new verifier errors"),
+        ],
+    )
+    def test_lost_proof_and_oracle_failures_are_regressions(
+        self, field, old_value, new_value, message
+    ):
+        old = _payload([_cell(**{field: old_value})])
+        new = _payload([_cell(**{field: new_value}, cache_key="k2")], code_version="def")
+        diff = diff_reports(old, new)
+        assert not diff.ok
+        assert any(message in r for r in diff.regressions), diff.regressions
+        (cell,) = diff.cells
+        assert cell.status == "regression"
+        assert field in cell.deltas  # never reported as a timing-only change
+        # The same payload on both sides, each of these values, is clean.
+        for value in (old_value, new_value):
+            same = _payload([_cell(**{field: value})])
+            assert diff_reports(same, same).ok
+
+    def test_a_proof_gained_or_an_oracle_not_run_is_no_regression(self):
+        old = _payload([_cell(optimal=False, funcsim_ok=True)])
+        new = _payload([_cell(optimal=True, funcsim_ok=None, cache_key="k2")], code_version="def")
+        diff = diff_reports(old, new)
+        assert diff.ok, diff.regressions
+        (cell,) = diff.cells
+        assert cell.deltas["optimal"] == (False, True)
+
     def test_a_cell_without_a_schedule_in_both_runs_is_clean(self):
         # A scheduler that gives up on a loop (RAU on mdljdp2) gives up
         # again: same inputs, same None — nothing regressed.

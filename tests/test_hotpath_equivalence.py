@@ -50,7 +50,7 @@ import dataclasses
 import functools
 import math
 import random
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,8 +60,9 @@ from repro.analyze.bounds import compute_bounds, schedulable_bound
 from repro.baseline.list_scheduler import list_schedule
 from repro.core import driver
 from repro.core.bankpolish import polish_bank_schedule
-from repro.core.bnb import BnBConfig, _Attempt, modulo_schedule_bnb, prepare_attempt
-from repro.core.driver import pipeline_loop
+from repro.core import bnb
+from repro.core.bnb import BnBConfig, BnBResult, _Attempt, modulo_schedule_bnb, prepare_attempt
+from repro.core.driver import PipelinerOptions, pipeline_loop
 from repro.core.membank import BankPairer
 from repro.core.pipestage import adjust_pipestages
 from repro.core.sched import Schedule, SchedulingStats
@@ -70,11 +71,11 @@ from repro.exec.cells import Cell, resolve_loop
 from repro.exec.runner import execute_cell
 from repro.ir.ddg import DDG, Dependence, DepKind
 from repro.ir.loop import Loop
-from repro.ir.operations import OpClass, Operation, RegClass
+from repro.ir.operations import MemRef, OpClass, Operation, RegClass
 from repro.core.distances import SccDistanceTables
 from repro.core.minii import _search_rec_mii, min_ii, res_mii
 from repro.core.priorities import production_orders
-from repro.machine.descriptions import r8000
+from repro.machine.descriptions import MachineDescription, r8000, single_issue
 from repro.machine.resources import (
     PackedModuloReservationTable,
     ReservationTable,
@@ -338,32 +339,30 @@ class TestMemoizedDistances:
 
 
 class TestBnBWithDictTables:
-    def test_search_outcome_identical_under_dict_tables(self, monkeypatch):
-        """Swap the dict MRT underneath the B&B: same schedule, same effort."""
-        import repro.core.bnb as bnb_module
+    def test_search_outcome_identical_under_dict_tables(self):
+        """The reference kernel on dict tables, the reference kernel on packed
+        tables and the fused kernel (which reads the packed table's arrays)
+        give one schedule and one effort: dict = packed = fused."""
+
+        class DictReferenceAttempt(_ReferenceAttempt):
+            table_class = DictModuloReservationTable
 
         loops = livermore_kernels(MACHINE)[:8]
         results = {}
-        for label, impl in (
-            ("packed", PackedModuloReservationTable),
-            ("dict", DictModuloReservationTable),
+        for label, kernel in (
+            ("dict", DictReferenceAttempt),
+            ("packed", _ReferenceAttempt),
+            ("fused", _Attempt),
         ):
-            monkeypatch.setattr(bnb_module, "ModuloReservationTable", impl)
             per_loop = {}
             for loop in loops:
                 ii = min_ii(loop, MACHINE)
                 order = production_orders(loop, MACHINE)["FDMS"]
-                attempt = _Attempt(loop, MACHINE, ii, order, BnBConfig(), None)
-                result = attempt.run()
-                per_loop[loop.name] = (
-                    result.times,
-                    result.placements,
-                    result.backtracks,
-                    dict(result.prunes),
-                    result.max_depth,
+                per_loop[loop.name] = _kernel_outcome(
+                    kernel(loop, MACHINE, ii, order, BnBConfig(), None)
                 )
             results[label] = per_loop
-        assert results["packed"] == results["dict"]
+        assert results["dict"] == results["packed"] == results["fused"]
 
 
 class TestMemAtSlotRegression:
@@ -397,6 +396,757 @@ class TestMemAtSlotRegression:
         attempt._unplace(b)
         attempt._unplace(a)
         assert attempt._mem_at_slot[slot] == {}
+
+
+# ---------------------------------------------------------------------------
+# The fused branch-and-bound kernel and the MinII-first driver, each against
+# the code it replaced (kept below as the reference).
+
+
+class _ReferenceState:
+    """``_State`` as it was: per-position search state.
+
+    ``direction`` is +1 when candidate cycles are tried earliest-first and
+    -1 when tried latest-first.  The scan direction is chosen when the
+    legal range is computed: an operation constrained only by already-
+    scheduled *successors* is placed as late as possible (shortening live
+    ranges from their beginnings), one constrained by predecessors as
+    early as possible (Section 2.7).
+    """
+
+    __slots__ = ("op", "lo", "hi", "next_cycle", "direction", "cycle", "via_pairing")
+
+    def __init__(
+        self,
+        op: int,
+        lo: int,
+        hi: int,
+        next_cycle: int,
+        direction: int = 1,
+        cycle: Optional[int] = None,
+        via_pairing: bool = False,
+    ):
+        self.op = op
+        self.lo = lo
+        self.hi = hi
+        self.next_cycle = next_cycle
+        self.direction = direction
+        self.cycle = cycle
+        self.via_pairing = via_pairing
+
+    @property
+    def exhausted(self) -> bool:
+        if self.direction > 0:
+            return self.next_cycle > self.hi
+        return self.next_cycle < self.lo
+
+    def candidates(self):
+        if self.direction > 0:
+            return range(self.next_cycle, self.hi + 1)
+        return range(self.next_cycle, self.lo - 1, -1)
+
+
+
+class _ReferenceAttempt:
+    """The branch-and-bound kernel as it was: one method call per placement
+    primitive, and a backtracker that unschedules every position it sweeps
+    and re-places those below a rule-3 catch.  ``table_class`` swaps the
+    reservation table underneath it."""
+
+    table_class = PackedModuloReservationTable
+
+    def __init__(
+        self,
+        loop: Loop,
+        machine: MachineDescription,
+        ii: int,
+        priority: Sequence[int],
+        config: BnBConfig,
+        pairer: Optional[BankPairer],
+    ):
+        plan = bnb._plan_for(loop, machine, ii, priority)
+        base = plan.base
+        self.loop = loop
+        self.machine = machine
+        self.ii = ii
+        self.order = plan.order
+        self.pos_of = plan.pos_of
+        self.config = config
+        self.pairer = pairer
+        self.dists = base.dists
+        self.mrt = self.table_class(ii, machine.availability)
+        self.times: Dict[int, int] = {}
+        self.states: Dict[int, _ReferenceState] = {}
+        # slot -> {memory op: placement count} (count-aware: an op placed
+        # and unplaced through backtracking never corrupts its neighbours).
+        self._mem_at_slot: Dict[int, Dict[int, int]] = {}
+        self.placements = 0
+        self.backtracks = 0
+        self.prunes: Dict[str, int] = {}
+        self.max_depth = 0
+        # Per-attempt lowered forms (the lowering is MRT-implementation-
+        # specific; each call hits the cache on the ReservationTable).
+        mrt = self.mrt
+        self._lt = [mrt.lower(t) for t in base.tables]
+        self._tkey = base.tkey
+        self._is_mem = base.is_mem
+        self._in_scc = base.in_scc
+        self._rule1_pos = plan.rule1_pos
+        self._scc_in = base.scc_in
+        self._scc_out = base.scc_out
+        self._pred_arcs = base.pred_arcs
+        self._succ_arcs = base.succ_arcs
+        self._range_inv = base.range_inv
+        self._range_cache: Dict[int, Tuple[int, int, int]] = {}
+
+    # ------------------------------------------------------------------
+    # Placement primitives
+    # ------------------------------------------------------------------
+    def _table(self, op: int):
+        return self.machine.table(self.loop.ops[op].opclass)
+
+    def _fits(self, op: int, cycle: int) -> bool:
+        self.placements += 1
+        return self.mrt.fits_lowered(self._lt[op], cycle)
+
+    def _place(self, op: int, cycle: int) -> None:
+        self.mrt.place_lowered(self._lt[op], cycle)
+        self.times[op] = cycle
+        if self._is_mem[op]:
+            at_slot = self._mem_at_slot.setdefault(cycle % self.ii, {})
+            at_slot[op] = at_slot.get(op, 0) + 1
+        cache = self._range_cache
+        for dep in self._range_inv[op]:
+            cache.pop(dep, None)
+
+    def _unplace(self, op: int) -> int:
+        cycle = self.times.pop(op)
+        self.mrt.remove_lowered(self._lt[op], cycle)
+        if self._is_mem[op]:
+            at_slot = self._mem_at_slot[cycle % self.ii]
+            remaining = at_slot[op] - 1
+            if remaining:
+                at_slot[op] = remaining
+            else:
+                del at_slot[op]
+        if self.pairer is not None:
+            self.pairer.unnote(op)
+        cache = self._range_cache
+        for dep in self._range_inv[op]:
+            cache.pop(dep, None)
+        return cycle
+
+    def _cycle_is_risky(self, op: int, cycle: int) -> bool:
+        """Would placing this memory op here share a steady-state cycle
+        with a reference whose relative bank is unknown or equal?
+
+        Section 2.9: with the bank heuristics enabled, references "with
+        unknowable relative offsets" must not be "grouped together
+        unnecessarily" — the scheduler prefers cycles where every
+        co-resident reference is a known opposite-bank partner.
+        """
+        at_slot = self._mem_at_slot.get(cycle % self.ii)
+        if not at_slot:
+            return False
+        times = self.times
+        bank = self.pairer.runtime_relative_bank
+        for other in at_slot:
+            if other == op:
+                continue
+            if bank(op, cycle, other, times[other]) != 1:
+                return True
+        return False
+
+    def legal_range(self, op: int) -> Tuple[int, int]:
+        lo, hi, _ = self.legal_range_directed(op)
+        return lo, hi
+
+    def legal_range_directed(self, op: int) -> Tuple[int, int, int]:
+        """Legal cycle range for ``op`` given currently scheduled operations.
+
+        SCC members consult the longest-path table against scheduled
+        members of their component; other operations consult their direct
+        scheduled predecessors and successors.  The range is clipped to II
+        cycles (searching further would revisit the same modulo slots).
+
+        Results are cached; placing or unplacing any operation this range
+        depends on (via ``_range_inv``) invalidates the cache entry.
+        """
+        cached = self._range_cache.get(op)
+        if cached is not None:
+            return cached
+        times = self.times
+        lo: Optional[int] = None
+        hi: Optional[int] = None
+        use_direct_arcs = True
+        in_scc = self._in_scc[op]
+        if in_scc:
+            for member, d_in in self._scc_in[op]:
+                t = times.get(member)
+                if t is None:
+                    continue
+                bound = d_in + t
+                if lo is None or bound > lo:
+                    lo = bound
+            for member, d_out in self._scc_out[op]:
+                t = times.get(member)
+                if t is None:
+                    continue
+                bound = t - d_out
+                if hi is None or bound < hi:
+                    hi = bound
+            # The first member of a component placed has no hard constraint
+            # at all (cross-SCC arcs are repairable by pipestage
+            # adjustment); anchor its window near its direct neighbours so
+            # the component lands where its consumers/producers are.
+            use_direct_arcs = lo is None and hi is None
+        soft_bounds = use_direct_arcs and in_scc
+        if use_direct_arcs:
+            for src, min_dist in self._pred_arcs[op]:
+                t = times.get(src)
+                if t is None:
+                    continue
+                bound = t + min_dist
+                if lo is None or bound > lo:
+                    lo = bound
+            for dst, min_dist in self._succ_arcs[op]:
+                t = times.get(dst)
+                if t is None:
+                    continue
+                bound = t - min_dist
+                if hi is None or bound < hi:
+                    hi = bound
+        if lo is None and hi is None:
+            lo, hi, direction = 0, self.ii - 1, 1
+        elif lo is None:
+            # Only successors constrain: place as late as possible.
+            lo, direction = hi - self.ii + 1, -1
+        elif hi is None:
+            # Only predecessors constrain: place as early as possible.
+            hi, direction = lo + self.ii - 1, 1
+        else:
+            # Both sides constrain: place next to the consumers.  With the
+            # production orders, an operation's not-yet-scheduled inputs
+            # will in turn be dragged toward it, keeping live ranges short
+            # from their beginnings (Section 2.7).  The II-cycle clip is
+            # anchored at the consumer end to match.
+            if soft_bounds and lo > hi:
+                # Soft (cross-SCC) bounds only: conflicts are repairable by
+                # pipestage adjustment, so keep a producer-side window.
+                hi = lo + self.ii - 1
+            lo = max(lo, hi - self.ii + 1)
+            direction = -1
+        result = (lo, hi, direction)
+        self._range_cache[op] = result
+        return result
+
+    # ------------------------------------------------------------------
+    # Main search
+    # ------------------------------------------------------------------
+    def _result(self, times: Optional[Dict[int, int]]) -> BnBResult:
+        return BnBResult(
+            times, self.placements, self.backtracks, self.prunes, self.max_depth
+        )
+
+    def _prune(self, reason: str) -> None:
+        self.prunes[reason] = self.prunes.get(reason, 0) + 1
+
+    def run(self) -> BnBResult:
+        if not self.dists.feasible:
+            return self._result(None)
+        n = self.loop.n_ops
+        order = self.order
+        times = self.times
+        states = self.states
+        max_placements = self.config.max_placements
+        max_backtracks = self.config.max_backtracks
+        try_place = self._try_place
+        legal_range_directed = self.legal_range_directed
+        i = 0
+        while i < n:
+            if self.placements > max_placements:
+                return self._result(None)
+            op = order[i]
+            if op in times:
+                i += 1  # already scheduled as someone's bank partner
+                continue
+            if i > self.max_depth:
+                self.max_depth = i
+            state = states.get(i)
+            if state is None:
+                lo, hi, direction = legal_range_directed(op)
+                start = lo if direction > 0 else hi
+                state = _ReferenceState(op=op, lo=lo, hi=hi, next_cycle=start, direction=direction)
+                states[i] = state
+            if try_place(i, state):
+                i += 1
+                continue
+            catch = self._backtrack(i)
+            if catch is None or self.backtracks >= max_backtracks:
+                return self._result(None)
+            self.backtracks += 1
+            i = catch
+        return self._result(dict(times))
+
+    def _first_fit(self, op: int, state: _ReferenceState) -> Tuple[Optional[int], int]:
+        """First workable cycle in ``state.candidates()`` plus probe count.
+
+        Probe-for-probe equivalent to scanning ``state.candidates()`` with
+        :meth:`_fits`: the returned count is exactly the number of cycles
+        the sequential scan would have probed (all of them on failure), so
+        ``placements`` budgets cut off identically.  The candidate window
+        never exceeds II cycles, so each modulo slot is visited at most
+        once and one ``blocked_mask`` covers the whole scan.
+        """
+        ii = self.ii
+        wrap = (1 << ii) - 1
+        if state.direction > 0:
+            start = state.next_cycle
+            span = state.hi - start + 1
+            if span <= 0:
+                return None, 0
+            free = ~self.mrt.blocked_mask(self._lt[op]) & wrap
+            r = start % ii
+            aligned = ((free >> r) | (free << (ii - r))) & ((1 << span) - 1)
+            if not aligned:
+                return None, span
+            offset = (aligned & -aligned).bit_length() - 1
+            return start + offset, offset + 1
+        start = state.next_cycle
+        span = start - state.lo + 1
+        if span <= 0:
+            return None, 0
+        free = ~self.mrt.blocked_mask(self._lt[op]) & wrap
+        r = state.lo % ii
+        aligned = ((free >> r) | (free << (ii - r))) & ((1 << span) - 1)
+        if not aligned:
+            return None, span
+        offset = aligned.bit_length() - 1  # highest free bit = latest cycle
+        return state.lo + offset, span - offset
+
+    def _try_place(self, pos: int, state: _ReferenceState) -> bool:
+        """Place the operation at ``pos`` at the next workable cycle."""
+        op = state.op
+        if (
+            self.pairer is not None
+            and self.pairer.want_more_pairs()
+            and self.pairer.is_pairable(op)
+            and self.pairer.mate_of(op) is None
+        ):
+            cycle = self._scan_with_pairing(state)
+            if cycle is not None:
+                state.cycle = cycle
+                state.next_cycle = cycle + state.direction
+                return True
+            # No cycle admits a pair; fall through and place unpaired.
+        avoid_risk = self.pairer is not None and self._is_mem[op]
+        if not avoid_risk or not self._mem_at_slot:
+            # With no memory op placed anywhere, no cycle can be risky: the
+            # risk-avoiding scan degenerates to plain first-fit (same visit
+            # order), so both cases take the batched path.  Probe parity:
+            # the two-pass risky scan re-probes every candidate in its
+            # second pass when the first finds nothing, hence the doubled
+            # charge on failure.
+            cycle, probes = self._first_fit(op, state)
+            self.placements += probes if cycle is not None or not avoid_risk else 2 * probes
+            if cycle is not None:
+                self._place(op, cycle)
+                state.cycle = cycle
+                state.next_cycle = cycle + state.direction
+                return True
+        else:
+            # Riskiness depends on co-resident memory ops, so this scan
+            # stays cycle by cycle; the fit test itself is one bit probe
+            # (occupancy cannot change mid-scan).
+            blocked = self.mrt.blocked_mask(self._lt[op])
+            ii = self.ii
+            cycle_is_risky = self._cycle_is_risky
+            for risky_allowed in (False, True):
+                for cycle in state.candidates():
+                    if not risky_allowed and cycle_is_risky(op, cycle):
+                        continue
+                    self.placements += 1
+                    if not (blocked >> (cycle % ii)) & 1:
+                        self._place(op, cycle)
+                        state.cycle = cycle
+                        state.next_cycle = cycle + state.direction
+                        return True
+        state.next_cycle = (state.hi + 1) if state.direction > 0 else (state.lo - 1)
+        state.cycle = None
+        return False
+
+    def _scan_with_pairing(self, state: _ReferenceState) -> Optional[int]:
+        """Find a cycle where the op fits *and* a known opposite-bank partner
+        can be placed alongside it; place both on success."""
+        op = state.op
+        fits = self.mrt.fits_lowered
+        lt = self._lt[op]
+        for cycle in state.candidates():
+            self.placements += 1  # same probe accounting as _fits
+            if not fits(lt, cycle):
+                continue
+            self._place(op, cycle)
+            if self._pair_partner(op, cycle):
+                return cycle
+            self._unplace(op)
+        return None
+
+    def _pair_partner(self, op: int, cycle: int) -> bool:
+        """Try to schedule the first possible element of L(op) at ``cycle``."""
+        pairer = self.pairer
+        times = self.times
+        fits = self.mrt.fits_lowered
+        lts = self._lt
+        for partner in pairer.partners_of(op):
+            if partner in times or pairer.mate_of(partner) is not None:
+                continue
+            lo, hi = self.legal_range(partner)
+            if not (lo <= cycle <= hi):
+                continue
+            self.placements += 1  # same probe accounting as _fits
+            if not fits(lts[partner], cycle):
+                continue
+            self._place(partner, cycle)
+            pairer.note_pair(op, partner)
+            ppos = self.pos_of[partner]
+            self.states[ppos] = _ReferenceState(
+                op=partner, lo=cycle, hi=cycle, next_cycle=cycle + 1,
+                cycle=cycle, via_pairing=True,
+            )
+            return True
+        return False
+
+    # ------------------------------------------------------------------
+    # Backtracking with catch-point pruning
+    # ------------------------------------------------------------------
+    def _backtrack(self, fail_pos: int) -> Optional[int]:
+        """Unschedule a suffix and choose the catch point for ``fail_pos``.
+
+        Sweeps positions downward, unscheduling as it goes, testing each as
+        a catch point under the pruning rules.  On success, positions below
+        the catch are restored exactly as they were.
+        """
+        target = self.order[fail_pos]
+        removed: List[Tuple[int, int, Optional[int]]] = []  # (pos, cycle, mate)
+        rule3_catch: Optional[int] = None
+        rule3_depth: Optional[int] = None
+        catch: Optional[int] = None
+        target_lt = self._lt[target]
+        target_tkey = self._tkey[target]
+        ii = self.ii
+
+        for j in range(fail_pos - 1, -1, -1):
+            state = self.states.get(j)
+            if state is None or state.cycle is None:
+                continue
+            jop = self.order[j]
+            if jop not in self.times:
+                continue
+            old_cycle = state.cycle
+            mate = self.pairer.mate_of(jop) if self.pairer is not None else None
+            self._unplace(jop)
+            state.cycle = None
+            removed.append((j, old_cycle, mate))
+            if mate is not None and mate in self.times:
+                mate_pos = self.pos_of[mate]
+                if mate_pos > fail_pos:
+                    # Out-of-band partner ahead of the failure point: it was
+                    # only scheduled for this pair, so release it too.
+                    mstate = self.states.get(mate_pos)
+                    removed.append((mate_pos, self.times[mate], jop))
+                    self._unplace(mate)
+                    if mstate is not None:
+                        self.states.pop(mate_pos, None)
+            if state.via_pairing:
+                continue  # partners have no range of their own; cannot catch
+            if not self.config.prune:
+                if not state.exhausted:
+                    catch = j
+                    break
+                continue
+            if self._rule1_pos[j] != j:
+                self._prune("rule1")
+                continue  # rule 1
+            if state.exhausted:
+                self._prune("exhausted")
+                continue
+            lo, hi = self.legal_range(target)
+            span = hi - lo + 1
+            if span <= 0:
+                self._prune("no_slot")
+                continue
+            # One blocked_mask stands in for probing every cycle of
+            # [lo, hi]; the probes are still charged to the budget.
+            self.placements += span
+            free = ~self.mrt.blocked_mask(target_lt) & ((1 << ii) - 1)
+            r = lo % ii
+            open_mask = ((free >> r) | (free << (ii - r))) & ((1 << span) - 1)
+            if not open_mask:
+                self._prune("no_slot")
+                continue
+            if self._tkey[jop] != target_tkey:
+                self._prune("catch_rule2")
+                catch = j  # rule 2: non-identical resources, now schedulable
+                break
+            if self.config.use_rule3 and rule3_catch is None:
+                # Any open cycle in a *different* modulo slot than the
+                # unscheduled op's old cycle?  Bit p of open_mask is cycle
+                # lo + p; the old slot recurs every II bits.
+                same_slot = 0
+                p = (old_cycle - lo) % ii
+                while p < span:
+                    same_slot |= 1 << p
+                    p += ii
+                if open_mask & ~same_slot:
+                    rule3_catch = j
+                    rule3_depth = len(removed)
+                    continue
+            self._prune("same_resource")
+
+        if catch is None and rule3_catch is not None:
+            self._prune("catch_rule3")
+            catch = rule3_catch
+            # Restore everything removed after the rule-3 sweep passed it.
+            self._restore(removed[rule3_depth:])
+            removed = removed[:rule3_depth]
+        if catch is None:
+            return None
+        # Positions above the catch start over with fresh legal ranges.
+        for pos in range(catch + 1, self.loop.n_ops):
+            if self.order[pos] not in self.times:
+                self.states.pop(pos, None)
+        return catch
+
+    def _restore(self, entries: List[Tuple[int, int, Optional[int]]]) -> None:
+        """Re-place unscheduled entries (in increasing position order)."""
+        for pos, cycle, mate in reversed(entries):
+            op = self.order[pos]
+            self._place(op, cycle)
+            state = self.states.get(pos)
+            if state is None:
+                self.states[pos] = _ReferenceState(
+                    op=op, lo=cycle, hi=cycle, next_cycle=cycle + 1,
+                    cycle=cycle, via_pairing=True,
+                )
+            else:
+                state.cycle = cycle
+            if (
+                mate is not None
+                and self.pairer is not None
+                and mate in self.times
+                and self.pairer.mate_of(op) is None
+                and self.pairer.mate_of(mate) is None
+            ):
+                self.pairer.note_pair(op, mate)
+
+
+
+def _kernel_outcome(attempt) -> tuple:
+    """Everything an attempt decides: times (insertion order included) and
+    its effort counters."""
+    result = attempt.run()
+    times = None if result.times is None else list(result.times.items())
+    return times, result.placements, result.backtracks, dict(result.prunes), result.max_depth
+
+
+def _assert_kernels_agree(loop, ii, order, config, with_pairer=False, label="", machine=MACHINE):
+    outcomes = [
+        _kernel_outcome(kernel(
+            loop, machine, ii, order, config,
+            BankPairer(loop, ii, order) if with_pairer else None,
+        ))
+        for kernel in (_Attempt, _ReferenceAttempt)
+    ]
+    assert outcomes[0] == outcomes[1], (loop.name, ii, label, config, with_pairer)
+
+
+#: The search knobs no production caller sets, each on the off path.
+KNOBS = (
+    BnBConfig(prune=False, max_backtracks=60),
+    BnBConfig(use_rule3=False),
+    BnBConfig(max_backtracks=3),
+    BnBConfig(max_placements=150),
+)
+
+
+class TestFusedKernelVsReference:
+    def test_every_corpus_loop_and_production_order_at_min_ii(self):
+        for loop in _corpus():
+            ii = min_ii(loop, MACHINE)
+            for name, order in production_orders(loop, MACHINE).items():
+                _assert_kernels_agree(loop, ii, order, BnBConfig(), label=name)
+
+    def test_bank_pairer_attempt_at_each_loops_sgi_ii(self):
+        for result in _corpus_results():
+            if result.success:
+                order = production_orders(result.loop, MACHINE)[result.order_name]
+                _assert_kernels_agree(
+                    result.loop, result.ii, order, BnBConfig(), with_pairer=True
+                )
+
+    def test_a_partner_released_below_a_rule3_catch_keeps_the_times_order(self):
+        """A bank partner placed out of band sits below a rule-3 catch: the
+        reference unscheduled and re-placed it before its primary, so the
+        fused kernel reorders ``times`` to match (a drawn tiny loop; the
+        corpus never produces this shape)."""
+        loop = _tiny_loop(
+            [0, 24, 16, 0, 8], 4,
+            [(5, 8, 2, 0), (7, 5, 1, 1), (7, 4, 3, 0), (2, 7, 1, 1), (8, 2, 2, 0), (8, 6, 2, 1)],
+        )
+        _assert_kernels_agree(loop, 3, [6, 1, 7, 8, 3, 4, 2, 0, 5], BnBConfig(), with_pairer=True)
+
+    def test_a_first_memory_op_that_fails_is_charged_twice(self):
+        """With a pairer, a memory op that fails before any memory op is
+        placed is charged both passes of the risk-avoiding scan: on one
+        issue slot an add takes the only cycle of the load's window."""
+        loop = _tiny_loop([0], 2, [(1, 0, 1, 0), (0, 1, 2, 1)])
+        _assert_kernels_agree(
+            loop, 3, [1, 2, 0], BnBConfig(), with_pairer=True, machine=single_issue()
+        )
+
+    @pytest.mark.parametrize("config", KNOBS, ids=("no-prune", "no-rule3", "3-backtracks", "150-placements"))
+    def test_search_knobs_on_generated_loops(self, config):
+        for i, loop in enumerate(_stratified_loops(0)[:40]):
+            ii = min_ii(loop, MACHINE)
+            order = production_orders(loop, MACHINE)[("FDMS", "HMS")[i % 2]]
+            _assert_kernels_agree(loop, ii, order, config, with_pairer=i % 4 < 2)
+
+
+def _tiny_loop(offsets, n_fadd, arcs):
+    """Loads of one array (byte offsets ``offsets``), then ``n_fadd`` adds,
+    with ``(src, dst, latency, omega)`` arcs."""
+    ops = [
+        Operation(index=i, opcode="load", opclass=OpClass.LOAD, mem=MemRef("x", offset=off))
+        for i, off in enumerate(offsets)
+    ]
+    ops += [
+        Operation(index=len(ops) + i, opcode="fadd", opclass=OpClass.FADD)
+        for i in range(n_fadd)
+    ]
+    return Loop(name="tiny", ops=ops, ddg=DDG(len(ops), [Dependence(*arc) for arc in arcs]))
+
+
+def _reference_schedule_and_allocate(loop, machine, options, stats, after_spill):
+    """``_schedule_and_allocate`` as it was: each order searched in turn,
+    stopping at the first schedule that allocates at MinII."""
+    mii = min_ii(loop, machine)
+    maxii = driver.max_ii(loop, machine)
+    outcome = driver._RoundOutcome()
+    orders = production_orders(loop, machine)
+    static_bound = None
+    if options.static_bounds:
+        static_bound = schedulable_bound(loop, machine, cap=maxii, base=mii)
+    for order_name in options.orders:
+        found = driver.search_ii(
+            loop, machine, orders[order_name], mii, maxii, config=options.bnb,
+            simple_binary=after_spill, linear=options.linear_ii_search, stats=stats,
+            static_bound=static_bound,
+        )
+        outcome.attempted.extend(found.attempted)
+        if not found.success:
+            continue
+        times = adjust_pipestages(loop, found.ii, found.times)
+        schedule = Schedule(
+            loop=loop, machine=machine, ii=found.ii, times=times,
+            producer=f"sgi/{order_name}",
+        )
+        allocation = driver.allocate_schedule(schedule, machine)
+        winner = next(a for a in found.attempted if a.success and a.ii == found.ii)
+        winner.allocated, winner.uncolored = allocation.success, len(allocation.uncolored)
+        entry = (schedule, allocation, order_name)
+        if allocation.success:
+            if outcome.best is None or schedule.ii < outcome.best[0].ii:
+                outcome.best = entry
+            if schedule.ii == mii:
+                return outcome
+        elif outcome.best_failed is None or driver._failure_rank(entry) < driver._failure_rank(
+            outcome.best_failed
+        ):
+            outcome.best_failed = entry
+    return outcome
+
+
+def _driver_outcome(result) -> tuple:
+    allocation = result.allocation
+    return (
+        result.success, result.ii, result.schedule and list(result.schedule.times.items()),
+        result.schedule and result.schedule.producer, result.order_name,
+        result.spill_rounds, list(result.spilled),
+        allocation and (allocation.fp_assignment, allocation.int_assignment, allocation.kmin),
+    )
+
+
+def _pick(entry) -> tuple:
+    """A round's chosen (schedule, allocation, order), comparable."""
+    if entry is None:
+        return None
+    schedule, allocation, order_name = entry
+    return (
+        list(schedule.times.items()), schedule.ii, schedule.producer, order_name,
+        allocation.fp_assignment, allocation.int_assignment, allocation.kmin,
+        len(allocation.uncolored),
+    )
+
+
+def _trail(result) -> list:
+    """A run's (or a round's) II trail without wall-clock seconds."""
+    return [dataclasses.replace(a, seconds=0.0) for a in result.attempted]
+
+
+#: The corpus loops on which an earlier order fails MinII and a later one
+#: allocates there: the loops whose trail MinII-first shortens.
+MIN_II_FIRST_LOOPS = (
+    "lk15_casual", "lk22_planck", "spice_model", "hydro2d_sweep1", "hydro2d_sweep2",
+)
+
+
+class TestMinIIFirstVsOrderByOrder:
+    def test_every_corpus_result_is_unchanged(self, monkeypatch):
+        """Same schedule, producer, order, spills and allocation on every
+        corpus loop; the trail differs only where an order won at MinII
+        after an earlier one failed there (its earlier orders' searches
+        above MinII are gone).
+
+        Both drivers run on the loops ``_corpus_results`` already
+        scheduled, so the attempt memo answers their searches: this checks
+        the drivers' choices, not the kernel.  A loop that spills is
+        compared on its first round only, the one MinII-first can change:
+        rounds after a spill search order by order in both drivers.
+        """
+        fast = _corpus_results()
+        shortened = []
+        for result in fast:
+            loop = result.original
+            new, old = (
+                schedule_and_allocate(loop, MACHINE, PipelinerOptions(), SchedulingStats(), False)
+                for schedule_and_allocate in (
+                    driver._schedule_and_allocate, _reference_schedule_and_allocate
+                )
+            )
+            # What the round hands on: its best, or (to spill from) the
+            # best schedule that failed to allocate.
+            assert _pick(new.best or new.best_failed) == _pick(old.best or old.best_failed), (
+                loop.name
+            )
+            if _trail(new) != _trail(old):
+                assert len(new.attempted) < len(old.attempted), loop.name
+                assert {a.ii for a in new.attempted} == {result.min_ii}, loop.name
+                shortened.append(loop.name)
+        assert tuple(shortened) == MIN_II_FIRST_LOOPS
+        monkeypatch.setattr(driver, "_schedule_and_allocate", _reference_schedule_and_allocate)
+        for result in fast:
+            if not result.spill_rounds:
+                reference = pipeline_loop(result.original, MACHINE)
+                assert _driver_outcome(result) == _driver_outcome(reference), result.loop.name
+
+    @pytest.mark.parametrize("name", ["lk22_planck", "lk15_casual"])
+    def test_earlier_orders_run_only_their_min_ii_attempt(self, name):
+        result = next(r for r in _corpus_results() if r.loop.name == name)
+        assert result.order_name == "HMS"
+        assert [(a.ii, a.success) for a in result.attempted] == [
+            (result.min_ii, False), (result.min_ii, False), (result.min_ii, True),
+        ]
+        assert result.ii == result.min_ii
 
 
 # ----------------------------------------------------------------------
