@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-verify lint verify-corpus bench bench-quick cache-smoke bench-baseline \
+.PHONY: test test-verify lint grid verify-corpus bench bench-quick cache-smoke bench-baseline \
         bench-tests bench-micro trace-smoke explain explain-smoke strict-smoke analyze \
         diff-strict report \
         report-smoke fuzz fuzz-smoke portfolio-smoke serve serve-smoke \
@@ -37,11 +37,18 @@ lint:
 	fi
 	$(PYTHON) -m repro.analyze.codelint src/repro
 
-# Sweep every workload corpus through every registered pipeliner, one exec
-# cell each, and verify every schedule, allocation and emitted listing
-# (exits non-zero on any ERROR, functional mismatch or crashed cell).  One
-# process builds the three corpora once; recbound carries the
-# register-bound portfolio schedules.
+# The one corpus grid: every workload corpus through every registered
+# pipeliner under the quick preset, each cell verified, explained and
+# carrying its certified bound, into benchmarks/output/BENCH_sweep_all.json
+# and the result cache.  verify-corpus, analyze, explain-smoke,
+# report-smoke and the quick grid then read these cells through the cache
+# instead of solving them again.
+grid:
+	$(PYTHON) -m repro bench all --quick --jobs 2 --no-history
+
+# Every schedule, allocation and emitted listing of the grid, verified
+# (exits non-zero on any ERROR, functional mismatch or crashed cell); a
+# view of `make grid`'s cells, solved first on a cold cache.
 verify-corpus:
 	$(PYTHON) -m repro verify all
 
@@ -51,7 +58,8 @@ bench:
 	$(PYTHON) -m repro bench --jobs 4
 
 # The CI smoke lane: Livermore and recbound, tighter solver budget, then a
-# warn-only comparison against the committed baseline.  Two workers, as in
+# warn-only comparison against the committed baseline.  After `make grid`
+# every one of its 120 cells is a cache hit.  Two workers, as in
 # CI: the quick preset's wall budget decides whether rb_reg_farm x
 # portfolio falls back, four workers on two cores can spend it, and the
 # fallback would then be cached for cache-smoke and portfolio-smoke.
@@ -94,20 +102,23 @@ bench-micro:
 	$(PYTHON) -m pytest benchmarks/test_micro_hotpaths.py -q
 
 # Search-effort tracing smoke: three Livermore loops through every
-# registered pipeliner with the repro.obs recorder on; --check asserts the JSONL
-# spools and the merged Chrome trace parse and nest correctly.
+# registered pipeliner with the repro.obs recorder on, solved live (traced
+# cells bypass the cache), into their own output directory; bench --trace
+# prints the effort table and fails unless the JSONL spools and the merged
+# Chrome trace parse and nest correctly and some cell was traced.
 trace-smoke:
-	$(PYTHON) -m repro trace livermore --limit 3 --check --trace-dir benchmarks/output/trace
+	$(PYTHON) -m repro bench livermore --quick --trace --limit 3 --no-history \
+		--output-dir benchmarks/output/trace-smoke
 
 # II-gap attribution over the full Livermore corpus: which constraint
 # (recurrence, resource, register pressure, search budget or exhaustion)
-# binds each loop's achieved II, per scheduler, read from each run's trail.
+# binds each loop's achieved II, per scheduler, as each grid cell recorded it.
 explain:
 	$(PYTHON) -m repro explain livermore
 
-# CI's attribution smoke: six Livermore loops through all four schedulers;
-# fails when a cell crashed, when no cell was explained or when a binding
-# falls outside repro.obs.explain.BINDING_CLASSES.
+# CI's attribution smoke: six Livermore loops × all four schedulers of the
+# grid; fails when a cell crashed, when no cell was explained or when a
+# binding falls outside repro.obs.explain.BINDING_CLASSES.
 explain-smoke:
 	$(PYTHON) -m repro explain livermore --limit 6 --json benchmarks/output/explain.json
 	$(PYTHON) -c "import json, sys; \
@@ -127,8 +138,9 @@ strict-smoke:
 
 # Certified II lower bounds over every corpus: derive the refined bounds,
 # validate every shipped certificate with the independent checker, and
-# cross-check each scheduler's achieved II against the certified floor
-# (exits non-zero on a checker failure or a bound contradiction).
+# cross-check each grid cell's achieved II and recorded bound against them
+# (exits non-zero on a checker failure, a bound contradiction or a cell
+# whose recorded bound differs).
 analyze:
 	$(PYTHON) -m repro analyze all --check
 
@@ -142,10 +154,10 @@ diff-strict:
 report:
 	$(PYTHON) -m repro report --check
 
-# CI's dashboard smoke: three loops, no experiment tables, validated HTML.
+# CI's dashboard smoke: the bench json's cells as the explanation panel, no
+# experiment tables, validated HTML.
 report-smoke:
-	$(PYTHON) -m repro report --corpus livermore --limit 3 \
-		--experiments none --output benchmarks/output/report.html --check
+	$(PYTHON) -m repro report --experiments none --output benchmarks/output/report.html --check
 
 # Statistical trend verdicts over the run-history store: every metric
 # series of the last 20 stored runs classified as stable / noisy / drift
@@ -225,7 +237,7 @@ serve-baseline:
 e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
-# Everything CI runs, in CI's order.
-ci: lint test verify-corpus analyze bench-quick cache-smoke trace-smoke explain-smoke report-smoke strict-smoke \
-	diff-strict portfolio-smoke bench-micro bench-tests fuzz-smoke serve-smoke trend \
-	e2e-smoke
+# Everything CI runs, in CI's order: the grid once, then its views.
+ci: lint test grid verify-corpus analyze bench-quick cache-smoke trace-smoke explain-smoke \
+	report-smoke strict-smoke diff-strict portfolio-smoke bench-micro bench-tests fuzz-smoke \
+	serve-smoke trend e2e-smoke

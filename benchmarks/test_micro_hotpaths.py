@@ -69,18 +69,10 @@ BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline" / "BENCH_micro.json"
 REPEATS = 5
 
 
-def _loop(name: str):
-    machine = r8000()
-    for loop in livermore_kernels(machine):
-        if loop.name == name:
-            return loop, machine
-    raise KeyError(name)
-
-
 def bench_mrt_fits_place_remove() -> None:
-    """Probe/place/remove churn over every opclass of the r8000 tables."""
-    machine = r8000()
-    loop, _ = _loop("lk09_predict")
+    """Probe/place/remove churn over every opclass of the r8000 tables (the
+    loop is built once per process, outside the timed calls)."""
+    loop, machine = _registry_loop("livermore:lk09_predict")
     tables = [machine.table(op.opclass) for op in loop.ops]
     for ii in (4, 6, 9):
         mrt = ModuloReservationTable(ii, machine.availability)
@@ -163,7 +155,7 @@ def bench_bnb_paired() -> None:
 @functools.lru_cache(maxsize=None)
 def _result(name: str):
     """SGI's result for one Livermore kernel, computed once per process."""
-    loop, machine = _loop(name)
+    loop, machine = _registry_loop(f"livermore:{name}")
     return pipeline_loop(loop, machine)
 
 

@@ -3,16 +3,15 @@
 Regenerates the paper's tables and figures (and the extensions) without
 writing any code.  ``python -m repro --list`` shows what is available.
 
-Eleven subcommands (``SUBCOMMANDS``; each takes ``--help``) sit beside it:
+Ten subcommands (``SUBCOMMANDS``; each takes ``--help``) sit beside it:
 
-* ``verify <corpus>`` — verify every schedule, allocation and listing;
-* ``bench [--quick] [<corpus>]`` — the timed (loop × scheduler) grid,
-  emitted as ``benchmarks/output/BENCH_*.json``;
-* ``trace <corpus>`` — the grid under the repro.obs recorder: the per-loop
-  search-effort table plus JSONL spools and a merged Chrome trace;
-* ``explain <corpus>`` — every cell's achieved II attributed to its
-  binding constraint;
-* ``analyze <corpus> [--check]`` — certified refined II lower bounds;
+* ``bench [--quick] [<corpus>]`` — the one command that runs the (loop ×
+  scheduler) grid, every cell verified and explained, into
+  ``benchmarks/output/BENCH_*.json``; ``--trace`` adds the search-effort
+  table and a validated Chrome trace;
+* ``verify``, ``explain`` and ``analyze <corpus>`` — views of that grid:
+  each runs ``bench <corpus> --quick`` through the result cache and prints
+  from the written ``BENCH_sweep_<corpus>.json``;
 * ``diff <old> <new>`` / ``trend <name>`` — the regression gate over BENCH
   runs and the run-history store;
 * ``report`` — the self-contained ``report.html`` dashboard;
@@ -113,10 +112,6 @@ _SHARED: Dict[str, Row] = {
     "schedulers": ("--schedulers", dict(
         type=_scheduler_list(), metavar="NAMES",
         help="comma-separated schedulers to run (default: %(default)s)")),
-    "ilp_seconds": ("--ilp-seconds", dict(
-        type=float, metavar="SECONDS",
-        help="per-loop time_limit of every optimal driver, MOST and the portfolio "
-        "(default: %(default)ss)")),
     "jobs": ("--jobs", dict(
         type=int, metavar="N",
         help="worker processes to fan cells out over (default: %(default)s)")),
@@ -126,7 +121,7 @@ _SHARED: Dict[str, Row] = {
         action="store_true", help="disable the result cache even if --cache-dir is set")),
     "seed": ("--seed", dict(type=int, help="random seed (default: %(default)s)")),
     "limit": ("--limit", dict(
-        type=int, metavar="N", help="only the first N loops of the corpus")),
+        type=int, metavar="N", help="only the first N loops of each corpus")),
     "cell_timeout": ("--cell-timeout", dict(
         type=float, metavar="SECONDS", help="hard per-cell deadline (default: %(default)ss)")),
     "json_out": ("--json", dict(
@@ -135,7 +130,14 @@ _SHARED: Dict[str, Row] = {
         metavar="DIR", help="run-history store (default: %(default)s)")),
 }
 
-#: The corpus positional of the commands that sweep one.
+#: bench's grid flags, with bench's defaults: every view of the grid
+#: (verify, explain, analyze) takes the same ones, so a view names the
+#: very cells ``repro bench`` would run.
+_GRID: Dict[str, Any] = dict(
+    schedulers=ALL_SCHEDULERS, limit=None, jobs=1, cache_dir=DEFAULT_CACHE_DIR, no_cache=False,
+)
+
+#: The corpus positional of the views.
 _CORPUS = ("corpus", dict(
     nargs="?", default="livermore",
     help="livermore, spec92, recbound or all (default: %(default)s)"))
@@ -171,23 +173,12 @@ def _parse(
 
 
 def _invalid(path, problems) -> bool:
-    """Report ``--check`` problems with the file at ``path``; True if any."""
+    """Report validation problems with the file at ``path``; True if any."""
     if problems:
-        print(f"--check: {path} is invalid:", file=sys.stderr)
+        print(f"{path} is invalid:", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
     return bool(problems)
-
-
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The experiments' config from ``--ilp-seconds``/``--jobs``/the cache flags."""
-    from .eval.experiments import ExperimentConfig
-
-    return ExperimentConfig(
-        most_time_limit=args.ilp_seconds,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
 
 
 def _print_or_write(json_out: Optional[str], payload: str, text: str) -> None:
@@ -204,35 +195,45 @@ def _print_or_write(json_out: Optional[str], payload: str, text: str) -> None:
         print(f"wrote {path}")
 
 
-def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace, preset: Optional[str],
-           **cell_fields: Any) -> list:
-    """Run ``args.corpus`` × ``args.schedulers`` as exec cells, each
-    scheduler on its ``preset`` with ``--ilp-seconds`` as every optimal
-    driver's ``time_limit``; the results come back in grid order.  The
-    cells run serially and uncached unless the command has ``--jobs`` and
-    ``--cache-dir``; a crashed driver is one error result."""
-    from .exec.cache import ScheduleCache
-    from .exec.cells import corpus_cells
-    from .exec.engine import ExecEngine
+def _cache_line(report: Mapping[str, Any]) -> str:
+    """A BENCH payload's cache accounting, in one phrase."""
+    cache = report["cache"]
+    if cache is None:
+        return "cache disabled"
+    return f"cache {cache['hits']} hits / {cache['misses']} misses ({cache['dir']})"
 
-    options = {
-        name: REGISTRY[name].preset(preset, time_limit=args.ilp_seconds)
-        for name in args.schedulers
-    }
+
+def _grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Dict[str, Any]:
+    """The view's grid: run ``repro bench <corpus> --quick`` with the grid
+    flags (a warm cache answers every cell) and return the payload read
+    back from the written ``BENCH_sweep_<corpus>.json``, so every number
+    a view prints is that file's."""
+    import json
+
+    from .exec.bench import BenchOptions, run_sweep
+
+    options = BenchOptions(
+        quick=True,
+        schedulers=args.schedulers,
+        limit=args.limit,
+        jobs=args.jobs,
+        cache_dir=None if args.no_cache else args.cache_dir,
+    )
     try:
-        cells = corpus_cells(
-            args.corpus, args.schedulers, options, getattr(args, "limit", None),
-            simulate=False, **cell_fields,
-        )
+        _, path = run_sweep(args.corpus, options, progress=None)
     except ValueError as exc:  # unknown corpus
         parser.error(str(exc))
-    cache_dir = None if getattr(args, "no_cache", False) else getattr(args, "cache_dir", None)
-    engine = ExecEngine(
-        jobs=getattr(args, "jobs", 1),
-        cache=ScheduleCache(cache_dir) if cache_dir else None,
-    )
-    results = engine.run(cells)
-    return [results[cell] for cell in cells]
+    report = json.loads(path.read_text())
+    print(f"grid: {path}, {report['totals']['cells']} cells; {_cache_line(report)}",
+          file=sys.stderr)
+    return report
+
+
+def _cell_results(report: Mapping[str, Any]) -> list:
+    """A BENCH payload's cells as results, in grid order."""
+    from .exec.cells import CellResult
+
+    return [CellResult.from_dict(cell) for cell in report["cells"]]
 
 
 def _loop_name(key: str) -> str:
@@ -241,13 +242,23 @@ def _loop_name(key: str) -> str:
     return key.partition(":")[2].rpartition("/")[2]
 
 
+def _explanations(cells: Sequence[Mapping[str, Any]]) -> list:
+    """One explanation dict per BENCH cell; a crashed cell's dict names
+    its loop and scheduler and carries the ``error``."""
+    return [
+        {"loop": _loop_name(cell["loop"]), "scheduler": cell["scheduler"],
+         **(cell.get("explanation") or {"error": cell.get("error") or "no explanation"})}
+        for cell in cells
+    ]
+
+
 def _verify_main(argv) -> int:
-    """``python -m repro verify <corpus>``: sweep and verify all artifacts."""
+    """``python -m repro verify <corpus>``: every artifact's diagnostics."""
     vp, args = _parse(
         "verify",
-        "Independently verify every artifact the pipeliners produce over a "
-        "workload corpus (exit 1 on ERROR diagnostics, a functional mismatch "
-        "or a crashed cell).",
+        "Print the independent verifier's verdict on every artifact of the "
+        "corpus grid (exit 1 on ERROR diagnostics, a functional mismatch or a "
+        "crashed cell).",
         argv,
         [
             ("corpus", dict(nargs="?", default="all",
@@ -255,14 +266,14 @@ def _verify_main(argv) -> int:
             ("-v --verbose", dict(action="store_true",
                                   help="print every diagnostic, warnings included")),
         ],
-        schedulers=ALL_SCHEDULERS, ilp_seconds=2.0,
+        **_GRID,
     )
     from .verify import SweepEntry, SweepResult
 
-    results = _sweep(vp, args, "sweep", oracle=True)
     sweep = SweepResult(
         corpus=args.corpus,
-        entries=[SweepEntry.from_cell(_loop_name(res.loop), res) for res in results],
+        entries=[SweepEntry.from_cell(_loop_name(res.loop), res)
+                 for res in _cell_results(_grid(vp, args))],
     )
     print(sweep.formatted(verbose=args.verbose))
     return 0 if sweep.ok else 1
@@ -274,25 +285,23 @@ def _bench_main(argv) -> int:
 
     bp, args = _parse(
         "bench",
-        "Time every (loop × scheduler) cell of the corpus grid and write the "
-        "measurements as a BENCH json.",
+        "Run every (loop × scheduler) cell of the corpus grid, verified and "
+        "explained, and write the measurements as a BENCH json.",
         argv,
         [
-            ("corpus", dict(nargs="?", help="bench this one corpus (livermore, spec92 "
-                            "or recbound) into BENCH_sweep_<corpus>.json instead of "
+            ("corpus", dict(nargs="?", help="bench this one corpus (livermore, spec92, "
+                            "recbound or all) into BENCH_sweep_<corpus>.json instead of "
                             "the standard corpora into BENCH_pipeline.json")),
             ("--quick", dict(action="store_true", help="CI smoke configuration: "
                              "livermore + recbound, tighter solver budget")),
             ("--output-dir", dict(default=str(DEFAULT_OUTPUT_DIR), metavar="DIR",
                                   help="where BENCH_*.json goes (default: %(default)s)")),
-            ("--trace", dict(action="store_true", help="run cells under the repro.obs "
-                             "recorder: obs counters land in the BENCH json, JSONL "
-                             "spools and a merged Chrome trace in --trace-dir")),
+            ("--trace", dict(action="store_true", help="run cells live (past the cache) "
+                             "under the repro.obs recorder: print the per-loop "
+                             "search-effort table, write JSONL spools and a merged, "
+                             "validated Chrome trace into --trace-dir")),
             ("--trace-dir", dict(metavar="DIR", help="trace output directory (default: "
                                  "<output-dir>/trace; implies --trace)")),
-            ("--explain", dict(action="store_true", help="attribute every cell's achieved "
-                               "II to its binding constraint; explanations land in the "
-                               "BENCH json cells and binding counts in the summary")),
             ("--profile", dict(action="store_true", help="instead of benching, cProfile "
                                "each scheduler's cells inline and print the top-20 "
                                "cumulative-time table per scheduler")),
@@ -301,8 +310,7 @@ def _bench_main(argv) -> int:
         ],
         extra_schedulers=("baseline",),
         helps={"cell_timeout": "hard per-cell deadline (default: 120s, 60s with --quick)"},
-        jobs=1, cache_dir=DEFAULT_CACHE_DIR, no_cache=False, schedulers=ALL_SCHEDULERS,
-        cell_timeout=None, seed=0, history_dir="benchmarks/history",
+        **_GRID, cell_timeout=None, seed=0, history_dir="benchmarks/history",
     )
     trace = args.trace or args.trace_dir is not None
     trace_dir = args.trace_dir
@@ -314,10 +322,10 @@ def _bench_main(argv) -> int:
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
         seed=args.seed,
+        limit=args.limit,
         output_dir=args.output_dir,
         trace=trace,
         trace_dir=trace_dir,
-        explain=args.explain,
         history_dir=None if args.no_history else pathlib.Path(args.history_dir),
     )
     if args.cell_timeout is not None:
@@ -339,119 +347,48 @@ def _bench_main(argv) -> int:
     except ValueError as exc:  # unknown corpus
         bp.error(str(exc))
     totals = report["totals"]
-    cache = report["cache"]
-    cache_line = (
-        "cache disabled"
-        if cache is None
-        else f"cache {cache['hits']} hits / {cache['misses']} misses ({cache['dir']})"
-    )
+    failed = bool(totals["errors"])
+    if trace:
+        failed = _trace_failed(report) or failed
     print(
         f"\n{totals['cells']} cells in {report['wall_seconds']:.1f}s "
         f"(jobs={report['jobs']}): {totals['timeouts']} timeouts, "
-        f"{totals['fallbacks']} fallbacks, {totals['errors']} errors; {cache_line}"
+        f"{totals['fallbacks']} fallbacks, {totals['errors']} errors; {_cache_line(report)}"
     )
     print(f"wrote {path}")
-    return 1 if totals["errors"] else 0
+    return 1 if failed else 0
 
 
-def _trace_main(argv) -> int:
-    """``python -m repro trace <corpus>``: the search-effort profile.
-
-    Runs the (loop × scheduler) grid with tracing on and prints the
-    per-loop effort table behind the paper's §4.7 scheduling-time
-    comparison.  Every scheduler runs its ``trace`` preset (MOST on our own
-    branch-and-bound engine, so its node and simplex counters are
-    populated); the cache is bypassed because counters and timings must
-    come from live solves.
-    """
-    from .exec.bench import merge_trace_dir
-    from .exec.cells import corpus_cells
-    from .exec.engine import ExecEngine
+def _trace_failed(report: Mapping[str, Any]) -> bool:
+    """``bench --trace``'s view: print the §4.7 search-effort table and
+    validate the merged Chrome trace; True when it is missing or invalid
+    or no cell was traced."""
     from .obs.export import validate_chrome_trace_file
     from .obs.report import format_effort_table
 
-    tp, args = _parse(
-        "trace",
-        "Profile every (loop × scheduler) cell under the repro.obs recorder: "
-        "print the per-loop search-effort table and write JSONL spools plus a "
-        "merged Chrome trace.",
-        argv,
-        [
-            _CORPUS,
-            ("--max-nodes", dict(type=int, default=4000, help="node budget per solve of "
-                                 "every optimal driver (default: %(default)s)")),
-            ("--trace-dir", dict(default="benchmarks/output/trace", metavar="DIR",
-                                 help="where JSONL spools and the merged trace.json go "
-                                 "(default: %(default)s)")),
-            ("--check", dict(action="store_true", help="validate the JSONL spools and "
-                             "merged Chrome trace; exit non-zero on schema or nesting "
-                             "problems")),
-        ],
-        schedulers=ALL_SCHEDULERS, limit=None, jobs=1, ilp_seconds=5.0,
-        cell_timeout=60.0, seed=0,
-    )
-    options = {
-        name: REGISTRY[name].preset(
-            "trace", time_limit=args.ilp_seconds, max_nodes=args.max_nodes
-        )
-        for name in args.schedulers
-    }
-    try:
-        cells = corpus_cells(
-            args.corpus, args.schedulers, options, args.limit,
-            seed=args.seed, simulate=False, trace=True,
-            trace_dir=args.trace_dir,
-        )
-    except ValueError as exc:
-        tp.error(str(exc))
-    engine = ExecEngine(jobs=args.jobs, cache=None, default_timeout=args.cell_timeout)
-    results = engine.run(cells)
-    ordered = [results[cell] for cell in cells]
-    print(format_effort_table(ordered))
-
-    merged = merge_trace_dir(args.trace_dir)
-    if merged is not None:
-        print(f"\nwrote {merged} (load in chrome://tracing or https://ui.perfetto.dev)")
-    errors = sum(1 for res in ordered if res.error is not None)
-    if errors:
-        print(f"{errors} cells errored", file=sys.stderr)
-        return 1
-
-    if args.check:
-        if merged is None:
-            print("--check: no trace files were written", file=sys.stderr)
-            return 1
-        if _invalid(merged, validate_chrome_trace_file(merged)):
-            return 1
-        traced = sum(1 for res in ordered if res.obs)
-        if not traced:
-            print("--check: no cell produced obs counters", file=sys.stderr)
-            return 1
-        print(f"--check: {merged} valid; {traced}/{len(ordered)} cells traced")
-    return 0
-
-
-def _explanations(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    """Explain ``args.corpus`` × ``args.schedulers``: one explanation dict
-    per cell, every driver on its defaults; a crashed cell's dict names
-    its loop and scheduler and carries the ``error``."""
-    return [
-        {"loop": _loop_name(res.loop), "scheduler": res.scheduler,
-         **(res.explanation or {"error": res.error or "no explanation"})}
-        for res in _sweep(parser, args, None, explain=True)
-    ]
+    print("\n" + format_effort_table(_cell_results(report)))
+    merged = report.get("trace")
+    problems = ["no trace files were written"] if merged is None else (
+        validate_chrome_trace_file(merged))
+    traced = sum(1 for cell in report["cells"] if cell["obs"])
+    if not traced:
+        problems.append("no cell produced obs counters")
+    if _invalid(merged or "--trace", problems):
+        return True
+    print(f"\nwrote {merged}, valid; {traced}/{len(report['cells'])} cells traced "
+          "(load it in chrome://tracing or https://ui.perfetto.dev)")
+    return False
 
 
 def _explain_main(argv) -> int:
     """``python -m repro explain <corpus>``: II-gap attribution.
 
-    Runs every (loop × scheduler) cell of the corpus and attributes its
-    achieved II to exactly one binding-constraint class: the critical
-    recurrence circuit or bottleneck resource when II == MinII, and, when
-    II > MinII, a certificate citation or a read of the trail the driver
-    wrote below the achieved II (register pressure, search budget or
-    exhaustion, or every lower II proven infeasible).  Nothing is solved
-    twice: the only solves are the production runs themselves.
+    Prints the binding-constraint class every cell of the corpus grid
+    carries: the critical recurrence circuit or bottleneck resource when
+    II == MinII, and, when II > MinII, a certificate citation or a read of
+    the trail the driver wrote below the achieved II (register pressure,
+    search budget or exhaustion, or every lower II proven infeasible).
+    Each explanation was computed in its cell from that cell's own run.
     """
     ep, args = _parse(
         "explain",
@@ -459,11 +396,11 @@ def _explain_main(argv) -> int:
         "constraint.",
         argv,
         [_CORPUS],
-        schedulers=ALL_SCHEDULERS, limit=None, ilp_seconds=5.0, json_out=None,
+        **_GRID, json_out=None,
     )
     from .obs.explain import explanations_to_json, format_explanations
 
-    explanations = _explanations(ep, args)
+    explanations = _explanations(_grid(ep, args)["cells"])
     _print_or_write(
         args.json_out, explanations_to_json(explanations), format_explanations(explanations)
     )
@@ -477,8 +414,10 @@ def _analyze_main(argv) -> int:
     """``python -m repro analyze <corpus>``: certified II lower bounds.
 
     Prints, per loop, MinII → the refined certified bound (schedulability
-    and allocatability) → the II each pipeliner achieved.  ``--check``
-    validates every shipped certificate with the independent checker in
+    and allocatability) → the II each pipeliner achieved in the grid.  The
+    bounds are derived here, in the view; a cell whose own recorded bound
+    differs from them fails its loop's row.  ``--check`` also validates
+    every shipped certificate with the independent checker in
     ``repro.verify`` and cross-checks each achieved or proved-optimal II
     against the certified bounds, exiting non-zero on any failure.
     """
@@ -487,33 +426,22 @@ def _analyze_main(argv) -> int:
     ap, args = _parse(
         "analyze",
         "Derive certified refined II lower bounds for every loop of a corpus "
-        "and compare them with the achieved IIs.",
+        "and compare them with the IIs its grid achieved.",
         argv,
         [
-            ("corpus", dict(nargs="?", default="livermore", help="livermore, spec92, "
-                            "recbound or all (default: %(default)s)")),
+            _CORPUS,
             ("--check", dict(action="store_true", help="validate every certificate with "
                              "the independent checker and cross-check achieved IIs "
                              "against the bounds (exit 1 on failure)")),
             ("-v --verbose", dict(action="store_true", help="print the table legend")),
         ],
-        extra_schedulers=("none",),
-        helps={"schedulers": "comma-separated schedulers to run, or 'none' for "
-               "bounds only (default: %(default)s)"},
-        schedulers=ALL_SCHEDULERS, limit=None, ilp_seconds=2.0, json_out=None,
+        **_GRID, json_out=None,
     )
     from .analyze.api import analyze_corpus
 
-    try:
-        report = analyze_corpus(
-            args.corpus,
-            schedulers=[name for name in args.schedulers if name != "none"],
-            check=args.check,
-            limit=args.limit,
-            ilp_seconds=args.ilp_seconds,
-        )
-    except ValueError as exc:  # unknown corpus
-        ap.error(str(exc))
+    report = analyze_corpus(
+        args.corpus, _cell_results(_grid(ap, args)), check=args.check, limit=args.limit,
+    )
     payload = _json.dumps(
         [e.to_dict() for e in report.entries], indent=1, sort_keys=True
     )
@@ -534,14 +462,12 @@ def _report_main(argv) -> int:
         [
             ("--output", dict(default="benchmarks/output/report.html", metavar="PATH",
                               help="where report.html goes (default: %(default)s)")),
-            ("--corpus", dict(default="livermore", help="corpus for the II-explanation "
-                              "panel (default: %(default)s)")),
             ("--experiments", dict(default="fig2,fig3,fig4,fig5,fig6,fig7",
                                    help="comma-separated experiment names for the "
                                    "figure-table panel, or 'none' (default: fig2..fig7)")),
             ("--bench", dict(default="benchmarks/output", metavar="PATH", help="BENCH "
-                             "json (file or directory) for the bench panel; skipped "
-                             "when absent (default: %(default)s)")),
+                             "json (file or directory) for the bench and II-explanation "
+                             "panels; skipped when absent (default: %(default)s)")),
             ("--baseline", dict(default="benchmarks/baseline", metavar="PATH",
                                 help="baseline BENCH json for the diff panel; skipped "
                                 "when absent (default: %(default)s)")),
@@ -553,35 +479,37 @@ def _report_main(argv) -> int:
         ],
         helps={"history_dir": "run-history store for the trend panel; renders a "
                "placeholder when it holds fewer than two runs (default: %(default)s)"},
-        schedulers=ALL_SCHEDULERS, limit=None, ilp_seconds=5.0,
-        history_dir="benchmarks/history", jobs=1, cache_dir=None, no_cache=False,
+        history_dir="benchmarks/history",
     )
-    print(f"explaining {args.corpus} × {','.join(args.schedulers)} ...", flush=True)
-    explanations = _explanations(rp, args)
-
-    tables, charts = [], []
     names = [] if args.experiments == "none" else [
         n.strip() for n in args.experiments.split(",") if n.strip()
     ]
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         rp.error(f"unknown experiments: {', '.join(unknown)}")
-    config = _experiment_config(args)
+
+    from .eval.experiments import ExperimentConfig
+
+    tables, charts = [], []
     for name in names:
         print(f"running {name} ...", flush=True)
-        result = EXPERIMENTS[name][0](config)
+        result = EXPERIMENTS[name][0](ExperimentConfig())
         tables.append(result.table)
         if result.chart:
             charts.append(result.chart)
 
     bench = diff = None
+    explanations: list = []
     try:
         bench = load_bench(args.bench)
     except (FileNotFoundError, OSError):
-        print(f"no bench json under {args.bench}; bench panel skipped")
+        print(f"no bench json under {args.bench}; bench and explanation panels skipped")
     if bench is not None:
         from .obs.diffbench import diff_reports
 
+        explanations = _explanations(
+            [cell for cell in bench["cells"] if cell.get("explanation") or cell.get("error")]
+        )
         try:
             diff = diff_reports(load_bench(args.baseline), bench)
         except (FileNotFoundError, OSError):
@@ -594,8 +522,7 @@ def _report_main(argv) -> int:
     )
 
     meta = {
-        "corpus": args.corpus,
-        "schedulers": ",".join(args.schedulers),
+        "bench": bench["name"] if bench is not None else "none",
         "experiments": ",".join(names) or "none",
     }
     path = write_report(
@@ -979,7 +906,6 @@ def _trend_main(argv) -> int:
 SUBCOMMANDS: Dict[str, Callable[[Any], int]] = {
     "verify": _verify_main,
     "bench": _bench_main,
-    "trace": _trace_main,
     "explain": _explain_main,
     "analyze": _analyze_main,
     "diff": _diff_main,
@@ -1014,9 +940,11 @@ def main(argv=None) -> int:
             ("--bench-json", dict(action="store_true", help="also write each "
                                   "experiment's cell measurements as "
                                   "benchmarks/output/BENCH_<name>.json")),
+            ("--ilp-seconds", dict(type=float, default=10.0, metavar="SECONDS",
+                                   help="ILP budget per loop (paper: 180s; default: "
+                                   "%(default)ss)")),
         ],
-        helps={"ilp_seconds": "ILP budget per loop (paper: 180s; default: %(default)ss)"},
-        ilp_seconds=10.0, jobs=1, cache_dir=None, no_cache=False,
+        jobs=1, cache_dir=None, no_cache=False,
     )
 
     if args.corpus:
@@ -1037,8 +965,14 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
-    config = _experiment_config(args)
-    config.strict = args.strict
+    from .eval.experiments import ExperimentConfig
+
+    config = ExperimentConfig(
+        most_time_limit=args.ilp_seconds,
+        jobs=args.jobs,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        strict=args.strict,
+    )
     for name in names:
         start = time.perf_counter()
         try:

@@ -3,21 +3,20 @@
 For every loop of a corpus this derives the refined II lower bounds of
 :mod:`repro.analyze.bounds`, optionally validates every shipped
 certificate with the independent checker (:mod:`repro.verify.boundcheck`),
-runs the requested pipeliners as :mod:`repro.exec` cells, and
-cross-checks each achieved II against the certified bounds — a
-contradiction (an achieved or proved-optimal II below a *validated*
-bound) means either a scheduler or the analyzer is wrong, and is
-reported as such rather than averaged away.
+and cross-checks each achieved II of the grid's cell results against the
+certified bounds — a contradiction (an achieved or proved-optimal II
+below a *validated* bound) means either a scheduler or the analyzer is
+wrong, and is reported as such rather than averaged away.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
-from ..schedulers import REGISTRY
 from .bounds import compute_bounds
 
 
@@ -47,11 +46,9 @@ class LoopAnalysis:
     contradictions: List[str] = field(default_factory=list)
     #: scheduler -> the last line of its crashed cell's error
     cell_errors: Dict[str, str] = field(default_factory=dict)
+    #: cells whose recorded refined_bound differs from schedulable_bound
+    bound_mismatches: List[str] = field(default_factory=list)
     checked: bool = False
-
-    @property
-    def refined_bound(self) -> int:
-        return self.schedulable_bound
 
     @property
     def lift(self) -> int:
@@ -63,6 +60,7 @@ class LoopAnalysis:
         return (
             self.check_errors
             + self.contradictions
+            + self.bound_mismatches
             + [f"{name} cell error: {error}" for name, error in self.cell_errors.items()]
         )
 
@@ -71,26 +69,10 @@ class LoopAnalysis:
         return not self.problems
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "loop": self.loop,
-            "n_ops": self.n_ops,
-            "res_mii": self.res_mii,
-            "rec_mii": self.rec_mii,
-            "min_ii": self.min_ii,
-            "schedulable_bound": self.schedulable_bound,
-            "allocatable_bound": self.allocatable_bound,
-            "pairing_bound": self.pairing_bound,
-            "certificates": self.certificates,
-            "bounds": self.bounds,
-            "achieved": dict(self.achieved),
-            "spill_rounds": dict(self.spill_rounds),
-            "optimal": dict(self.optimal),
-            "check_errors": list(self.check_errors),
-            "contradictions": list(self.contradictions),
-            "checked": self.checked,
-        }
-        if self.cell_errors:  # only a crashed pipeliner adds the key
-            data["cell_errors"] = dict(self.cell_errors)
+        data = dataclasses.asdict(self)
+        for key in ("cell_errors", "bound_mismatches"):
+            if not data[key]:  # only a crashed or disagreeing cell adds the key
+                del data[key]
         return data
 
 
@@ -134,7 +116,7 @@ class AnalysisReport:
                 if e.spill_rounds.get(scheduler):
                     text += "s"
                 cells += f"  {text:>{widths[scheduler]}}"
-            if e.check_errors or e.cell_errors:
+            if e.check_errors or e.cell_errors or e.bound_mismatches:
                 status = "FAIL"
             elif e.contradictions:
                 status = "CONTRADICTED"
@@ -196,36 +178,28 @@ def _cross_check(loop: Loop, machine: MachineDescription, entry: LoopAnalysis) -
 
 def analyze_corpus(
     corpus: str,
-    schedulers: Sequence[str] = tuple(REGISTRY),
+    results: Sequence[Any] = (),
     check: bool = False,
     limit: Optional[int] = None,
-    ilp_seconds: float = 2.0,
 ) -> AnalysisReport:
     """Derive, (optionally) check, and cross-validate bounds for a corpus.
 
-    ``schedulers`` may be empty to compute and check bounds without
-    running any pipeliner; each one that runs is an exec cell on its
-    ``sweep`` preset, with ``ilp_seconds`` as every optimal driver's
-    ``time_limit``, and a crashed cell fails its loop's row.
-    ``check=True`` additionally validates every certificate with the
-    independent checker and cross-checks each achieved II against the
-    certified bounds.
+    ``results`` are the grid's cell results (none: bounds only).  A
+    crashed cell fails its loop's row, and so does a cell whose
+    worker-computed ``refined_bound`` differs from the schedulable bound
+    derived here.  ``check=True`` additionally validates every certificate
+    with the independent checker and cross-checks each achieved II
+    against the certified bounds.
     """
-    from ..exec.cells import corpus_cells, corpus_loop_keys, resolve_loop
-    from ..exec.engine import ExecEngine
+    from ..exec.cells import corpus_loop_keys, resolve_loop
 
     machine = r8000()
-    keys = corpus_loop_keys(corpus)[:limit]
-    presets = {
-        name: REGISTRY[name].preset("sweep", time_limit=ilp_seconds) for name in schedulers
-    }
-    cells = corpus_cells(corpus, schedulers, presets, limit, simulate=False)
-    results = ExecEngine().run(cells)
-    by_loop: Dict[str, List] = {}
-    for cell in cells:
-        by_loop.setdefault(cell.loop, []).append(results[cell])
-    report = AnalysisReport(corpus=corpus, checked=check, schedulers=tuple(schedulers))
-    for key in keys:
+    by_loop: Dict[str, List[Any]] = {}
+    for result in results:
+        by_loop.setdefault(result.loop, []).append(result)
+    schedulers = tuple(dict.fromkeys(result.scheduler for result in results))
+    report = AnalysisReport(corpus=corpus, checked=check, schedulers=schedulers)
+    for key in corpus_loop_keys(corpus)[:limit]:
         loop = resolve_loop(key, machine)
         bounds = compute_bounds(loop, machine)
         entry = LoopAnalysis(
@@ -243,6 +217,11 @@ def analyze_corpus(
         for result in by_loop.get(key, ()):
             if result.error is not None:
                 entry.cell_errors[result.scheduler] = result.error.strip().splitlines()[-1]
+            elif result.refined_bound != bounds.schedulable_bound:
+                entry.bound_mismatches.append(
+                    f"{result.scheduler} cell recorded refined_bound "
+                    f"{result.refined_bound}, the view derives {bounds.schedulable_bound}"
+                )
             entry.achieved[result.scheduler] = result.ii if result.success else None
             entry.spill_rounds[result.scheduler] = result.spill_rounds
             entry.optimal[result.scheduler] = result.optimal

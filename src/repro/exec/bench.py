@@ -4,10 +4,10 @@
 the standard corpora, fanned out by :class:`~repro.exec.engine.ExecEngine`,
 timed, and written to ``benchmarks/output/BENCH_pipeline.json`` together
 with solver-budget accounting (timeouts, fallbacks, native-vs-rescued
-schedule time).  ``run_sweep`` is the same machinery pointed at an
-arbitrary corpus/scheduler subset; ``write_bench_json`` is reused by the
-experiment CLI to emit per-figure ``BENCH_<figure>.json`` files.  All of it
-exists so the ROADMAP's perf trajectory is data, not anecdotes.
+schedule time).  ``run_sweep`` is the same machinery pointed at one
+corpus, into the ``BENCH_sweep_<corpus>.json`` that ``repro verify``,
+``explain`` and ``analyze`` print from.  ``write_bench_json`` is reused by
+the experiment CLI to emit per-figure ``BENCH_<figure>.json`` files.
 """
 
 from __future__ import annotations
@@ -55,16 +55,15 @@ class BenchOptions:
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR  # None = no result cache
     cell_timeout: Optional[float] = 120.0
     seed: int = 0
+    limit: Optional[int] = None  # only the first N loops of each corpus
     output_dir: pathlib.Path = field(default_factory=lambda: DEFAULT_OUTPUT_DIR)
     # Search-effort tracing (repro.obs): every cell runs under a live
     # recorder, folded counters land in the BENCH json, and per-cell JSONL
-    # spools under ``trace_dir`` are merged into one Chrome trace.
+    # spools under ``trace_dir`` are merged into one Chrome trace.  Traced
+    # cells bypass the result cache: their counters, timings and spools
+    # must come from live solves into this run's ``trace_dir``.
     trace: bool = False
     trace_dir: Optional[str] = None
-    # II-gap attribution (repro.obs.explain): every cell's achieved II gets
-    # a binding-constraint explanation embedded in its BENCH record, and
-    # the summary counts cells per binding class.
-    explain: bool = False
     # Run-history store (repro.obs.history): when set, the finished BENCH
     # payload is also filed as a timestamped record under this root so the
     # trend layer (``repro trend``) has a longitudinal series.  None keeps
@@ -90,16 +89,19 @@ class BenchOptions:
         return REGISTRY[scheduler].preset("quick" if self.quick else "bench")
 
     def engine(self, progress: Optional[ProgressFn] = None) -> ExecEngine:
+        cached = self.cache_dir is not None and not self.trace
         return ExecEngine(
             jobs=self.jobs,
-            cache=None if self.cache_dir is None else ScheduleCache(self.cache_dir),
+            cache=ScheduleCache(self.cache_dir) if cached else None,
             default_timeout=self.cell_timeout,
             progress=progress,
         )
 
 
 def bench_cells(options: BenchOptions) -> List[Cell]:
-    """The (loop × scheduler) cell grid of a bench run."""
+    """The (loop × scheduler) cell grid of a bench run: every cell verified,
+    explained and carrying its certified bound, so one grid serves every
+    view."""
     presets = {name: options.scheduler_options(name) for name in options.schedulers}
     return [
         cell
@@ -108,13 +110,12 @@ def bench_cells(options: BenchOptions) -> List[Cell]:
             corpus,
             options.schedulers,
             presets,
+            options.limit,
             seed=options.seed,
             trace=options.trace,
             trace_dir=options.trace_dir,
-            explain=options.explain,
-            # Every cell records its loop's certified refined II lower bound,
-            # so a BENCH json is auditable against the certified floor;
-            # ``repro analyze --json`` regenerates the certificates.
+            oracle=True,
+            explain=True,
             analyze=True,
         )
     ]
@@ -239,6 +240,7 @@ def build_report(
         "corpora": list(options.corpora),
         "schedulers": list(options.schedulers),
         "cell_timeout": options.cell_timeout,
+        "limit": options.limit,
         "wall_seconds": wall_seconds,
         "cache": None
         if cache is None
@@ -276,9 +278,10 @@ def profile_schedulers(
     The raw-speed campaign's evidence flag (``repro bench --profile``):
     each scheduler's full cell grid runs in-process under one
     :mod:`cProfile` session — no workers, no cache, so the profile covers
-    exactly the scheduling work — and the cumulative-time top table is
-    returned (and printed by the CLI) per scheduler.  Future hot-path
-    claims are one flag away from evidence.
+    exactly the cells' work: scheduling, and the verification, explanation
+    and certified bound every bench cell carries — and the cumulative-time
+    top table is returned (and printed by the CLI) per scheduler.  Future
+    hot-path claims are one flag away from evidence.
     """
     import cProfile
     import io
@@ -330,8 +333,8 @@ def run_pipeline_bench(
 ) -> Tuple[Dict, pathlib.Path]:
     """The standard bench: corpora × schedulers, emitted as BENCH_<name>.json."""
     options = options or BenchOptions()
+    cells = bench_cells(options)  # an unknown corpus fails before the cache opens
     engine = options.engine(progress)
-    cells = bench_cells(options)
     start = time.perf_counter()
     results = engine.run(cells)
     report = build_report(

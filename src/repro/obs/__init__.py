@@ -8,7 +8,7 @@ The observability subsystem for all three pipeliners.  Three layers:
 * :mod:`repro.obs.export` — JSONL spools, Chrome trace-event export
   (``chrome://tracing`` / Perfetto), merging and validation.
 * :mod:`repro.obs.report` — the per-loop search-effort table behind
-  ``python -m repro trace`` (SGI B&B nodes vs MOST ILP nodes vs wall
+  ``python -m repro bench --trace`` (SGI B&B nodes vs MOST ILP nodes vs wall
   time: the paper's §4.7 scheduling-time comparison).
 * :mod:`repro.obs.explain` — II-gap attribution: which constraint
   (recurrence, resource, register pressure, search budget or exhaustion)

@@ -10,7 +10,7 @@ Two on-disk forms, one schema:
 
 Every event carries ``name``/``ph``/``ts``/``pid``/``tid`` (plus ``cat``
 and ``args``); :func:`validate_trace_events` enforces that contract and
-the span-nesting discipline, and is what ``python -m repro trace --check``
+the span-nesting discipline, and is what ``python -m repro bench --trace``
 and the CI smoke lane run.
 
 :func:`atomic_write_text` is the one crash-safe file writer: the result

@@ -3,12 +3,12 @@
 Section 4.7's headline — the ILP pipeliner spending ~250x the heuristic's
 scheduling time — is an *effort* comparison, so the table puts the effort
 counters side by side per loop: SGI branch-and-bound nodes (placement
-attempts), backtracks and II attempts against MOST's ILP branch-and-bound
-nodes and simplex iterations, with Rau94's placements/evictions as the
-non-backtracking reference point and the portfolio's probes and CP nodes
-beside them.  Input is any sequence of cell-result
-objects carrying ``loop``/``scheduler``/``schedule_seconds``/``obs``
-(duck-typed so the exec layer stays optional).
+attempts), backtracks and II attempts against MOST's HiGHS
+branch-and-bound nodes and node-limit hits, with Rau94's
+placements/evictions as the non-backtracking reference point and the
+portfolio's probes and CP nodes beside them.  Input is any sequence of
+cell-result objects carrying ``loop``/``scheduler``/``schedule_seconds``/
+``obs`` (duck-typed so the exec layer stays optional).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 #: (``probes`` is the cell's probe trail length instead).
 EFFORT_GROUPS: Dict[str, Tuple[str, Dict[str, str]]] = {
     "sgi": ("SGI", {"nodes": "bnb.placements", "bt": "bnb.backtracks", "IIs": "ii.attempts"}),
-    "most": ("MOST", {"nodes": "ilp.nodes", "simplex": "ilp.simplex_iters",
-                      "limits": "ilp.node_limit_hits"}),
+    "most": ("MOST", {"nodes": "ilp.nodes", "limits": "ilp.node_limit_hits"}),
     "rau": ("RAU", {"placed": "rau.placements", "evict": "rau.evictions"}),
     "portfolio": ("PORT", {"probes": "probes", "cp nodes": "portfolio.cp.nodes"}),
 }
@@ -84,7 +83,7 @@ def effort_rows(results: Sequence[Any]) -> List[Dict[str, Any]]:
 
 
 def format_effort_table(results: Sequence[Any]) -> str:
-    """The per-loop search-effort table ``python -m repro trace`` prints:
+    """The per-loop search-effort table ``python -m repro bench --trace`` prints:
     one column group (II, effort counters, seconds) per scheduler that ran,
     plus MOST's scheduling time over SGI's."""
     rows = effort_rows(results)

@@ -16,18 +16,15 @@ Each entry also declares its option presets: a plain mapping from preset
 name to the options dict its cells run under (no solver is imported to
 declare them).  A preset an entry does not declare runs the driver's
 defaults, ``{}``.  Every command reads its options here, through
-:meth:`Scheduler.preset`, so a new pipeliner joins every sweep with one
+:meth:`Scheduler.preset`, so a new pipeliner joins every grid with one
 entry:
 
 ``paper``   the experiment runner's figures (§4): MOST on HiGHS;
 ``bench``   the timed corpus grid (``repro bench``, ``repro serve --selftest``);
-``quick``   ``bench --quick``: MOST's node budget halved;
-``fuzz``    the differential fuzzer: native-or-nothing, small budgets;
-``trace``   ``repro trace``: MOST on its own B&B engine, whose node and
-            simplex counters the effort table reads;
-``sweep``   ``repro verify`` and ``repro analyze``: MOST on HiGHS.
-
-``repro explain`` runs every driver's defaults.
+``quick``   ``bench --quick``, which ``verify``, ``explain`` and ``analyze``
+            read: MOST's node budget halved;
+``fuzz``    the differential fuzzer: native-or-nothing, small budgets, MOST
+            on its own B&B engine.
 
 ``baseline`` (the sequential list scheduler) is not an entry: it produces
 no modulo schedule, and the exec runner handles it as its one special case.
@@ -39,13 +36,12 @@ a tracer or a test) is what every caller runs.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 #: Every preset name an entry may declare.
-PRESETS = ("paper", "bench", "quick", "fuzz", "trace", "sweep")
+PRESETS = ("paper", "bench", "quick", "fuzz")
 
 
 @dataclass(frozen=True)
@@ -70,17 +66,12 @@ class Scheduler:
         """Pipeline ``loop`` with this scheduler's driver."""
         return self._attr(self.driver)(loop, machine, options)
 
-    def preset(self, name: Optional[str] = None, **overrides: Any) -> Dict[str, Any]:
-        """The options dict of preset ``name`` (``None``: the driver's
-        defaults), each override applied when this entry's options class
-        has a field of that name; ``ValueError`` on an unknown preset."""
-        if name is not None and name not in PRESETS:
+    def preset(self, name: str, **overrides: Any) -> Dict[str, Any]:
+        """The options dict of preset ``name`` with ``overrides`` on top;
+        ``ValueError`` on an unknown preset."""
+        if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r} (expected one of {', '.join(PRESETS)})")
-        options = dict(self.presets.get(name, {}))
-        if overrides:
-            known = {f.name for f in dataclasses.fields(self._attr(self.options_class))}
-            options.update((k, v) for k, v in overrides.items() if k in known)
-        return options
+        return {**self.presets.get(name, {}), **overrides}
 
 
 #: MOST on the bench grid.  The ILP budget is primarily the *node* limit:
@@ -116,8 +107,6 @@ REGISTRY: Dict[str, Scheduler] = {
                 "quick": {**_MOST_BENCH, "max_nodes": 2000},
                 # The B&B engine, so ilp.* counters feed the fuzzer's coverage.
                 "fuzz": {**_FUZZ, "engine": "bnb"},
-                "trace": {"engine": "bnb", "max_ops": 61},
-                "sweep": {"engine": "scipy"},
             },
         ),
         Scheduler("rau", ".rau.scheduler", "RauOptions", "rau_pipeline_loop"),

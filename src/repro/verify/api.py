@@ -159,7 +159,7 @@ class SweepResult:
             rules = f"  [{', '.join(e.rules)}]" if e.rules and (verbose or e.errors) else ""
             lines.append(
                 f"  {e.loop.ljust(width)}  {e.scheduler:<{sched}} {ii:>8}  "
-                f"{status}{rules}"
+                f"E={e.errors} W={e.warnings}  {status}{rules}"
             )
         failed = len(self.failures)
         lines.append(

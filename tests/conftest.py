@@ -31,6 +31,35 @@ def pytest_configure(config):
     verified_drivers.install()
 
 
+#: The repository's shared result cache, which ``repro bench`` and its
+#: views default to.
+SHARED_CACHE = pathlib.Path(__file__).resolve().parent.parent / ".exec-cache"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_grid_state(tmp_path_factory):
+    """Tier-1 reads and writes nothing the command line shares between runs.
+
+    Opening the shared result cache fails the test: one that runs the grid
+    passes ``--no-cache`` or a ``tmp_path`` cache, since a cached success
+    would answer a monkeypatched crash.  The BENCH json a view of the grid
+    writes to bench's default output directory lands in a temporary one.
+    """
+    from repro.exec import bench, cache
+
+    real_init = cache.ScheduleCache.__init__
+
+    def guarded_init(self, directory=cache.DEFAULT_CACHE_DIR):
+        if pathlib.Path(directory).resolve() == SHARED_CACHE:
+            raise AssertionError(f"a test opened the shared result cache {directory}")
+        real_init(self, directory)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache.ScheduleCache, "__init__", guarded_init)
+        patch.setattr(bench, "DEFAULT_OUTPUT_DIR", tmp_path_factory.mktemp("bench-output"))
+        yield
+
+
 @pytest.fixture
 def machine():
     return r8000()

@@ -64,7 +64,7 @@ RECBOUND_GOLDEN = {
 
 
 def _snapshot(corpus):
-    report = analyze_corpus(corpus, schedulers=(), check=True)
+    report = analyze_corpus(corpus, check=True)
     assert report.ok, report.formatted()
     return report, {
         e.loop: (e.min_ii, e.schedulable_bound, e.allocatable_bound, e.certificates)
@@ -179,7 +179,8 @@ def test_analyze_json_carries_checkable_certificates(capsys):
     from repro.__main__ import main
     from repro.exec.cells import resolve_loop
 
-    assert main(["analyze", "recbound", "--schedulers", "sgi", "--json", "-"]) == 0
+    assert main(["analyze", "recbound", "--schedulers", "sgi", "--json", "-",
+                 "--no-cache"]) == 0
     entries = json.loads(capsys.readouterr().out)
     assert {e["loop"] for e in entries} == set(RECBOUND_GOLDEN)
     machine = r8000()

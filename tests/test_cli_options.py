@@ -19,18 +19,17 @@ from repro.__main__ import main
 OPTION_STRINGS = {
     "": ["--bench-json", "--cache-dir", "--corpus", "--ilp-seconds", "--jobs",
          "--list", "--no-cache", "--strict"],
-    "verify": ["--ilp-seconds", "--schedulers", "--verbose", "-v"],
-    "bench": ["--cache-dir", "--cell-timeout", "--explain", "--history-dir",
-              "--jobs", "--no-cache", "--no-history", "--output-dir", "--profile",
-              "--quick", "--schedulers", "--seed", "--trace", "--trace-dir"],
-    "trace": ["--cell-timeout", "--check", "--ilp-seconds", "--jobs", "--limit",
-              "--max-nodes", "--schedulers", "--seed", "--trace-dir"],
-    "explain": ["--ilp-seconds", "--json", "--limit", "--schedulers"],
-    "analyze": ["--check", "--ilp-seconds", "--json", "--limit", "--schedulers",
-                "--verbose", "-v"],
-    "report": ["--baseline", "--bench", "--cache-dir", "--check", "--corpus",
-               "--experiments", "--history-dir", "--history-last", "--ilp-seconds",
-               "--jobs", "--limit", "--no-cache", "--output", "--schedulers"],
+    "verify": ["--cache-dir", "--jobs", "--limit", "--no-cache", "--schedulers",
+               "--verbose", "-v"],
+    "bench": ["--cache-dir", "--cell-timeout", "--history-dir", "--jobs", "--limit",
+              "--no-cache", "--no-history", "--output-dir", "--profile", "--quick",
+              "--schedulers", "--seed", "--trace", "--trace-dir"],
+    "explain": ["--cache-dir", "--jobs", "--json", "--limit", "--no-cache",
+                "--schedulers"],
+    "analyze": ["--cache-dir", "--check", "--jobs", "--json", "--limit", "--no-cache",
+                "--schedulers", "--verbose", "-v"],
+    "report": ["--baseline", "--bench", "--check", "--experiments", "--history-dir",
+               "--history-last", "--output"],
     "fuzz": ["--cell-timeout", "--corpus-dir", "--findings-dir", "--inject",
              "--jobs", "--max-loops", "--max-ops", "--no-write", "--oracle",
              "--schedulers", "--seconds", "--seed"],
@@ -46,18 +45,19 @@ OPTION_STRINGS = {
     "trend": ["--check", "--history-dir", "--json", "--last", "--verbose", "-v"],
 }
 
+#: bench's grid flags and their defaults, which every view of the grid shares.
+GRID = {"--schedulers": "sgi,most,rau,portfolio", "--limit": None, "--jobs": 1,
+        "--cache-dir": ".exec-cache", "--no-cache": False}
+
 #: The shared flags' per-command defaults (every flag, for diff and trend).
 DEFAULTS = {
     "": {"--ilp-seconds": 10.0, "--jobs": 1, "--cache-dir": None, "--no-cache": False},
-    "verify": {"--ilp-seconds": 2.0},
-    "bench": {"--jobs": 1, "--cache-dir": ".exec-cache", "--no-cache": False,
-              "--cell-timeout": None, "--seed": 0, "--history-dir": "benchmarks/history"},
-    "trace": {"--limit": None, "--jobs": 1, "--ilp-seconds": 5.0, "--max-nodes": 4000,
-              "--cell-timeout": 60.0, "--seed": 0},
-    "explain": {"--limit": None, "--ilp-seconds": 5.0, "--json": None},
-    "analyze": {"--limit": None, "--ilp-seconds": 2.0, "--json": None},
-    "report": {"--limit": None, "--ilp-seconds": 5.0, "--history-dir": "benchmarks/history",
-               "--jobs": 1, "--cache-dir": None, "--no-cache": False},
+    "verify": GRID,
+    "bench": {**GRID, "--cell-timeout": None, "--seed": 0,
+              "--history-dir": "benchmarks/history"},
+    "explain": {**GRID, "--json": None},
+    "analyze": {**GRID, "--json": None},
+    "report": {"--history-dir": "benchmarks/history", "--bench": "benchmarks/output"},
     "fuzz": {"--jobs": 1, "--seed": 0, "--cell-timeout": 20.0},
     "serve": {"--jobs": 2, "--cache-dir": ".exec-cache", "--no-cache": False, "--seed": 0,
               "--history-dir": None},
@@ -156,7 +156,7 @@ def _no_loops(monkeypatch):
 
 @pytest.mark.parametrize(
     "command",
-    ["verify", "bench", "bench livermore", "trace", "explain", "analyze", "report", "fuzz"],
+    ["verify", "bench", "bench livermore", "explain", "analyze", "fuzz"],
 )
 def test_unknown_scheduler_rejected_before_any_loop(monkeypatch, capsys, command):
     _no_loops(monkeypatch)
@@ -173,22 +173,18 @@ def test_cache_prune_needs_a_byte_budget(tmp_path, capsys):
     assert "--max-bytes" in capsys.readouterr().err
 
 
-def test_verify_accepts_the_portfolio(monkeypatch, capsys):
-    import repro.exec.cells as cells
-
-    real = cells.corpus_loop_keys
-    monkeypatch.setattr(
-        cells, "corpus_loop_keys", lambda corpus, machine=None: real(corpus, machine)[:1]
-    )
-    assert main(["verify", "livermore", "--schedulers", "portfolio"]) == 0
+def test_verify_accepts_the_portfolio(capsys):
+    assert main(["verify", "livermore", "--limit", "1", "--schedulers", "portfolio",
+                 "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "portfolio" in out
 
 
-def test_trace_accepts_the_portfolio(tmp_path, capsys):
+def test_bench_trace_accepts_the_portfolio(tmp_path, capsys):
     code = main([
-        "trace", "livermore", "--limit", "1", "--schedulers", "portfolio",
-        "--trace-dir", str(tmp_path),
+        "bench", "livermore", "--quick", "--trace", "--limit", "1",
+        "--schedulers", "portfolio", "--output-dir", str(tmp_path), "--no-history",
     ])
     assert code == 0
-    assert "lk01_hydro" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "lk01_hydro" in out and "PORT II" in out

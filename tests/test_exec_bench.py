@@ -49,7 +49,14 @@ class TestBenchOptions:
         options = BenchOptions(quick=True, schedulers=("sgi", "rau"))
         cells = bench_cells(options)
         assert len(cells) == (24 + 6) * 2  # livermore + recbound
-        assert not any(cell.oracle for cell in cells)  # a timed grid runs unverified
+        # One grid serves every view: each cell is verified, explained and
+        # carries its certified bound.
+        assert all(cell.oracle and cell.explain and cell.analyze for cell in cells)
+        limited = bench_cells(BenchOptions(quick=True, schedulers=("sgi",), limit=2))
+        assert [cell.loop for cell in limited] == [
+            "livermore:lk01_hydro", "livermore:lk02_iccg",
+            "recbound:rb_coupled_division", "recbound:rb_div_sqrt",
+        ]
 
 
 class TestSummarise:

@@ -175,15 +175,21 @@ class TestValidation:
 class TestReportCli:
     def test_report_smoke(self, tmp_path, capsys):
         from repro.__main__ import main
+        from repro.exec.bench import BenchOptions, run_sweep
 
+        # The explanation panel is drawn from the BENCH json the report loads.
+        options = BenchOptions(quick=True, schedulers=("sgi",), limit=2, cache_dir=None,
+                               output_dir=tmp_path)
+        _, bench = run_sweep("livermore", options, progress=None)
         out = tmp_path / "report.html"
         code = main([
-            "report", "--corpus", "livermore", "--limit", "2",
-            "--schedulers", "sgi", "--experiments", "none",
-            "--bench", str(tmp_path / "nobench"),
+            "report", "--experiments", "none",
+            "--bench", str(bench),
             "--baseline", str(tmp_path / "nobase"),
             "--output", str(out), "--check",
         ])
         assert code == 0
-        assert validate_report_file(out, ["explanations"]) == []
+        assert validate_report_file(out, ["explanations", "bench"]) == []
         assert "valid" in capsys.readouterr().out
+        html = out.read_text()
+        assert "lk01_hydro" in html and "lk02_iccg" in html

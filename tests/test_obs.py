@@ -7,6 +7,7 @@ SGI-vs-MOST run produces nonzero node counters on both sides.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -370,17 +371,48 @@ class TestExecTraceIntegration:
         assert merge_trace_dir(tmp_path / "empty") is None
 
 
-class TestTraceCLI:
-    def test_trace_cli_prints_table_and_validates(self, tmp_path, capsys):
+class TestBenchTraceCLI:
+    """``repro bench --trace``: the effort table, a validated merged trace,
+    and cells solved live whatever the cache holds."""
+
+    def _bench(self, tmp_path, *args):
         from repro.__main__ import main
 
-        rc = main([
-            "trace", "livermore", "--limit", "2", "--check",
-            "--trace-dir", str(tmp_path), "--ilp-seconds", "5",
+        return main([
+            "bench", *args, "--trace", "--output-dir", str(tmp_path / "out"),
+            "--cache-dir", str(tmp_path / "cache"), "--no-history",
         ])
+
+    def test_prints_table_and_validates(self, tmp_path, capsys):
+        trace_dir = tmp_path / "trace"
+        rc = self._bench(tmp_path, "livermore", "--quick", "--limit", "2",
+                         "--trace-dir", str(trace_dir))
         out = capsys.readouterr().out
         assert rc == 0
         assert "MOST" in out and "geomean" in out
-        assert (tmp_path / "trace.json").exists()
-        payload = json.loads((tmp_path / "trace.json").read_text())
+        assert "simplex" not in out  # HiGHS counts nodes, not B&B simplex iterations
+        assert "valid; 8/8 cells traced" in out
+        payload = json.loads((trace_dir / "trace.json").read_text())
         assert isinstance(payload, list) and payload
+
+    def test_a_warm_cache_still_traces_into_this_runs_directory(self, tmp_path, capsys):
+        for name in ("T1", "T2"):
+            assert self._bench(tmp_path, "recbound", "--schedulers", "sgi",
+                               "--trace-dir", str(tmp_path / name)) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "out" / "BENCH_sweep_recbound.json").read_text())
+        assert report["trace"] == str(tmp_path / "T2" / "trace.json")
+        assert report["cache"] is None
+        assert len(list((tmp_path / "T2").glob("*.jsonl"))) == 6
+        for cell in report["cells"]:
+            assert not cell["cache_hit"]
+            assert pathlib.Path(cell["trace_file"]).parent == tmp_path / "T2"
+            assert cell["obs"]["bnb.placements"] > 0
+
+    def test_fails_when_no_trace_was_written(self, tmp_path, monkeypatch, capsys):
+        import repro.exec.bench as bench
+
+        monkeypatch.setattr(bench, "merge_trace_dir", lambda trace_dir: None)
+        rc = self._bench(tmp_path, "recbound", "--limit", "1", "--schedulers", "sgi")
+        assert rc == 1
+        assert "no trace files were written" in capsys.readouterr().err

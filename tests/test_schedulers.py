@@ -6,7 +6,7 @@ import pytest
 
 from repro.exec.cells import SCHEDULERS, resolve_loop
 from repro.machine import r8000
-from repro.schedulers import REGISTRY, get_scheduler
+from repro.schedulers import PRESETS, REGISTRY, get_scheduler
 from repro.serve.protocol import ProtocolError, parse_schedule_request
 
 LOOP = "livermore:lk01_hydro"
@@ -106,7 +106,7 @@ def test_forced_fallback_agrees_with_the_fallback_result(name):
 
 
 #: Every command's options before they moved into the registry: (preset,
-#: the command's overrides) -> scheduler -> the literal dict it ran.  These
+#: MOST's overrides) -> scheduler -> the literal dict it ran.  These
 #: dicts feed cache keys and the committed BENCH baselines, so the presets
 #: must reproduce them byte for byte.
 _MOST_BENCH = {"time_limit": 20.0, "engine": "scipy", "max_ops": 61, "max_nodes": 4000}
@@ -122,11 +122,6 @@ PINNED_PRESETS = [
         "portfolio": {"backends": "cp,ilp", "cross_check": True, "fallback": False,
                       "time_limit": 1.0, "max_nodes": 2000, "max_ops": 64},
     }),
-    ("trace", {"time_limit": 5.0, "max_nodes": 4000}, {
-        "most": {"time_limit": 5.0, "engine": "bnb", "max_nodes": 4000, "max_ops": 61},
-    }),
-    ("sweep", {"time_limit": 2.0}, {"most": {"time_limit": 2.0, "engine": "scipy"}}),
-    (None, {"time_limit": 5.0}, {"most": {"time_limit": 5.0}}),  # explain
     ("paper", {"time_limit": 10.0, "fallback": True}, {
         "most": {"time_limit": 10.0, "engine": "scipy", "max_ops": 61, "fallback": True},
     }),
@@ -135,21 +130,27 @@ PINNED_PRESETS = [
 
 @pytest.mark.parametrize(
     "preset,overrides,expected", PINNED_PRESETS,
-    ids=[p or "explain" for p, _, _ in PINNED_PRESETS],
+    ids=[p for p, _, _ in PINNED_PRESETS],
 )
 def test_presets_reproduce_the_old_per_command_options(preset, overrides, expected):
+    # The overrides are MOST's: the experiments' budget is its only caller.
     for name in ("sgi", "most", "rau"):
-        got = get_scheduler(name).preset(preset, **overrides)
+        got = get_scheduler(name).preset(preset, **(overrides if name == "most" else {}))
         assert got == expected.get(name, {}), name
     if "portfolio" in expected:
-        assert get_scheduler("portfolio").preset(preset, **overrides) == expected["portfolio"]
+        assert get_scheduler("portfolio").preset(preset) == expected["portfolio"]
 
 
-def test_overrides_apply_only_where_the_options_class_has_the_field():
-    # No name check: the heuristics have no time_limit or max_nodes field.
-    assert get_scheduler("sgi").preset("trace", time_limit=1.0, max_nodes=9) == {}
-    assert get_scheduler("portfolio").preset("trace", time_limit=1.0, max_nodes=9) == {
-        "time_limit": 1.0, "max_nodes": 9,
-    }
+def test_overrides_go_on_top_of_the_preset():
+    assert get_scheduler("most").preset("quick", max_nodes=9) == {**_MOST_BENCH, "max_nodes": 9}
+    assert get_scheduler("sgi").preset("paper") == {}
     with pytest.raises(ValueError, match="unknown preset"):
         get_scheduler("most").preset("nightly")
+
+
+def test_one_preset_per_purpose():
+    # The figures, the grid (full and quick) and the fuzzer: every other
+    # command is a view of the grid and runs no option set of its own.
+    assert PRESETS == ("paper", "bench", "quick", "fuzz")
+    for entry in REGISTRY.values():
+        assert set(entry.presets) <= set(PRESETS), entry.name

@@ -15,8 +15,8 @@ pytestmark = pytest.mark.verify
 class TestVerifyCommand:
     def test_sweep_exits_zero_on_clean_corpus(self, capsys):
         # One scheduler over the smaller corpus keeps this test quick; the
-        # full three-scheduler sweep is `make verify-corpus`.
-        code = main(["verify", "livermore", "--schedulers", "sgi"])
+        # full four-scheduler grid is `make verify-corpus`.
+        code = main(["verify", "livermore", "--schedulers", "sgi", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 error(s)" in out
