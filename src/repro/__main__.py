@@ -7,11 +7,13 @@ Ten subcommands (``SUBCOMMANDS``; each takes ``--help``) sit beside it:
 
 * ``bench [--quick] [<corpus>]`` — the one command that runs the (loop ×
   scheduler) grid, every cell verified and explained, into
-  ``benchmarks/output/BENCH_*.json``; ``--trace`` adds the search-effort
-  table and a validated Chrome trace;
+  ``benchmarks/output/BENCH_*.json`` with the grid's seven-layer verdict
+  (:mod:`repro.exec.verdict`); exits 1 on any error or violation;
+  ``--trace`` adds the search-effort table and a validated Chrome trace;
 * ``verify``, ``explain`` and ``analyze <corpus>`` — views of that grid:
   each runs ``bench <corpus> --quick`` through the result cache and prints
-  from the written ``BENCH_sweep_<corpus>.json``;
+  from the written ``BENCH_sweep_<corpus>.json`` (a subset run's name
+  carries its subset); ``verify`` exits 1 on the json's violations;
 * ``diff <old> <new>`` / ``trend <name>`` — the regression gate over BENCH
   runs and the run-history store;
 * ``report`` — the self-contained ``report.html`` dashboard;
@@ -206,8 +208,9 @@ def _cache_line(report: Mapping[str, Any]) -> str:
 def _grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Dict[str, Any]:
     """The view's grid: run ``repro bench <corpus> --quick`` with the grid
     flags (a warm cache answers every cell) and return the payload read
-    back from the written ``BENCH_sweep_<corpus>.json``, so every number
-    a view prints is that file's."""
+    back from the BENCH json it wrote (``BENCH_sweep_<corpus>.json``, its
+    subset in the name under ``--schedulers`` or ``--limit``), so every
+    number a view prints is that file's."""
     import json
 
     from .exec.bench import BenchOptions, run_sweep
@@ -256,9 +259,9 @@ def _verify_main(argv) -> int:
     """``python -m repro verify <corpus>``: every artifact's diagnostics."""
     vp, args = _parse(
         "verify",
-        "Print the independent verifier's verdict on every artifact of the "
-        "corpus grid (exit 1 on ERROR diagnostics, a functional mismatch or a "
-        "crashed cell).",
+        "Print the independent verifier's diagnostics on every artifact of "
+        "the corpus grid and the grid's seven-layer verdict (exit 1 on any "
+        "violation).",
         argv,
         [
             ("corpus", dict(nargs="?", default="all",
@@ -268,15 +271,11 @@ def _verify_main(argv) -> int:
         ],
         **_GRID,
     )
-    from .verify import SweepEntry, SweepResult
+    from .exec.verdict import format_verify
 
-    sweep = SweepResult(
-        corpus=args.corpus,
-        entries=[SweepEntry.from_cell(_loop_name(res.loop), res)
-                 for res in _cell_results(_grid(vp, args))],
-    )
-    print(sweep.formatted(verbose=args.verbose))
-    return 0 if sweep.ok else 1
+    report = _grid(vp, args)
+    print(format_verify(args.corpus, report, verbose=args.verbose))
+    return 1 if report["totals"]["violations"] else 0
 
 
 def _bench_main(argv) -> int:
@@ -286,12 +285,14 @@ def _bench_main(argv) -> int:
     bp, args = _parse(
         "bench",
         "Run every (loop × scheduler) cell of the corpus grid, verified and "
-        "explained, and write the measurements as a BENCH json.",
+        "explained, and write the measurements and the grid's seven-layer "
+        "verdict as a BENCH json (exit 1 on any cell error or violation).",
         argv,
         [
             ("corpus", dict(nargs="?", help="bench this one corpus (livermore, spec92, "
                             "recbound or all) into BENCH_sweep_<corpus>.json instead of "
-                            "the standard corpora into BENCH_pipeline.json")),
+                            "the standard corpora into BENCH_pipeline.json (a scheduler "
+                            "subset or --limit adds itself to the name)")),
             ("--quick", dict(action="store_true", help="CI smoke configuration: "
                              "livermore + recbound, tighter solver budget")),
             ("--output-dir", dict(default=str(DEFAULT_OUTPUT_DIR), metavar="DIR",
@@ -302,9 +303,6 @@ def _bench_main(argv) -> int:
                              "validated Chrome trace into --trace-dir")),
             ("--trace-dir", dict(metavar="DIR", help="trace output directory (default: "
                                  "<output-dir>/trace; implies --trace)")),
-            ("--profile", dict(action="store_true", help="instead of benching, cProfile "
-                               "each scheduler's cells inline and print the top-20 "
-                               "cumulative-time table per scheduler")),
             ("--no-history", dict(action="store_true",
                                   help="do not file this run in the run-history store")),
         ],
@@ -330,15 +328,6 @@ def _bench_main(argv) -> int:
     )
     if args.cell_timeout is not None:
         options.cell_timeout = args.cell_timeout
-    if args.profile:
-        from .exec.bench import profile_schedulers
-
-        if args.corpus is not None:
-            options.corpora = (args.corpus,)
-        for scheduler, table in profile_schedulers(options).items():
-            print(f"=== cProfile: {scheduler} ===")
-            print(table)
-        return 0
     try:
         if args.corpus is not None:
             report, path = run_sweep(args.corpus, options)
@@ -346,15 +335,20 @@ def _bench_main(argv) -> int:
             report, path = run_pipeline_bench(options)
     except ValueError as exc:  # unknown corpus
         bp.error(str(exc))
+    from .exec.verdict import format_violation
+
     totals = report["totals"]
-    failed = bool(totals["errors"])
+    failed = bool(totals["errors"] or totals["violations"])
     if trace:
         failed = _trace_failed(report) or failed
     print(
         f"\n{totals['cells']} cells in {report['wall_seconds']:.1f}s "
         f"(jobs={report['jobs']}): {totals['timeouts']} timeouts, "
-        f"{totals['fallbacks']} fallbacks, {totals['errors']} errors; {_cache_line(report)}"
+        f"{totals['fallbacks']} fallbacks, {totals['errors']} errors, "
+        f"{len(totals['violations'])} violations; {_cache_line(report)}"
     )
+    for violation in totals["violations"]:
+        print(f"  VIOLATION {format_violation(violation)}")
     print(f"wrote {path}")
     return 1 if failed else 0
 
@@ -439,8 +433,10 @@ def _analyze_main(argv) -> int:
     )
     from .analyze.api import analyze_corpus
 
+    grid = _grid(ap, args)
     report = analyze_corpus(
-        args.corpus, _cell_results(_grid(ap, args)), check=args.check, limit=args.limit,
+        args.corpus, _cell_results(grid), check=args.check, limit=args.limit,
+        violations=grid["totals"]["violations"],
     )
     payload = _json.dumps(
         [e.to_dict() for e in report.entries], indent=1, sort_keys=True
@@ -936,7 +932,7 @@ def main(argv=None) -> int:
             ("--strict", dict(action="store_true", help="run every experiment cell "
                               "with the exec oracle (independent verification and "
                               "functional simulation); exit 1 naming each cell "
-                              "with an ERROR diagnostic or a functional mismatch")),
+                              "the verdict's per-cell layers find wrong")),
             ("--bench-json", dict(action="store_true", help="also write each "
                                   "experiment's cell measurements as "
                                   "benchmarks/output/BENCH_<name>.json")),

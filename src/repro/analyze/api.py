@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
@@ -44,8 +44,8 @@ class LoopAnalysis:
     check_errors: List[str] = field(default_factory=list)
     #: achieved-vs-bound contradictions (BOUND005 findings)
     contradictions: List[str] = field(default_factory=list)
-    #: scheduler -> the last line of its crashed cell's error
-    cell_errors: Dict[str, str] = field(default_factory=dict)
+    #: the grid verdict's violations on this loop ("scheduler kind: detail")
+    violations: List[str] = field(default_factory=list)
     #: cells whose recorded refined_bound differs from schedulable_bound
     bound_mismatches: List[str] = field(default_factory=list)
     checked: bool = False
@@ -61,7 +61,7 @@ class LoopAnalysis:
             self.check_errors
             + self.contradictions
             + self.bound_mismatches
-            + [f"{name} cell error: {error}" for name, error in self.cell_errors.items()]
+            + self.violations
         )
 
     @property
@@ -70,8 +70,8 @@ class LoopAnalysis:
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
-        for key in ("cell_errors", "bound_mismatches"):
-            if not data[key]:  # only a crashed or disagreeing cell adds the key
+        for key in ("violations", "bound_mismatches"):
+            if not data[key]:  # only a violating or disagreeing cell adds the key
                 del data[key]
         return data
 
@@ -116,7 +116,7 @@ class AnalysisReport:
                 if e.spill_rounds.get(scheduler):
                     text += "s"
                 cells += f"  {text:>{widths[scheduler]}}"
-            if e.check_errors or e.cell_errors or e.bound_mismatches:
+            if e.check_errors or e.violations or e.bound_mismatches:
                 status = "FAIL"
             elif e.contradictions:
                 status = "CONTRADICTED"
@@ -181,15 +181,17 @@ def analyze_corpus(
     results: Sequence[Any] = (),
     check: bool = False,
     limit: Optional[int] = None,
+    violations: Sequence[Mapping[str, str]] = (),
 ) -> AnalysisReport:
     """Derive, (optionally) check, and cross-validate bounds for a corpus.
 
-    ``results`` are the grid's cell results (none: bounds only).  A
-    crashed cell fails its loop's row, and so does a cell whose
-    worker-computed ``refined_bound`` differs from the schedulable bound
-    derived here.  ``check=True`` additionally validates every certificate
-    with the independent checker and cross-checks each achieved II
-    against the certified bounds.
+    ``results`` are the grid's cell results (none: bounds only) and
+    ``violations`` its verdict (the BENCH json's ``totals.violations``).
+    A violation fails its loop's row, and so does a cell that ran to the
+    end whose worker-computed ``refined_bound`` differs from the
+    schedulable bound derived here.  ``check=True`` additionally
+    validates every certificate with the independent checker and
+    cross-checks each achieved II against the certified bounds.
     """
     from ..exec.cells import corpus_loop_keys, resolve_loop
 
@@ -214,10 +216,10 @@ def analyze_corpus(
             certificates=len(bounds.certificates),
             bounds=bounds.to_dict(),
         )
+        entry.violations = [f"{v['scheduler']} {v['kind']}: {v['detail']}"
+                            for v in violations if v["loop"] == key]
         for result in by_loop.get(key, ()):
-            if result.error is not None:
-                entry.cell_errors[result.scheduler] = result.error.strip().splitlines()[-1]
-            elif result.refined_bound != bounds.schedulable_bound:
+            if result.error is None and result.refined_bound != bounds.schedulable_bound:
                 entry.bound_mismatches.append(
                     f"{result.scheduler} cell recorded refined_bound "
                     f"{result.refined_bound}, the view derives {bounds.schedulable_bound}"

@@ -167,10 +167,11 @@ def modulo_schedule_bnb(
     are memoized per loop: the driver re-runs the winning configuration
     during bank-grouping repair, and the re-run returns the identical
     result — times *and* search-effort counters — without searching again.
-    Under a live recorder a memo hit replays the stored attempt's
-    ``bnb.*`` counters and its ``bnb.attempt`` event (flagged ``memo``,
-    with no span: nothing was searched), so traced and untraced runs do
-    the same work and count the same effort.
+    Under a live recorder a memo hit counts ``bnb.memo_hits`` and replays
+    the stored attempt's ``bnb.attempt`` event (flagged ``memo``, with no
+    span), but none of its search counters: ``bnb.attempts``,
+    ``bnb.placements``, ``bnb.backtracks`` and ``bnb.prune.*`` count
+    search, not replays.  Traced and untraced runs do the same work.
     """
     config = config or BnBConfig()
     rec = get_recorder()
@@ -203,16 +204,20 @@ def modulo_schedule_bnb(
 
 
 def _record_attempt(rec, loop: Loop, ii: int, result: BnBResult, memo: bool = False) -> None:
-    """Fold one attempt's effort into the live recorder.
+    """Fold one attempt's effort into the live recorder (a memo hit's:
+    only ``bnb.memo_hits``, nothing was searched).
 
     Inner-loop effort is counted with plain integers; it is folded into
     the recorder once per attempt so the hot path stays unobserved.
     """
-    rec.counter("bnb.attempts")
-    rec.counter("bnb.placements", result.placements)
-    rec.counter("bnb.backtracks", result.backtracks)
-    for reason, count in result.prunes.items():
-        rec.counter(f"bnb.prune.{reason}", count)
+    if memo:
+        rec.counter("bnb.memo_hits")
+    else:
+        rec.counter("bnb.attempts")
+        rec.counter("bnb.placements", result.placements)
+        rec.counter("bnb.backtracks", result.backtracks)
+        for reason, count in result.prunes.items():
+            rec.counter(f"bnb.prune.{reason}", count)
     rec.event(
         "bnb.attempt",
         loop=loop.name,

@@ -24,10 +24,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..exec.cache import ScheduleCache
 from ..exec.cells import Cell, CellResult
 from ..exec.engine import ExecEngine
+from ..exec.verdict import check_results
 from ..ir.loop import Loop
 from ..machine.descriptions import r8000
 from ..schedulers import get_scheduler
-from ..verify.diagnostics import Diagnostic, Report, Severity, VerificationError
+from ..verify.diagnostics import Report, VerificationError
 from ..workloads.livermore import LONG_TRIPS, SHORT_TRIPS, livermore_kernels
 from ..workloads.spec92 import Benchmark, spec92_suite
 from .metrics import geometric_mean, weighted_relative_time
@@ -47,7 +48,8 @@ class ExperimentConfig:
     cell_timeout: Optional[float] = None  # hard per-cell deadline (worker-side)
     # Run every cell with the exec oracle (independent verification plus
     # the functional simulation, in the cache key) and fail the experiment
-    # with VerificationError naming each cell it caught.
+    # with VerificationError naming each cell the per-cell layers of the
+    # verdict (repro.exec.verdict) find wrong.
     strict: bool = False
     progress: Optional[Callable[[int, int, Cell, CellResult], None]] = None
 
@@ -72,7 +74,15 @@ class ExperimentConfig:
             return self.engine().run(cells)
         oracled = {cell: replace(cell, oracle=True) for cell in cells}
         results = self.engine().run(list(oracled.values()))
-        _raise_on_oracle_failures(results)
+        # Each cell alone: an experiment's cells of one loop differ in
+        # their options, so only the per-cell layers compare like with like.
+        failed = [
+            f"{cell.label}: {v.kind}: {v.detail}"
+            for cell, result in results.items()
+            for v in check_results({cell.scheduler: result})
+        ]
+        if failed:
+            raise VerificationError(Report(), "\n".join(failed))
         return {cell: results[run] for cell, run in oracled.items()}
 
 
@@ -162,26 +172,6 @@ class _Batch:
 
     def all_results(self) -> List[CellResult]:
         return list(self.results.values())
-
-
-def _raise_on_oracle_failures(results: Dict[Cell, CellResult]) -> None:
-    """A strict batch's verdict: VerificationError naming every cell whose
-    oracle found an ERROR diagnostic or a functional mismatch, one line
-    each; the report holds every ERROR, located by cell."""
-    report = Report()
-    failed: List[str] = []
-    for cell, result in results.items():
-        rules = sorted({line.partition(": ")[0] for line in result.verify_errors})
-        problems = [f"{len(result.verify_errors)} error(s) [{', '.join(rules)}]"] if rules else []
-        if result.funcsim_ok is False:
-            problems.append(f"functional mismatch: {result.funcsim_detail}")
-        if problems:
-            failed.append(f"{cell.label}: {'; '.join(problems)}")
-        for line in result.verify_errors:
-            rule, _, message = line.partition(": ")
-            report.diagnostics.append(Diagnostic(rule, Severity.ERROR, message, where=cell.label))
-    if failed:
-        raise VerificationError(report, "\n".join(failed))
 
 
 # ----------------------------------------------------------------------

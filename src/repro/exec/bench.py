@@ -4,10 +4,14 @@
 the standard corpora, fanned out by :class:`~repro.exec.engine.ExecEngine`,
 timed, and written to ``benchmarks/output/BENCH_pipeline.json`` together
 with solver-budget accounting (timeouts, fallbacks, native-vs-rescued
-schedule time).  ``run_sweep`` is the same machinery pointed at one
-corpus, into the ``BENCH_sweep_<corpus>.json`` that ``repro verify``,
-``explain`` and ``analyze`` print from.  ``write_bench_json`` is reused by
-the experiment CLI to emit per-figure ``BENCH_<figure>.json`` files.
+schedule time) and the run's verdict (``totals.violations``, see
+:mod:`repro.exec.verdict`).  ``run_sweep`` is the same machinery pointed
+at one corpus, into the ``BENCH_sweep_<corpus>.json`` that ``repro
+verify``, ``explain`` and ``analyze`` print from.  A run over a subset of
+the registry's schedulers or loops writes a name that carries the subset
+(``BENCH_sweep_livermore_sgi-rau_limit3.json``), never the whole grid's.
+``write_bench_json`` is reused by the experiment CLI to emit per-figure
+``BENCH_<figure>.json`` files.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .cache import DEFAULT_CACHE_DIR, ScheduleCache
 from .cells import Cell, CellResult, corpus_cells
 from .hashing import code_version
 from .engine import ExecEngine, ProgressFn
+from .verdict import grid_violations
 
 DEFAULT_OUTPUT_DIR = pathlib.Path("benchmarks") / "output"
 
@@ -88,6 +93,17 @@ class BenchOptions:
             return {}
         return REGISTRY[scheduler].preset("quick" if self.quick else "bench")
 
+    def report_name(self, name: str) -> str:
+        """The name this run's BENCH json and history series go under:
+        ``name`` for the whole grid, ``name`` plus the subset for a run
+        over another scheduler set than the registry's or under
+        ``limit``, so a subset never overwrites the whole grid's file."""
+        if set(self.schedulers) != set(REGISTRY):
+            name += "_" + "-".join(self.schedulers)
+        if self.limit is not None:
+            name += f"_limit{self.limit}"
+        return name
+
     def engine(self, progress: Optional[ProgressFn] = None) -> ExecEngine:
         cached = self.cache_dir is not None and not self.trace
         return ExecEngine(
@@ -142,7 +158,9 @@ def print_progress(done: int, total: int, cell: Cell, result: CellResult) -> Non
 
 
 def summarise(results: Sequence[CellResult]) -> Dict:
-    """Aggregate accounting over one run's cell results."""
+    """Aggregate accounting over one run's cell results, and the run's
+    verdict (:func:`~repro.exec.verdict.grid_violations`) as
+    ``violations``."""
     by_sched: Dict[str, Dict] = {}
     for res in results:
         agg = by_sched.setdefault(
@@ -173,18 +191,13 @@ def summarise(results: Sequence[CellResult]) -> Dict:
         if binding:
             bindings = agg.setdefault("bindings", {})
             bindings[binding] = bindings.get(binding, 0) + 1
-        # MOST and portfolio cells: per-backend solve-time columns plus the
-        # agreement verdict over the recorded probe trail.
+        # MOST and portfolio cells: per-backend solve-time columns and the
+        # length of the probe trail the agreement layer judges.
         for name, seconds in (res.backend_seconds or {}).items():
             backends = agg.setdefault("backend_seconds", {})
             backends[name] = backends.get(name, 0.0) + seconds
         if res.backend_probes:
-            from ..portfolio.answer import probe_disagreements
-
             agg["probes"] = agg.get("probes", 0) + len(res.backend_probes)
-            agg["disagreements"] = agg.get("disagreements", 0) + len(
-                probe_disagreements(res.backend_probes)
-            )
 
     totals: Dict = {
         "cells": len(results),
@@ -192,6 +205,7 @@ def summarise(results: Sequence[CellResult]) -> Dict:
         "fallbacks": sum(a["fallbacks"] for a in by_sched.values()),
         "errors": sum(a["errors"] for a in by_sched.values()),
         "cache_hits": sum(1 for r in results if r.cache_hit),
+        "violations": grid_violations(results),
         "by_scheduler": by_sched,
     }
     for key in ("obs", "bindings", "backend_seconds"):
@@ -203,9 +217,6 @@ def summarise(results: Sequence[CellResult]) -> Dict:
             totals[key] = merged
     if "backend_seconds" in totals:
         totals["probes"] = sum(a.get("probes", 0) for a in by_sched.values())
-        totals["disagreements"] = sum(
-            a.get("disagreements", 0) for a in by_sched.values()
-        )
 
     # The paper's §4.7 headline: ILP schedule time over heuristic schedule
     # time, total and restricted to loops the ILP solved natively.
@@ -270,45 +281,6 @@ def figure_report(name: str, results: Sequence[CellResult]) -> Dict:
     }
 
 
-def profile_schedulers(
-    options: Optional[BenchOptions] = None, top: int = 20
-) -> Dict[str, str]:
-    """cProfile every scheduler's bench cells inline; return top-``top`` tables.
-
-    The raw-speed campaign's evidence flag (``repro bench --profile``):
-    each scheduler's full cell grid runs in-process under one
-    :mod:`cProfile` session — no workers, no cache, so the profile covers
-    exactly the cells' work: scheduling, and the verification, explanation
-    and certified bound every bench cell carries — and the cumulative-time
-    top table is returned (and printed by the CLI) per scheduler.  Future
-    hot-path claims are one flag away from evidence.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    from .runner import execute_cell
-
-    options = options or BenchOptions()
-    tables: Dict[str, str] = {}
-    for scheduler in options.schedulers:
-        specs = [
-            cell.to_dict()
-            for cell in bench_cells(options)
-            if cell.scheduler == scheduler
-        ]
-        profiler = cProfile.Profile()
-        profiler.enable()
-        for spec in specs:
-            execute_cell(spec, in_worker=False)
-        profiler.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(top)
-        tables[scheduler] = buffer.getvalue()
-    return tables
-
-
 def merge_trace_dir(trace_dir) -> Optional[pathlib.Path]:
     """Merge per-cell JSONL spools under ``trace_dir`` into one Chrome trace.
 
@@ -331,14 +303,16 @@ def run_pipeline_bench(
     progress: Optional[ProgressFn] = print_progress,
     name: str = "pipeline",
 ) -> Tuple[Dict, pathlib.Path]:
-    """The standard bench: corpora × schedulers, emitted as BENCH_<name>.json."""
+    """The standard bench: corpora × schedulers, emitted as BENCH_<name>.json
+    (``name`` and its subset, see :meth:`BenchOptions.report_name`)."""
     options = options or BenchOptions()
     cells = bench_cells(options)  # an unknown corpus fails before the cache opens
     engine = options.engine(progress)
     start = time.perf_counter()
     results = engine.run(cells)
     report = build_report(
-        name, options, cells, results, time.perf_counter() - start, engine.cache
+        options.report_name(name), options, cells, results,
+        time.perf_counter() - start, engine.cache,
     )
     if options.trace and options.trace_dir:
         merged = merge_trace_dir(options.trace_dir)

@@ -10,11 +10,9 @@ that evidence continuously:
   a declarative ``LoopSpec`` over loop IR with add/remove-op, dependence-
   distance, recurrence-/indirect-toggle and latency-rescale mutators plus
   structure-aware crossover;
-* :mod:`repro.fuzz.oracle` — the layered differential oracle applied to
-  every generated loop, per scheduler and across schedulers: no uncaught
-  exception, independent :mod:`repro.verify` clean, ``II >= MinII``,
-  functional-sim output equal to the sequential reference, and
-  ``II <= II_sgi`` whenever an optimal driver proves optimality;
+* :mod:`repro.fuzz.oracle` — evaluates every generated loop under the
+  seven-layer verdict of :mod:`repro.exec.verdict` (the one judge the
+  bench grid and every gate share), per scheduler and across schedulers;
 * :mod:`repro.fuzz.engine` — the batch loop over the cached parallel
   :mod:`repro.exec` engine, using :func:`repro.obs.counter_signature`
   over search-effort counters (B&B nodes, prune reasons, simplex

@@ -19,9 +19,11 @@ moved:
     field of the cell moved (its seed, trips, timeout or a flag).
 
 Quality rules are strict, pairwise and machine-independent: a raised or
-vanished II, a new timeout/fallback/error, a lost optimality proof, a
-functional simulation that stops matching, new verifier errors, higher
-simulated cycles, or a disappeared cell is a **regression**.  Timing, latency and rate numbers
+vanished II, a new timeout or fallback, a lost optimality proof, higher
+simulated cycles, a disappeared cell, or a violation of the new run's
+verdict (its ``totals.violations``, :mod:`repro.exec.verdict`) that the
+old run lacks is a **regression**; a baseline without a verdict has no
+violations.  Timing, latency and rate numbers
 (schedule time, service latency, micro kernels) are judged by the one
 regression policy in :mod:`repro.obs.trend` (``TOLERANCES``).
 ``python -m repro diff <old> <new> [--strict] [--trend]`` is the CLI.
@@ -34,6 +36,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..exec.verdict import format_violation
 from .history import RunRecord
 from .trend import TrendReport, build_trend, judge
 
@@ -270,6 +273,16 @@ def diff_reports(
         delta = _diff_cell(old_cell, new_cell, code_changed, diff)
         diff.cells.append(delta)
 
+    # The verdict moved: a (cell, layer) the old run did not flag.
+    old_verdict = _verdict(old)
+    for key, violation in _verdict(new).items():
+        if key not in old_verdict:
+            diff.regressions.append(f"new violation: {format_violation(violation)}")
+            for delta in diff.cells:
+                if (delta.loop, delta.scheduler) == key[:2]:
+                    delta.status = "regression"
+                    delta.notes.append(f"new {violation['kind']} violation")
+
     if history is None:
         history = build_trend(diff.new_name, [
             RunRecord.of(old, diff.old_name), RunRecord.of(new, diff.new_name),
@@ -281,6 +294,12 @@ def diff_reports(
     diff.warnings.extend(warnings)
     diff.cells.sort(key=lambda c: (c.loop, c.scheduler))
     return diff
+
+
+def _verdict(payload: Mapping[str, Any]) -> Dict[Tuple[str, str, str], Mapping[str, str]]:
+    """A run's violations by (loop, scheduler, layer)."""
+    return {(v["loop"], v["scheduler"], v["kind"]): v
+            for v in payload.get("totals", {}).get("violations", [])}
 
 
 def _diff_cell(
@@ -327,23 +346,8 @@ def _diff_cell(
             delta.notes.append(f"{flag} cleared")
             delta.deltas[flag] = (old.get(flag), new.get(flag))
             quality_improved = True
-    if new.get("error") and not old.get("error"):
-        diff.regressions.append(f"new error: {label}")
-        delta.deltas["error"] = (old.get("error"), new.get("error"))
-        quality_regressed = True
     if old.get("optimal") and not new.get("optimal"):
         diff.regressions.append(f"optimality proof lost: {label}")
-        quality_regressed = True
-    if old.get("funcsim_ok") is True and new.get("funcsim_ok") is False:
-        diff.regressions.append(f"functional simulation now fails: {label}")
-        delta.deltas["funcsim_ok"] = (True, False)
-        quality_regressed = True
-    old_errors, new_errors = old.get("verify_errors") or [], new.get("verify_errors") or []
-    if new_errors and not old_errors:
-        diff.regressions.append(
-            f"new verifier errors: {label} ({len(new_errors)}, first: {new_errors[0]})"
-        )
-        delta.deltas["verify_errors"] = (0, len(new_errors))
         quality_regressed = True
 
     old_cycles = old.get("sim_cycles", {}) or {}

@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..exec.bench import BenchOptions, summarise, write_bench_json
 from ..exec.cells import CellResult, corpus_loop_keys
 from ..exec.hashing import code_version
+from ..exec.verdict import format_violation
 from ..obs.history import append_history
 from ..obs.provenance import provenance
 from ..obs.service import LatencyStats
@@ -94,8 +95,8 @@ def corpus_spec_tokens(fuzz_corpus_dir) -> List[Tuple[str, str]]:
 def build_request_specs(options: LoadgenOptions) -> List[Dict[str, Any]]:
     """The distinct request payloads of the mix (ids filled in later)."""
     bench = options.bench_options()
-    # The fuzz-derived lanes run the oracle layers, so a verify regression
-    # shows up as a non-empty verify_errors list in BENCH_service.json.
+    # The fuzz-derived lanes run the exec oracle, so a verify or funcsim
+    # regression shows up in BENCH_service.json's totals.violations.
     loops = [
         ({"loop": key}, {"simulate": options.simulate})
         for corpus in options.corpora
@@ -161,36 +162,12 @@ class LoadReport:
     def hit_rate(self) -> Optional[float]:
         return self.hits / self.responses if self.responses else None
 
-    def verify_error_count(self) -> int:
-        return sum(
-            len((r.result or {}).get("verify_errors") or []) for r in self.records
-        )
-
-    def cell_error_count(self) -> int:
-        return sum(1 for r in self.records if (r.result or {}).get("error"))
-
-    def funcsim_failures(self) -> int:
-        return sum(
-            1 for r in self.records if (r.result or {}).get("funcsim_ok") is False
-        )
-
     def latency(self, phase: Optional[str] = None) -> LatencyStats:
         stats = LatencyStats()
         for record in self.records:
             if phase is None or record.phase == phase:
                 stats.record(record.latency_ms)
         return stats
-
-    def ok(self) -> bool:
-        """The serve-smoke gate: no protocol, cell, verify or sim errors."""
-        return (
-            self.protocol_errors == 0
-            and self.responses == len([r for r in self.records])
-            and all(r.ok for r in self.records)
-            and self.cell_error_count() == 0
-            and self.verify_error_count() == 0
-            and self.funcsim_failures() == 0
-        )
 
 
 # ----------------------------------------------------------------------
@@ -363,9 +340,6 @@ def build_service_report(report: LoadReport) -> Dict[str, Any]:
         "concurrency": options.concurrency,
         "distinct_cells": len(cells),
         "protocol_errors": report.protocol_errors,
-        "cell_errors": report.cell_error_count(),
-        "verify_errors": report.verify_error_count(),
-        "funcsim_failures": report.funcsim_failures(),
         "hit_rate": report.hit_rate,
         "hits": report.hits,
         "throughput_rps": (
@@ -392,11 +366,12 @@ def build_service_report(report: LoadReport) -> Dict[str, Any]:
     }
 
 
-def write_service_report(report: LoadReport,
-                         output_dir: Optional[str] = None) -> pathlib.Path:
+def write_service_report(report: LoadReport) -> Tuple[Dict[str, Any], pathlib.Path]:
+    """Write ``BENCH_service.json`` (and file it in the history store);
+    returns the payload and its path."""
     payload = build_service_report(report)
     append_history(payload, history_dir=report.options.history_dir)
-    return write_bench_json(payload, output_dir or report.options.output_dir)
+    return payload, write_bench_json(payload, report.options.output_dir)
 
 
 def format_summary(report: LoadReport) -> str:
@@ -419,10 +394,7 @@ def format_summary(report: LoadReport) -> str:
     hit_rate = report.hit_rate
     lines.append(
         f"cache hit rate {hit_rate:.1%} ({report.hits}/{report.responses}); "
-        f"protocol errors {report.protocol_errors}, "
-        f"cell errors {report.cell_error_count()}, "
-        f"verify errors {report.verify_error_count()}, "
-        f"funcsim failures {report.funcsim_failures()}"
+        f"protocol errors {report.protocol_errors}"
         if hit_rate is not None else "no responses"
     )
     return "\n".join(lines)
@@ -463,8 +435,9 @@ def run_selftest(options: Optional[LoadgenOptions] = None, jobs: int = 2,
     daemon answers match the direct exec engine.
 
     Returns ``(report, bench_path, problems)`` — ``problems`` is the
-    combined gate: protocol/cell/verify errors plus any equivalence
-    mismatches, empty on a clean pass.
+    combined gate: protocol errors, non-ok responses, the violations of
+    the written json's verdict (``totals.violations``) and any
+    equivalence mismatches, empty on a clean pass.
     """
     from .service import ServeConfig
 
@@ -472,7 +445,7 @@ def run_selftest(options: Optional[LoadgenOptions] = None, jobs: int = 2,
     if config is None:
         config = ServeConfig(jobs=jobs)
     report = asyncio.run(_selftest_async(options, config, log))
-    bench_path = write_service_report(report)
+    payload, bench_path = write_service_report(report)
     problems: List[str] = []
     if report.protocol_errors:
         problems.append(f"{report.protocol_errors} protocol errors")
@@ -480,12 +453,7 @@ def run_selftest(options: Optional[LoadgenOptions] = None, jobs: int = 2,
     if bad:
         problems.append(f"{len(bad)} non-ok responses "
                         f"(codes: {sorted({r.error_code for r in bad})})")
-    if report.cell_error_count():
-        problems.append(f"{report.cell_error_count()} cell errors")
-    if report.verify_error_count():
-        problems.append(f"{report.verify_error_count()} verify errors")
-    if report.funcsim_failures():
-        problems.append(f"{report.funcsim_failures()} funcsim failures")
+    problems += [f"violation: {format_violation(v)}" for v in payload["totals"]["violations"]]
     if equivalence:
         log("loadgen: checking daemon results against the direct engine ...")
         problems.extend(check_equivalence(report, jobs=jobs))

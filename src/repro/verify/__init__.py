@@ -22,7 +22,7 @@ Checkers
   and the oracle flag is part of the cell's cache key.
 """
 
-from .api import SweepEntry, SweepResult, result_report, verify_all, verify_result
+from .api import result_report, verify_all, verify_result
 from .bankcheck import check_banks
 from .ddglint import lint_ddg
 from .diagnostics import RULES, Diagnostic, Report, Severity, VerificationError
@@ -35,8 +35,6 @@ __all__ = [
     "Diagnostic",
     "Report",
     "Severity",
-    "SweepEntry",
-    "SweepResult",
     "VerificationError",
     "check_allocation",
     "check_banks",

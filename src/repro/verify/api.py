@@ -1,19 +1,16 @@
-"""One-shot verification API and the corpus-sweep report.
+"""One-shot verification API.
 
 ``verify_all`` runs every applicable checker over the artifacts of one
 pipelined loop; ``result_report`` runs it over whatever one driver
-returned, the one verification a run gets (the exec oracle).
-:class:`SweepResult` is the ``python -m repro verify`` table: one row per
-(loop × pipeliner) exec cell, built from what each cell's oracle found —
-the trust anchor behind the paper's "both emit correct schedules under
-identical constraints" premise.  The cells run in :mod:`repro.exec`;
-nothing here calls a pipeliner.
+returned, the one verification a run gets (the exec oracle).  The
+``python -m repro verify`` table is :func:`repro.exec.verdict
+.format_verify`, printed from a grid's BENCH json; nothing here calls a
+pipeliner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Optional
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
@@ -86,89 +83,3 @@ def result_report(result, machine: Optional[MachineDescription] = None) -> Repor
 
         emitted = emit_pipelined_code(result.schedule, result.allocation)
     return verify_result(result, emitted=emitted, machine=machine)
-
-
-# ----------------------------------------------------------------------
-# Corpus sweeps (the `python -m repro verify <corpus>` report)
-# ----------------------------------------------------------------------
-@dataclass
-class SweepEntry:
-    loop: str
-    scheduler: str
-    ii: Optional[int]
-    success: bool
-    errors: int
-    warnings: int
-    rules: List[str] = field(default_factory=list)
-    #: "RULE: message" lines, the errors first
-    diagnostics: List[str] = field(default_factory=list)
-    #: why the row fails beyond its diagnostics: the cell crashed, or the
-    #: pipelined code computes something else than the loop (empty = neither)
-    failure: str = ""
-
-    @classmethod
-    def from_cell(cls, loop: str, result: Any) -> "SweepEntry":
-        """The row of one exec cell run with ``oracle=True``."""
-        failure = ""
-        if result.error is not None:
-            failure = "cell error: " + result.error.strip().splitlines()[-1]
-        elif result.funcsim_ok is False:
-            failure = "functional mismatch: " + result.funcsim_detail
-        diagnostics = result.verify_errors + result.verify_warnings
-        return cls(
-            loop=loop,
-            scheduler=result.scheduler,
-            ii=result.ii,
-            success=result.success,
-            errors=len(result.verify_errors),
-            warnings=len(result.verify_warnings),
-            rules=sorted({line.partition(":")[0] for line in diagnostics}),
-            diagnostics=diagnostics,
-            failure=failure,
-        )
-
-
-@dataclass
-class SweepResult:
-    corpus: str
-    entries: List[SweepEntry] = field(default_factory=list)
-
-    @property
-    def total_errors(self) -> int:
-        return sum(e.errors for e in self.entries)
-
-    @property
-    def total_warnings(self) -> int:
-        return sum(e.warnings for e in self.entries)
-
-    @property
-    def failures(self) -> List[SweepEntry]:
-        return [e for e in self.entries if e.failure]
-
-    @property
-    def ok(self) -> bool:
-        return self.total_errors == 0 and not self.failures
-
-    def formatted(self, verbose: bool = False) -> str:
-        width = max((len(e.loop) for e in self.entries), default=4)
-        sched = max([5] + [len(e.scheduler) for e in self.entries])
-        lines = [f"verify {self.corpus}: {len(self.entries)} scheduled artifacts"]
-        for e in self.entries:
-            status = "FAIL" if e.errors or e.failure else ("warn" if e.warnings else "ok")
-            ii = f"II={e.ii}" if e.ii is not None else "unscheduled"
-            rules = f"  [{', '.join(e.rules)}]" if e.rules and (verbose or e.errors) else ""
-            lines.append(
-                f"  {e.loop.ljust(width)}  {e.scheduler:<{sched}} {ii:>8}  "
-                f"E={e.errors} W={e.warnings}  {status}{rules}"
-            )
-        failed = len(self.failures)
-        lines.append(
-            f"total: {self.total_errors} error(s), {self.total_warnings} warning(s)"
-            + (f", {failed} failed cell(s)" if failed else "")
-        )
-        for e in self.entries:
-            shown = e.diagnostics if verbose else e.diagnostics[: e.errors]
-            if e.failure or shown:
-                lines.append(f"-- {e.loop}/{e.scheduler}")
-                lines.extend("   " + line for line in [e.failure] + shown if line)
-        return "\n".join(lines)

@@ -241,10 +241,12 @@ class TestScheduleSerialization:
 class TestAttemptMemoUnderRecorder:
     """The attempt memo is used whether or not a recorder is live."""
 
-    #: The ``bnb.*`` counters of a traced ``lk01_hydro × sgi`` cell when a
-    #: live recorder still bypassed the memo (every repeat searched again):
-    #: replayed memo hits must count the same effort.
-    TRACED_COUNTERS = {"bnb.attempts": 8, "bnb.backtracks": 0, "bnb.placements": 83}
+    #: The ``bnb.*`` counters of a traced ``lk01_hydro × sgi`` cell: six
+    #: attempts searched, two repeats answered by the memo (which count
+    #: search, not replays: 62 placements, where counting the replays
+    #: made 8 attempts and 83).
+    TRACED_COUNTERS = {"bnb.attempts": 6, "bnb.backtracks": 0, "bnb.placements": 62,
+                       "bnb.memo_hits": 2}
 
     def test_traced_and_untraced_cells_search_alike(self, monkeypatch):
         from repro.core import bnb
@@ -286,5 +288,24 @@ class TestAttemptMemoUnderRecorder:
         spans = [e for e in rec.events if e["name"] == "bnb" and e["ph"] == "B"]
         assert [e["args"].get("memo", False) for e in attempts] == [False, True]
         assert len(spans) == 1
-        assert rec.counters["bnb.attempts"] == 2
-        assert rec.counters["bnb.placements"] == 2 * first.placements
+        assert rec.counters["bnb.attempts"] == 1
+        assert rec.counters["bnb.memo_hits"] == 1
+        assert rec.counters["bnb.placements"] == first.placements
+
+    def test_placements_count_only_the_attempts_searched(self, machine):
+        from repro.exec.cells import clear_loop_memo, resolve_loop
+        from repro.obs import recording
+        from repro.schedulers import get_scheduler
+
+        clear_loop_memo()  # a fresh loop, so its attempt memo starts empty
+        loop = resolve_loop("livermore:lk09_predict", machine)
+        sgi = get_scheduler("sgi")
+        with recording() as rec:
+            sgi.run(loop, machine, sgi.options_from_dict({}))
+        attempts = [e["args"] for e in rec.events if e["name"] == "bnb.attempt"]
+        searched = [a for a in attempts if not a.get("memo")]
+        assert 0 < len(searched) < len(attempts)  # the run hit the memo
+        assert rec.counters["bnb.placements"] == sum(a["placements"] for a in searched)
+        assert rec.counters["bnb.backtracks"] == sum(a["backtracks"] for a in searched)
+        assert rec.counters["bnb.attempts"] == len(searched)
+        assert rec.counters["bnb.memo_hits"] == len(attempts) - len(searched)

@@ -22,7 +22,7 @@ OPTION_STRINGS = {
     "verify": ["--cache-dir", "--jobs", "--limit", "--no-cache", "--schedulers",
                "--verbose", "-v"],
     "bench": ["--cache-dir", "--cell-timeout", "--history-dir", "--jobs", "--limit",
-              "--no-cache", "--no-history", "--output-dir", "--profile", "--quick",
+              "--no-cache", "--no-history", "--output-dir", "--quick",
               "--schedulers", "--seed", "--trace", "--trace-dir"],
     "explain": ["--cache-dir", "--jobs", "--json", "--limit", "--no-cache",
                 "--schedulers"],

@@ -115,8 +115,6 @@ class TestDiffReports:
         "field, old_value, new_value, message",
         [
             ("optimal", True, False, "optimality proof lost"),
-            ("funcsim_ok", True, False, "functional simulation now fails"),
-            ("verify_errors", [], ["SCHED001 resource conflict"], "new verifier errors"),
         ],
     )
     def test_lost_proof_and_oracle_failures_are_regressions(
@@ -134,6 +132,30 @@ class TestDiffReports:
         for value in (old_value, new_value):
             same = _payload([_cell(**{field: value})])
             assert diff_reports(same, same).ok
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("funcsim_ok", False, "funcsim"),
+        ("verify_errors", ["SCHED001: resource conflict"], "verify"),
+        ("error", "Traceback\nRuntimeError: boom", "crash"),
+    ])
+    def test_a_new_violation_of_the_verdict_is_a_regression(self, field, value, kind):
+        from repro.exec.bench import summarise
+
+        def with_verdict(cells):
+            return {**_payload(cells), "totals": summarise(
+                [CellResult.from_dict(c) for c in cells])}
+
+        clean = with_verdict([_cell(), _cell(loop="b")])
+        broken = with_verdict([_cell(**{field: value}), _cell(loop="b")])
+        diff = diff_reports(clean, broken)
+        (regression,) = diff.regressions
+        assert regression.startswith(f"new violation: a × sgi: {kind}: ")
+        assert [c.loop for c in diff.cells if c.status == "regression"] == ["a"]
+        # A violation both runs share, or one a run cleared, is no news;
+        # a baseline written before the verdict reads as clean.
+        assert diff_reports(broken, broken).ok
+        assert diff_reports(broken, clean).ok
+        assert not diff_reports(_payload(clean["cells"]), broken).ok
 
     def test_a_proof_gained_or_an_oracle_not_run_is_no_regression(self):
         old = _payload([_cell(optimal=False, funcsim_ok=True)])
@@ -237,6 +259,15 @@ class TestLoadAndCli:
         assert diff_main([str(old), str(regressed)]) == 0
         out = capsys.readouterr().out
         assert "REGRESSION" in out
+
+    def test_strict_fails_on_a_new_violation(self, tmp_path, capsys):
+        old = self._write(tmp_path, "old.json", _payload([_cell()]))
+        violation = {"loop": "a", "scheduler": "sgi", "kind": "agreement",
+                     "detail": "II=4: cp answered sat but ilp answered unsat"}
+        new = self._write(tmp_path, "new.json", {
+            **_payload([_cell()]), "totals": {"violations": [violation]}})
+        assert diff_main([str(old), str(new), "--strict"]) == 1
+        assert "REGRESSION: new violation: a × sgi: agreement: II=4" in capsys.readouterr().out
 
     def test_json_output(self, tmp_path):
         old = self._write(tmp_path, "old.json", _payload([_cell()]))

@@ -108,7 +108,7 @@ class TestBenchEmission:
             output_dir=tmp_path,
         )
         report, path = run_sweep("livermore", options, progress=None)
-        assert path == tmp_path / "BENCH_sweep_livermore.json"
+        assert path == tmp_path / "BENCH_sweep_livermore_rau.json"
         payload = json.loads(path.read_text())
         assert payload["totals"]["cells"] == 24
         assert payload["totals"]["errors"] == 0

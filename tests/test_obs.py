@@ -296,9 +296,10 @@ class TestEffortReport:
 
 class TestExecTraceIntegration:
     def test_execute_cell_folds_obs_and_writes_spool(self, tmp_path):
-        from repro.exec.cells import Cell
+        from repro.exec.cells import Cell, clear_loop_memo
         from repro.exec.runner import execute_cell
 
+        clear_loop_memo()  # a fresh loop: its B&B attempts search, not hit the memo
         cell = Cell.make(
             "livermore:lk03_inner", "sgi", simulate=False,
             trace=True, trace_dir=str(tmp_path),
@@ -341,8 +342,10 @@ class TestExecTraceIntegration:
 
     def test_bench_summary_folds_obs_counters(self, tmp_path):
         from repro.exec.bench import BenchOptions, bench_cells, summarise
+        from repro.exec.cells import clear_loop_memo
         from repro.exec.engine import ExecEngine
 
+        clear_loop_memo()  # a fresh loop: its B&B attempts search, not hit the memo
         options = BenchOptions(
             corpora=("livermore",), schedulers=("sgi",), cache_dir=None,
             trace=True, trace_dir=str(tmp_path),
@@ -396,11 +399,14 @@ class TestBenchTraceCLI:
         assert isinstance(payload, list) and payload
 
     def test_a_warm_cache_still_traces_into_this_runs_directory(self, tmp_path, capsys):
+        from repro.exec.cells import clear_loop_memo
+
         for name in ("T1", "T2"):
+            clear_loop_memo()  # each run's loops fresh, as in its own process
             assert self._bench(tmp_path, "recbound", "--schedulers", "sgi",
                                "--trace-dir", str(tmp_path / name)) == 0
         capsys.readouterr()
-        report = json.loads((tmp_path / "out" / "BENCH_sweep_recbound.json").read_text())
+        report = json.loads((tmp_path / "out" / "BENCH_sweep_recbound_sgi.json").read_text())
         assert report["trace"] == str(tmp_path / "T2" / "trace.json")
         assert report["cache"] is None
         assert len(list((tmp_path / "T2").glob("*.jsonl"))) == 6

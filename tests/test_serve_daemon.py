@@ -298,6 +298,32 @@ def test_selftest_loadgen_matches_direct_engine(tmp_path):
         assert "p50_ms" in cell["service_latency_ms"]
 
 
+def test_selftest_problems_name_the_verdicts_violations(tmp_path, monkeypatch):
+    """A seeded register clobber rides one request: the selftest fails,
+    and its problem list is the written json's verdict, cell by cell."""
+    import repro.serve.loadgen as loadgen
+
+    real = loadgen.build_request_specs
+
+    def one_clobbered_request(options):
+        (spec,) = real(options)[:1]
+        return [{**spec, "oracle": True,
+                 "options": {**spec["options"], "_test_inject": "reg-clobber"}}]
+
+    monkeypatch.setattr(loadgen, "build_request_specs", one_clobbered_request)
+    options = LoadgenOptions(
+        requests=2, concurrency=1, corpora=("livermore",), schedulers=("sgi",),
+        fuzz_corpus_dir=None, budget=30.0, output_dir=str(tmp_path),
+    )
+    _, path, problems = run_selftest(options, jobs=1)
+    violations = json.loads(path.read_text())["totals"]["violations"]
+    assert {v["kind"] for v in violations} >= {"verify", "funcsim"}
+    assert problems == [
+        f"violation: livermore:lk01_hydro × sgi: {v['kind']}: {v['detail']}"
+        for v in violations
+    ]
+
+
 def test_service_bench_diffs_cleanly_against_itself(tmp_path):
     """BENCH_service.json must ride the existing diff gate: a run diffed
     against itself is regression-free, and latency moves only warn."""

@@ -50,9 +50,8 @@ def test_verify_reports_a_crashed_cell_as_one_failed_row(rau_crashes_on_one_loop
                 assert "unscheduled" in line and line.endswith("FAIL")
             else:
                 assert "II=" in line and "FAIL" not in line
-    assert f"-- {CRASHED}/rau" in out
-    assert "cell error: RuntimeError: seeded driver crash" in out
-    assert "1 failed cell(s)" in out
+    assert f"-- {CRASHED}/rau\n   crash: RuntimeError: seeded driver crash" in out
+    assert "1 violation(s)" in out
 
 
 def test_analyze_reports_a_crashed_cell_as_one_failed_row(rau_crashes_on_one_loop, capsys):
@@ -62,7 +61,7 @@ def test_analyze_reports_a_crashed_cell_as_one_failed_row(rau_crashes_on_one_loo
     for loop in LOOPS:
         line = _line(out, loop)
         assert line.endswith("FAIL" if loop == CRASHED else "ok"), line
-    assert f"!! {CRASHED}: rau cell error: RuntimeError: seeded driver crash" in out
+    assert f"!! {CRASHED}: rau crash: RuntimeError: seeded driver crash" in out
 
 
 def test_explain_reports_a_crashed_cell_as_one_row(rau_crashes_on_one_loop, capsys):

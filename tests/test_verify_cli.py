@@ -7,7 +7,7 @@ import pytest
 from repro.__main__ import main
 from repro.exec.cache import ScheduleCache
 from repro.exec.cells import Cell, corpus_loop_keys
-from repro.verify.api import SweepEntry, SweepResult
+from repro.exec.verdict import format_verify
 
 pytestmark = pytest.mark.verify
 
@@ -45,19 +45,25 @@ class TestVerifyCommand:
         )
 
 
-class TestSweepResult:
-    def test_exit_status_tracks_errors(self):
-        sweep = SweepResult(corpus="x")
-        sweep.entries.append(
-            SweepEntry(loop="l", scheduler="sgi", ii=2, success=True, errors=0, warnings=1)
-        )
-        assert sweep.ok
-        sweep.entries.append(
-            SweepEntry(loop="m", scheduler="rau", ii=3, success=True, errors=2, warnings=0)
-        )
-        assert not sweep.ok
-        text = sweep.formatted()
-        assert "FAIL" in text and "warn" in text
+class TestFormatVerify:
+    def test_rows_fail_where_the_verdict_names_the_cell(self):
+        def cell(loop, scheduler, errors=(), warnings=()):
+            return {"loop": f"x:{loop}", "scheduler": scheduler, "ii": 2,
+                    "verify_errors": list(errors), "verify_warnings": list(warnings)}
+
+        report = {
+            "cells": [cell("l", "sgi", warnings=["BANK001: w"]),
+                      cell("m", "rau", errors=["SCHED001: e", "REG001: f"])],
+            "totals": {"violations": [
+                {"loop": "x:m", "scheduler": "rau", "kind": "verify", "detail": "SCHED001: e"},
+            ]},
+        }
+        text = format_verify("x", report)
+        assert "E=0 W=1  warn" in text and "E=2 W=0  FAIL  [REG001, SCHED001]" in text
+        assert "total: 2 error(s), 1 warning(s), 1 violation(s)" in text
+        assert "-- m/rau\n   verify: SCHED001: e\n   SCHED001: e\n   REG001: f" in text
+        assert "BANK001: w" not in text.partition("total:")[2]
+        assert "   BANK001: w" in format_verify("x", report, verbose=True)
 
 
 #: A one-cell experiment's cell: the register allocation is corrupted after
@@ -92,7 +98,7 @@ class TestStrictFlag:
         assert main(["one-cell", "--strict"]) == 1
         err = capsys.readouterr().err
         assert FAULT.label in err
-        assert "REG002" in err and "functional mismatch" in err
+        assert "verify: REG002" in err and "funcsim: " in err
 
     def test_without_strict_no_cell_is_verified(self, monkeypatch, capsys):
         seen = _one_cell_experiment(monkeypatch, FAULT)
