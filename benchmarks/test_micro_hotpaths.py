@@ -1,13 +1,14 @@
 """Pinned-seed microbenchmarks of the scheduler hot paths (perf CI lane).
 
-Eleven timed kernels cover the inner loops the raw-speed campaign
+Twelve timed kernels cover the inner loops the raw-speed campaign
 optimized — reservation-table probing, distance-table construction and
 query, the RecMII search, two budget-stopped branch-and-bound attempts
 (one with bank pairing) — and the
 per-cell layers every scheduled loop pays for: register allocation
 (renaming, bitset interference, colouring), the banked-memory
 performance simulation (fast-forwarded and walked), the functional
-oracle, the independent verifier and the emitter.
+oracle, the independent verifier and the emitter, and the whole oracle
+once more on a generated body, the shape where it outweighs the solver.
 A per-PR time series of ``schedule_seconds`` thus exists below the full
 bench grid's noise floor.
 
@@ -56,6 +57,7 @@ from repro.obs.export import atomic_write_text  # noqa: E402
 from repro.pipeline.emit import emit_pipelined_code  # noqa: E402
 from repro.regalloc.coloring import allocate  # noqa: E402
 from repro.regalloc.rename import rename_kernel  # noqa: E402
+from repro.schedulers import get_scheduler  # noqa: E402
 from repro.sim.functional import run_pipelined, run_sequential  # noqa: E402
 from repro.sim.layout import DataLayout  # noqa: E402
 from repro.sim.perf import simulate_pipelined  # noqa: E402
@@ -213,6 +215,28 @@ def bench_emit() -> None:
     emit_pipelined_code(result.schedule, result.allocation)
 
 
+@functools.lru_cache(maxsize=None)
+def _generated_result():
+    """The portfolio's CP-only result for the 40-op recurrent body, as the
+    e2e ``generated-cp`` workload schedules its loops; computed once per
+    process."""
+    scheduler = get_scheduler("portfolio")
+    options = scheduler.options_from_dict({"backends": "cp", "max_nodes": 2000})
+    return scheduler.run(_recurrent_body(), r8000(), options)
+
+
+def bench_oracle_generated() -> None:
+    """The whole oracle on that result: emission, independent verification
+    and both functional runs on one fresh layout at the oracle's trip count."""
+    result = _generated_result()
+    emitted = emit_pipelined_code(result.schedule, result.allocation)
+    verify_result(result, emitted=emitted, machine=result.schedule.machine)
+    trips = min(64, max(12, 3 * result.schedule.n_stages))
+    layout = DataLayout(result.loop, trip_count=trips)
+    run_sequential(result.loop, layout, trips)
+    run_pipelined(result.schedule, result.allocation, layout, trips)
+
+
 BENCHES: Dict[str, Callable[[], None]] = {
     "mrt_fits_place_remove": bench_mrt_fits_place_remove,
     "scc_distances": bench_scc_distances,
@@ -225,6 +249,7 @@ BENCHES: Dict[str, Callable[[], None]] = {
     "funcsim": bench_funcsim,
     "oracle_verify": bench_oracle_verify,
     "emit": bench_emit,
+    "oracle_generated": bench_oracle_generated,
 }
 
 

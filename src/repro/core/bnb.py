@@ -203,6 +203,17 @@ def modulo_schedule_bnb(
     return result
 
 
+def forget_attempts(loop: Loop) -> None:
+    """Drop ``loop``'s memo of completed attempts.
+
+    A cell that searches a loop an earlier cell of its process already
+    searched would otherwise replay those attempts and count no search
+    effort for them.  The per-II plans and distance tables stay: they are
+    precompute, not search, and count nothing.
+    """
+    vars(loop.ddg).pop("_bnb_attempt_memo", None)
+
+
 def _record_attempt(rec, loop: Loop, ii: int, result: BnBResult, memo: bool = False) -> None:
     """Fold one attempt's effort into the live recorder (a memo hit's:
     only ``bnb.memo_hits``, nothing was searched).

@@ -168,6 +168,7 @@ def summarise(results: Sequence[CellResult]) -> Dict:
             {
                 "cells": 0,
                 "schedule_seconds": 0.0,
+                "oracle_seconds": 0.0,
                 "wall_seconds": 0.0,
                 "timeouts": 0,
                 "fallbacks": 0,
@@ -178,6 +179,7 @@ def summarise(results: Sequence[CellResult]) -> Dict:
         )
         agg["cells"] += 1
         agg["schedule_seconds"] += res.schedule_seconds
+        agg["oracle_seconds"] += res.oracle_seconds
         agg["wall_seconds"] += res.wall_seconds
         agg["timeouts"] += int(res.timeout)
         agg["fallbacks"] += int(res.fallback)

@@ -296,7 +296,9 @@ class CellResult:
     ``sim_cycles`` maps a trip-count label (``"default"`` or the decimal
     trip count) to simulated cycles including pipeline overhead.
     ``schedule_seconds`` is the scheduler-reported search time;
-    ``wall_seconds`` the worker's wall clock for the whole cell.
+    ``wall_seconds`` the worker's wall clock for the whole cell;
+    ``oracle_seconds`` the wall clock around the oracle's layers (0.0 when
+    the cell ran without ``oracle``).
     """
 
     loop: str
@@ -309,6 +311,7 @@ class CellResult:
     min_ii: int = 0
     schedule_seconds: float = 0.0
     sched_wall_seconds: float = 0.0  # wall clock around the scheduler call only
+    oracle_seconds: float = 0.0  # wall clock around the oracle's layers only
     wall_seconds: float = 0.0
     timeout: bool = False
     fallback: bool = False

@@ -37,6 +37,7 @@ import time
 import traceback
 from typing import Dict, List, Optional
 
+from ..core.bnb import forget_attempts
 from ..core.driver import FALLBACK_OPTIONS
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs.export import write_jsonl
@@ -49,10 +50,11 @@ class CellTimeout(Exception):
     """Raised inside a worker when a cell exceeds its wall-clock deadline."""
 
 
-#: The machine every cell of this process runs on.  The search memos a
-#: loop carries key the machine by identity, so one description lets the
-#: cells of a loop share them: an optimal driver's heuristic fallback
-#: replays the searches of the loop's own sgi cell instead of repeating them.
+#: The machine every cell of this process runs on.  The search precompute a
+#: loop carries (MinII, per-II plans, distance tables) keys the machine by
+#: identity, so one description lets the cells of a loop share it.  Its
+#: memo of completed B&B attempts is dropped when a cell starts, so each
+#: cell counts the search it needs whatever its process ran before.
 MACHINE = r8000()
 
 
@@ -196,7 +198,9 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
                 result.schedule, result.allocation, machine
             ).total
     if cell.oracle:
+        oracle_start = time.perf_counter()
         _apply_oracle(cell, result, machine, out)
+        out.oracle_seconds = time.perf_counter() - oracle_start
     if cell.explain:
         from ..obs.explain import explain_result
 
@@ -351,6 +355,7 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
         out.error = traceback.format_exc()
         out.wall_seconds = time.perf_counter() - start
         return out.to_dict()
+    forget_attempts(loop)
 
     rec = TraceRecorder(process_name=f"repro worker {os.getpid()}") if cell.trace else None
     deadline = (

@@ -50,8 +50,12 @@ DELTA_FIELDS = (
     "n_stages",
     "optimal",
     "schedule_seconds",
+    "oracle_seconds",
     "wall_seconds",
 )
+
+#: The machine-dependent fields among them: a delta of these alone is noise.
+TIMING_FIELDS = ("schedule_seconds", "oracle_seconds", "wall_seconds")
 
 
 def load_bench(path, name: str = "pipeline") -> Dict[str, Any]:
@@ -379,15 +383,12 @@ def _diff_cell(
     elif delta.deltas:
         # Only machine-dependent fields moved (timings, or register/
         # overhead jitter without a cycle-count consequence).
-        only_time = all(
-            name in ("schedule_seconds", "wall_seconds")
-            for name in delta.deltas
-        )
+        only_time = all(name in TIMING_FIELDS for name in delta.deltas)
         delta.status = "noise" if only_time and delta.cause == "identical-inputs" else "changed"
     if delta.status == "changed" and delta.cause == "identical-inputs":
         # Same inputs, different non-timing outputs: nondeterminism.
         diff.warnings.append(
             f"nondeterministic outputs for {label}: "
-            + ", ".join(sorted(set(delta.deltas) - {"schedule_seconds", "wall_seconds"}))
+            + ", ".join(sorted(set(delta.deltas) - set(TIMING_FIELDS)))
         )
     return delta

@@ -13,7 +13,7 @@ schedules directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.sched import Schedule
 from ..ir.loop import Loop
@@ -48,55 +48,44 @@ class PipelinedCode:
         return "\n".join(parts)
 
 
-def _register_name(colors: Dict[str, Tuple[str, int]], key: str) -> str:
-    cls, color = colors[key]
-    prefix = "$f" if cls == "fp" else "$r"
-    return f"{prefix}{color}"
-
-
-def _operand(
-    loop: Loop,
-    colors: Dict[str, Tuple[str, int]],
-    defs: Dict[str, int],
-    value: str,
-    iteration: int,
-    kmin: int,
-) -> str:
-    if value not in defs:
-        return _register_name(colors, f"{value}@in")
-    return _register_name(colors, f"{value}@{iteration % kmin}")
+def _line_tail(loop: Loop, op_index: int) -> str:
+    """What follows an op's registers on each of its lines, up to the
+    iteration offset: its memory reference and its op number."""
+    op = loop.ops[op_index]
+    mem = ""
+    if op.mem is not None:
+        off = "?" if op.mem.offset is None else str(op.mem.offset)
+        mem = f" [{op.mem.base}+{off}+i*{op.mem.stride}]"
+    return f"{mem}  ; op{op_index} iter{{i"
 
 
 def _format_op(
     loop: Loop,
-    colors: Dict[str, Tuple[str, int]],
+    registers: Dict[str, str],
     defs: Dict[str, int],
     omegas: Dict[int, List[int]],
     op_index: int,
     replica: int,
     kmin: int,
+    tail: str,
 ) -> str:
     """An instance's line up to its iteration offset.
 
     Registers depend on the iteration only modulo ``kmin``, so one text
     serves every instance of ``op_index`` in kernel copy ``replica``.
+    ``registers`` names each renamed range's physical register; ``tail``
+    is the op's :func:`_line_tail`.
     """
     op = loop.ops[op_index]
     srcs = [
-        _operand(loop, colors, defs, src, replica - omegas[op_index][pos], kmin)
+        registers[f"{src}@in"]
+        if src not in defs
+        else registers[f"{src}@{(replica - omegas[op_index][pos]) % kmin}"]
         for pos, src in enumerate(op.srcs)
     ]
-    dest = (
-        _operand(loop, colors, defs, op.dest, replica, kmin) + " <- "
-        if op.dests
-        else ""
-    )
-    mem = ""
-    if op.mem is not None:
-        off = "?" if op.mem.offset is None else str(op.mem.offset)
-        mem = f" [{op.mem.base}+{off}+i*{op.mem.stride}]"
+    dest = registers[f"{op.dest}@{replica}"] + " <- " if op.dests else ""
     body = f"{op.opcode} {dest}{', '.join(srcs)}".rstrip(" ,")
-    return f"    {body}{mem}  ; op{op_index} iter{{i"
+    return f"    {body}{tail}"
 
 
 def emit_pipelined_code(schedule: Schedule, allocation: AllocationResult) -> PipelinedCode:
@@ -109,63 +98,67 @@ def emit_pipelined_code(schedule: Schedule, allocation: AllocationResult) -> Pip
     from ..sim.functional import _use_omegas
 
     omegas = _use_omegas(loop)
-    colors: Dict[str, Tuple[str, int]] = {}
+    registers: Dict[str, str] = {}
     for name, color in allocation.fp_assignment.items():
-        colors[name] = ("fp", color)
+        registers[name] = f"$f{color}"
     for name, color in allocation.int_assignment.items():
-        colors[name] = ("int", color)
+        registers[name] = f"$r{color}"
 
-    texts: Dict[Tuple[int, int], str] = {}  # (op, iteration % kmin) -> line head
+    # Line heads by op and replica (iteration % kmin), formatted on first
+    # use; line tails by iteration.
+    heads: List[List[Optional[str]]] = [[None] * kmin for _ in loop.ops]
+    op_tails = [_line_tail(loop, op.index) for op in loop.ops]
+    tails = [f"{n:+d}}}" for n in range(stages + kmin)]
 
-    def bundle(instances: List[Tuple[int, int]], cycle_label: str) -> List[str]:
-        lines = [f"  {cycle_label}:"]
-        for op_index, iteration in sorted(instances):
-            key = (op_index, iteration % kmin)
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = _format_op(loop, colors, defs, omegas, *key, kmin)
-            lines.append(f"{text}{iteration:+d}}}")
+    # Instance (op, n) issues at cycle t(op) + n*II, so a cycle's instances
+    # are the ops of its modulo slot, in op order, each at iteration
+    # (cycle - t) / II: no bucket to fill, no bundle to sort.
+    by_slot: List[List[Tuple[int, int]]] = [[] for _ in range(ii)]
+    for op in loop.ops:
+        t = schedule.time(op.index)
+        by_slot[t % ii].append((op.index, t))
+
+    def bundle(cycle: int, iterations: int) -> List[str]:
+        """The lines of ``cycle``'s instances among iterations 0 .. iterations - 1."""
+        lines = []
+        for op_index, t in by_slot[cycle % ii]:
+            iteration = (cycle - t) // ii
+            if 0 <= iteration < iterations:
+                replica = iteration % kmin
+                head = heads[op_index][replica]
+                if head is None:
+                    head = heads[op_index][replica] = _format_op(
+                        loop, registers, defs, omegas, op_index, replica, kmin, op_tails[op_index]
+                    )
+                lines.append(head + tails[iteration])
         return lines
 
-    # Prologue: cycles before the steady state.  The steady state begins
-    # once iteration (stages-1) starts, i.e. at time (stages-1)*II.
-    prologue: List[str] = []
+    # Prologue and kernel: the cycles before the steady state, which begins
+    # once iteration (stages-1) starts, i.e. at time (stages-1)*II, then
+    # kmin*II cycles of it, with iteration offsets relative to the oldest
+    # in-flight iteration.  Epilogue: drain -- the final (stages-1)
+    # iterations' leftover stages, at cycles counted from the end of the
+    # steady state.
     steady_start = (stages - 1) * ii
-    events: Dict[int, List[Tuple[int, int]]] = {}
-    for op in loop.ops:
-        # Enough iterations to cover the fill plus one full unrolled kernel.
-        for n in range(stages + kmin):
-            events.setdefault(schedule.time(op.index) + n * ii, []).append((op.index, n))
+    prologue: List[str] = []
     for cycle in range(steady_start):
-        instances = events.get(cycle, [])
-        if instances:
-            prologue.extend(bundle(instances, f"fill+{cycle}"))
-
-    # Kernel: kmin*II cycles of the steady state, expressed with iteration
-    # offsets relative to the oldest in-flight iteration.
+        lines = bundle(cycle, stages + kmin)
+        if lines:
+            prologue.append(f"  fill+{cycle}:")
+            prologue += lines
     kernel: List[str] = []
     for u in range(kmin):
         for slot in range(ii):
-            cycle = steady_start + u * ii + slot
-            instances = events.get(cycle, [])
-            shown = [
-                (op_index, n)
-                for op_index, n in instances
-            ]
-            if shown:
-                kernel.extend(bundle(shown, f"kernel[{u}]+{slot}"))
-
-    # Epilogue: drain — the final (stages-1) iterations' leftover stages.
+            lines = bundle(steady_start + u * ii + slot, stages + kmin)
+            if lines:
+                kernel.append(f"  kernel[{u}]+{slot}:")
+                kernel += lines
     epilogue: List[str] = []
-    drain_events: Dict[int, List[Tuple[int, int]]] = {}
-    total = stages - 1  # iterations still in flight when issue stops
-    for op in loop.ops:
-        for n in range(total):
-            t = schedule.time(op.index) + n * ii
-            if t >= steady_start:
-                drain_events.setdefault(t - steady_start, []).append((op.index, n))
-    for cycle in sorted(drain_events):
-        epilogue.extend(bundle(drain_events[cycle], f"drain+{cycle}"))
+    for cycle in range(steady_start):
+        lines = bundle(steady_start + cycle, stages - 1)
+        if lines:
+            epilogue.append(f"  drain+{cycle}:")
+            epilogue += lines
 
     return PipelinedCode(
         prologue=prologue,

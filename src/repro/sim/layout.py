@@ -44,6 +44,7 @@ class DataLayout:
         # every run on it (a check's sequential and pipelined runs, the
         # simulator's indirect streams) hashes each one once.
         self._addresses: Dict[Tuple[int, int], int] = {}
+        self._streams: Dict[Tuple[int, int], List[int]] = {}
         self._initial: Dict[int, float] = {}
         cursor = 0x1000_0000
         extents: Dict[str, Tuple[int, int]] = {}
@@ -82,6 +83,19 @@ class DataLayout:
         if addr is None:
             addr = self._addresses[op_index, iteration] = self._address(op_index, iteration)
         return addr
+
+    def addresses(self, op_index: int, trips: int) -> List[int]:
+        """``address(op_index, n)`` for every iteration ``n < trips``."""
+        stream = self._streams.get((op_index, trips))
+        if stream is None:
+            m = self.loop.ops[op_index].mem
+            if m is not None and m.is_direct:
+                base_addr = self.bases[m.base]
+                stream = [m.address(base_addr, n) for n in range(trips)]
+            else:
+                stream = [self.address(op_index, n) for n in range(trips)]
+            self._streams[op_index, trips] = stream
+        return stream
 
     def _address(self, op_index: int, iteration: int) -> int:
         m = self.loop.ops[op_index].mem

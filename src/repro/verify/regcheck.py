@@ -17,65 +17,38 @@ interference-free and within the register files:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..ir.ddg import DepKind
 from ..ir.loop import Loop
-from ..ir.operations import OpClass, RegClass, result_reg_class
+from ..ir.operations import RegClass
 from ..machine.descriptions import MachineDescription
 from .diagnostics import Report, Severity
 
 
-class _Range:
-    """A rebuilt cyclic live interval (independent of regalloc.rename)."""
-
-    __slots__ = ("name", "value", "start", "length")
-
-    def __init__(self, name: str, value: str, start: int, length: int):
-        self.name = name
-        self.value = value
-        self.start = start
-        self.length = length
-
-    def overlaps(self, other: "_Range", period: int) -> bool:
-        if self.length >= period or other.length >= period:
-            return True
-        return ((other.start - self.start) % period) < self.length or (
-            (self.start - other.start) % period
-        ) < other.length
-
-
-def _reg_class_of(loop: Loop, value: str) -> RegClass:
-    for op in loop.ops:
-        if value in op.dests:
-            return result_reg_class(op.opclass)
-    int_classes = (OpClass.IALU, OpClass.IMUL, OpClass.BRANCH)
-    users = [op for op in loop.ops if value in op.srcs]
-    if users and all(op.opclass in int_classes for op in users):
-        return RegClass.INT
-    return RegClass.FP
-
-
 def _lifetimes(loop: Loop, ii: int, times: Mapping[int, int]) -> Dict[str, int]:
     """Value -> lifetime in cycles, straight from flow arcs and issue times."""
-    lifetimes: Dict[str, int] = {}
     defs: Dict[str, int] = {}
     for op in loop.ops:
         for d in op.dests:
             defs[d] = op.index
+    # Furthest use of each value over its definer's flow arcs, in one pass.
+    ends: Dict[str, int] = {}
+    for arc in loop.ddg.arcs:
+        if arc.kind is not DepKind.FLOW or arc.dst not in times:
+            continue
+        if defs.get(arc.value, -1) != arc.src:
+            continue
+        use = times[arc.dst] + ii * arc.omega
+        end = ends.get(arc.value)
+        if end is None or use > end:
+            ends[arc.value] = use
+    lifetimes: Dict[str, int] = {}
     for value, d in defs.items():
         if d not in times:
             continue  # schedule coverage problems are SCHED003's job
-        end: Optional[int] = None
-        for arc in loop.ddg.arcs:
-            if arc.kind is not DepKind.FLOW or arc.value != value or arc.src != d:
-                continue
-            if arc.dst not in times:
-                continue
-            use = times[arc.dst] + ii * arc.omega
-            end = use if end is None else max(end, use)
         start = times[d]
-        lifetimes[value] = max((end if end is not None else start + 1) - start, 1)
+        lifetimes[value] = max(ends.get(value, start + 1) - start, 1)
     return lifetimes
 
 
@@ -112,75 +85,79 @@ def check_allocation(
         kmin = kmin_required  # rebuild ranges at the sound factor anyway
     period = kmin * ii
 
-    # Rebuild the renamed ranges.  Names follow the renaming contract
-    # ("value@replica", "value@in") — that contract *is* the artifact's
-    # interface, so a missing or differently named range is a finding.
-    ranges: List[Tuple[_Range, RegClass]] = []
+    # Rebuild the renamed ranges, as (name, value, start, length).  Names
+    # follow the renaming contract ("value@replica", "value@in") — that
+    # contract *is* the artifact's interface, so a missing or differently
+    # named range is a finding.
+    ranges: List[Tuple[str, str, int, int]] = []
     defs = {d: op.index for op in loop.ops for d in op.dests}
     for value, life in lifetimes.items():
-        cls = _reg_class_of(loop, value)
         start = times[defs[value]]
-        for r in range(kmin):
-            ranges.append(
-                (_Range(f"{value}@{r}", value, (start + r * ii) % period, life), cls)
-            )
+        ranges += [(f"{value}@{r}", value, (start + r * ii) % period, life) for r in range(kmin)]
+    read = {src for op in loop.ops for src in op.srcs}
     for value in sorted(loop.live_in):
         if value in defs:
             continue  # recurrences: the in-loop definition owns the register
-        if not any(value in op.srcs for op in loop.ops):
-            continue
-        ranges.append((_Range(f"{value}@in", value, 0, period), _reg_class_of(loop, value)))
+        if value in read:
+            ranges.append((f"{value}@in", value, 0, period))
 
-    assignment: Dict[str, Tuple[RegClass, int]] = {}
+    # Range name -> (file, register, file size); an integer entry wins.
+    assignment: Dict[str, Tuple[str, int, int]] = {}
     for rng_name, color in getattr(allocation, "fp_assignment", {}).items():
-        assignment[rng_name] = (RegClass.FP, color)
+        assignment[rng_name] = (RegClass.FP.value, color, machine.fp_regs)
     for rng_name, color in getattr(allocation, "int_assignment", {}).items():
-        assignment[rng_name] = (RegClass.INT, color)
-    file_size = {RegClass.FP: machine.fp_regs, RegClass.INT: machine.int_regs}
+        assignment[rng_name] = (RegClass.INT.value, color, machine.int_regs)
 
-    placed: List[Tuple[_Range, RegClass, int]] = []
-    for rng, cls in ranges:
-        got = assignment.get(rng.name)
+    by_reg: Dict[Tuple[str, int], List[Tuple[str, str, int, int]]] = {}
+    for rng in ranges:
+        got = assignment.get(rng[0])
         if got is None:
+            rng_name, value, start, length = rng
             report.add(
                 "REG001",
                 Severity.ERROR,
-                f"live range {rng.name!r} (value {rng.value!r}) has no register",
+                f"live range {rng_name!r} (value {value!r}) has no register",
                 loop=name,
-                where=f"interval [{rng.start}, +{rng.length}) on period {period}",
+                where=f"interval [{start}, +{length}) on period {period}",
                 hint="renaming dropped a replica, or the colouring lost a node",
             )
             continue
-        got_cls, color = got
-        if not (0 <= color < file_size[got_cls]):
+        cls, color, size = got
+        if not (0 <= color < size):
             report.add(
                 "REG003",
                 Severity.ERROR,
-                f"live range {rng.name!r} assigned register {color} outside the "
-                f"{got_cls.value} file of {file_size[got_cls]}",
+                f"live range {rng[0]!r} assigned register {color} outside the "
+                f"{cls} file of {size}",
                 loop=name,
             )
             continue
-        placed.append((rng, got_cls, color))
+        group = by_reg.get((cls, color))
+        if group is None:
+            by_reg[cls, color] = [rng]
+        else:
+            group.append(rng)
 
     # Interference: same file, same colour, cyclically overlapping.
-    by_reg: Dict[Tuple[RegClass, int], List[_Range]] = {}
-    for rng, cls, color in placed:
-        by_reg.setdefault((cls, color), []).append(rng)
-    for (cls, color), group in sorted(by_reg.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                if a.value == b.value and a.name == b.name:
+    for (cls, color), group in sorted(by_reg.items()):
+        for i, (a_name, a_value, a_start, a_length) in enumerate(group):
+            for b_name, b_value, b_start, b_length in group[i + 1 :]:
+                if a_value == b_value and a_name == b_name:
                     continue
-                if a.overlaps(b, period):
+                if (
+                    a_length >= period
+                    or b_length >= period
+                    or (b_start - a_start) % period < a_length
+                    or (a_start - b_start) % period < b_length
+                ):
                     report.add(
                         "REG002",
                         Severity.ERROR,
-                        f"{a.name!r} [{a.start}, +{a.length}) and {b.name!r} "
-                        f"[{b.start}, +{b.length}) overlap on period {period} "
-                        f"but share {cls.value} register {color}",
+                        f"{a_name!r} [{a_start}, +{a_length}) and {b_name!r} "
+                        f"[{b_start}, +{b_length}) overlap on period {period} "
+                        f"but share {cls} register {color}",
                         loop=name,
-                        where=f"{cls.value}{color}",
+                        where=f"{cls}{color}",
                         hint="the interference graph missed an edge or the "
                         "colouring ignored one",
                     )

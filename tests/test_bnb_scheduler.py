@@ -273,6 +273,19 @@ class TestAttemptMemoUnderRecorder:
         assert runs[True][0] == runs[False][0]
         assert runs[True][1] == self.TRACED_COUNTERS
 
+    def test_a_cell_counts_its_own_search_whatever_ran_before(self):
+        from repro.exec.cells import Cell, clear_loop_memo
+        from repro.exec.runner import execute_cell
+
+        clear_loop_memo()
+        cell = Cell.make("livermore:lk01_hydro", "sgi", trace=True)
+        folded = []
+        for _ in range(2):  # the second run finds the loop its first searched
+            result = execute_cell(cell.to_dict(), in_worker=False)
+            assert result["error"] is None, result["error"]
+            folded.append({k: v for k, v in result["obs"].items() if k.startswith("bnb.")})
+        assert folded[0] == folded[1] == self.TRACED_COUNTERS
+
     def test_a_memo_hit_replays_its_event_without_a_span(self, machine):
         from repro.obs import recording
 

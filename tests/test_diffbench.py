@@ -91,6 +91,15 @@ class TestDiffReports:
         assert cell.cause == "identical-inputs"
         assert diff.ok
 
+    def test_identical_inputs_oracle_time_delta_is_noise(self):
+        old = _payload([_cell(oracle_seconds=0.02)])
+        new = _payload([_cell(oracle_seconds=0.05)])
+        diff = diff_reports(old, new)
+        (cell,) = diff.cells
+        assert cell.deltas == {"oracle_seconds": (0.02, 0.05)}
+        assert cell.status == "noise"
+        assert diff.ok and not diff.warnings
+
     def test_identical_inputs_quality_delta_warns_nondeterminism(self):
         old = _payload([_cell()])
         new = _payload([_cell(registers_used=9)])

@@ -80,6 +80,16 @@ class TestSummarise:
         assert totals["by_scheduler"]["most"]["cells"] == 2
         assert totals["by_scheduler"]["sgi"]["at_min_ii"] == 1
 
+    def test_oracle_seconds_sum_per_scheduler(self):
+        results = [
+            self._result("a", "sgi", oracle_seconds=0.25),
+            self._result("b", "sgi", oracle_seconds=0.5),
+            self._result("a", "most"),
+        ]
+        by_scheduler = summarise(results)["by_scheduler"]
+        assert by_scheduler["sgi"]["oracle_seconds"] == pytest.approx(0.75)
+        assert by_scheduler["most"]["oracle_seconds"] == 0.0
+
     def test_cost_story_ratio_excludes_rescued_cells(self):
         results = [
             self._result("a", "sgi", schedule_seconds=0.01),

@@ -475,6 +475,18 @@ class TestExecuteCell:
         with pytest.raises(KeyError):
             result.cycles(77)
 
+    def test_oracle_seconds_time_the_oracle_only(self):
+        timed = [
+            CellResult.from_dict(execute_cell(
+                Cell.make("livermore:lk12_firstdiff", "sgi", oracle=oracle).to_dict(),
+                in_worker=False,
+            ))
+            for oracle in (True, False)
+        ]
+        assert 0.0 < timed[0].oracle_seconds < timed[0].wall_seconds
+        assert timed[0].funcsim_ok is True
+        assert timed[1].oracle_seconds == 0.0
+
     def test_scheduler_exception_captured(self):
         cell = Cell.make("livermore:lk12_firstdiff", "sgi", {"unknown_option": 1})
         result = CellResult.from_dict(execute_cell(cell.to_dict(), in_worker=False))

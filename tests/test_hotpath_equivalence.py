@@ -2189,3 +2189,35 @@ class TestOneIiAuditVsBinarySearch:
         with pytest.MonkeyPatch.context() as monkeypatch:
             new, old = _audit_reports(monkeypatch, loop, ii, times)
         assert new == old
+
+
+# ---------------------------------------------------------------------------
+# The emitted-code check decides a complete, regular listing per (op,
+# replica) head; the instance-by-instance replay decides everything else.
+
+
+class TestRegularReplayProofVsInstanceReplay:
+    def test_reports_agree_with_the_proof_skipped(self, monkeypatch):
+        proved = refuted = 0
+        for result in _corpus_results():
+            schedule = result.schedule
+            allocations = [result.allocation] + [
+                _collapsed(result.allocation, colours) for colours in (1, 2, 3)
+            ]
+            for allocation in allocations:
+                # Each listing checked against its own allocation (clobbers)
+                # and against the real one (wrong reads).
+                emitted = emit_pipelined_code(schedule, allocation)
+                for checked in {id(a): a for a in (allocation, result.allocation)}.values():
+                    args = (schedule.loop, schedule.ii, schedule.times, checked, emitted)
+                    with_proof = emitcheck.check_emitted(*args).diagnostics
+                    with monkeypatch.context() as m:
+                        m.setattr(emitcheck, "_regular_replay_is_clean", lambda *a: False)
+                        replayed = emitcheck.check_emitted(*args).diagnostics
+                    assert with_proof == replayed, schedule.loop.name
+                    if any(d.rule in ("EMIT001", "EMIT002") for d in replayed):
+                        refuted += 1
+                    else:
+                        proved += 1
+        # Both sides of the proof are exercised.
+        assert proved >= 58 and refuted > 50
