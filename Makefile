@@ -45,7 +45,7 @@ lint:
 # report-smoke and the quick grid then read these cells through the cache
 # instead of solving them again.
 grid:
-	$(PYTHON) -m repro bench all --quick --jobs 2 --no-history
+	$(PYTHON) -m repro bench all --quick --jobs 2
 
 # Every schedule, allocation and emitted listing of the grid, verified,
 # and the grid's seven-layer verdict (crash, verify, funcsim, min_ii,
@@ -66,7 +66,7 @@ bench:
 # portfolio falls back, four workers on two cores can spend it, and the
 # fallback would then be cached for cache-smoke and portfolio-smoke.
 bench-quick:
-	$(PYTHON) -m repro bench --quick --jobs 2 --no-history
+	$(PYTHON) -m repro bench --quick --jobs 2
 	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output
 
 # The cache key is stable: rerun the quick grid against the cache the
@@ -74,7 +74,7 @@ bench-quick:
 # scratch output directory and out of the history store; every one of the
 # 120 cells must hit.
 cache-smoke:
-	$(PYTHON) -m repro bench --quick --jobs 2 --no-history --output-dir benchmarks/output/cache-smoke
+	$(PYTHON) -m repro bench --quick --jobs 2 --output-dir benchmarks/output/cache-smoke
 	$(PYTHON) -c "import json, sys; \
 		cache = json.load(open('benchmarks/output/cache-smoke/BENCH_pipeline.json'))['cache']; \
 		print('cache rerun hits=%d misses=%d' % (cache['hits'], cache['misses'])); \
@@ -109,7 +109,7 @@ bench-micro:
 # prints the effort table and fails unless the JSONL spools and the merged
 # Chrome trace parse and nest correctly and some cell was traced.
 trace-smoke:
-	$(PYTHON) -m repro bench livermore --quick --trace --limit 3 --no-history \
+	$(PYTHON) -m repro bench livermore --quick --trace --limit 3 \
 		--output-dir benchmarks/output/trace-smoke
 
 # II-gap attribution over the full Livermore corpus: which constraint
@@ -204,12 +204,12 @@ fuzz-smoke:
 # rb_reg_farm x portfolio falls back, and four workers on two cores can
 # spend it.
 portfolio-smoke:
-	$(PYTHON) -m repro bench --quick --jobs 2 --schedulers portfolio --no-history
+	$(PYTHON) -m repro bench --quick --jobs 2 --schedulers portfolio
 	$(PYTHON) -c "import json, sys; \
 		probes = json.load(open('benchmarks/output/BENCH_pipeline_portfolio.json'))['totals'].get('probes', 0); \
 		print(f'portfolio probes={probes}'); \
 		sys.exit(0 if probes else 1)"
-	$(PYTHON) -m repro bench --quick --jobs 2 --no-history
+	$(PYTHON) -m repro bench --quick --jobs 2
 	$(PYTHON) -m repro diff benchmarks/baseline benchmarks/output --strict
 
 # The scheduling daemon on the default TCP port (ctrl-C drains gracefully).

@@ -303,12 +303,12 @@ def _bench_main(argv) -> int:
                              "validated Chrome trace into --trace-dir")),
             ("--trace-dir", dict(metavar="DIR", help="trace output directory (default: "
                                  "<output-dir>/trace; implies --trace)")),
-            ("--no-history", dict(action="store_true",
-                                  help="do not file this run in the run-history store")),
         ],
         extra_schedulers=("baseline",),
-        helps={"cell_timeout": "hard per-cell deadline (default: 120s, 60s with --quick)"},
-        **_GRID, cell_timeout=None, seed=0, history_dir="benchmarks/history",
+        helps={"cell_timeout": "hard per-cell deadline (default: 120s, 60s with --quick)",
+               "history_dir": "also file this run in this run-history store "
+               "(e.g. benchmarks/history; default: off)"},
+        **_GRID, cell_timeout=None, seed=0, history_dir=None,
     )
     trace = args.trace or args.trace_dir is not None
     trace_dir = args.trace_dir
@@ -324,7 +324,7 @@ def _bench_main(argv) -> int:
         output_dir=args.output_dir,
         trace=trace,
         trace_dir=trace_dir,
-        history_dir=None if args.no_history else pathlib.Path(args.history_dir),
+        history_dir=None if args.history_dir is None else pathlib.Path(args.history_dir),
     )
     if args.cell_timeout is not None:
         options.cell_timeout = args.cell_timeout

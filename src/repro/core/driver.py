@@ -29,14 +29,14 @@ from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
 from ..regalloc.coloring import AllocationResult, allocate_schedule
 from .bankpolish import polish_bank_schedule
-from .bnb import BnBConfig, modulo_schedule_bnb, prepare_attempt
-from .iisearch import IIAttempt, IISearchResult, search_ii
+from .bnb import BnBConfig
+from .iisearch import IIAttempt, IISearchResult, _attempt, search_ii
 from .membank import BankPairer
 from .minii import max_ii, min_ii as compute_min_ii
 from .pipestage import adjust_pipestages
 from .priorities import PRODUCTION_ORDER_NAMES, production_orders
 from .sched import Schedule, SchedulingStats
-from .spill import MAX_SPILL_ROUNDS, choose_spill_candidates, insert_spills
+from .spill import Pick, RoundOutcome as _RoundOutcome, spill_loop
 
 
 _Options = TypeVar("_Options")
@@ -136,76 +136,47 @@ def pipeline_loop(
     machine = machine if machine is not None else r8000()
     options = options or PipelinerOptions()
     stats = SchedulingStats()
-    original = loop
-    original_min_ii = compute_min_ii(loop, machine)
+    run = spill_loop(
+        loop,
+        machine,
+        "sgi",
+        lambda current, spill_round: _schedule_and_allocate(
+            current, machine, options, stats, after_spill=spill_round > 0
+        ),
+    )
+    outcome, current, _, spill_round = run
+    best = outcome.best
+    if best is not None and options.enable_membank:
+        paired = _repair_bank_grouping(current, machine, best[0].ii, options, stats, best)
+        best = paired if paired is not None else best
+    return heuristic_result(loop, machine, stats, run, best, spill_round)
 
-    rec = get_recorder()
-    current = loop
-    spilled_total: List[str] = []
-    spill_budget = 1
-    rounds_done = 0
-    for spill_round in range(MAX_SPILL_ROUNDS + 1):
-        rounds_done = spill_round
-        with rec.span("sgi.round", loop=current.name, spill_round=spill_round):
-            outcome = _schedule_and_allocate(
-                current, machine, options, stats, after_spill=spill_round > 0
-            )
-        if outcome.best is not None:
-            schedule, allocation, order_name = outcome.best
-            if options.enable_membank:
-                paired = _repair_bank_grouping(
-                    current, machine, schedule.ii, options, stats, outcome.best
-                )
-                if paired is not None:
-                    schedule, allocation, order_name = paired
-            return PipelineResult(
-                success=True,
-                schedule=schedule,
-                allocation=allocation,
-                loop=current,
-                original=original,
-                min_ii=original_min_ii,
-                order_name=order_name,
-                spill_rounds=spill_round,
-                spilled=spilled_total,
-                stats=stats,
-                attempted=outcome.attempted,
-            )
-        if outcome.best_failed is None:
-            break  # could not even find a schedule: give up entirely
-        failed_schedule, failed_alloc, _ = outcome.best_failed
-        # The exponential budget (1, 2, 4, ...) never needs to exceed the
-        # number of values that actually failed to colour.
-        distinct_failed = len({lr.value for lr in failed_alloc.uncolored})
-        candidates = choose_spill_candidates(
-            failed_alloc, current, set(spilled_total),
-            min(spill_budget, max(1, distinct_failed)),
-        )
-        if not candidates or spill_round == MAX_SPILL_ROUNDS:
-            break
-        rec.counter("spill.rounds")
-        current = insert_spills(current, machine, candidates)
-        spilled_total.extend(candidates)
-        spill_budget *= 2
+
+def heuristic_result(
+    loop: Loop,
+    machine: MachineDescription,
+    stats: SchedulingStats,
+    run: Tuple[_RoundOutcome, Loop, List[str], int],
+    best: Optional[Pick],
+    spill_rounds: int,
+) -> PipelineResult:
+    """A heuristic pipeliner's result: ``run`` is what :func:`spill_loop`
+    returned for the original ``loop``, ``best`` the pick it keeps."""
+    outcome, current, spilled, _ = run
+    schedule, allocation, order_name = best if best is not None else (None, None, "")
     return PipelineResult(
-        success=False,
-        schedule=None,
-        allocation=None,
+        success=best is not None,
+        schedule=schedule,
+        allocation=allocation,
         loop=current,
-        original=original,
-        min_ii=original_min_ii,
-        spill_rounds=rounds_done,
-        spilled=spilled_total,
+        original=loop,
+        min_ii=compute_min_ii(loop, machine),
+        order_name=order_name,
+        spill_rounds=spill_rounds,
+        spilled=spilled,
         stats=stats,
         attempted=outcome.attempted,
     )
-
-
-@dataclass
-class _RoundOutcome:
-    best: Optional[Tuple[Schedule, AllocationResult, str]] = None
-    best_failed: Optional[Tuple[Schedule, AllocationResult, str]] = None
-    attempted: List[IIAttempt] = field(default_factory=list)
 
 
 def _schedule_and_allocate(
@@ -248,7 +219,7 @@ def _schedule_and_allocate(
                 static_bound=static_bound,
             )
 
-    def allocate(order_name: str, found: IISearchResult) -> Tuple[Schedule, AllocationResult, str]:
+    def allocate(order_name: str, found: IISearchResult) -> Pick:
         if found.ii == mii and order_name in at_min_ii:
             schedule, allocation = at_min_ii[order_name]
         else:
@@ -312,8 +283,8 @@ def _repair_bank_grouping(
     ii: int,
     options: PipelinerOptions,
     stats: SchedulingStats,
-    base: Tuple[Schedule, AllocationResult, str],
-) -> Optional[Tuple[Schedule, AllocationResult, str]]:
+    base: Pick,
+) -> Optional[Pick]:
     """The Section 2.9 same-II exploration of better-stalling schedules.
 
     Candidates, most bank-friendly first: (1) full re-schedules with bank
@@ -323,21 +294,13 @@ def _repair_bank_grouping(
     slack out of risky cycles — stage differences included) and kept only
     if it still register-allocates.
     """
-    import time as _time
-
     orders = production_orders(loop, machine)
     candidates: List[Tuple[Schedule, str]] = []
 
     def reschedule(order_name: str, with_pairer: bool) -> None:
         order = orders[order_name]
-        pairer = BankPairer(loop, ii, order) if with_pairer else None
-        prepare_attempt(loop, machine, ii, order)
-        start = _time.perf_counter()
-        result = modulo_schedule_bnb(loop, machine, ii, order, options.bnb, pairer)
-        stats.attempts += 1
-        stats.placements += result.placements
-        stats.backtracks += result.backtracks
-        stats.seconds += _time.perf_counter() - start
+        pairer_factory = (lambda ii: BankPairer(loop, ii, order)) if with_pairer else None
+        result = _attempt(loop, machine, ii, order, options.bnb, pairer_factory, stats)
         if result.success:
             times = adjust_pipestages(loop, ii, result.times)
             suffix = "+bank" if with_pairer else ""
@@ -430,6 +393,6 @@ def _residual_risk(schedule: Schedule, pairer: BankPairer) -> int:
     return risk
 
 
-def _failure_rank(entry: Tuple[Schedule, AllocationResult, str]) -> Tuple[int, int]:
+def _failure_rank(entry: Pick) -> Tuple[int, int]:
     schedule, allocation, _ = entry
     return (schedule.ii, len(allocation.uncolored))

@@ -5,12 +5,14 @@ to memory and schedules again.  Candidates are ranked by the ratio of
 cycles spanned to number of references — "the greater this ratio, the
 greater the cost and smaller the benefit of keeping the value in a
 register".  Spill counts grow exponentially across failures (1, 2, 4, ...),
-capped at 8 failed passes (at most 255 spilled values).
+capped at 8 failed passes (at most 255 spilled values): :func:`spill_loop`,
+around the scheduling round each heuristic pipeliner (SGI, Rau94) supplies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..ir.ddg import DDG, Dependence, DepKind
 from ..ir.loop import Loop
@@ -18,9 +20,64 @@ from ..ir.operations import MemRef, OpClass, Operation
 from ..machine.descriptions import MachineDescription
 from ..obs import get_recorder
 from ..regalloc.coloring import AllocationResult
+from .iisearch import IIAttempt
+from .sched import Schedule
 
 SPILL_TAG = "spill"
 MAX_SPILL_ROUNDS = 8
+
+#: A schedule, its allocation and its priority order ("" without orders).
+Pick = Tuple[Schedule, AllocationResult, str]
+
+
+@dataclass
+class RoundOutcome:
+    """One scheduling round: the best schedule that allocated, else the best
+    one that did not (the next round spills from it), and the round's II
+    trail."""
+
+    best: Optional[Pick] = None
+    best_failed: Optional[Pick] = None
+    attempted: List[IIAttempt] = field(default_factory=list)
+
+
+def spill_loop(
+    loop: Loop,
+    machine: MachineDescription,
+    tag: str,
+    schedule_round: Callable[[Loop, int], RoundOutcome],
+) -> Tuple[RoundOutcome, Loop, List[str], int]:
+    """Run ``schedule_round(loop, spill_round)`` until a round allocates.
+
+    After a round that found schedules but none that allocates, spill the
+    best candidates of its ``best_failed`` allocation — 1, 2, 4, ...
+    values, never more than the distinct values that failed to colour —
+    and run the next round on the rewritten loop.  Stops when a round
+    allocates, finds no schedule, leaves nothing to spill or is round
+    ``MAX_SPILL_ROUNDS``.  Returns the final round's outcome, the loop it
+    scheduled, the spilled values and the round's index.
+    """
+    rec = get_recorder()
+    current = loop
+    spilled: List[str] = []
+    budget = 1
+    for spill_round in range(MAX_SPILL_ROUNDS + 1):
+        with rec.span(f"{tag}.round", loop=current.name, spill_round=spill_round):
+            outcome = schedule_round(current, spill_round)
+        if outcome.best is not None or outcome.best_failed is None:
+            break
+        failed = outcome.best_failed[1]
+        distinct_failed = len({lr.value for lr in failed.uncolored})
+        candidates = choose_spill_candidates(
+            failed, current, set(spilled), min(budget, max(1, distinct_failed))
+        )
+        if not candidates or spill_round == MAX_SPILL_ROUNDS:
+            break
+        rec.counter("spill.rounds")
+        current = insert_spills(current, machine, candidates)
+        spilled.extend(candidates)
+        budget *= 2
+    return outcome, current, spilled, spill_round
 
 
 def choose_spill_candidates(

@@ -17,26 +17,26 @@ the best-known non-backtracking heuristic:
 
 Unlike the SGI branch-and-bound, there is no backtracking state: eviction
 plus the monotone forced placement (never the same cycle twice in a row)
-drives the search.  Register allocation and spilling reuse the same
-machinery as the other two pipeliners.
+drives the search.  Register allocation is the other pipeliners'; spilling
+is SGI's policy, :func:`repro.core.spill.spill_loop`, around a linear II walk.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
-from ..core.driver import PipelineResult, options_from_mapping
+from ..core.driver import PipelineResult, heuristic_result, options_from_mapping
 from ..core.iisearch import IIAttempt
 from ..core.minii import max_ii, min_ii as compute_min_ii
 from ..core.sched import Schedule, SchedulingStats
-from ..core.spill import MAX_SPILL_ROUNDS, choose_spill_candidates, insert_spills
+from ..core.spill import RoundOutcome, spill_loop
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..machine.resources import ModuloReservationTable
 from ..obs import get_recorder
-from ..regalloc.coloring import AllocationResult, allocate_schedule
+from ..regalloc.coloring import allocate_schedule
 
 
 #: Placements one candidate-II attempt may make per operation.
@@ -254,79 +254,37 @@ def rau_pipeline_loop(
     """
     machine = machine if machine is not None else r8000()
     stats = SchedulingStats()
-    original = loop
-    original_min_ii = compute_min_ii(loop, machine)
+    run = spill_loop(loop, machine, "rau", lambda current, _: _linear_round(current, machine, stats))
+    return heuristic_result(loop, machine, stats, run, run[0].best, 1 if run[2] else 0)
 
-    current = loop
-    spilled_total: List[str] = []
-    spill_budget = 1
-    for spill_round in range(MAX_SPILL_ROUNDS + 1):
-        mii = compute_min_ii(current, machine)
-        best_failed: Optional[Tuple[Schedule, AllocationResult]] = None
-        found = None
-        attempted: List[IIAttempt] = []
-        # Rau94 searches IIs linearly from MinII.
-        for ii in range(mii, max_ii(current, machine) + 1):
-            start = _time.perf_counter()
-            placed = stats.placements
-            with get_recorder().span("rau.ii", loop=current.name, ii=ii):
-                times = iterative_modulo_schedule(current, machine, ii, stats)
-            seconds = _time.perf_counter() - start
-            stats.attempts += 1
-            stats.seconds += seconds
-            attempt = IIAttempt(
-                ii=ii, phase="rau", success=times is not None,
-                placements=stats.placements - placed, seconds=seconds,
-            )
-            attempted.append(attempt)
-            if times is None:
-                over = attempt.placements >= placement_budget(current)
-                attempt.stop = "budget" if over else "exhausted"
-                continue
-            schedule = Schedule(
-                loop=current, machine=machine, ii=ii, times=times, producer="rau94"
-            )
-            allocation = allocate_schedule(schedule, machine)
-            attempt.allocated, attempt.uncolored = allocation.success, len(allocation.uncolored)
-            if allocation.success:
-                found = (schedule, allocation)
-                break
-            if best_failed is None:
-                best_failed = (schedule, allocation)
-        if found is not None:
-            return PipelineResult(
-                success=True,
-                schedule=found[0],
-                allocation=found[1],
-                loop=current,
-                original=original,
-                min_ii=original_min_ii,
-                spill_rounds=1 if spilled_total else 0,
-                spilled=spilled_total,
-                stats=stats,
-                attempted=attempted,
-            )
-        if best_failed is None:
-            break
-        distinct = len({lr.value for lr in best_failed[1].uncolored})
-        candidates = choose_spill_candidates(
-            best_failed[1], current, set(spilled_total),
-            min(spill_budget, max(1, distinct)),
+
+def _linear_round(loop: Loop, machine: MachineDescription, stats: SchedulingStats) -> RoundOutcome:
+    """One Rau94 round: IIs linearly from MinII until a schedule allocates;
+    the first schedule that fails allocation is the one spilled from."""
+    outcome = RoundOutcome()
+    for ii in range(compute_min_ii(loop, machine), max_ii(loop, machine) + 1):
+        start = _time.perf_counter()
+        placed = stats.placements
+        with get_recorder().span("rau.ii", loop=loop.name, ii=ii):
+            times = iterative_modulo_schedule(loop, machine, ii, stats)
+        seconds = _time.perf_counter() - start
+        stats.attempts += 1
+        stats.seconds += seconds
+        attempt = IIAttempt(
+            ii=ii, phase="rau", success=times is not None,
+            placements=stats.placements - placed, seconds=seconds,
         )
-        if not candidates or spill_round == MAX_SPILL_ROUNDS:
+        outcome.attempted.append(attempt)
+        if times is None:
+            over = attempt.placements >= placement_budget(loop)
+            attempt.stop = "budget" if over else "exhausted"
+            continue
+        schedule = Schedule(loop=loop, machine=machine, ii=ii, times=times, producer="rau94")
+        allocation = allocate_schedule(schedule, machine)
+        attempt.allocated, attempt.uncolored = allocation.success, len(allocation.uncolored)
+        if allocation.success:
+            outcome.best = (schedule, allocation, "")
             break
-        current = insert_spills(current, machine, candidates)
-        spilled_total.extend(candidates)
-        spill_budget *= 2
-    return PipelineResult(
-        success=False,
-        schedule=None,
-        allocation=None,
-        loop=current,
-        original=original,
-        min_ii=original_min_ii,
-        spill_rounds=1 if spilled_total else 0,
-        spilled=spilled_total,
-        stats=stats,
-        attempted=attempted,
-    )
+        if outcome.best_failed is None:
+            outcome.best_failed = (schedule, allocation, "")
+    return outcome

@@ -13,7 +13,8 @@ kernel passes, epilogue) to prove:
 * the prologue/kernel/epilogue sections cover exactly the instances a
   ``stages``-deep, ``kmin``-unrolled pipeline implies: ``kmin`` kernel
   instances per op, ``stages - 1 - stage(op)`` fill instances and
-  ``stage(op)`` drain instances, with no duplicates (EMIT003).
+  ``stage(op)`` drain instances, with no duplicates, each listed at the
+  cycle its iteration issues at (EMIT003).
 
 A complete listing of regular shape, such as the emitter prints, has its
 EMIT001 and EMIT002 questions answered per (op, replica) head by
@@ -54,7 +55,7 @@ class _Instance(NamedTuple):
 
     cycle: int
     op: int
-    iteration: int
+    iteration: Optional[int]  # None only on a kernel label, inside the parse
     dest: Optional[str]
     srcs: List[str]
     line: str
@@ -102,9 +103,10 @@ def _parse_section(
     """Parse one listing section into (cycle, op, iter, dest, srcs, line).
 
     An instruction's cycle is its last fill/drain label's, -1 without one.
-    A kernel label comes out as (u, slot, -1, None, [], line).  ``heads``
-    and ``suffixes`` memoise the parses of the call's distinct instruction
-    heads and iteration suffixes across its three sections.
+    A kernel label comes out as (u, slot, None, None, [], line): an
+    instruction's iteration is always a number, so ``None`` marks a label.
+    ``heads`` and ``suffixes`` memoise the parses of the call's distinct
+    instruction heads and iteration suffixes across its three sections.
     """
     out: List[_Instance] = []
     append = out.append
@@ -135,7 +137,7 @@ def _parse_section(
             u, sep, slot = line[9:-1].partition("]+")
             if line.startswith("  kernel[") and sep and u.isdecimal() and slot.isdecimal():
                 cycle = -1
-                append(_Instance(int(u), int(slot), -1, None, [], line))
+                append(_Instance(int(u), int(slot), None, None, [], line))
                 continue
         label = _LABEL_RE.match(line)
         if label:
@@ -144,7 +146,7 @@ def _parse_section(
         klabel = _KERNEL_LABEL_RE.match(line)
         if klabel:
             cycle = -1  # kernel cycles are derived from (u, slot) below
-            append(_Instance(int(klabel.group(1)), int(klabel.group(2)), -1, None, [], line))
+            append(_Instance(int(klabel.group(1)), int(klabel.group(2)), None, None, [], line))
             continue
         report.add(
             "EMIT003",
@@ -187,7 +189,7 @@ def check_emitted(
     prologue: List[_Instance] = [
         entry
         for entry in _parse_section(emitted.prologue, "prologue", report, name, heads, suffixes)
-        if entry[2] != -1  # a kernel label leaked into the prologue; already reported
+        if entry[2] is not None  # a kernel label leaked into the prologue
     ]
 
     kernel: List[_Instance] = []
@@ -195,7 +197,7 @@ def check_emitted(
     for cycle, op, iteration, dest, srcs, line in _parse_section(
         emitted.kernel, "kernel", report, name, heads, suffixes
     ):
-        if iteration == -1:  # (u, slot) label
+        if iteration is None:  # (u, slot) label
             kcycle = steady + cycle * ii + op  # cycle=u, op=slot here
             continue
         kernel.append(
@@ -208,7 +210,7 @@ def check_emitted(
     epilogue: List[_Instance] = [
         entry
         for entry in _parse_section(emitted.epilogue, "epilogue", report, name, heads, suffixes)
-        if entry[2] != -1
+        if entry[2] is not None
     ]
 
     _check_coverage(loop, ii, times, stages, kmin, prologue, kernel, epilogue, report)
@@ -216,6 +218,25 @@ def check_emitted(
         loop, ii, times, stages, kmin, allocation, prologue, kernel, epilogue
     ):
         return report
+
+    # EMIT003: each instance sits at the cycle its iteration issues at (an
+    # epilogue cycle counts from the steady state).  The emitter prints
+    # every instance there, so only a listing the proof rejects can fail.
+    for section, instances, shift in (
+        ("prologue", prologue, 0), ("kernel", kernel, 0), ("epilogue", epilogue, steady)
+    ):
+        for cycle, op, iteration, _, _, _ in instances:
+            issue = times.get(op)
+            if issue is not None and cycle + shift != issue + iteration * ii:
+                report.add(
+                    "EMIT003",
+                    Severity.ERROR,
+                    f"op {op} iteration {iteration} is listed at {section} cycle {cycle}; "
+                    f"the schedule issues it at cycle {issue + iteration * ii - shift}",
+                    loop=name,
+                    ops=(op,),
+                    where=section,
+                )
 
     # ------------------------------------------------------------------
     # Replay a concrete execution: prologue, _KERNEL_PASSES kernel passes,

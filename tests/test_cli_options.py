@@ -9,6 +9,7 @@ a command's default.
 from __future__ import annotations
 
 import argparse
+import pathlib
 
 import pytest
 
@@ -22,7 +23,7 @@ OPTION_STRINGS = {
     "verify": ["--cache-dir", "--jobs", "--limit", "--no-cache", "--schedulers",
                "--verbose", "-v"],
     "bench": ["--cache-dir", "--cell-timeout", "--history-dir", "--jobs", "--limit",
-              "--no-cache", "--no-history", "--output-dir", "--quick",
+              "--no-cache", "--output-dir", "--quick",
               "--schedulers", "--seed", "--trace", "--trace-dir"],
     "explain": ["--cache-dir", "--jobs", "--json", "--limit", "--no-cache",
                 "--schedulers"],
@@ -53,8 +54,7 @@ GRID = {"--schedulers": "sgi,most,rau,portfolio", "--limit": None, "--jobs": 1,
 DEFAULTS = {
     "": {"--ilp-seconds": 10.0, "--jobs": 1, "--cache-dir": None, "--no-cache": False},
     "verify": GRID,
-    "bench": {**GRID, "--cell-timeout": None, "--seed": 0,
-              "--history-dir": "benchmarks/history"},
+    "bench": {**GRID, "--cell-timeout": None, "--seed": 0, "--history-dir": None},
     "explain": {**GRID, "--json": None},
     "analyze": {**GRID, "--json": None},
     "report": {"--history-dir": "benchmarks/history", "--bench": "benchmarks/output"},
@@ -144,6 +144,24 @@ def test_bench_takes_one_optional_corpus(monkeypatch):
     assert ran == [("run_sweep", "spec92"), ("run_pipeline_bench",)]
 
 
+def test_bench_files_history_only_when_asked(monkeypatch):
+    """bench files a run in the run-history store only under
+    ``--history-dir``, as ``serve --selftest`` does."""
+    import repro.exec.bench as bench
+
+    filed = []
+
+    def run(options):
+        filed.append(options.history_dir)
+        raise _Captured()
+
+    monkeypatch.setattr(bench, "run_pipeline_bench", run)
+    for argv in (["bench", "--quick"], ["bench", "--quick", "--history-dir", "runs"]):
+        with pytest.raises(_Captured):
+            main(argv)
+    assert filed == [None, pathlib.Path("runs")]
+
+
 def _no_loops(monkeypatch):
     """Make any corpus load fail loudly."""
     import repro.exec.cells as cells
@@ -183,7 +201,7 @@ def test_verify_accepts_the_portfolio(capsys):
 def test_bench_trace_accepts_the_portfolio(tmp_path, capsys):
     code = main([
         "bench", "livermore", "--quick", "--trace", "--limit", "1",
-        "--schedulers", "portfolio", "--output-dir", str(tmp_path), "--no-history",
+        "--schedulers", "portfolio", "--output-dir", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out

@@ -146,7 +146,7 @@ def test_a_subset_view_leaves_the_whole_grids_file_alone(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(bench, "DEFAULT_OUTPUT_DIR", tmp_path)
     cache = ["--cache-dir", str(tmp_path / "cache")]
-    assert _quiet("bench", "livermore", "--quick", "--no-history", *cache)[0] == 0
+    assert _quiet("bench", "livermore", "--quick", *cache)[0] == 0
     whole = tmp_path / "BENCH_sweep_livermore.json"
     before = whole.read_bytes()
     assert json.loads(before)["totals"]["cells"] == 12
@@ -201,6 +201,6 @@ def test_bench_and_verify_fail_on_a_doctored_cell(tmp_path, scheduler, fields, k
     assert row and row[0].endswith("FAIL")
     assert f"-- lk01_hydro/{scheduler}\n   {kind}: " in out
 
-    code, out = _quiet("bench", "--quick", "--no-history", *grid)
+    code, out = _quiet("bench", "--quick", *grid)
     assert code == 1
     assert f"VIOLATION livermore:lk01_hydro × {scheduler}: {kind}: " in out

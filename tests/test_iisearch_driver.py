@@ -6,17 +6,19 @@ from repro.core import (
     BnBConfig,
     PipelinerOptions,
     choose_spill_candidates,
-    driver,
     insert_spills,
     min_ii,
     order_by_name,
     pipeline_loop,
     search_ii,
 )
+from repro.core import spill
 from repro.core.sched import SchedulingStats
 from repro.core.spill import SPILL_TAG
+from repro.exec.cells import resolve_loop
 from repro.ir import LoopBuilder, OpClass
 from repro.machine import r8000
+from repro.rau import rau_pipeline_loop
 from repro.regalloc import allocate, allocate_schedule, rename_kernel
 
 from .conftest import (
@@ -157,6 +159,21 @@ class TestSpilling:
         res.schedule.validate()
         assert res.allocation.success
 
+    def test_both_heuristics_share_one_spill_limit(self, monkeypatch):
+        """SGI needs two spill rounds on ``rb_reg_farm`` and Rau94 three on
+        ``lk09_predict`` (1 + 2 + 4 values); with the one limit at 1 both
+        stop after their first spilled value."""
+        machine = r8000()
+        sgi = pipeline_loop(resolve_loop("recbound:rb_reg_farm", machine), machine)
+        rau = rau_pipeline_loop(resolve_loop("livermore:lk09_predict", machine), machine)
+        assert (sgi.success, sgi.spill_rounds, len(sgi.spilled)) == (True, 2, 2)
+        assert (rau.success, rau.spill_rounds, len(rau.spilled)) == (True, 1, 7)
+        monkeypatch.setattr(spill, "MAX_SPILL_ROUNDS", 1)
+        sgi = pipeline_loop(resolve_loop("recbound:rb_reg_farm", machine), machine)
+        rau = rau_pipeline_loop(resolve_loop("livermore:lk09_predict", machine), machine)
+        assert (sgi.success, sgi.spill_rounds, len(sgi.spilled)) == (False, 1, 1)
+        assert (rau.success, rau.spill_rounds, len(rau.spilled)) == (False, 1, 1)
+
 
 class TestDriver:
     @pytest.mark.parametrize("builder", ALL_BUILDERS)
@@ -200,7 +217,7 @@ class TestDriver:
 
     def test_failure_result_shape(self, machine, monkeypatch):
         # An impossible loop: bound every knob to zero effort.
-        monkeypatch.setattr(driver, "MAX_SPILL_ROUNDS", 0)
+        monkeypatch.setattr(spill, "MAX_SPILL_ROUNDS", 0)
         loop = build_memory_heavy(machine)
         options = PipelinerOptions(bnb=BnBConfig(max_placements=0))
         res = pipeline_loop(loop, machine, options)

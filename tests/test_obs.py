@@ -383,7 +383,7 @@ class TestBenchTraceCLI:
 
         return main([
             "bench", *args, "--trace", "--output-dir", str(tmp_path / "out"),
-            "--cache-dir", str(tmp_path / "cache"), "--no-history",
+            "--cache-dir", str(tmp_path / "cache"),
         ])
 
     def test_prints_table_and_validates(self, tmp_path, capsys):

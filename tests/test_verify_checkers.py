@@ -13,6 +13,7 @@ import re
 import pytest
 
 from repro.core import Schedule, min_ii, pipeline_loop
+from repro.exec.cells import resolve_loop
 from repro.ir import LoopBuilder
 from repro.machine import r8000, single_issue
 from repro.pipeline.emit import emit_pipelined_code
@@ -238,6 +239,27 @@ class TestEmittedCodeChecker:
         )
         drains = [d for d in report.by_rule("EMIT003") if "drain" in d.message]
         assert drains
+
+    @pytest.mark.parametrize("section", ["prologue", "kernel"])
+    def test_instance_at_iteration_minus_one(self, machine, section):
+        """An ``iter{i-1}`` line is an instance, not a label: it is counted
+        (nine prologue lines of op 0 are nine instances), it moves no cycle,
+        and it is rejected for the cycle its iteration implies."""
+        res = pipeline_loop(resolve_loop("livermore:lk01_hydro", machine), machine)
+        emitted = emit_pipelined_code(res.schedule, res.allocation)
+        lines = getattr(emitted, section)
+        index = next(i for i, line in enumerate(lines) if "; op" in line)
+        op, iteration = map(int, re.search(r"; op(\d+) iter\{i([+-]\d+)\}", lines[index]).groups())
+        lines[index] = lines[index].replace(f"iter{{i{iteration:+d}}}", "iter{i-1}")
+        report = check_emitted(
+            res.loop, res.schedule.ii, res.schedule.times, res.allocation, emitted
+        )
+        t, ii = res.schedule.time(op), res.schedule.ii
+        assert [d.message for d in report.diagnostics] == [
+            f"op {op} iteration -1 is listed at {section} cycle {t + iteration * ii}; "
+            f"the schedule issues it at cycle {t - ii}"
+        ]
+        assert not report.ok
 
 
 class TestBankChecker:
