@@ -1,9 +1,9 @@
 """Pinned-seed microbenchmarks of the scheduler hot paths (perf CI lane).
 
-Twelve timed kernels cover the inner loops the raw-speed campaign
+Thirteen timed kernels cover the inner loops the raw-speed campaign
 optimized — reservation-table probing, distance-table construction and
 query, the RecMII search, two budget-stopped branch-and-bound attempts
-(one with bank pairing) — and the
+(one with bank pairing), the portfolio's CP search — and the
 per-cell layers every scheduled loop pays for: register allocation
 (renaming, bitset interference, colouring), the banked-memory
 performance simulation (fast-forwarded and walked), the functional
@@ -55,6 +55,8 @@ from repro.machine.resources import ModuloReservationTable  # noqa: E402
 from repro.obs.diffbench import diff_reports  # noqa: E402
 from repro.obs.export import atomic_write_text  # noqa: E402
 from repro.pipeline.emit import emit_pipelined_code  # noqa: E402
+from repro.portfolio.cp import solve_cp  # noqa: E402
+from repro.portfolio.formulation import build_modulo_formulation  # noqa: E402
 from repro.regalloc.coloring import allocate  # noqa: E402
 from repro.regalloc.rename import rename_kernel  # noqa: E402
 from repro.schedulers import get_scheduler  # noqa: E402
@@ -62,7 +64,7 @@ from repro.sim.functional import run_pipelined, run_sequential  # noqa: E402
 from repro.sim.layout import DataLayout  # noqa: E402
 from repro.sim.perf import simulate_pipelined  # noqa: E402
 from repro.verify import verify_result  # noqa: E402
-from repro.workloads.generators import GeneratorConfig, random_loop  # noqa: E402
+from repro.workloads.generators import GeneratorConfig, random_loop, random_spec  # noqa: E402
 from repro.workloads.livermore import livermore_kernels  # noqa: E402
 
 OUTPUT_PATH = REPO_ROOT / "benchmarks" / "output" / "BENCH_micro.json"
@@ -237,6 +239,29 @@ def bench_oracle_generated() -> None:
     run_pipelined(result.schedule, result.allocation, layout, trips)
 
 
+@functools.lru_cache(maxsize=None)
+def _cp_formulations():
+    """The neutral formulations of ten seeded 38-op generated bodies (two
+    recurrences, at most one divide) at MinII and MinII+1: 19 end ``sat``,
+    ``rand7`` at II 21 ends ``unknown`` at the node budget.  Built once
+    per process."""
+    machine = r8000()
+    config = GeneratorConfig(n_compute=38, n_streams=6, n_recurrences=2, p_fdiv=0.03)
+    formulations = []
+    for seed in range(10):
+        loop = random_spec(seed, config).build(machine)
+        mii = min_ii(loop, machine)
+        formulations += [build_modulo_formulation(loop, machine, ii) for ii in (mii, mii + 1)]
+    return formulations
+
+
+def bench_cp_probe() -> None:
+    """The portfolio's CP search on those formulations with the e2e
+    ``generated-cp`` workload's 2,000-node budget per probe."""
+    for formulation in _cp_formulations():
+        solve_cp(formulation, max_nodes=2000)
+
+
 BENCHES: Dict[str, Callable[[], None]] = {
     "mrt_fits_place_remove": bench_mrt_fits_place_remove,
     "scc_distances": bench_scc_distances,
@@ -250,6 +275,7 @@ BENCHES: Dict[str, Callable[[], None]] = {
     "oracle_verify": bench_oracle_verify,
     "emit": bench_emit,
     "oracle_generated": bench_oracle_generated,
+    "cp_probe": bench_cp_probe,
 }
 
 

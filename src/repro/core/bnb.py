@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
-from ..machine.resources import ModuloReservationTable, blocked_slots
+from ..machine.resources import ModuloReservationTable, blocked_slots, dilate
 from ..obs import get_recorder
 from .distances import SccDistanceTables
 from .membank import BankPairer
@@ -637,12 +637,14 @@ class _Attempt:
                     span, low = start - lo + 1, lo
                 if span > 0:
                     lt = lts[op]
-                    entries = lt.mask_entries
-                    if entries is not None:
+                    runs = lt.mask_runs
+                    if runs is not None:
                         blocked = 0
-                        for off, rid in entries:
+                        for off, rid, length in runs:
                             m = full[rid]
                             if m:
+                                if length > 1:
+                                    m = dilate(m, length, ii)
                                 blocked |= ((m >> off) | (m << (ii - off))) & wrap
                     else:
                         blocked = blocked_slots(lt, ii, full, counts, avail)
@@ -804,8 +806,8 @@ class _Attempt:
         target_lt = lts[target]
         target_rids = target_lt.rids
         range_inv = self._range_inv
-        target_entries = target_lt.mask_entries
-        probed = target_entries is None  # blocked slots read counts too
+        target_runs = target_lt.mask_runs
+        probed = target_runs is None  # blocked slots read counts too
         # (pos, op, cycle) in sweep order; a partner follows its primary.
         swept: List[Tuple[int, int, int]] = []
         applied = 0  # swept entries already removed from the view
@@ -909,11 +911,13 @@ class _Attempt:
             placements += span
             if free is None:
                 fl = full if vfull is None else vfull
-                if target_entries is not None:
+                if target_runs is not None:
                     blocked = 0
-                    for off, rid in target_entries:
+                    for off, rid, length in target_runs:
                         m = fl[rid]
                         if m:
+                            if length > 1:
+                                m = dilate(m, length, ii)
                             blocked |= ((m >> off) | (m << (ii - off))) & wrap
                 else:
                     blocked = blocked_slots(

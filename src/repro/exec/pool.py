@@ -101,11 +101,6 @@ class WorkerPool:
         for worker in self._workers:
             self._idle.put_nowait(worker)
 
-    async def start(self) -> None:
-        """Pre-spawn every worker (optional; first use also spawns)."""
-        for worker in self._workers:
-            worker.executor  # touch
-
     async def run(self, spec: Dict[str, Any], retries: int = 0) -> Dict[str, Any]:
         """Run one cell spec; returns its payload with ``attempts`` set.
 

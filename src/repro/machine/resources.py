@@ -23,6 +23,7 @@ tests compare against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -90,15 +91,17 @@ class LoweredTable:
     probes/places/removes with one mask rotation; ``multi_entries`` keeps
     the remaining triples for the counting path.
 
-    ``mask_entries`` are the ``(slot_offset, resource_id)`` pairs whose
-    rotated "slot full" masks OR into the blocked mask when that is exact
-    (every entry needs one unit), ``None`` when the table needs the
-    per-slot count probe; ``rids`` is the set of resources the table uses.
+    ``mask_runs`` are ``(slot_offset, resource_id, length)`` runs of
+    consecutive slots of one resource whose rotated, dilated "slot full"
+    masks OR into the blocked mask when that is exact (every entry needs
+    one unit), ``None`` when the table needs the per-slot count probe; a
+    divide's 20 held ``fpdiv`` cycles are one run, dilated by doubling
+    (:func:`dilate`).  ``rids`` is the set of resources the table uses.
     """
 
     __slots__ = (
         "entries", "all_unit", "impossible", "unit_groups", "multi_entries",
-        "mask_entries", "rids",
+        "mask_runs", "rids",
     )
 
     def __init__(self, entries: Tuple[Tuple[int, int, int], ...], avail: Sequence[int]):
@@ -117,12 +120,64 @@ class LoweredTable:
                     rest.append((off, rid, cnt))
         self.unit_groups: Tuple[Tuple[int, int], ...] = tuple(sorted(unit.items()))
         self.multi_entries: Tuple[Tuple[int, int, int], ...] = tuple(rest)
-        self.mask_entries: Optional[Tuple[Tuple[int, int], ...]] = (
-            tuple((off, rid) for off, rid, _ in entries)
-            if self.all_unit and not self.impossible
-            else None
+        self.mask_runs: Optional[Tuple[Tuple[int, int, int], ...]] = (
+            _runs(entries) if self.all_unit and not self.impossible else None
         )
         self.rids: FrozenSet[int] = frozenset(rid for _, rid, _ in entries)
+
+
+def _runs(entries: Sequence[Tuple[int, int, int]]) -> Tuple[Tuple[int, int, int], ...]:
+    """``(slot_offset, resource_id, length)`` runs of consecutive slots,
+    one resource each, covering ``entries``' slots exactly."""
+    runs: List[List[int]] = []
+    for rid, off in sorted((rid, off) for off, rid, _ in entries):
+        run = runs[-1] if runs else None
+        if run is not None and run[1] == rid and run[0] + run[2] == off:
+            run[2] += 1
+        else:
+            runs.append([off, rid, 1])
+    return tuple((off, rid, length) for off, rid, length in runs)
+
+
+def dilate(mask: int, length: int, ii: int) -> int:
+    """OR of ``mask`` rotated right by ``0 .. length-1`` slots (of ``II``).
+
+    Doubling covers ``length`` rotations with about ``log2(length) + 1``:
+    after the loop ``mask`` spans ``k`` rotations, and one more shifted by
+    ``length - k`` (``<= k``) overlaps it to span all of them.  Bit ``c`` of
+    the result is set when any of bits ``c .. c+length-1`` (mod ``II``) of
+    ``mask`` is.
+    """
+    wrap = (1 << ii) - 1
+    k = 1
+    while 2 * k <= length:
+        mask |= ((mask >> k) | (mask << (ii - k))) & wrap
+        k *= 2
+    if k < length:
+        d = length - k
+        mask |= ((mask >> d) | (mask << (ii - d))) & wrap
+    return mask
+
+
+@functools.lru_cache(maxsize=4096)
+def lower_uses(
+    uses: Tuple[Tuple[int, str, int], ...], index: ResourceIndex, ii: int
+) -> LoweredTable:
+    """``(offset, resource, count)`` uses lowered against ``index`` at ``ii``.
+
+    Uses that alias one modulo slot of one resource are combined; a
+    resource the index does not know is a ``KeyError``.  Cached per
+    ``(uses, index, II)``, so searches over the same machine share it.
+    """
+    combined: Dict[Tuple[int, int], int] = {}
+    for offset, resource, count in uses:
+        rid = index.ids.get(resource)
+        if rid is None:
+            raise KeyError(f"machine has no resource {resource!r}")
+        slot_key = (offset % ii, rid)
+        combined[slot_key] = combined.get(slot_key, 0) + count
+    entries = tuple((off, rid, cnt) for (off, rid), cnt in sorted(combined.items()))
+    return LoweredTable(entries, index.avail)
 
 
 class ReservationTable:
@@ -156,17 +211,9 @@ class ReservationTable:
         key = (index, ii)
         lt = self._lowered.get(key)
         if lt is None:
-            combined: Dict[Tuple[int, int], int] = {}
-            for u in self.uses:
-                rid = index.ids.get(u.resource)
-                if rid is None:
-                    raise KeyError(f"machine has no resource {u.resource!r}")
-                slot_key = (u.offset % ii, rid)
-                combined[slot_key] = combined.get(slot_key, 0) + u.count
-            entries = tuple(
-                (off, rid, cnt) for (off, rid), cnt in sorted(combined.items())
+            lt = self._lowered[key] = lower_uses(
+                tuple((u.offset, u.resource, u.count) for u in self.uses), index, ii
             )
-            lt = self._lowered[key] = LoweredTable(entries, index.avail)
         return lt
 
     @staticmethod
@@ -346,10 +393,12 @@ def blocked_slots(
     if lt.impossible:
         return wrap
     blocked = 0
-    if lt.mask_entries is not None:
-        for off, rid in lt.mask_entries:
+    if lt.mask_runs is not None:
+        for off, rid, length in lt.mask_runs:
             m = full[rid]
             if m:
+                if length > 1:
+                    m = dilate(m, length, ii)
                 # Bit c of the rotation is bit (c + off) mod II of m.
                 blocked |= ((m >> off) | (m << (ii - off))) & wrap
         return blocked

@@ -10,6 +10,20 @@ deterministic static order, so — like the repo's other schedulers — the
 same inputs yield the same answer on any machine, and a *node* budget
 (not the wall clock) is what bounds reproducible runs.
 
+The resource model is the packed modulo reservation table the SGI
+branch-and-bound uses (:class:`~repro.machine.resources.PackedModuloReservationTable`):
+each op's reservation is lowered once per search (cached per uses,
+machine and II), and "does this op still have a live slot in
+``[lo, hi]``?" is one blocked mask aligned to the window.  The resource
+lookahead is incremental: every op keeps one *witness*, a live issue
+cycle, and a placement rechecks only the ops whose witness it can have
+killed — ops whose window the arc pass shrank past it, ops whose witness
+needs a slot that just became full, ops whose fit reads per-slot counts
+(a multi-unit need) and ops without a witness yet.  Undo keeps every
+witness live, since windows only widen and occupancy only drops on the
+way back.  Answers, witnesses, node counts and the conflict/propagation
+tallies are those of a lookahead that rescans every unfixed op.
+
 Soundness contract (what the agreement oracle leans on):
 
 * ``sat`` answers carry a witness that satisfies every window, arc and
@@ -22,8 +36,9 @@ Soundness contract (what the agreement oracle leans on):
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from ..machine.resources import PackedModuloReservationTable, blocked_slots, lower_uses
 from .answer import SAT, UNKNOWN, UNSAT, BackendAnswer
 from .formulation import ModuloFormulation
 
@@ -37,7 +52,6 @@ class _Search:
     """One DFS over a formulation; state is trailed for O(1) undo."""
 
     def __init__(self, formulation: ModuloFormulation, order: Sequence[int]):
-        self.f = formulation
         self.n = formulation.n_ops
         self.ii = formulation.ii
         self.order = list(order)
@@ -51,96 +65,131 @@ class _Search:
             w = arc.weight(self.ii)
             self.out_arcs[arc.src].append((arc.dst, w))
             self.in_arcs[arc.dst].append((arc.src, w))
-        # Modulo reservation table of the currently fixed ops.
-        self.usage: Dict[Tuple[str, int], int] = {}
+        # Modulo reservation table of the currently fixed ops, and every
+        # op's reservation lowered against it once.
+        self.mrt = PackedModuloReservationTable(self.ii, formulation.availability)
+        index = self.mrt.index
+        self.lts = [lower_uses(tuple(uses), index, self.ii) for uses in formulation.op_uses]
+        # Ops whose fit reads per-slot counts (a multi-unit need), not only
+        # full bits: a placement that fills no slot can still shut them out.
+        self.count_ops = [
+            op for op, lt in enumerate(self.lts) if lt.mask_runs is None and not lt.impossible
+        ]
+        # Per resource, the (op, slot offset, run-length mask) of every run
+        # an all-unit op holds on it: which witnesses a newly full slot hits.
+        self.rid_runs: List[List[Tuple[int, int, int]]] = [[] for _ in range(index.n)]
+        for op, lt in enumerate(self.lts):
+            for off, rid, length in lt.mask_runs or ():
+                self.rid_runs[rid].append((op, off, (1 << length) - 1))
+        # One live issue cycle per op, valid whenever the lookahead last
+        # passed (-1: none found yet).
+        self.witness = [-1] * self.n
+        self.unwitnessed = set(range(self.n))
         self.nodes = 0
         self.propagations = 0
         self.conflicts = 0
 
     # -- modulo resource filtering ------------------------------------
-    def _slot_fits(self, op: int, t: int) -> bool:
-        """Would fixing ``op`` at ``t`` keep every reservation row within
-        availability, given the already-fixed ops?
-
-        The op's *own* uses accumulate too: a long unpipelined table (e.g.
-        fpdiv busy for II+ cycles) can land two of its own reservations in
-        one modulo slot, which is just as over-subscribed as a clash with
-        another op.
-        """
-        f = self.f
-        own: Dict[Tuple[str, int], int] = {}
-        for offset, resource, count in f.op_uses[op]:
-            slot = (t + offset) % self.ii
-            key = (resource, slot)
-            demand = own.get(key, 0) + count
-            if self.usage.get(key, 0) + demand > f.availability[resource]:
-                return False
-            own[key] = demand
-        return True
+    def _free_slots(self, op: int) -> Optional[int]:
+        """Bitmask of the modulo slots at which ``op`` fits the partial MRT,
+        or None when its fit reads counts and must be probed per cycle."""
+        lt = self.lts[op]
+        if lt.mask_runs is None and not lt.impossible:
+            return None
+        mrt = self.mrt
+        wrap = (1 << self.ii) - 1
+        return ~blocked_slots(lt, self.ii, mrt.full, mrt.counts, mrt.index.avail) & wrap
 
     def _has_live_slot(self, op: int) -> bool:
         """Does any value in ``op``'s current bounds fit the partial MRT?
 
         Bounds intervals are contiguous, so only ``min(width, ii)``
         residues need probing — beyond one full period the slots repeat.
+        The first live cycle becomes the op's witness.
         """
-        lo, hi = self.lo[op], self.hi[op]
-        for t in range(lo, min(hi, lo + self.ii - 1) + 1):
-            if self._slot_fits(op, t):
-                return True
-        return False
-
-    def _place(self, op: int, t: int) -> None:
-        for offset, resource, count in self.f.op_uses[op]:
-            slot = (t + offset) % self.ii
-            key = (resource, slot)
-            self.usage[key] = self.usage.get(key, 0) + count
-
-    def _unplace(self, op: int, t: int) -> None:
-        for offset, resource, count in self.f.op_uses[op]:
-            slot = (t + offset) % self.ii
-            key = (resource, slot)
-            self.usage[key] -= count
-            if not self.usage[key]:
-                del self.usage[key]
+        lo, hi, ii = self.lo[op], self.hi[op], self.ii
+        span = min(hi - lo + 1, ii)
+        free = self._free_slots(op)
+        if free is None:
+            lt, fits = self.lts[op], self.mrt.fits_lowered
+            t = next((t for t in range(lo, lo + span) if fits(lt, t)), -1)
+            if t < 0:
+                return False
+        else:
+            r = lo % ii
+            # Bit p of the aligned mask is cycle lo + p.
+            aligned = ((free >> r) | (free << (ii - r))) & ((1 << span) - 1)
+            if not aligned:
+                return False
+            t = lo + (aligned & -aligned).bit_length() - 1
+        if self.witness[op] < 0:
+            self.unwitnessed.discard(op)
+        self.witness[op] = t
+        return True
 
     # -- bounds propagation -------------------------------------------
-    def _propagate(self, seed: int, trail: List[Tuple[int, int, int]]) -> bool:
+    def _propagate(
+        self, seed: int, trail: List[Tuple[int, int, int]], filled: List[Tuple[int, int]]
+    ) -> bool:
         """Bounds-consistency fixpoint after tightening op ``seed``.
 
         Difference constraints only ever *raise* ``lo`` and *lower* ``hi``,
         so a worklist pass terminates; every change is trailed for undo.
-        Returns False on a domain wipeout or a fixed op losing its MRT
-        slot (dead end).
+        Returns False on a domain wipeout or an unfixed op left without a
+        live MRT slot (dead end).  ``filled`` lists ``(resource_id,
+        newly_full_mask)`` for the slots the seeding placement filled.
         """
+        lo, hi, out_arcs, in_arcs = self.lo, self.hi, self.out_arcs, self.in_arcs
         work = [seed]
         while work:
             src = work.pop()
             self.propagations += 1
-            for dst, w in self.out_arcs[src]:
-                floor = self.lo[src] + w
-                if floor > self.lo[dst]:
-                    trail.append((dst, self.lo[dst], self.hi[dst]))
-                    self.lo[dst] = floor
-                    if self.lo[dst] > self.hi[dst]:
+            for dst, w in out_arcs[src]:
+                floor = lo[src] + w
+                if floor > lo[dst]:
+                    trail.append((dst, lo[dst], hi[dst]))
+                    lo[dst] = floor
+                    if floor > hi[dst]:
                         return False
                     work.append(dst)
-            for dst, w in self.in_arcs[src]:
-                ceil = self.hi[src] - w
-                if ceil < self.hi[dst]:
-                    trail.append((dst, self.lo[dst], self.hi[dst]))
-                    self.hi[dst] = ceil
-                    if self.lo[dst] > self.hi[dst]:
+            for dst, w in in_arcs[src]:
+                ceil = hi[src] - w
+                if ceil < hi[dst]:
+                    trail.append((dst, lo[dst], hi[dst]))
+                    hi[dst] = ceil
+                    if lo[dst] > ceil:
                         return False
                     work.append(dst)
         # Modulo-resource lookahead: every unfixed op must retain at least
-        # one issue cycle whose reservation demand still fits the MRT.
-        for op in range(self.n):
-            if not self.fixed[op] and not self._has_live_slot(op):
+        # one issue cycle whose reservation demand still fits the MRT.  A
+        # witness stays live unless its cycle left the window (a trailed
+        # op), a slot it needs just filled, or its fit reads counts; only
+        # those ops, and ops without a witness yet, are rechecked.
+        fixed, live, witness = self.fixed, self._has_live_slot, self.witness
+        for k in range(1, len(trail)):
+            op = trail[k][0]
+            if not lo[op] <= witness[op] <= hi[op] and not fixed[op] and not live(op):
+                return False
+        ii = self.ii
+        for rid, newly_full in filled:
+            for op, off, run in self.rid_runs[rid]:
+                w = witness[op]
+                if w < 0 or fixed[op]:
+                    continue
+                x = (w + off) % ii
+                if ((newly_full >> x) | (newly_full << (ii - x))) & run and not live(op):
+                    return False
+        for op in self.count_ops:
+            if not fixed[op] and not live(op):
+                return False
+        for op in list(self.unwitnessed):
+            if not fixed[op] and not live(op):
                 return False
         return True
 
     def _undo(self, trail: List[Tuple[int, int, int]]) -> None:
+        """Restore the trailed windows.  Every witness stays live: windows
+        only widen and occupancy only drops on the way back."""
         while trail:
             op, lo, hi = trail.pop()
             self.lo[op] = lo
@@ -165,39 +214,43 @@ class _Search:
             nodes=self.nodes, detail=detail,
         )
 
-    def _out_of_budget(self, max_nodes: int, deadline: Optional[float], start: float) -> bool:
-        if self.nodes >= max_nodes:
-            return True
-        if (
-            deadline is not None
-            and self.nodes % _CLOCK_STRIDE == 0
-            and time.perf_counter() - start >= deadline
-        ):
-            return True
-        return False
-
     def _dfs(self, depth: int, max_nodes: int, deadline: Optional[float], start: float) -> str:
         if depth == len(self.order):
             return SAT
         op = self.order[depth]
+        lt, mrt, ii = self.lts[op], self.mrt, self.ii
+        full, rids = mrt.full, lt.rids
+        # Occupancy is the same at every value tried here (each is undone).
+        free = self._free_slots(op)
         for t in range(self.lo[op], self.hi[op] + 1):
             self.nodes += 1
-            if self._out_of_budget(max_nodes, deadline, start):
+            if self.nodes >= max_nodes or (
+                deadline is not None
+                and self.nodes % _CLOCK_STRIDE == 0
+                and time.perf_counter() - start >= deadline
+            ):
                 return UNKNOWN
-            if not self._slot_fits(op, t):
+            if free is None:
+                if not mrt.fits_lowered(lt, t):
+                    continue
+            elif not (free >> (t % ii)) & 1:
                 continue
             trail: List[Tuple[int, int, int]] = [(op, self.lo[op], self.hi[op])]
             self.lo[op] = self.hi[op] = t
             self.fixed[op] = True
-            self._place(op, t)
-            if self._propagate(op, trail):
+            before = [full[rid] for rid in rids]
+            mrt.place_lowered(lt, t)
+            filled = [
+                (rid, full[rid] & ~held) for rid, held in zip(rids, before) if full[rid] != held
+            ]
+            if self._propagate(op, trail, filled):
                 status = self._dfs(depth + 1, max_nodes, deadline, start)
                 if status == SAT:
                     return SAT  # keep the trail: self.lo now holds the witness
             else:
                 self.conflicts += 1
                 status = UNSAT
-            self._unplace(op, t)
+            mrt.remove_lowered(lt, t)
             self.fixed[op] = False
             self._undo(trail)
             if status == UNKNOWN:

@@ -133,7 +133,6 @@ class SchedulerService:
         if self._started:
             return
         self._started = True
-        await self.pool.start()
         if self.config.gauge_interval > 0:
             self._gauge_task = asyncio.create_task(self._gauge_loop())
 

@@ -1,6 +1,8 @@
 """Tests for machine descriptions and modulo reservation tables."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir import DepKind, MemRef, OpClass, Operation
 from repro.machine import (
@@ -11,6 +13,11 @@ from repro.machine import (
     single_issue,
     two_wide,
 )
+from repro.machine.resources import LoweredTable, blocked_slots, dilate
+
+
+def _rotr(mask: int, k: int, ii: int) -> int:
+    return ((mask >> k) | (mask << (ii - k))) & ((1 << ii) - 1)
 
 
 class TestReservationTable:
@@ -83,6 +90,52 @@ class TestModuloReservationTable:
     def test_invalid_ii_rejected(self):
         with pytest.raises(ValueError):
             ModuloReservationTable(0, {})
+
+
+class TestDilatedRuns:
+    """A held resource's blocked mask: runs dilated by doubling equal the
+    per-offset OR of rotated "slot full" masks."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_dilate_is_the_or_of_every_rotation(self, data):
+        ii = data.draw(st.integers(1, 70))
+        mask = data.draw(st.integers(0, (1 << ii) - 1))
+        length = data.draw(st.integers(1, ii))
+        expected = 0
+        for k in range(length):
+            expected |= _rotr(mask, k, ii)
+        assert dilate(mask, length, ii) == expected
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_run_form_equals_the_per_offset_or(self, data):
+        ii = data.draw(st.integers(1, 40))
+        avail = (1, 2, 3)
+        full = [data.draw(st.integers(0, (1 << ii) - 1)) for _ in avail]
+        slots = set()
+        for _ in range(data.draw(st.integers(1, 4))):
+            rid = data.draw(st.integers(0, len(avail) - 1))
+            length = data.draw(st.integers(1, ii))
+            # Half the runs end at slot II-1, where the rotation wraps.
+            start = data.draw(st.sampled_from([ii - length]) | st.integers(0, ii - length))
+            slots.update((off, rid) for off in range(start, start + length))
+        lt = LoweredTable(tuple(sorted((off, rid, 1) for off, rid in slots)), avail)
+        assert lt.mask_runs is not None
+        assert sorted(
+            (off + k, rid) for off, rid, length in lt.mask_runs for k in range(length)
+        ) == sorted(slots)
+        expected = 0
+        for off, rid in slots:
+            expected |= _rotr(full[rid], off, ii)
+        assert blocked_slots(lt, ii, full, [0] * (len(avail) * ii), avail) == expected
+
+    def test_a_divide_is_one_run(self):
+        machine = r8000()
+        mrt = ModuloReservationTable(30, machine.availability)
+        lt = mrt.lower(machine.table(OpClass.FSQRT))
+        fpdiv = mrt.index.ids["fpdiv"]
+        assert [run for run in lt.mask_runs if run[1] == fpdiv] == [(0, fpdiv, 20)]
 
 
 class TestR8000:
