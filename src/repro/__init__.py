@@ -56,7 +56,7 @@ _EXPORTS = {
         "ir",
     ),
     **dict.fromkeys(("MachineDescription", "r8000", "single_issue", "two_wide"), "machine"),
-    **dict.fromkeys(("MostOptions", "OptimalResult", "most_pipeline_loop"), "most"),
+    **dict.fromkeys(("MostOptions", "most_pipeline_loop"), "most"),
     **dict.fromkeys(("emit_pipelined_code", "pipeline_overhead"), "pipeline"),
     **dict.fromkeys(("RauOptions", "rau_pipeline_loop"), "rau"),
     **dict.fromkeys(("allocate_schedule", "rename_kernel"), "regalloc"),

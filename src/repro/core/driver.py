@@ -90,7 +90,8 @@ class PipelinerOptions:
 
 @dataclass
 class PipelineResult:
-    """Outcome of pipelining one loop."""
+    """Outcome of pipelining one loop, whichever registered pipeliner ran;
+    an optimal driver's fallback is the heuristic's own result."""
 
     success: bool
     schedule: Optional[Schedule]
@@ -101,15 +102,22 @@ class PipelineResult:
     order_name: str = ""
     spill_rounds: int = 0
     spilled: List[str] = field(default_factory=list)
-    stats: SchedulingStats = field(default_factory=SchedulingStats)
+    # The driver's own effort: a SchedulingStats, or the optimal walk's
+    # SolveStats for MOST and the portfolio (also when the walk fell back).
+    stats: Any = field(default_factory=SchedulingStats)
     # The final spill round's II attempts, every order's in turn; each found
     # II carries its allocation outcome (repro.obs.explain reads this trail).
     attempted: List[IIAttempt] = field(default_factory=list)
-    # The common read surface of every scheduler's result (repro.schedulers):
-    # the heuristic neither proves II-optimality nor falls back.
-    optimal = False
-    fallback_used = False
-    fallback_result = None
+    optimal: bool = False  # II-optimality proven (every smaller II infeasible)
+    fallback_used: bool = False  # the heuristic backup produced this schedule
+    # The optimal walk's record (repro.most.walk), empty for the heuristics;
+    # probes are repro.portfolio.answer.ProbeRecord (not imported: the
+    # heuristic's import closure keys its cached cells).
+    probes: List[Any] = field(default_factory=list)
+    buffers: Optional[int] = None  # the secondary objective value, when minimised
+    winning_backend: str = ""  # the backend whose witness was used
+    skipped_backends: Tuple[str, ...] = ()  # requested but not runnable here
+    disagreements: List[str] = field(default_factory=list)
 
     @property
     def ii(self) -> Optional[int]:

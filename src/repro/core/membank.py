@@ -128,7 +128,3 @@ class BankPairer:
             del self._paired[mate]
             self.pairs_scheduled -= 1
         return mate
-
-    def reset(self) -> None:
-        self._paired.clear()
-        self.pairs_scheduled = 0

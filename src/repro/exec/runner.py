@@ -43,7 +43,7 @@ from ..machine.descriptions import MachineDescription, r8000
 from ..obs.export import write_jsonl
 from ..obs.recorder import TraceRecorder, recording
 from ..schedulers import get_scheduler, without_harness_keys
-from .cells import Cell, CellResult, canonical_options, resolve_loop
+from .cells import Cell, CellResult, resolve_loop
 
 
 class CellTimeout(Exception):
@@ -114,11 +114,20 @@ def _simulate(result_like, machine, trips_list, seed, sim_cycles):
     return overhead
 
 
-def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
-    """Schedule, allocate and simulate one cell (no deadline handling here)."""
+def _run_scheduler(
+    cell: Cell, loop, machine: MachineDescription, rescue: bool = False
+) -> CellResult:
+    """Schedule, allocate and simulate one cell (no deadline handling here).
+
+    ``rescue`` runs the heuristic backup in the cell's place, no harness
+    hook included: its result is marked a fallback, like the optimal walk's.
+    """
     from ..core.minii import min_ii as compute_min_ii
 
-    options = without_harness_keys(cell.options)
+    name, options = (
+        ("sgi", FALLBACK_OPTIONS) if rescue
+        else (cell.scheduler, without_harness_keys(cell.options))
+    )
     out = CellResult(
         loop=cell.loop,
         scheduler=cell.scheduler,
@@ -141,13 +150,13 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
 
     # Seeded fault injection (fuzz-oracle calibration): corrupt what the
     # scheduler sees, never what the oracle measures against.
-    inject = cell.options.get("_test_inject")
+    inject = not rescue and cell.options.get("_test_inject")
     if inject:
         from ..fuzz.inject import corrupt_loop
 
         loop = corrupt_loop(loop, inject)
 
-    if cell.scheduler == "baseline":
+    if name == "baseline":
         from ..baseline.list_scheduler import list_schedule
         from ..sim.layout import DataLayout
         from ..sim.perf import simulate_sequential_body
@@ -163,19 +172,20 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
             out.sim_cycles["default" if trips is None else str(trips)] = float(report.cycles)
         return out
 
-    scheduler = get_scheduler(cell.scheduler)
+    scheduler = get_scheduler(name)
     sched_start = time.perf_counter()
     result = scheduler.run(loop, machine, scheduler.options_from_dict(options))
     out.sched_wall_seconds = time.perf_counter() - sched_start
+    if rescue:
+        result = dataclasses.replace(result, fallback_used=True)
     out.schedule_seconds = result.stats.seconds
     out.fallback = result.fallback_used
     out.optimal = result.optimal
     out.spill_rounds = result.spill_rounds
-    out.order_name = getattr(result, "order_name", "")  # SGI's winning order
-    probes = getattr(result, "probes", [])  # an optimal driver's probe trail
-    if probes:
+    out.order_name = result.order_name
+    if result.probes:  # an optimal driver's probe trail
         out.backend_seconds = result.stats.backend_seconds()
-        out.backend_probes = [probe.to_dict() for probe in probes]
+        out.backend_probes = [probe.to_dict() for probe in result.probes]
 
     if inject:
         from ..fuzz.inject import corrupt_result
@@ -204,8 +214,9 @@ def _run_scheduler(cell: Cell, loop, machine: MachineDescription) -> CellResult:
     if cell.explain:
         from ..obs.explain import explain_result
 
+        cause = {"fallback_cause": "the cell's deadline expired"} if rescue else {}
         try:
-            out.explanation = explain_result(result, cell.scheduler, machine).to_dict()
+            out.explanation = explain_result(result, cell.scheduler, machine, **cause).to_dict()
         except Exception:
             # Attribution is best-effort decoration; a crash in it must not
             # lose the measured result.
@@ -223,7 +234,7 @@ def _apply_oracle(cell: Cell, result, machine, out: CellResult) -> None:
     corrupted by a seeded ``_test_inject`` fault — which is exactly what
     makes those faults detectable.
     """
-    scheduled = getattr(result, "success", False) and result.schedule is not None
+    scheduled = result.success and result.schedule is not None
     try:
         from ..verify import result_report
 
@@ -266,26 +277,20 @@ def _apply_oracle(cell: Cell, result, machine, out: CellResult) -> None:
         out.funcsim_detail = f"functional sim crashed: {traceback.format_exc()}"
 
 
-def _fallback_result(cell: Cell, loop, machine, elapsed: float) -> CellResult:
+def _rescue(cell: Cell, loop, machine, elapsed: float) -> CellResult:
     """Heuristic rescue of a timed-out cell, with honest accounting.
 
     The rescue is the cell itself on the heuristic backup, so it passes
     through the same oracle, analyze and explain layers.
     """
-    fallback_cell = dataclasses.replace(
-        cell, scheduler="sgi", options_json=canonical_options(FALLBACK_OPTIONS), timeout=None
-    )
     try:
-        out = _run_scheduler(fallback_cell, loop, machine)
+        out = _run_scheduler(cell, loop, machine, rescue=True)
     except Exception:
         out = CellResult(loop=cell.loop, scheduler=cell.scheduler, n_ops=loop.n_ops)
         out.error = f"timeout after {elapsed:.1f}s; fallback failed:\n{traceback.format_exc()}"
         out.timeout = True
         return out
-    out.scheduler = cell.scheduler
-    out.options_json = cell.options_json
     out.timeout = True
-    out.fallback = True
     out.schedule_seconds += elapsed
     return out
 
@@ -377,7 +382,7 @@ def execute_cell(spec: Dict, in_worker: bool = True) -> Dict:
             else:
                 out = _run_scheduler(cell, loop, machine)
     except CellTimeout:
-        out = _fallback_result(cell, loop, machine, elapsed=time.perf_counter() - start)
+        out = _rescue(cell, loop, machine, elapsed=time.perf_counter() - start)
     except Exception:
         out = CellResult(
             loop=cell.loop, scheduler=cell.scheduler,

@@ -70,7 +70,7 @@ def corrupt_loop(loop: Loop, name: str) -> Loop:
 
 def corrupt_result(result, name: str) -> None:
     """Post-scheduling corruption of a successful result, in place."""
-    if not getattr(result, "success", False) or result.schedule is None:
+    if not result.success or result.schedule is None:
         return
     if name == "sched-shift":
         schedule = result.schedule

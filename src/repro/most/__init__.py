@@ -3,18 +3,11 @@ driver it shares with the backend portfolio (:mod:`repro.most.walk`)."""
 
 from .formulation import ScheduleFormulation, build_formulation
 from .scheduler import MostOptions, most_pipeline_loop
-from .walk import (
-    OptimalOptions,
-    OptimalResult,
-    SolveBudget,
-    SolveStats,
-    optimal_pipeline_loop,
-)
+from .walk import OptimalOptions, SolveBudget, SolveStats, optimal_pipeline_loop
 
 __all__ = [
     "MostOptions",
     "OptimalOptions",
-    "OptimalResult",
     "ScheduleFormulation",
     "SolveBudget",
     "SolveStats",

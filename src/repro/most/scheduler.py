@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.driver import PipelineResult
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
-from .walk import OptimalOptions, OptimalResult, optimal_pipeline_loop
+from .walk import OptimalOptions, optimal_pipeline_loop
 
 
 class MostOptions(OptimalOptions):
@@ -35,6 +36,6 @@ def most_pipeline_loop(
     loop: Loop,
     machine: Optional[MachineDescription] = None,
     options: Optional[OptimalOptions] = None,
-) -> OptimalResult:
+) -> PipelineResult:
     """Schedule ``loop`` with the ILP pipeliner, falling back to heuristics."""
     return optimal_pipeline_loop(loop, machine, options or MostOptions(), tag="most")

@@ -18,13 +18,14 @@ register-allocation failure walks on (a larger II shortens relative
 lifetimes); an empty-handed walk falls back on the SGI heuristic without
 bank pairing.  When the options name a secondary objective, stage 2
 re-solves the winning II with the ILP, starting from the winner's times.
-The walk owns the probe trail: every screen and every probe lands in
-``OptimalResult.probes``, and the winning sat probe of each II reached
-carries that schedule's allocation outcome.
+The walk owns the probe trail: every screen and every probe lands in its
+:class:`~repro.core.driver.PipelineResult`'s ``probes``, and the winning
+sat probe of each II reached carries that schedule's allocation outcome.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import time
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ from ..portfolio.cp import solve_cp
 from ..portfolio.formulation import ModuloFormulation, build_modulo_formulation, check_witness
 from ..portfolio.ilp_backend import load_ilp_solver, solve_ilp
 from ..portfolio.smt import smt_available, solve_smt
-from ..regalloc.coloring import AllocationResult, allocate_schedule
+from ..regalloc.coloring import allocate_schedule
 from .formulation import OBJECTIVES, build_formulation
 
 #: The study's limit on searches for optimal schedules ("we used 3
@@ -131,36 +132,6 @@ class SolveStats:
         return {name: agg["seconds"] for name, agg in sorted(self.per_backend.items())}
 
 
-@dataclass
-class OptimalResult:
-    """Outcome of an optimal driver (MOST or the portfolio), possibly via fallback."""
-
-    success: bool
-    schedule: Optional[Schedule]
-    allocation: Optional[AllocationResult]
-    loop: Loop
-    min_ii: int
-    optimal: bool = False  # II-optimality proven (every smaller II infeasible)
-    fallback_used: bool = False
-    fallback_result: Optional[PipelineResult] = None
-    stats: SolveStats = field(default_factory=SolveStats)
-    buffers: Optional[int] = None  # the secondary objective value, when minimised
-    winning_backend: str = ""  # the backend whose witness was used
-    skipped_backends: Tuple[str, ...] = ()  # requested but not runnable here
-    probes: List[ProbeRecord] = field(default_factory=list)  # the probe trail
-    disagreements: List[str] = field(default_factory=list)
-
-    @property
-    def ii(self) -> Optional[int]:
-        return self.schedule.ii if self.schedule is not None else None
-
-    @property
-    def spill_rounds(self) -> int:
-        """The optimal drivers never spill; only their heuristic fallback can."""
-        fallback = self.fallback_result
-        return fallback.spill_rounds if fallback is not None else 0
-
-
 #: Backends every build of this repo can run.  ``smt`` joins the set only
 #: when ``z3-solver`` is importable — requesting it without z3 is a clean
 #: skip (recorded in the result), not an error, so one options dict works
@@ -240,7 +211,7 @@ class OptimalOptions:
 
 #: A per-II step's verdict that its II is proven infeasible.  ``None`` means
 #: inconclusive; a found schedule comes back as ``(schedule, fields)``, the
-#: fields being the :class:`OptimalResult` attributes the II's step set.
+#: fields being the :class:`PipelineResult` attributes the II's step set.
 INFEASIBLE = "infeasible"
 Verdict = Union[None, str, Tuple[Schedule, Dict[str, Any]]]
 
@@ -344,13 +315,14 @@ def walk_ii(
     *,
     tag: str,
     search: bool = True,
-) -> OptimalResult:
+) -> PipelineResult:
     """Walk the II range with the per-II step ``solve``; fall back if needed.
 
     ``solve(formulation, budget, stats, probes)`` decides one II's neutral
     formulation, appending its probes to the walk's trail.  ``tag``
     prefixes the recorder names (``<tag>.ii_attempts``, ``<tag>.ii``);
-    ``search=False`` goes straight to the fallback.
+    ``search=False`` goes straight to the fallback, whose own result comes
+    back marked ``fallback_used`` and carrying the walk's stats and probes.
     """
     mii = compute_min_ii(loop, machine)
     budget = SolveBudget(total=options.time_limit)
@@ -389,9 +361,9 @@ def walk_ii(
             winner = next(p for p in probes if p.ii == ii and p.witness_ok)
             winner.allocated, winner.uncolored = allocation.success, len(allocation.uncolored)
             if allocation.success:
-                return OptimalResult(
-                    True, schedule, allocation, loop, mii, optimal=smaller_proven_infeasible,
-                    stats=stats, probes=probes, **found,
+                return PipelineResult(
+                    True, schedule, allocation, loop, loop, mii,
+                    optimal=smaller_proven_infeasible, stats=stats, probes=probes, **found,
                 )
             # Register allocation failed at this II: a larger II shortens
             # relative lifetimes, so keep walking the II range before
@@ -399,12 +371,9 @@ def walk_ii(
             smaller_proven_infeasible = False
 
     if not options.fallback:
-        return OptimalResult(False, None, None, loop, mii, stats=stats, probes=probes)
+        return PipelineResult(False, None, None, loop, loop, mii, stats=stats, probes=probes)
     fallback = pipeline_loop(loop, machine, PipelinerOptions.from_dict(FALLBACK_OPTIONS))
-    return OptimalResult(
-        fallback.success, fallback.schedule, fallback.allocation, fallback.loop, mii,
-        fallback_used=True, fallback_result=fallback, stats=stats, probes=probes,
-    )
+    return dataclasses.replace(fallback, fallback_used=True, stats=stats, probes=probes)
 
 
 def optimal_pipeline_loop(
@@ -413,7 +382,7 @@ def optimal_pipeline_loop(
     options: OptimalOptions,
     *,
     tag: str,
-) -> OptimalResult:
+) -> PipelineResult:
     """Schedule ``loop`` with the optimal pipeliner, falling back to heuristics.
 
     ``tag`` (``most`` or ``portfolio``) prefixes the recorder names and the

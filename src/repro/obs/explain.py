@@ -283,7 +283,7 @@ def _certified_gap(
     still bind), the binding constraint is whatever the II−1 certificate
     counts, machine-checkably.
     """
-    if getattr(result, "spilled", []):
+    if result.spilled:
         return None
     from ..analyze.bounds import compute_bounds
 
@@ -324,7 +324,7 @@ def _spill_raised_minii(result, machine, achieved_ii: int) -> Optional[Tuple[str
     """
     from ..core.minii import min_ii as compute_min_ii
 
-    spilled = getattr(result, "spilled", [])
+    spilled = result.spilled
     if not spilled:
         return None
     spilled_mii = compute_min_ii(result.loop, machine)
@@ -345,14 +345,14 @@ def _spill_raised_minii(result, machine, achieved_ii: int) -> Optional[Tuple[str
 def trail(result) -> List[Dict[str, Any]]:
     """The production run's per-II trail as JSON-friendly steps, in run order.
 
-    SGI and Rau94 results carry their final spill round's ``IIAttempt``s
-    (``phase``, ``stop``), the optimal drivers their ``ProbeRecord``s
-    (``backend``, ``answer``); a found II carries ``allocated`` and
-    ``uncolored``.  Wall-clock seconds are dropped: an explanation depends
-    only on what the run decided.
+    The optimal walk's ``ProbeRecord``s (``backend``, ``answer``) come
+    first, then the heuristic's final-spill-round ``IIAttempt``s
+    (``phase``, ``stop``): SGI's and Rau94's own, or the walk's fallback's;
+    a found II carries ``allocated`` and ``uncolored``.  Wall-clock seconds
+    are dropped: an explanation depends only on what the run decided.
     """
-    steps = [asdict(a) for a in getattr(result, "attempted", ())]
-    steps += [p.to_dict() for p in getattr(result, "probes", ())]
+    steps = [p.to_dict() for p in result.probes]
+    steps += [asdict(a) for a in result.attempted]
     for step in steps:
         step.pop("seconds")
     return steps
@@ -424,13 +424,16 @@ def classify(
     ), step
 
 
-def explain_result(result, scheduler: str, machine, with_mrt: bool = True) -> IIExplanation:
+def explain_result(
+    result, scheduler: str, machine, fallback_cause: str = "optimal walk came back empty"
+) -> IIExplanation:
     """Attribute one already-computed pipeliner result from its own trail.
 
     ``result`` is any registered scheduler's result (:mod:`repro.schedulers`);
-    nothing is scheduled, solved or allocated again.
+    nothing is scheduled, solved or allocated again.  A fallback's detail
+    starts with ``fallback_cause``.
     """
-    original = getattr(result, "original", None) or result.loop
+    original = result.original
     profile = minii_profile(original, machine)
     explanation = IIExplanation(
         loop=original.name,
@@ -444,7 +447,7 @@ def explain_result(result, scheduler: str, machine, with_mrt: bool = True) -> II
         binding="unschedulable",
         critical_circuit=profile.circuit,
         spill_rounds=result.spill_rounds,
-        spilled=list(getattr(result, "spilled", [])),
+        spilled=list(result.spilled),
         fallback=result.fallback_used,
         attempts=trail(result),
     )
@@ -460,22 +463,7 @@ def explain_result(result, scheduler: str, machine, with_mrt: bool = True) -> II
     explanation.gap = result.ii - profile.min_ii
     explanation.utilization = resource_utilization(original, machine, result.ii)
     explanation.bottleneck = bottleneck_resource(original, machine, result.ii)
-    if with_mrt and result.schedule is not None:
-        explanation.mrt = _mrt_rows(result.schedule, machine)
-
-    # The optimal walk's heuristic fallback produced this schedule:
-    # attribute it from the fallback result's own trail.
-    fallback_result = result.fallback_result
-    if explanation.fallback and fallback_result is not None:
-        inner = explain_result(fallback_result, "sgi", machine, with_mrt=False)
-        explanation.binding = inner.binding
-        explanation.detail = f"optimal walk came back empty → heuristic fallback; {inner.detail}"
-        explanation.evidence = inner.evidence
-        explanation.attempts += inner.attempts
-        explanation.spill_rounds = inner.spill_rounds
-        explanation.spilled = inner.spilled
-        return explanation
-
+    explanation.mrt = _mrt_rows(result.schedule, machine)
     if explanation.gap <= 0:
         explanation.binding = _bound_binding(profile)
         if profile.side == "recurrence":
@@ -491,16 +479,20 @@ def explain_result(result, scheduler: str, machine, with_mrt: bool = True) -> II
                 f"bottleneck resource {explanation.bottleneck!r} at "
                 f"{util:.0%} utilization"
             )
-        return explanation
-
-    # II > MinII: the spill check, then a certificate citation (when the
-    # whole gap is certified), then the trail.
-    attributed = (
-        _spill_raised_minii(result, machine, result.ii)
-        or _certified_gap(result, original, machine, profile)
-        or classify(explanation.attempts, result.ii, profile)
-    )
-    explanation.binding, explanation.detail, explanation.evidence = attributed
+    else:
+        # II > MinII: the spill check, then a certificate citation (when the
+        # whole gap is certified), then the trail: a fallback's own
+        # attempts, not the walk's probes that came back empty.
+        steps = explanation.attempts
+        if result.fallback_used:
+            steps = steps[len(result.probes) :]
+        explanation.binding, explanation.detail, explanation.evidence = (
+            _spill_raised_minii(result, machine, result.ii)
+            or _certified_gap(result, original, machine, profile)
+            or classify(steps, result.ii, profile)
+        )
+    if result.fallback_used:
+        explanation.detail = f"{fallback_cause} → heuristic fallback; {explanation.detail}"
     return explanation
 
 

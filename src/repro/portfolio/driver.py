@@ -27,14 +27,10 @@ from __future__ import annotations
 import functools
 from typing import Optional
 
+from ..core.driver import PipelineResult
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription
-from ..most.walk import (
-    OptimalOptions,
-    OptimalResult,
-    available_backend_names,
-    optimal_pipeline_loop,
-)
+from ..most.walk import OptimalOptions, available_backend_names, optimal_pipeline_loop
 
 __all__ = ["PortfolioOptions", "available_backend_names", "portfolio_pipeline_loop"]
 
@@ -56,7 +52,7 @@ def portfolio_pipeline_loop(
     loop: Loop,
     machine: Optional[MachineDescription] = None,
     options: Optional[OptimalOptions] = None,
-) -> OptimalResult:
+) -> PipelineResult:
     """Schedule ``loop`` with the backend portfolio, falling back to heuristics."""
     return optimal_pipeline_loop(
         loop, machine, options or PortfolioOptions(), tag="portfolio"

@@ -2,11 +2,10 @@
 
 Each entry maps a scheduler name to its options parser
 (``options_from_dict``: the JSON/cell form, unknown keys rejected) and its
-driver (``run(loop, machine, options)``).  Every driver's result
-exposes one read surface — ``success``, ``schedule``, ``allocation``,
-``loop``, ``ii``, ``min_ii``, ``optimal``, ``fallback_used``,
-``fallback_result``, ``spill_rounds`` and ``stats.seconds`` — so callers
-read fields instead of branching on the scheduler name.  The two optimal
+driver (``run(loop, machine, options)``).  Every driver returns one type,
+:class:`~repro.core.driver.PipelineResult` (an optimal driver's fallback
+is the heuristic's own result), so callers read fields instead of
+branching on the scheduler name.  The two optimal
 entries, ``most`` and ``portfolio``, run one driver
 (:func:`repro.most.walk.optimal_pipeline_loop`) under two default sets of
 one options class (``MostOptions``, ``PortfolioOptions``), so both accept

@@ -75,7 +75,7 @@ def result_report(result, machine: Optional[MachineDescription] = None) -> Repor
     scheduled still has its loop linted.  This is the exec oracle's
     verification (``Cell.oracle``); the report is returned, never raised.
     """
-    if not getattr(result, "success", False) or result.schedule is None:
+    if not result.success or result.schedule is None:
         return verify_all(result.loop, machine=machine)
     emitted = None
     if result.allocation is not None and result.allocation.success:

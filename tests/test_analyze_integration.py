@@ -64,8 +64,7 @@ class TestBoundsVsProvedOptimal:
             )
             if not (result.success and result.optimal):
                 continue
-            fallback = getattr(result, "fallback_result", None)
-            if fallback is not None and fallback.spill_rounds:
+            if result.spill_rounds:  # a fallback that spilled
                 continue
             proved += 1
             assert result.ii >= bounds.refined_bound, (

@@ -314,6 +314,22 @@ class TestEngine:
         assert result.funcsim_ok is True and result.verify_errors == []
         assert result.refined_bound is not None
         assert result.explanation is not None and "binding" in result.explanation
+        # The rescue describes itself as the walk's own fallback does: under
+        # the cell's scheduler, flagged, with the heuristic's winning order;
+        # only the cause in its detail differs.
+        walked_cell = Cell.make(
+            "livermore:lk12_firstdiff", "most", {**MOST_OPTS, "max_ops": 0}, explain=True
+        )
+        walked = ExecEngine(jobs=1).run([walked_cell])[walked_cell]
+        assert walked.fallback and not walked.timeout
+        assert result.order_name == walked.order_name != ""
+        rescued, fell_back = dict(result.explanation), dict(walked.explanation)
+        assert (rescued["scheduler"], rescued["fallback"]) == ("most", True)
+        assert "optimal walk came back empty" not in rescued["detail"]
+        walk_cause = "optimal walk came back empty → heuristic fallback; "
+        detail = fell_back.pop("detail").removeprefix(walk_cause)
+        assert rescued.pop("detail") == "the cell's deadline expired → heuristic fallback; " + detail
+        assert rescued == fell_back
         # Timeout results are cacheable (the deadline is part of the key).
         rerun = ExecEngine(jobs=1, cache=ScheduleCache(tmp_path / "c")).run([cell])[cell]
         assert rerun.cache_hit and rerun.timeout and rerun.fallback

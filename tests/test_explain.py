@@ -23,6 +23,7 @@ import sys
 
 import pytest
 
+from repro.core.driver import FALLBACK_OPTIONS
 from repro.exec.cells import Cell, corpus_cells, resolve_loop
 from repro.exec.engine import ExecEngine
 from repro.exec.runner import execute_cell
@@ -145,6 +146,23 @@ class TestBindingClassification:
         assert explanation.evidence["ii"] == 7
         assert explanation.evidence["answer"] == "sat"
         assert explanation.evidence["allocated"] is False
+
+    @pytest.mark.parametrize("scheduler", ["most", "portfolio"])
+    def test_walk_fallback_explained_like_the_heuristic(self, scheduler):
+        # tomcatv_main (62 ops) is past max_ops, so the walk falls back to
+        # SGI, which spills it: the explanation describes the original
+        # loop (MinII 23), not the spilled body, exactly as SGI's does.
+        key = "spec92:tomcatv/tomcatv_main"
+        fallback = explain_cell(key, scheduler, {"max_ops": 0}).to_dict()
+        sgi = explain_cell(key, "sgi", dict(FALLBACK_OPTIONS)).to_dict()
+        assert fallback["spilled"] and fallback["min_ii"] == 23
+        assert (fallback["scheduler"], fallback["fallback"]) == (scheduler, True)
+        prefix = "optimal walk came back empty → heuristic fallback; "
+        assert fallback["detail"] == prefix + sgi["detail"]
+        assert fallback["attempts"] == sgi["attempts"]  # no probe ran
+        for name in ("scheduler", "fallback", "attempts", "detail"):
+            del fallback[name], sgi[name]
+        assert fallback == sgi
 
     def test_most_register_pressure_cites_the_production_probe(self, machine, lk18_most):
         # The production walk's ILP answered sat at II 7 with a valid

@@ -1,9 +1,12 @@
-"""The scheduler registry contract: one table, one result read surface."""
+"""The scheduler registry contract: one table, one result type."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.driver import FALLBACK_OPTIONS, PipelineResult, PipelinerOptions, pipeline_loop
 from repro.exec.cells import SCHEDULERS, resolve_loop
 from repro.machine import r8000
 from repro.schedulers import PRESETS, REGISTRY, get_scheduler
@@ -79,30 +82,41 @@ def test_every_result_exposes_the_common_read_surface(name):
     scheduler = REGISTRY[name]
     loop = resolve_loop(LOOP, machine)
     result = scheduler.run(loop, machine, scheduler.options_from_dict(LIGHT.get(name, {})))
+    assert isinstance(result, PipelineResult)
     assert result.success is True
     assert result.schedule is not None and result.allocation is not None
     assert result.ii == result.schedule.ii
     assert result.loop is not None and result.min_ii <= result.ii
     assert isinstance(result.optimal, bool)
-    assert result.fallback_used is False and result.fallback_result is None
+    assert result.fallback_used is False and result.original is loop
     assert isinstance(result.spill_rounds, int)
     assert result.stats.seconds >= 0.0
 
 
 @pytest.mark.parametrize("name", ["most", "portfolio"])
 def test_forced_fallback_agrees_with_the_fallback_result(name):
+    # A walk fallback is the heuristic backup's own result, flagged, with
+    # the walk's effort and (empty) probe trail on it.
     machine = r8000()
     scheduler = REGISTRY[name]
     loop = resolve_loop(LOOP, machine)
     options = scheduler.options_from_dict({**LIGHT[name], "max_ops": 0})
     result = scheduler.run(loop, machine, options)
-    fallback = result.fallback_result
-    assert result.fallback_used is True and fallback is not None
-    assert result.optimal is False and fallback.optimal is False
-    assert result.spill_rounds == fallback.spill_rounds
-    assert result.success == fallback.success
-    assert result.schedule is fallback.schedule
+    direct = pipeline_loop(loop, machine, PipelinerOptions.from_dict(FALLBACK_OPTIONS))
+    assert isinstance(result, PipelineResult)
+    assert result.fallback_used is True and result.optimal is False
+    assert result.probes == [] and result.stats.solves == 0
+    assert result.success is direct.success is True
     assert result.schedule.producer.startswith("sgi/")
+    assert result.schedule.times == direct.schedule.times
+    assert result.allocation.registers_used == direct.allocation.registers_used
+    assert result.allocation.fp_assignment == direct.allocation.fp_assignment
+    assert result.allocation.int_assignment == direct.allocation.int_assignment
+    assert result.original is loop and result.loop.n_ops == direct.loop.n_ops
+    assert (result.spilled, result.spill_rounds) == (direct.spilled, direct.spill_rounds)
+    assert result.order_name == direct.order_name != ""
+    untimed = [[dataclasses.replace(a, seconds=0.0) for a in r.attempted] for r in (result, direct)]
+    assert untimed[0] == untimed[1] != []
 
 
 #: Every command's options before they moved into the registry: (preset,
