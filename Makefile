@@ -41,17 +41,19 @@ lint:
 # pipeliner under the quick preset, each cell verified, explained and
 # carrying its certified bound, into benchmarks/output/BENCH_sweep_all.json
 # and the result cache; fails on any cell error or violation of the
-# seven-layer verdict.  verify-corpus, analyze, explain-smoke,
-# report-smoke and the quick grid then read these cells through the cache
-# instead of solving them again.
+# seven-layer verdict.  verify-corpus, analyze and explain-smoke depend
+# on it and read that json (in one make run the grid runs once; on a warm
+# cache every cell is a hit), and the quick grid reads these cells through
+# the cache, instead of solving them again.
 grid:
 	$(PYTHON) -m repro bench all --quick --jobs 2
 
 # Every schedule, allocation and emitted listing of the grid, verified,
 # and the grid's seven-layer verdict (crash, verify, funcsim, min_ii,
 # bound, optimality, agreement): exits non-zero on any violation.  A
-# view of `make grid`'s cells, solved first on a cold cache.
-verify-corpus:
+# reader of `make grid`'s BENCH_sweep_all.json, which `grid` first brings
+# up to date with the current code.
+verify-corpus: grid
 	$(PYTHON) -m repro verify all
 
 # The full timed (loop × scheduler) grid, emitted as
@@ -114,15 +116,18 @@ trace-smoke:
 
 # II-gap attribution over the full Livermore corpus: which constraint
 # (recurrence, resource, register pressure, search budget or exhaustion)
-# binds each loop's achieved II, per scheduler, as each grid cell recorded it.
+# binds each loop's achieved II, per scheduler, as each grid cell recorded
+# it.  The Livermore grid runs first (all cache hits after `make grid`).
 explain:
+	$(PYTHON) -m repro bench livermore --quick --jobs 2
 	$(PYTHON) -m repro explain livermore
 
-# CI's attribution smoke: six Livermore loops × all four schedulers of the
-# grid; fails when a cell crashed, when no cell was explained or when a
-# binding falls outside repro.obs.explain.BINDING_CLASSES.
-explain-smoke:
-	$(PYTHON) -m repro explain livermore --limit 6 --json benchmarks/output/explain.json
+# CI's attribution smoke: every cell of `make grid`'s BENCH_sweep_all.json,
+# all corpora × all four schedulers; fails when a cell crashed, when no
+# cell was explained or when a binding falls outside
+# repro.obs.explain.BINDING_CLASSES.
+explain-smoke: grid
+	$(PYTHON) -m repro explain all --json benchmarks/output/explain.json
 	$(PYTHON) -c "import json, sys; \
 		from repro.obs.explain import BINDING_CLASSES; \
 		cells = json.load(open('benchmarks/output/explain.json')); \
@@ -143,7 +148,8 @@ strict-smoke:
 # cross-check each grid cell's achieved II and recorded bound against them
 # (exits non-zero on a checker failure, a bound contradiction, a cell
 # whose recorded bound differs or a violation of the grid's verdict).
-analyze:
+# Reads `make grid`'s BENCH_sweep_all.json.
+analyze: grid
 	$(PYTHON) -m repro analyze all --check
 
 # The CI regression gate: attributed diff of the latest bench output

@@ -11,9 +11,10 @@ Ten subcommands (``SUBCOMMANDS``; each takes ``--help``) sit beside it:
   (:mod:`repro.exec.verdict`); exits 1 on any error or violation;
   ``--trace`` adds the search-effort table and a validated Chrome trace;
 * ``verify``, ``explain`` and ``analyze <corpus>`` — views of that grid:
-  each runs ``bench <corpus> --quick`` through the result cache and prints
-  from the written ``BENCH_sweep_<corpus>.json`` (a subset run's name
-  carries its subset); ``verify`` exits 1 on the json's violations;
+  each reads the ``BENCH_sweep_<corpus>.json`` that ``bench <corpus>
+  --quick`` wrote (``--bench`` names another file or directory), runs no
+  cell, and exits 2 naming that command when the json is missing;
+  ``verify`` exits 1 on the json's violations;
 * ``diff <old> <new>`` / ``trend <name>`` — the regression gate over BENCH
   runs and the run-history store;
 * ``report`` — the self-contained ``report.html`` dashboard;
@@ -43,7 +44,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .exec.cache import DEFAULT_CACHE_DIR
-from .obs.export import atomic_write_text
+from .obs import export
 from .schedulers import REGISTRY
 
 if TYPE_CHECKING:
@@ -130,19 +131,23 @@ _SHARED: Dict[str, Row] = {
         metavar="PATH", help="also write the results as JSON to this path ('-' for stdout)")),
     "history_dir": ("--history-dir", dict(
         metavar="DIR", help="run-history store (default: %(default)s)")),
+    "bench": ("--bench", dict(
+        metavar="PATH", help="the grid's BENCH json: a file, or a directory holding "
+        "BENCH_sweep_<corpus>.json (default: %(default)s)")),
 }
 
-#: bench's grid flags, with bench's defaults: every view of the grid
-#: (verify, explain, analyze) takes the same ones, so a view names the
-#: very cells ``repro bench`` would run.
-_GRID: Dict[str, Any] = dict(
-    schedulers=ALL_SCHEDULERS, limit=None, jobs=1, cache_dir=DEFAULT_CACHE_DIR, no_cache=False,
-)
 
-#: The corpus positional of the views.
-_CORPUS = ("corpus", dict(
-    nargs="?", default="livermore",
-    help="livermore, spec92, recbound or all (default: %(default)s)"))
+def _corpora() -> str:
+    """The grid's corpora, and ``all``, as one phrase."""
+    from .exec.cells import CORPORA
+
+    return f"{', '.join(CORPORA)} or all"
+
+
+def _corpus_row(default: str) -> Row:
+    """The corpus positional of the views."""
+    return ("corpus", dict(nargs="?", default=default,
+                           help=f"{_corpora()} (default: %(default)s)"))
 
 
 def _parse(
@@ -193,42 +198,36 @@ def _print_or_write(json_out: Optional[str], payload: str, text: str) -> None:
     if json_out:
         path = pathlib.Path(json_out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, payload + "\n")
+        export.atomic_write_text(path, payload + "\n")
         print(f"wrote {path}")
 
 
-def _cache_line(report: Mapping[str, Any]) -> str:
-    """A BENCH payload's cache accounting, in one phrase."""
-    cache = report["cache"]
-    if cache is None:
-        return "cache disabled"
-    return f"cache {cache['hits']} hits / {cache['misses']} misses ({cache['dir']})"
+def _view_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Dict[str, Any]:
+    """A view's grid: the BENCH payload ``--bench`` names (in a directory,
+    the ``BENCH_sweep_<corpus>.json`` that ``repro bench <corpus> --quick``
+    writes), so every number a view prints is that file's.  A missing
+    file, or one that holds another corpus's grid, exits 2; a missing
+    file in a directory names the bench command that writes it."""
+    from .exec.cells import CORPORA
+    from .obs.diffbench import load_bench
 
-
-def _grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Dict[str, Any]:
-    """The view's grid: run ``repro bench <corpus> --quick`` with the grid
-    flags (a warm cache answers every cell) and return the payload read
-    back from the BENCH json it wrote (``BENCH_sweep_<corpus>.json``, its
-    subset in the name under ``--schedulers`` or ``--limit``), so every
-    number a view prints is that file's."""
-    import json
-
-    from .exec.bench import BenchOptions, run_sweep
-
-    options = BenchOptions(
-        quick=True,
-        schedulers=args.schedulers,
-        limit=args.limit,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
-    try:
-        _, path = run_sweep(args.corpus, options, progress=None)
-    except ValueError as exc:  # unknown corpus
-        parser.error(str(exc))
-    report = json.loads(path.read_text())
-    print(f"grid: {path}, {report['totals']['cells']} cells; {_cache_line(report)}",
-          file=sys.stderr)
+    corpus = args.corpus
+    if corpus not in (*CORPORA, "all"):
+        parser.error(f"unknown corpus {corpus!r} (expected {_corpora()})")
+    path = pathlib.Path(args.bench)
+    if path.is_dir() or not (path.is_file() or path.suffix == ".json"):
+        directory, path = path, path / f"BENCH_sweep_{corpus}.json"
+        if not path.is_file():
+            command = f"python -m repro bench {corpus} --quick"
+            if directory != pathlib.Path(export.DEFAULT_OUTPUT_DIR):
+                command += f" --output-dir {directory}"
+            parser.error(f"no BENCH json at {path}; `{command}` writes it")
+    elif not path.is_file():
+        parser.error(f"no BENCH json at {path}")
+    report = load_bench(path)
+    if report.get("corpora") != [corpus]:
+        parser.error(f"{path} is not the {corpus} grid (corpora: {report.get('corpora')})")
+    print(f"grid: {path}, {report['totals']['cells']} cells", file=sys.stderr)
     return report
 
 
@@ -264,23 +263,22 @@ def _verify_main(argv) -> int:
         "violation).",
         argv,
         [
-            ("corpus", dict(nargs="?", default="all",
-                            help="livermore, spec92, recbound or all (default: %(default)s)")),
+            _corpus_row("all"),
             ("-v --verbose", dict(action="store_true",
                                   help="print every diagnostic, warnings included")),
         ],
-        **_GRID,
+        bench=str(export.DEFAULT_OUTPUT_DIR),
     )
     from .exec.verdict import format_verify
 
-    report = _grid(vp, args)
+    report = _view_grid(vp, args)
     print(format_verify(args.corpus, report, verbose=args.verbose))
     return 1 if report["totals"]["violations"] else 0
 
 
 def _bench_main(argv) -> int:
     """``python -m repro bench [<corpus>]``: the timed grid."""
-    from .exec.bench import DEFAULT_OUTPUT_DIR, BenchOptions, run_pipeline_bench, run_sweep
+    from .exec.bench import BenchOptions, run_pipeline_bench, run_sweep
 
     bp, args = _parse(
         "bench",
@@ -289,13 +287,13 @@ def _bench_main(argv) -> int:
         "verdict as a BENCH json (exit 1 on any cell error or violation).",
         argv,
         [
-            ("corpus", dict(nargs="?", help="bench this one corpus (livermore, spec92, "
-                            "recbound or all) into BENCH_sweep_<corpus>.json instead of "
+            ("corpus", dict(nargs="?", help=f"bench this one corpus ({_corpora()}) "
+                            "into BENCH_sweep_<corpus>.json instead of "
                             "the standard corpora into BENCH_pipeline.json (a scheduler "
                             "subset or --limit adds itself to the name)")),
             ("--quick", dict(action="store_true", help="CI smoke configuration: "
                              "livermore + recbound, tighter solver budget")),
-            ("--output-dir", dict(default=str(DEFAULT_OUTPUT_DIR), metavar="DIR",
+            ("--output-dir", dict(default=str(export.DEFAULT_OUTPUT_DIR), metavar="DIR",
                                   help="where BENCH_*.json goes (default: %(default)s)")),
             ("--trace", dict(action="store_true", help="run cells live (past the cache) "
                              "under the repro.obs recorder: print the per-loop "
@@ -308,7 +306,8 @@ def _bench_main(argv) -> int:
         helps={"cell_timeout": "hard per-cell deadline (default: 120s, 60s with --quick)",
                "history_dir": "also file this run in this run-history store "
                "(e.g. benchmarks/history; default: off)"},
-        **_GRID, cell_timeout=None, seed=0, history_dir=None,
+        schedulers=ALL_SCHEDULERS, limit=None, jobs=1, cache_dir=DEFAULT_CACHE_DIR,
+        no_cache=False, cell_timeout=None, seed=0, history_dir=None,
     )
     trace = args.trace or args.trace_dir is not None
     trace_dir = args.trace_dir
@@ -337,7 +336,7 @@ def _bench_main(argv) -> int:
         bp.error(str(exc))
     from .exec.verdict import format_violation
 
-    totals = report["totals"]
+    totals, cache = report["totals"], report["cache"]
     failed = bool(totals["errors"] or totals["violations"])
     if trace:
         failed = _trace_failed(report) or failed
@@ -345,7 +344,9 @@ def _bench_main(argv) -> int:
         f"\n{totals['cells']} cells in {report['wall_seconds']:.1f}s "
         f"(jobs={report['jobs']}): {totals['timeouts']} timeouts, "
         f"{totals['fallbacks']} fallbacks, {totals['errors']} errors, "
-        f"{len(totals['violations'])} violations; {_cache_line(report)}"
+        f"{len(totals['violations'])} violations; "
+        + (f"cache {cache['hits']} hits / {cache['misses']} misses ({cache['dir']})"
+           if cache else "cache disabled")
     )
     for violation in totals["violations"]:
         print(f"  VIOLATION {format_violation(violation)}")
@@ -357,13 +358,12 @@ def _trace_failed(report: Mapping[str, Any]) -> bool:
     """``bench --trace``'s view: print the §4.7 search-effort table and
     validate the merged Chrome trace; True when it is missing or invalid
     or no cell was traced."""
-    from .obs.export import validate_chrome_trace_file
     from .obs.report import format_effort_table
 
     print("\n" + format_effort_table(_cell_results(report)))
     merged = report.get("trace")
     problems = ["no trace files were written"] if merged is None else (
-        validate_chrome_trace_file(merged))
+        export.validate_chrome_trace_file(merged))
     traced = sum(1 for cell in report["cells"] if cell["obs"])
     if not traced:
         problems.append("no cell produced obs counters")
@@ -389,12 +389,12 @@ def _explain_main(argv) -> int:
         "Attribute every (loop × scheduler) cell's achieved II to its binding "
         "constraint.",
         argv,
-        [_CORPUS],
-        **_GRID, json_out=None,
+        [_corpus_row("livermore")],
+        bench=str(export.DEFAULT_OUTPUT_DIR), json_out=None,
     )
     from .obs.explain import explanations_to_json, format_explanations
 
-    explanations = _explanations(_grid(ep, args)["cells"])
+    explanations = _explanations(_view_grid(ep, args)["cells"])
     _print_or_write(
         args.json_out, explanations_to_json(explanations), format_explanations(explanations)
     )
@@ -423,19 +423,19 @@ def _analyze_main(argv) -> int:
         "and compare them with the IIs its grid achieved.",
         argv,
         [
-            _CORPUS,
+            _corpus_row("livermore"),
             ("--check", dict(action="store_true", help="validate every certificate with "
                              "the independent checker and cross-check achieved IIs "
                              "against the bounds (exit 1 on failure)")),
             ("-v --verbose", dict(action="store_true", help="print the table legend")),
         ],
-        **_GRID, json_out=None,
+        bench=str(export.DEFAULT_OUTPUT_DIR), json_out=None,
     )
     from .analyze.api import analyze_corpus
 
-    grid = _grid(ap, args)
+    grid = _view_grid(ap, args)
     report = analyze_corpus(
-        args.corpus, _cell_results(grid), check=args.check, limit=args.limit,
+        args.corpus, _cell_results(grid), check=args.check,
         violations=grid["totals"]["violations"],
     )
     payload = _json.dumps(
@@ -461,9 +461,6 @@ def _report_main(argv) -> int:
             ("--experiments", dict(default="fig2,fig3,fig4,fig5,fig6,fig7",
                                    help="comma-separated experiment names for the "
                                    "figure-table panel, or 'none' (default: fig2..fig7)")),
-            ("--bench", dict(default="benchmarks/output", metavar="PATH", help="BENCH "
-                             "json (file or directory) for the bench and II-explanation "
-                             "panels; skipped when absent (default: %(default)s)")),
             ("--baseline", dict(default="benchmarks/baseline", metavar="PATH",
                                 help="baseline BENCH json for the diff panel; skipped "
                                 "when absent (default: %(default)s)")),
@@ -474,8 +471,10 @@ def _report_main(argv) -> int:
                              "problems")),
         ],
         helps={"history_dir": "run-history store for the trend panel; renders a "
-               "placeholder when it holds fewer than two runs (default: %(default)s)"},
-        history_dir="benchmarks/history",
+               "placeholder when it holds fewer than two runs (default: %(default)s)",
+               "bench": "BENCH json (file or directory) for the bench and II-explanation "
+               "panels; skipped when absent (default: %(default)s)"},
+        history_dir="benchmarks/history", bench=str(export.DEFAULT_OUTPUT_DIR),
     )
     names = [] if args.experiments == "none" else [
         n.strip() for n in args.experiments.split(",") if n.strip()
@@ -688,7 +687,7 @@ def _serve_main(argv) -> int:
             ("--check-equivalence", dict(action="store_true", help="selftest: re-run "
                                          "every distinct cell through the direct exec "
                                          "engine and fail on any result difference")),
-            ("--output-dir", dict(default="benchmarks/output", metavar="DIR",
+            ("--output-dir", dict(default=str(export.DEFAULT_OUTPUT_DIR), metavar="DIR",
                                   help="selftest: where BENCH_service.json goes "
                                   "(default: %(default)s)")),
         ],

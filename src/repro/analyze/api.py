@@ -1,6 +1,6 @@
 """Corpus-level certified-bound analysis: the ``repro analyze`` backend.
 
-For every loop of a corpus this derives the refined II lower bounds of
+For every loop of a grid this derives the refined II lower bounds of
 :mod:`repro.analyze.bounds`, optionally validates every shipped
 certificate with the independent checker (:mod:`repro.verify.boundcheck`),
 and cross-checks each achieved II of the grid's cell results against the
@@ -178,22 +178,22 @@ def _cross_check(loop: Loop, machine: MachineDescription, entry: LoopAnalysis) -
 
 def analyze_corpus(
     corpus: str,
-    results: Sequence[Any] = (),
+    results: Sequence[Any],
     check: bool = False,
-    limit: Optional[int] = None,
     violations: Sequence[Mapping[str, str]] = (),
 ) -> AnalysisReport:
-    """Derive, (optionally) check, and cross-validate bounds for a corpus.
+    """Derive, (optionally) check, and cross-validate bounds for a grid.
 
-    ``results`` are the grid's cell results (none: bounds only) and
-    ``violations`` its verdict (the BENCH json's ``totals.violations``).
+    ``results`` are the grid's cell results, whose loops (in grid order)
+    are the rows, and ``violations`` its verdict (the BENCH json's
+    ``totals.violations``); ``corpus`` names the grid.
     A violation fails its loop's row, and so does a cell that ran to the
     end whose worker-computed ``refined_bound`` differs from the
     schedulable bound derived here.  ``check=True`` additionally
     validates every certificate with the independent checker and
     cross-checks each achieved II against the certified bounds.
     """
-    from ..exec.cells import corpus_loop_keys, resolve_loop
+    from ..exec.cells import resolve_loop
 
     machine = r8000()
     by_loop: Dict[str, List[Any]] = {}
@@ -201,7 +201,7 @@ def analyze_corpus(
         by_loop.setdefault(result.loop, []).append(result)
     schedulers = tuple(dict.fromkeys(result.scheduler for result in results))
     report = AnalysisReport(corpus=corpus, checked=check, schedulers=schedulers)
-    for key in corpus_loop_keys(corpus)[:limit]:
+    for key, cells in by_loop.items():
         loop = resolve_loop(key, machine)
         bounds = compute_bounds(loop, machine)
         entry = LoopAnalysis(
@@ -218,7 +218,7 @@ def analyze_corpus(
         )
         entry.violations = [f"{v['scheduler']} {v['kind']}: {v['detail']}"
                             for v in violations if v["loop"] == key]
-        for result in by_loop.get(key, ()):
+        for result in cells:
             if result.error is None and result.refined_bound != bounds.schedulable_bound:
                 entry.bound_mismatches.append(
                     f"{result.scheduler} cell recorded refined_bound "

@@ -115,9 +115,7 @@ class PipelineResult:
     # heuristic's import closure keys its cached cells).
     probes: List[Any] = field(default_factory=list)
     buffers: Optional[int] = None  # the secondary objective value, when minimised
-    winning_backend: str = ""  # the backend whose witness was used
     skipped_backends: Tuple[str, ...] = ()  # requested but not runnable here
-    disagreements: List[str] = field(default_factory=list)
 
     @property
     def ii(self) -> Optional[int]:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs.export import atomic_write_text
+from ..obs import export
 from ..obs.history import append_history
 from ..obs.provenance import provenance
 from ..obs.report import geomean
@@ -33,8 +33,6 @@ from .cells import Cell, CellResult, corpus_cells
 from .hashing import code_version
 from .engine import ExecEngine, ProgressFn
 from .verdict import grid_violations
-
-DEFAULT_OUTPUT_DIR = pathlib.Path("benchmarks") / "output"
 
 #: Fields every per-cell record in a BENCH json carries (the acceptance
 #: contract of the bench layer).
@@ -61,7 +59,7 @@ class BenchOptions:
     cell_timeout: Optional[float] = 120.0
     seed: int = 0
     limit: Optional[int] = None  # only the first N loops of each corpus
-    output_dir: pathlib.Path = field(default_factory=lambda: DEFAULT_OUTPUT_DIR)
+    output_dir: pathlib.Path = field(default_factory=lambda: export.DEFAULT_OUTPUT_DIR)
     # Search-effort tracing (repro.obs): every cell runs under a live
     # recorder, folded counters land in the BENCH json, and per-cell JSONL
     # spools under ``trace_dir`` are merged into one Chrome trace.  Traced
@@ -261,12 +259,12 @@ def build_report(
     }
 
 
-def write_bench_json(payload: Dict, output_dir=DEFAULT_OUTPUT_DIR, name: Optional[str] = None) -> pathlib.Path:
+def write_bench_json(payload: Dict, output_dir=None, name: Optional[str] = None) -> pathlib.Path:
     """Write one BENCH_<name>.json under ``output_dir``; returns the path."""
-    output_dir = pathlib.Path(output_dir)
+    output_dir = pathlib.Path(export.DEFAULT_OUTPUT_DIR if output_dir is None else output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     path = output_dir / f"BENCH_{name or payload['name']}.json"
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    export.atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
 
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..obs.export import atomic_write_text
 from ..workloads.mutate import LoopSpec, normalize
 from .oracle import Violation
 
@@ -101,16 +101,7 @@ def write_entry(directory: str, entry: CorpusEntry) -> str:
     """Atomically write one entry; returns its path."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{entry.name}.json")
-    payload = json.dumps(entry.to_dict(), indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, json.dumps(entry.to_dict(), indent=2, sort_keys=True) + "\n")
     entry.path = path
     return path
 

@@ -39,6 +39,13 @@ from .oracle import Violation, check_results, evaluate_spec, spec_cells
 
 LogFn = Callable[[str], None]
 
+#: Loops per batch per worker, counting at least two workers: each
+#: engine.run() pays a fresh pool spin-up (workers re-import the
+#: scheduling stack), so a batch must be large enough to amortize it.
+BATCH_PER_JOB = 12
+#: Oracle evaluations the minimizer may spend on one finding.
+MINIMIZE_BUDGET = 120
+
 
 @dataclass
 class FuzzConfig:
@@ -56,9 +63,7 @@ class FuzzConfig:
     corpus_dir: str = DEFAULT_CORPUS_DIR
     write: bool = True  # write minimized reproducers into corpus_dir
     findings_dir: Optional[str] = None  # extra copy of new entries (CI artifacts)
-    batch: int = 0  # loops per batch; 0 = auto (4 * jobs, floor 8)
     max_loops: Optional[int] = None  # stop early after N loops (tests)
-    minimize_budget: int = 120  # predicate evaluations per finding
 
     def __post_init__(self) -> None:
         if self.inject is not None and self.inject not in INJECTIONS:
@@ -191,7 +196,7 @@ def _record_finding(
         )
 
     minimized, evaluations = minimize_spec(
-        spec, reproduces, max_evaluations=config.minimize_budget
+        spec, reproduces, max_evaluations=MINIMIZE_BUDGET
     )
     finding = Finding(violation=violation, spec=spec, minimized=minimized,
                       evaluations=evaluations)
@@ -243,9 +248,7 @@ def run_fuzz(config: FuzzConfig, log: Optional[LogFn] = None) -> FuzzReport:
     corpus = _seed_corpus(config, rng)
     coverage: set = set()
     seen_findings: set = set()
-    # Each engine.run() pays a fresh pool spin-up (workers re-import the
-    # scheduling stack), so batches must be large enough to amortize it.
-    batch_size = config.batch or max(24, 12 * config.jobs)
+    batch_size = BATCH_PER_JOB * max(2, config.jobs)
     deadline = time.monotonic() + config.seconds
     counter = 0
 

@@ -45,7 +45,7 @@ from ..ilp.model import ENGINES
 from ..ir.loop import Loop
 from ..machine.descriptions import MachineDescription, r8000
 from ..obs import get_recorder
-from ..portfolio.answer import SAT, UNSAT, BackendAnswer, ProbeRecord, probe_disagreements
+from ..portfolio.answer import SAT, UNSAT, BackendAnswer, ProbeRecord
 from ..portfolio.cp import solve_cp
 from ..portfolio.formulation import ModuloFormulation, build_modulo_formulation, check_witness
 from ..portfolio.ilp_backend import load_ilp_solver, solve_ilp
@@ -106,7 +106,8 @@ class SolveBudget:
 
 @dataclass
 class SolveStats:
-    """Solver effort of one optimal-driver run, total and per backend."""
+    """Solver effort of one optimal-driver run, total and per backend;
+    ``seconds`` also counts the heuristic's time when the walk falls back."""
 
     solves: int = 0
     nodes: int = 0
@@ -210,10 +211,10 @@ class OptimalOptions:
 
 
 #: A per-II step's verdict that its II is proven infeasible.  ``None`` means
-#: inconclusive; a found schedule comes back as ``(schedule, fields)``, the
-#: fields being the :class:`PipelineResult` attributes the II's step set.
+#: inconclusive; a found schedule comes back as ``(schedule, buffers)``,
+#: ``buffers`` the secondary objective's value when one was minimised.
 INFEASIBLE = "infeasible"
-Verdict = Union[None, str, Tuple[Schedule, Dict[str, Any]]]
+Verdict = Union[None, str, Tuple[Schedule, Optional[int]]]
 
 #: One probe entry: a backend name and its solver bound to one II's
 #: formulation, called with the granted slice in seconds.
@@ -322,7 +323,8 @@ def walk_ii(
     formulation, appending its probes to the walk's trail.  ``tag``
     prefixes the recorder names (``<tag>.ii_attempts``, ``<tag>.ii``);
     ``search=False`` goes straight to the fallback, whose own result comes
-    back marked ``fallback_used`` and carrying the walk's stats and probes.
+    back marked ``fallback_used`` and carrying the walk's stats (their
+    ``seconds`` the heuristic's too) and probes.
     """
     mii = compute_min_ii(loop, machine)
     budget = SolveBudget(total=options.time_limit)
@@ -356,14 +358,15 @@ def walk_ii(
                 continue  # inconclusive at this II; try the next
             if verdict == INFEASIBLE:
                 continue
-            schedule, found = verdict
+            schedule, buffers = verdict
             allocation = allocate_schedule(schedule, machine)
             winner = next(p for p in probes if p.ii == ii and p.witness_ok)
             winner.allocated, winner.uncolored = allocation.success, len(allocation.uncolored)
             if allocation.success:
                 return PipelineResult(
                     True, schedule, allocation, loop, loop, mii,
-                    optimal=smaller_proven_infeasible, stats=stats, probes=probes, **found,
+                    optimal=smaller_proven_infeasible, stats=stats, probes=probes,
+                    buffers=buffers,
                 )
             # Register allocation failed at this II: a larger II shortens
             # relative lifetimes, so keep walking the II range before
@@ -373,6 +376,7 @@ def walk_ii(
     if not options.fallback:
         return PipelineResult(False, None, None, loop, loop, mii, stats=stats, probes=probes)
     fallback = pipeline_loop(loop, machine, PipelinerOptions.from_dict(FALLBACK_OPTIONS))
+    stats.seconds += fallback.stats.seconds
     return dataclasses.replace(fallback, fallback_used=True, stats=stats, probes=probes)
 
 
@@ -445,14 +449,10 @@ def optimal_pipeline_loop(
             loop=loop, machine=machine, ii=neutral.ii, times=times,
             producer=f"{tag}/{winner.backend}",
         )
-        return schedule, {"buffers": buffers, "winning_backend": winner.backend}
+        return schedule, buffers
 
     result = walk_ii(loop, machine, options, solve, tag=tag, search=bool(usable))
     result.skipped_backends = tuple(name for name in requested if name not in usable)
-    result.disagreements = probe_disagreements(result.probes)
-    rec = get_recorder()
-    if rec.enabled and result.disagreements:
-        rec.counter(f"{tag}.disagreements", len(result.disagreements))
     return result
 
 

@@ -31,6 +31,10 @@ PathLike = Union[str, pathlib.Path]
 
 REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
 
+#: Where ``repro bench`` writes its BENCH jsons, and where the grid's views
+#: and ``repro report`` read them.
+DEFAULT_OUTPUT_DIR = pathlib.Path("benchmarks") / "output"
+
 
 def atomic_write_text(path: PathLike, text: str) -> None:
     """Write ``text`` to ``path`` all at once or not at all.

@@ -45,7 +45,8 @@ def _private_grid_state(tmp_path_factory):
     would answer a monkeypatched crash.  The BENCH json a view of the grid
     writes to bench's default output directory lands in a temporary one.
     """
-    from repro.exec import bench, cache
+    from repro.exec import cache
+    from repro.obs import export
 
     real_init = cache.ScheduleCache.__init__
 
@@ -56,7 +57,7 @@ def _private_grid_state(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cache.ScheduleCache, "__init__", guarded_init)
-        patch.setattr(bench, "DEFAULT_OUTPUT_DIR", tmp_path_factory.mktemp("bench-output"))
+        patch.setattr(export, "DEFAULT_OUTPUT_DIR", tmp_path_factory.mktemp("bench-output"))
         yield
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analyze.api import analyze_corpus
 from repro.analyze.bounds import compute_bounds
 from repro.core import pipeline_loop
+from repro.exec.cells import corpus_loop_keys, resolve_loop
 from repro.ir import LoopBuilder
 from repro.machine import r8000
 from repro.verify.boundcheck import check_achieved, check_bounds
@@ -64,25 +64,34 @@ RECBOUND_GOLDEN = {
 
 
 def _snapshot(corpus):
-    report = analyze_corpus(corpus, check=True)
-    assert report.ok, report.formatted()
-    return report, {
-        e.loop: (e.min_ii, e.schedulable_bound, e.allocatable_bound, e.certificates)
-        for e in report.entries
-    }
+    """Every loop's bounds, each certificate validated independently."""
+    machine = r8000()
+    got = {}
+    for key in corpus_loop_keys(corpus):
+        loop = resolve_loop(key, machine)
+        bounds = compute_bounds(loop, machine)
+        report = check_bounds(loop, machine, bounds.to_dict())
+        assert report.ok, report.formatted()
+        got[loop.name] = (bounds.min_ii, bounds.schedulable_bound,
+                          bounds.allocatable_bound, len(bounds.certificates))
+    return got
+
+
+def _lifted(got):
+    return {name for name, (min_ii, schedulable, _, _) in got.items() if schedulable > min_ii}
 
 
 class TestGoldenBounds:
     def test_livermore_snapshot(self):
-        report, got = _snapshot("livermore")
+        got = _snapshot("livermore")
         assert got == LIVERMORE_GOLDEN
         # The headline finding: zero lift anywhere on the real corpus.
-        assert report.lifted == []
+        assert _lifted(got) == set()
 
     def test_recbound_snapshot(self):
-        report, got = _snapshot("recbound")
+        got = _snapshot("recbound")
         assert got == RECBOUND_GOLDEN
-        lifted = {e.loop for e in report.lifted}
+        lifted = _lifted(got)
         assert lifted == {
             "rb_coupled_division",
             "rb_div_sqrt",
@@ -94,7 +103,6 @@ class TestGoldenBounds:
     def test_recurrence_certificate_matches_rec_mii(self):
         """The recurrence certificate's bound is exactly RecMII, corpus-wide."""
         machine = r8000()
-        from repro.exec.cells import corpus_loop_keys, resolve_loop
 
         for key in corpus_loop_keys("livermore") + corpus_loop_keys("recbound"):
             loop = resolve_loop(key, machine)
@@ -172,15 +180,17 @@ class TestCraftedCircuit:
         assert "BOUND005" in achieved.rules_hit()
 
 
-def test_analyze_json_carries_checkable_certificates(capsys):
+def test_analyze_json_carries_checkable_certificates(tmp_path, capsys):
     """``repro analyze --json`` regenerates every loop's certificates."""
     import json
 
     from repro.__main__ import main
-    from repro.exec.cells import resolve_loop
 
-    assert main(["analyze", "recbound", "--schedulers", "sgi", "--json", "-",
-                 "--no-cache"]) == 0
+    assert main(["bench", "recbound", "--quick", "--schedulers", "sgi", "--no-cache",
+                 "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "recbound", "--json", "-", "--bench",
+                 str(tmp_path / "BENCH_sweep_recbound_sgi.json")]) == 0
     entries = json.loads(capsys.readouterr().out)
     assert {e["loop"] for e in entries} == set(RECBOUND_GOLDEN)
     machine = r8000()

@@ -14,21 +14,23 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
+from repro.obs import export
+
+#: Where bench writes and the views read, as committed: read at collection,
+#: before the session fixture points it at a temporary directory.
+COMMITTED_OUTPUT_DIR = export.DEFAULT_OUTPUT_DIR
 
 #: Every option string of every subcommand ("" is the experiment runner),
 #: ``-h``/``--help`` aside.
 OPTION_STRINGS = {
     "": ["--bench-json", "--cache-dir", "--corpus", "--ilp-seconds", "--jobs",
          "--list", "--no-cache", "--strict"],
-    "verify": ["--cache-dir", "--jobs", "--limit", "--no-cache", "--schedulers",
-               "--verbose", "-v"],
+    "verify": ["--bench", "--verbose", "-v"],
     "bench": ["--cache-dir", "--cell-timeout", "--history-dir", "--jobs", "--limit",
               "--no-cache", "--output-dir", "--quick",
               "--schedulers", "--seed", "--trace", "--trace-dir"],
-    "explain": ["--cache-dir", "--jobs", "--json", "--limit", "--no-cache",
-                "--schedulers"],
-    "analyze": ["--cache-dir", "--check", "--jobs", "--json", "--limit", "--no-cache",
-                "--schedulers", "--verbose", "-v"],
+    "explain": ["--bench", "--json"],
+    "analyze": ["--bench", "--check", "--json", "--verbose", "-v"],
     "report": ["--baseline", "--bench", "--check", "--experiments", "--history-dir",
                "--history-last", "--output"],
     "fuzz": ["--cell-timeout", "--corpus-dir", "--findings-dir", "--inject",
@@ -46,17 +48,20 @@ OPTION_STRINGS = {
     "trend": ["--check", "--history-dir", "--json", "--last", "--verbose", "-v"],
 }
 
-#: bench's grid flags and their defaults, which every view of the grid shares.
+#: bench's grid flags and their defaults; the views of the grid take none.
 GRID = {"--schedulers": "sgi,most,rau,portfolio", "--limit": None, "--jobs": 1,
         "--cache-dir": ".exec-cache", "--no-cache": False}
+
+#: The views' one input: the BENCH json bench writes.
+VIEW = {"--bench": "benchmarks/output"}
 
 #: The shared flags' per-command defaults (every flag, for diff and trend).
 DEFAULTS = {
     "": {"--ilp-seconds": 10.0, "--jobs": 1, "--cache-dir": None, "--no-cache": False},
-    "verify": GRID,
+    "verify": VIEW,
     "bench": {**GRID, "--cell-timeout": None, "--seed": 0, "--history-dir": None},
-    "explain": {**GRID, "--json": None},
-    "analyze": {**GRID, "--json": None},
+    "explain": {**VIEW, "--json": None},
+    "analyze": {**VIEW, "--json": None},
     "report": {"--history-dir": "benchmarks/history", "--bench": "benchmarks/output"},
     "fuzz": {"--jobs": 1, "--seed": 0, "--cell-timeout": 20.0},
     "serve": {"--jobs": 2, "--cache-dir": ".exec-cache", "--no-cache": False, "--seed": 0,
@@ -78,6 +83,7 @@ def _parser(monkeypatch, command: str) -> argparse.ArgumentParser:
         raise _Captured(self)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    monkeypatch.setattr(export, "DEFAULT_OUTPUT_DIR", COMMITTED_OUTPUT_DIR)
     with pytest.raises(_Captured) as info:
         main([command] if command else [])
     return info.value.args[0]
@@ -172,10 +178,7 @@ def _no_loops(monkeypatch):
     monkeypatch.setattr(cells, "corpus_loop_keys", refuse)
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["verify", "bench", "bench livermore", "explain", "analyze", "fuzz"],
-)
+@pytest.mark.parametrize("command", ["bench", "bench livermore", "fuzz"])
 def test_unknown_scheduler_rejected_before_any_loop(monkeypatch, capsys, command):
     _no_loops(monkeypatch)
     with pytest.raises(SystemExit) as info:
@@ -191,9 +194,23 @@ def test_cache_prune_needs_a_byte_budget(tmp_path, capsys):
     assert "--max-bytes" in capsys.readouterr().err
 
 
-def test_verify_accepts_the_portfolio(capsys):
-    assert main(["verify", "livermore", "--limit", "1", "--schedulers", "portfolio",
-                 "--no-cache"]) == 0
+@pytest.mark.parametrize("view", ["verify", "explain", "analyze"])
+@pytest.mark.parametrize("flag", sorted(GRID))
+def test_views_take_no_grid_flag(monkeypatch, capsys, view, flag):
+    """A view reads the grid bench wrote; it cannot be told to run one."""
+    _no_loops(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        main([view, "livermore", flag, *([] if flag == "--no-cache" else ["1"])])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_verify_reads_a_portfolio_grid(tmp_path, capsys):
+    assert main(["bench", "livermore", "--quick", "--limit", "1", "--schedulers",
+                 "portfolio", "--no-cache", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "livermore", "--bench",
+                 str(tmp_path / "BENCH_sweep_livermore_portfolio_limit1.json")]) == 0
     out = capsys.readouterr().out
     assert "portfolio" in out
 

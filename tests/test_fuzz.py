@@ -1,9 +1,12 @@
 """Tests of the repro.fuzz harness: mutation, oracle, minimizer, engine."""
 
+import os
 import random
+import stat
 
 import pytest
 
+import repro.fuzz.engine as fuzz_engine
 from repro.exec.cells import CellResult
 from repro.fuzz import (
     INJECTIONS,
@@ -320,6 +323,20 @@ class TestCorpusIO:
         assert loaded[0].violation == violation
         assert loaded[0].injected_fault == "sched-shift"
 
+    def test_a_written_entry_is_world_readable(self, tmp_path):
+        """Reproducers are published (the corpus, CI's findings upload):
+        written 0644, not the temporary file's 0600, and no ``*.tmp`` left."""
+        spec = _pool(1)[0]
+        violation = Violation("verify", "sgi", "SCHED001: x")
+        entry = CorpusEntry(
+            name=entry_name(violation, "cd" * 10), spec=spec, expect="clean",
+            violation=violation, schedulers=("sgi",), fingerprint="cd" * 10,
+            n_ops=spec.n_ops,
+        )
+        path = write_entry(str(tmp_path / "findings"), entry)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+        assert os.listdir(tmp_path / "findings") == [os.path.basename(path)]
+
     def test_entry_names_distinguish_faults(self):
         violation = Violation("funcsim", "sgi", "diff")
         plain = entry_name(violation, "0" * 12)
@@ -354,10 +371,11 @@ class TestEngine:
         assert first.stats.coverage_keys == second.stats.coverage_keys
         assert first.stats.violations == 0
 
-    def test_injected_session_writes_a_reproducer(self, tmp_path):
+    def test_injected_session_writes_a_reproducer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fuzz_engine, "MINIMIZE_BUDGET", 40)
         config = FuzzConfig(seconds=300.0, jobs=1, seed=7, max_loops=10,
                             inject="sched-shift", schedulers=("sgi",),
-                            corpus_dir=str(tmp_path), minimize_budget=40)
+                            corpus_dir=str(tmp_path))
         report = run_fuzz(config)
         assert report.findings
         entries = load_entries(str(tmp_path))

@@ -23,6 +23,7 @@ import pytest
 
 from repro.exec.cells import resolve_loop
 from repro.machine.descriptions import r8000
+from repro.portfolio.answer import probe_disagreements
 from repro.schedulers import get_scheduler
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "optimal_drivers.json"
@@ -64,9 +65,11 @@ def summary(result: Any) -> Dict[str, Any]:
         "buffers": result.buffers,
         "optimal": result.optimal,
         "fallback_used": result.fallback_used,
-        "winning_backend": result.winning_backend,
+        # The backend whose witness won, read off the producer suffix.
+        "winning_backend": schedule.producer.partition("/")[2]
+        if schedule is not None and not result.fallback_used else "",
         "skipped_backends": list(result.skipped_backends),
-        "disagreements": list(result.disagreements),
+        "disagreements": probe_disagreements(result.probes),
         "stats": [result.stats.solves, result.stats.nodes, result.stats.ii_attempts],
         "probes": [
             [p.ii, p.backend, p.answer, p.nodes, p.witness_ok, p.allocated, p.uncolored]

@@ -87,7 +87,6 @@ class TestAgreementThroughDriver:
             time_limit=5.0, cross_check=True, max_nodes=20_000, fallback=True
         )
         result = portfolio_pipeline_loop(loop, MACHINE, options)
-        assert result.disagreements == []
         assert probe_disagreements(result.probes) == []
         for probe in result.probes:
             if probe.answer == SAT:
@@ -96,7 +95,7 @@ class TestAgreementThroughDriver:
             # The winning witness decoded into a schedule that the
             # session-wide verify hook (conftest) already cross-checked.
             assert result.ii >= result.min_ii
-            assert result.winning_backend in ("cp", "ilp", "smt")
+            assert result.schedule.producer.partition("/")[2] in ("cp", "ilp", "smt")
 
     def test_achieved_ii_probes_are_sat_and_checked(self):
         loop = livermore_kernels(MACHINE)[0]  # lk01_hydro

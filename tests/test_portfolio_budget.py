@@ -172,12 +172,25 @@ class TestDriverLevelAccounting:
             # stage-2 re-solve is charged to the same backend.
             result = most_pipeline_loop(loop, machine, MostOptions(time_limit=20.0))
             backends = {"ilp"}
-            assert result.winning_backend == "ilp"
+            assert result.schedule.producer == "most/ilp"
             assert result.probes
             assert all(p.witness_ok for p in result.probes if p.answer == SAT)
         per_backend = result.stats.backend_seconds()
         assert set(per_backend) == backends
         assert sum(per_backend.values()) == pytest.approx(result.stats.seconds)
+
+    @pytest.mark.parametrize("driver", ["most", "portfolio"])
+    def test_a_forced_fallback_charges_the_heuristics_time(self, machine, driver):
+        """``max_ops=0`` sends every loop straight to the heuristic: no
+        backend runs, yet the cell's schedule time is the heuristic's."""
+        loop = build_daxpy(machine)
+        if driver == "most":
+            result = most_pipeline_loop(loop, machine, MostOptions(max_ops=0))
+        else:
+            result = portfolio_pipeline_loop(loop, machine, PortfolioOptions(max_ops=0))
+        assert result.fallback_used and result.probes == []
+        assert result.stats.solves == 0 and result.stats.backend_seconds() == {}
+        assert result.stats.seconds > 0
 
     def test_most_never_returns_a_schedule_whose_witness_fails(self, machine, monkeypatch):
         import repro.most.walk as walk
@@ -197,4 +210,3 @@ class TestDriverLevelAccounting:
         assert sat and all(p.witness_ok is False for p in sat)
         assert result.fallback_used and not result.optimal
         assert result.schedule.producer != "most/ilp"
-        assert result.winning_backend == ""

@@ -19,8 +19,7 @@ class TestDriver:
         assert result.success and not result.fallback_used
         assert result.ii == result.min_ii
         assert result.optimal
-        assert result.winning_backend == "cp"  # first in the default race order
-        assert result.schedule.producer == "portfolio/cp"
+        assert result.schedule.producer == "portfolio/cp"  # first in the race order
         assert result.allocation is not None and result.allocation.success
 
     def test_oversized_loop_takes_the_fallback(self, machine, sdot):
@@ -49,8 +48,7 @@ class TestDriver:
         with recording() as rec:
             result = portfolio_pipeline_loop(sdot, machine, options)
             spans = [event["name"] for event in rec.events]
-        assert result.winning_backend == "cp" and plain.winning_backend == "cp"
-        assert result.schedule.producer == "portfolio/cp"
+        assert result.schedule.producer == plain.schedule.producer == "portfolio/cp"
         assert result.ii == plain.ii and plain.buffers is None
         assert "portfolio.secondary" in spans
         assert result.stats.per_backend["ilp"]["solves"] == 1  # the stage-2 solve
@@ -78,7 +76,6 @@ class TestDriver:
         assert counters.get("portfolio.ilp.sat", 0) >= 1
         assert counters.get("portfolio.cp.seconds", 0) > 0
         assert counters.get("portfolio.ii_attempts", 0) >= 1
-        assert "portfolio.disagreements" not in counters
 
 
 class TestExecIntegration:

@@ -14,7 +14,7 @@ import pytest
 from repro.core import min_ii
 from repro.machine import r8000, single_issue
 from repro.portfolio import build_modulo_formulation, check_witness, smt_available
-from repro.portfolio.answer import SAT, UNSAT
+from repro.portfolio.answer import SAT, UNSAT, probe_disagreements
 from repro.portfolio.driver import (
     PortfolioOptions,
     available_backend_names,
@@ -116,6 +116,6 @@ class TestSmtBackend:
                                    cross_check=True)
         result = portfolio_pipeline_loop(daxpy, machine, options)
         assert result.success
-        assert result.disagreements == []
+        assert probe_disagreements(result.probes) == []
         backends_seen = {p.backend for p in result.probes if p.ii == result.ii}
         assert backends_seen == {"cp", "ilp", "smt"}

@@ -1,8 +1,9 @@
-"""verify, analyze and explain print from the grid's exec cells.
+"""verify, analyze and explain print the grid's crashed cells.
 
-A driver that crashes on one loop becomes one error cell: the view
-still prints every other row, names the crashed cell and exits 1.  Each
-view runs uncached: a cached success would answer the seeded crash.
+A driver that crashes on one loop becomes one error cell of the BENCH
+json: each view still prints every other row, names the crashed cell and
+exits 1.  The grid runs uncached: a cached success would answer the
+seeded crash.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ LOOPS = ("lk01_hydro", "lk02_iccg", "lk03_inner")
 CRASHED = "lk02_iccg"
 
 
-@pytest.fixture
-def rau_crashes_on_one_loop(monkeypatch):
-    """Rau94 raises on ``lk02_iccg``; the corpora shrink to three loops."""
+@pytest.fixture(scope="module")
+def crashed_grid(tmp_path_factory):
+    """``--bench`` for the livermore grid of sgi and rau, written by
+    ``repro bench`` with Rau94 raising on ``lk02_iccg`` and the corpora
+    shrunk to three loops."""
     real = rau.rau_pipeline_loop
 
     def crashing(loop, *args, **kwargs):
@@ -27,11 +30,15 @@ def rau_crashes_on_one_loop(monkeypatch):
             raise RuntimeError("seeded driver crash")
         return real(loop, *args, **kwargs)
 
-    monkeypatch.setattr(rau, "rau_pipeline_loop", crashing)
+    output = tmp_path_factory.mktemp("grid")
     keys = cells.corpus_loop_keys
-    monkeypatch.setattr(
-        cells, "corpus_loop_keys", lambda corpus, machine=None: keys(corpus, machine)[:3]
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rau, "rau_pipeline_loop", crashing)
+        patch.setattr(cells, "corpus_loop_keys",
+                      lambda corpus, machine=None: keys(corpus, machine)[:3])
+        assert main(["bench", "livermore", "--quick", "--schedulers", "sgi,rau",
+                     "--no-cache", "--output-dir", str(output)]) == 1
+    return ["--bench", str(output / "BENCH_sweep_livermore_sgi-rau.json")]
 
 
 def _line(out: str, *words: str) -> str:
@@ -39,8 +46,9 @@ def _line(out: str, *words: str) -> str:
     return line
 
 
-def test_verify_reports_a_crashed_cell_as_one_failed_row(rau_crashes_on_one_loop, capsys):
-    code = main(["verify", "livermore", "--schedulers", "sgi,rau", "--no-cache"])
+def test_verify_reports_a_crashed_cell_as_one_failed_row(crashed_grid, capsys):
+    capsys.readouterr()
+    code = main(["verify", "livermore", *crashed_grid])
     out = capsys.readouterr().out
     assert code == 1
     for loop in LOOPS:
@@ -54,8 +62,9 @@ def test_verify_reports_a_crashed_cell_as_one_failed_row(rau_crashes_on_one_loop
     assert "1 violation(s)" in out
 
 
-def test_analyze_reports_a_crashed_cell_as_one_failed_row(rau_crashes_on_one_loop, capsys):
-    code = main(["analyze", "livermore", "--schedulers", "sgi,rau", "--check", "--no-cache"])
+def test_analyze_reports_a_crashed_cell_as_one_failed_row(crashed_grid, capsys):
+    capsys.readouterr()
+    code = main(["analyze", "livermore", "--check", *crashed_grid])
     out = capsys.readouterr().out
     assert code == 1
     for loop in LOOPS:
@@ -64,8 +73,9 @@ def test_analyze_reports_a_crashed_cell_as_one_failed_row(rau_crashes_on_one_loo
     assert f"!! {CRASHED}: rau crash: RuntimeError: seeded driver crash" in out
 
 
-def test_explain_reports_a_crashed_cell_as_one_row(rau_crashes_on_one_loop, capsys):
-    code = main(["explain", "livermore", "--schedulers", "sgi,rau", "--no-cache"])
+def test_explain_reports_a_crashed_cell_as_one_row(crashed_grid, capsys):
+    capsys.readouterr()
+    code = main(["explain", "livermore", *crashed_grid])
     captured = capsys.readouterr()
     assert code == 1
     for loop in LOOPS:

@@ -13,10 +13,14 @@ pytestmark = pytest.mark.verify
 
 
 class TestVerifyCommand:
-    def test_sweep_exits_zero_on_clean_corpus(self, capsys):
+    def test_a_clean_grid_exits_zero(self, tmp_path, capsys):
         # One scheduler over the smaller corpus keeps this test quick; the
-        # full four-scheduler grid is `make verify-corpus`.
-        code = main(["verify", "livermore", "--schedulers", "sgi", "--no-cache"])
+        # full four-scheduler grid is `make grid verify-corpus`.
+        assert main(["bench", "livermore", "--quick", "--schedulers", "sgi",
+                     "--no-cache", "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = main(["verify", "livermore", "--bench",
+                     str(tmp_path / "BENCH_sweep_livermore_sgi.json")])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 error(s)" in out
@@ -27,12 +31,6 @@ class TestVerifyCommand:
             main(["verify", "nonesuch"])
         assert exc.value.code == 2
         assert "unknown corpus" in capsys.readouterr().err
-
-    def test_unknown_scheduler_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "livermore", "--schedulers", "bogus"])
-        assert exc.value.code == 2
-        assert "unknown scheduler" in capsys.readouterr().err
 
     def test_corpus_loop_keys_counts(self):
         assert len(corpus_loop_keys("livermore")) == 24
