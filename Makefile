@@ -21,7 +21,9 @@ test-verify:
 # the target is still meaningful on machines without the dev extras.  The
 # determinism lint (repro.analyze.codelint) needs only the stdlib and
 # always runs: unordered iteration or ambient randomness anywhere near
-# the schedulers would make certificates irreproducible.
+# the schedulers would make certificates irreproducible.  Every
+# subcommand's parser is built and its --help printed (stdlib only, a few
+# seconds), so a broken flag table fails here without the test suite.
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then \
 		echo "ruff check src tests"; ruff check src tests; \
@@ -36,6 +38,10 @@ lint:
 		echo "mypy not installed; skipped"; \
 	fi
 	$(PYTHON) -m repro.analyze.codelint src/repro
+	@for command in $$($(PYTHON) -c "from repro.__main__ import SUBCOMMANDS; print(*SUBCOMMANDS)"); do \
+		echo "python -m repro $$command --help"; \
+		$(PYTHON) -m repro $$command --help >/dev/null || exit 1; \
+	done
 
 # The one corpus grid: every workload corpus through every registered
 # pipeliner under the quick preset, each cell verified, explained and

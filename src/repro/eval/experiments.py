@@ -18,6 +18,9 @@ changed.
 
 from __future__ import annotations
 
+import argparse
+import sys
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -827,3 +830,63 @@ def ext_overhead_objective(config: Optional[ExperimentConfig] = None) -> Experim
     return ExperimentResult(
         name="ext_overhead", table=table, summary=summary, cells=batch.all_results()
     )
+
+
+#: Each experiment by CLI name: its function and its one-line blurb.
+EXPERIMENTS: Dict[str, Tuple[Callable[[ExperimentConfig], ExperimentResult], str]] = {
+    "fig2": (fig2_pipelining_effectiveness, "SPEC92 fp: pipelining on vs off"),
+    "fig3": (fig3_priority_heuristics, "single priority heuristic vs all four"),
+    "fig4": (fig4_membank_effectiveness, "memory-bank heuristics on vs off"),
+    "fig5": (fig5_ilp_vs_heuristic, "ILP vs MIPSpro, with/without bank pairing"),
+    "fig6": (fig6_livermore, "Livermore kernels, short and long trip counts"),
+    "fig7": (fig7_static_quality, "registers and overhead, MIPSpro minus ILP"),
+    "sec47": (sec47_compile_speed, "compile-speed comparison"),
+    "scalability": (sec5_scalability, "largest schedulable loop per technique"),
+    "iiparity": (sec5_ii_parity, "how often the ILP finds a lower II"),
+    "ext-rau": (ext_rau_comparison, "extension: add Rau94 iterative modulo scheduling"),
+    "ext-overhead": (ext_overhead_objective, "extension: overhead-minimising ILP objective"),
+}
+
+
+def experiments_main(config: ExperimentConfig, *, experiments: Sequence[str], listing: bool,
+                     corpus: bool, bench_json: bool) -> int:
+    """``python -m repro <experiment>...``: run each named experiment
+    (``all``: every one) under ``config`` and print its table; with
+    ``bench_json`` also write its cells as ``BENCH_<name>.json``.  Without
+    names, or with ``listing``, list the experiments; with ``corpus``,
+    print the workload corpus profiles.  Under ``config.strict`` a cell the
+    verdict flags exits 1."""
+    if corpus:
+        from .corpus import livermore_profile, spec92_profile
+
+        print(livermore_profile().formatted())
+        print()
+        print(spec92_profile().formatted())
+        return 0
+    if listing or not experiments:
+        width = max(len(name) for name in EXPERIMENTS)
+        for name, (_, blurb) in EXPERIMENTS.items():
+            print(f"  {name.ljust(width)}  {blurb}")
+        return 0
+    names = list(EXPERIMENTS) if "all" in experiments else experiments
+    unknown = [n for n in names if n not in EXPERIMENTS]
+    if unknown:
+        raise argparse.ArgumentError(None, f"unknown experiments: {', '.join(unknown)}")
+    for name in names:
+        start = time.perf_counter()
+        try:
+            result = EXPERIMENTS[name][0](config)
+        except VerificationError as exc:
+            if not config.strict:
+                raise
+            print(f"[{name}] verification failed:\n{exc}", file=sys.stderr)
+            return 1
+        print(result.formatted())
+        if bench_json and result.cells:
+            from ..exec.bench import figure_report, write_bench_json
+
+            path = write_bench_json(figure_report(result.name, result.cells))
+            print(f"[{name}: wrote {path}]")
+        print(f"\n[{name}: {time.perf_counter() - start:.1f}s]\n")
+        sys.stdout.flush()
+    return 0

@@ -11,11 +11,13 @@ verify``, ``explain`` and ``analyze`` print from.  A run over a subset of
 the registry's schedulers or loops writes a name that carries the subset
 (``BENCH_sweep_livermore_sgi-rau_limit3.json``), never the whole grid's.
 ``write_bench_json`` is reused by the experiment CLI to emit per-figure
-``BENCH_<figure>.json`` files.
+``BENCH_<figure>.json`` files.  ``bench_main`` runs ``python -m repro
+bench`` from a :class:`BenchOptions` its flags fill.
 """
 
 from __future__ import annotations
 
+import argparse
 import datetime
 import json
 import pathlib
@@ -56,7 +58,8 @@ class BenchOptions:
     schedulers: Tuple[str, ...] = tuple(REGISTRY)
     jobs: int = 1
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR  # None = no result cache
-    cell_timeout: Optional[float] = 120.0
+    # Hard per-cell deadline; unset, 120 s (60 s under ``quick``).
+    cell_timeout: Optional[float] = None
     seed: int = 0
     limit: Optional[int] = None  # only the first N loops of each corpus
     output_dir: pathlib.Path = field(default_factory=lambda: export.DEFAULT_OUTPUT_DIR)
@@ -64,14 +67,16 @@ class BenchOptions:
     # recorder, folded counters land in the BENCH json, and per-cell JSONL
     # spools under ``trace_dir`` are merged into one Chrome trace.  Traced
     # cells bypass the result cache: their counters, timings and spools
-    # must come from live solves into this run's ``trace_dir``.
+    # must come from live solves into this run's ``trace_dir``.  A
+    # ``trace_dir`` implies ``trace``; ``trace`` alone spools into
+    # ``<output_dir>/trace``.
     trace: bool = False
     trace_dir: Optional[str] = None
     # Run-history store (repro.obs.history): when set, the finished BENCH
     # payload is also filed as a timestamped record under this root so the
-    # trend layer (``repro trend``) has a longitudinal series.  None keeps
-    # programmatic/test runs out of any shared history; the CLI defaults
-    # this to ``benchmarks/history``.
+    # trend layer (``repro trend``) has a longitudinal series.  None, the
+    # default here and on the command line, keeps a run out of any shared
+    # history.
     history_dir: Optional[pathlib.Path] = None
 
     def __post_init__(self) -> None:
@@ -81,8 +86,14 @@ class BenchOptions:
             # loops, and it is the corpus where the certified static bounds
             # actually prune the search.
             self.corpora = ("livermore", "recbound")
-            self.cell_timeout = 60.0
+        if self.cell_timeout is None:
+            self.cell_timeout = 60.0 if self.quick else 120.0
         self.output_dir = pathlib.Path(self.output_dir)
+        self.trace = self.trace or self.trace_dir is not None
+        if self.trace and self.trace_dir is None:
+            self.trace_dir = str(self.output_dir / "trace")
+        if self.history_dir is not None:
+            self.history_dir = pathlib.Path(self.history_dir)
 
     def scheduler_options(self, scheduler: str) -> Dict:
         """A cell's options: the registry's ``quick`` or ``bench`` preset
@@ -330,3 +341,46 @@ def run_sweep(
     options = options or BenchOptions()
     options.corpora = (corpus,)
     return run_pipeline_bench(options, progress, name=f"sweep_{corpus}")
+
+
+def bench_main(options: BenchOptions, corpus: Optional[str] = None) -> int:
+    """``python -m repro bench [<corpus>]``: run the grid (``corpus`` alone
+    into its sweep file), print its totals and each violation, and with
+    ``trace`` the effort table and the merged trace's validation; 1 on any
+    cell error, violation or trace problem."""
+    from .verdict import format_violation
+
+    try:
+        report, path = run_pipeline_bench(options) if corpus is None else run_sweep(corpus, options)
+    except ValueError as exc:  # unknown corpus
+        raise argparse.ArgumentError(None, str(exc)) from exc
+    totals, cache = report["totals"], report["cache"]
+    failed = bool(totals["errors"] or totals["violations"])
+    if options.trace:
+        from ..obs.report import format_effort_table
+        from ..obs.views import cell_results, invalid
+
+        print("\n" + format_effort_table(cell_results(report)))
+        merged = report.get("trace")
+        problems = ["no trace files were written"] if merged is None else (
+            export.validate_chrome_trace_file(merged))
+        traced = sum(1 for cell in report["cells"] if cell["obs"])
+        if not traced:
+            problems.append("no cell produced obs counters")
+        if invalid(merged or "--trace", problems):
+            failed = True
+        else:
+            print(f"\nwrote {merged}, valid; {traced}/{len(report['cells'])} cells traced "
+                  "(load it in chrome://tracing or https://ui.perfetto.dev)")
+    print(
+        f"\n{totals['cells']} cells in {report['wall_seconds']:.1f}s "
+        f"(jobs={report['jobs']}): {totals['timeouts']} timeouts, "
+        f"{totals['fallbacks']} fallbacks, {totals['errors']} errors, "
+        f"{len(totals['violations'])} violations; "
+        + (f"cache {cache['hits']} hits / {cache['misses']} misses ({cache['dir']})"
+           if cache else "cache disabled")
+    )
+    for violation in totals["violations"]:
+        print(f"  VIOLATION {format_violation(violation)}")
+    print(f"wrote {path}")
+    return 1 if failed else 0

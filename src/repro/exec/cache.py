@@ -10,6 +10,7 @@ delete wholesale.
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -196,3 +197,30 @@ class ScheduleCache:
             "kept": len(entries) - removed,
             "kept_bytes": total,
         }
+
+
+def cache_main(*, cache_dir: str, prune: bool, max_bytes: Optional[int], json_out: bool) -> int:
+    """``python -m repro cache``: disk-tier statistics, or with ``prune``
+    a garbage collection down to ``max_bytes``."""
+    cache = ScheduleCache(cache_dir)
+    if prune:
+        if max_bytes is None:
+            raise argparse.ArgumentError(None, "--prune needs --max-bytes N")
+        before = cache.disk_stats()
+        pruned = cache.prune(max_bytes)
+        print(
+            f"pruned {pruned['removed']} of {before['entries']} entries "
+            f"({pruned['freed_bytes']} bytes freed, "
+            f"{pruned['tmp_removed']} stale tmp files); "
+            f"{pruned['kept']} entries / {pruned['kept_bytes']} bytes kept"
+        )
+        return 0
+    stats = cache.disk_stats()
+    if json_out:
+        print(json.dumps(stats, indent=1, sort_keys=True))
+        return 0
+    print(f"cache dir     {stats['dir']}")
+    print(f"entries       {stats['entries']}")
+    print(f"bytes         {stats['bytes']}")
+    print(f"shards used   {stats['shards_used']} ({stats['shard_fill']:.2%} of 65536)")
+    return 0

@@ -23,8 +23,9 @@ are jobs-count-independent by repro.exec's design.
 from __future__ import annotations
 
 import random
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.cells import Cell, CellResult
@@ -54,8 +55,8 @@ class FuzzConfig:
     seconds: float = 60.0
     jobs: int = 1
     seed: int = 0
-    # The session default; ``--oracle backend-agreement`` adds the
-    # portfolio, whose cross-checked cell is that oracle.
+    # The session default; ``fuzz_main``'s backend-agreement oracle adds
+    # the portfolio.
     schedulers: Tuple[str, ...] = ("sgi", "most", "rau")
     max_ops: int = 16  # corpus-admission cap on generated loop size
     cell_timeout: float = 20.0
@@ -323,3 +324,31 @@ def run_fuzz(config: FuzzConfig, log: Optional[LogFn] = None) -> FuzzReport:
 
     stats.wall_seconds = config.seconds - max(0.0, deadline - time.monotonic())
     return report
+
+
+def fuzz_main(config: FuzzConfig, oracle: Optional[str] = None) -> int:
+    """``python -m repro fuzz``: one session, its findings minimized.
+
+    The exit status encodes the session's meaning: without ``inject``, any
+    finding is a live bug and the exit code is non-zero; under ``inject``
+    the seeded fault *must* be found (a calibration run of the oracle), so
+    zero findings is the failure.  ``oracle="backend-agreement"`` adds the
+    portfolio, whose cross-checked cell is that oracle.
+    """
+    if oracle == "backend-agreement" and "portfolio" not in config.schedulers:
+        config = replace(config, schedulers=(*config.schedulers, "portfolio"))
+    report = run_fuzz(config, log=print)
+    stats = report.stats
+    print(
+        f"\n{stats.loops} loops ({stats.cells} cells) in "
+        f"{stats.wall_seconds:.1f}s: {stats.violations} violations, "
+        f"{len(report.findings)} distinct findings, "
+        f"coverage {stats.coverage_keys} keys, corpus {stats.corpus_size}"
+    )
+    if config.inject:
+        if not any(f.reproduced for f in report.findings):
+            print(f"injected fault {config.inject!r} was NOT caught", file=sys.stderr)
+            return 1
+        print(f"injected fault {config.inject!r} caught and minimized")
+        return 0
+    return 1 if report.findings else 0

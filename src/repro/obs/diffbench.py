@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exec.verdict import format_violation
-from .history import RunRecord
-from .trend import TrendReport, build_trend, judge
+from .history import DEFAULT_HISTORY_DIR, RunRecord
+from .trend import TrendReport, build_trend, judge, trend_report
 
 #: Numeric per-cell fields worth a delta line in the report.
 DELTA_FIELDS = (
@@ -392,3 +393,24 @@ def _diff_cell(
             + ", ".join(sorted(set(delta.deltas) - set(TIMING_FIELDS)))
         )
     return delta
+
+
+def diff_main(*, old: str, new: str, name: str, strict: bool, trend: bool, verbose: bool,
+              history_dir: Optional[str], json_out: Optional[str]) -> int:
+    """``python -m repro diff <old> <new>``: the attributed regression gate;
+    with ``strict``, 1 on any regression."""
+    from .views import print_or_write
+
+    fresh = load_bench(new, name)
+    history = trend_report(name, history_dir or DEFAULT_HISTORY_DIR, fresh=fresh) if trend else None
+    diff = diff_reports(load_bench(old, name), fresh, history)
+    print_or_write(json_out, json.dumps(diff.to_dict(), indent=1, sort_keys=True),
+                   diff.formatted(verbose=verbose))
+    if diff.regressions and strict:
+        return 1
+    if diff.regressions:
+        print(
+            f"({len(diff.regressions)} regressions; warn-only, pass --strict to fail)",
+            file=sys.stderr if json_out == "-" else sys.stdout,
+        )
+    return 0

@@ -22,11 +22,13 @@ filter), and five panels —
 ``validate_html`` is the well-formedness gate used by ``repro report
 --check`` and the report-smoke CI lane: stdlib ``html.parser`` driving a
 tag-balance stack plus required-content checks — not a full validator,
-but enough to catch an empty or truncated artefact.
+but enough to catch an empty or truncated artefact.  ``report_main``
+assembles and writes the dashboard for ``python -m repro report``.
 """
 
 from __future__ import annotations
 
+import argparse
 import html as _html
 import pathlib
 from html.parser import HTMLParser
@@ -608,3 +610,73 @@ def validate_report_file(path, required_ids: Sequence[str] = ()) -> List[str]:
     if not path.exists():
         return [f"no report at {path}"]
     return validate_html(path.read_text(), required_ids)
+
+
+def report_main(*, output: str, experiments: str, baseline: str, history_last: int,
+                check: bool, history_dir: str, bench: str) -> int:
+    """``python -m repro report``: run the named experiments (a comma
+    list, or ``none``) and write their tables, the BENCH json's panels and
+    the run history into ``output``; with ``check``, 1 when the written
+    file fails validation."""
+    from ..eval.experiments import EXPERIMENTS, ExperimentConfig
+    from .diffbench import diff_reports, load_bench
+    from .trend import history_panel_data
+    from .views import explanations, invalid
+
+    names = [] if experiments == "none" else [
+        n.strip() for n in experiments.split(",") if n.strip()
+    ]
+    unknown = [n for n in names if n not in EXPERIMENTS]
+    if unknown:
+        raise argparse.ArgumentError(None, f"unknown experiments: {', '.join(unknown)}")
+
+    tables, charts = [], []
+    for name in names:
+        print(f"running {name} ...", flush=True)
+        result = EXPERIMENTS[name][0](ExperimentConfig())
+        tables.append(result.table)
+        if result.chart:
+            charts.append(result.chart)
+
+    payload = diff = None
+    found: list = []
+    try:
+        payload = load_bench(bench)
+    except (FileNotFoundError, OSError):
+        print(f"no bench json under {bench}; bench and explanation panels skipped")
+    if payload is not None:
+        found = explanations(
+            [cell for cell in payload["cells"] if cell.get("explanation") or cell.get("error")]
+        )
+        try:
+            diff = diff_reports(load_bench(baseline), payload)
+        except (FileNotFoundError, OSError):
+            print(f"no baseline under {baseline}; diff panel skipped")
+
+    path = write_report(
+        output,
+        meta={"bench": payload["name"] if payload is not None else "none",
+              "experiments": ",".join(names) or "none"},
+        explanations=found,
+        tables=tables,
+        charts=charts,
+        diff=diff,
+        bench=payload,
+        history=history_panel_data(pathlib.Path(history_dir), last=history_last),
+    )
+    print(f"wrote {path}")
+
+    if check:
+        required = ["explanations"] if found else []
+        if tables or charts:
+            required.append("figures")
+        if diff is not None:
+            required.append("diff")
+        if payload is not None:
+            required.append("bench")
+        # The history panel always renders (placeholder when <2 runs).
+        required.append("history")
+        if invalid(path, validate_report_file(path, required)):
+            return 1
+        print(f"--check: {path} valid ({', '.join(required) or 'no panels'})")
+    return 0

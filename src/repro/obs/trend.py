@@ -37,6 +37,8 @@ latency and rate verdict from it, over the two runs it compares or, with
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -471,9 +473,9 @@ def trend_report(
     """The trend report over the stored history of ``name``.
 
     ``fresh`` is a BENCH payload judged as the newest run (``repro diff
-    --trend``).  ``repro bench`` files its run by default, so a stored copy
-    of ``fresh`` (same ``created_at``, ``code_version`` and git SHA) is
-    dropped first: the fresh run is counted once, and last.
+    --trend``).  ``repro bench --history-dir`` may have filed it already,
+    so a stored copy of ``fresh`` (same ``created_at``, ``code_version``
+    and git SHA) is dropped first: the fresh run is counted once, and last.
     """
     runs = HistoryStore(history_dir).runs(name)
     if fresh is not None:
@@ -527,3 +529,18 @@ def history_panel_data(
             "dropped": dropped,
         })
     return {"histories": histories}
+
+
+def trend_main(*, name: str, last: int, check: bool, verbose: bool, history_dir: str,
+               json_out: Optional[str]) -> int:
+    """``python -m repro trend <name>``: trend verdicts over the run
+    history; with ``check``, 1 when any series regressed."""
+    from .views import print_or_write
+
+    report = trend_report(name, history_dir=history_dir, last=last)
+    print_or_write(json_out, json.dumps(report.to_dict(), indent=1, sort_keys=True),
+                   report.formatted(verbose=verbose))
+    if not report.runs:
+        print(f"no stored runs for {name!r} under {history_dir}", file=sys.stderr)
+        return 0
+    return 1 if check and not report.ok else 0

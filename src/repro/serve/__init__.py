@@ -31,12 +31,12 @@ from .. import _lazy_exports
 _EXPORTS = {
     **dict.fromkeys(("LRUCache", "TieredCache"), "cachetier"),
     **dict.fromkeys(("ServeDaemon", "handle_payload", "run_daemon"), "daemon"),
-    **dict.fromkeys(("LoadgenOptions", "LoadReport", "run_loadgen"), "loadgen"),
+    **dict.fromkeys(("LoadReport", "run_loadgen"), "loadgen"),
     **dict.fromkeys(
         ("PROTOCOL_VERSION", "ProtocolError", "ScheduleRequest", "parse_schedule_request"),
         "protocol",
     ),
-    **dict.fromkeys(("SchedulerService", "ServeConfig"), "service"),
+    **dict.fromkeys(("LoadgenOptions", "SchedulerService", "ServeConfig"), "service"),
 }
 
 __all__ = sorted(_EXPORTS)

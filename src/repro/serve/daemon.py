@@ -1,6 +1,6 @@
 """The asyncio front end: TCP + Unix-socket NDJSON servers, graceful drain.
 
-``python -m repro serve`` boots this daemon around a
+``python -m repro serve`` (``serve_main``) boots this daemon around a
 :class:`~repro.serve.service.SchedulerService`.  Each connection reads
 one JSON request per line and writes one JSON response per line; requests
 on one connection are handled concurrently (a connection can pipeline
@@ -13,6 +13,7 @@ process exits 0.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import signal
 import sys
@@ -26,7 +27,7 @@ from .protocol import (
     parse_line,
     parse_schedule_request,
 )
-from .service import SchedulerService, ServeConfig
+from .service import LoadgenOptions, SchedulerService, ServeConfig
 
 
 async def handle_payload(service: SchedulerService, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -268,3 +269,32 @@ def run_daemon(config: Optional[ServeConfig] = None,
         return asyncio.run(daemon.run())
     except KeyboardInterrupt:
         return 0
+
+
+def serve_main(config: ServeConfig, load: LoadgenOptions, *, host: str,
+               port: Optional[int], unix: Optional[str], metrics_port: Optional[int],
+               selftest: bool, check_equivalence: bool) -> int:
+    """``python -m repro serve``: the daemon on ``port`` and/or ``unix``,
+    or with ``selftest`` the load harness ``load`` against an in-process
+    one (``check_equivalence`` also re-runs every cell on the direct
+    engine); the selftest exits 1 on any problem it finds."""
+    if selftest:
+        from .loadgen import format_summary, run_selftest
+
+        report, path, problems = run_selftest(
+            load, jobs=config.jobs, equivalence=check_equivalence, config=config,
+            log=lambda line: print(line, file=sys.stderr, flush=True),
+        )
+        print(format_summary(report))
+        print(f"wrote {path}")
+        if problems:
+            print("selftest FAILED:", file=sys.stderr)
+            for problem in problems:
+                print(f"  {problem}", file=sys.stderr)
+            return 1
+        print("selftest ok" + (" (daemon matches the direct engine)" if check_equivalence else ""))
+        return 0
+    if port is None and unix is None:
+        raise argparse.ArgumentError(
+            None, "daemon mode needs --port and/or --unix (or use --selftest)")
+    return run_daemon(config, host=host, port=port, unix_path=unix, metrics_port=metrics_port)

@@ -36,41 +36,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..exec.bench import BenchOptions, summarise, write_bench_json
+from ..exec.bench import summarise, write_bench_json
 from ..exec.cells import CellResult, corpus_loop_keys
 from ..exec.hashing import code_version
 from ..exec.verdict import format_violation
 from ..obs.history import append_history
 from ..obs.provenance import provenance
 from ..obs.service import LatencyStats
-from ..schedulers import REGISTRY
 from .protocol import encode, parse_line
-
-DEFAULT_FUZZ_CORPUS_DIR = pathlib.Path("tests") / "fuzz_corpus"
-
-
-@dataclass
-class LoadgenOptions:
-    """Knobs of one load-generation session."""
-
-    requests: int = 240
-    concurrency: int = 16
-    schedulers: Tuple[str, ...] = tuple(REGISTRY)
-    corpora: Tuple[str, ...] = ("livermore", "recbound")
-    fuzz_corpus_dir: Optional[str] = str(DEFAULT_FUZZ_CORPUS_DIR)
-    seed: int = 0
-    budget: Optional[float] = 60.0
-    simulate: bool = True
-    output_dir: str = "benchmarks/output"
-    # When set, the finished BENCH_service payload is also filed in the
-    # run-history store (repro.obs.history) for the trend layer.  None
-    # (the default) keeps tests and ad-hoc runs out of shared history.
-    history_dir: Optional[str] = None
-
-    def bench_options(self) -> BenchOptions:
-        # The quick-grid configuration: identical scheduler options to
-        # ``repro bench --quick`` so cells align across BENCH files.
-        return BenchOptions(quick=True, schedulers=self.schedulers)
+from .service import LoadgenOptions, ServeConfig
 
 
 def corpus_spec_tokens(fuzz_corpus_dir) -> List[Tuple[str, str]]:
@@ -439,8 +413,6 @@ def run_selftest(options: Optional[LoadgenOptions] = None, jobs: int = 2,
     the written json's verdict (``totals.violations``) and any
     equivalence mismatches, empty on a clean pass.
     """
-    from .service import ServeConfig
-
     options = options or LoadgenOptions()
     if config is None:
         config = ServeConfig(jobs=jobs)
@@ -479,7 +451,6 @@ def check_equivalence(report: LoadReport, jobs: int = 2) -> List[str]:
     human-readable mismatches (empty = daemon is result-identical)."""
     from ..exec.engine import ExecEngine
     from .protocol import parse_schedule_request
-    from .service import ServeConfig
 
     config = ServeConfig()
     problems: List[str] = []

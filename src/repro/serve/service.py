@@ -30,18 +30,24 @@ worker rather than an error — quality tiers, not failures.
 from __future__ import annotations
 
 import asyncio
+import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..exec.cache import DEFAULT_CACHE_DIR, ScheduleCache, cache_result, cached_hit
 from ..exec.cells import Cell, resolve_loop
 from ..exec.hashing import cell_key
 from ..exec.pool import WorkerPool
+from ..obs import export
 from ..obs.recorder import get_recorder
 from ..obs.service import ServiceMetrics, SlowRequestLog
+from ..schedulers import REGISTRY
 from .cachetier import LRUCache, TieredCache
 from .protocol import ProtocolError, ScheduleRequest, error_response, ok_response
+
+if TYPE_CHECKING:
+    from ..exec.bench import BenchOptions
 
 
 @dataclass
@@ -52,7 +58,7 @@ class ServeConfig:
     queue_limit: int = 64              # max outstanding distinct solves
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR  # None = memory-only
     lru_entries: int = 1024
-    lru_bytes: int = 64 << 20
+    lru_mb: float = 64.0               # in-process LRU byte budget, MiB
     default_budget: float = 60.0       # per-request deadline when unset
     max_budget: float = 300.0          # server-side clamp on request budgets
     drain_timeout: float = 60.0        # max seconds to wait for in-flight work
@@ -70,9 +76,41 @@ class ServeConfig:
     def build_cache(self) -> TieredCache:
         disk = ScheduleCache(self.cache_dir) if self.cache_dir is not None else None
         return TieredCache(
-            lru=LRUCache(max_entries=self.lru_entries, max_bytes=self.lru_bytes),
+            lru=LRUCache(max_entries=self.lru_entries, max_bytes=int(self.lru_mb * (1 << 20))),
             disk=disk,
         )
+
+
+#: The committed fuzz corpus, whose specs ride in the load harness's mix.
+DEFAULT_FUZZ_CORPUS_DIR = pathlib.Path("tests") / "fuzz_corpus"
+
+
+@dataclass
+class LoadgenOptions:
+    """Knobs of one load-generation session (:mod:`repro.serve.loadgen`),
+    defined here so ``repro serve`` reads its selftest's defaults without
+    loading the harness."""
+
+    requests: int = 240
+    concurrency: int = 16
+    schedulers: Tuple[str, ...] = tuple(REGISTRY)
+    corpora: Tuple[str, ...] = ("livermore", "recbound")
+    fuzz_corpus_dir: Optional[str] = str(DEFAULT_FUZZ_CORPUS_DIR)
+    seed: int = 0
+    budget: Optional[float] = 60.0
+    simulate: bool = True
+    output_dir: pathlib.Path = field(default_factory=lambda: export.DEFAULT_OUTPUT_DIR)
+    # When set, the finished BENCH_service payload is also filed in the
+    # run-history store (repro.obs.history) for the trend layer.  None
+    # (the default) keeps tests and ad-hoc runs out of shared history.
+    history_dir: Optional[str] = None
+
+    def bench_options(self) -> "BenchOptions":
+        # The quick-grid configuration: identical scheduler options to
+        # ``repro bench --quick`` so cells align across BENCH files.
+        from ..exec.bench import BenchOptions
+
+        return BenchOptions(quick=True, schedulers=self.schedulers)
 
 
 @dataclass

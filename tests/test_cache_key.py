@@ -29,7 +29,8 @@ NOT_RUN = (
     "analyze/codelint.py", "exec/engine.py", "exec/bench.py", "exec/cache.py",
     "exec/hashing.py", "exec/pool.py", "obs/history.py", "obs/provenance.py",
     "obs/service.py", "obs/report.py", "fuzz/engine.py", "fuzz/corpus.py",
-    "fuzz/minimize.py", "fuzz/oracle.py", "exec/verdict.py",
+    "fuzz/minimize.py", "fuzz/oracle.py", "exec/verdict.py", "obs/views.py",
+    "obs/diffbench.py",
 )
 
 

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
+from repro.eval.experiments import EXPERIMENTS
 
 
 class TestCli:

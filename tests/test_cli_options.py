@@ -3,17 +3,21 @@
 Each subcommand's parser is captured at ``parse_args`` (so nothing runs)
 and its option strings compared with the committed list: a refactor of
 how the parsers are built cannot silently drop or rename a flag, or move
-a command's default.
+a command's default.  The contract tests at the end check that a flag
+filling a config field takes that field's default and names none of its
+own, and that every subcommand prints its help.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
 import pathlib
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import RUNNER, SUBCOMMANDS, _load, _parse, main
 from repro.obs import export
 
 #: Where bench writes and the views read, as committed: read at collection,
@@ -223,3 +227,64 @@ def test_bench_trace_accepts_the_portfolio(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "lk01_hydro" in out and "PORT II" in out
+
+
+#: The config classes each command's flags fill, as an empty command line
+#: builds them (``serve --selftest`` fills the selftest's options too).
+CONFIGS = {
+    "bench": ("repro.exec.bench", ["BenchOptions"], []),
+    "fuzz": ("repro.fuzz.engine", ["FuzzConfig"], []),
+    "serve": ("repro.serve.service", ["ServeConfig", "LoadgenOptions"], []),
+    "serve --selftest": ("repro.serve.service", ["ServeConfig", "LoadgenOptions"],
+                         ["--selftest"]),
+    "": ("repro.eval.experiments", ["ExperimentConfig"], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_an_empty_command_line_builds_the_class_defaults(command):
+    """Every default a flag shows is its config field's: parsed from no
+    flags, each config equals the class's own default instance."""
+    module, classes, argv = CONFIGS[command]
+    module = importlib.import_module(module)
+    _, configs, _ = _parse(command.split()[0] if command else "", argv)
+    assert configs == [getattr(module, name)() for name in classes]
+
+
+@pytest.mark.parametrize("command", ["", *SUBCOMMANDS])
+def test_no_row_that_fills_a_field_names_a_default(command):
+    contract = SUBCOMMANDS[command] if command else RUNNER
+    fields = {
+        field.name
+        for path in contract.configs
+        for field in dataclasses.fields(_load(path))
+    }
+    filling = [(names, keywords) for names, keywords in contract.rows
+               if _dest(names, keywords) in fields]
+    assert bool(filling) == bool(fields)
+    assert [names for names, keywords in filling if "default" in keywords] == []
+
+
+def _dest(names, keywords):
+    """The dest argparse gives a row."""
+    keywords = {key: value for key, value in keywords.items()
+                if key not in ("default", "help", "choices")}
+    return argparse.ArgumentParser().add_argument(*names.split(), **keywords).dest
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_subcommand_has_a_help_and_a_runner(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert f"usage: python -m repro {command}" in capsys.readouterr().out
+    assert callable(_load(SUBCOMMANDS[command].run))
+
+
+def test_the_selftest_writes_where_bench_writes():
+    """Both default to the one output-directory constant, so the test
+    session's redirect of it reaches a default selftest too."""
+    from repro.exec.bench import BenchOptions
+    from repro.serve.service import LoadgenOptions
+
+    assert LoadgenOptions().output_dir == BenchOptions().output_dir == export.DEFAULT_OUTPUT_DIR

@@ -31,6 +31,15 @@ class TestBenchOptions:
         assert options.scheduler_options("most")["max_nodes"] <= 2000
         assert options.cell_timeout == 60.0
 
+    def test_an_explicit_timeout_survives_quick(self):
+        assert BenchOptions(quick=True, cell_timeout=30.0).cell_timeout == 30.0
+        assert BenchOptions().cell_timeout == 120.0
+
+    def test_trace_spools_under_the_output_dir(self, tmp_path):
+        assert BenchOptions(trace=True, output_dir=tmp_path).trace_dir == str(tmp_path / "trace")
+        traced = BenchOptions(trace_dir=str(tmp_path / "spools"))
+        assert traced.trace and traced.trace_dir == str(tmp_path / "spools")
+
     def test_cells_run_the_registry_presets(self):
         # The parent's literal dicts: they feed cache keys and the committed
         # BENCH baselines, so they must not move.

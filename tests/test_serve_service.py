@@ -113,7 +113,8 @@ def test_parse_schedule_request_accepts_harness_keys():
 
 
 def test_parse_schedule_request_spec_token_becomes_fuzz_key():
-    from repro.serve.loadgen import DEFAULT_FUZZ_CORPUS_DIR, corpus_spec_tokens
+    from repro.serve.loadgen import corpus_spec_tokens
+    from repro.serve.service import DEFAULT_FUZZ_CORPUS_DIR
 
     tokens = corpus_spec_tokens(DEFAULT_FUZZ_CORPUS_DIR)
     assert tokens, "committed fuzz corpus should yield at least one spec"

@@ -78,7 +78,7 @@ class _Printed:
 
 def _one_cell_experiment(monkeypatch, cell):
     """Register a one-cell experiment; returns the results it saw."""
-    import repro.__main__ as mm
+    from repro.eval.experiments import EXPERIMENTS
 
     seen = []
 
@@ -86,7 +86,7 @@ def _one_cell_experiment(monkeypatch, cell):
         seen.append(config.run_cells([cell])[cell])
         return _Printed()
 
-    monkeypatch.setitem(mm.EXPERIMENTS, "one-cell", (experiment, "one cell"))
+    monkeypatch.setitem(EXPERIMENTS, "one-cell", (experiment, "one cell"))
     return seen
 
 
